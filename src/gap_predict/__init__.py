@@ -6,12 +6,9 @@ from .approx import (Approximant, chebyshev_grid, fit_parity_ls, gamma_to_a,
                      fit_approximant, load_approximant, save_approximant)
 from .signal import (QuadratureError, SpectrumSpec, Tone, Bump, bump_density,
                      sample, sample_grid, l1_budget, epsilon1, select_nu,
-                     exact_hk, future_value, load_spectrum, save_spectrum)
-from .predictor import (PredictorConfig, ConvPrediction, kernel_eval,
-                        predict_convolution, iterated_integrals, EtaState,
-                        predict_from_eta, predict_eta_grid,
-                        predict_from_eta_recursive, EtaFit, fit_eta,
-                        find_left_root)
+                     exact_hk, load_spectrum, save_spectrum)
+from .predictor import (kernel_eval, predict_convolution, iterated_integrals,
+                        EtaState, predict_eta_grid, EtaFit, fit_eta)
 from .harness import (ExperimentConfig, ErrorRow, run_sweep, emit_report,
                       write_reports, ConvergenceVerdict, convergence_check)
 

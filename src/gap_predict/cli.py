@@ -17,9 +17,8 @@ from .approx import (approximant_to_dict, fit_approximant, load_approximant,
                      save_approximant)
 from .harness import (ExperimentConfig, convergence_check, run_sweep,
                       write_reports)
-from .predictor import (EtaState, PredictorConfig, fit_eta,
-                        iterated_integrals, predict_convolution,
-                        predict_eta_grid)
+from .predictor import (EtaState, fit_eta, iterated_integrals,
+                        predict_convolution, predict_eta_grid, _sample_index)
 from .signal import load_spectrum, sample_grid
 from .taper import TaperSpec
 
@@ -96,9 +95,7 @@ def synth_cmd(spec_path, t0, t1, dt, out):
 def _window_from(times, values, t1):
     # the iterated integrals must start exactly at t1, so snap it onto the
     # sample lattice
-    i0 = int(np.argmin(np.abs(times - t1)))
-    if abs(times[i0] - t1) > 1e-9 * max(1.0, abs(t1)):
-        raise ValueError(f"t1={t1} does not lie on the sample grid")
+    i0 = int(_sample_index(times, t1))
     return float(times[i0]), times[i0:], values[i0:]
 
 
@@ -137,19 +134,14 @@ def predict_cmd(approx_path, samples_path, mode, t1, history_length, eta_path,
     try:
         approx = load_approximant(approx_path)
         times, values = _read_samples(samples_path)
-        rows = []
         if mode == "conv":
-            config = PredictorConfig(approximant=approx,
-                                     history_length=history_length)
-            h = float(np.mean(np.diff(times)))
-            n_lag = int(round(config.history_length / h))
+            L = history_length if history_length is not None else 10.0 * approx.T
+            n_lag = int(round(L / np.mean(np.diff(times))))
             if n_lag + 1 > len(times):
-                raise ValueError(
-                    f"record too short for history_length={config.history_length}")
-            for i in range(n_lag, len(times)):
-                pred = predict_convolution(config, times[i - n_lag:i + 1],
-                                           values[i - n_lag:i + 1])
-                rows.append((times[i], pred.y_hat, pred.tail_diag))
+                raise ValueError(f"record too short for history_length={L}")
+            y, tail = predict_convolution(approx, times, values, times[n_lag:],
+                                          history_length=L)
+            rows = list(zip(times[n_lag:], y, tail))
         else:
             if t1 is None:
                 t1 = float(times[0])
@@ -227,8 +219,8 @@ def eval_cmd(config_path, pin, out_dir):
         verdict = convergence_check(rows)
         click.echo("convergence: " + ("pass" if verdict.passed else
                                       "; ".join(verdict.failures)))
-    except ValueError:
-        pass  # sweep too small for a convergence verdict
+    except ValueError as exc:
+        click.echo(f"convergence: skipped ({exc})")
     click.echo(f"reports written to {dest}")
     if any(row.error for row in rows) or not all(row.passed for row in rows):
         sys.exit(1)

@@ -24,12 +24,10 @@ from typing import Optional
 import numpy as np
 
 from .approx import fit_approximant, sup_error
-from .predictor import (EtaState, PredictorConfig, fit_eta,
-                        iterated_integrals, predict_convolution,
-                        predict_eta_grid)
+from .predictor import (EtaState, fit_eta, iterated_integrals, kernel_eval,
+                        predict_convolution, predict_eta_grid)
 from .signal import (SpectrumSpec, bump_density, epsilon1, exact_hk,
-                     l1_budget, load_spectrum, sample, sample_grid, select_nu,
-                     _quad, _support)
+                     load_spectrum, sample_grid, select_nu, _quad, _support)
 from .taper import TaperSpec, eval_taper
 
 __all__ = ["ExperimentConfig", "ErrorRow", "run_sweep", "emit_report",
@@ -111,15 +109,6 @@ class ErrorRow:
     error: Optional[str] = None
 
 
-def _kernel_abs(a, delta):
-    # sum_k |a_k| delta^(k-1)/(k-1)!  -- growth scale of the kernel at lag delta
-    acc, term = 0.0, 1.0
-    for k, coeff in enumerate(np.abs(a), start=1):
-        acc += coeff * term
-        term *= delta / k
-    return acc
-
-
 def _second_moment(spec: SpectrumSpec) -> float:
     # bound on |x''|: sum |c_j| w_j^2 for tones, (1/pi) int w^2 |X| dw for bumps
     if spec.kind == "tones":
@@ -132,15 +121,21 @@ def _second_moment(spec: SpectrumSpec) -> float:
 
 
 def _measurement_grid(config: ExperimentConfig) -> np.ndarray:
-    n = int(round((config.t_end - config.t_start) / config.dt)) + 1
+    # whole dt steps that stay within [t_start, t_end]
+    n = int(np.floor((config.t_end - config.t_start) / config.dt + 1e-9)) + 1
     return config.t_start + config.dt * np.arange(n)
 
 
+def _record(spec, t0, t_end, h):
+    # uniform samples from t0 that reach t_end
+    n = int(np.ceil((t_end - t0) / h - 1e-9)) + 1
+    return t0 + h * np.arange(n), sample_grid(spec, t0, h, n)
+
+
 def _future_values(spec, t_grid, T):
-    if spec.kind == "tones":
-        return sample_grid(spec, t_grid[0] + T, t_grid[1] - t_grid[0], len(t_grid)) \
-            if len(t_grid) > 1 else np.array([sample(spec, t_grid[0] + T)])
-    return np.array([sample(spec, t + T) for t in t_grid])
+    # x(t + T) on the evenly spaced t_grid
+    step = t_grid[1] - t_grid[0] if len(t_grid) > 1 else 1.0
+    return sample_grid(spec, t_grid[0] + T, step, len(t_grid))
 
 
 def _run_row(config: ExperimentConfig, spec_name: str, spec: SpectrumSpec,
@@ -173,60 +168,38 @@ def _run_row(config: ExperimentConfig, spec_name: str, spec: SpectrumSpec,
         slack_items["quad_abs"] = 2e-10
     m2 = _second_moment(spec)
 
-    if "eta" in config.modes:
-        t1 = config.t_start
-        n = int(round((config.t_end - t1) / h)) + 1
-        times = t1 + h * np.arange(n)
-        values = sample_grid(spec, t1, h, n)
-        eta = np.array([exact_hk(spec, k, t1) for k in range(1, d + 1)])
-        state = EtaState.from_window(approx.a, times, values, eta)
-        y = predict_eta_grid(state, t_grid)
-        mode_sup["eta"] = float(np.abs(fut - y).max())
-        delta = config.t_end - t1
-        slack_items["eta_trap"] = max(
-            slack_items.get("eta_trap", 0.0),
-            (h ** 2 / 12.0) * m2 * delta * _kernel_abs(approx.a, delta))
-
-    if "fit-eta" in config.modes:
-        t1 = config.t_start - max(4.0 * T, 1.0)
-        theta = config.t_start
-        dbar = config.fit_dbar_factor * d
-        fit_times = np.linspace(t1 + T / 10.0, theta - T, dbar)
-        zeta = np.array([sample(spec, tm + T) for tm in fit_times])
-        n = int(round((config.t_end - t1) / h)) + 1
-        times = t1 + h * np.arange(n)
-        values = sample_grid(spec, t1, h, n)
+    for mode in ("eta", "fit-eta"):
+        if mode not in config.modes:
+            continue
+        t1 = config.t_start if mode == "eta" else \
+            config.t_start - max(4.0 * T, 1.0)
+        times, values = _record(spec, t1, config.t_end, h)
         f = iterated_integrals(times, values, d)
-        fitres = fit_eta(approx.a, t1, fit_times, zeta, times, f)
-        state = EtaState(t1=t1, eta=fitres.eta, times=times, values=values,
-                         f=f, a=approx.a)
+        if mode == "eta":
+            eta = np.array([exact_hk(spec, k, t1) for k in range(1, d + 1)])
+        else:
+            fit_times = np.linspace(t1 + T / 10.0, config.t_start - T,
+                                    config.fit_dbar_factor * d)
+            zeta = _future_values(spec, fit_times, T)
+            eta = fit_eta(approx.a, t1, fit_times, zeta, times, f).eta
+        state = EtaState(t1=t1, eta=eta, times=times, values=values, f=f,
+                         a=approx.a)
         y = predict_eta_grid(state, t_grid)
-        mode_sup["fit-eta"] = float(np.abs(fut - y).max())
+        mode_sup[mode] = float(np.abs(fut - y).max())
         delta = config.t_end - t1
         slack_items["eta_trap"] = max(
             slack_items.get("eta_trap", 0.0),
-            (h ** 2 / 12.0) * m2 * delta * _kernel_abs(approx.a, delta))
+            (h ** 2 / 12.0) * m2 * delta * kernel_eval(np.abs(approx.a), delta))
 
     if "conv" in config.modes:
         L = config.history_length if config.history_length is not None else 10.0 * T
-        pconf = PredictorConfig(approximant=approx, history_length=L,
-                                quadrature_step=h)
-        t_lo = config.t_start - L
-        n = int(round((config.t_end - t_lo) / h)) + 1
-        times = t_lo + h * np.arange(n)
-        values = sample_grid(spec, t_lo, h, n)
-        n_lag = int(round(L / h))
-        sup, tail_max = 0.0, 0.0
-        for t in t_grid:
-            i = int(round((t - t_lo) / h))
-            pred = predict_convolution(pconf, times[i - n_lag:i + 1],
-                                       values[i - n_lag:i + 1])
-            truth = sample(spec, times[i] + T)
-            sup = max(sup, abs(truth - pred.y_hat))
-            tail_max = max(tail_max, pred.tail_diag)
-        mode_sup["conv"] = sup
-        slack_items["conv_tail"] = tail_max
-        slack_items["conv_simpson"] = (h ** 4 / 180.0) * m2 * L * _kernel_abs(approx.a, L)
+        times, values = _record(spec, config.t_start - L, config.t_end, h)
+        y, tail = predict_convolution(approx, times, values, t_grid,
+                                      history_length=L)
+        mode_sup["conv"] = float(np.abs(fut - y).max())
+        slack_items["conv_tail"] = float(tail.max())
+        slack_items["conv_simpson"] = ((h ** 4 / 180.0) * m2 * L
+                                       * kernel_eval(np.abs(approx.a), L))
 
     # certification slack: how much the dense-grid eps2 moves at twice the density
     d_eps2 = max(0.0, eps2_hi - eps2)

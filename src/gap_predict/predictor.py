@@ -23,52 +23,16 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid, simpson
+from scipy.integrate import cumulative_trapezoid
 
 from .approx import Approximant
 
-__all__ = ["PredictorConfig", "ConvPrediction", "kernel_eval",
-           "predict_convolution", "iterated_integrals", "EtaState",
-           "predict_from_eta", "predict_eta_grid", "predict_from_eta_recursive",
-           "EtaFit", "fit_eta", "find_left_root"]
+__all__ = ["kernel_eval", "predict_convolution", "iterated_integrals",
+           "EtaState", "predict_eta_grid", "EtaFit", "fit_eta"]
 
 COND_FLAG_THRESHOLD = 1e12
-
-
-@dataclass(frozen=True)
-class PredictorConfig:
-    """Numerical settings for one predictor instance.
-
-    history_length defaults to 10*T and is rejected below that guard; the
-    truncated convolution is meaningless with less history.  quadrature_step
-    defaults to 1e-3*T; it must also keep h * max|w| of the intended signals
-    below ~0.1, which is the caller's responsibility (enforced per
-    experiment, not here).
-    """
-
-    approximant: Approximant
-    history_length: Optional[float] = None
-    quadrature_step: Optional[float] = None
-
-    def __post_init__(self):
-        T = self.approximant.T
-        if self.history_length is None:
-            object.__setattr__(self, "history_length", 10.0 * T)
-        if self.quadrature_step is None:
-            object.__setattr__(self, "quadrature_step", 1e-3 * T)
-        if self.history_length < 10.0 * T:
-            raise ValueError(
-                f"history_length {self.history_length} is below the 10*T guard")
-        if self.quadrature_step <= 0:
-            raise ValueError("quadrature_step must be positive")
-
-
-class ConvPrediction(NamedTuple):
-    y_hat: float
-    tail_diag: float
 
 
 def kernel_eval(a, t):
@@ -80,7 +44,7 @@ def kernel_eval(a, t):
     acc = np.full_like(t_arr, a[0] if len(a) else 0.0)
     term = np.ones_like(t_arr)
     for k in range(2, len(a) + 1):
-        term = term * t_arr / (k - 1)
+        term = term * (t_arr / (k - 1))
         acc = acc + a[k - 1] * term
     if np.ndim(t) == 0:
         return float(acc)
@@ -98,31 +62,75 @@ def _uniform_step(times):
     return float(h)
 
 
-def predict_convolution(config: PredictorConfig, times, values) -> ConvPrediction:
-    """Composite-Simpson approximation of int_{t-L}^{t} K(t-tau) x(tau) dtau
-    at t = times[-1], over the uniform window provided.
+def _sample_index(times, t):
+    """Index of the sample time nearest each t (scalar or array), which must
+    lie within 1e-9 * max(1, |t|) of it."""
+    t = np.asarray(t, dtype=float)
+    hi = np.clip(np.searchsorted(times, t), 1, len(times) - 1)
+    idx = np.where(np.abs(times[hi - 1] - t) <= np.abs(times[hi] - t), hi - 1, hi)
+    off = np.abs(times[idx] - t) > 1e-9 * np.maximum(1.0, np.abs(t))
+    if np.any(off):
+        raise ValueError(f"t={t[off].flat[0]} does not lie on the sample grid")
+    return idx
 
-    Returns the value together with the truncation indicator
+
+def _simpson_weights(n, h):
+    # w @ y reproduces scipy.integrate.simpson(y, dx=h) for len(y) == n >= 3:
+    # composite Simpson over the first odd number of points, plus Cartwright's
+    # correction of the last interval when n is even
+    m = n if n % 2 else n - 1
+    w = np.zeros(n)
+    w[0:m:2] = 2.0
+    w[1:m:2] = 4.0
+    w[0] = w[m - 1] = 1.0
+    w *= h / 3.0
+    if m < n:
+        w[-1] += 5.0 * h / 12.0
+        w[-2] += 2.0 * h / 3.0
+        w[-3] -= h / 12.0
+    return w
+
+
+def predict_convolution(approx: Approximant, times, values, t_eval,
+                        history_length=None):
+    """Composite-Simpson approximation of int_{t-L}^{t} K(t-tau) x(tau) dtau
+    at every t in t_eval, from one uniformly sampled record.
+
+    history_length L defaults to 10*T and is rejected below that guard; the
+    truncated convolution is meaningless with less history.  Every t in
+    t_eval must be a sample time with a full window of L behind it.  The
+    kernel is evaluated and Simpson-weighted once; each output is one
+    weighted sum over its window.
+
+    Returns arrays (y_hat, tail_diag), the latter the truncation indicator
     |K(L) * x(t-L)| * L.  The indicator is a crude diagnostic, not a bound:
     when it is large the window is too short (or the degree too high) for the
     truncated form to be trusted.
     """
+    L = 10.0 * approx.T if history_length is None else float(history_length)
+    if L < 10.0 * approx.T:
+        raise ValueError(f"history_length {L} is below the 10*T guard")
     h = _uniform_step(times)
+    times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
-    if values.shape != np.shape(times):
+    if values.shape != times.shape:
         raise ValueError("times and values must have equal length")
-    t = float(times[-1])
-    span = t - float(times[0])
-    if abs(span - config.history_length) > 1.5 * h:
+    n_lag = int(round(L / h))
+    if n_lag < 2:
+        raise ValueError(f"history_length {L} spans fewer than 2 sample steps")
+    idx = np.atleast_1d(_sample_index(times, t_eval))
+    short = idx < n_lag
+    if np.any(short):
         raise ValueError(
-            f"sample window spans {span}, configured history_length is "
-            f"{config.history_length}")
-    lags = t - np.asarray(times, dtype=float)
-    K = kernel_eval(config.approximant.a, np.abs(lags))
-    y = float(simpson(K * values, dx=h))
-    L = float(lags[0])
-    tail = abs(K[0] * values[0]) * L
-    return ConvPrediction(y_hat=y, tail_diag=tail)
+            f"output time t={times[idx[short][0]]} lacks a full history "
+            f"window of length {L}")
+    K = kernel_eval(approx.a, h * np.arange(n_lag, -1, -1))
+    wK = _simpson_weights(n_lag + 1, h) * K
+    # np.sum adds pairwise, as simpson does; a BLAS dot leaves more
+    # round-off where the window's terms cancel
+    y = np.array([np.sum(wK * values[i - n_lag:i + 1]) for i in idx])
+    tail = np.abs(K[0] * values[idx - n_lag]) * (n_lag * h)
+    return y, tail
 
 
 def iterated_integrals(times, values, d: int) -> np.ndarray:
@@ -213,30 +221,6 @@ def predict_eta_grid(state: EtaState, t_eval) -> np.ndarray:
     return y
 
 
-def predict_from_eta(state: EtaState, t: float) -> float:
-    """Closed-form prediction at a single time t >= t1."""
-    return float(predict_eta_grid(state, [t])[0])
-
-
-def predict_from_eta_recursive(state: EtaState, t: float) -> float:
-    """Prediction via the normative recursion x_k = eta_k + int x_{k-1},
-    re-integrating the eta contributions numerically.
-
-    Cross-check path for the closed form; agrees with predict_from_eta up to
-    trapezoid error on the polynomial terms.
-    """
-    h = _uniform_step(state.times)
-    t = float(t)
-    if t < state.t1 - 1e-12:
-        raise ValueError("eta-state predictions are defined for t >= t1 only")
-    cur = state.values
-    y = 0.0
-    for k in range(1, len(state.a) + 1):
-        cur = state.eta[k - 1] + cumulative_trapezoid(cur, dx=h, initial=0.0)
-        y += state.a[k - 1] * np.interp(t, state.times, cur)
-    return float(y)
-
-
 @dataclass(frozen=True, eq=False)
 class EtaFit:
     eta: np.ndarray
@@ -295,37 +279,3 @@ def fit_eta(a, t1: float, fit_times, zeta, times, f) -> EtaFit:
             "be clustered", RuntimeWarning, stacklevel=2)
     residual = M @ eta - rhs
     return EtaFit(eta=eta, residual=residual, cond=cond)
-
-
-def find_left_root(func: Callable[[float], float], lo: float, hi: float,
-                   scan_points: int = 512) -> Optional[float]:
-    """Leftmost root of func in [lo, hi], or None when the scan finds no sign
-    change (the caller widens the window; gap-spectrum signals have
-    infinitely many roots to the left).
-
-    The window is scanned on a uniform lattice; the first bracket is refined
-    by bisection to an interval of 1e-10.
-    """
-    if not hi > lo:
-        raise ValueError("window must satisfy lo < hi")
-    xs = np.linspace(lo, hi, scan_points)
-    vals = np.array([func(x) for x in xs])
-    for i in range(len(xs) - 1):
-        if vals[i] == 0.0:
-            return float(xs[i])
-        if vals[i] * vals[i + 1] < 0.0:
-            left, right = xs[i], xs[i + 1]
-            fleft = vals[i]
-            while right - left > 1e-10:
-                mid = 0.5 * (left + right)
-                fmid = func(mid)
-                if fmid == 0.0:
-                    return float(mid)
-                if fleft * fmid < 0.0:
-                    right = mid
-                else:
-                    left, fleft = mid, fmid
-            return float(0.5 * (left + right))
-    if vals[-1] == 0.0:
-        return float(xs[-1])
-    return None

@@ -27,7 +27,7 @@ from .taper import TaperSpec, eval_taper
 
 __all__ = ["QuadratureError", "Tone", "Bump", "SpectrumSpec",
            "bump_density", "sample", "sample_grid", "l1_budget", "epsilon1",
-           "select_nu", "exact_hk", "future_value",
+           "select_nu", "exact_hk",
            "spectrum_to_dict", "spectrum_from_dict",
            "save_spectrum", "load_spectrum"]
 
@@ -354,11 +354,6 @@ def exact_hk(spec: SpectrumSpec, k: int, t: float) -> float:
         acc += _quad(f, b.center - b.half_width, b.center + b.half_width,
                      weight=weight, wvar=t)
     return sign * acc / np.pi
-
-
-def future_value(spec: SpectrumSpec, t: float, horizon: float) -> float:
-    """Ground truth x(t + horizon) for prediction error measurements."""
-    return sample(spec, t + horizon)
 
 
 def spectrum_to_dict(spec: SpectrumSpec) -> dict:

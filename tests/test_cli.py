@@ -164,6 +164,23 @@ class TestEvalCommand:
         fix = json.loads((tmp_path / "pin" / "fixtures.json").read_text())
         assert fix["settings"]["dense_factor"] == 16
 
+    def test_single_nu_reports_skipped_convergence(self, runner, tmp_path):
+        spec_path = tmp_path / "tone.json"
+        save_spectrum(SpectrumSpec.from_tones(1.0, [(2.0, 0.5)]), spec_path)
+        config = {
+            "spec_files": [str(spec_path)],
+            "T": 1.0, "omega_gap": 1.0, "taper_family": "gaussian",
+            "nu_list": [0.3], "d_list": [4, 6, 8],
+            "t_start": 0.0, "t_end": 0.5, "dt": 0.1, "modes": ["eta"],
+        }
+        config_path = tmp_path / "cfg.json"
+        config_path.write_text(json.dumps(config))
+        result = invoke(runner, ["eval", "--config", str(config_path),
+                                 "--out", str(tmp_path / "out")])
+        assert result.exit_code == 0
+        assert ("convergence: skipped (insufficient sweep coverage: spec tone "
+                "has 1 nu values, need >= 3)") in result.output
+
     def test_config_error_exits_2(self, runner, tmp_path):
         result = invoke(runner, ["eval", "--config",
                                  str(tmp_path / "missing.json")])

@@ -125,6 +125,19 @@ class TestRunSweep:
         assert row.passed
 
 
+    @pytest.mark.parametrize("t_end, dt", [(1.0, 0.6),
+                                           (2 * math.pi, 2 * math.pi / 628)])
+    def test_dt_not_dividing_the_window(self, tmp_path, t_end, dt):
+        # the measurement grid stops at the last whole dt step inside
+        # [t_start, t_end]; the sample windows still reach t_end
+        spec_path = tmp_path / "tone.json"
+        save_spectrum(SpectrumSpec.from_tones(1.0, [(2.0, 0.5)]), spec_path)
+        rows = run_sweep(small_config(spec_path, d_list=(4,), nu_list=(0.4,),
+                                      t_end=t_end, dt=dt))
+        assert rows[0].error is None
+        assert rows[0].passed
+
+
 class TestEmitReport:
     def rows(self):
         return [

@@ -2,12 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import cumulative_trapezoid, simpson
 
 from gap_predict.approx import Approximant, a_to_gamma, fit_approximant
-from gap_predict.predictor import (EtaState, PredictorConfig, find_left_root,
-                                   fit_eta, iterated_integrals, kernel_eval,
-                                   predict_convolution, predict_eta_grid,
-                                   predict_from_eta, predict_from_eta_recursive)
+from gap_predict.predictor import (EtaState, fit_eta, iterated_integrals,
+                                   kernel_eval, predict_convolution,
+                                   predict_eta_grid)
 from gap_predict.signal import SpectrumSpec, exact_hk, sample_grid
 from gap_predict.taper import TaperSpec
 
@@ -31,6 +31,54 @@ def tone_state(a, spec, t1, span, h):
     return EtaState.from_window(a, times, values, eta)
 
 
+def predict_from_eta_recursive(state, t):
+    """Oracle: the prediction via the normative recursion
+    x_k = eta_k + int x_{k-1}, re-integrating the eta contributions
+    numerically.  Agrees with the closed form up to trapezoid error on the
+    polynomial terms."""
+    h = float(np.mean(np.diff(state.times)))
+    cur = state.values
+    y = 0.0
+    for k in range(1, len(state.a) + 1):
+        cur = state.eta[k - 1] + cumulative_trapezoid(cur, dx=h, initial=0.0)
+        y += state.a[k - 1] * np.interp(t, state.times, cur)
+    return float(y)
+
+
+def find_left_root(func, lo, hi, scan_points=512):
+    """Oracle: leftmost root of func in [lo, hi], or None when a uniform scan
+    finds no sign change; the first bracket is bisected to 1e-10."""
+    if not hi > lo:
+        raise ValueError("window must satisfy lo < hi")
+    xs = np.linspace(lo, hi, scan_points)
+    vals = np.array([func(x) for x in xs])
+    for i in range(len(xs) - 1):
+        if vals[i] == 0.0:
+            return float(xs[i])
+        if vals[i] * vals[i + 1] < 0.0:
+            left, right = xs[i], xs[i + 1]
+            fleft = vals[i]
+            while right - left > 1e-10:
+                mid = 0.5 * (left + right)
+                fmid = func(mid)
+                if fmid == 0.0:
+                    return float(mid)
+                if fleft * fmid < 0.0:
+                    right = mid
+                else:
+                    left, fleft = mid, fmid
+            return float(0.5 * (left + right))
+    if vals[-1] == 0.0:
+        return float(xs[-1])
+    return None
+
+
+def predict_one(approx, times, values, **kwargs):
+    """Convolution prediction at the last sample time of the record."""
+    y, tail = predict_convolution(approx, times, values, [times[-1]], **kwargs)
+    return y[0], tail[0]
+
+
 class TestKernel:
     def test_examples(self):
         assert kernel_eval([1.0], 17.3) == 1.0
@@ -44,30 +92,71 @@ class TestKernel:
 
 class TestPredictConvolution:
     def test_zero_input(self):
-        config = PredictorConfig(approximant=make_approx([1.0, 0.5]))
+        approx = make_approx([1.0, 0.5])
         times = np.linspace(-10.0, 0.0, 1001)
-        pred = predict_convolution(config, times, np.zeros_like(times))
-        assert pred.y_hat == 0.0
-        assert pred.tail_diag == 0.0
+        y_hat, tail = predict_one(approx, times, np.zeros_like(times))
+        assert y_hat == 0.0
+        assert tail == 0.0
 
     def test_constant_kernel_times_constant_signal(self):
-        config = PredictorConfig(approximant=make_approx([1.0, 0.0]))
+        approx = make_approx([1.0, 0.0])
         times = np.linspace(-10.0, 0.0, 2001)
-        pred = predict_convolution(config, times, np.full_like(times, 0.7))
-        assert pred.y_hat == pytest.approx(0.7 * 10.0, rel=1e-12)
-        assert pred.tail_diag == pytest.approx(0.7 * 10.0, rel=1e-12)
+        y_hat, tail = predict_one(approx, times, np.full_like(times, 0.7))
+        assert y_hat == pytest.approx(0.7 * 10.0, rel=1e-12)
+        assert tail == pytest.approx(0.7 * 10.0, rel=1e-12)
 
     def test_rejections(self):
-        config = PredictorConfig(approximant=make_approx([1.0, 0.0]))
+        approx = make_approx([1.0, 0.0])
         with pytest.raises(ValueError):
-            predict_convolution(config, [0.0, 1.0], [0.0, 0.0])
+            predict_one(approx, [0.0, 1.0], [0.0, 0.0])
         bad_times = np.linspace(-10.0, 0.0, 101)
         bad_times[50] += 1e-5
         with pytest.raises(ValueError):
-            predict_convolution(config, bad_times, np.zeros(101))
+            predict_one(approx, bad_times, np.zeros(101))
         with pytest.raises(ValueError):  # window shorter than history_length
             times = np.linspace(-5.0, 0.0, 501)
-            predict_convolution(config, times, np.zeros(501))
+            predict_one(approx, times, np.zeros(501))
+
+    def test_rejects_output_times_off_lattice_or_short_of_history(self):
+        approx = make_approx([1.0, 0.0])
+        times = np.linspace(-10.0, 2.0, 1201)
+        values = np.zeros_like(times)
+        predict_convolution(approx, times, values, [0.0, 1.0 + 5e-10, 2.0])
+        with pytest.raises(ValueError, match="sample grid"):
+            predict_convolution(approx, times, values, [1.0, 1.005])
+        with pytest.raises(ValueError, match="full history"):
+            predict_convolution(approx, times, values, [1.0, -0.01])
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 101, 1000, 10001, 10002])
+    def test_weights_reproduce_scipy_simpson(self, n):
+        # with K = 1 the output is the weighted window sum itself
+        h = 10.0 / (n - 1)
+        times = h * np.arange(n)
+        values = np.random.default_rng(n).standard_normal(n)
+        y_hat, _ = predict_one(make_approx([1.0]), times, values)
+        ref = simpson(values, dx=h)
+        assert y_hat == pytest.approx(ref, rel=1e-14,
+                                      abs=1e-15 * h * np.abs(values).sum())
+
+    @pytest.mark.parametrize("L", [10.0, 10.001])   # n_lag even, odd
+    def test_grid_matches_per_window_simpson(self, L):
+        h = 1e-3
+        a = np.array([0.8, -0.5, 0.3])
+        times = -12.0 + h * np.arange(16001)
+        values = np.cos(2.1 * times) * np.exp(-0.05 * times ** 2)
+        n_lag = int(round(L / h))
+        idx = np.arange(n_lag, len(times), 397)
+        y, tail = predict_convolution(make_approx(a), times, values,
+                                      times[idx], history_length=L)
+        lags = h * np.arange(n_lag, -1, -1)
+        K = sum(a[k] * lags ** k / math.factorial(k) for k in range(3))
+        for j, i in enumerate(idx):
+            window = values[i - n_lag:i + 1]
+            ref = simpson(K * window, dx=h)
+            assert y[j] == pytest.approx(
+                ref, abs=1e-13 * h * np.abs(K * window).sum())
+            assert tail[j] == pytest.approx(abs(K[0] * window[0]) * L,
+                                            rel=1e-12)
 
     def test_small_degree_matches_frequency_oracle(self):
         # d=3 on a wide bump: the kernel grows only quadratically, so a long
@@ -75,30 +164,43 @@ class TestPredictConvolution:
         spec = SpectrumSpec.from_bumps(1.0, [(2.0, 0.9, 1.0)])
         approx = fit_approximant(1.0, 1.0, GAUSS03, 3)
         L, h = 200.0, 1e-3
-        config = PredictorConfig(approximant=approx, history_length=L,
-                                 quadrature_step=h)
         t = 3.0
         n = int(round(L / h)) + 1
         times = t - L + h * np.arange(n)
         values = sample_grid(spec, times[0], h, n)
-        pred = predict_convolution(config, times, values)
+        y_hat, tail = predict_one(approx, times, values, history_length=L)
         oracle = sum(approx.a[k - 1] * exact_hk(spec, k, t) for k in range(1, 4))
-        assert abs(pred.y_hat - oracle) <= max(1e-6, pred.tail_diag)
-        assert abs(pred.y_hat - oracle) < 1e-3  # genuinely converged
+        assert abs(y_hat - oracle) <= max(1e-6, tail)
+        assert abs(y_hat - oracle) < 1e-3  # genuinely converged
 
     def test_high_degree_flags_truncation(self):
         # d=8 over a short window: the tail diagnostic must blow the whistle
         spec = SpectrumSpec.from_bumps(1.0, [(2.0, 0.9, 1.0)])
-        approx = fit_approximant(1.0, 1.0, GAUSS03, 8)
-        config = PredictorConfig(approximant=approx)  # L = 10*T
+        approx = fit_approximant(1.0, 1.0, GAUSS03, 8)  # L = 10*T
         t = 3.0
         n = int(round(10.0 / 1e-3)) + 1
         times = t - 10.0 + 1e-3 * np.arange(n)
         values = sample_grid(spec, times[0], 1e-3, n)
-        pred = predict_convolution(config, times, values)
+        y_hat, tail = predict_one(approx, times, values)
         oracle = sum(approx.a[k - 1] * exact_hk(spec, k, t) for k in range(1, 9))
-        assert abs(pred.y_hat - oracle) <= max(1e-6, pred.tail_diag)
-        assert pred.tail_diag > 1.0
+        assert abs(y_hat - oracle) <= max(1e-6, tail)
+        assert tail > 1.0
+
+    def test_history_length_default(self):
+        # L defaults to 10*T: a record spanning 20 = 10*T has exactly one
+        # output with a full window, one spanning 19.9 has none
+        approx = make_approx([1.0, 0.0], T=2.0)
+        times = np.linspace(0.0, 20.0, 2001)
+        y_hat, tail = predict_one(approx, times, np.ones_like(times))
+        assert y_hat == pytest.approx(20.0, rel=1e-12)
+        with pytest.raises(ValueError):
+            predict_one(approx, times[10:], np.ones(1991))
+
+    def test_history_guard(self):
+        approx = make_approx([1.0, 0.0], T=2.0)
+        times = np.linspace(0.0, 30.0, 3001)
+        with pytest.raises(ValueError, match="guard"):
+            predict_one(approx, times, np.zeros_like(times), history_length=5.0)
 
 
 class TestIteratedIntegrals:
@@ -138,7 +240,7 @@ class TestEtaPrediction:
         expected = 0.0
         for k in range(5):
             expected += a[k] * eta[k]
-        assert predict_from_eta(state, 2.0) == expected
+        assert predict_eta_grid(state, [2.0])[0] == expected
 
     def test_hand_expansion_d2_zero_signal(self):
         a = np.array([0.7, -0.4])
@@ -147,7 +249,8 @@ class TestEtaPrediction:
         state = EtaState.from_window(a, times, np.zeros_like(times), eta)
         for t in (0.5, 1.7, 3.0):
             expected = a[0] * eta[0] + a[1] * (eta[1] + eta[0] * t)
-            assert predict_from_eta(state, t) == pytest.approx(expected, abs=1e-12)
+            assert predict_eta_grid(state, [t])[0] == \
+                pytest.approx(expected, abs=1e-12)
 
     def test_matches_frequency_oracle_on_tone(self):
         spec = SpectrumSpec.from_tones(1.0, [(2.0, 0.8 - 0.3j)])
@@ -156,14 +259,15 @@ class TestEtaPrediction:
         for t in (0.25, 1.0, 2.75, 5.25):
             oracle = sum(approx.a[k - 1] * exact_hk(spec, k, t)
                          for k in range(1, 5))
-            assert predict_from_eta(state, t) == pytest.approx(oracle, abs=1e-8)
+            assert predict_eta_grid(state, [t])[0] == \
+                pytest.approx(oracle, abs=1e-8)
 
     def test_recursive_cross_check(self):
         spec = SpectrumSpec.from_tones(1.0, [(1.5, 1.0)])
         approx = fit_approximant(1.0, 1.0, GAUSS03, 4)
         state = tone_state(approx.a, spec, t1=0.0, span=4.0, h=1e-3)
         for t in (1.0, 2.5, 4.0):
-            closed = predict_from_eta(state, t)
+            closed = predict_eta_grid(state, [t])[0]
             recursive = predict_from_eta_recursive(state, t)
             assert recursive == pytest.approx(closed, abs=1e-5)
 
@@ -172,9 +276,9 @@ class TestEtaPrediction:
                            SpectrumSpec.from_tones(1.0, [(2.0, 1.0)]),
                            t1=0.0, span=1.0, h=1e-3)
         with pytest.raises(ValueError):
-            predict_from_eta(state, -0.5)
+            predict_eta_grid(state, [-0.5])
         with pytest.raises(ValueError):
-            predict_from_eta(state, 1.5)
+            predict_eta_grid(state, [1.5])
 
     def test_shift_covariance(self):
         delta = 2.7
@@ -273,18 +377,3 @@ class TestFindLeftRoot:
         times = r1 + h * np.arange(n)
         f1 = iterated_integrals(times, np.cos(times), 1)[0]
         assert f1[-1] == pytest.approx(exact_hk(spec, 1, times[-1]), abs=1e-6)
-
-
-class TestPredictorConfig:
-    def test_defaults(self):
-        approx = make_approx([1.0, 0.0], T=2.0)
-        config = PredictorConfig(approximant=approx)
-        assert config.history_length == 20.0
-        assert config.quadrature_step == pytest.approx(2e-3)
-
-    def test_history_guard(self):
-        approx = make_approx([1.0, 0.0], T=2.0)
-        with pytest.raises(ValueError):
-            PredictorConfig(approximant=approx, history_length=5.0)
-        with pytest.raises(ValueError):
-            PredictorConfig(approximant=approx, quadrature_step=-1.0)

@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gap_predict.signal import (Bump, QuadratureError, SpectrumSpec, Tone,
-                                bump_density, epsilon1, exact_hk, future_value,
-                                l1_budget, sample, sample_grid,
+                                bump_density, epsilon1, exact_hk, l1_budget, sample, sample_grid,
                                 spectrum_from_dict, spectrum_to_dict, select_nu)
 from gap_predict.taper import TaperSpec
 
@@ -14,7 +13,7 @@ from gap_predict.taper import TaperSpec
 # computed with an independent high-order Gauss-Legendre panel rule
 # (16 panels x 80 nodes; doubling the rule moves them by < 3e-17)
 BUMP_X0 = 0.07066381054538412          # x(0)
-BUMP_X1 = -0.028829367352065052        # x(1) = future_value(t=0, T=1)
+BUMP_X1 = -0.028829367352065052        # x(1), the truth for t=0, T=1
 BUMP_L1 = 0.4439938161680794           # integral of |X| over both signs
 BUMP_EPS1_GAUSS025 = 0.098638029329892  # epsilon1 for gaussian nu=0.25
 
@@ -76,6 +75,12 @@ class TestSample:
         oracle = gl_oracle(lambda om: bump_density(BUMP, om) * np.cos(om * 0.0),
                            1.5, 2.5) / np.pi
         assert oracle == pytest.approx(BUMP_X0, abs=1e-15)
+
+    def test_future_values(self):
+        # x(t + T), the truth every prediction is measured against
+        spec = SpectrumSpec.from_tones(1.0, [(1.0, 1.0)])
+        assert sample(spec, 0.0 + math.pi) == pytest.approx(-1.0, abs=1e-12)
+        assert sample(BUMP, 0.0 + 1.0) == pytest.approx(BUMP_X1, abs=1e-12)
 
     def test_realness_and_linearity(self):
         a = SpectrumSpec.from_tones(1.0, [(1.5, 0.7 - 0.2j)])
@@ -207,14 +212,6 @@ class TestExactHk:
             deriv = (exact_hk(BUMP, k, 0.5 + step) - exact_hk(BUMP, k, 0.5 - step)) \
                 / (2 * step)
             assert deriv == pytest.approx(exact_hk(BUMP, k - 1, 0.5), abs=1e-7)
-
-
-class TestFutureValue:
-    def test_examples(self):
-        spec = SpectrumSpec.from_tones(1.0, [(1.0, 1.0)])
-        assert future_value(spec, 0.3, 0.0) == sample(spec, 0.3)
-        assert future_value(spec, 0.0, math.pi) == pytest.approx(-1.0, abs=1e-12)
-        assert future_value(BUMP, 0.0, 1.0) == pytest.approx(BUMP_X1, abs=1e-12)
 
 
 class TestSerialization:
