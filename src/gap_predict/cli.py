@@ -18,7 +18,8 @@ from .approx import (approximant_to_dict, fit_approximant, load_approximant,
 from .harness import (ExperimentConfig, convergence_check, run_sweep,
                       write_reports)
 from .predictor import (EtaState, fit_eta, iterated_integrals,
-                        predict_convolution, predict_eta_grid, _sample_index)
+                        predict_convolution, predict_eta_grid, _sample_index,
+                        _uniform_step)
 from .signal import load_spectrum, sample_grid
 from .taper import TaperSpec
 
@@ -81,6 +82,8 @@ def synth_cmd(spec_path, t0, t1, dt, out):
     """Sample an oracle signal on a uniform grid to CSV (t,x)."""
     try:
         spec = load_spectrum(spec_path)
+        if not np.all(np.isfinite([t0, t1, dt])):
+            raise ValueError("t0, t1 and dt must be finite")
         if not t1 > t0 or dt <= 0:
             raise ValueError("need t1 > t0 and dt > 0")
         n = int(np.floor((t1 - t0) / dt + 1e-9)) + 1
@@ -136,7 +139,7 @@ def predict_cmd(approx_path, samples_path, mode, t1, history_length, eta_path,
         times, values = _read_samples(samples_path)
         if mode == "conv":
             L = history_length if history_length is not None else 10.0 * approx.T
-            n_lag = int(round(L / np.mean(np.diff(times))))
+            n_lag = int(round(L / _uniform_step(times)))
             if n_lag + 1 > len(times):
                 raise ValueError(f"record too short for history_length={L}")
             y, tail = predict_convolution(approx, times, values, times[n_lag:],

@@ -64,6 +64,9 @@ class ExperimentConfig:
     out_dir: Optional[str] = None
 
     def __post_init__(self):
+        for name in ("T", "omega_gap", "t_start", "t_end", "dt"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.T <= 0 or self.omega_gap <= 0:
             raise ValueError("T and omega_gap must be positive")
         if not self.spec_files:

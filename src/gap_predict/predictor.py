@@ -25,7 +25,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .approx import Approximant
 
@@ -146,7 +145,9 @@ def iterated_integrals(times, values, d: int) -> np.ndarray:
     f = np.empty((d, len(values)))
     cur = values
     for k in range(d):
-        cur = cumulative_trapezoid(cur, dx=h, initial=0.0)
+        # the expression scipy.integrate.cumulative_trapezoid(cur, dx=h,
+        # initial=0.0) evaluates, bit for bit
+        cur = np.concatenate(([0.0], np.cumsum(h * (cur[1:] + cur[:-1]) / 2.0)))
         f[k] = cur
     return f
 

@@ -20,8 +20,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import next_fast_len
-from scipy.integrate import quad
 
 from .taper import TaperSpec, eval_taper
 
@@ -143,7 +141,11 @@ def _support(spec: SpectrumSpec):
     return lo, hi, edges
 
 
+# scipy is imported only inside _quad and _bump_grid_fft, the two code paths
+# that need it: importing scipy.integrate and scipy.fft dominates process
+# start-up, and tone sweeps and the predictors never call either.
 def _quad(f, lo, hi, **kwargs):
+    from scipy.integrate import quad
     val, abserr = quad(f, lo, hi, epsabs=QUAD_ABS_TOL, epsrel=0.0,
                        limit=QUAD_LIMIT, **kwargs)
     if abserr > 10.0 * QUAD_ABS_TOL:
@@ -213,6 +215,7 @@ def _bump_grid_gauss(spec, times):
 def _bump_grid_fft(spec, t0, dt, n):
     # periodized spectral sum: exact up to aliasing images at +-P, which the
     # decay margin pushes below 1e-13 of the peak
+    from scipy.fft import next_fast_len
     min_hw = min(b.half_width for b in spec.bumps)
     span = (n - 1) * dt
     margin = 600.0 / min_hw + 0.05 * span + 10.0

@@ -1,5 +1,8 @@
 import json
 import os
+import subprocess
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +13,26 @@ from gap_predict.signal import SpectrumSpec, sample, save_spectrum
 
 CONFIG_DIR = os.path.abspath(
     os.path.join(os.path.dirname(__file__), "..", "configs"))
+SRC_DIR = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "src"))
+
+# Runs each argv list through cli.main in one fresh interpreter, then prints
+# the scipy modules that process has loaded.
+_CHILD = """
+import json, sys
+import gap_predict.cli as cli
+for argv in json.loads(sys.argv[1]):
+    cli.main(argv, standalone_mode=False)
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+"""
+
+
+def scipy_modules_after(commands):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [SRC_DIR, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _CHILD, json.dumps(commands)],
+                          env=env, capture_output=True, text=True,
+                          timeout=120, check=True)
+    return json.loads(proc.stdout.splitlines()[-1])
 
 
 @pytest.fixture
@@ -46,6 +69,38 @@ class TestApproxCommand:
         assert result.exit_code != 0
 
 
+class TestStartsWithoutScipy:
+    """Only bump quadrature and the FFT bump sampler need scipy; importing
+    the CLI and running tone or predict work must not load it."""
+
+    def test_import(self):
+        assert scipy_modules_after([]) == []
+
+    @pytest.mark.parametrize("mode", ["eta", "conv"])
+    def test_predict(self, runner, tmp_path, mode):
+        spec_path = tmp_path / "tone.json"
+        save_spectrum(SpectrumSpec.from_tones(1.0, [(2.0, 0.5)]), spec_path)
+        approx_path = tmp_path / "ap.json"
+        samples_path = tmp_path / "x.csv"
+        invoke(runner, ["approx", "--T", "1.0", "--omega", "1.0",
+                        "--taper", "gaussian", "--nu", "0.3", "--d", "4",
+                        "--out", str(approx_path)])
+        invoke(runner, ["synth", "--spec", str(spec_path), "--t0", "-12.0",
+                        "--t1", "2.0", "--dt", "0.01",
+                        "--out", str(samples_path)])
+        out = tmp_path / "pred.csv"
+        assert scipy_modules_after([[
+            "predict", "--approx", str(approx_path), "--samples",
+            str(samples_path), "--mode", mode, "--out", str(out)]]) == []
+        assert len(out.read_text().splitlines()) > 1
+
+    def test_eval_demo(self, tmp_path):
+        assert scipy_modules_after([[
+            "eval", "--config", os.path.join(CONFIG_DIR, "demo.json"),
+            "--out", str(tmp_path / "out")]]) == []
+        assert (tmp_path / "out" / "report.csv").exists()
+
+
 class TestSynthCommand:
     def test_writes_csv(self, runner, tmp_path):
         spec_path = tmp_path / "tone.json"
@@ -61,6 +116,21 @@ class TestSynthCommand:
         assert len(lines) == 6
         t, x = map(float, lines[3].split(","))
         assert x == pytest.approx(sample(spec, t), abs=1e-15)
+
+    @pytest.mark.parametrize("bad", [("--t1", "inf"), ("--dt", "inf"),
+                                     ("--t0", "-inf"), ("--t0", "nan")])
+    def test_rejects_non_finite(self, runner, tmp_path, bad):
+        spec_path = tmp_path / "tone.json"
+        save_spectrum(SpectrumSpec.from_tones(1.0, [(2.0, 0.5)]), spec_path)
+        args = {"--t0": "0.0", "--t1": "1.0", "--dt": "0.25"}
+        args[bad[0]] = bad[1]
+        out = tmp_path / "x.csv"
+        result = invoke(runner, ["synth", "--spec", str(spec_path),
+                                 *[v for kv in args.items() for v in kv],
+                                 "--out", str(out)])
+        assert result.exit_code == 1
+        assert "t0, t1 and dt must be finite" in result.output
+        assert not out.exists()
 
 
 class TestPredictPipeline:
@@ -142,6 +212,18 @@ class TestPredictPipeline:
                                  "--out", str(tmp_path / "nope.csv")])
         assert result.exit_code != 0
 
+    def test_conv_mode_rejects_too_few_samples(self, runner, workspace):
+        tmp_path, approx_path, _ = workspace
+        one = tmp_path / "one.csv"
+        one.write_text("t,x\n0.0,1.0\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = invoke(runner, ["predict", "--approx", str(approx_path),
+                                     "--samples", str(one), "--mode", "conv",
+                                     "--out", str(tmp_path / "nope.csv")])
+        assert result.exit_code == 1
+        assert "need at least 3 samples" in result.output
+
 
 class TestEvalCommand:
     def test_demo_passes_and_is_deterministic(self, runner, tmp_path):
@@ -189,6 +271,19 @@ class TestEvalCommand:
         bad.write_text(json.dumps({"T": 1.0}))
         result = invoke(runner, ["eval", "--config", str(bad)])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("key", ["T", "t_end"])
+    def test_non_finite_config_exits_2(self, runner, tmp_path, key):
+        with open(os.path.join(CONFIG_DIR, "demo.json")) as fh:
+            config = json.load(fh)
+        config["spec_files"] = [os.path.join(CONFIG_DIR, "demo_tone.json")]
+        config[key] = float("inf")
+        config_path = tmp_path / "cfg.json"
+        config_path.write_text(json.dumps(config))  # writes Infinity
+        result = invoke(runner, ["eval", "--config", str(config_path),
+                                 "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2
+        assert f"{key} must be finite" in result.output
 
     def test_failing_row_exits_1(self, runner, tmp_path):
         spec_path = tmp_path / "tone.json"

@@ -46,6 +46,15 @@ class TestConfig:
         with pytest.raises(ValueError):
             small_config(spec_path, t_end=-1.0)
 
+    @pytest.mark.parametrize("name", ["T", "omega_gap", "t_start", "t_end",
+                                      "dt"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite(self, tmp_path, name, value):
+        spec_path = tmp_path / "s.json"
+        save_spectrum(SpectrumSpec.from_tones(1.0, [(2.0, 1.0)]), spec_path)
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            small_config(spec_path, **{name: value})
+
 
 class TestRunSweep:
     def test_zero_signal_passes_everywhere(self, tmp_path):

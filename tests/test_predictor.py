@@ -218,6 +218,19 @@ class TestIteratedIntegrals:
         assert np.max(np.abs(f[0] - np.sin(times))) < 1e-6
         assert np.max(np.abs(f[1] - (1 - np.cos(times)))) < 1e-6
 
+    @pytest.mark.parametrize("n", [3, 4, 1000, 1001])
+    @pytest.mark.parametrize("h", [2.0 ** -10, 1e-3, 0.37])
+    def test_matches_chained_cumulative_trapezoid(self, n, h):
+        rng = np.random.default_rng(n)
+        times = -3.0 + h * np.arange(n)
+        x = rng.standard_normal(n)
+        f = iterated_integrals(times, x, 5)
+        dx = np.diff(times).mean()  # the record's step, as the realization takes it
+        cur = x
+        for k in range(5):
+            cur = cumulative_trapezoid(cur, dx=dx, initial=0.0)
+            assert np.array_equal(f[k], cur)
+
     def test_derivative_recovers_previous_level(self):
         h = 1e-3
         times = h * np.arange(2001)
