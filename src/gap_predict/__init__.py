@@ -1,9 +1,9 @@
 """Linear integral predictors for continuous-time signals with a spectral gap."""
 
-from .taper import TaperSpec, eval_taper, taper_inverse_level
-from .approx import (Approximant, chebyshev_grid, fit_parity_ls, gamma_to_a,
-                     a_to_gamma, eval_psi, sup_error, certify_sup_error,
-                     fit_approximant, load_approximant, save_approximant)
+from .taper import TaperSpec, eval_taper
+from .approx import (Approximant, chebyshev_grid, fit_parity_ls, eval_psi,
+                     sup_error, certify_sup_error, fit_approximant,
+                     load_approximant, save_approximant)
 from .signal import (QuadratureError, SpectrumSpec, Tone, Bump, bump_density,
                      sample, sample_grid, l1_budget, epsilon1, select_nu,
                      exact_hk, load_spectrum, save_spectrum)

@@ -6,9 +6,10 @@ and certifies the achieved sup error on a dense grid.
 
 The fit is a parity-constrained discrete least squares in u = 1/w: the real
 part of the target (cos * r_nu, even) is matched with even powers of u only,
-the imaginary part (sin * r_nu, odd) with odd powers only.  The sign mapping
-between the parity coefficients (gamma_c, gamma_s) and the real coefficients
-a_k of the powers of 1/(i*w) is
+the imaginary part (sin * r_nu, odd) with odd powers only.  Since
+(i*w)^(-k) = i^(-k) w^(-k), the parity coefficients gamma_c (of cos, even k)
+and gamma_s (of sin, odd k) give the real coefficients a_k of the powers of
+1/(i*w) by a sign flip, which is exact:
 
     k = 2m:     a_k = (-1)^m * gamma_c_k
     k = 2m+1:   a_k = -(-1)^m * gamma_s_k
@@ -23,42 +24,41 @@ import numpy as np
 
 from .taper import TaperSpec, eval_taper, taper_from_dict, taper_to_dict
 
-__all__ = ["Approximant", "chebyshev_grid", "fit_parity_ls", "gamma_to_a",
-           "a_to_gamma", "eval_psi", "sup_error", "certify_sup_error",
-           "fit_approximant", "approximant_to_dict", "approximant_from_dict",
-           "save_approximant", "load_approximant"]
+__all__ = ["Approximant", "chebyshev_grid", "fit_parity_ls", "eval_psi",
+           "sup_error", "certify_sup_error", "fit_approximant",
+           "approximant_to_dict", "approximant_from_dict", "save_approximant",
+           "load_approximant"]
 
 
 @dataclass(frozen=True, eq=False)
 class Approximant:
     """An immutable fitted approximant with its certified sup error.
 
-    Coefficient arrays are indexed so that position k-1 holds the coefficient
-    of power k; gamma_c is zero at odd k and gamma_s is zero at even k.
+    a[k-1] holds the coefficient of (i*w)^(-k).
     """
 
     T: float
     omega_gap: float
     taper: TaperSpec
     d: int
-    gamma_c: np.ndarray
-    gamma_s: np.ndarray
     a: np.ndarray
     eps2: float
     fit_nodes: int
     dense_factor: int
 
     def __post_init__(self):
+        if not np.all(np.isfinite([self.T, self.omega_gap, self.eps2])):
+            raise ValueError("T, omega_gap and eps2 must be finite")
         if self.T <= 0 or self.omega_gap <= 0:
             raise ValueError("T and omega_gap must be positive")
         if self.d < 1:
             raise ValueError("degree d must be a positive integer")
-        for name in ("gamma_c", "gamma_s", "a"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            object.__setattr__(self, name, arr)
-            if arr.shape != (self.d,):
-                raise ValueError(f"{name} must have length d={self.d}")
-        _check_parity(self.gamma_c, self.gamma_s)
+        a = np.asarray(self.a, dtype=float)
+        object.__setattr__(self, "a", a)
+        if a.shape != (self.d,):
+            raise ValueError(f"a must have length d={self.d}")
+        if not np.all(np.isfinite(a)):
+            raise ValueError("coefficients a must be finite")
         if self.eps2 < 0:
             raise ValueError("eps2 must be nonnegative")
 
@@ -72,21 +72,12 @@ def chebyshev_grid(omega_gap: float, n: int) -> np.ndarray:
     """
     if n < 2:
         raise ValueError(f"need at least 2 nodes, got {n}")
-    if omega_gap <= 0:
+    if not omega_gap > 0:
         raise ValueError("omega_gap must be positive")
     j = np.arange(-(n - 1), n, 2)
     u = np.sin(0.5 * np.pi * j / (n - 1)) / omega_gap
     u = u[u != 0.0]
     return np.sort(1.0 / u)
-
-
-def _check_parity(gamma_c, gamma_s):
-    d = len(gamma_c)
-    ks = np.arange(1, d + 1)
-    if np.any(gamma_c[ks % 2 == 1] != 0.0):
-        raise ValueError("gamma_c must vanish at odd k")
-    if np.any(gamma_s[ks % 2 == 0] != 0.0):
-        raise ValueError("gamma_s must vanish at even k")
 
 
 def _scaled_lstsq(A, b):
@@ -110,8 +101,11 @@ def fit_parity_ls(T: float, taper: TaperSpec, omega_gap: float, d: int,
     Matches sum_k gamma_c_k w^(-k) (even k only) to cos(T*w) * r_nu(w) and
     sum_k gamma_s_k w^(-k) (odd k only) to sin(T*w) * r_nu(w); in u = 1/w this
     is ordinary polynomial least squares with zero constant term and fixed
-    parity.  Returns (gamma_c, gamma_s) as length-d arrays.
+    parity.  Returns the length-d coefficient vector a, mapped from the
+    parity coefficients as in the module docstring.
     """
+    if not np.isfinite(T):
+        raise ValueError("T must be finite")
     if d < 2:
         raise ValueError("d must be >= 2: d=1 leaves the even-parity target "
                          "with no basis function")
@@ -122,48 +116,12 @@ def fit_parity_ls(T: float, taper: TaperSpec, omega_gap: float, d: int,
     r = eval_taper(taper, grid)
     ks_even = np.arange(2, d + 1, 2)
     ks_odd = np.arange(1, d + 1, 2)
-    gamma_c = np.zeros(d)
-    gamma_s = np.zeros(d)
-    gamma_c[ks_even - 1] = _scaled_lstsq(
+    a = np.empty(d)
+    a[ks_even - 1] = (-1.0) ** (ks_even // 2) * _scaled_lstsq(
         u[:, None] ** ks_even[None, :], np.cos(T * grid) * r)
-    gamma_s[ks_odd - 1] = _scaled_lstsq(
+    a[ks_odd - 1] = -((-1.0) ** ((ks_odd - 1) // 2)) * _scaled_lstsq(
         u[:, None] ** ks_odd[None, :], np.sin(T * grid) * r)
-    return gamma_c, gamma_s
-
-
-def gamma_to_a(gamma_c, gamma_s) -> np.ndarray:
-    """Map parity coefficients to the real coefficients of powers of 1/(i*w).
-
-    Rejects inputs violating the parity pattern.  The mapping only flips
-    signs, so it is exact and involutive with :func:`a_to_gamma`.
-    """
-    gamma_c = np.asarray(gamma_c, dtype=float)
-    gamma_s = np.asarray(gamma_s, dtype=float)
-    if gamma_c.shape != gamma_s.shape:
-        raise ValueError("gamma_c and gamma_s must have equal length")
-    _check_parity(gamma_c, gamma_s)
-    d = len(gamma_c)
-    a = np.zeros(d)
-    for k in range(1, d + 1):
-        if k % 2 == 0:
-            a[k - 1] = (-1.0) ** (k // 2) * gamma_c[k - 1]
-        else:
-            a[k - 1] = -((-1.0) ** ((k - 1) // 2)) * gamma_s[k - 1]
     return a
-
-
-def a_to_gamma(a):
-    """Inverse of :func:`gamma_to_a` (exact; integer sign flips only)."""
-    a = np.asarray(a, dtype=float)
-    d = len(a)
-    gamma_c = np.zeros(d)
-    gamma_s = np.zeros(d)
-    for k in range(1, d + 1):
-        if k % 2 == 0:
-            gamma_c[k - 1] = (-1.0) ** (k // 2) * a[k - 1]
-        else:
-            gamma_s[k - 1] = -((-1.0) ** ((k - 1) // 2)) * a[k - 1]
-    return gamma_c, gamma_s
 
 
 def eval_psi(a, omega):
@@ -226,12 +184,11 @@ def fit_approximant(T: float, omega_gap: float, taper: TaperSpec, d: int,
     if fit_nodes is None:
         fit_nodes = max(8 * d, 64)
     grid = chebyshev_grid(omega_gap, fit_nodes)
-    gamma_c, gamma_s = fit_parity_ls(T, taper, omega_gap, d, grid)
-    a = gamma_to_a(gamma_c, gamma_s)
+    a = fit_parity_ls(T, taper, omega_gap, d, grid)
     eps2 = certify_sup_error(T, omega_gap, taper, a, fit_nodes, dense_factor)
-    return Approximant(T=T, omega_gap=omega_gap, taper=taper, d=d,
-                       gamma_c=gamma_c, gamma_s=gamma_s, a=a, eps2=eps2,
-                       fit_nodes=fit_nodes, dense_factor=dense_factor)
+    return Approximant(T=T, omega_gap=omega_gap, taper=taper, d=d, a=a,
+                       eps2=eps2, fit_nodes=fit_nodes,
+                       dense_factor=dense_factor)
 
 
 def approximant_to_dict(approx: Approximant) -> dict:
@@ -240,8 +197,6 @@ def approximant_to_dict(approx: Approximant) -> dict:
         "omega_gap": approx.omega_gap,
         "taper": taper_to_dict(approx.taper),
         "d": approx.d,
-        "gamma_c": approx.gamma_c.tolist(),
-        "gamma_s": approx.gamma_s.tolist(),
         "a": approx.a.tolist(),
         "eps2": approx.eps2,
         "fit_nodes": approx.fit_nodes,
@@ -255,8 +210,6 @@ def approximant_from_dict(data: dict) -> Approximant:
         omega_gap=float(data["omega_gap"]),
         taper=taper_from_dict(data["taper"]),
         d=int(data["d"]),
-        gamma_c=np.asarray(data["gamma_c"], dtype=float),
-        gamma_s=np.asarray(data["gamma_s"], dtype=float),
         a=np.asarray(data["a"], dtype=float),
         eps2=float(data["eps2"]),
         fit_nodes=int(data["fit_nodes"]),

@@ -37,6 +37,8 @@ def _read_samples(path):
     data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     if data.shape[1] < 2:
         raise click.ClickException(f"{path} must have columns t,x")
+    if not np.all(np.isfinite(data[:, :2])):
+        raise click.ClickException(f"{path} holds a non-finite t or x value")
     return data[:, 0], data[:, 1]
 
 
@@ -103,6 +105,9 @@ def _window_from(times, values, t1):
 
 
 def _fit_eta_from_samples(approx, times, values, t1, theta, dbar):
+    if not np.all(np.isfinite([t1, theta])):
+        raise ValueError(f"t1 and theta must be finite, got t1={t1}, "
+                         f"theta={theta}")
     T = approx.T
     d = approx.d
     t1, tw, vw = _window_from(times, values, t1)
@@ -139,6 +144,8 @@ def predict_cmd(approx_path, samples_path, mode, t1, history_length, eta_path,
         times, values = _read_samples(samples_path)
         if mode == "conv":
             L = history_length if history_length is not None else 10.0 * approx.T
+            if not np.isfinite(L):
+                raise ValueError(f"history_length must be finite, got {L}")
             n_lag = int(round(L / _uniform_step(times)))
             if n_lag + 1 > len(times):
                 raise ValueError(f"record too short for history_length={L}")

@@ -55,12 +55,7 @@ class ExperimentConfig:
     modes: tuple = ("eta",)
     nu_list: Optional[tuple] = None
     eps1_target: Optional[float] = None
-    fit_nodes: Optional[int] = None
     fit_node_factor: Optional[int] = None
-    dense_factor: int = 8
-    history_length: Optional[float] = None
-    quadrature_step: Optional[float] = None
-    fit_dbar_factor: int = 2
     out_dir: Optional[str] = None
 
     def __post_init__(self):
@@ -145,12 +140,8 @@ def _run_row(config: ExperimentConfig, spec_name: str, spec: SpectrumSpec,
              d: int, nu: float, dense_factor: int, h: float) -> ErrorRow:
     T, gap = config.T, config.omega_gap
     taper = TaperSpec(family=config.taper_family, nu=nu)
-    if config.fit_nodes is not None:
-        nodes = config.fit_nodes
-    elif config.fit_node_factor is not None:
-        nodes = config.fit_node_factor * d
-    else:
-        nodes = None
+    nodes = (None if config.fit_node_factor is None
+             else config.fit_node_factor * d)
     approx = fit_approximant(T, gap, taper, d, fit_nodes=nodes,
                              dense_factor=dense_factor)
 
@@ -181,8 +172,7 @@ def _run_row(config: ExperimentConfig, spec_name: str, spec: SpectrumSpec,
         if mode == "eta":
             eta = np.array([exact_hk(spec, k, t1) for k in range(1, d + 1)])
         else:
-            fit_times = np.linspace(t1 + T / 10.0, config.t_start - T,
-                                    config.fit_dbar_factor * d)
+            fit_times = np.linspace(t1 + T / 10.0, config.t_start - T, 2 * d)
             zeta = _future_values(spec, fit_times, T)
             eta = fit_eta(approx.a, t1, fit_times, zeta, times, f).eta
         state = EtaState(t1=t1, eta=eta, times=times, values=values, f=f,
@@ -195,7 +185,7 @@ def _run_row(config: ExperimentConfig, spec_name: str, spec: SpectrumSpec,
             (h ** 2 / 12.0) * m2 * delta * kernel_eval(np.abs(approx.a), delta))
 
     if "conv" in config.modes:
-        L = config.history_length if config.history_length is not None else 10.0 * T
+        L = 10.0 * T
         times, values = _record(spec, config.t_start - L, config.t_end, h)
         y, tail = predict_convolution(approx, times, values, t_grid,
                                       history_length=L)
@@ -222,16 +212,20 @@ def _run_row(config: ExperimentConfig, spec_name: str, spec: SpectrumSpec,
                     slack_items=slack_items, mode_sup=mode_sup)
 
 
+def _oracle_settings(config: ExperimentConfig, pin: bool):
+    # (certification density, quadrature step); --pin doubles the density
+    # and halves the step to produce fixture values
+    if pin:
+        return 16, 0.5 * (1e-3 * config.T)
+    return 8, 1e-3 * config.T
+
+
 def run_sweep(config: ExperimentConfig, pin: bool = False) -> list:
     """Run the full sweep; per-row failures are recorded and the run
     continues.  With pin=True the oracle settings are doubled (twice the
     certification density, half the quadrature step) to produce fixture
     values."""
-    dense_factor = config.dense_factor * (2 if pin else 1)
-    h = config.quadrature_step if config.quadrature_step is not None \
-        else 1e-3 * config.T
-    if pin:
-        h = 0.5 * h
+    dense_factor, h = _oracle_settings(config, pin)
     rows = []
     for path in config.spec_files:
         spec = load_spectrum(path)
@@ -300,12 +294,11 @@ def write_reports(rows, out_dir, config: ExperimentConfig,
     emit_report(rows, "csv", os.path.join(out_dir, "report.csv"))
     emit_report(rows, "json", os.path.join(out_dir, "report.json"))
     if pin:
+        dense_factor, h = _oracle_settings(config, pin)
         payload = {
             "settings": {
-                "dense_factor": config.dense_factor * 2,
-                "quadrature_step": (config.quadrature_step
-                                    if config.quadrature_step is not None
-                                    else 1e-3 * config.T) * 0.5,
+                "dense_factor": dense_factor,
+                "quadrature_step": h,
                 "pinned": True,
             },
             "rows": [asdict(row) for row in rows],

@@ -56,7 +56,8 @@ def _uniform_step(times):
         raise ValueError("need at least 3 samples")
     steps = np.diff(times)
     h = steps.mean()
-    if h <= 0 or np.max(np.abs(steps - h)) > 1e-9 * abs(h):
+    # written so that a NaN time fails: every comparison with NaN is false
+    if not (h > 0 and np.max(np.abs(steps - h)) <= 1e-9 * h):
         raise ValueError("sample times must be uniform (relative jitter <= 1e-9)")
     return float(h)
 
@@ -67,7 +68,7 @@ def _sample_index(times, t):
     t = np.asarray(t, dtype=float)
     hi = np.clip(np.searchsorted(times, t), 1, len(times) - 1)
     idx = np.where(np.abs(times[hi - 1] - t) <= np.abs(times[hi] - t), hi - 1, hi)
-    off = np.abs(times[idx] - t) > 1e-9 * np.maximum(1.0, np.abs(t))
+    off = ~(np.abs(times[idx] - t) <= 1e-9 * np.maximum(1.0, np.abs(t)))
     if np.any(off):
         raise ValueError(f"t={t[off].flat[0]} does not lie on the sample grid")
     return idx

@@ -223,8 +223,8 @@ def _bump_grid_fft(spec, t0, dt, n):
     N = next_fast_len(int(np.ceil(P / dt)) + 1)
     if N > (1 << 27):
         raise ValueError(
-            f"fft sampling would need {N} bins; use the 'gauss' strategy or a "
-            "coarser dt")
+            f"fft sampling would need {N} bins; use a coarser dt or a shorter "
+            "grid")
     dw = 2.0 * np.pi / (N * dt)
     lo, hi, _ = _support(spec)
     q0 = max(int(np.floor(lo / dw)), 1)
@@ -240,16 +240,16 @@ def _bump_grid_fft(spec, t0, dt, n):
     return (np.fft.ifft(coeff) * N)[:n].real
 
 
-def sample_grid(spec: SpectrumSpec, t0: float, dt: float, n: int,
-                strategy: str = "auto") -> np.ndarray:
+def sample_grid(spec: SpectrumSpec, t0: float, dt: float,
+                n: int) -> np.ndarray:
     """x on the uniform grid t0 + i*dt, i = 0..n-1.
 
-    Tones evaluate in closed form.  Bumps evaluate either by Gauss-Legendre
-    panel quadrature vectorized over the grid ('gauss', best for short or
-    coarse grids) or by an FFT of the periodized spectral sum ('fft', best for
-    long fine grids); 'auto' picks by estimated cost.  Both strategies agree
-    with :func:`sample` to near machine precision (tested), and output is
-    deterministic for fixed inputs.
+    Tones evaluate in closed form.  Bumps evaluate by Gauss-Legendre panel
+    quadrature vectorized over the grid when the estimated cost
+    n * (panel nodes) is at most 4e7 (short or coarse grids), and otherwise
+    by an FFT of the periodized spectral sum (long fine grids).  Both
+    samplers agree with :func:`sample` to near machine precision (tested),
+    and output is deterministic for fixed inputs.
     """
     if n < 1:
         raise ValueError("need n >= 1 grid points")
@@ -260,16 +260,12 @@ def sample_grid(spec: SpectrumSpec, t0: float, dt: float, n: int,
         return _tone_grid(spec, times)
     if not spec.bumps:
         return np.zeros(n)
-    if strategy == "auto":
-        width = sum(2.0 * b.half_width for b in spec.bumps)
-        t_absmax = max(abs(times[0]), abs(times[-1]))
-        est_nodes = 48 * max(4, int(np.ceil(width * max(t_absmax, 1.0) / 30.0)))
-        strategy = "gauss" if n * est_nodes <= 4e7 else "fft"
-    if strategy == "gauss":
+    width = sum(2.0 * b.half_width for b in spec.bumps)
+    t_absmax = max(abs(times[0]), abs(times[-1]))
+    est_nodes = 48 * max(4, int(np.ceil(width * max(t_absmax, 1.0) / 30.0)))
+    if n * est_nodes <= 4e7:
         return _bump_grid_gauss(spec, times)
-    if strategy == "fft":
-        return _bump_grid_fft(spec, t0, dt, n)
-    raise ValueError(f"unknown sampling strategy {strategy!r}")
+    return _bump_grid_fft(spec, t0, dt, n)
 
 
 def l1_budget(spec: SpectrumSpec) -> float:

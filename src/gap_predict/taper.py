@@ -12,39 +12,26 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["TaperSpec", "eval_taper", "taper_inverse_level",
-           "taper_to_dict", "taper_from_dict"]
+__all__ = ["TaperSpec", "eval_taper", "taper_to_dict", "taper_from_dict"]
 
 
 def _gauss(y):
     return np.exp(-np.square(y))
 
 
-def _gauss_inv(level):
-    return np.sqrt(-np.log(level))
-
-
 def _expo(y):
     return np.exp(-y)
-
-
-def _expo_inv(level):
-    return -np.log(level)
 
 
 def _lorentz(y):
     return 1.0 / (1.0 + np.square(y))
 
 
-def _lorentz_inv(level):
-    return np.sqrt(1.0 / level - 1.0)
-
-
-# family -> (r on |y|, inverse of r on (0, 1))
+# family -> r on |y|
 _FAMILIES = {
-    "gaussian": (_gauss, _gauss_inv),
-    "exponential": (_expo, _expo_inv),
-    "lorentzian": (_lorentz, _lorentz_inv),
+    "gaussian": _gauss,
+    "exponential": _expo,
+    "lorentzian": _lorentz,
 }
 
 
@@ -74,20 +61,7 @@ def eval_taper(spec: TaperSpec, omega):
     Accepts scalars or arrays.  Evaluation goes through |omega| so evenness is
     exact in floating point.
     """
-    r, _ = _FAMILIES[spec.family]
-    return r(spec.nu * np.abs(omega))
-
-
-def taper_inverse_level(spec: TaperSpec, level: float) -> float:
-    """Return the unique M >= 0 with r(nu * M) = level, for level in (0, 1).
-
-    Well defined because every built-in family is strictly decreasing on
-    (0, inf).
-    """
-    if not (0.0 < level < 1.0):
-        raise ValueError(f"level must lie strictly in (0, 1), got {level}")
-    _, rinv = _FAMILIES[spec.family]
-    return float(rinv(level)) / spec.nu
+    return _FAMILIES[spec.family](spec.nu * np.abs(omega))
 
 
 def taper_to_dict(spec: TaperSpec) -> dict:

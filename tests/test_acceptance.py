@@ -21,7 +21,6 @@ from gap_predict.predictor import (EtaState, fit_eta, iterated_integrals,
 from gap_predict.signal import (SpectrumSpec, epsilon1, exact_hk, l1_budget,
                                 sample, sample_grid, select_nu)
 from gap_predict.taper import TaperSpec, eval_taper
-from gap_predict.approx import gamma_to_a
 
 ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), ".."))
 CONFIG_DIR = os.path.join(ROOT, "configs")
@@ -46,6 +45,19 @@ class Budget:
 
 def report(name, detail, budget):
     print(f"[acceptance] {name} PASS ({budget.elapsed:.2f}s): {detail}")
+
+
+def gamma_to_a(gamma_c, gamma_s):
+    """Oracle: the parity-to-a sign mapping of the approx module docstring,
+    k = 2m: a_k = (-1)^m gamma_c_k;  k = 2m+1: a_k = -(-1)^m gamma_s_k."""
+    a = np.zeros(len(gamma_c))
+    for k in range(1, len(a) + 1):
+        m = k // 2
+        if k % 2 == 0:
+            a[k - 1] = (-1.0) ** m * gamma_c[k - 1]
+        else:
+            a[k - 1] = -((-1.0) ** m) * gamma_s[k - 1]
+    return a
 
 
 def test_criterion_1_parity_mapping_identity():
@@ -133,7 +145,7 @@ def test_criterion_3_frequency_response_law():
         t_peak0 = t_peak - 2.0 * math.pi   # the |cos| peak nearest t = 0
         t_lo = t_peak0 - math.pi - L
         n = int(round((t_peak0 + math.pi - t_lo) / hc)) + 1
-        xs = sample_grid(surrogate, t_lo, hc, n, strategy="fft")
+        xs = sample_grid(surrogate, t_lo, hc, n)
         times = t_lo + hc * np.arange(n)
         idx = [int(round((t - t_lo) / hc)) for t in
                np.arange(t_peak0 - math.pi, t_peak0 + math.pi + 1e-9, 0.0628)]
@@ -208,7 +220,7 @@ def test_criterion_5_representation_equivalence():
         L, hc = 800.0, 5e-4
         t_lo = t1 - L
         n = int(round((t1 + 5.0 - t_lo) / hc)) + 1
-        xs = sample_grid(spec, t_lo, hc, n, strategy="fft")
+        xs = sample_grid(spec, t_lo, hc, n)
         ctimes = t_lo + hc * np.arange(n)
 
         he = 1e-4

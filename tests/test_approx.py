@@ -1,13 +1,14 @@
+import json
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from gap_predict.approx import (Approximant, a_to_gamma, approximant_from_dict,
+from gap_predict.approx import (Approximant, approximant_from_dict,
                                 approximant_to_dict, certify_sup_error,
                                 chebyshev_grid, eval_psi, fit_approximant,
-                                fit_parity_ls, gamma_to_a, sup_error)
+                                fit_parity_ls, sup_error)
 from gap_predict.taper import TaperSpec, eval_taper
 
 GAUSS03 = TaperSpec("gaussian", 0.3)
@@ -19,6 +20,19 @@ ORACLE_GAMMA_S1 = 0.9019450173837931
 
 # frozen regression constant: certified sup error at d=16, n=128, dense 8
 EPS2_D16_REGRESSION = 0.0996029829253331
+
+
+def gamma_to_a(gamma_c, gamma_s):
+    """Test oracle: the sign mapping of the approx module docstring,
+    k = 2m: a_k = (-1)^m gamma_c_k;  k = 2m+1: a_k = -(-1)^m gamma_s_k."""
+    a = np.zeros(len(gamma_c))
+    for k in range(1, len(a) + 1):
+        m = k // 2
+        if k % 2 == 0:
+            a[k - 1] = (-1.0) ** m * gamma_c[k - 1]
+        else:
+            a[k - 1] = -((-1.0) ** m) * gamma_s[k - 1]
+    return a
 
 
 def parity_gammas(d, rng):
@@ -56,15 +70,8 @@ class TestChebyshevGrid:
 class TestFitParityLs:
     def test_tiny_horizon_kills_sine_part(self):
         grid = chebyshev_grid(1.0, 64)
-        _, gamma_s = fit_parity_ls(1e-9, GAUSS03, 1.0, 6, grid)
-        assert np.max(np.abs(gamma_s)) < 1e-6
-
-    def test_parity_pattern_enforced(self):
-        grid = chebyshev_grid(1.0, 64)
-        gamma_c, gamma_s = fit_parity_ls(1.0, GAUSS03, 1.0, 7, grid)
-        ks = np.arange(1, 8)
-        assert np.all(gamma_c[ks % 2 == 1] == 0.0)
-        assert np.all(gamma_s[ks % 2 == 0] == 0.0)
+        a = fit_parity_ls(1e-9, GAUSS03, 1.0, 6, grid)
+        assert np.max(np.abs(a[0::2])) < 1e-6    # odd k: the sine part
 
     def test_d2_against_exact_rational_oracle(self):
         # independent oracle: single-coefficient normal equations solved in
@@ -80,9 +87,10 @@ class TestFitParityLs:
         assert float(gc2) == pytest.approx(ORACLE_GAMMA_C2, rel=1e-15)
         assert float(gs1) == pytest.approx(ORACLE_GAMMA_S1, rel=1e-15)
 
-        gamma_c, gamma_s = fit_parity_ls(1.0, GAUSS03, 1.0, 2, grid)
-        assert gamma_c[1] == pytest.approx(ORACLE_GAMMA_C2, rel=1e-12)
-        assert gamma_s[0] == pytest.approx(ORACLE_GAMMA_S1, rel=1e-12)
+        # a_2 = -gamma_c_2 and a_1 = -gamma_s_1
+        a = fit_parity_ls(1.0, GAUSS03, 1.0, 2, grid)
+        assert a[1] == pytest.approx(-ORACLE_GAMMA_C2, rel=1e-12)
+        assert a[0] == pytest.approx(-ORACLE_GAMMA_S1, rel=1e-12)
 
     def test_rejects_degenerate_degree_and_grid(self):
         grid = chebyshev_grid(1.0, 64)
@@ -90,31 +98,6 @@ class TestFitParityLs:
             fit_parity_ls(1.0, GAUSS03, 1.0, 1, grid)
         with pytest.raises(ValueError):
             fit_parity_ls(1.0, GAUSS03, 1.0, 8, grid[:20])
-
-
-class TestGammaMapping:
-    def test_forced_signs(self):
-        gc = np.zeros(3); gs = np.zeros(3)
-        gc[1] = 1.0
-        assert gamma_to_a(gc, gs)[1] == -1.0
-        gc[1] = 0.0; gs[0] = 1.0
-        assert gamma_to_a(gc, gs)[0] == -1.0
-        gs[0] = 0.0; gs[2] = 2.0
-        assert gamma_to_a(gc, gs)[2] == 2.0
-
-    def test_rejects_parity_violations(self):
-        with pytest.raises(ValueError):
-            gamma_to_a([1.0, 0.0], [0.0, 0.0])   # gamma_c nonzero at k=1
-        with pytest.raises(ValueError):
-            gamma_to_a([0.0, 0.0], [0.0, 1.0])   # gamma_s nonzero at k=2
-
-    @given(d=st.integers(min_value=1, max_value=12),
-           seed=st.integers(min_value=0, max_value=2 ** 31))
-    def test_round_trip_exact(self, d, seed):
-        gamma_c, gamma_s = parity_gammas(d, np.random.default_rng(seed))
-        back_c, back_s = a_to_gamma(gamma_to_a(gamma_c, gamma_s))
-        assert np.all(back_c == gamma_c)
-        assert np.all(back_s == gamma_s)
 
 
 class TestEvalPsi:
@@ -187,9 +170,8 @@ class TestSupError:
         prev = None
         for d in (4, 8, 12, 16, 20):
             grid = chebyshev_grid(1.0, 192)
-            gamma_c, gamma_s = fit_parity_ls(1.0, GAUSS03, 1.0, d, grid)
-            eps2 = certify_sup_error(1.0, 1.0, GAUSS03,
-                                     gamma_to_a(gamma_c, gamma_s), 192, 8)
+            a = fit_parity_ls(1.0, GAUSS03, 1.0, d, grid)
+            eps2 = certify_sup_error(1.0, 1.0, GAUSS03, a, 192, 8)
             if prev is not None:
                 assert eps2 <= prev + 1e-12
             prev = eps2
@@ -199,17 +181,26 @@ class TestApproximant:
     def test_fit_runs_and_serializes(self, tmp_path):
         approx = fit_approximant(1.0, 1.0, GAUSS03, 6)
         data = approximant_to_dict(approx)
-        for key in ("T", "omega_gap", "taper", "d", "gamma_c", "gamma_s", "a",
-                    "eps2", "fit_nodes", "dense_factor"):
-            assert key in data
+        assert set(data) == {"T", "omega_gap", "taper", "d", "a", "eps2",
+                             "fit_nodes", "dense_factor"}
         again = approximant_from_dict(data)
         assert np.all(again.a == approx.a)
         assert again.eps2 == approx.eps2
         assert again.taper == approx.taper
 
-    def test_mapping_consistency(self):
+    def test_loads_dict_carrying_parity_coefficients(self):
+        # files written before the parity coefficients were dropped also
+        # carry gamma_c and gamma_s; only a is read
         approx = fit_approximant(1.0, 1.0, GAUSS03, 6)
-        assert np.all(gamma_to_a(approx.gamma_c, approx.gamma_s) == approx.a)
+        data = approximant_to_dict(approx)
+        data["gamma_c"] = [0.0, -approx.a[1], 0.0, approx.a[3], 0.0,
+                           -approx.a[5]]
+        data["gamma_s"] = [-approx.a[0], 0.0, approx.a[2], 0.0,
+                           -approx.a[4], 0.0]
+        assert np.array_equal(gamma_to_a(data["gamma_c"], data["gamma_s"]),
+                              approx.a)
+        again = approximant_from_dict(json.loads(json.dumps(data)))
+        assert np.array_equal(again.a, approx.a)
 
     def test_default_nodes_rule(self):
         assert fit_approximant(1.0, 1.0, GAUSS03, 4).fit_nodes == 64
@@ -218,12 +209,19 @@ class TestApproximant:
     def test_invalid_construction(self):
         with pytest.raises(ValueError):
             Approximant(T=-1.0, omega_gap=1.0, taper=GAUSS03, d=2,
-                        gamma_c=np.zeros(2), gamma_s=np.zeros(2),
                         a=np.zeros(2), eps2=0.1, fit_nodes=64, dense_factor=8)
-        with pytest.raises(ValueError):
-            Approximant(T=1.0, omega_gap=1.0, taper=GAUSS03, d=2,
-                        gamma_c=np.array([1.0, 0.0]), gamma_s=np.zeros(2),
-                        a=np.zeros(2), eps2=0.1, fit_nodes=64, dense_factor=8)
+
+    @pytest.mark.parametrize("field", ["T", "omega_gap", "eps2", "a"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite(self, field, bad):
+        kwargs = dict(T=1.0, omega_gap=1.0, taper=GAUSS03, d=2,
+                      a=np.zeros(2), eps2=0.1, fit_nodes=64, dense_factor=8)
+        if field == "a":
+            kwargs["a"] = np.array([0.5, bad])
+        else:
+            kwargs[field] = bad
+        with pytest.raises(ValueError, match="finite"):
+            Approximant(**kwargs)
 
     def test_sup_error_wrapper_denser_grid(self):
         approx = fit_approximant(1.0, 1.0, GAUSS03, 8)

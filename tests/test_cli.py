@@ -225,6 +225,98 @@ class TestPredictPipeline:
         assert "need at least 3 samples" in result.output
 
 
+class TestRejectsNonFinite:
+    """Non-finite input stops with a message before it reaches the fit or a
+    predictor."""
+
+    @pytest.fixture
+    def files(self, runner, tmp_path):
+        spec_path = tmp_path / "tone.json"
+        save_spectrum(SpectrumSpec.from_tones(1.0, [(2.0, 0.5)]), spec_path)
+        approx_path = tmp_path / "ap.json"
+        invoke(runner, ["approx", "--T", "1.0", "--omega", "1.0",
+                        "--taper", "gaussian", "--nu", "0.3", "--d", "4",
+                        "--out", str(approx_path)])
+        samples_path = tmp_path / "x.csv"
+        invoke(runner, ["synth", "--spec", str(spec_path), "--t0", "-12.0",
+                        "--t1", "8.0", "--dt", "0.01",
+                        "--out", str(samples_path)])
+        return tmp_path, approx_path, samples_path
+
+    @staticmethod
+    def predict(runner, approx_path, samples_path, mode, *extra):
+        out = approx_path.parent / "pred.csv"
+        result = invoke(runner, ["predict", "--approx", str(approx_path),
+                                 "--samples", str(samples_path),
+                                 "--mode", mode, *extra, "--out", str(out)])
+        assert result.exit_code == 1
+        assert not out.exists()
+        return result.output
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_approx_horizon(self, runner, tmp_path, value):
+        out = tmp_path / "ap.json"
+        result = invoke(runner, ["approx", "--T", value, "--omega", "1.0",
+                                 "--taper", "gaussian", "--nu", "0.3",
+                                 "--d", "4", "--out", str(out)])
+        assert result.exit_code == 1
+        assert "must be finite" in result.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("field", ["T", "a"])
+    def test_predict_approximant_file(self, runner, files, field):
+        _, approx_path, samples_path = files
+        data = json.loads(approx_path.read_text())
+        if field == "T":
+            data["T"] = float("nan")
+        else:
+            data["a"][2] = float("nan")
+        approx_path.write_text(json.dumps(data))  # writes NaN
+        output = self.predict(runner, approx_path, samples_path, "eta")
+        assert "must be finite" in output
+
+    @pytest.mark.parametrize("mode", ["eta", "conv"])
+    @pytest.mark.parametrize("column", ["t", "x"])
+    def test_predict_samples(self, runner, files, mode, column):
+        tmp_path, approx_path, samples_path = files
+        lines = samples_path.read_text().splitlines()
+        t, x = lines[1500].split(",")
+        lines[1500] = f"nan,{x}" if column == "t" else f"{t},nan"
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        output = self.predict(runner, approx_path, bad, mode)
+        assert f"{bad} holds a non-finite t or x value" in output
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_predict_t1(self, runner, files, value):
+        _, approx_path, samples_path = files
+        output = self.predict(runner, approx_path, samples_path, "eta",
+                              "--t1", value)
+        assert "t1 and theta must be finite" in output
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_predict_history_length(self, runner, files, value):
+        _, approx_path, samples_path = files
+        output = self.predict(runner, approx_path, samples_path, "conv",
+                              "--history-length", value)
+        assert "history_length must be finite" in output
+
+    @pytest.mark.parametrize("option", ["--t1", "--theta"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_fit_eta_times(self, runner, files, option, value):
+        tmp_path, approx_path, samples_path = files
+        args = {"--t1": "0.0", "--theta": "8.0"}
+        args[option] = value
+        out = tmp_path / "eta.json"
+        result = invoke(runner, ["fit-eta", "--approx", str(approx_path),
+                                 "--samples", str(samples_path),
+                                 *[v for kv in args.items() for v in kv],
+                                 "--dbar", "8", "--out", str(out)])
+        assert result.exit_code == 1
+        assert "t1 and theta must be finite" in result.output
+        assert not out.exists()
+
+
 class TestEvalCommand:
     def test_demo_passes_and_is_deterministic(self, runner, tmp_path):
         config = os.path.join(CONFIG_DIR, "demo.json")
@@ -284,6 +376,23 @@ class TestEvalCommand:
                                  "--out", str(tmp_path / "out")])
         assert result.exit_code == 2
         assert f"{key} must be finite" in result.output
+
+    @pytest.mark.parametrize("key,value", [
+        ("fit_nodes", 64), ("dense_factor", 8), ("history_length", 10.0),
+        ("quadrature_step", 1e-3), ("fit_dbar_factor", 2)])
+    def test_removed_setting_exits_2(self, runner, tmp_path, key, value):
+        # these settings are constants now; a config that sets one is refused
+        with open(os.path.join(CONFIG_DIR, "demo.json")) as fh:
+            config = json.load(fh)
+        config["spec_files"] = [os.path.join(CONFIG_DIR, "demo_tone.json")]
+        config[key] = value
+        config_path = tmp_path / "cfg.json"
+        config_path.write_text(json.dumps(config))
+        result = invoke(runner, ["eval", "--config", str(config_path),
+                                 "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2
+        assert "configuration error" in result.output
+        assert key in result.output
 
     def test_failing_row_exits_1(self, runner, tmp_path):
         spec_path = tmp_path / "tone.json"

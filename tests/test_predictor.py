@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import cumulative_trapezoid, simpson
 
-from gap_predict.approx import Approximant, a_to_gamma, fit_approximant
+from gap_predict.approx import Approximant, fit_approximant
 from gap_predict.predictor import (EtaState, fit_eta, iterated_integrals,
                                    kernel_eval, predict_convolution,
                                    predict_eta_grid)
@@ -17,10 +17,8 @@ GAUSS03 = TaperSpec("gaussian", 0.3)
 def make_approx(a, T=1.0, gap=1.0):
     """Wrap a raw coefficient vector in an Approximant for API-level tests."""
     a = np.asarray(a, dtype=float)
-    gamma_c, gamma_s = a_to_gamma(a)
-    return Approximant(T=T, omega_gap=gap, taper=GAUSS03, d=len(a),
-                       gamma_c=gamma_c, gamma_s=gamma_s, a=a, eps2=1.0,
-                       fit_nodes=64, dense_factor=8)
+    return Approximant(T=T, omega_gap=gap, taper=GAUSS03, d=len(a), a=a,
+                       eps2=1.0, fit_nodes=64, dense_factor=8)
 
 
 def tone_state(a, spec, t1, span, h):
@@ -113,6 +111,9 @@ class TestPredictConvolution:
         bad_times[50] += 1e-5
         with pytest.raises(ValueError):
             predict_one(approx, bad_times, np.zeros(101))
+        bad_times[50] = np.nan
+        with pytest.raises(ValueError, match="uniform"):
+            predict_one(approx, bad_times, np.zeros(101))
         with pytest.raises(ValueError):  # window shorter than history_length
             times = np.linspace(-5.0, 0.0, 501)
             predict_one(approx, times, np.zeros(501))
@@ -124,6 +125,8 @@ class TestPredictConvolution:
         predict_convolution(approx, times, values, [0.0, 1.0 + 5e-10, 2.0])
         with pytest.raises(ValueError, match="sample grid"):
             predict_convolution(approx, times, values, [1.0, 1.005])
+        with pytest.raises(ValueError, match="sample grid"):
+            predict_convolution(approx, times, values, [1.0, np.nan])
         with pytest.raises(ValueError, match="full history"):
             predict_convolution(approx, times, values, [1.0, -0.01])
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from gap_predict.taper import (TaperSpec, eval_taper, taper_from_dict,
-                               taper_inverse_level, taper_to_dict)
+                               taper_to_dict)
 
 FAMILIES = ("gaussian", "exponential", "lorentzian")
 
@@ -23,19 +23,6 @@ def test_eval_examples():
         0.1, abs=1e-15)
 
 
-def test_inverse_level_examples():
-    assert taper_inverse_level(TaperSpec("gaussian", 1.0), math.exp(-1.0)) == \
-        pytest.approx(1.0, abs=1e-12)
-    assert taper_inverse_level(TaperSpec("lorentzian", 1.0), 0.5) == \
-        pytest.approx(1.0, abs=1e-12)
-    # nu is capped at 1, so the exponential case inverts exp(-nu*M) = level
-    # with admissible scales instead of the nu=2 variant
-    assert taper_inverse_level(TaperSpec("exponential", 1.0), math.exp(-2.0)) == \
-        pytest.approx(2.0, abs=1e-12)
-    assert taper_inverse_level(TaperSpec("exponential", 0.5), math.exp(-2.0)) == \
-        pytest.approx(4.0, abs=1e-12)
-
-
 def test_validation():
     with pytest.raises(ValueError):
         TaperSpec("gaussian", 1.5)
@@ -45,10 +32,6 @@ def test_validation():
         TaperSpec("gaussian", -0.2)
     with pytest.raises(ValueError):
         TaperSpec("boxcar", 0.5)
-    spec = TaperSpec("gaussian", 0.5)
-    for bad in (0.0, 1.0, -0.1, 1.5):
-        with pytest.raises(ValueError):
-            taper_inverse_level(spec, bad)
 
 
 @given(family=family, nu=nu_values, omega=finite_omega)
@@ -79,15 +62,6 @@ def test_monotone_decrease(family, nu, om1, om2):
 def test_scale_consistency(family, nu, omega):
     assert eval_taper(TaperSpec(family, nu), omega) == \
         eval_taper(TaperSpec(family, 1.0), nu * omega)
-
-
-@given(family=family, nu=nu_values,
-       level=st.floats(min_value=1e-9, max_value=1.0 - 1e-9))
-def test_inverse_round_trip(family, nu, level):
-    spec = TaperSpec(family, nu)
-    m = taper_inverse_level(spec, level)
-    assert m >= 0.0
-    assert eval_taper(spec, m) == pytest.approx(level, abs=1e-12)
 
 
 def test_vanishes_at_infinity():
