@@ -26,8 +26,8 @@ import numpy as np
 from .approx import fit_approximant, sup_error
 from .predictor import (EtaState, fit_eta, iterated_integrals, kernel_eval,
                         predict_convolution, predict_eta_grid)
-from .signal import (SpectrumSpec, bump_density, epsilon1, exact_hk,
-                     load_spectrum, sample_grid, select_nu, _quad, _support)
+from .signal import (SpectrumSpec, epsilon1, exact_hk, load_spectrum,
+                     sample_grid, second_moment, select_nu)
 from .taper import TaperSpec, eval_taper
 
 __all__ = ["ExperimentConfig", "ErrorRow", "run_sweep", "emit_report",
@@ -59,8 +59,10 @@ class ExperimentConfig:
     out_dir: Optional[str] = None
 
     def __post_init__(self):
-        for name in ("T", "omega_gap", "t_start", "t_end", "dt"):
-            if not math.isfinite(getattr(self, name)):
+        for name in ("T", "omega_gap", "t_start", "t_end", "dt",
+                     "eps1_target"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
                 raise ValueError(f"{name} must be finite")
         if self.T <= 0 or self.omega_gap <= 0:
             raise ValueError("T and omega_gap must be positive")
@@ -107,17 +109,6 @@ class ErrorRow:
     error: Optional[str] = None
 
 
-def _second_moment(spec: SpectrumSpec) -> float:
-    # bound on |x''|: sum |c_j| w_j^2 for tones, (1/pi) int w^2 |X| dw for bumps
-    if spec.kind == "tones":
-        return sum(abs(t.amplitude) * t.omega ** 2 for t in spec.tones)
-    if not spec.bumps:
-        return 0.0
-    lo, hi, edges = _support(spec)
-    return _quad(lambda om: om ** 2 * abs(bump_density(spec, om)),
-                 lo, hi, points=edges) / np.pi
-
-
 def _measurement_grid(config: ExperimentConfig) -> np.ndarray:
     # whole dt steps that stay within [t_start, t_end]
     n = int(np.floor((config.t_end - config.t_start) / config.dt + 1e-9)) + 1
@@ -159,8 +150,10 @@ def _run_row(config: ExperimentConfig, spec_name: str, spec: SpectrumSpec,
     mode_sup: dict = {}
     slack_items: dict = {}
     if spec.kind == "bump":
+        # bounds the tested agreement of the bump quadrature rule with
+        # adaptive QUADPACK at absolute tolerance 1e-10
         slack_items["quad_abs"] = 2e-10
-    m2 = _second_moment(spec)
+    m2 = second_moment(spec)
 
     for mode in ("eta", "fit-eta"):
         if mode not in config.modes:

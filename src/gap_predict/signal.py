@@ -6,7 +6,9 @@ tones fall outside the L1-spectrum class.  Bumps are smooth compactly
 supported spectral densities X(i*w) = amp * exp(-1/(1-s^2)) for
 s = (|w| - center)/half_width, mirrored to negative frequencies; they decay
 faster than any polynomial in time and satisfy every integrability hypothesis
-the polynomial-kernel predictor needs.
+the polynomial-kernel predictor needs.  Every bump integral (grid samples,
+eps1, the iterated antiderivatives h_k, the second moment) goes through one
+fixed-order Gauss-Legendre panel rule over the bump supports.
 
 Tones are stored as positive-frequency representatives with complex
 amplitudes; the conjugate partner is implicit, which makes conjugate symmetry
@@ -16,27 +18,21 @@ every evaluation is pure.
 
 from __future__ import annotations
 
+import functools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .taper import TaperSpec, eval_taper
 
-__all__ = ["QuadratureError", "Tone", "Bump", "SpectrumSpec",
-           "bump_density", "sample", "sample_grid", "l1_budget", "epsilon1",
-           "select_nu", "exact_hk",
+__all__ = ["Tone", "Bump", "SpectrumSpec", "bump_density", "sample_grid",
+           "epsilon1", "select_nu", "exact_hk", "second_moment",
            "spectrum_to_dict", "spectrum_from_dict",
            "save_spectrum", "load_spectrum"]
 
-# absolute tolerance of all spectral quadratures (deliberate overkill so
-# signal error never pollutes predictor error measurements)
-QUAD_ABS_TOL = 1e-10
-QUAD_LIMIT = 10_000
-
-
-class QuadratureError(RuntimeError):
-    """Adaptive quadrature failed to reach the requested absolute tolerance."""
+# Gauss-Legendre nodes per panel of the bump quadrature rule
+_GL_ORDER = 48
 
 
 @dataclass(frozen=True)
@@ -67,6 +63,14 @@ class SpectrumSpec:
     bumps: tuple = ()
 
     def __post_init__(self):
+        if not np.isfinite(self.omega_gap):
+            raise ValueError(f"omega_gap must be finite, got {self.omega_gap}")
+        for part in (*self.tones, *self.bumps):
+            for f in fields(part):
+                value = getattr(part, f.name)
+                if not np.isfinite(value):
+                    raise ValueError(f"{type(part).__name__.lower()} {f.name} "
+                                     f"must be finite, got {value}")
         if self.omega_gap <= 0:
             raise ValueError("omega_gap must be positive")
         if self.kind not in ("tones", "bump"):
@@ -133,49 +137,39 @@ def bump_density(spec: SpectrumSpec, omega):
     return out
 
 
-def _support(spec: SpectrumSpec):
-    lo = min(b.center - b.half_width for b in spec.bumps)
-    hi = max(b.center + b.half_width for b in spec.bumps)
-    edges = sorted({b.center - b.half_width for b in spec.bumps}
-                   | {b.center + b.half_width for b in spec.bumps})
-    return lo, hi, edges
+@functools.cache
+def _gl_nodes():
+    # built on first use: numpy.polynomial is not loaded by `import numpy`
+    return np.polynomial.legendre.leggauss(_GL_ORDER)
 
 
-# scipy is imported only inside _quad and _bump_grid_fft, the two code paths
-# that need it: importing scipy.integrate and scipy.fft dominates process
-# start-up, and tone sweeps and the predictors never call either.
-def _quad(f, lo, hi, **kwargs):
-    from scipy.integrate import quad
-    val, abserr = quad(f, lo, hi, epsabs=QUAD_ABS_TOL, epsrel=0.0,
-                       limit=QUAD_LIMIT, **kwargs)
-    if abserr > 10.0 * QUAD_ABS_TOL:
-        raise QuadratureError(
-            f"quadrature reached absolute tolerance {abserr:.3e} "
-            f"(requested {QUAD_ABS_TOL:.1e})")
-    return val
+def _n_panels(bump, t_absmax):
+    # enough panels that each sees a bounded oscillation phase cos(w t) at
+    # |t| <= t_absmax
+    lo, hi = bump.center - bump.half_width, bump.center + bump.half_width
+    return max(4, int(np.ceil((hi - lo) * max(t_absmax, 1.0) / 30.0)))
 
 
-def sample(spec: SpectrumSpec, t: float) -> float:
-    """x(t), exactly for tones, by adaptive oscillatory quadrature for bumps.
+def _bump_rule(spec, t_absmax=0.0):
+    """Nodes w and weights W with sum W f(w) ~ int_0^inf X(i*w) f(w) dw for a
+    bump spec and any f smooth on the support that oscillates no faster than
+    cos(w t) with |t| <= t_absmax.
 
-    Tones: x(t) = sum_j Re[c_j exp(i w_j t)], assembled in real arithmetic.
-    Bumps: x(t) = (1/pi) * int_supp X(i*w) cos(w t) dw.
+    Each bump contributes fixed-order Gauss-Legendre panels over its own
+    support, weighted by its own density, so overlapping bumps are each
+    counted once.
     """
-    t = float(t)
-    if spec.kind == "tones":
-        acc = 0.0
-        for tone in spec.tones:
-            acc += (tone.amplitude.real * np.cos(tone.omega * t)
-                    - tone.amplitude.imag * np.sin(tone.omega * t))
-        return acc
-    if not spec.bumps:
-        return 0.0
-    acc = 0.0
+    gl_x, gl_w = _gl_nodes()
+    nodes, weights = [], []
     for b in spec.bumps:
-        f = lambda om: b.amplitude * _bump_profile((om - b.center) / b.half_width)
-        acc += _quad(f, b.center - b.half_width, b.center + b.half_width,
-                     weight="cos", wvar=t)
-    return acc / np.pi
+        lo, hi = b.center - b.half_width, b.center + b.half_width
+        edges = np.linspace(lo, hi, _n_panels(b, t_absmax) + 1)
+        half = 0.5 * np.diff(edges)[:, None]
+        om = (half * gl_x + 0.5 * (edges[:-1] + edges[1:])[:, None]).ravel()
+        nodes.append(om)
+        weights.append((half * gl_w).ravel() * (
+            b.amplitude * _bump_profile((om - b.center) / b.half_width)))
+    return np.concatenate(nodes), np.concatenate(weights)
 
 
 def _tone_grid(spec, times):
@@ -187,23 +181,9 @@ def _tone_grid(spec, times):
 
 
 def _bump_grid_gauss(spec, times):
-    # fixed-order Gauss-Legendre panels, sized so each panel sees a bounded
-    # oscillation phase at the largest |t| requested
     t_absmax = float(np.max(np.abs(times))) if len(times) else 0.0
-    order = 48
-    gl_x, gl_w = np.polynomial.legendre.leggauss(order)
-    nodes, weights = [], []
-    for b in spec.bumps:
-        lo, hi = b.center - b.half_width, b.center + b.half_width
-        n_panels = max(4, int(np.ceil((hi - lo) * max(t_absmax, 1.0) / 30.0)))
-        edges = np.linspace(lo, hi, n_panels + 1)
-        for i in range(n_panels):
-            half = 0.5 * (edges[i + 1] - edges[i])
-            mid = 0.5 * (edges[i] + edges[i + 1])
-            nodes.append(half * gl_x + mid)
-            weights.append(half * gl_w)
-    nodes = np.concatenate(nodes)
-    weights = np.concatenate(weights) * bump_density(spec, nodes) / np.pi
+    nodes, weights = _bump_rule(spec, t_absmax)
+    weights = weights / np.pi
     # chunk the time axis to bound the cos() workspace
     out = np.empty_like(times)
     chunk = max(1, int(4e6 // max(len(nodes), 1)))
@@ -212,21 +192,34 @@ def _bump_grid_gauss(spec, times):
     return out
 
 
+def _fast_len(n):
+    """Smallest 2*3*5*7*11-smooth integer >= n: the length
+    scipy.fft.next_fast_len picks for a complex transform (tested)."""
+    best = 1 << (n - 1).bit_length()
+    odd = [1]
+    for p in (3, 5, 7, 11):
+        for m in odd[:]:
+            while m * p < best:
+                m *= p
+                odd.append(m)
+    return min(m << (-(-n // m) - 1).bit_length() for m in odd)
+
+
 def _bump_grid_fft(spec, t0, dt, n):
     # periodized spectral sum: exact up to aliasing images at +-P, which the
     # decay margin pushes below 1e-13 of the peak
-    from scipy.fft import next_fast_len
     min_hw = min(b.half_width for b in spec.bumps)
     span = (n - 1) * dt
     margin = 600.0 / min_hw + 0.05 * span + 10.0
     P = span + 2.0 * margin
-    N = next_fast_len(int(np.ceil(P / dt)) + 1)
+    N = _fast_len(int(np.ceil(P / dt)) + 1)
     if N > (1 << 27):
         raise ValueError(
             f"fft sampling would need {N} bins; use a coarser dt or a shorter "
             "grid")
     dw = 2.0 * np.pi / (N * dt)
-    lo, hi, _ = _support(spec)
+    lo = min(b.center - b.half_width for b in spec.bumps)
+    hi = max(b.center + b.half_width for b in spec.bumps)
     q0 = max(int(np.floor(lo / dw)), 1)
     q1 = int(np.ceil(hi / dw))
     if q1 >= N // 2:
@@ -245,11 +238,11 @@ def sample_grid(spec: SpectrumSpec, t0: float, dt: float,
     """x on the uniform grid t0 + i*dt, i = 0..n-1.
 
     Tones evaluate in closed form.  Bumps evaluate by Gauss-Legendre panel
-    quadrature vectorized over the grid when the estimated cost
-    n * (panel nodes) is at most 4e7 (short or coarse grids), and otherwise
+    quadrature (the bump rule) vectorized over the grid when the cost
+    n * (rule nodes) is at most 4e7 (short or coarse grids), and otherwise
     by an FFT of the periodized spectral sum (long fine grids).  Both
-    samplers agree with :func:`sample` to near machine precision (tested),
-    and output is deterministic for fixed inputs.
+    samplers agree with adaptive quadrature to near machine precision
+    (tested), and output is deterministic for fixed inputs.
     """
     if n < 1:
         raise ValueError("need n >= 1 grid points")
@@ -260,50 +253,48 @@ def sample_grid(spec: SpectrumSpec, t0: float, dt: float,
         return _tone_grid(spec, times)
     if not spec.bumps:
         return np.zeros(n)
-    width = sum(2.0 * b.half_width for b in spec.bumps)
     t_absmax = max(abs(times[0]), abs(times[-1]))
-    est_nodes = 48 * max(4, int(np.ceil(width * max(t_absmax, 1.0) / 30.0)))
-    if n * est_nodes <= 4e7:
+    n_nodes = _GL_ORDER * sum(_n_panels(b, t_absmax) for b in spec.bumps)
+    if n * n_nodes <= 4e7:
         return _bump_grid_gauss(spec, times)
     return _bump_grid_fft(spec, t0, dt, n)
 
 
-def l1_budget(spec: SpectrumSpec) -> float:
-    """L1 mass of the spectrum over both signs of omega.
-
-    For tones this is the total-variation analog 2 * sum_j |c_j| (point
-    masses), which the error budget uses as the tone bound weight.
-    """
-    if spec.kind == "tones":
-        return 2.0 * sum(abs(t.amplitude) for t in spec.tones)
-    if not spec.bumps:
-        return 0.0
-    lo, hi, edges = _support(spec)
-    val = _quad(lambda om: abs(bump_density(spec, om)), lo, hi,
-                points=edges)
-    return 2.0 * val
-
-
 def epsilon1(spec: SpectrumSpec, taper: TaperSpec) -> float:
     """Spectral mass lost to tapering: int_{|w|>=gap} (1 - r_nu)|X| dw, with
-    the point-mass analog 2 * sum_j |c_j| (1 - r_nu(w_j)) for tones."""
+    the point-mass analog 2 * sum_j |c_j| (1 - r_nu(w_j)) for tones.
+
+    Bumps integrate with the bump rule, each bump's mass taken in absolute
+    value.  That is int (1 - r_nu)|X| dw exactly when overlapping bumps share
+    a sign, and an upper bound on it otherwise, so eps1 stays a valid budget
+    term.
+    """
     if spec.kind == "tones":
         return 2.0 * sum(abs(t.amplitude) * (1.0 - float(eval_taper(taper, t.omega)))
                          for t in spec.tones)
     if not spec.bumps:
         return 0.0
-    lo, hi, edges = _support(spec)
-    val = _quad(lambda om: (1.0 - float(eval_taper(taper, om)))
-                * abs(bump_density(spec, om)), lo, hi, points=edges)
-    return 2.0 * val
+    om, w = _bump_rule(spec)
+    return 2.0 * float(np.abs(w) @ (1.0 - eval_taper(taper, om)))
+
+
+def second_moment(spec: SpectrumSpec) -> float:
+    """Bound on |x''(t)|: sum_j |c_j| w_j^2 for tones, (1/pi) int w^2 |X| dw
+    for bumps (each bump's mass in absolute value, as in :func:`epsilon1`)."""
+    if spec.kind == "tones":
+        return sum(abs(t.amplitude) * t.omega ** 2 for t in spec.tones)
+    if not spec.bumps:
+        return 0.0
+    om, w = _bump_rule(spec)
+    return float(np.abs(w) @ np.square(om)) / np.pi
 
 
 def select_nu(spec: SpectrumSpec, taper_family: str, eps1_target: float) -> float:
     """Largest nu on a geometric bisection lattice (relative tolerance 1e-3)
     with epsilon1(spec, r_nu) <= eps1_target; monotone in nu by taper
     monotonicity.  Clamps at nu = 1."""
-    if eps1_target <= 0:
-        raise ValueError("eps1_target must be positive")
+    if not eps1_target > 0:
+        raise ValueError(f"eps1_target must be positive, got {eps1_target}")
     def loss(nu):
         return epsilon1(spec, TaperSpec(family=taper_family, nu=nu))
     if loss(1.0) <= eps1_target:
@@ -312,7 +303,7 @@ def select_nu(spec: SpectrumSpec, taper_family: str, eps1_target: float) -> floa
     if loss(lo) > eps1_target:
         raise RuntimeError(
             "epsilon1 exceeds the target even at nu = 1e-12; the spectrum "
-            "budget cannot meet the target (or quadrature failed)")
+            "budget cannot meet the target")
     hi = 1.0
     while hi / lo > 1.0 + 1e-3:
         mid = np.sqrt(lo * hi)
@@ -328,7 +319,7 @@ def exact_hk(spec: SpectrumSpec, k: int, t: float) -> float:
     frequency domain through the transfer function (i*w)^(-k).
 
     Well defined because the spectrum avoids w = 0.  Tones are closed form;
-    bumps integrate X(i*w) w^(-k) cos(w t - k*pi/2) over the support.
+    bumps integrate X(i*w) w^(-k) cos(w t - k*pi/2) with the bump rule.
     """
     if k < 1:
         raise ValueError("k must be a positive integer")
@@ -341,18 +332,8 @@ def exact_hk(spec: SpectrumSpec, k: int, t: float) -> float:
         return acc
     if not spec.bumps:
         return 0.0
-    # cos(w t - k pi/2) splits into a pure cos or sin branch for integer k
-    if k % 2 == 0:
-        weight, sign = "cos", (-1.0) ** (k // 2)
-    else:
-        weight, sign = "sin", (-1.0) ** ((k - 1) // 2)
-    acc = 0.0
-    for b in spec.bumps:
-        f = lambda om: (b.amplitude * _bump_profile((om - b.center) / b.half_width)
-                        * om ** (-k))
-        acc += _quad(f, b.center - b.half_width, b.center + b.half_width,
-                     weight=weight, wvar=t)
-    return sign * acc / np.pi
+    om, w = _bump_rule(spec, abs(t))
+    return float(w @ (om ** -k * np.cos(om * t - k * np.pi / 2))) / np.pi
 
 
 def spectrum_to_dict(spec: SpectrumSpec) -> dict:

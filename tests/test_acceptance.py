@@ -18,9 +18,11 @@ import pytest
 from gap_predict.approx import eval_psi, fit_approximant, sup_error
 from gap_predict.predictor import (EtaState, fit_eta, iterated_integrals,
                                    predict_convolution, predict_eta_grid)
-from gap_predict.signal import (SpectrumSpec, epsilon1, exact_hk, l1_budget,
-                                sample, sample_grid, select_nu)
+from gap_predict.signal import (SpectrumSpec, epsilon1, exact_hk, sample_grid,
+                                select_nu)
 from gap_predict.taper import TaperSpec, eval_taper
+
+from oracles import l1_budget, sample
 
 ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), ".."))
 CONFIG_DIR = os.path.join(ROOT, "configs")

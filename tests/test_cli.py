@@ -9,7 +9,10 @@ import pytest
 from click.testing import CliRunner
 
 from gap_predict.cli import main
-from gap_predict.signal import SpectrumSpec, sample, save_spectrum
+from gap_predict.signal import (SpectrumSpec, load_spectrum, save_spectrum,
+                                spectrum_to_dict)
+
+from oracles import sample
 
 CONFIG_DIR = os.path.abspath(
     os.path.join(os.path.dirname(__file__), "..", "configs"))
@@ -70,8 +73,7 @@ class TestApproxCommand:
 
 
 class TestStartsWithoutScipy:
-    """Only bump quadrature and the FFT bump sampler need scipy; importing
-    the CLI and running tone or predict work must not load it."""
+    """No command loads scipy: it is a test-only dependency."""
 
     def test_import(self):
         assert scipy_modules_after([]) == []
@@ -99,6 +101,27 @@ class TestStartsWithoutScipy:
             "eval", "--config", os.path.join(CONFIG_DIR, "demo.json"),
             "--out", str(tmp_path / "out")]]) == []
         assert (tmp_path / "out" / "report.csv").exists()
+
+    def test_eval_bump(self, tmp_path):
+        # eps1_target drives select_nu; exact_hk seeds the eta rows; the
+        # command exits 0 only if every row passes
+        assert scipy_modules_after([[
+            "eval", "--config", os.path.join(CONFIG_DIR, "bump.json"),
+            "--out", str(tmp_path / "out")]]) == []
+        assert (tmp_path / "out" / "report.csv").exists()
+
+    def test_synth_bump_fft(self, tmp_path):
+        # 80001 samples out to |t| = 400: too costly for the Gauss panels,
+        # so sample_grid takes the FFT path
+        out = tmp_path / "x.csv"
+        assert scipy_modules_after([[
+            "synth", "--spec", os.path.join(CONFIG_DIR, "demo_bump.json"),
+            "--t0", "-400", "--t1", "0", "--dt", "0.005",
+            "--out", str(out)]]) == []
+        t, x = map(float, out.read_text().splitlines()[-1].split(","))
+        assert t == 0.0 and x == pytest.approx(
+            sample(load_spectrum(os.path.join(CONFIG_DIR, "demo_bump.json")),
+                   0.0), abs=1e-9)
 
 
 class TestSynthCommand:
@@ -130,6 +153,33 @@ class TestSynthCommand:
                                  "--out", str(out)])
         assert result.exit_code == 1
         assert "t0, t1 and dt must be finite" in result.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind,key,field", [
+        ("tones", "omega_gap", "omega_gap"), ("tones", "omega", "tone omega"),
+        ("tones", "im", "tone amplitude"), ("bump", "center", "bump center"),
+        ("bump", "half_width", "bump half_width"),
+        ("bump", "amplitude", "bump amplitude")],
+        ids=["omega_gap", "omega", "im", "center", "half_width", "amplitude"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_rejects_non_finite_spectrum(self, runner, tmp_path, kind, key,
+                                         field, value):
+        if kind == "tones":
+            data = spectrum_to_dict(SpectrumSpec.from_tones(1.0, [(2.0, 0.5)]))
+            part = data["tones"][0]
+        else:
+            data = spectrum_to_dict(
+                SpectrumSpec.from_bumps(1.0, [(2.1, 0.45, 1.0)]))
+            part = data["bumps"][0]
+        (data if key == "omega_gap" else part)[key] = float(value)
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(data))  # writes NaN or Infinity
+        out = tmp_path / "x.csv"
+        result = invoke(runner, ["synth", "--spec", str(spec_path),
+                                 "--t0", "0.0", "--t1", "1.0", "--dt", "0.25",
+                                 "--out", str(out)])
+        assert result.exit_code == 1
+        assert f"{field} must be finite" in result.output
         assert not out.exists()
 
 
@@ -376,6 +426,21 @@ class TestEvalCommand:
                                  "--out", str(tmp_path / "out")])
         assert result.exit_code == 2
         assert f"{key} must be finite" in result.output
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_eps1_target_exits_2(self, runner, tmp_path, value):
+        with open(os.path.join(CONFIG_DIR, "bump.json")) as fh:
+            config = json.load(fh)
+        config["spec_files"] = [os.path.join(CONFIG_DIR, "demo_bump.json")]
+        config["eps1_target"] = float(value)
+        config_path = tmp_path / "cfg.json"
+        config_path.write_text(json.dumps(config))  # writes NaN or Infinity
+        result = invoke(runner, ["eval", "--config", str(config_path),
+                                 "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2
+        assert "configuration error: eps1_target must be finite" in \
+            result.output
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("key,value", [
         ("fit_nodes", 64), ("dense_factor", 8), ("history_length", 10.0),

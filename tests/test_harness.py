@@ -55,6 +55,13 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             small_config(spec_path, **{name: value})
 
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite_eps1_target(self, tmp_path, value):
+        spec_path = tmp_path / "s.json"
+        save_spectrum(SpectrumSpec.from_tones(1.0, [(2.0, 1.0)]), spec_path)
+        with pytest.raises(ValueError, match="eps1_target must be finite"):
+            small_config(spec_path, nu_list=None, eps1_target=value)
+
 
 class TestRunSweep:
     def test_zero_signal_passes_everywhere(self, tmp_path):

@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gap_predict.signal import (Bump, QuadratureError, SpectrumSpec, Tone,
-                                bump_density, epsilon1, exact_hk, l1_budget, sample, sample_grid,
+from gap_predict.signal import (Bump, SpectrumSpec, Tone, bump_density,
+                                epsilon1, exact_hk, sample_grid, second_moment,
                                 spectrum_from_dict, spectrum_to_dict, select_nu,
-                                _bump_grid_fft, _bump_grid_gauss)
+                                _bump_grid_fft, _bump_grid_gauss, _fast_len)
 from gap_predict.taper import TaperSpec
+
+import oracles
+from oracles import l1_budget, sample
 
 # frozen oracle values for the bump {center=2, half_width=0.5, amp=1},
 # computed with an independent high-order Gauss-Legendre panel rule
@@ -19,6 +22,13 @@ BUMP_L1 = 0.4439938161680794           # integral of |X| over both signs
 BUMP_EPS1_GAUSS025 = 0.098638029329892  # epsilon1 for gaussian nu=0.25
 
 BUMP = SpectrumSpec.from_bumps(1.0, [(2.0, 0.5, 1.0)])
+# two bumps of one sign whose supports overlap on [1.8, 2.5]
+PAIR = SpectrumSpec.from_bumps(1.0, [(2.0, 0.5, 1.0), (2.3, 0.5, 1.0)])
+
+
+def agrees(value, ref):
+    """Agreement with a QUADPACK oracle value."""
+    return abs(value - ref) <= 1e-10 * max(1.0, abs(ref))
 
 
 def gl_oracle(f, lo, hi, panels=16, order=80):
@@ -48,6 +58,27 @@ class TestConstruction:
         direct = SpectrumSpec.from_tones(1.0, [(2.0, 1.0 - 0.5j)])
         for t in (0.0, 0.3, 1.7):
             assert sample(spec, t) == sample(direct, t)
+
+    @pytest.mark.parametrize("build,field", [
+        (lambda v: SpectrumSpec.from_tones(v, [(2.0, 1.0)]), "omega_gap"),
+        (lambda v: SpectrumSpec.from_bumps(v, [(2.0, 0.5, 1.0)]), "omega_gap"),
+        (lambda v: SpectrumSpec.from_tones(1.0, [(v, 1.0)]), "tone omega"),
+        (lambda v: SpectrumSpec.from_tones(1.0, [(2.0, complex(v, 1.0))]),
+         "tone amplitude"),
+        (lambda v: SpectrumSpec.from_tones(1.0, [(2.0, complex(1.0, v))]),
+         "tone amplitude"),
+        (lambda v: SpectrumSpec.from_bumps(1.0, [(v, 0.5, 1.0)]),
+         "bump center"),
+        (lambda v: SpectrumSpec.from_bumps(1.0, [(2.0, v, 1.0)]),
+         "bump half_width"),
+        (lambda v: SpectrumSpec.from_bumps(1.0, [(2.0, 0.5, v)]),
+         "bump amplitude"),
+    ], ids=["tone-gap", "bump-gap", "omega", "re", "im", "center",
+            "half_width", "amplitude"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, build, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            build(value)
 
     def test_kind_consistency(self):
         with pytest.raises(ValueError):
@@ -111,6 +142,16 @@ class TestSampleGrid:
         for i in (0, 7, 19, 29):
             assert xs[i] == pytest.approx(sample(BUMP, -5.0 + 0.5 * i), abs=1e-9)
 
+    def test_overlapping_bumps_counted_once(self):
+        # each bump's own density weights its own panels; summing the
+        # densities over every bump's panels counted the overlap twice
+        times = -5.0 + 0.5 * np.arange(30)
+        ref = np.array([sample(PAIR, t) for t in times])
+        for xs in (sample_grid(PAIR, -5.0, 0.5, 30),
+                   _bump_grid_gauss(PAIR, times),
+                   _bump_grid_fft(PAIR, -5.0, 0.5, 30)):
+            assert np.abs(xs - ref).max() <= 1e-9
+
     def test_auto_strategy_long_grid(self):
         xs = sample_grid(BUMP, -200.0, 1e-2, 40_001)
         i = 12_345
@@ -121,6 +162,36 @@ class TestSampleGrid:
             sample_grid(BUMP, 0.0, -0.1, 5)
         with pytest.raises(ValueError):
             sample_grid(BUMP, 0.0, 0.1, 0)
+
+
+class TestFastLen:
+    def test_matches_scipy_next_fast_len(self):
+        from scipy.fft import next_fast_len
+        rng = np.random.default_rng(5)
+        ns = [*range(1, 20_000), *rng.integers(20_000, 1 << 27, 500).tolist()]
+        assert [_fast_len(n) for n in ns] == [next_fast_len(n) for n in ns]
+
+
+@pytest.mark.parametrize("spec", [BUMP, PAIR], ids=["bump", "pair"])
+class TestAgainstQuadpack:
+    """The bump rule against adaptive QUADPACK at absolute tolerance 1e-10."""
+
+    def test_exact_hk(self, spec):
+        for k in range(1, 33):
+            for t in (-50.0, -7.3, 0.0, 2.5, 50.0):
+                assert agrees(exact_hk(spec, k, t),
+                              oracles.exact_hk(spec, k, t)), (k, t)
+
+    @pytest.mark.parametrize("family", ["gaussian", "exponential",
+                                        "lorentzian"])
+    def test_epsilon1(self, spec, family):
+        for nu in (0.01, 0.1, 0.3, 1.0):
+            taper = TaperSpec(family, nu)
+            assert agrees(epsilon1(spec, taper),
+                          oracles.epsilon1(spec, taper)), nu
+
+    def test_second_moment(self, spec):
+        assert agrees(second_moment(spec), oracles.second_moment(spec))
 
 
 class TestBudgets:
@@ -143,6 +214,19 @@ class TestBudgets:
             lambda om: (1 - np.exp(-(0.25 * om) ** 2)) * bump_density(BUMP, om),
             1.5, 2.5)
         assert oracle == pytest.approx(BUMP_EPS1_GAUSS025, abs=1e-13)
+
+    def test_epsilon1_bounds_opposite_sign_overlap(self):
+        # where bumps of opposite sign overlap, |X| < sum of the bumps'
+        # magnitudes, so eps1 is an upper bound there
+        spec = SpectrumSpec.from_bumps(1.0, [(2.0, 0.5, 1.0),
+                                             (2.3, 0.5, -0.6)])
+        taper = TaperSpec("gaussian", 0.3)
+        assert epsilon1(spec, taper) > oracles.epsilon1(spec, taper) + 1e-3
+
+    def test_second_moment_tones(self):
+        spec = SpectrumSpec.from_tones(1.0, [(2.0, 0.5j), (3.0, -0.25)])
+        assert second_moment(spec) == pytest.approx(0.5 * 4 + 0.25 * 9,
+                                                     abs=1e-15)
 
     def test_epsilon1_vanishes_for_tiny_nu(self):
         taper = TaperSpec("gaussian", 1e-9)
@@ -176,6 +260,12 @@ class TestSelectNu:
     def test_rejects_nonpositive_target(self):
         with pytest.raises(ValueError):
             select_nu(BUMP, "gaussian", 0.0)
+
+    def test_rejects_nan_target(self):
+        # every comparison with NaN is false, so an `eps1_target <= 0`
+        # check let it through to the bisection floor nu = 1e-12
+        with pytest.raises(ValueError, match="eps1_target must be positive"):
+            select_nu(BUMP, "gaussian", math.nan)
 
 
 class TestExactHk:
