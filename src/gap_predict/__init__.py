@@ -2,7 +2,7 @@
 
 from .taper import TaperSpec, eval_taper
 from .approx import (Approximant, chebyshev_grid, fit_parity_ls, eval_psi,
-                     sup_error, certify_sup_error, fit_approximant,
+                     certify_sup_error, fit_approximant,
                      load_approximant, save_approximant)
 from .signal import (SpectrumSpec, Tone, Bump, bump_density, sample_grid,
                      epsilon1, select_nu, exact_hk, second_moment,

@@ -2,7 +2,8 @@
 
 Builds psi(i*w) = sum_k a_k (i*w)^(-k), a real-coefficient polynomial in
 1/(i*w), approximating exp(i*w*T) * r_nu(w) uniformly on |w| >= omega_gap,
-and certifies the achieved sup error on a dense grid.
+and certifies the achieved sup error once, on a grid CERT_DENSITY times as
+dense as the fit grid.
 
 The fit is a parity-constrained discrete least squares in u = 1/w: the real
 part of the target (cos * r_nu, even) is matched with even powers of u only,
@@ -24,8 +25,8 @@ import numpy as np
 
 from .taper import TaperSpec, eval_taper, taper_from_dict, taper_to_dict
 
-__all__ = ["Approximant", "chebyshev_grid", "fit_parity_ls", "eval_psi",
-           "sup_error", "certify_sup_error", "fit_approximant",
+__all__ = ["Approximant", "CERT_DENSITY", "chebyshev_grid", "fit_parity_ls",
+           "eval_psi", "certify_sup_error", "fit_approximant",
            "approximant_to_dict", "approximant_from_dict", "save_approximant",
            "load_approximant"]
 
@@ -44,7 +45,6 @@ class Approximant:
     a: np.ndarray
     eps2: float
     fit_nodes: int
-    dense_factor: int
 
     def __post_init__(self):
         if not np.all(np.isfinite([self.T, self.omega_gap, self.eps2])):
@@ -61,6 +61,10 @@ class Approximant:
             raise ValueError("coefficients a must be finite")
         if self.eps2 < 0:
             raise ValueError("eps2 must be nonnegative")
+
+
+# certification grid density, in multiples of the fit grid's node spacing
+CERT_DENSITY = 16
 
 
 def chebyshev_grid(omega_gap: float, n: int) -> np.ndarray:
@@ -142,7 +146,8 @@ def eval_psi(a, omega):
 
 
 def certify_sup_error(T: float, omega_gap: float, taper: TaperSpec, a,
-                      fit_nodes: int, dense_factor: int = 8) -> float:
+                      fit_nodes: int,
+                      dense_factor: int = CERT_DENSITY) -> float:
     """Grid-certified sup of |exp(i*w*T) r_nu(w) - psi(i*w)| over |w| >= gap.
 
     The evaluation set is a Chebyshev grid in u = 1/w with
@@ -167,28 +172,20 @@ def certify_sup_error(T: float, omega_gap: float, taper: TaperSpec, a,
     return max(float(err.max()), tail)
 
 
-def sup_error(approx: Approximant, dense_factor: int = 8) -> float:
-    """Certified sup error of a fitted approximant at the given density."""
-    return certify_sup_error(approx.T, approx.omega_gap, approx.taper,
-                             approx.a, approx.fit_nodes, dense_factor)
-
-
 def fit_approximant(T: float, omega_gap: float, taper: TaperSpec, d: int,
-                    fit_nodes: int | None = None,
-                    dense_factor: int = 8) -> Approximant:
+                    fit_nodes: int | None = None) -> Approximant:
     """Fit and certify an approximant; pure function of its arguments.
 
     fit_nodes defaults to max(8*d, 64), at least 4x oversampling of the
-    largest basis function.
+    largest basis function.  eps2 is certified once, at CERT_DENSITY.
     """
     if fit_nodes is None:
         fit_nodes = max(8 * d, 64)
     grid = chebyshev_grid(omega_gap, fit_nodes)
     a = fit_parity_ls(T, taper, omega_gap, d, grid)
-    eps2 = certify_sup_error(T, omega_gap, taper, a, fit_nodes, dense_factor)
+    eps2 = certify_sup_error(T, omega_gap, taper, a, fit_nodes, CERT_DENSITY)
     return Approximant(T=T, omega_gap=omega_gap, taper=taper, d=d, a=a,
-                       eps2=eps2, fit_nodes=fit_nodes,
-                       dense_factor=dense_factor)
+                       eps2=eps2, fit_nodes=fit_nodes)
 
 
 def approximant_to_dict(approx: Approximant) -> dict:
@@ -200,7 +197,6 @@ def approximant_to_dict(approx: Approximant) -> dict:
         "a": approx.a.tolist(),
         "eps2": approx.eps2,
         "fit_nodes": approx.fit_nodes,
-        "dense_factor": approx.dense_factor,
     }
 
 
@@ -213,7 +209,6 @@ def approximant_from_dict(data: dict) -> Approximant:
         a=np.asarray(data["a"], dtype=float),
         eps2=float(data["eps2"]),
         fit_nodes=int(data["fit_nodes"]),
-        dense_factor=int(data["dense_factor"]),
     )
 
 

@@ -54,16 +54,13 @@ def main():
 @click.option("--nu", type=float, required=True, help="Taper scale in (0, 1].")
 @click.option("--d", "degree", type=int, required=True, help="Degree of the 1/z polynomial.")
 @click.option("--nodes", type=int, default=None, help="Fit nodes (default max(8d, 64)).")
-@click.option("--dense-factor", type=int, default=8, show_default=True,
-              help="Certification grid density multiplier.")
 @click.option("--out", type=click.Path(dir_okay=False), default=None,
               help="Output JSON path (default: print to stdout).")
-def approx_cmd(horizon, omega, taper, nu, degree, nodes, dense_factor, out):
+def approx_cmd(horizon, omega, taper, nu, degree, nodes, out):
     """Fit psi_d to exp(iwT) r_nu(w) and certify its sup error."""
     try:
         spec = TaperSpec(family=taper, nu=nu)
-        approx = fit_approximant(horizon, omega, spec, degree,
-                                 fit_nodes=nodes, dense_factor=dense_factor)
+        approx = fit_approximant(horizon, omega, spec, degree, fit_nodes=nodes)
     except ValueError as exc:
         raise click.ClickException(str(exc)) from exc
     if out is None:
@@ -207,17 +204,17 @@ def fit_eta_cmd(approx_path, samples_path, t1, theta, dbar, out):
 @click.option("--config", "config_path", type=click.Path(dir_okay=False),
               required=True, help="ExperimentConfig JSON.")
 @click.option("--pin", is_flag=True, default=False,
-              help="Run oracles at doubled precision and write fixtures.json.")
+              help="Halve the quadrature step and write fixtures.json.")
 @click.option("--out", "out_dir", type=click.Path(file_okay=False), default=None,
               help="Output directory (default: config out_dir or ./reports).")
 def eval_cmd(config_path, pin, out_dir):
     """Run a sweep; exit 0 = all rows pass, 1 = any fail, 2 = config error."""
     try:
         config = ExperimentConfig.from_json(config_path)
+        rows = run_sweep(config, pin=pin)  # raises only for a spectrum file
     except (OSError, KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
         click.echo(f"configuration error: {exc}", err=True)
         sys.exit(2)
-    rows = run_sweep(config, pin=pin)
     dest = out_dir or config.out_dir or "reports"
     write_reports(rows, dest, config, pin=pin)
     for row in rows:

@@ -7,7 +7,9 @@ sum_j 2|c_j| (|1 - r_nu(w_j)| + eps2)), runs the requested predictor
 realizations on a measurement grid, and records the sup error against the
 exact future values together with an itemized numerical slack.  A row passes
 when the measured sup error stays below the bound matching its spectrum kind
-plus the slack.
+plus the slack.  eps2 is the approximant's own certificate, computed once at
+approx.CERT_DENSITY; the slack items cover the quadrature of the truth and the
+realizations, not the certification.
 
 Rows are computed serially in a fixed order and all output formatting is
 fixed-width, so identical configs produce byte-identical reports.
@@ -23,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .approx import fit_approximant, sup_error
+from .approx import CERT_DENSITY, fit_approximant
 from .predictor import (EtaState, fit_eta, iterated_integrals, kernel_eval,
                         predict_convolution, predict_eta_grid)
 from .signal import (SpectrumSpec, epsilon1, exact_hk, load_spectrum,
@@ -68,6 +70,10 @@ class ExperimentConfig:
             raise ValueError("T and omega_gap must be positive")
         if not self.spec_files:
             raise ValueError("spec_files must be nonempty")
+        if not self.d_list:
+            raise ValueError("d_list must be nonempty")
+        if self.nu_list is not None and not self.nu_list:
+            raise ValueError("nu_list must be nonempty")
         if list(self.d_list) != sorted(self.d_list):
             raise ValueError("d_list must be sorted ascending")
         if (self.nu_list is None) == (self.eps1_target is None):
@@ -128,17 +134,15 @@ def _future_values(spec, t_grid, T):
 
 
 def _run_row(config: ExperimentConfig, spec_name: str, spec: SpectrumSpec,
-             d: int, nu: float, dense_factor: int, h: float) -> ErrorRow:
+             d: int, nu: float, h: float) -> ErrorRow:
     T, gap = config.T, config.omega_gap
     taper = TaperSpec(family=config.taper_family, nu=nu)
     nodes = (None if config.fit_node_factor is None
              else config.fit_node_factor * d)
-    approx = fit_approximant(T, gap, taper, d, fit_nodes=nodes,
-                             dense_factor=dense_factor)
+    approx = fit_approximant(T, gap, taper, d, fit_nodes=nodes)
 
     eps1 = epsilon1(spec, taper)
     eps2 = approx.eps2
-    eps2_hi = sup_error(approx, 2 * dense_factor)
     bound_paper = (eps1 + eps2) / (2.0 * np.pi)
     bound_tones = sum(2.0 * abs(t.amplitude)
                       * (abs(1.0 - float(eval_taper(taper, t.omega))) + eps2)
@@ -187,14 +191,6 @@ def _run_row(config: ExperimentConfig, spec_name: str, spec: SpectrumSpec,
         slack_items["conv_simpson"] = ((h ** 4 / 180.0) * m2 * L
                                        * kernel_eval(np.abs(approx.a), L))
 
-    # certification slack: how much the dense-grid eps2 moves at twice the density
-    d_eps2 = max(0.0, eps2_hi - eps2)
-    if spec.kind == "bump":
-        slack_items["eps2_grid"] = d_eps2 / (2.0 * np.pi)
-    else:
-        slack_items["eps2_grid"] = d_eps2 * sum(2.0 * abs(t.amplitude)
-                                                for t in spec.tones)
-
     sup_err = max(mode_sup.values())
     slack = float(sum(slack_items.values()))
     applicable = bound_tones if spec.kind == "tones" else bound_paper
@@ -205,24 +201,32 @@ def _run_row(config: ExperimentConfig, spec_name: str, spec: SpectrumSpec,
                     slack_items=slack_items, mode_sup=mode_sup)
 
 
-def _oracle_settings(config: ExperimentConfig, pin: bool):
-    # (certification density, quadrature step); --pin doubles the density
-    # and halves the step to produce fixture values
-    if pin:
-        return 16, 0.5 * (1e-3 * config.T)
-    return 8, 1e-3 * config.T
+def _quadrature_step(config: ExperimentConfig, pin: bool) -> float:
+    # --pin halves the step to produce fixture values
+    return 1e-3 * config.T * (0.5 if pin else 1.0)
+
+
+def _load_spectra(config: ExperimentConfig) -> list:
+    # (name, spec) per spectrum file; the error of one that does not load
+    # names its path
+    spectra = []
+    for path in config.spec_files:
+        try:
+            spec = load_spectrum(path)
+        except (OSError, KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: {exc}") from exc
+        spectra.append((os.path.splitext(os.path.basename(path))[0], spec))
+    return spectra
 
 
 def run_sweep(config: ExperimentConfig, pin: bool = False) -> list:
-    """Run the full sweep; per-row failures are recorded and the run
-    continues.  With pin=True the oracle settings are doubled (twice the
-    certification density, half the quadrature step) to produce fixture
-    values."""
-    dense_factor, h = _oracle_settings(config, pin)
+    """Run the full sweep.  Every spectrum file is loaded before the first
+    row, and one that does not load raises ValueError naming the file; after
+    that, per-row failures are recorded and the run continues.  With
+    pin=True the quadrature step is halved to produce fixture values."""
+    h = _quadrature_step(config, pin)
     rows = []
-    for path in config.spec_files:
-        spec = load_spectrum(path)
-        name = os.path.splitext(os.path.basename(path))[0]
+    for name, spec in _load_spectra(config):
         try:
             if config.nu_list is not None:
                 nus = list(config.nu_list)
@@ -236,8 +240,7 @@ def run_sweep(config: ExperimentConfig, pin: bool = False) -> list:
         for d in config.d_list:
             for nu in nus:
                 try:
-                    rows.append(_run_row(config, name, spec, d, nu,
-                                         dense_factor, h))
+                    rows.append(_run_row(config, name, spec, d, nu, h))
                 except Exception as exc:  # noqa: BLE001 - recorded per row
                     rows.append(ErrorRow(spec=name, d=d, nu=nu,
                                          error=f"{type(exc).__name__}: {exc}"))
@@ -287,11 +290,10 @@ def write_reports(rows, out_dir, config: ExperimentConfig,
     emit_report(rows, "csv", os.path.join(out_dir, "report.csv"))
     emit_report(rows, "json", os.path.join(out_dir, "report.json"))
     if pin:
-        dense_factor, h = _oracle_settings(config, pin)
         payload = {
             "settings": {
-                "dense_factor": dense_factor,
-                "quadrature_step": h,
+                "dense_factor": CERT_DENSITY,
+                "quadrature_step": _quadrature_step(config, pin),
                 "pinned": True,
             },
             "rows": [asdict(row) for row in rows],

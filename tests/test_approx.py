@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 from gap_predict.approx import (Approximant, approximant_from_dict,
                                 approximant_to_dict, certify_sup_error,
                                 chebyshev_grid, eval_psi, fit_approximant,
-                                fit_parity_ls, sup_error)
+                                fit_parity_ls)
 from gap_predict.taper import TaperSpec, eval_taper
 
 GAUSS03 = TaperSpec("gaussian", 0.3)
@@ -161,9 +161,29 @@ class TestSupError:
         assert eps2 == pytest.approx(float(eval_taper(GAUSS03, 1.0)), rel=1e-13)
 
     def test_regression_d16(self):
-        approx = fit_approximant(1.0, 1.0, GAUSS03, 16, fit_nodes=128,
-                                 dense_factor=8)
-        assert approx.eps2 == pytest.approx(EPS2_D16_REGRESSION, rel=1e-9)
+        approx = fit_approximant(1.0, 1.0, GAUSS03, 16, fit_nodes=128)
+        eps2_8 = certify_sup_error(1.0, 1.0, GAUSS03, approx.a, 128, 8)
+        assert eps2_8 == pytest.approx(EPS2_D16_REGRESSION, rel=1e-9)
+
+    def test_denser_grid_never_lowers_grid_maximum(self):
+        # the x16 grid contains the x8 grid, so it can only report less when
+        # the x8 value is its far-tail term, whose u_min shrinks with density
+        grid_set = 0
+        for d in (4, 8, 16):
+            for nu in (0.3, 0.5):
+                taper = TaperSpec("gaussian", nu)
+                approx = fit_approximant(1.0, 1.0, taper, d)
+                n = approx.fit_nodes
+                eps2_8 = certify_sup_error(1.0, 1.0, taper, approx.a, n, 8)
+                eps2_16 = certify_sup_error(1.0, 1.0, taper, approx.a, n, 16)
+                assert approx.eps2 == eps2_16
+                u_min = 1.0 / np.abs(chebyshev_grid(1.0, 8 * (n - 1) + 1)).max()
+                tail_8 = (np.sum(np.abs(approx.a) * u_min ** np.arange(1, d + 1))
+                          + float(eval_taper(taper, 1.0 / u_min)))
+                if eps2_8 > tail_8:
+                    grid_set += 1
+                    assert eps2_16 >= eps2_8
+        assert grid_set >= 4
 
     def test_nested_basis_decay_on_fixed_grid(self):
         # on one fixed overdetermined grid the nested bases can only improve
@@ -182,7 +202,7 @@ class TestApproximant:
         approx = fit_approximant(1.0, 1.0, GAUSS03, 6)
         data = approximant_to_dict(approx)
         assert set(data) == {"T", "omega_gap", "taper", "d", "a", "eps2",
-                             "fit_nodes", "dense_factor"}
+                             "fit_nodes"}
         again = approximant_from_dict(data)
         assert np.all(again.a == approx.a)
         assert again.eps2 == approx.eps2
@@ -190,7 +210,8 @@ class TestApproximant:
 
     def test_loads_dict_carrying_parity_coefficients(self):
         # files written before the parity coefficients were dropped also
-        # carry gamma_c and gamma_s; only a is read
+        # carry gamma_c and gamma_s, and files written before the single
+        # certification density carry dense_factor; only a is read
         approx = fit_approximant(1.0, 1.0, GAUSS03, 6)
         data = approximant_to_dict(approx)
         data["gamma_c"] = [0.0, -approx.a[1], 0.0, approx.a[3], 0.0,
@@ -199,8 +220,11 @@ class TestApproximant:
                            -approx.a[4], 0.0]
         assert np.array_equal(gamma_to_a(data["gamma_c"], data["gamma_s"]),
                               approx.a)
-        again = approximant_from_dict(json.loads(json.dumps(data)))
-        assert np.array_equal(again.a, approx.a)
+        with_density = dict(approximant_to_dict(approx), dense_factor=8)
+        for old in (data, with_density):
+            again = approximant_from_dict(json.loads(json.dumps(old)))
+            assert np.array_equal(again.a, approx.a)
+            assert again.eps2 == approx.eps2
 
     def test_default_nodes_rule(self):
         assert fit_approximant(1.0, 1.0, GAUSS03, 4).fit_nodes == 64
@@ -209,21 +233,16 @@ class TestApproximant:
     def test_invalid_construction(self):
         with pytest.raises(ValueError):
             Approximant(T=-1.0, omega_gap=1.0, taper=GAUSS03, d=2,
-                        a=np.zeros(2), eps2=0.1, fit_nodes=64, dense_factor=8)
+                        a=np.zeros(2), eps2=0.1, fit_nodes=64)
 
     @pytest.mark.parametrize("field", ["T", "omega_gap", "eps2", "a"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_non_finite(self, field, bad):
         kwargs = dict(T=1.0, omega_gap=1.0, taper=GAUSS03, d=2,
-                      a=np.zeros(2), eps2=0.1, fit_nodes=64, dense_factor=8)
+                      a=np.zeros(2), eps2=0.1, fit_nodes=64)
         if field == "a":
             kwargs["a"] = np.array([0.5, bad])
         else:
             kwargs[field] = bad
         with pytest.raises(ValueError, match="finite"):
             Approximant(**kwargs)
-
-    def test_sup_error_wrapper_denser_grid(self):
-        approx = fit_approximant(1.0, 1.0, GAUSS03, 8)
-        # denser certification sees at least as much error as the superset rule
-        assert sup_error(approx, 16) >= approx.eps2 - 1e-12

@@ -442,6 +442,47 @@ class TestEvalCommand:
             result.output
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("bump,reason", [
+        ({"center": 1.2, "half_width": 0.45, "amplitude": 1.0},
+         "reaches into the gap"),
+        ({"center": float("nan"), "half_width": 0.45, "amplitude": 1.0},
+         "bump center must be finite"),
+        (None, "No such file or directory"),
+    ])
+    def test_bad_spectrum_file_exits_2(self, runner, tmp_path, bump, reason):
+        # the second file is bad: no row runs before the whole set loads
+        spec_path = tmp_path / "bad_spec.json"
+        if bump is not None:
+            spec_path.write_text(json.dumps(
+                {"omega_gap": 1.0, "kind": "bump", "bumps": [bump]}))
+        with open(os.path.join(CONFIG_DIR, "bump.json")) as fh:
+            config = json.load(fh)
+        config["spec_files"] = [os.path.join(CONFIG_DIR, "demo_bump.json"),
+                                str(spec_path)]
+        config_path = tmp_path / "cfg.json"
+        config_path.write_text(json.dumps(config))
+        result = invoke(runner, ["eval", "--config", str(config_path),
+                                 "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2
+        assert f"configuration error: {spec_path}: " in result.output
+        assert reason in result.output
+        assert "Traceback" not in result.output
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key", ["d_list", "nu_list"])
+    def test_empty_sweep_list_exits_2(self, runner, tmp_path, key):
+        with open(os.path.join(CONFIG_DIR, "demo.json")) as fh:
+            config = json.load(fh)
+        config["spec_files"] = [os.path.join(CONFIG_DIR, "demo_tone.json")]
+        config[key] = []
+        config_path = tmp_path / "cfg.json"
+        config_path.write_text(json.dumps(config))
+        result = invoke(runner, ["eval", "--config", str(config_path),
+                                 "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2
+        assert f"configuration error: {key} must be nonempty" in result.output
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("key,value", [
         ("fit_nodes", 64), ("dense_factor", 8), ("history_length", 10.0),
         ("quadrature_step", 1e-3), ("fit_dbar_factor", 2)])

@@ -45,6 +45,10 @@ class TestConfig:
             small_config(spec_path, modes=("warp",))
         with pytest.raises(ValueError):
             small_config(spec_path, t_end=-1.0)
+        with pytest.raises(ValueError, match="d_list must be nonempty"):
+            small_config(spec_path, d_list=())
+        with pytest.raises(ValueError, match="nu_list must be nonempty"):
+            small_config(spec_path, nu_list=())
 
     @pytest.mark.parametrize("name", ["T", "omega_gap", "t_start", "t_end",
                                       "dt"])
@@ -84,8 +88,7 @@ class TestRunSweep:
             assert (row.spec, row.d, row.nu) == \
                 (pinned["spec"], pinned["d"], pinned["nu"])
             assert row.eps1 == pytest.approx(pinned["eps1"], rel=1e-10)
-            # pinned eps2 was certified on a grid twice as dense
-            assert row.eps2 == pytest.approx(pinned["eps2"], rel=5e-3)
+            assert row.eps2 == pytest.approx(pinned["eps2"], rel=1e-12)
             # pinned sup uses half the quadrature step; agreement budget is
             # the trapezoid slack of the coarser run
             assert row.sup_err == pytest.approx(pinned["sup_err"], abs=2e-4)

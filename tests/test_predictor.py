@@ -18,7 +18,7 @@ def make_approx(a, T=1.0, gap=1.0):
     """Wrap a raw coefficient vector in an Approximant for API-level tests."""
     a = np.asarray(a, dtype=float)
     return Approximant(T=T, omega_gap=gap, taper=GAUSS03, d=len(a), a=a,
-                       eps2=1.0, fit_nodes=64, dense_factor=8)
+                       eps2=1.0, fit_nodes=64)
 
 
 def tone_state(a, spec, t1, span, h):
