@@ -17,9 +17,8 @@ from .approx import (approximant_to_dict, fit_approximant, load_approximant,
                      save_approximant)
 from .harness import (ExperimentConfig, convergence_check, run_sweep,
                       write_reports)
-from .predictor import (EtaState, fit_eta, iterated_integrals,
-                        predict_convolution, predict_eta_grid, _sample_index,
-                        _uniform_step)
+from .predictor import (EtaState, fit_eta, predict_convolution,
+                        predict_eta_grid, _sample_index, _uniform_step)
 from .signal import load_spectrum, sample_grid
 from .taper import TaperSpec
 
@@ -95,10 +94,10 @@ def synth_cmd(spec_path, t0, t1, dt, out):
 
 
 def _window_from(times, values, t1):
-    # the iterated integrals must start exactly at t1, so snap it onto the
+    # an eta state starts at its window's first sample, so snap t1 onto the
     # sample lattice
     i0 = int(_sample_index(times, t1))
-    return float(times[i0]), times[i0:], values[i0:]
+    return times[i0:], values[i0:]
 
 
 def _fit_eta_from_samples(approx, times, values, t1, theta, dbar):
@@ -106,16 +105,26 @@ def _fit_eta_from_samples(approx, times, values, t1, theta, dbar):
         raise ValueError(f"t1 and theta must be finite, got t1={t1}, "
                          f"theta={theta}")
     T = approx.T
-    d = approx.d
-    t1, tw, vw = _window_from(times, values, t1)
+    tw, vw = _window_from(times, values, t1)
+    t1 = float(tw[0])
     if theta - T <= t1 + T / 10.0:
         raise ValueError(
             "observation window too short: need theta - T > t1 + T/10")
     fit_times = np.linspace(t1 + T / 10.0, theta - T, dbar)
     zeta = np.interp(fit_times + T, times, values)
-    f = iterated_integrals(tw, vw, d)
-    fitres = fit_eta(approx.a, t1, fit_times, zeta, tw, f)
-    return fitres, tw, vw, f
+    return fit_eta(approx.a, tw, vw, fit_times, zeta)
+
+
+def _read_eta(path):
+    # (t1, eta) from a fit-eta output; EtaState checks the numbers
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+        return float(data["t1"]), np.asarray(data["eta"], dtype=float)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise click.ClickException(
+            f"{path} is not a fit-eta output ({type(exc).__name__}: {exc})"
+        ) from exc
 
 
 @main.command("predict")
@@ -150,20 +159,15 @@ def predict_cmd(approx_path, samples_path, mode, t1, history_length, eta_path,
                                           history_length=L)
             rows = list(zip(times[n_lag:], y, tail))
         else:
-            if t1 is None:
-                t1 = float(times[0])
             if eta_path is not None:
-                with open(eta_path, "r", encoding="utf-8") as fh:
-                    eta_data = json.load(fh)
-                t1, tw, vw = _window_from(times, values, float(eta_data["t1"]))
-                eta_vec = np.asarray(eta_data["eta"], dtype=float)
-                state = EtaState.from_window(approx.a, tw, vw, eta_vec)
+                eta_t1, eta = _read_eta(eta_path)
+                state = EtaState.from_window(
+                    approx.a, *_window_from(times, values, eta_t1), eta)
             else:
-                fitres, tw, vw, f = _fit_eta_from_samples(
-                    approx, times, values, t1, float(times[-1]),
-                    dbar if dbar is not None else approx.d)
-                state = EtaState(t1=float(tw[0]), eta=fitres.eta, times=tw,
-                                 values=vw, f=f, a=approx.a)
+                state = _fit_eta_from_samples(
+                    approx, times, values,
+                    float(times[0]) if t1 is None else t1, float(times[-1]),
+                    dbar if dbar is not None else approx.d).state
             y = predict_eta_grid(state, state.times)
             rows = [(t, yv, 0.0) for t, yv in zip(state.times, y)]
     except ValueError as exc:
@@ -188,16 +192,15 @@ def fit_eta_cmd(approx_path, samples_path, t1, theta, dbar, out):
     try:
         approx = load_approximant(approx_path)
         times, values = _read_samples(samples_path)
-        fitres, tw, _, _ = _fit_eta_from_samples(approx, times, values, t1,
-                                                 theta, dbar)
+        fit = _fit_eta_from_samples(approx, times, values, t1, theta, dbar)
     except ValueError as exc:
         raise click.ClickException(str(exc)) from exc
-    payload = {"t1": float(tw[0]), "eta": fitres.eta.tolist(),
-               "residual": fitres.residual.tolist(), "cond": fitres.cond}
+    payload = {"t1": fit.state.t1, "eta": fit.state.eta.tolist(),
+               "residual": fit.residual.tolist(), "cond": fit.cond}
     with open(out, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
-    click.echo(f"wrote {out}  (dbar={dbar}, cond={fitres.cond:.3e})")
+    click.echo(f"wrote {out}  (dbar={dbar}, cond={fit.cond:.3e})")
 
 
 @main.command("eval")

@@ -20,14 +20,14 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, asdict, replace
 from typing import Optional
 
 import numpy as np
 
 from .approx import CERT_DENSITY, fit_approximant
-from .predictor import (EtaState, fit_eta, iterated_integrals, kernel_eval,
-                        predict_convolution, predict_eta_grid)
+from .predictor import (EtaState, fit_eta, kernel_eval, predict_convolution,
+                        predict_eta_grid)
 from .signal import (SpectrumSpec, epsilon1, exact_hk, load_spectrum,
                      sample_grid, second_moment, select_nu)
 from .taper import TaperSpec, eval_taper
@@ -165,15 +165,13 @@ def _run_row(config: ExperimentConfig, spec_name: str, spec: SpectrumSpec,
         t1 = config.t_start if mode == "eta" else \
             config.t_start - max(4.0 * T, 1.0)
         times, values = _record(spec, t1, config.t_end, h)
-        f = iterated_integrals(times, values, d)
         if mode == "eta":
             eta = np.array([exact_hk(spec, k, t1) for k in range(1, d + 1)])
+            state = EtaState.from_window(approx.a, times, values, eta)
         else:
             fit_times = np.linspace(t1 + T / 10.0, config.t_start - T, 2 * d)
             zeta = _future_values(spec, fit_times, T)
-            eta = fit_eta(approx.a, t1, fit_times, zeta, times, f).eta
-        state = EtaState(t1=t1, eta=eta, times=times, values=values, f=f,
-                         a=approx.a)
+            state = fit_eta(approx.a, times, values, fit_times, zeta).state
         y = predict_eta_grid(state, t_grid)
         mode_sup[mode] = float(np.abs(fut - y).max())
         delta = config.t_end - t1
@@ -207,12 +205,12 @@ def _quadrature_step(config: ExperimentConfig, pin: bool) -> float:
 
 
 def _load_spectra(config: ExperimentConfig) -> list:
-    # (name, spec) per spectrum file; the error of one that does not load
-    # names its path
+    # (name, spec) per spectrum file, each checked against the sweep's gap;
+    # the error of one that does not load or fit that gap names its path
     spectra = []
     for path in config.spec_files:
         try:
-            spec = load_spectrum(path)
+            spec = replace(load_spectrum(path), omega_gap=config.omega_gap)
         except (OSError, KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"{path}: {exc}") from exc
         spectra.append((os.path.splitext(os.path.basename(path))[0], spec))
@@ -221,7 +219,8 @@ def _load_spectra(config: ExperimentConfig) -> list:
 
 def run_sweep(config: ExperimentConfig, pin: bool = False) -> list:
     """Run the full sweep.  Every spectrum file is loaded before the first
-    row, and one that does not load raises ValueError naming the file; after
+    row, and one that does not load, or whose spectrum reaches into the
+    config's gap, raises ValueError naming the file; after
     that, per-row failures are recorded and the run continues.  With
     pin=True the quadrature step is halved to produce fixture values."""
     h = _quadrature_step(config, pin)

@@ -12,6 +12,11 @@ psi(i*w) = sum_k a_k (i*w)^(-k):
   solve (square: zero residual at the fit points; overdetermined: least
   squares).
 
+An eta state is built from a sampled window whose first sample is t1, either
+with known constants (EtaState.from_window) or with fitted ones
+(fit_eta(...).state).  Those two are the only places that integrate the
+window, so every caller gets the same iterated integrals.
+
 The convolution form requires the signal to decay into the past; its
 truncation is reported through a crude tail diagnostic |K(L) x(t-L)| * L
 rather than hidden.  For large degree d the kernel grows factorially with the
@@ -96,11 +101,11 @@ def predict_convolution(approx: Approximant, times, values, t_eval,
     """Composite-Simpson approximation of int_{t-L}^{t} K(t-tau) x(tau) dtau
     at every t in t_eval, from one uniformly sampled record.
 
-    history_length L defaults to 10*T and is rejected below that guard; the
-    truncated convolution is meaningless with less history.  Every t in
-    t_eval must be a sample time with a full window of L behind it.  The
-    kernel is evaluated and Simpson-weighted once; each output is one
-    weighted sum over its window.
+    history_length L defaults to 10*T; it must be finite and is rejected
+    below that guard, since the truncated convolution is meaningless with
+    less history.  Every t in t_eval must be a sample time with a full
+    window of L behind it.  The kernel is evaluated and Simpson-weighted
+    once; each output is one weighted sum over its window.
 
     Returns arrays (y_hat, tail_diag), the latter the truncation indicator
     |K(L) * x(t-L)| * L.  The indicator is a crude diagnostic, not a bound:
@@ -108,6 +113,8 @@ def predict_convolution(approx: Approximant, times, values, t_eval,
     truncated form to be trusted.
     """
     L = 10.0 * approx.T if history_length is None else float(history_length)
+    if not np.isfinite(L):
+        raise ValueError(f"history_length must be finite, got {L}")
     if L < 10.0 * approx.T:
         raise ValueError(f"history_length {L} is below the 10*T guard")
     h = _uniform_step(times)
@@ -156,12 +163,13 @@ def iterated_integrals(times, values, d: int) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class EtaState:
     """Reference-time constants plus running integrals: everything the
-    closed-form predictor needs for t >= t1.
+    closed-form predictor needs for t >= t1 = times[0].
 
+    f[k-1] is the k-th iterated integral of values from t1.  Build a state
+    with EtaState.from_window or fit_eta, which compute f from the window.
     Completed states are immutable and safe to share across threads.
     """
 
-    t1: float
     eta: np.ndarray
     times: np.ndarray
     values: np.ndarray
@@ -169,24 +177,27 @@ class EtaState:
     a: np.ndarray
 
     def __post_init__(self):
-        for name in ("eta", "times", "values", "a"):
+        for name in ("eta", "times", "values", "f", "a"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
-        object.__setattr__(self, "f", np.asarray(self.f, dtype=float))
         d = len(self.a)
         if self.eta.shape != (d,):
             raise ValueError("eta must have one entry per coefficient")
+        if not np.all(np.isfinite(self.eta)):
+            raise ValueError("eta must be finite")
         if self.f.shape != (d, len(self.times)):
             raise ValueError("f must hold one trajectory per coefficient")
-        if abs(self.times[0] - self.t1) > 1e-12 * max(1.0, abs(self.t1)):
-            raise ValueError("trajectories must start at t1")
+
+    @property
+    def t1(self) -> float:
+        return float(self.times[0])
 
     @classmethod
     def from_window(cls, a, times, values, eta) -> "EtaState":
-        """Build the state from a sampled window starting at t1 = times[0]."""
+        """The state with constants eta on the sampled window that starts at
+        t1 = times[0]."""
         a = np.asarray(a, dtype=float)
-        f = iterated_integrals(times, values, len(a))
-        return cls(t1=float(times[0]), eta=eta, times=times, values=values,
-                   f=f, a=a)
+        return cls(eta=eta, times=times, values=values,
+                   f=iterated_integrals(times, values, len(a)), a=a)
 
 
 def _eta_weights(d, delta):
@@ -225,13 +236,15 @@ def predict_eta_grid(state: EtaState, t_eval) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class EtaFit:
-    eta: np.ndarray
+    state: EtaState
     residual: np.ndarray
     cond: float
 
 
-def fit_eta(a, t1: float, fit_times, zeta, times, f) -> EtaFit:
-    """Estimate the reference constants from finite observations.
+def fit_eta(a, times, values, fit_times, zeta) -> EtaFit:
+    """Estimate the reference constants from finite observations and return
+    the fitted state on the sampled window (times, values), whose first
+    sample is t1.
 
     Solves M etabar = zeta - phi where
     M[m, l] = sum_{k>=l} a_k (t_m - t1)^(k-l)/(k-l)! and
@@ -246,10 +259,11 @@ def fit_eta(a, t1: float, fit_times, zeta, times, f) -> EtaFit:
     """
     a = np.asarray(a, dtype=float)
     d = len(a)
+    times = np.asarray(times, dtype=float)
+    f = iterated_integrals(times, values, d)
+    t1 = times[0]
     fit_times = np.asarray(fit_times, dtype=float)
     zeta = np.asarray(zeta, dtype=float)
-    times = np.asarray(times, dtype=float)
-    f = np.asarray(f, dtype=float)
     if len(fit_times) < d:
         raise ValueError(f"need at least d={d} fit times, got {len(fit_times)}")
     if zeta.shape != fit_times.shape:
@@ -280,4 +294,5 @@ def fit_eta(a, t1: float, fit_times, zeta, times, f) -> EtaFit:
             f"eta fit is near-singular (cond ~ {cond:.2e}); the fit times may "
             "be clustered", RuntimeWarning, stacklevel=2)
     residual = M @ eta - rhs
-    return EtaFit(eta=eta, residual=residual, cond=cond)
+    state = EtaState(eta=eta, times=times, values=values, f=f, a=a)
+    return EtaFit(state=state, residual=residual, cond=cond)

@@ -16,8 +16,8 @@ import numpy as np
 import pytest
 
 from gap_predict.approx import eval_psi, fit_approximant
-from gap_predict.predictor import (EtaState, fit_eta, iterated_integrals,
-                                   predict_convolution, predict_eta_grid)
+from gap_predict.predictor import (EtaState, fit_eta, predict_convolution,
+                                   predict_eta_grid)
 from gap_predict.signal import (SpectrumSpec, epsilon1, exact_hk, sample_grid,
                                 select_nu)
 from gap_predict.taper import TaperSpec, eval_taper
@@ -259,16 +259,14 @@ def test_criterion_6_fit_eta_round_trip():
         n = int(round(8.0 / h)) + 1
         times = h * np.arange(n)
         values = sample_grid(spec, 0.0, h, n)
-        f = iterated_integrals(times, values, d)
 
         rng = np.random.default_rng(7)
         eta_true = rng.standard_normal(d)
-        state = EtaState(t1=0.0, eta=eta_true, times=times, values=values,
-                         f=f, a=approx.a)
+        state = EtaState.from_window(approx.a, times, values, eta_true)
         fit_times = np.linspace(0.5, 6.5, d)
         zeta = predict_eta_grid(state, fit_times)
-        fit = fit_eta(approx.a, 0.0, fit_times, zeta, times, f)
-        rel = float(np.max(np.abs(fit.eta - eta_true))
+        fit = fit_eta(approx.a, times, values, fit_times, zeta)
+        rel = float(np.max(np.abs(fit.state.eta - eta_true))
                     / np.max(np.abs(eta_true)))
         resid_rel = float(np.max(np.abs(fit.residual)) / np.linalg.norm(zeta))
         assert rel <= 1e-8
@@ -277,7 +275,7 @@ def test_criterion_6_fit_eta_round_trip():
         # overdetermined fit against true future observations of the tone
         fit_times12 = np.linspace(0.5, 6.5, 12)
         zeta12 = np.array([sample(spec, tm + 1.0) for tm in fit_times12])
-        fit12 = fit_eta(approx.a, 0.0, fit_times12, zeta12, times, f)
+        fit12 = fit_eta(approx.a, times, values, fit_times12, zeta12)
         r_tone = float(eval_taper(GAUSS03, 2.0))
         bound_tones = 2.0 * 1.0 * (abs(1.0 - r_tone) + approx.eps2)
         max_resid12 = float(np.max(np.abs(fit12.residual)))

@@ -250,6 +250,24 @@ class TestPredictPipeline:
         assert result.exit_code == 0
         assert out.exists()
 
+        # a square fit up to the record's last sample, reused through --eta,
+        # gives the state that predict's internal fit builds
+        square_path = tmp_path / "eta_square.json"
+        reused = tmp_path / "pred_square_reuse.csv"
+        internal = tmp_path / "pred_internal.csv"
+        for args in (
+                ["fit-eta", "--t1", "0", "--theta", "8", "--dbar", "4",
+                 "--out", str(square_path)],
+                ["predict", "--mode", "eta", "--eta", str(square_path),
+                 "--out", str(reused)],
+                ["predict", "--mode", "eta", "--t1", "0",
+                 "--out", str(internal)]):
+            result = invoke(runner, [args[0], "--approx", str(approx_path),
+                                     "--samples", str(samples_path),
+                                     *args[1:]])
+            assert result.exit_code == 0
+        assert reused.read_bytes() == internal.read_bytes()
+
     def test_eta_mode_rejects_short_record(self, runner, workspace):
         tmp_path, approx_path, _ = workspace
         short = tmp_path / "short.csv"
@@ -343,6 +361,29 @@ class TestRejectsNonFinite:
         output = self.predict(runner, approx_path, samples_path, "eta",
                               "--t1", value)
         assert "t1 and theta must be finite" in output
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_predict_eta_file(self, runner, files, value):
+        tmp_path, approx_path, samples_path = files
+        eta_path = tmp_path / "eta.json"
+        eta_path.write_text(json.dumps(
+            {"t1": 0.0, "eta": [0.1, float(value), 0.2, 0.3]}))
+        output = self.predict(runner, approx_path, samples_path, "eta",
+                              "--eta", str(eta_path))
+        assert "eta must be finite" in output
+
+    @pytest.mark.parametrize("payload", [
+        {"eta": [0.1, 0.2, 0.3, 0.4]},
+        {"t1": 0.0},
+        [0.0, [0.1, 0.2, 0.3, 0.4]],
+    ], ids=["missing_t1", "missing_eta", "list"])
+    def test_predict_eta_file_layout(self, runner, files, payload):
+        tmp_path, approx_path, samples_path = files
+        eta_path = tmp_path / "eta.json"
+        eta_path.write_text(json.dumps(payload))
+        output = self.predict(runner, approx_path, samples_path, "eta",
+                              "--eta", str(eta_path))
+        assert f"{eta_path} is not a fit-eta output" in output
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_predict_history_length(self, runner, files, value):
@@ -448,11 +489,16 @@ class TestEvalCommand:
         ({"center": float("nan"), "half_width": 0.45, "amplitude": 1.0},
          "bump center must be finite"),
         (None, "No such file or directory"),
+        # outside the file's own gap 0.5, inside the sweep's gap 1.0
+        ("tone", "tone at omega=0.7 falls inside the spectral gap (-1.0, 1.0)"),
     ])
     def test_bad_spectrum_file_exits_2(self, runner, tmp_path, bump, reason):
         # the second file is bad: no row runs before the whole set loads
         spec_path = tmp_path / "bad_spec.json"
-        if bump is not None:
+        if bump == "tone":
+            save_spectrum(SpectrumSpec.from_tones(0.5, [(0.7, 1.0)]),
+                          spec_path)
+        elif bump is not None:
             spec_path.write_text(json.dumps(
                 {"omega_gap": 1.0, "kind": "bump", "bumps": [bump]}))
         with open(os.path.join(CONFIG_DIR, "bump.json")) as fh:
@@ -468,6 +514,30 @@ class TestEvalCommand:
         assert reason in result.output
         assert "Traceback" not in result.output
         assert not (tmp_path / "out").exists()
+
+    def test_spectrum_with_narrower_gap_runs(self, runner, tmp_path):
+        # a file declaring gap 0.5 whose tone at 2.0 clears the sweep's gap
+        # 1.0 runs, and reports what the same tone declared with gap 1.0 does
+        reports = []
+        for gap in (0.5, 1.0):
+            spec_path = tmp_path / f"gap{gap}" / "tone.json"
+            spec_path.parent.mkdir()
+            save_spectrum(SpectrumSpec.from_tones(gap, [(2.0, 0.5)]),
+                          spec_path)
+            config = {
+                "spec_files": [str(spec_path)],
+                "T": 1.0, "omega_gap": 1.0, "taper_family": "gaussian",
+                "nu_list": [0.3], "d_list": [4, 6],
+                "t_start": 0.0, "t_end": 0.5, "dt": 0.1, "modes": ["eta"],
+            }
+            config_path = spec_path.parent / "cfg.json"
+            config_path.write_text(json.dumps(config))
+            out = spec_path.parent / "out"
+            result = invoke(runner, ["eval", "--config", str(config_path),
+                                     "--out", str(out)])
+            assert result.exit_code == 0
+            reports.append((out / "report.csv").read_bytes())
+        assert reports[0] == reports[1]
 
     @pytest.mark.parametrize("key", ["d_list", "nu_list"])
     def test_empty_sweep_list_exits_2(self, runner, tmp_path, key):

@@ -204,6 +204,10 @@ class TestPredictConvolution:
         times = np.linspace(0.0, 30.0, 3001)
         with pytest.raises(ValueError, match="guard"):
             predict_one(approx, times, np.zeros_like(times), history_length=5.0)
+        for bad in (np.inf, np.nan):
+            with pytest.raises(ValueError, match="history_length must be finite"):
+                predict_one(approx, times, np.zeros_like(times),
+                            history_length=bad)
 
 
 class TestIteratedIntegrals:
@@ -319,46 +323,48 @@ class TestFitEta:
         n = int(round(8.0 / h)) + 1
         self.times = h * np.arange(n)
         self.values = sample_grid(self.spec, 0.0, h, n)
-        self.f = iterated_integrals(self.times, self.values, 6)
+
+    def fit(self, fit_times, zeta):
+        return fit_eta(self.approx.a, self.times, self.values, fit_times, zeta)
 
     def test_round_trip_recovers_eta(self):
         rng = np.random.default_rng(42)
         eta_true = rng.standard_normal(6)
-        state = EtaState(t1=0.0, eta=eta_true, times=self.times,
-                         values=self.values, f=self.f, a=self.approx.a)
+        state = EtaState.from_window(self.approx.a, self.times, self.values,
+                                     eta_true)
         fit_times = np.linspace(0.5, 6.5, 6)
         zeta = predict_eta_grid(state, fit_times)
-        fit = fit_eta(self.approx.a, 0.0, fit_times, zeta, self.times, self.f)
-        assert np.max(np.abs(fit.eta - eta_true)) <= 1e-8 * np.max(np.abs(eta_true))
+        fit = self.fit(fit_times, zeta)
+        assert np.max(np.abs(fit.state.eta - eta_true)) <= 1e-8 * np.max(np.abs(eta_true))
         assert np.max(np.abs(fit.residual)) <= 1e-10 * np.linalg.norm(zeta)
         assert fit.cond < 1e12
+        # the fitted state itself reproduces the observations
+        refit = predict_eta_grid(fit.state, fit_times)
+        assert np.max(np.abs(refit - zeta)) <= 1e-10 * np.linalg.norm(zeta)
 
     def test_overdetermined_residual_within_tone_bound(self):
         # zeta are true future values; feasibility is guaranteed because the
         # exact eta already satisfies the tone error bound at every fit point
         fit_times = np.linspace(0.5, 6.5, 12)
         zeta = np.array([float(np.cos(2.0 * (tm + 1.0))) for tm in fit_times])
-        fit = fit_eta(self.approx.a, 0.0, fit_times, zeta, self.times, self.f)
+        fit = self.fit(fit_times, zeta)
         r_at_tone = math.exp(-(0.3 * 2.0) ** 2)
         bound = 2.0 * (abs(1.0 - r_at_tone) + self.approx.eps2)
         assert np.max(np.abs(fit.residual)) <= bound
 
     def test_validations(self):
         with pytest.raises(ValueError):
-            fit_eta(self.approx.a, 0.0, [0.5, 0.4, 1.0, 2.0, 3.0, 4.0],
-                    np.zeros(6), self.times, self.f)
+            self.fit([0.5, 0.4, 1.0, 2.0, 3.0, 4.0], np.zeros(6))
         with pytest.raises(ValueError):
-            fit_eta(self.approx.a, 0.0, [0.5, 1.0], np.zeros(2),
-                    self.times, self.f)
+            self.fit([0.5, 1.0], np.zeros(2))
         with pytest.raises(ValueError):
-            fit_eta(self.approx.a, 0.0, np.linspace(0.5, 20.0, 6),
-                    np.zeros(6), self.times, self.f)
+            self.fit(np.linspace(0.5, 20.0, 6), np.zeros(6))
 
     def test_warns_on_clustered_fit_times(self):
         fit_times = 1.0 + 1e-9 * np.arange(6)
         zeta = np.zeros(6)
         with pytest.warns(RuntimeWarning):
-            fit_eta(self.approx.a, 0.0, fit_times, zeta, self.times, self.f)
+            self.fit(fit_times, zeta)
 
 
 class TestFindLeftRoot:
