@@ -11,6 +11,22 @@ plus the slack.  eps2 is the approximant's own certificate, computed once at
 approx.CERT_DENSITY; the slack items cover the quadrature of the truth and the
 realizations, not the certification.
 
+Work that several rows share is computed once within one run_sweep call:
+
+* once per sweep: each approximant, per (d, nu), shared by every spectrum
+  (T, omega_gap, the taper family and the fit nodes are fixed per config);
+* once per spectrum: the sample record from each mode's t1, the future
+  values x(t + T), the constants h_k(t1) up to the largest degree and the
+  iterated integrals to max(d_list), whose first d levels serve the row of
+  degree d (they do not depend on d);
+* once per row: eps1, the bounds, the fit-eta constants, the predictions and
+  the slack.
+
+Each value is computed when a row first needs it, and one whose computation
+raises is not stored, so a failure errors the same rows with the same
+message as computing every row from scratch.  A spectrum's values are
+dropped before the next spectrum's rows run, and nothing outlives the call.
+
 Rows are computed serially in a fixed order and all output formatting is
 fixed-width, so identical configs produce byte-identical reports.
 """
@@ -19,6 +35,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 from dataclasses import dataclass, field, asdict, replace
 from typing import Optional
@@ -26,8 +43,8 @@ from typing import Optional
 import numpy as np
 
 from .approx import CERT_DENSITY, fit_approximant
-from .predictor import (EtaState, fit_eta, kernel_eval, predict_convolution,
-                        predict_eta_grid)
+from .predictor import (EtaState, fit_eta, iterated_integrals, kernel_eval,
+                        predict_convolution, predict_eta_grid)
 from .signal import (SpectrumSpec, epsilon1, exact_hk, load_spectrum,
                      sample_grid, second_moment, select_nu)
 from .taper import TaperSpec, eval_taper
@@ -74,6 +91,16 @@ class ExperimentConfig:
             raise ValueError("d_list must be nonempty")
         if self.nu_list is not None and not self.nu_list:
             raise ValueError("nu_list must be nonempty")
+        for d in self.d_list:
+            if (isinstance(d, bool) or not isinstance(d, numbers.Integral)
+                    or d < 2):
+                raise ValueError(f"d_list entry {d!r} is not an integer >= 2")
+        for nu in self.nu_list or ():
+            # written so that NaN fails: every comparison with NaN is false
+            if (isinstance(nu, bool) or not isinstance(nu, numbers.Real)
+                    or not 0.0 < nu <= 1.0):
+                raise ValueError(
+                    f"nu_list entry {nu!r} is not a finite number in (0, 1]")
         if list(self.d_list) != sorted(self.d_list):
             raise ValueError("d_list must be sorted ascending")
         if (self.nu_list is None) == (self.eps1_target is None):
@@ -133,13 +160,36 @@ def _future_values(spec, t_grid, T):
     return sample_grid(spec, t_grid[0] + T, step, len(t_grid))
 
 
-def _run_row(config: ExperimentConfig, spec_name: str, spec: SpectrumSpec,
-             d: int, nu: float, h: float) -> ErrorRow:
-    T, gap = config.T, config.omega_gap
-    taper = TaperSpec(family=config.taper_family, nu=nu)
+def _cached(memo, key, compute, *args):
+    # memo[key], computed on first use; a call that raises stores nothing, so
+    # every row that needs the value raises the same error
+    if key not in memo:
+        memo[key] = compute(*args)
+    return memo[key]
+
+
+def _fit(config: ExperimentConfig, taper: TaperSpec, d: int):
     nodes = (None if config.fit_node_factor is None
              else config.fit_node_factor * d)
-    approx = fit_approximant(T, gap, taper, d, fit_nodes=nodes)
+    return fit_approximant(config.T, config.omega_gap, taper, d,
+                           fit_nodes=nodes)
+
+
+def _reference_constants(spec, t1, d, hk):
+    # h_1..h_d(t1), extending the list hk of those already computed
+    while len(hk) < d:
+        hk.append(exact_hk(spec, len(hk) + 1, t1))
+    return np.array(hk[:d])
+
+
+def _run_row(config: ExperimentConfig, spec_name: str, spec: SpectrumSpec,
+             d: int, nu: float, h: float, approximants: dict,
+             shared: dict) -> ErrorRow:
+    # approximants maps (d, nu) to the sweep's fits; shared holds this
+    # spectrum's records, future values, h_k(t1) and iterated integrals
+    T = config.T
+    taper = TaperSpec(family=config.taper_family, nu=nu)
+    approx = _cached(approximants, (d, nu), _fit, config, taper, d)
 
     eps1 = epsilon1(spec, taper)
     eps2 = approx.eps2
@@ -149,7 +199,7 @@ def _run_row(config: ExperimentConfig, spec_name: str, spec: SpectrumSpec,
                       for t in spec.tones)
 
     t_grid = _measurement_grid(config)
-    fut = _future_values(spec, t_grid, T)
+    fut = _cached(shared, "future", _future_values, spec, t_grid, T)
 
     mode_sup: dict = {}
     slack_items: dict = {}
@@ -164,10 +214,17 @@ def _run_row(config: ExperimentConfig, spec_name: str, spec: SpectrumSpec,
             continue
         t1 = config.t_start if mode == "eta" else \
             config.t_start - max(4.0 * T, 1.0)
-        times, values = _record(spec, t1, config.t_end, h)
+        times, values = _cached(shared, ("record", t1), _record, spec, t1,
+                                config.t_end, h)
         if mode == "eta":
-            eta = np.array([exact_hk(spec, k, t1) for k in range(1, d + 1)])
-            state = EtaState.from_window(approx.a, times, values, eta)
+            eta = _reference_constants(spec, t1, d,
+                                       shared.setdefault("hk", []))
+            # f_k does not depend on d, so the rows of one spectrum share
+            # the integrals to the largest degree
+            f = _cached(shared, "f", iterated_integrals, times, values,
+                        max(config.d_list))
+            state = EtaState(eta=eta, times=times, values=values, f=f[:d],
+                             a=approx.a)
         else:
             fit_times = np.linspace(t1 + T / 10.0, config.t_start - T, 2 * d)
             zeta = _future_values(spec, fit_times, T)
@@ -181,7 +238,9 @@ def _run_row(config: ExperimentConfig, spec_name: str, spec: SpectrumSpec,
 
     if "conv" in config.modes:
         L = 10.0 * T
-        times, values = _record(spec, config.t_start - L, config.t_end, h)
+        times, values = _cached(shared, ("record", config.t_start - L),
+                                _record, spec, config.t_start - L,
+                                config.t_end, h)
         y, tail = predict_convolution(approx, times, values, t_grid,
                                       history_length=L)
         mode_sup["conv"] = float(np.abs(fut - y).max())
@@ -224,6 +283,7 @@ def run_sweep(config: ExperimentConfig, pin: bool = False) -> list:
     that, per-row failures are recorded and the run continues.  With
     pin=True the quadrature step is halved to produce fixture values."""
     h = _quadrature_step(config, pin)
+    approximants: dict = {}
     rows = []
     for name, spec in _load_spectra(config):
         try:
@@ -236,10 +296,12 @@ def run_sweep(config: ExperimentConfig, pin: bool = False) -> list:
                                  error=f"{type(exc).__name__}: {exc}")
                         for d in config.d_list)
             continue
+        shared: dict = {}
         for d in config.d_list:
             for nu in nus:
                 try:
-                    rows.append(_run_row(config, name, spec, d, nu, h))
+                    rows.append(_run_row(config, name, spec, d, nu, h,
+                                         approximants, shared))
                 except Exception as exc:  # noqa: BLE001 - recorded per row
                     rows.append(ErrorRow(spec=name, d=d, nu=nu,
                                          error=f"{type(exc).__name__}: {exc}"))

@@ -597,6 +597,28 @@ class TestEvalCommand:
         assert f"configuration error: {key} must be nonempty" in result.output
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("key,value,message", [
+        ("d_list", [8, 8.5, 16], "d_list entry 8.5 is not an integer >= 2"),
+        ("d_list", [True, 8], "d_list entry True is not an integer >= 2"),
+        ("d_list", ["8"], "d_list entry '8' is not an integer >= 2"),
+        ("nu_list", [2.0, 0.4, 0.3],
+         "nu_list entry 2.0 is not a finite number in (0, 1]"),
+        ("nu_list", [0.5, float("nan")],
+         "nu_list entry nan is not a finite number in (0, 1]")])
+    def test_unrunnable_sweep_entry_exits_2(self, runner, tmp_path, key,
+                                            value, message):
+        with open(os.path.join(CONFIG_DIR, "demo.json")) as fh:
+            config = json.load(fh)
+        config["spec_files"] = [os.path.join(CONFIG_DIR, "demo_tone.json")]
+        config[key] = value
+        config_path = tmp_path / "cfg.json"
+        config_path.write_text(json.dumps(config))  # writes NaN
+        result = invoke(runner, ["eval", "--config", str(config_path),
+                                 "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2
+        assert f"configuration error: {message}" in result.output
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("key,value", [
         ("fit_nodes", 64), ("dense_factor", 8), ("history_length", 10.0),
         ("quadrature_step", 1e-3), ("fit_dbar_factor", 2)])

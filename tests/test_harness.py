@@ -1,10 +1,12 @@
 import json
 import math
 import os
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 
+from gap_predict import harness
 from gap_predict.harness import (ConvergenceVerdict, ErrorRow,
                                  ExperimentConfig, convergence_check,
                                  emit_report, run_sweep, write_reports)
@@ -49,6 +51,35 @@ class TestConfig:
             small_config(spec_path, d_list=())
         with pytest.raises(ValueError, match="nu_list must be nonempty"):
             small_config(spec_path, nu_list=())
+
+    @pytest.mark.parametrize("entries, shown", [
+        ((8, 8.5, 16), "8.5"), ((True, 8), "True"), (("8",), "'8'"),
+        ((1, 8), "1"), ((0, 8), "0"), ((-4, 8), "-4")])
+    def test_rejects_degrees_it_cannot_run(self, tmp_path, entries, shown):
+        spec_path = tmp_path / "s.json"
+        save_spectrum(SpectrumSpec.from_tones(1.0, [(2.0, 1.0)]), spec_path)
+        with pytest.raises(ValueError) as info:
+            small_config(spec_path, d_list=entries)
+        assert str(info.value) == f"d_list entry {shown} is not an integer >= 2"
+
+    @pytest.mark.parametrize("entries, shown", [
+        ((2.0, 0.4), "2.0"), ((0.5, 0.0), "0.0"), ((-0.3,), "-0.3"),
+        ((math.nan,), "nan"), ((math.inf,), "inf"), ((True,), "True"),
+        (("0.3",), "'0.3'")])
+    def test_rejects_scales_it_cannot_run(self, tmp_path, entries, shown):
+        spec_path = tmp_path / "s.json"
+        save_spectrum(SpectrumSpec.from_tones(1.0, [(2.0, 1.0)]), spec_path)
+        with pytest.raises(ValueError) as info:
+            small_config(spec_path, nu_list=entries)
+        assert str(info.value) == \
+            f"nu_list entry {shown} is not a finite number in (0, 1]"
+
+    def test_accepts_numpy_degrees_and_unit_scale(self, tmp_path):
+        spec_path = tmp_path / "s.json"
+        save_spectrum(SpectrumSpec.from_tones(1.0, [(2.0, 1.0)]), spec_path)
+        config = small_config(spec_path, d_list=(np.int64(2), 4),
+                              nu_list=(1.0, np.float64(0.5)))
+        assert config.d_list == (2, 4)
 
     @pytest.mark.parametrize("name", ["T", "omega_gap", "t_start", "t_end",
                                       "dt"])
@@ -155,6 +186,91 @@ class TestRunSweep:
                                       t_end=t_end, dt=dt))
         assert rows[0].error is None
         assert rows[0].passed
+
+
+def two_tone_files(tmp_path):
+    # two spectra that differ in every tone, so a value one of them leaks
+    # into the other's rows changes those rows
+    paths = []
+    for j, tones in enumerate(([(2.0, 0.5)], [(1.5, 0.3 - 0.2j), (3.0, 0.1)])):
+        path = tmp_path / f"spec{j}.json"
+        save_spectrum(SpectrumSpec.from_tones(1.0, tones), path)
+        paths.append(str(path))
+    return paths
+
+
+class TestSharedWork:
+    """run_sweep fits each approximant once per (d, nu) and computes each
+    spectrum's records, truth and integrals once, within one call."""
+
+    @staticmethod
+    def count_calls(monkeypatch):
+        calls = {"fit": [], "sample_grid": [], "integrals": []}
+
+        def counting(key, fn, record):
+            def wrapper(*args, **kwargs):
+                calls[key].append(record(*args, **kwargs))
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(harness, fn.__name__, wrapper)
+
+        counting("fit", harness.fit_approximant,
+                 lambda T, gap, taper, d, **kw: (d, taper.nu))
+        counting("sample_grid", harness.sample_grid,
+                 lambda spec, t0, dt, n: spec)
+        counting("integrals", harness.iterated_integrals,
+                 lambda times, values, d: d)
+        return calls
+
+    def test_each_shared_value_is_computed_once_per_call(self, tmp_path,
+                                                         monkeypatch):
+        paths = two_tone_files(tmp_path)
+        config = small_config(paths[0], spec_files=tuple(paths),
+                              d_list=(3, 4), nu_list=(0.5, 0.4), t_end=0.5,
+                              dt=0.1)
+        specs = [spec for _, spec in harness._load_spectra(config)]
+        calls = self.count_calls(monkeypatch)
+        for _ in range(2):  # nothing is cached across calls
+            for values in calls.values():
+                values.clear()
+            rows = run_sweep(config)
+            assert [row.error for row in rows] == [None] * 8
+            assert sorted(calls["fit"]) == [(3, 0.4), (3, 0.5), (4, 0.4),
+                                            (4, 0.5)]
+            # the record and the future values, per spectrum
+            assert calls["sample_grid"] == [specs[0]] * 2 + [specs[1]] * 2
+            assert calls["integrals"] == [4, 4]
+
+    def test_spectra_swept_together_match_each_swept_alone(self, tmp_path):
+        paths = two_tone_files(tmp_path)
+        config = small_config(paths[0], spec_files=tuple(paths),
+                              d_list=(3, 4), nu_list=(0.4, 0.3),
+                              modes=("eta", "fit-eta", "conv"), t_end=0.5,
+                              dt=0.1)
+        together = [asdict(row) for row in run_sweep(config)]
+        alone = [asdict(row) for path in paths
+                 for row in run_sweep(replace(config, spec_files=(path,)))]
+        assert all(row["error"] is None for row in together)
+        assert together == alone
+
+    def test_a_failed_fit_is_not_cached(self, tmp_path, monkeypatch):
+        # the first fit of (3, 0.4) fails; the next spectrum fits it again
+        paths = two_tone_files(tmp_path)
+        config = small_config(paths[0], spec_files=tuple(paths), d_list=(3,),
+                              nu_list=(0.4,), t_end=0.5, dt=0.1)
+        fit = harness.fit_approximant
+        failed = []
+
+        def fit_failing_once(*args, **kwargs):
+            if not failed:
+                failed.append(True)
+                raise ValueError("transient")
+            return fit(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "fit_approximant", fit_failing_once)
+        rows = run_sweep(config)
+        assert [row.error for row in rows] == ["ValueError: transient", None]
+        assert rows[1] == run_sweep(replace(config,
+                                            spec_files=(paths[1],)))[0]
 
 
 class TestEmitReport:

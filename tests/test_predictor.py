@@ -5,9 +5,9 @@ import pytest
 from scipy.integrate import cumulative_trapezoid, simpson
 
 from gap_predict.approx import Approximant, fit_approximant
-from gap_predict.predictor import (EtaState, fit_eta, iterated_integrals,
-                                   kernel_eval, predict_convolution,
-                                   predict_eta_grid)
+from gap_predict.predictor import (_ETA_BLOCK_VALUES, EtaState, fit_eta,
+                                   iterated_integrals, kernel_eval,
+                                   predict_convolution, predict_eta_grid)
 from gap_predict.signal import SpectrumSpec, exact_hk, sample_grid
 from gap_predict.taper import TaperSpec
 
@@ -275,6 +275,18 @@ class TestIteratedIntegrals:
             cur = cumulative_trapezoid(cur, dx=dx, initial=0.0)
             assert np.array_equal(f[k], cur)
 
+    @pytest.mark.parametrize("k", [1, 8, 31])
+    def test_leading_levels_do_not_depend_on_d(self, k):
+        # a sweep integrates each record once, to its largest degree, and
+        # gives the row of degree k the first k levels
+        rng = np.random.default_rng(k)
+        times = -0.5 + 1e-3 * np.arange(2001)
+        x = rng.standard_normal(len(times))
+        prefix = iterated_integrals(times, x, 32)[:k]
+        alone = iterated_integrals(times, x, k)
+        assert prefix.shape == alone.shape
+        assert prefix.tobytes() == alone.tobytes()
+
     def test_derivative_recovers_previous_level(self):
         h = 1e-3
         times = h * np.arange(2001)
@@ -287,7 +299,47 @@ class TestIteratedIntegrals:
             assert np.max(np.abs(deriv - mid)) < 5e-3
 
 
+def predict_eta_double_loop(state, t_eval):
+    """The closed form summed per k with an inner loop over l, each x_k
+    interpolated and extended on its own."""
+    t_eval = np.atleast_1d(np.asarray(t_eval, dtype=float))
+    d = len(state.a)
+    delta = t_eval - state.t1
+    w = np.empty((d, len(t_eval)))
+    w[0] = 1.0
+    for j in range(1, d):
+        w[j] = w[j - 1] * delta / j
+    y = np.zeros_like(t_eval)
+    for k in range(1, d + 1):
+        xk = np.interp(t_eval, state.times, state.f[k - 1])
+        for l in range(1, k + 1):
+            xk = xk + state.eta[l - 1] * w[k - l]
+        y = y + state.a[k - 1] * xk
+    return y
+
+
 class TestEtaPrediction:
+    @pytest.mark.parametrize("d", [1, 2, 5, 16, 32])
+    @pytest.mark.parametrize("t_kind", ["on_lattice", "off_lattice",
+                                        "several_blocks"])
+    def test_matches_double_loop_exactly(self, d, t_kind):
+        rng = np.random.default_rng(d)
+        h = 1e-3
+        times = 0.3 + h * np.arange(1501)
+        values = np.cos(3.0 * times) + 0.1 * rng.standard_normal(len(times))
+        state = EtaState.from_window(rng.uniform(-1, 1, d), times, values,
+                                     rng.uniform(-1, 1, d))
+        if t_kind == "on_lattice":
+            t_eval = times[::7]
+        elif t_kind == "off_lattice":
+            t_eval = rng.uniform(times[0], times[-1], 400)
+        else:  # a partial block after two whole ones
+            n = 2 * (_ETA_BLOCK_VALUES // d) + 5
+            t_eval = np.concatenate((times, rng.uniform(times[0], times[-1],
+                                                        n - len(times))))
+        assert np.array_equal(predict_eta_grid(state, t_eval),
+                              predict_eta_double_loop(state, t_eval))
+
     def test_collapse_at_reference_time(self):
         rng = np.random.default_rng(3)
         a = rng.uniform(-1, 1, 5)
