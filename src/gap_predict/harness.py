@@ -13,14 +13,18 @@ realizations, not the certification.
 
 Work that several rows share is computed once within one run_sweep call:
 
-* once per sweep: each approximant, per (d, nu), shared by every spectrum
-  (T, omega_gap, the taper family and the fit nodes are fixed per config);
-* once per spectrum: the sample record from each mode's t1, the future
-  values x(t + T), the constants h_k(t1) up to the largest degree and the
-  iterated integrals to max(d_list), whose first d levels serve the row of
+* once per sweep: the measurement grid, and each approximant, per (d, nu),
+  shared by every spectrum (T, omega_gap, the taper family and the fit
+  nodes are fixed per config);
+* once per spectrum: the second moment, the future values x(t + T), the
+  constants h_k(t1) up to the largest degree, and for each mode's t1 the
+  sample record from t1 and the eta levels on the measurement grid
+  (predictor.eta_grid_levels of the record's iterated integrals to
+  max(d_list)), whose first d levels serve the eta and fit-eta rows of
   degree d (they do not depend on d);
-* once per row: eps1, the bounds, the fit-eta constants, the predictions and
-  the slack.
+* once per row: eps1, the bounds, the fit-eta constants, the sum of the
+  row's levels with its eta and a (predictor.eta_grid_sum), the
+  convolution and the slack.
 
 Each value is computed when a row first needs it, and one whose computation
 raises is not stored, so a failure errors the same rows with the same
@@ -43,8 +47,8 @@ from typing import Optional
 import numpy as np
 
 from .approx import CERT_DENSITY, fit_approximant
-from .predictor import (EtaState, fit_eta, iterated_integrals, kernel_eval,
-                        predict_convolution, predict_eta_grid)
+from .predictor import (eta_grid_levels, eta_grid_sum, fit_eta,
+                        iterated_integrals, kernel_eval, predict_convolution)
 from .signal import (SpectrumSpec, epsilon1, exact_hk, load_spectrum,
                      sample_grid, second_moment, select_nu)
 from .taper import TaperSpec, eval_taper
@@ -101,6 +105,13 @@ class ExperimentConfig:
                     or not 0.0 < nu <= 1.0):
                 raise ValueError(
                     f"nu_list entry {nu!r} is not a finite number in (0, 1]")
+        factor = self.fit_node_factor
+        if factor is not None and (isinstance(factor, bool)
+                                   or not isinstance(factor, numbers.Integral)
+                                   or factor < 4):
+            # the fit needs at least 4 nodes per degree
+            raise ValueError(
+                f"fit_node_factor {factor!r} is not an integer >= 4")
         if list(self.d_list) != sorted(self.d_list):
             raise ValueError("d_list must be sorted ascending")
         if (self.nu_list is None) == (self.eps1_target is None):
@@ -116,6 +127,13 @@ class ExperimentConfig:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
         base = os.path.dirname(os.path.abspath(path))
+        for key in ("spec_files", "d_list", "nu_list", "modes"):
+            # a string would be swept character by character; only nu_list
+            # may be null, which leaves it unset
+            if key in data and not isinstance(data[key], list) and not (
+                    key == "nu_list" and data[key] is None):
+                raise ValueError(
+                    f"{key} must be a JSON list, got {data[key]!r}")
         specs = tuple(p if os.path.isabs(p) else os.path.join(base, p)
                       for p in data["spec_files"])
         kwargs = {k: data[k] for k in data if k != "spec_files"}
@@ -182,11 +200,19 @@ def _reference_constants(spec, t1, d, hk):
     return np.array(hk[:d])
 
 
+def _grid_levels(times, values, d_max, t_grid):
+    # eta_grid_levels of the record's iterated integrals to d_max; the
+    # integrals themselves are dropped once the levels are taken
+    return eta_grid_levels(times, iterated_integrals(times, values, d_max),
+                           t_grid)
+
+
 def _run_row(config: ExperimentConfig, spec_name: str, spec: SpectrumSpec,
-             d: int, nu: float, h: float, approximants: dict,
-             shared: dict) -> ErrorRow:
+             d: int, nu: float, h: float, t_grid: np.ndarray,
+             approximants: dict, shared: dict) -> ErrorRow:
     # approximants maps (d, nu) to the sweep's fits; shared holds this
-    # spectrum's records, future values, h_k(t1) and iterated integrals
+    # spectrum's records, future values, h_k(t1), second moment and eta
+    # levels on t_grid, the sweep's measurement grid
     T = config.T
     taper = TaperSpec(family=config.taper_family, nu=nu)
     approx = _cached(approximants, (d, nu), _fit, config, taper, d)
@@ -198,7 +224,6 @@ def _run_row(config: ExperimentConfig, spec_name: str, spec: SpectrumSpec,
                       * (abs(1.0 - float(eval_taper(taper, t.omega))) + eps2)
                       for t in spec.tones)
 
-    t_grid = _measurement_grid(config)
     fut = _cached(shared, "future", _future_values, spec, t_grid, T)
 
     mode_sup: dict = {}
@@ -207,7 +232,7 @@ def _run_row(config: ExperimentConfig, spec_name: str, spec: SpectrumSpec,
         # bounds the tested agreement of the bump quadrature rule with
         # adaptive QUADPACK at absolute tolerance 1e-10
         slack_items["quad_abs"] = 2e-10
-    m2 = second_moment(spec)
+    m2 = _cached(shared, "m2", second_moment, spec)
 
     for mode in ("eta", "fit-eta"):
         if mode not in config.modes:
@@ -219,17 +244,15 @@ def _run_row(config: ExperimentConfig, spec_name: str, spec: SpectrumSpec,
         if mode == "eta":
             eta = _reference_constants(spec, t1, d,
                                        shared.setdefault("hk", []))
-            # f_k does not depend on d, so the rows of one spectrum share
-            # the integrals to the largest degree
-            f = _cached(shared, "f", iterated_integrals, times, values,
-                        max(config.d_list))
-            state = EtaState(eta=eta, times=times, values=values, f=f[:d],
-                             a=approx.a)
         else:
             fit_times = np.linspace(t1 + T / 10.0, config.t_start - T, 2 * d)
             zeta = _future_values(spec, fit_times, T)
-            state = fit_eta(approx.a, times, values, fit_times, zeta).state
-        y = predict_eta_grid(state, t_grid)
+            eta = fit_eta(approx.a, times, values, fit_times, zeta).state.eta
+        # the levels do not depend on d, so the rows of one spectrum share
+        # those of the largest degree; a row of degree d uses the first d
+        levels = _cached(shared, ("levels", t1), _grid_levels, times, values,
+                         max(config.d_list), t_grid)
+        y = eta_grid_sum(levels, eta, approx.a)
         mode_sup[mode] = float(np.abs(fut - y).max())
         delta = config.t_end - t1
         slack_items["eta_trap"] = max(
@@ -283,6 +306,7 @@ def run_sweep(config: ExperimentConfig, pin: bool = False) -> list:
     that, per-row failures are recorded and the run continues.  With
     pin=True the quadrature step is halved to produce fixture values."""
     h = _quadrature_step(config, pin)
+    t_grid = _measurement_grid(config)
     approximants: dict = {}
     rows = []
     for name, spec in _load_spectra(config):
@@ -301,7 +325,7 @@ def run_sweep(config: ExperimentConfig, pin: bool = False) -> list:
             for nu in nus:
                 try:
                     rows.append(_run_row(config, name, spec, d, nu, h,
-                                         approximants, shared))
+                                         t_grid, approximants, shared))
                 except Exception as exc:  # noqa: BLE001 - recorded per row
                     rows.append(ErrorRow(spec=name, d=d, nu=nu,
                                          error=f"{type(exc).__name__}: {exc}"))

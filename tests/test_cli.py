@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from gap_predict import harness
 from gap_predict.cli import _write_csv, main
 from gap_predict.signal import (SpectrumSpec, load_spectrum, save_spectrum,
                                 spectrum_to_dict)
@@ -604,7 +605,18 @@ class TestEvalCommand:
         ("nu_list", [2.0, 0.4, 0.3],
          "nu_list entry 2.0 is not a finite number in (0, 1]"),
         ("nu_list", [0.5, float("nan")],
-         "nu_list entry nan is not a finite number in (0, 1]")])
+         "nu_list entry nan is not a finite number in (0, 1]"),
+        ("fit_node_factor", "2", "fit_node_factor '2' is not an integer >= 4"),
+        ("fit_node_factor", 2.5, "fit_node_factor 2.5 is not an integer >= 4"),
+        ("fit_node_factor", True,
+         "fit_node_factor True is not an integer >= 4"),
+        ("fit_node_factor", 0, "fit_node_factor 0 is not an integer >= 4"),
+        ("fit_node_factor", 3, "fit_node_factor 3 is not an integer >= 4"),
+        ("spec_files", "/abs/x.json",
+         "spec_files must be a JSON list, got '/abs/x.json'"),
+        ("d_list", "8", "d_list must be a JSON list, got '8'"),
+        ("nu_list", 0.3, "nu_list must be a JSON list, got 0.3"),
+        ("modes", "eta", "modes must be a JSON list, got 'eta'")])
     def test_unrunnable_sweep_entry_exits_2(self, runner, tmp_path, key,
                                             value, message):
         with open(os.path.join(CONFIG_DIR, "demo.json")) as fh:
@@ -636,13 +648,19 @@ class TestEvalCommand:
         assert "configuration error" in result.output
         assert key in result.output
 
-    def test_failing_row_exits_1(self, runner, tmp_path):
+    def test_failing_row_exits_1(self, runner, tmp_path, monkeypatch):
         spec_path = tmp_path / "tone.json"
         save_spectrum(SpectrumSpec.from_tones(1.0, [(2.0, 0.5)]), spec_path)
+
+        def failing_fit(*args, **kwargs):
+            raise ValueError("fit failed")
+
+        # a fit that raises stands for any failure inside a row
+        monkeypatch.setattr(harness, "fit_approximant", failing_fit)
         config = {
             "spec_files": [str(spec_path)],
             "T": 1.0, "omega_gap": 1.0, "taper_family": "gaussian",
-            "nu_list": [0.3], "d_list": [4], "fit_node_factor": 2,
+            "nu_list": [0.3], "d_list": [4],
             "t_start": 0.0, "t_end": 0.5, "dt": 0.1, "modes": ["eta"],
         }
         config_path = tmp_path / "cfg.json"
@@ -650,4 +668,4 @@ class TestEvalCommand:
         result = invoke(runner, ["eval", "--config", str(config_path),
                                  "--out", str(tmp_path / "out")])
         assert result.exit_code == 1
-        assert "ERROR" in result.output
+        assert "ERROR ValueError: fit failed" in result.output

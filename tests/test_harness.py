@@ -10,6 +10,7 @@ from gap_predict import harness
 from gap_predict.harness import (ConvergenceVerdict, ErrorRow,
                                  ExperimentConfig, convergence_check,
                                  emit_report, run_sweep, write_reports)
+from gap_predict.predictor import EtaState, predict_eta_grid
 from gap_predict.signal import SpectrumSpec, save_spectrum
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
@@ -74,11 +75,21 @@ class TestConfig:
         assert str(info.value) == \
             f"nu_list entry {shown} is not a finite number in (0, 1]"
 
+    @pytest.mark.parametrize("factor", ["2", 2.5, True, 0, 3, 4.0])
+    def test_rejects_node_factors_it_cannot_run(self, tmp_path, factor):
+        spec_path = tmp_path / "s.json"
+        save_spectrum(SpectrumSpec.from_tones(1.0, [(2.0, 1.0)]), spec_path)
+        with pytest.raises(ValueError) as info:
+            small_config(spec_path, fit_node_factor=factor)
+        assert str(info.value) == \
+            f"fit_node_factor {factor!r} is not an integer >= 4"
+
     def test_accepts_numpy_degrees_and_unit_scale(self, tmp_path):
         spec_path = tmp_path / "s.json"
         save_spectrum(SpectrumSpec.from_tones(1.0, [(2.0, 1.0)]), spec_path)
         config = small_config(spec_path, d_list=(np.int64(2), 4),
-                              nu_list=(1.0, np.float64(0.5)))
+                              nu_list=(1.0, np.float64(0.5)),
+                              fit_node_factor=np.int64(4))
         assert config.d_list == (2, 4)
 
     @pytest.mark.parametrize("name", ["T", "omega_gap", "t_start", "t_end",
@@ -136,15 +147,19 @@ class TestRunSweep:
         assert abs(rows[0].nu - 0.5) < 1e-3
         assert rows[0].eps1 <= target
 
-    def test_row_errors_are_recorded_not_raised(self, tmp_path):
+    def test_row_errors_are_recorded_not_raised(self, tmp_path, monkeypatch):
         spec_path = tmp_path / "tone.json"
         save_spectrum(SpectrumSpec.from_tones(1.0, [(2.0, 1.0)]), spec_path)
-        # fit_node_factor=2 gives 2d nodes, below the 4d precondition
-        rows = run_sweep(small_config(spec_path, d_list=(4,),
-                                      fit_node_factor=2))
+
+        def failing_fit(*args, **kwargs):
+            raise ValueError("fit failed")
+
+        # a fit that raises stands for any failure inside a row
+        monkeypatch.setattr(harness, "fit_approximant", failing_fit)
+        rows = run_sweep(small_config(spec_path, d_list=(4,)))
         assert len(rows) == 3
         for row in rows:
-            assert row.error is not None
+            assert row.error == "ValueError: fit failed"
             assert not row.passed
 
     def test_bump_row_checks_spectrum_budget_bound(self, tmp_path):
@@ -201,11 +216,12 @@ def two_tone_files(tmp_path):
 
 class TestSharedWork:
     """run_sweep fits each approximant once per (d, nu) and computes each
-    spectrum's records, truth and integrals once, within one call."""
+    spectrum's records, truth, integrals and eta levels once, within one
+    call."""
 
     @staticmethod
     def count_calls(monkeypatch):
-        calls = {"fit": [], "sample_grid": [], "integrals": []}
+        calls = {"fit": [], "sample_grid": [], "integrals": [], "levels": []}
 
         def counting(key, fn, record):
             def wrapper(*args, **kwargs):
@@ -219,6 +235,8 @@ class TestSharedWork:
                  lambda spec, t0, dt, n: spec)
         counting("integrals", harness.iterated_integrals,
                  lambda times, values, d: d)
+        counting("levels", harness.eta_grid_levels,
+                 lambda times, f, t_eval: (float(times[0]), len(f)))
         return calls
 
     def test_each_shared_value_is_computed_once_per_call(self, tmp_path,
@@ -239,6 +257,45 @@ class TestSharedWork:
             # the record and the future values, per spectrum
             assert calls["sample_grid"] == [specs[0]] * 2 + [specs[1]] * 2
             assert calls["integrals"] == [4, 4]
+            assert calls["levels"] == [(0.0, 4)] * 2
+
+    def test_eta_levels_are_computed_once_per_spectrum_and_record(
+            self, tmp_path, monkeypatch):
+        # eta rows start their record at t_start, fit-eta rows 4T earlier
+        paths = two_tone_files(tmp_path)
+        config = small_config(paths[0], spec_files=tuple(paths),
+                              d_list=(3, 4), nu_list=(0.5, 0.4),
+                              modes=("eta", "fit-eta"), t_end=0.5, dt=0.1)
+        calls = self.count_calls(monkeypatch)
+        rows = run_sweep(config)
+        assert [row.error for row in rows] == [None] * 8
+        assert calls["levels"] == [(0.0, 4), (-4.0, 4)] * 2
+        assert calls["integrals"] == [4, 4] * 2
+
+    def test_rows_match_rows_predicted_one_at_a_time(self, tmp_path,
+                                                     monkeypatch):
+        # the reference builds each row's own degree-d state from its record
+        # and calls predict_eta_grid, as every row did before the levels
+        # were shared
+        paths = two_tone_files(tmp_path)
+        config = small_config(paths[0], spec_files=tuple(paths),
+                              d_list=(2, 3, 4), nu_list=(0.4, 0.3),
+                              modes=("eta", "fit-eta", "conv"), t_end=0.5,
+                              dt=0.05)
+        shared = [asdict(row) for row in run_sweep(config)]
+
+        def one_at_a_time(levels, eta, a):
+            times, values, t_grid = levels
+            state = EtaState.from_window(a, times, values, eta)
+            return predict_eta_grid(state, t_grid)
+
+        monkeypatch.setattr(harness, "_grid_levels",
+                            lambda times, values, d_max, t_grid:
+                            (times, values, t_grid))
+        monkeypatch.setattr(harness, "eta_grid_sum", one_at_a_time)
+        alone = [asdict(row) for row in run_sweep(config)]
+        assert all(row["error"] is None for row in shared)
+        assert shared == alone
 
     def test_spectra_swept_together_match_each_swept_alone(self, tmp_path):
         paths = two_tone_files(tmp_path)

@@ -5,7 +5,8 @@ import pytest
 from scipy.integrate import cumulative_trapezoid, simpson
 
 from gap_predict.approx import Approximant, fit_approximant
-from gap_predict.predictor import (_ETA_BLOCK_VALUES, EtaState, fit_eta,
+from gap_predict.predictor import (_ETA_BLOCK_VALUES, EtaState,
+                                   eta_grid_levels, eta_grid_sum, fit_eta,
                                    iterated_integrals, kernel_eval,
                                    predict_convolution, predict_eta_grid)
 from gap_predict.signal import SpectrumSpec, exact_hk, sample_grid
@@ -318,27 +319,58 @@ def predict_eta_double_loop(state, t_eval):
     return y
 
 
+def random_eta_case(d, t_kind):
+    """A random degree-d state and evaluation times on the sample lattice,
+    off it, or spanning two whole blocks of predict_eta_grid and part of a
+    third."""
+    rng = np.random.default_rng(d)
+    h = 1e-3
+    times = 0.3 + h * np.arange(1501)
+    values = np.cos(3.0 * times) + 0.1 * rng.standard_normal(len(times))
+    state = EtaState.from_window(rng.uniform(-1, 1, d), times, values,
+                                 rng.uniform(-1, 1, d))
+    if t_kind == "on_lattice":
+        t_eval = times[::7]
+    elif t_kind == "off_lattice":
+        t_eval = rng.uniform(times[0], times[-1], 400)
+    else:  # a partial block after two whole ones
+        n = 2 * (_ETA_BLOCK_VALUES // d) + 5
+        t_eval = np.concatenate((times, rng.uniform(times[0], times[-1],
+                                                    n - len(times))))
+    return state, t_eval
+
+
 class TestEtaPrediction:
     @pytest.mark.parametrize("d", [1, 2, 5, 16, 32])
     @pytest.mark.parametrize("t_kind", ["on_lattice", "off_lattice",
                                         "several_blocks"])
     def test_matches_double_loop_exactly(self, d, t_kind):
-        rng = np.random.default_rng(d)
-        h = 1e-3
-        times = 0.3 + h * np.arange(1501)
-        values = np.cos(3.0 * times) + 0.1 * rng.standard_normal(len(times))
-        state = EtaState.from_window(rng.uniform(-1, 1, d), times, values,
-                                     rng.uniform(-1, 1, d))
-        if t_kind == "on_lattice":
-            t_eval = times[::7]
-        elif t_kind == "off_lattice":
-            t_eval = rng.uniform(times[0], times[-1], 400)
-        else:  # a partial block after two whole ones
-            n = 2 * (_ETA_BLOCK_VALUES // d) + 5
-            t_eval = np.concatenate((times, rng.uniform(times[0], times[-1],
-                                                        n - len(times))))
+        state, t_eval = random_eta_case(d, t_kind)
         assert np.array_equal(predict_eta_grid(state, t_eval),
                               predict_eta_double_loop(state, t_eval))
+
+    @pytest.mark.parametrize("d", [1, 5, 16])
+    @pytest.mark.parametrize("t_kind", ["on_lattice", "off_lattice",
+                                        "several_blocks"])
+    def test_levels_of_a_higher_degree_compose_to_predict_eta_grid(
+            self, d, t_kind):
+        # levels taken once at degree 2d over all of t_eval, unblocked, give
+        # the degree-d prediction of predict_eta_grid bit for bit
+        state, t_eval = random_eta_case(d, t_kind)
+        f = iterated_integrals(state.times, state.values, 2 * d)
+        levels = eta_grid_levels(state.times, f, t_eval)
+        assert np.array_equal(eta_grid_sum(levels, state.eta, state.a),
+                              predict_eta_grid(state, t_eval))
+
+    def test_sum_rejects_constants_it_cannot_use(self):
+        times = np.linspace(0.0, 1.0, 11)
+        levels = eta_grid_levels(times, np.zeros((2, 11)), [0.5])
+        with pytest.raises(ValueError, match="eta must be finite"):
+            eta_grid_sum(levels, [1.0, np.nan], [1.0, 1.0])
+        with pytest.raises(ValueError, match="one entry per level"):
+            eta_grid_sum(levels, [1.0, 1.0, 1.0], [1.0, 1.0, 1.0])
+        with pytest.raises(ValueError, match="one entry per level"):
+            eta_grid_sum(levels, [1.0], [1.0, 1.0])
 
     def test_collapse_at_reference_time(self):
         rng = np.random.default_rng(3)
@@ -384,10 +416,11 @@ class TestEtaPrediction:
         state = tone_state(np.array([1.0, 0.0]),
                            SpectrumSpec.from_tones(1.0, [(2.0, 1.0)]),
                            t1=0.0, span=1.0, h=1e-3)
-        with pytest.raises(ValueError):
-            predict_eta_grid(state, [-0.5])
-        with pytest.raises(ValueError):
-            predict_eta_grid(state, [1.5])
+        for t in (-0.5, 1.5):
+            with pytest.raises(ValueError):
+                predict_eta_grid(state, [t])
+            with pytest.raises(ValueError):
+                eta_grid_levels(state.times, state.f, [t])
 
     def test_shift_covariance(self):
         delta = 2.7
