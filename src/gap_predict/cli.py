@@ -106,6 +106,10 @@ def _fit_eta_from_samples(approx, times, values, t1, theta, dbar):
     if not np.all(np.isfinite([t1, theta])):
         raise ValueError(f"t1 and theta must be finite, got t1={t1}, "
                          f"theta={theta}")
+    if theta > times[-1]:
+        # np.interp would hold the last sample for the observations past it
+        raise ValueError(f"theta={theta} is past the last sample time "
+                         f"{times[-1]:g}")
     T = approx.T
     tw, vw = _window_from(times, values, t1)
     t1 = float(tw[0])

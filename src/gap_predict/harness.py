@@ -3,28 +3,28 @@
 For every combination of spectrum file, degree and taper scale the sweep fits
 an approximant, computes the two error budgets (the L1-spectrum form
 (eps1 + eps2) / 2pi and the tone point-mass form
-sum_j 2|c_j| (|1 - r_nu(w_j)| + eps2)), runs the requested predictor
-realizations on a measurement grid, and records the sup error against the
-exact future values together with an itemized numerical slack.  A row passes
-when the measured sup error stays below the bound matching its spectrum kind
-plus the slack.  eps2 is the approximant's own certificate, computed once at
-approx.CERT_DENSITY; the slack items cover the quadrature of the truth and the
-realizations, not the certification.
+sum_j 2|c_j| (|1 - r_nu(w_j)| + eps2)), runs the eta-state realization with
+the exact constants h_k(t_start) on a measurement grid, and records the sup
+error against the exact future values together with an itemized numerical
+slack.  A row passes when the measured sup error stays below the bound
+matching its spectrum kind plus the slack.  eps2 is the approximant's own
+certificate, computed once at approx.CERT_DENSITY; the slack items cover the
+quadrature of the truth and of the realization, not the certification.
+The conv and fit-eta realizations, whose rows passed only on slack or always
+failed, are not swept; the command line keeps them.
 
 Work that several rows share is computed once within one run_sweep call:
 
-* once per sweep: the measurement grid, and each approximant, per (d, nu),
-  shared by every spectrum (T, omega_gap, the taper family and the fit
-  nodes are fixed per config);
+* once per sweep: the measurement grid, and per (d, nu) each approximant
+  and the kernel factor of its eta-trap slack, shared by every spectrum;
 * once per spectrum: the second moment, the future values x(t + T), the
-  constants h_k(t1) up to the largest degree, and for each mode's t1 the
-  sample record from t1 and the eta levels on the measurement grid
+  constants h_k(t_start) up to the largest degree, the sample record from
+  t_start and its eta levels on the measurement grid
   (predictor.eta_grid_levels of the record's iterated integrals to
-  max(d_list)), whose first d levels serve the eta and fit-eta rows of
-  degree d (they do not depend on d);
-* once per row: eps1, the bounds, the fit-eta constants, the sum of the
-  row's levels with its eta and a (predictor.eta_grid_sum), the
-  convolution and the slack.
+  max(d_list)), whose first d levels serve the rows of degree d (they do not
+  depend on d);
+* once per row: eps1, the bounds, the sum of the row's levels with its eta
+  and a (predictor.eta_grid_sum) and the slack.
 
 Each value is computed when a row first needs it, and one whose computation
 raises is not stored, so a failure errors the same rows with the same
@@ -47,8 +47,8 @@ from typing import Optional
 import numpy as np
 
 from .approx import CERT_DENSITY, fit_approximant
-from .predictor import (eta_grid_levels, eta_grid_sum, fit_eta,
-                        iterated_integrals, kernel_eval, predict_convolution)
+from .predictor import (eta_grid_levels, eta_grid_sum, iterated_integrals,
+                        kernel_eval)
 from .signal import (SpectrumSpec, epsilon1, exact_hk, load_spectrum,
                      sample_grid, second_moment, select_nu)
 from .taper import TaperSpec, eval_taper
@@ -59,13 +59,18 @@ __all__ = ["ExperimentConfig", "ErrorRow", "run_sweep", "emit_report",
 CSV_COLUMNS = ("spec", "d", "nu", "eps1", "eps2", "bound_paper",
                "bound_tones", "sup_err", "slack", "pass")
 
-_MODES = ("conv", "eta", "fit-eta")
+_MODES = ("eta",)
+
+# realizations eval does not sweep, with the command that still runs each
+_CLI_ONLY_MODES = {"conv": "gap-predict predict --mode conv",
+                   "fit-eta": "gap-predict fit-eta"}
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One sweep: which signals, which (d, nu) combinations, which predictor
-    realizations, and the measurement grid."""
+    """One sweep: which signals, which (d, nu) combinations, and the
+    measurement grid.  modes names the realizations swept; only "eta" is, and
+    the key stays because config files set it."""
 
     spec_files: tuple
     T: float
@@ -118,6 +123,11 @@ class ExperimentConfig:
             raise ValueError("exactly one of nu_list / eps1_target is required")
         if not (self.t_end > self.t_start and self.dt > 0):
             raise ValueError("need t_end > t_start and dt > 0")
+        for mode, command in _CLI_ONLY_MODES.items():
+            if mode in self.modes:
+                raise ValueError(
+                    f"mode {mode!r} is not swept by eval, which checks only "
+                    f"the eta realization; run {command} instead")
         bad = [m for m in self.modes if m not in _MODES]
         if bad or not self.modes:
             raise ValueError(f"modes must be a nonempty subset of {_MODES}")
@@ -187,10 +197,14 @@ def _cached(memo, key, compute, *args):
 
 
 def _fit(config: ExperimentConfig, taper: TaperSpec, d: int):
+    # the approximant and the kernel of |a| over the record, K_|a|(t_end -
+    # t_start), which scales its eta-trap slack
     nodes = (None if config.fit_node_factor is None
              else config.fit_node_factor * d)
-    return fit_approximant(config.T, config.omega_gap, taper, d,
-                           fit_nodes=nodes)
+    approx = fit_approximant(config.T, config.omega_gap, taper, d,
+                             fit_nodes=nodes)
+    return approx, kernel_eval(np.abs(approx.a),
+                               config.t_end - config.t_start)
 
 
 def _reference_constants(spec, t1, d, hk):
@@ -210,12 +224,12 @@ def _grid_levels(times, values, d_max, t_grid):
 def _run_row(config: ExperimentConfig, spec_name: str, spec: SpectrumSpec,
              d: int, nu: float, h: float, t_grid: np.ndarray,
              approximants: dict, shared: dict) -> ErrorRow:
-    # approximants maps (d, nu) to the sweep's fits; shared holds this
-    # spectrum's records, future values, h_k(t1), second moment and eta
-    # levels on t_grid, the sweep's measurement grid
-    T = config.T
+    # approximants maps (d, nu) to the sweep's fits and their eta-trap kernel
+    # factors; shared holds this spectrum's record, future values, h_k(t1),
+    # second moment and eta levels on t_grid, the sweep's measurement grid
     taper = TaperSpec(family=config.taper_family, nu=nu)
-    approx = _cached(approximants, (d, nu), _fit, config, taper, d)
+    approx, trap_kernel = _cached(approximants, (d, nu), _fit, config, taper,
+                                  d)
 
     eps1 = epsilon1(spec, taper)
     eps2 = approx.eps2
@@ -224,9 +238,8 @@ def _run_row(config: ExperimentConfig, spec_name: str, spec: SpectrumSpec,
                       * (abs(1.0 - float(eval_taper(taper, t.omega))) + eps2)
                       for t in spec.tones)
 
-    fut = _cached(shared, "future", _future_values, spec, t_grid, T)
+    fut = _cached(shared, "future", _future_values, spec, t_grid, config.T)
 
-    mode_sup: dict = {}
     slack_items: dict = {}
     if spec.kind == "bump":
         # bounds the tested agreement of the bump quadrature rule with
@@ -234,51 +247,26 @@ def _run_row(config: ExperimentConfig, spec_name: str, spec: SpectrumSpec,
         slack_items["quad_abs"] = 2e-10
     m2 = _cached(shared, "m2", second_moment, spec)
 
-    for mode in ("eta", "fit-eta"):
-        if mode not in config.modes:
-            continue
-        t1 = config.t_start if mode == "eta" else \
-            config.t_start - max(4.0 * T, 1.0)
-        times, values = _cached(shared, ("record", t1), _record, spec, t1,
-                                config.t_end, h)
-        if mode == "eta":
-            eta = _reference_constants(spec, t1, d,
-                                       shared.setdefault("hk", []))
-        else:
-            fit_times = np.linspace(t1 + T / 10.0, config.t_start - T, 2 * d)
-            zeta = _future_values(spec, fit_times, T)
-            eta = fit_eta(approx.a, times, values, fit_times, zeta).state.eta
-        # the levels do not depend on d, so the rows of one spectrum share
-        # those of the largest degree; a row of degree d uses the first d
-        levels = _cached(shared, ("levels", t1), _grid_levels, times, values,
-                         max(config.d_list), t_grid)
-        y = eta_grid_sum(levels, eta, approx.a)
-        mode_sup[mode] = float(np.abs(fut - y).max())
-        delta = config.t_end - t1
-        slack_items["eta_trap"] = max(
-            slack_items.get("eta_trap", 0.0),
-            (h ** 2 / 12.0) * m2 * delta * kernel_eval(np.abs(approx.a), delta))
+    t1 = config.t_start
+    times, values = _cached(shared, "record", _record, spec, t1, config.t_end,
+                            h)
+    eta = _reference_constants(spec, t1, d, shared.setdefault("hk", []))
+    # the levels do not depend on d, so the rows of one spectrum share those
+    # of the largest degree; a row of degree d uses the first d
+    levels = _cached(shared, "levels", _grid_levels, times, values,
+                     max(config.d_list), t_grid)
+    y = eta_grid_sum(levels, eta, approx.a)
+    sup_err = float(np.abs(fut - y).max())
+    slack_items["eta_trap"] = ((h ** 2 / 12.0) * m2
+                               * (config.t_end - t1) * trap_kernel)
 
-    if "conv" in config.modes:
-        L = 10.0 * T
-        times, values = _cached(shared, ("record", config.t_start - L),
-                                _record, spec, config.t_start - L,
-                                config.t_end, h)
-        y, tail = predict_convolution(approx, times, values, t_grid,
-                                      history_length=L)
-        mode_sup["conv"] = float(np.abs(fut - y).max())
-        slack_items["conv_tail"] = float(tail.max())
-        slack_items["conv_simpson"] = ((h ** 4 / 180.0) * m2 * L
-                                       * kernel_eval(np.abs(approx.a), L))
-
-    sup_err = max(mode_sup.values())
     slack = float(sum(slack_items.values()))
     applicable = bound_tones if spec.kind == "tones" else bound_paper
     passed = bool(sup_err <= applicable + slack + 1e-15)
     return ErrorRow(spec=spec_name, d=d, nu=nu, eps1=eps1, eps2=eps2,
                     bound_paper=bound_paper, bound_tones=bound_tones,
                     sup_err=sup_err, slack=slack, passed=passed,
-                    slack_items=slack_items, mode_sup=mode_sup)
+                    slack_items=slack_items, mode_sup={"eta": sup_err})
 
 
 def _quadrature_step(config: ExperimentConfig, pin: bool) -> float:

@@ -16,14 +16,17 @@ An eta state is built from a sampled window whose first sample is t1, either
 with known constants (EtaState.from_window) or with fitted ones
 (fit_eta(...).state).  iterated_integrals is the only integrator of the
 window, so every caller gets the same iterated integrals.  from_window,
-fit_eta and the harness sweep call it.
+fit_eta and the harness sweep call it; the sweep runs only the eta form with
+the exact constants, once per spectrum on its record from t_start, and the
+fitted constants and the convolution form are reached from the command line
+alone (fit-eta, predict --mode conv).
 
 predict_eta_grid is the composition of two steps.  eta_grid_levels depends
 only on the window and the evaluation times: it interpolates every f_k there
 and forms the weights (t - t1)^j / j!.  eta_grid_sum combines the first d
 levels with the constants eta and the coefficients a.  Leading levels do not
 depend on how many follow, so the harness sweep takes the levels once per
-spectrum and record at the largest degree and sums them per row, bit for bit
+spectrum at the largest degree and sums them per row, bit for bit
 equal to predict_eta_grid on each row's own state (tested).
 
 The convolution form computes every output of a record with one FFT

@@ -277,6 +277,19 @@ class TestPredictPipeline:
         assert lines[2] == (f"wrote {internal}  (8001 predictions, mode=eta, "
                             f"cond={cond})")
 
+    def test_fit_eta_refuses_theta_past_the_record(self, runner, workspace):
+        # observations past the last sample (t = 8) would be the last
+        # sample held, not the signal
+        tmp_path, approx_path, samples_path = workspace
+        out = tmp_path / "eta.json"
+        result = invoke(runner, ["fit-eta", "--approx", str(approx_path),
+                                 "--samples", str(samples_path),
+                                 "--t1", "0.0", "--theta", "8.9",
+                                 "--dbar", "8", "--out", str(out)])
+        assert result.exit_code == 1
+        assert "theta=8.9 is past the last sample time 8" in result.output
+        assert not out.exists()
+
     @pytest.mark.parametrize("mode,extra,option", [
         ("conv", ["--t1", "0"], "--t1"),
         ("conv", ["--eta", "ETA"], "--eta"),
@@ -647,6 +660,27 @@ class TestEvalCommand:
         assert result.exit_code == 2
         assert "configuration error" in result.output
         assert key in result.output
+
+    @pytest.mark.parametrize("mode,command", [
+        ("conv", "gap-predict predict --mode conv"),
+        ("fit-eta", "gap-predict fit-eta")])
+    def test_mode_eval_does_not_sweep_exits_2(self, runner, tmp_path, mode,
+                                             command):
+        # only the eta realization is swept; the others stay on the
+        # command line
+        with open(os.path.join(CONFIG_DIR, "demo.json")) as fh:
+            config = json.load(fh)
+        config["spec_files"] = [os.path.join(CONFIG_DIR, "demo_tone.json")]
+        config["modes"] = ["eta", mode]
+        config_path = tmp_path / "cfg.json"
+        config_path.write_text(json.dumps(config))
+        result = invoke(runner, ["eval", "--config", str(config_path),
+                                 "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2
+        assert (f"configuration error: mode '{mode}' is not swept by eval"
+                in result.output)
+        assert f"run {command} instead" in result.output
+        assert not (tmp_path / "out").exists()
 
     def test_failing_row_exits_1(self, runner, tmp_path, monkeypatch):
         spec_path = tmp_path / "tone.json"

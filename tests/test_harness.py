@@ -53,6 +53,19 @@ class TestConfig:
         with pytest.raises(ValueError, match="nu_list must be nonempty"):
             small_config(spec_path, nu_list=())
 
+    @pytest.mark.parametrize("modes, mode, command", [
+        (("conv",), "conv", "gap-predict predict --mode conv"),
+        (("eta", "fit-eta"), "fit-eta", "gap-predict fit-eta")])
+    def test_rejects_modes_eval_does_not_sweep(self, tmp_path, modes, mode,
+                                               command):
+        spec_path = tmp_path / "s.json"
+        save_spectrum(SpectrumSpec.from_tones(1.0, [(2.0, 1.0)]), spec_path)
+        with pytest.raises(ValueError) as info:
+            small_config(spec_path, modes=modes)
+        assert str(info.value) == (
+            f"mode '{mode}' is not swept by eval, which checks only the eta "
+            f"realization; run {command} instead")
+
     @pytest.mark.parametrize("entries, shown", [
         ((8, 8.5, 16), "8.5"), ((True, 8), "True"), (("8",), "'8'"),
         ((1, 8), "1"), ((0, 8), "0"), ((-4, 8), "-4")])
@@ -174,22 +187,6 @@ class TestRunSweep:
         assert row.sup_err <= row.bound_paper + row.slack
         assert row.passed
 
-    def test_fit_eta_and_conv_modes_run(self, tmp_path):
-        spec_path = tmp_path / "tone.json"
-        save_spectrum(SpectrumSpec.from_tones(1.0, [(2.0, 0.5)]), spec_path)
-        rows = run_sweep(small_config(spec_path, d_list=(3,),
-                                      nu_list=(0.4,),
-                                      modes=("eta", "fit-eta", "conv"),
-                                      t_end=0.5, dt=0.1))
-        row = rows[0]
-        assert row.error is None
-        assert set(row.mode_sup) == {"eta", "fit-eta", "conv"}
-        assert "conv_tail" in row.slack_items
-        # tones do not decay: the conv tail diagnostic must dominate its sup
-        assert row.slack_items["conv_tail"] > row.mode_sup["eta"]
-        assert row.passed
-
-
     @pytest.mark.parametrize("t_end, dt", [(1.0, 0.6),
                                            (2 * math.pi, 2 * math.pi / 628)])
     def test_dt_not_dividing_the_window(self, tmp_path, t_end, dt):
@@ -215,13 +212,14 @@ def two_tone_files(tmp_path):
 
 
 class TestSharedWork:
-    """run_sweep fits each approximant once per (d, nu) and computes each
-    spectrum's records, truth, integrals and eta levels once, within one
-    call."""
+    """run_sweep fits each approximant and its eta-trap kernel once per
+    (d, nu) and computes each spectrum's record, truth, integrals and eta
+    levels once, within one call."""
 
     @staticmethod
     def count_calls(monkeypatch):
-        calls = {"fit": [], "sample_grid": [], "integrals": [], "levels": []}
+        calls = {"fit": [], "sample_grid": [], "integrals": [], "levels": [],
+                 "kernel": []}
 
         def counting(key, fn, record):
             def wrapper(*args, **kwargs):
@@ -237,6 +235,7 @@ class TestSharedWork:
                  lambda times, values, d: d)
         counting("levels", harness.eta_grid_levels,
                  lambda times, f, t_eval: (float(times[0]), len(f)))
+        counting("kernel", harness.kernel_eval, lambda a, t: (len(a), t))
         return calls
 
     def test_each_shared_value_is_computed_once_per_call(self, tmp_path,
@@ -258,19 +257,8 @@ class TestSharedWork:
             assert calls["sample_grid"] == [specs[0]] * 2 + [specs[1]] * 2
             assert calls["integrals"] == [4, 4]
             assert calls["levels"] == [(0.0, 4)] * 2
-
-    def test_eta_levels_are_computed_once_per_spectrum_and_record(
-            self, tmp_path, monkeypatch):
-        # eta rows start their record at t_start, fit-eta rows 4T earlier
-        paths = two_tone_files(tmp_path)
-        config = small_config(paths[0], spec_files=tuple(paths),
-                              d_list=(3, 4), nu_list=(0.5, 0.4),
-                              modes=("eta", "fit-eta"), t_end=0.5, dt=0.1)
-        calls = self.count_calls(monkeypatch)
-        rows = run_sweep(config)
-        assert [row.error for row in rows] == [None] * 8
-        assert calls["levels"] == [(0.0, 4), (-4.0, 4)] * 2
-        assert calls["integrals"] == [4, 4] * 2
+            # the eta-trap kernel over the record, per (d, nu)
+            assert sorted(calls["kernel"]) == [(3, 0.5)] * 2 + [(4, 0.5)] * 2
 
     def test_rows_match_rows_predicted_one_at_a_time(self, tmp_path,
                                                      monkeypatch):
@@ -280,8 +268,7 @@ class TestSharedWork:
         paths = two_tone_files(tmp_path)
         config = small_config(paths[0], spec_files=tuple(paths),
                               d_list=(2, 3, 4), nu_list=(0.4, 0.3),
-                              modes=("eta", "fit-eta", "conv"), t_end=0.5,
-                              dt=0.05)
+                              t_end=0.5, dt=0.05)
         shared = [asdict(row) for row in run_sweep(config)]
 
         def one_at_a_time(levels, eta, a):
@@ -301,8 +288,7 @@ class TestSharedWork:
         paths = two_tone_files(tmp_path)
         config = small_config(paths[0], spec_files=tuple(paths),
                               d_list=(3, 4), nu_list=(0.4, 0.3),
-                              modes=("eta", "fit-eta", "conv"), t_end=0.5,
-                              dt=0.1)
+                              t_end=0.5, dt=0.1)
         together = [asdict(row) for row in run_sweep(config)]
         alone = [asdict(row) for path in paths
                  for row in run_sweep(replace(config, spec_files=(path,)))]
