@@ -19,12 +19,11 @@ Work that several rows share is computed once within one run_sweep call:
   and the kernel factor of its eta-trap slack, shared by every spectrum;
 * once per spectrum: the second moment, the future values x(t + T), the
   constants h_k(t_start) up to the largest degree, the sample record from
-  t_start and its eta levels on the measurement grid
-  (predictor.eta_grid_levels of the record's iterated integrals to
-  max(d_list)), whose first d levels serve the rows of degree d (they do not
-  depend on d);
-* once per row: eps1, the bounds, the sum of the row's levels with its eta
-  and a (predictor.eta_grid_sum) and the slack.
+  t_start and its iterated integrals to max(d_list), whose first d serve
+  the rows of degree d (they do not depend on d);
+* once per row: eps1, the bounds, the row's prediction on the measurement
+  grid (predictor.predict_eta_grid on its degree-d eta state, the entry
+  point the command line uses) and the slack.
 
 Each value is computed when a row first needs it, and one whose computation
 raises is not stored, so a failure errors the same rows with the same
@@ -47,8 +46,8 @@ from typing import Optional
 import numpy as np
 
 from .approx import CERT_DENSITY, fit_approximant
-from .predictor import (eta_grid_levels, eta_grid_sum, iterated_integrals,
-                        kernel_eval)
+from .predictor import (EtaState, iterated_integrals, kernel_eval,
+                        predict_eta_grid)
 from .signal import (SpectrumSpec, epsilon1, exact_hk, load_spectrum,
                      sample_grid, second_moment, select_nu)
 from .taper import TaperSpec, eval_taper
@@ -214,19 +213,13 @@ def _reference_constants(spec, t1, d, hk):
     return np.array(hk[:d])
 
 
-def _grid_levels(times, values, d_max, t_grid):
-    # eta_grid_levels of the record's iterated integrals to d_max; the
-    # integrals themselves are dropped once the levels are taken
-    return eta_grid_levels(times, iterated_integrals(times, values, d_max),
-                           t_grid)
-
-
 def _run_row(config: ExperimentConfig, spec_name: str, spec: SpectrumSpec,
              d: int, nu: float, h: float, t_grid: np.ndarray,
              approximants: dict, shared: dict) -> ErrorRow:
     # approximants maps (d, nu) to the sweep's fits and their eta-trap kernel
-    # factors; shared holds this spectrum's record, future values, h_k(t1),
-    # second moment and eta levels on t_grid, the sweep's measurement grid
+    # factors; shared holds this spectrum's record, its iterated integrals,
+    # future values, h_k(t1) and second moment; t_grid is the sweep's
+    # measurement grid
     taper = TaperSpec(family=config.taper_family, nu=nu)
     approx, trap_kernel = _cached(approximants, (d, nu), _fit, config, taper,
                                   d)
@@ -251,11 +244,12 @@ def _run_row(config: ExperimentConfig, spec_name: str, spec: SpectrumSpec,
     times, values = _cached(shared, "record", _record, spec, t1, config.t_end,
                             h)
     eta = _reference_constants(spec, t1, d, shared.setdefault("hk", []))
-    # the levels do not depend on d, so the rows of one spectrum share those
-    # of the largest degree; a row of degree d uses the first d
-    levels = _cached(shared, "levels", _grid_levels, times, values,
-                     max(config.d_list), t_grid)
-    y = eta_grid_sum(levels, eta, approx.a)
+    # f_k integrates only f_{k-1}, so the rows of one spectrum share the
+    # integrals of the largest degree; a row of degree d uses the first d
+    f = _cached(shared, "integrals", iterated_integrals, times, values,
+                max(config.d_list))
+    y = predict_eta_grid(EtaState(eta=eta, times=times, values=values,
+                                  f=f[:d], a=approx.a), t_grid)
     sup_err = float(np.abs(fut - y).max())
     slack_items["eta_trap"] = ((h ** 2 / 12.0) * m2
                                * (config.t_end - t1) * trap_kernel)

@@ -290,6 +290,40 @@ class TestPredictPipeline:
         assert "theta=8.9 is past the last sample time 8" in result.output
         assert not out.exists()
 
+    # the record runs from -12 to 8 in steps of 0.001
+    T1_MESSAGES = {
+        "-20": "t=-20.0 lies outside the sample grid, which runs from -12 "
+               "to 8",
+        "0.0004": "t=0.0004 does not lie on the sample grid: the nearest "
+                  "sample is 0 and the step is 0.001",
+    }
+
+    @pytest.mark.parametrize("t1", sorted(T1_MESSAGES))
+    def test_fit_eta_names_the_record_for_a_t1_off_it(self, runner,
+                                                      workspace, t1):
+        tmp_path, approx_path, samples_path = workspace
+        out = tmp_path / "eta.json"
+        result = invoke(runner, ["fit-eta", "--approx", str(approx_path),
+                                 "--samples", str(samples_path),
+                                 "--t1", t1, "--theta", "8.0",
+                                 "--dbar", "8", "--out", str(out)])
+        assert result.exit_code == 1
+        assert self.T1_MESSAGES[t1] in result.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("t1", sorted(T1_MESSAGES))
+    def test_predict_eta_names_the_record_for_a_t1_off_it(self, runner,
+                                                          workspace, t1):
+        tmp_path, approx_path, samples_path = workspace
+        out = tmp_path / "pred.csv"
+        result = invoke(runner, ["predict", "--approx", str(approx_path),
+                                 "--samples", str(samples_path),
+                                 "--mode", "eta", "--t1", t1,
+                                 "--out", str(out)])
+        assert result.exit_code == 1
+        assert self.T1_MESSAGES[t1] in result.output
+        assert not out.exists()
+
     @pytest.mark.parametrize("mode,extra,option", [
         ("conv", ["--t1", "0"], "--t1"),
         ("conv", ["--eta", "ETA"], "--eta"),

@@ -10,7 +10,7 @@ from gap_predict import harness
 from gap_predict.harness import (ConvergenceVerdict, ErrorRow,
                                  ExperimentConfig, convergence_check,
                                  emit_report, run_sweep, write_reports)
-from gap_predict.predictor import EtaState, predict_eta_grid
+from gap_predict.predictor import EtaState
 from gap_predict.signal import SpectrumSpec, save_spectrum
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
@@ -213,13 +213,13 @@ def two_tone_files(tmp_path):
 
 class TestSharedWork:
     """run_sweep fits each approximant and its eta-trap kernel once per
-    (d, nu) and computes each spectrum's record, truth, integrals and eta
-    levels once, within one call."""
+    (d, nu) and computes each spectrum's record, truth and integrals once,
+    within one call."""
 
     @staticmethod
     def count_calls(monkeypatch):
-        calls = {"fit": [], "sample_grid": [], "integrals": [], "levels": [],
-                 "kernel": []}
+        calls = {"fit": [], "sample_grid": [], "integrals": [], "kernel": [],
+                 "cached": []}
 
         def counting(key, fn, record):
             def wrapper(*args, **kwargs):
@@ -233,9 +233,9 @@ class TestSharedWork:
                  lambda spec, t0, dt, n: spec)
         counting("integrals", harness.iterated_integrals,
                  lambda times, values, d: d)
-        counting("levels", harness.eta_grid_levels,
-                 lambda times, f, t_eval: (float(times[0]), len(f)))
         counting("kernel", harness.kernel_eval, lambda a, t: (len(a), t))
+        counting("cached", harness._cached,
+                 lambda memo, key, compute, *args: key)
         return calls
 
     def test_each_shared_value_is_computed_once_per_call(self, tmp_path,
@@ -255,31 +255,29 @@ class TestSharedWork:
                                             (4, 0.5)]
             # the record and the future values, per spectrum
             assert calls["sample_grid"] == [specs[0]] * 2 + [specs[1]] * 2
+            # the record's integrals at max(d_list), per spectrum
             assert calls["integrals"] == [4, 4]
-            assert calls["levels"] == [(0.0, 4)] * 2
+            # the spectrum-scoped values, with no per-grid levels among them
+            assert {key for key in calls["cached"] if isinstance(key, str)} \
+                == {"future", "m2", "record", "integrals"}
             # the eta-trap kernel over the record, per (d, nu)
             assert sorted(calls["kernel"]) == [(3, 0.5)] * 2 + [(4, 0.5)] * 2
 
     def test_rows_match_rows_predicted_one_at_a_time(self, tmp_path,
                                                      monkeypatch):
         # the reference builds each row's own degree-d state from its record
-        # and calls predict_eta_grid, as every row did before the levels
-        # were shared
+        # with EtaState.from_window, which integrates the record to degree d
+        # only
         paths = two_tone_files(tmp_path)
         config = small_config(paths[0], spec_files=tuple(paths),
                               d_list=(2, 3, 4), nu_list=(0.4, 0.3),
                               t_end=0.5, dt=0.05)
         shared = [asdict(row) for row in run_sweep(config)]
 
-        def one_at_a_time(levels, eta, a):
-            times, values, t_grid = levels
-            state = EtaState.from_window(a, times, values, eta)
-            return predict_eta_grid(state, t_grid)
+        def own_state(eta, times, values, f, a):
+            return EtaState.from_window(a, times, values, eta)
 
-        monkeypatch.setattr(harness, "_grid_levels",
-                            lambda times, values, d_max, t_grid:
-                            (times, values, t_grid))
-        monkeypatch.setattr(harness, "eta_grid_sum", one_at_a_time)
+        monkeypatch.setattr(harness, "EtaState", own_state)
         alone = [asdict(row) for row in run_sweep(config)]
         assert all(row["error"] is None for row in shared)
         assert shared == alone
