@@ -357,6 +357,20 @@ class TestEtaPrediction:
         assert np.all(np.abs(predict_eta_grid(state, t_eval) - ref)
                       <= 1e-14 * scale)
 
+    @pytest.mark.parametrize("d", [1, 5, 16])
+    @pytest.mark.parametrize("t_kind", ["on_lattice", "off_lattice", "long"])
+    def test_integrals_of_a_higher_degree_give_predict_eta_grid(
+            self, d, t_kind):
+        # the first d rows of integrals taken once at degree 2d, as the
+        # harness sweep shares them across degrees, give the prediction of
+        # the state's own degree-d integrals bit for bit
+        state, t_eval = random_eta_case(d, t_kind)
+        f = iterated_integrals(state.times, state.values, 2 * d)
+        shared = EtaState(eta=state.eta, times=state.times,
+                          values=state.values, f=f[:d], a=state.a)
+        assert np.array_equal(predict_eta_grid(shared, t_eval),
+                              predict_eta_grid(state, t_eval))
+
     def test_state_rejects_constants_it_cannot_use(self):
         times = np.linspace(0.0, 1.0, 11)
         a = [1.0, 1.0]
