@@ -97,8 +97,12 @@ def synth_cmd(spec_path, t0, t1, dt, out):
 
 def _window_from(times, values, t1):
     # an eta state starts at its window's first sample, so snap t1 onto the
-    # sample lattice
+    # sample lattice; its integrals need 3 samples from there on
     i0 = int(_sample_index(times, t1))
+    if len(times) - i0 < 3:
+        raise ValueError(
+            f"t1={t1} leaves fewer than 3 samples up to the last sample "
+            f"time {times[-1]:g}; an eta window needs at least 3 samples")
     return times[i0:], values[i0:]
 
 

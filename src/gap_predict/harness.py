@@ -18,9 +18,10 @@ Work that several rows share is computed once within one run_sweep call:
 * once per sweep: the measurement grid, and per (d, nu) each approximant
   and the kernel factor of its eta-trap slack, shared by every spectrum;
 * once per spectrum: the second moment, the future values x(t + T), the
-  constants h_k(t_start) up to the largest degree, the sample record from
-  t_start and its iterated integrals to max(d_list), whose first d serve
-  the rows of degree d (they do not depend on d);
+  constants h_1..h_D(t_start) for D = max(d_list), taken in one exact_hk
+  call that builds the bump rule once, the sample record from t_start and
+  its iterated integrals to D; the rows of degree d use the first d
+  constants and integrals (neither depends on d);
 * once per row: eps1, the bounds, the row's prediction on the measurement
   grid (predictor.predict_eta_grid on its degree-d eta state, the entry
   point the command line uses) and the slack.
@@ -206,13 +207,6 @@ def _fit(config: ExperimentConfig, taper: TaperSpec, d: int):
                                config.t_end - config.t_start)
 
 
-def _reference_constants(spec, t1, d, hk):
-    # h_1..h_d(t1), extending the list hk of those already computed
-    while len(hk) < d:
-        hk.append(exact_hk(spec, len(hk) + 1, t1))
-    return np.array(hk[:d])
-
-
 def _run_row(config: ExperimentConfig, spec_name: str, spec: SpectrumSpec,
              d: int, nu: float, h: float, t_grid: np.ndarray,
              approximants: dict, shared: dict) -> ErrorRow:
@@ -243,12 +237,12 @@ def _run_row(config: ExperimentConfig, spec_name: str, spec: SpectrumSpec,
     t1 = config.t_start
     times, values = _cached(shared, "record", _record, spec, t1, config.t_end,
                             h)
-    eta = _reference_constants(spec, t1, d, shared.setdefault("hk", []))
-    # f_k integrates only f_{k-1}, so the rows of one spectrum share the
-    # integrals of the largest degree; a row of degree d uses the first d
-    f = _cached(shared, "integrals", iterated_integrals, times, values,
-                max(config.d_list))
-    y = predict_eta_grid(EtaState(eta=eta, times=times, values=values,
+    # h_k and f_k do not depend on d, so the rows of one spectrum share them
+    # to the largest degree; a row of degree d uses the first d
+    d_max = max(config.d_list)
+    hk = _cached(shared, "hk", exact_hk, spec, np.arange(1, d_max + 1), t1)
+    f = _cached(shared, "integrals", iterated_integrals, times, values, d_max)
+    y = predict_eta_grid(EtaState(eta=hk[:d], times=times, values=values,
                                   f=f[:d], a=approx.a), t_grid)
     sup_err = float(np.abs(fut - y).max())
     slack_items["eta_trap"] = ((h ** 2 / 12.0) * m2

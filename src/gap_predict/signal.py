@@ -180,16 +180,16 @@ def _tone_grid(spec, times):
     return out
 
 
-def _bump_grid_gauss(spec, times):
-    t_absmax = float(np.max(np.abs(times))) if len(times) else 0.0
-    nodes, weights = _bump_rule(spec, t_absmax)
-    weights = weights / np.pi
-    # chunk the time axis to bound the cos() workspace
-    out = np.empty_like(times)
-    chunk = max(1, int(4e6 // max(len(nodes), 1)))
-    for i in range(0, len(times), chunk):
-        out[i:i + chunk] = np.cos(np.outer(times[i:i + chunk], nodes)) @ weights
-    return out
+def _bump_grid_gauss(spec, t0, dt, n):
+    # in blocks of B = ceil(sqrt(n)) samples, sample B*i + j is
+    # Re[e^{iw(t0 + B*i*dt)} @ (W e^{iw*j*dt})] / pi: about 2*sqrt(n) complex
+    # exponentials per rule node and one matrix product instead of n cosines
+    nodes, weights = _bump_rule(spec, max(abs(t0), abs(t0 + dt * (n - 1))))
+    B = int(np.ceil(np.sqrt(n)))
+    om = 1j * nodes
+    starts = np.exp(np.outer(t0 + (B * dt) * np.arange(-(-n // B)), om))
+    offsets = np.exp(np.outer(om, dt * np.arange(B))) * weights[:, None]
+    return (starts @ offsets).real.ravel()[:n] / np.pi
 
 
 def _fast_len(n):
@@ -238,7 +238,8 @@ def sample_grid(spec: SpectrumSpec, t0: float, dt: float,
     """x on the uniform grid t0 + i*dt, i = 0..n-1.
 
     Tones evaluate in closed form.  Bumps evaluate by Gauss-Legendre panel
-    quadrature (the bump rule) vectorized over the grid when the cost
+    quadrature (the bump rule; phases split into block starts and in-block
+    offsets, joined by one complex matrix product) when the cost
     n * (rule nodes) is at most 4e7 (short or coarse grids), and otherwise
     by an FFT of the periodized spectral sum (long fine grids).  Both
     samplers agree with adaptive quadrature to near machine precision
@@ -248,15 +249,14 @@ def sample_grid(spec: SpectrumSpec, t0: float, dt: float,
         raise ValueError("need n >= 1 grid points")
     if dt <= 0:
         raise ValueError("dt must be positive")
-    times = t0 + dt * np.arange(n)
     if spec.kind == "tones":
-        return _tone_grid(spec, times)
+        return _tone_grid(spec, t0 + dt * np.arange(n))
     if not spec.bumps:
         return np.zeros(n)
-    t_absmax = max(abs(times[0]), abs(times[-1]))
+    t_absmax = max(abs(t0), abs(t0 + dt * (n - 1)))
     n_nodes = _GL_ORDER * sum(_n_panels(b, t_absmax) for b in spec.bumps)
     if n * n_nodes <= 4e7:
-        return _bump_grid_gauss(spec, times)
+        return _bump_grid_gauss(spec, t0, dt, n)
     return _bump_grid_fft(spec, t0, dt, n)
 
 
@@ -269,13 +269,20 @@ def epsilon1(spec: SpectrumSpec, taper: TaperSpec) -> float:
     a sign, and an upper bound on it otherwise, so eps1 stays a valid budget
     term.
     """
+    return _taper_loss(spec)(taper)
+
+
+def _taper_loss(spec):
+    # taper -> epsilon1(spec, taper), with a bump spec's rule built once
     if spec.kind == "tones":
-        return 2.0 * sum(abs(t.amplitude) * (1.0 - float(eval_taper(taper, t.omega)))
-                         for t in spec.tones)
+        return lambda taper: 2.0 * sum(
+            abs(t.amplitude) * (1.0 - float(eval_taper(taper, t.omega)))
+            for t in spec.tones)
     if not spec.bumps:
-        return 0.0
+        return lambda taper: 0.0
     om, w = _bump_rule(spec)
-    return 2.0 * float(np.abs(w) @ (1.0 - eval_taper(taper, om)))
+    mass = np.abs(w)
+    return lambda taper: 2.0 * float(mass @ (1.0 - eval_taper(taper, om)))
 
 
 def second_moment(spec: SpectrumSpec) -> float:
@@ -292,11 +299,12 @@ def second_moment(spec: SpectrumSpec) -> float:
 def select_nu(spec: SpectrumSpec, taper_family: str, eps1_target: float) -> float:
     """Largest nu on a geometric bisection lattice (relative tolerance 1e-3)
     with epsilon1(spec, r_nu) <= eps1_target; monotone in nu by taper
-    monotonicity.  Clamps at nu = 1."""
+    monotonicity.  Clamps at nu = 1.  The bisection shares one bump rule."""
     if not eps1_target > 0:
         raise ValueError(f"eps1_target must be positive, got {eps1_target}")
+    eps1 = _taper_loss(spec)
     def loss(nu):
-        return epsilon1(spec, TaperSpec(family=taper_family, nu=nu))
+        return eps1(TaperSpec(family=taper_family, nu=nu))
     if loss(1.0) <= eps1_target:
         return 1.0
     lo = 1e-12
@@ -314,26 +322,30 @@ def select_nu(spec: SpectrumSpec, taper_family: str, eps1_target: float) -> floa
     return float(lo)
 
 
-def exact_hk(spec: SpectrumSpec, k: int, t: float) -> float:
+def exact_hk(spec: SpectrumSpec, k, t: float):
     """The k-fold iterated antiderivative h_k(x)(t), evaluated in the
     frequency domain through the transfer function (i*w)^(-k).
 
     Well defined because the spectrum avoids w = 0.  Tones are closed form;
-    bumps integrate X(i*w) w^(-k) cos(w t - k*pi/2) with the bump rule.
+    bumps integrate X(i*w) w^(-k) cos(w t - k*pi/2) with the bump rule.  For
+    an array of orders k the result has k's shape and shares one rule.
     """
-    if k < 1:
+    ks = np.asarray(k)
+    if np.any(ks < 1):
         raise ValueError("k must be a positive integer")
     t = float(t)
+    out = np.zeros(ks.shape)
     if spec.kind == "tones":
-        acc = 0.0
-        for tone in spec.tones:
-            rot = tone.amplitude * (1j * tone.omega) ** (-k)
-            acc += rot.real * np.cos(tone.omega * t) - rot.imag * np.sin(tone.omega * t)
-        return acc
-    if not spec.bumps:
-        return 0.0
-    om, w = _bump_rule(spec, abs(t))
-    return float(w @ (om ** -k * np.cos(om * t - k * np.pi / 2))) / np.pi
+        for idx, j in np.ndenumerate(ks):
+            for tone in spec.tones:
+                rot = tone.amplitude * (1j * tone.omega) ** -int(j)
+                out[idx] += (rot.real * np.cos(tone.omega * t)
+                             - rot.imag * np.sin(tone.omega * t))
+    elif spec.bumps:
+        om, w = _bump_rule(spec, abs(t))
+        j = ks[..., None]
+        out = (om ** -j * np.cos(om * t - j * np.pi / 2)) @ w / np.pi
+    return float(out) if out.ndim == 0 else out
 
 
 def spectrum_to_dict(spec: SpectrumSpec) -> dict:

@@ -324,6 +324,26 @@ class TestPredictPipeline:
         assert self.T1_MESSAGES[t1] in result.output
         assert not out.exists()
 
+    @pytest.mark.parametrize("t1", [8, 7.999])
+    @pytest.mark.parametrize("route", ["eta-file", "internal-fit"])
+    def test_predict_eta_refuses_a_t1_on_the_last_two_samples(
+            self, runner, workspace, t1, route):
+        # a window from t1 = 8 or 7.999 holds 1 or 2 samples of the record
+        tmp_path, approx_path, samples_path = workspace
+        eta_path = tmp_path / "eta.json"
+        eta_path.write_text(json.dumps({"t1": t1, "eta": [0.0] * 4}))
+        out = tmp_path / "pred.csv"
+        extra = (["--eta", str(eta_path)] if route == "eta-file"
+                 else ["--t1", str(t1)])
+        result = invoke(runner, ["predict", "--approx", str(approx_path),
+                                 "--samples", str(samples_path),
+                                 "--mode", "eta", *extra, "--out", str(out)])
+        assert result.exit_code == 1
+        assert (f"t1={float(t1)} leaves fewer than 3 samples up to the last "
+                "sample time 8; an eta window needs at least 3 samples"
+                in result.output)
+        assert not out.exists()
+
     @pytest.mark.parametrize("mode,extra,option", [
         ("conv", ["--t1", "0"], "--t1"),
         ("conv", ["--eta", "ETA"], "--eta"),

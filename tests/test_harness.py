@@ -219,7 +219,7 @@ class TestSharedWork:
     @staticmethod
     def count_calls(monkeypatch):
         calls = {"fit": [], "sample_grid": [], "integrals": [], "kernel": [],
-                 "cached": []}
+                 "hk": [], "cached": []}
 
         def counting(key, fn, record):
             def wrapper(*args, **kwargs):
@@ -234,6 +234,8 @@ class TestSharedWork:
         counting("integrals", harness.iterated_integrals,
                  lambda times, values, d: d)
         counting("kernel", harness.kernel_eval, lambda a, t: (len(a), t))
+        counting("hk", harness.exact_hk,
+                 lambda spec, k, t: (spec, np.asarray(k).tolist(), t))
         counting("cached", harness._cached,
                  lambda memo, key, compute, *args: key)
         return calls
@@ -257,9 +259,11 @@ class TestSharedWork:
             assert calls["sample_grid"] == [specs[0]] * 2 + [specs[1]] * 2
             # the record's integrals at max(d_list), per spectrum
             assert calls["integrals"] == [4, 4]
+            # h_1..h_4(t_start) in one call, per spectrum
+            assert calls["hk"] == [(spec, [1, 2, 3, 4], 0.0) for spec in specs]
             # the spectrum-scoped values, with no per-grid levels among them
             assert {key for key in calls["cached"] if isinstance(key, str)} \
-                == {"future", "m2", "record", "integrals"}
+                == {"future", "m2", "record", "hk", "integrals"}
             # the eta-trap kernel over the record, per (d, nu)
             assert sorted(calls["kernel"]) == [(3, 0.5)] * 2 + [(4, 0.5)] * 2
 

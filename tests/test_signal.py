@@ -136,7 +136,7 @@ class TestSampleGrid:
     def test_matches_pointwise_sample_bump(self, sampler):
         # each bump sampler called directly, whichever sample_grid would pick
         if sampler == "gauss":
-            xs = _bump_grid_gauss(BUMP, -5.0 + 0.5 * np.arange(30))
+            xs = _bump_grid_gauss(BUMP, -5.0, 0.5, 30)
         else:
             xs = _bump_grid_fft(BUMP, -5.0, 0.5, 30)
         for i in (0, 7, 19, 29):
@@ -148,9 +148,35 @@ class TestSampleGrid:
         times = -5.0 + 0.5 * np.arange(30)
         ref = np.array([sample(PAIR, t) for t in times])
         for xs in (sample_grid(PAIR, -5.0, 0.5, 30),
-                   _bump_grid_gauss(PAIR, times),
+                   _bump_grid_gauss(PAIR, -5.0, 0.5, 30),
                    _bump_grid_fft(PAIR, -5.0, 0.5, 30)):
             assert np.abs(xs - ref).max() <= 1e-9
+
+    # lengths that leave the Gauss sampler's last block of ceil(sqrt(n))
+    # samples part empty (n = 1 is one block of one); the grids start 150
+    # time units out, where the rule needs more panels than at t = 0, and
+    # the longest one runs through t = 0 to +150
+    GRIDS = [(1, -150.0, 0.375), (31, -150.0, 0.375), (33, -150.0, 0.375),
+             (801, -150.0, 0.375)]
+
+    @pytest.mark.parametrize("spec", [BUMP, PAIR], ids=["bump", "pair"])
+    @pytest.mark.parametrize("n,t0,dt", GRIDS)
+    def test_gauss_sampler_against_quadpack(self, spec, n, t0, dt):
+        xs = _bump_grid_gauss(spec, t0, dt, n)
+        assert xs.shape == (n,)
+        for i in sorted({0, n // 2, n - 2, n - 1} - {-1}):
+            assert xs[i] == pytest.approx(sample(spec, t0 + dt * i), abs=1e-9)
+
+    @pytest.mark.parametrize("spec", [BUMP, PAIR], ids=["bump", "pair"])
+    @pytest.mark.parametrize("n,t0,dt", GRIDS)
+    def test_gauss_sampler_against_fft_sampler(self, spec, n, t0, dt):
+        # max|x| is x(0), where a nonnegative spectrum peaks; each sampler's
+        # rounding error scales with it, not with the far smaller samples of
+        # a grid that stays near t = -150
+        peak = sample(spec, 0.0)
+        gauss = _bump_grid_gauss(spec, t0, dt, n)
+        fft = _bump_grid_fft(spec, t0, dt, n)
+        assert np.abs(gauss - fft).max() <= 1e-12 * peak
 
     def test_auto_strategy_long_grid(self):
         xs = sample_grid(BUMP, -200.0, 1e-2, 40_001)
@@ -261,6 +287,34 @@ class TestSelectNu:
         with pytest.raises(ValueError):
             select_nu(BUMP, "gaussian", 0.0)
 
+    @pytest.mark.parametrize("spec", [
+        SpectrumSpec.from_tones(1.0, [(2.0, 1.0), (3.0, 0.4j)]), BUMP, PAIR,
+    ], ids=["tones", "bump", "pair"])
+    @pytest.mark.parametrize("family", ["gaussian", "exponential",
+                                        "lorentzian"])
+    def test_equals_a_bisection_over_epsilon1(self, spec, family):
+        # the bisection select_nu documents, with epsilon1 itself as the loss
+        def loss(nu):
+            return epsilon1(spec, TaperSpec(family, nu))
+
+        def bisect(target):
+            assert loss(1.0) > target
+            lo, hi = 1e-12, 1.0
+            while hi / lo > 1.0 + 1e-3:
+                mid = np.sqrt(lo * hi)
+                if loss(mid) <= target:
+                    lo = mid
+                else:
+                    hi = mid
+            return float(lo)
+
+        # the first midpoint is nu = 1e-6; a target at or just below its
+        # loss makes that comparison a tie, which a loss differing from
+        # epsilon1 in the last bit there breaks the other way
+        tie = loss(1e-6)
+        for target in (0.01, 0.05, 0.2, tie, np.nextafter(tie, 0.0)):
+            assert select_nu(spec, family, target) == bisect(target), target
+
     def test_rejects_nan_target(self):
         # every comparison with NaN is false, so an `eps1_target <= 0`
         # check let it through to the bisection floor nu = 1e-12
@@ -277,6 +331,28 @@ class TestExactHk:
     def test_rejects_bad_k(self):
         with pytest.raises(ValueError):
             exact_hk(BUMP, 0, 0.0)
+
+    @pytest.mark.parametrize("spec", [
+        SpectrumSpec.from_tones(1.0, [(2.0, 1.0)]), BUMP,
+    ], ids=["tones", "bump"])
+    def test_rejects_an_order_array_holding_zero(self, spec):
+        with pytest.raises(ValueError, match="positive integer"):
+            exact_hk(spec, np.array([1, 2, 0, 3]), 0.0)
+
+    @pytest.mark.parametrize("spec", [
+        SpectrumSpec.from_tones(1.0, [(1.0, 0.5 - 0.5j), (2.5, 0.3)]),
+        BUMP, PAIR,
+    ], ids=["tones", "bump", "pair"])
+    def test_order_array_matches_scalar_orders(self, spec):
+        d = 32
+        for t in (-50.0, -7.3, 0.0, 2.5):
+            hk = exact_hk(spec, np.arange(1, d + 1), t)
+            assert hk.shape == (d,)
+            for k in range(1, d + 1):
+                ref = exact_hk(spec, k, t)
+                assert isinstance(ref, float)
+                assert abs(hk[k - 1] - ref) <= 1e-15 * max(1.0, abs(ref)), \
+                    (k, t)
 
     @pytest.mark.parametrize("spec", [
         SpectrumSpec.from_tones(1.0, [(2.0, 0.5 - 0.5j)]),
