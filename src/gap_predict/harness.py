@@ -17,11 +17,12 @@ Work that several rows share is computed once within one run_sweep call:
 
 * once per sweep: the measurement grid, and per (d, nu) each approximant
   and the kernel factor of its eta-trap slack, shared by every spectrum;
-* once per spectrum: the second moment, the future values x(t + T), the
-  constants h_1..h_D(t_start) for D = max(d_list), taken in one exact_hk
-  call that builds the bump rule once, the sample record from t_start and
-  its iterated integrals to D; the rows of degree d use the first d
-  constants and integrals (neither depends on d);
+* once per spectrum: the second moment, the bump rule of eps1 (the taper
+  loss, which each row evaluates at its own taper), the future values
+  x(t + T), the constants h_1..h_D(t_start) for D = max(d_list), taken in
+  one exact_hk call that builds the bump rule once, the sample record from
+  t_start and its iterated integrals to D; the rows of degree d use the
+  first d constants and integrals (neither depends on d);
 * once per row: eps1, the bounds, the row's prediction on the measurement
   grid (predictor.predict_eta_grid on its degree-d eta state, the entry
   point the command line uses) and the slack.
@@ -49,7 +50,7 @@ import numpy as np
 from .approx import CERT_DENSITY, fit_approximant
 from .predictor import (EtaState, iterated_integrals, kernel_eval,
                         predict_eta_grid)
-from .signal import (SpectrumSpec, epsilon1, exact_hk, load_spectrum,
+from .signal import (SpectrumSpec, _taper_loss, exact_hk, load_spectrum,
                      sample_grid, second_moment, select_nu)
 from .taper import TaperSpec, eval_taper
 
@@ -212,13 +213,14 @@ def _run_row(config: ExperimentConfig, spec_name: str, spec: SpectrumSpec,
              approximants: dict, shared: dict) -> ErrorRow:
     # approximants maps (d, nu) to the sweep's fits and their eta-trap kernel
     # factors; shared holds this spectrum's record, its iterated integrals,
-    # future values, h_k(t1) and second moment; t_grid is the sweep's
-    # measurement grid
+    # future values, h_k(t1), second moment and eps1 as a function of the
+    # taper; t_grid is the sweep's measurement grid
     taper = TaperSpec(family=config.taper_family, nu=nu)
     approx, trap_kernel = _cached(approximants, (d, nu), _fit, config, taper,
                                   d)
 
-    eps1 = epsilon1(spec, taper)
+    # epsilon1(spec, taper), with a bump spectrum's rule built once
+    eps1 = _cached(shared, "taper_loss", _taper_loss, spec)(taper)
     eps2 = approx.eps2
     bound_paper = (eps1 + eps2) / (2.0 * np.pi)
     bound_tones = sum(2.0 * abs(t.amplitude)

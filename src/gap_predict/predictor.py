@@ -45,7 +45,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .approx import Approximant
-from .signal import _fast_len
 
 __all__ = ["kernel_eval", "predict_convolution", "iterated_integrals",
            "EtaState", "predict_eta_grid", "EtaFit", "fit_eta"]
@@ -116,6 +115,19 @@ def _simpson_weights(n, h):
         w[-2] += 2.0 * h / 3.0
         w[-3] -= h / 12.0
     return w
+
+
+def _fast_len(n):
+    """Smallest 2*3*5*7*11-smooth integer >= n: the length
+    scipy.fft.next_fast_len picks for a complex transform (tested)."""
+    best = 1 << (n - 1).bit_length()
+    odd = [1]
+    for p in (3, 5, 7, 11):
+        for m in odd[:]:
+            while m * p < best:
+                m *= p
+                odd.append(m)
+    return min(m << (-(-n // m) - 1).bit_length() for m in odd)
 
 
 def predict_convolution(approx: Approximant, times, values, t_eval,

@@ -8,7 +8,8 @@ s = (|w| - center)/half_width, mirrored to negative frequencies; they decay
 faster than any polynomial in time and satisfy every integrability hypothesis
 the polynomial-kernel predictor needs.  Every bump integral (grid samples,
 eps1, the iterated antiderivatives h_k, the second moment) goes through one
-fixed-order Gauss-Legendre panel rule over the bump supports.
+fixed-order Gauss-Legendre panel rule over the bump supports, and a grid
+too long or too far from t = 0 for the sampler's workspace is refused.
 
 Tones are stored as positive-frequency representatives with complex
 amplitudes; the conjugate partner is implicit, which makes conjugate symmetry
@@ -26,13 +27,15 @@ import numpy as np
 
 from .taper import TaperSpec, eval_taper
 
-__all__ = ["Tone", "Bump", "SpectrumSpec", "bump_density", "sample_grid",
-           "epsilon1", "select_nu", "exact_hk", "second_moment",
+__all__ = ["Tone", "Bump", "SpectrumSpec", "sample_grid", "epsilon1",
+           "select_nu", "exact_hk", "second_moment",
            "spectrum_to_dict", "spectrum_from_dict",
            "save_spectrum", "load_spectrum"]
 
 # Gauss-Legendre nodes per panel of the bump quadrature rule
 _GL_ORDER = 48
+# complex entries (512 MB) a bump grid's sampling workspace may take
+_MAX_WORKSPACE = 1 << 25
 
 
 @dataclass(frozen=True)
@@ -124,19 +127,6 @@ def _bump_profile(s):
     return out
 
 
-def bump_density(spec: SpectrumSpec, omega):
-    """X(i*omega) of a bump spec (real-valued, even in omega)."""
-    if spec.kind != "bump":
-        raise ValueError("bump_density is defined for bump specs only")
-    om = np.abs(np.asarray(omega, dtype=float))
-    out = np.zeros_like(om)
-    for b in spec.bumps:
-        out += b.amplitude * _bump_profile((om - b.center) / b.half_width)
-    if np.ndim(omega) == 0:
-        return float(out)
-    return out
-
-
 @functools.cache
 def _gl_nodes():
     # built on first use: numpy.polynomial is not loaded by `import numpy`
@@ -180,70 +170,21 @@ def _tone_grid(spec, times):
     return out
 
 
-def _bump_grid_gauss(spec, t0, dt, n):
-    # in blocks of B = ceil(sqrt(n)) samples, sample B*i + j is
-    # Re[e^{iw(t0 + B*i*dt)} @ (W e^{iw*j*dt})] / pi: about 2*sqrt(n) complex
-    # exponentials per rule node and one matrix product instead of n cosines
-    nodes, weights = _bump_rule(spec, max(abs(t0), abs(t0 + dt * (n - 1))))
-    B = int(np.ceil(np.sqrt(n)))
-    om = 1j * nodes
-    starts = np.exp(np.outer(t0 + (B * dt) * np.arange(-(-n // B)), om))
-    offsets = np.exp(np.outer(om, dt * np.arange(B))) * weights[:, None]
-    return (starts @ offsets).real.ravel()[:n] / np.pi
-
-
-def _fast_len(n):
-    """Smallest 2*3*5*7*11-smooth integer >= n: the length
-    scipy.fft.next_fast_len picks for a complex transform (tested)."""
-    best = 1 << (n - 1).bit_length()
-    odd = [1]
-    for p in (3, 5, 7, 11):
-        for m in odd[:]:
-            while m * p < best:
-                m *= p
-                odd.append(m)
-    return min(m << (-(-n // m) - 1).bit_length() for m in odd)
-
-
-def _bump_grid_fft(spec, t0, dt, n):
-    # periodized spectral sum: exact up to aliasing images at +-P, which the
-    # decay margin pushes below 1e-13 of the peak
-    min_hw = min(b.half_width for b in spec.bumps)
-    span = (n - 1) * dt
-    margin = 600.0 / min_hw + 0.05 * span + 10.0
-    P = span + 2.0 * margin
-    N = _fast_len(int(np.ceil(P / dt)) + 1)
-    if N > (1 << 27):
-        raise ValueError(
-            f"fft sampling would need {N} bins; use a coarser dt or a shorter "
-            "grid")
-    dw = 2.0 * np.pi / (N * dt)
-    lo = min(b.center - b.half_width for b in spec.bumps)
-    hi = max(b.center + b.half_width for b in spec.bumps)
-    q0 = max(int(np.floor(lo / dw)), 1)
-    q1 = int(np.ceil(hi / dw))
-    if q1 >= N // 2:
-        raise ValueError(
-            f"dt={dt} undersamples the spectral support (Nyquist limit "
-            f"{np.pi / hi:.3g})")
-    q = np.arange(q0, q1 + 1)
-    wq = q * dw
-    coeff = np.zeros(N, dtype=complex)
-    coeff[q0:q1 + 1] = (dw / np.pi) * bump_density(spec, wq) * np.exp(1j * wq * t0)
-    return (np.fft.ifft(coeff) * N)[:n].real
-
-
 def sample_grid(spec: SpectrumSpec, t0: float, dt: float,
                 n: int) -> np.ndarray:
     """x on the uniform grid t0 + i*dt, i = 0..n-1.
 
-    Tones evaluate in closed form.  Bumps evaluate by Gauss-Legendre panel
-    quadrature (the bump rule; phases split into block starts and in-block
-    offsets, joined by one complex matrix product) when the cost
-    n * (rule nodes) is at most 4e7 (short or coarse grids), and otherwise
-    by an FFT of the periodized spectral sum (long fine grids).  Both
-    samplers agree with adaptive quadrature to near machine precision
-    (tested), and output is deterministic for fixed inputs.
+    Tones evaluate in closed form.  Bumps evaluate with the bump rule built
+    for the grid's largest |t|, their phases split into block starts and
+    in-block offsets: in blocks of B = ceil(sqrt(n)) samples, sample B*i + j
+    is Re[e^{iw(t0 + B*i*dt)} @ (W e^{iw*j*dt})] / pi, so each rule node
+    takes ceil(n/B) + B complex exponentials and one complex matrix product
+    joins them.  That workspace, (ceil(n/B) + B) * (rule nodes) complex
+    entries, may not exceed 2^25 (512 MB): the node count grows with the
+    largest |t|, and a grid that needs more is refused with a ValueError
+    before the rule is built.  The sampler agrees with adaptive quadrature
+    to near machine precision (tested), and output is deterministic for
+    fixed inputs.
     """
     if n < 1:
         raise ValueError("need n >= 1 grid points")
@@ -255,9 +196,19 @@ def sample_grid(spec: SpectrumSpec, t0: float, dt: float,
         return np.zeros(n)
     t_absmax = max(abs(t0), abs(t0 + dt * (n - 1)))
     n_nodes = _GL_ORDER * sum(_n_panels(b, t_absmax) for b in spec.bumps)
-    if n * n_nodes <= 4e7:
-        return _bump_grid_gauss(spec, t0, dt, n)
-    return _bump_grid_fft(spec, t0, dt, n)
+    B = int(np.ceil(np.sqrt(n)))
+    blocks = -(-n // B)
+    if (blocks + B) * n_nodes > _MAX_WORKSPACE:
+        raise ValueError(
+            f"sampling n={n} points out to |t|={t_absmax:g} needs "
+            f"{n_nodes} bump rule nodes, a workspace of "
+            f"{(blocks + B) * n_nodes} complex entries (limit 2^25); use a "
+            "shorter grid or one nearer t = 0")
+    nodes, weights = _bump_rule(spec, t_absmax)
+    om = 1j * nodes
+    starts = np.exp(np.outer(t0 + (B * dt) * np.arange(blocks), om))
+    offsets = np.exp(np.outer(om, dt * np.arange(B))) * weights[:, None]
+    return (starts @ offsets).real.ravel()[:n] / np.pi
 
 
 def epsilon1(spec: SpectrumSpec, taper: TaperSpec) -> float:

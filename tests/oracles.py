@@ -8,7 +8,7 @@ Gauss-Legendre bump rule.  Tones evaluate in closed form.
 import numpy as np
 from scipy.integrate import quad
 
-from gap_predict.signal import _bump_profile, bump_density
+from gap_predict.signal import _bump_profile
 from gap_predict.taper import eval_taper
 
 QUAD_ABS_TOL = 1e-10
@@ -19,6 +19,13 @@ def _quad(f, lo, hi, **kwargs):
                        limit=10_000, **kwargs)
     assert abserr <= 10.0 * QUAD_ABS_TOL, f"quad reached only {abserr:.3e}"
     return val
+
+
+def bump_density(spec, omega):
+    """X(i*omega) of a bump spec: every bump's profile, summed."""
+    om = np.abs(np.asarray(omega, dtype=float))
+    return sum(b.amplitude * _bump_profile((om - b.center) / b.half_width)
+               for b in spec.bumps)
 
 
 def _support_quad(spec, f):

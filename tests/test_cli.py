@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from gap_predict import harness
+from gap_predict import harness, signal
 from gap_predict.cli import _write_csv, main
 from gap_predict.signal import (SpectrumSpec, load_spectrum, save_spectrum,
                                 spectrum_to_dict)
@@ -111,9 +111,8 @@ class TestStartsWithoutScipy:
             "--out", str(tmp_path / "out")]]) == []
         assert (tmp_path / "out" / "report.csv").exists()
 
-    def test_synth_bump_fft(self, tmp_path):
-        # 80001 samples out to |t| = 400: too costly for the Gauss panels,
-        # so sample_grid takes the FFT path
+    def test_synth_bump_long_grid(self, tmp_path):
+        # 80001 samples out to |t| = 400, the long grid CI synthesizes
         out = tmp_path / "x.csv"
         assert scipy_modules_after([[
             "synth", "--spec", os.path.join(CONFIG_DIR, "demo_bump.json"),
@@ -154,6 +153,25 @@ class TestSynthCommand:
                                  "--out", str(out)])
         assert result.exit_code == 1
         assert "t0, t1 and dt must be finite" in result.output
+        assert not out.exists()
+
+    def test_refuses_a_bump_grid_over_the_workspace_cap(self, runner,
+                                                        tmp_path,
+                                                        monkeypatch):
+        # refused before the rule is built; a 2.9e9-entry workspace could
+        # not be allocated
+        def no_rule(*args):
+            raise AssertionError("bump rule built")
+
+        monkeypatch.setattr(signal, "_bump_rule", no_rule)
+        out = tmp_path / "x.csv"
+        result = invoke(runner, [
+            "synth", "--spec", os.path.join(CONFIG_DIR, "demo_bump.json"),
+            "--t0", "-1e6", "--t1", "0", "--dt", "1", "--out", str(out)])
+        assert result.exit_code == 1
+        assert "sampling n=1000001 points out to |t|=1e+06 needs" in \
+            result.output
+        assert "use a shorter grid or one nearer t = 0" in result.output
         assert not out.exists()
 
     @pytest.mark.parametrize("kind,key,field", [

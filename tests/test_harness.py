@@ -6,7 +6,7 @@ from dataclasses import asdict, replace
 import numpy as np
 import pytest
 
-from gap_predict import harness
+from gap_predict import harness, signal
 from gap_predict.harness import (ConvergenceVerdict, ErrorRow,
                                  ExperimentConfig, convergence_check,
                                  emit_report, run_sweep, write_reports)
@@ -263,9 +263,48 @@ class TestSharedWork:
             assert calls["hk"] == [(spec, [1, 2, 3, 4], 0.0) for spec in specs]
             # the spectrum-scoped values, with no per-grid levels among them
             assert {key for key in calls["cached"] if isinstance(key, str)} \
-                == {"future", "m2", "record", "hk", "integrals"}
+                == {"future", "m2", "record", "hk", "integrals", "taper_loss"}
             # the eta-trap kernel over the record, per (d, nu)
             assert sorted(calls["kernel"]) == [(3, 0.5)] * 2 + [(4, 0.5)] * 2
+
+    @pytest.mark.parametrize("small, large", [
+        ({"d_list": (3,), "nu_list": (0.5,)},
+         {"d_list": (2, 3, 4), "nu_list": (0.5, 0.4, 0.3)}),
+        ({"d_list": (3,), "nu_list": None, "eps1_target": 0.05},
+         {"d_list": (2, 3, 4), "nu_list": None, "eps1_target": 0.05}),
+    ], ids=["nu_list", "eps1_target"])
+    def test_bump_rules_per_spectrum_do_not_grow_with_rows(
+            self, tmp_path, monkeypatch, small, large):
+        # a bump spectrum's rules (eps1, second moment, h_k, record, future
+        # values, and select_nu's bisection) are built per spectrum, not per
+        # row
+        paths = []
+        for j, center in enumerate((2.1, 2.4)):
+            path = tmp_path / f"bump{j}.json"
+            save_spectrum(SpectrumSpec.from_bumps(1.0, [(center, 0.45, 1.0)]),
+                          path)
+            paths.append(str(path))
+        build = signal._bump_rule
+        built = []
+
+        def counting(spec, *args):
+            built.append(spec)
+            return build(spec, *args)
+
+        monkeypatch.setattr(signal, "_bump_rule", counting)
+        counts = []
+        for overrides in (small, large):
+            built.clear()
+            config = small_config(paths[0], spec_files=tuple(paths),
+                                  t_end=0.5, dt=0.1, **overrides)
+            rows = run_sweep(config)
+            assert len(rows) == 2 * len(config.d_list) * len(
+                config.nu_list or (None,))
+            assert [row.error for row in rows] == [None] * len(rows)
+            counts.append([built.count(spec) for _, spec
+                           in harness._load_spectra(config)])
+        assert counts[0] == counts[1]
+        assert counts[0][0] == counts[0][1] > 0
 
     def test_rows_match_rows_predicted_one_at_a_time(self, tmp_path,
                                                      monkeypatch):

@@ -7,7 +7,7 @@ from scipy.integrate import cumulative_trapezoid, simpson
 from gap_predict.approx import Approximant, fit_approximant
 from gap_predict.predictor import (EtaState, fit_eta, iterated_integrals,
                                    kernel_eval, predict_convolution,
-                                   predict_eta_grid)
+                                   predict_eta_grid, _fast_len)
 from gap_predict.signal import SpectrumSpec, exact_hk, sample_grid
 from gap_predict.taper import TaperSpec
 
@@ -248,6 +248,14 @@ class TestPredictConvolution:
             with pytest.raises(ValueError, match="history_length must be finite"):
                 predict_one(approx, times, np.zeros_like(times),
                             history_length=bad)
+
+
+class TestFastLen:
+    def test_matches_scipy_next_fast_len(self):
+        from scipy.fft import next_fast_len
+        rng = np.random.default_rng(5)
+        ns = [*range(1, 20_000), *rng.integers(20_000, 1 << 27, 500).tolist()]
+        assert [_fast_len(n) for n in ns] == [next_fast_len(n) for n in ns]
 
 
 class TestIteratedIntegrals:

@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gap_predict.signal import (Bump, SpectrumSpec, Tone, bump_density,
-                                epsilon1, exact_hk, sample_grid, second_moment,
-                                spectrum_from_dict, spectrum_to_dict, select_nu,
-                                _bump_grid_fft, _bump_grid_gauss, _fast_len)
+from gap_predict import signal
+from gap_predict.signal import (Bump, SpectrumSpec, Tone, epsilon1, exact_hk,
+                                sample_grid, second_moment, spectrum_from_dict,
+                                spectrum_to_dict, select_nu)
 from gap_predict.taper import TaperSpec
 
 import oracles
-from oracles import l1_budget, sample
+from oracles import bump_density, l1_budget, sample
 
 # frozen oracle values for the bump {center=2, half_width=0.5, amp=1},
 # computed with an independent high-order Gauss-Legendre panel rule
@@ -32,14 +32,15 @@ def agrees(value, ref):
 
 
 def gl_oracle(f, lo, hi, panels=16, order=80):
-    """Independent fixed-order Gauss-Legendre panel quadrature."""
+    """Independent fixed-order Gauss-Legendre panel quadrature; an f that
+    returns one row per integrand gets one integral per row."""
     x, w = np.polynomial.legendre.leggauss(order)
     edges = np.linspace(lo, hi, panels + 1)
     acc = 0.0
     for i in range(panels):
         half = 0.5 * (edges[i + 1] - edges[i])
         mid = 0.5 * (edges[i] + edges[i + 1])
-        acc += half * np.sum(w * f(half * x + mid))
+        acc += half * np.sum(w * f(half * x + mid), axis=-1)
     return acc
 
 
@@ -132,13 +133,8 @@ class TestSampleGrid:
         for i, x in enumerate(xs):
             assert x == pytest.approx(sample(spec, -2.0 + 0.37 * i), abs=1e-14)
 
-    @pytest.mark.parametrize("sampler", ["gauss", "fft"])
-    def test_matches_pointwise_sample_bump(self, sampler):
-        # each bump sampler called directly, whichever sample_grid would pick
-        if sampler == "gauss":
-            xs = _bump_grid_gauss(BUMP, -5.0, 0.5, 30)
-        else:
-            xs = _bump_grid_fft(BUMP, -5.0, 0.5, 30)
+    def test_matches_pointwise_sample_bump(self):
+        xs = sample_grid(BUMP, -5.0, 0.5, 30)
         for i in (0, 7, 19, 29):
             assert xs[i] == pytest.approx(sample(BUMP, -5.0 + 0.5 * i), abs=1e-9)
 
@@ -147,36 +143,39 @@ class TestSampleGrid:
         # densities over every bump's panels counted the overlap twice
         times = -5.0 + 0.5 * np.arange(30)
         ref = np.array([sample(PAIR, t) for t in times])
-        for xs in (sample_grid(PAIR, -5.0, 0.5, 30),
-                   _bump_grid_gauss(PAIR, -5.0, 0.5, 30),
-                   _bump_grid_fft(PAIR, -5.0, 0.5, 30)):
-            assert np.abs(xs - ref).max() <= 1e-9
+        assert np.abs(sample_grid(PAIR, -5.0, 0.5, 30) - ref).max() <= 1e-9
 
-    # lengths that leave the Gauss sampler's last block of ceil(sqrt(n))
-    # samples part empty (n = 1 is one block of one); the grids start 150
-    # time units out, where the rule needs more panels than at t = 0, and
-    # the longest one runs through t = 0 to +150
+    # lengths that leave the sampler's last block of ceil(sqrt(n)) samples
+    # part empty (n = 1 is one block of one); the grids start 150 time units
+    # out, where the rule needs more panels than at t = 0, and the longest
+    # one runs through t = 0 to +150
     GRIDS = [(1, -150.0, 0.375), (31, -150.0, 0.375), (33, -150.0, 0.375),
              (801, -150.0, 0.375)]
 
     @pytest.mark.parametrize("spec", [BUMP, PAIR], ids=["bump", "pair"])
     @pytest.mark.parametrize("n,t0,dt", GRIDS)
     def test_gauss_sampler_against_quadpack(self, spec, n, t0, dt):
-        xs = _bump_grid_gauss(spec, t0, dt, n)
+        xs = sample_grid(spec, t0, dt, n)
         assert xs.shape == (n,)
         for i in sorted({0, n // 2, n - 2, n - 1} - {-1}):
             assert xs[i] == pytest.approx(sample(spec, t0 + dt * i), abs=1e-9)
 
     @pytest.mark.parametrize("spec", [BUMP, PAIR], ids=["bump", "pair"])
     @pytest.mark.parametrize("n,t0,dt", GRIDS)
-    def test_gauss_sampler_against_fft_sampler(self, spec, n, t0, dt):
-        # max|x| is x(0), where a nonnegative spectrum peaks; each sampler's
-        # rounding error scales with it, not with the far smaller samples of
-        # a grid that stays near t = -150
+    def test_gauss_sampler_at_every_point(self, spec, n, t0, dt):
+        # every sample against an 80-node Gauss-Legendre rule per bump with
+        # 64 panels, a phase of at most 2.4 rad per panel out to |t| = 150;
+        # max|x| is x(0), where a nonnegative spectrum peaks, and rounding
+        # scales with it, not with the far smaller samples near t = -150
+        times = t0 + dt * np.arange(n)
+        ref = sum(gl_oracle(
+            lambda om: np.cos(np.outer(times, om))
+            * bump_density(SpectrumSpec(spec.omega_gap, "bump", bumps=(b,)),
+                           om),
+            b.center - b.half_width, b.center + b.half_width, panels=64)
+            for b in spec.bumps) / np.pi
         peak = sample(spec, 0.0)
-        gauss = _bump_grid_gauss(spec, t0, dt, n)
-        fft = _bump_grid_fft(spec, t0, dt, n)
-        assert np.abs(gauss - fft).max() <= 1e-12 * peak
+        assert np.abs(sample_grid(spec, t0, dt, n) - ref).max() <= 1e-12 * peak
 
     def test_auto_strategy_long_grid(self):
         xs = sample_grid(BUMP, -200.0, 1e-2, 40_001)
@@ -189,13 +188,17 @@ class TestSampleGrid:
         with pytest.raises(ValueError):
             sample_grid(BUMP, 0.0, 0.1, 0)
 
+    def test_refuses_a_grid_over_the_workspace_cap(self, monkeypatch):
+        # two samples 1e7 time units out need 16 million rule nodes; the
+        # refusal comes before the rule is built
+        def no_rule(*args):
+            raise AssertionError("bump rule built")
 
-class TestFastLen:
-    def test_matches_scipy_next_fast_len(self):
-        from scipy.fft import next_fast_len
-        rng = np.random.default_rng(5)
-        ns = [*range(1, 20_000), *rng.integers(20_000, 1 << 27, 500).tolist()]
-        assert [_fast_len(n) for n in ns] == [next_fast_len(n) for n in ns]
+        monkeypatch.setattr(signal, "_bump_rule", no_rule)
+        with pytest.raises(ValueError, match=r"n=2 points out to "
+                           r"\|t\|=1e\+07 needs 16000032 bump rule nodes.*"
+                           r"shorter grid or one nearer t = 0"):
+            sample_grid(BUMP, -1e7, 1.0, 2)
 
 
 @pytest.mark.parametrize("spec", [BUMP, PAIR], ids=["bump", "pair"])
