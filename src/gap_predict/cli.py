@@ -3,12 +3,20 @@
 Subcommands cover the full pipeline: fit an approximant (approx), synthesize
 oracle signals (synth), run the predictors over sampled data (predict,
 fit-eta), and drive reproducible sweep experiments (eval).
+
+CSV output writes every value as '%.17g' does, byte for byte, but formats
+whole arrays at a time: digits from a double-double product, the %g layout
+as a byte matrix, rows in fixed-size blocks.  A row with a value that path
+cannot certify (NaN, infinities, subnormals, magnitudes outside
+[1e-250, 1e250], possible decimal ties) is formatted by '%.17g' itself.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import sys
+import warnings
 
 import click
 import numpy as np
@@ -24,18 +32,185 @@ from .taper import TaperSpec
 
 _TAPER_CHOICES = ("gaussian", "exponential", "lorentzian")
 
+# rows the CSV writer formats at a time, so its memory is flat in the row count
+_CSV_BLOCK_ROWS = 1 << 11
+# |x| range whose 17 digits _decimal17 computes: 10^(16 - e) and every
+# Dekker partial product stay normal doubles
+_FAST_RANGE = (1e-250, 1e250)
+# a rounding fraction this close to 1/2 may be a decimal tie, which '%.17g'
+# breaks on the exact binary value; the double-double error is below 1e-13
+_TIE_MARGIN = 1e-9
+_SPLIT = 134217729.0  # 2^27 + 1, Dekker's splitter
+# character slots of one value: sign, "0.000" (fixed, e < 0), 17 digits with
+# a point among them, exponent "e+123", separator
+_SLOTS = 30
+_DIGIT0, _EXP0 = 6, 24
+
+
+@functools.cache
+def _pow10(p):
+    # 10^p as a double-double hi + lo, from exact integer arithmetic
+    if p >= 0:
+        hi = float(10 ** p)
+        return hi, float(10 ** p - int(hi))
+    den = 10 ** -p
+    hi = 1 / den  # int / int is correctly rounded
+    num, two = hi.as_integer_ratio()
+    return hi, (two - num * den) / (two * den)
+
+
+def _scaled(a, p):
+    # a * 10^p as a normalized double-double s + t: Dekker's exact product of
+    # a with hi, plus a * lo
+    ps = np.arange(p.min(), p.max() + 1)
+    hi, lo = np.array([_pow10(int(q)) for q in ps]).T
+    hi, lo = hi[p - ps[0]], lo[p - ps[0]]
+    s = a * hi
+    c = _SPLIT * a
+    ah = c - (c - a)
+    al = a - ah
+    c = _SPLIT * hi
+    bh = c - (c - hi)
+    bl = hi - bh
+    t = ((ah * bh - s) + ah * bl + al * bh) + al * bl + a * lo
+    r = s + t
+    return r, t - (r - s)
+
+
+def _decade_step(s, t):
+    # +1 where s + t >= 10^17, -1 where s + t < 10^16, else 0
+    return (((s > 1e17) | ((s == 1e17) & (t >= 0))).astype(np.int64)
+            - ((s < 1e16) | ((s == 1e16) & (t < 0))))
+
+
+def _decimal17(v):
+    """(ok, D, e) for a float64 array: |v| rounds to D * 10^(e - 16) with
+    10^16 <= D < 10^17 (D = e = 0 for a zero), exactly as '%.17g' rounds it,
+    wherever ok; elsewhere (NaN, inf, subnormal, |v| outside _FAST_RANGE, a
+    possible tie) the caller falls back to '%.17g'."""
+    a = np.abs(v)
+    ok = (a >= _FAST_RANGE[0]) & (a <= _FAST_RANGE[1])
+    a = np.where(ok, a, 1.0)
+    e = np.floor(np.log10(a)).astype(np.int64)
+    s, t = _scaled(a, 16 - e)
+    # the decade is decided on the unrounded product: a value just below a
+    # power of ten must not take the exponent of its rounded digits
+    step = _decade_step(s, t)
+    moved = np.flatnonzero(step)
+    if moved.size:
+        e[moved] += step[moved]
+        s[moved], t[moved] = _scaled(a[moved], 16 - e[moved])
+        ok &= _decade_step(s, t) == 0
+    k = np.rint(t)
+    ok &= np.abs(np.abs(t - k) - 0.5) > _TIE_MARGIN
+    D = s.astype(np.int64) + k.astype(np.int64)
+    carry = D == 10 ** 17
+    D[carry] = 10 ** 16
+    e += carry
+    zero = v == 0
+    D[zero] = e[zero] = 0
+    return ok | zero, D, e
+
+
+def _format_rows(block):
+    """The bytes '%.17g' writes for each row of a 2-D float64 block, values
+    separated by commas and rows ended by newlines, computed on whole
+    arrays; a row with a value _decimal17 cannot certify goes through the
+    '%.17g' template itself."""
+    rows, cols = block.shape
+    v = block.ravel()
+    with np.errstate(all="ignore"):
+        ok, D, e = _decimal17(v)
+    # digit k of D in row k + 1, between rows of zeros
+    digits = np.zeros((19, v.size), dtype=np.uint8)
+    # D in halves below 10^9, so the divisions run on uint32
+    ten = np.uint32(10)
+    for q, places in zip(np.divmod(D, 10 ** 9),
+                         (range(8, 0, -1), range(17, 8, -1))):
+        q = q.astype(np.uint32)
+        for k in places:
+            r = q // ten
+            digits[k] = q - r * ten
+            q = r
+    # significant digits once trailing zeros go; a zero keeps one
+    sig = np.maximum(((digits[1:18] != 0)
+                      * np.arange(1, 18, dtype=np.uint8)[:, None]).max(axis=0),
+                     1)
+    fixed = (e >= -4) & (e < 17)
+    point = fixed & (e >= 0)
+    small = fixed & (e < 0)
+    # fixed notation shows every integer digit; a point follows digit `dot`,
+    # none where dot is 17
+    shown = np.where(point, np.maximum(sig, e + 1), sig)
+    dot = np.where(point, e, np.where(fixed, 17, 0))
+    dot[sig <= dot + 1] = 17
+    digits[1:18] += ord("0")
+    digits[1:18] *= np.arange(17)[:, None] < shown
+
+    # one row per character slot, one column per value; a slot that the
+    # value does not print holds 0
+    chars = np.empty((_SLOTS, v.size), dtype=np.uint8)
+    chars[0] = np.signbit(v) * np.uint8(ord("-"))
+    chars[1:_DIGIT0] = (small & (np.arange(-1, 4)[:, None] < -e)
+                        ) * np.frombuffer(b"0.000", np.uint8)[:, None]
+    # slot j holds digit j up to the point, the point, then digit j - 1;
+    # blended in wrapping uint8 arithmetic, which runs without branches
+    j, body = np.arange(18)[:, None], chars[_DIGIT0:_EXP0]
+    np.subtract(digits[:18], digits[1:], out=body)
+    body *= j > dot
+    body += digits[1:]
+    body += (j == dot + 1) * (np.uint8(ord(".")) - body)
+    exp, ae = chars[_EXP0:_EXP0 + 5], np.abs(e)
+    exp[0] = ord("e")
+    exp[1] = np.where(e < 0, ord("-"), ord("+"))
+    exp[2], exp[3], exp[4] = ae // 100, ae // 10 % 10, ae % 10
+    exp[2:] += ord("0")
+    exp *= ~fixed
+    exp[2] *= ae >= 100
+    chars[-1] = ord(",")
+    chars[-1, cols - 1::cols] = ord("\n")
+
+    # value-major, each row of the block in one row of slots
+    chars = np.ascontiguousarray(chars.T).reshape(rows, cols * _SLOTS)
+    flat = chars.ravel()
+    bad = np.flatnonzero(~ok.reshape(rows, cols).all(axis=1))
+    if not bad.size:
+        return flat[flat != 0].tobytes()
+    # the other rows' text, each templated row spliced in at its offset
+    chars[bad] = 0
+    starts = np.cumsum(np.count_nonzero(chars, axis=1))[bad]
+    text = flat[flat != 0].tobytes()
+    template = ",".join(["%.17g"] * cols) + "\n"
+    pieces, prev = [], 0
+    for i, start in zip(bad.tolist(), starts.tolist()):
+        pieces += [text[prev:start],
+                   (template % tuple(block[i].tolist())).encode()]
+        prev = start
+    pieces.append(text[prev:])
+    return b"".join(pieces)
+
 
 def _write_csv(path, header, *columns):
-    # '%.17g' % float formats exactly as f"{v:.17g}" does for any real v
-    template = ",".join(["%.17g"] * len(columns)) + "\n"
-    rows = zip(*(np.asarray(c, dtype=float).tolist() for c in columns))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(header + "\n")
-        fh.writelines(template % row for row in rows)
+    # every row reads as ",".join(["%.17g"] * len(columns)) % row would
+    # write it, byte for byte
+    columns = [np.asarray(c, dtype=float) for c in columns]
+    n = min(len(c) for c in columns)
+    with open(path, "wb") as fh:
+        fh.write((header + "\n").encode())
+        for i in range(0, n, _CSV_BLOCK_ROWS):
+            stop = min(i + _CSV_BLOCK_ROWS, n)
+            fh.write(_format_rows(np.stack([c[i:stop] for c in columns],
+                                           axis=1)))
 
 
 def _read_samples(path):
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    with warnings.catch_warnings():
+        # loadtxt's UserWarning for a file without data rows; such a file is
+        # refused below
+        warnings.simplefilter("ignore", UserWarning)
+        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    if data.size == 0:
+        raise click.ClickException(f"{path} holds no samples")
     if data.shape[1] < 2:
         raise click.ClickException(f"{path} must have columns t,x")
     if not np.all(np.isfinite(data[:, :2])):
@@ -120,9 +295,16 @@ def _fit_eta_from_samples(approx, times, values, t1, theta, dbar):
     if theta - T <= t1 + T / 10.0:
         raise ValueError(
             "observation window too short: need theta - T > t1 + T/10")
-    fit_times = np.linspace(t1 + T / 10.0, theta - T, dbar)
+    lo, hi = t1 + T / 10.0, theta - T
+    fit_times = np.linspace(lo, hi, dbar)
     zeta = np.interp(fit_times + T, times, values)
-    return fit_eta(approx.a, tw, vw, fit_times, zeta)
+    # |T_{d-1}| at theta, the fit span mapped onto [-1, 1]: about the factor
+    # by which carrying the fitted polynomial part to theta amplifies the
+    # fit's residual
+    x = (2.0 * theta - lo - hi) / (hi - lo)
+    with np.errstate(over="ignore"):
+        extrapolation = float(np.cosh((approx.d - 1) * np.arccosh(x)))
+    return fit_eta(approx.a, tw, vw, fit_times, zeta), extrapolation
 
 
 def _read_eta(path):
@@ -186,12 +368,13 @@ def predict_cmd(approx_path, samples_path, mode, t1, history_length, eta_path,
                 state = EtaState.from_window(
                     approx.a, *_window_from(times, values, eta_t1), eta)
             else:
-                fit = _fit_eta_from_samples(
+                fit, extrapolation = _fit_eta_from_samples(
                     approx, times, values,
                     float(times[0]) if t1 is None else t1, float(times[-1]),
                     dbar if dbar is not None else approx.d)
                 state = fit.state
-                note = f", cond={fit.cond:.3e}"
+                note = (f", cond={fit.cond:.3e}, "
+                        f"extrapolation={extrapolation:.3e}")
             t_out = state.times
             y = predict_eta_grid(state, t_out)
             tail = np.zeros_like(y)
@@ -217,15 +400,18 @@ def fit_eta_cmd(approx_path, samples_path, t1, theta, dbar, out):
     try:
         approx = load_approximant(approx_path)
         times, values = _read_samples(samples_path)
-        fit = _fit_eta_from_samples(approx, times, values, t1, theta, dbar)
+        fit, extrapolation = _fit_eta_from_samples(approx, times, values, t1,
+                                                   theta, dbar)
     except ValueError as exc:
         raise click.ClickException(str(exc)) from exc
     payload = {"t1": fit.state.t1, "eta": fit.state.eta.tolist(),
-               "residual": fit.residual.tolist(), "cond": fit.cond}
+               "residual": fit.residual.tolist(), "cond": fit.cond,
+               "extrapolation": extrapolation}
     with open(out, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
-    click.echo(f"wrote {out}  (dbar={dbar}, cond={fit.cond:.3e})")
+    click.echo(f"wrote {out}  (dbar={dbar}, cond={fit.cond:.3e}, "
+               f"extrapolation={extrapolation:.3e})")
 
 
 @main.command("eval")

@@ -147,19 +147,29 @@ def _bump_rule(spec, t_absmax=0.0):
 
     Each bump contributes fixed-order Gauss-Legendre panels over its own
     support, weighted by its own density, so overlapping bumps are each
-    counted once.
+    counted once.  The rule depends on t_absmax only through the panel
+    counts, so it is built once per spectrum and panel counts and shared,
+    read-only, by every caller.
     """
+    return _panel_rule(spec, tuple(_n_panels(b, t_absmax) for b in spec.bumps))
+
+
+@functools.lru_cache(maxsize=8)
+def _panel_rule(spec, panels):
     gl_x, gl_w = _gl_nodes()
     nodes, weights = [], []
-    for b in spec.bumps:
+    for b, n_panels in zip(spec.bumps, panels):
         lo, hi = b.center - b.half_width, b.center + b.half_width
-        edges = np.linspace(lo, hi, _n_panels(b, t_absmax) + 1)
+        edges = np.linspace(lo, hi, n_panels + 1)
         half = 0.5 * np.diff(edges)[:, None]
         om = (half * gl_x + 0.5 * (edges[:-1] + edges[1:])[:, None]).ravel()
         nodes.append(om)
         weights.append((half * gl_w).ravel() * (
             b.amplitude * _bump_profile((om - b.center) / b.half_width)))
-    return np.concatenate(nodes), np.concatenate(weights)
+    rule = np.concatenate(nodes), np.concatenate(weights)
+    for part in rule:
+        part.flags.writeable = False
+    return rule
 
 
 def _tone_grid(spec, times):

@@ -7,9 +7,10 @@ import warnings
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, strategies as st
 
 from gap_predict import harness, signal
-from gap_predict.cli import _write_csv, main
+from gap_predict.cli import _CSV_BLOCK_ROWS, _write_csv, main
 from gap_predict.signal import (SpectrumSpec, load_spectrum, save_spectrum,
                                 spectrum_to_dict)
 
@@ -20,23 +21,30 @@ CONFIG_DIR = os.path.abspath(
 SRC_DIR = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "src"))
 
 # Runs each argv list through cli.main in one fresh interpreter, then prints
-# the scipy modules that process has loaded.
+# the modules that process has loaded from the given packages.
 _CHILD = """
 import json, sys
 import gap_predict.cli as cli
 for argv in json.loads(sys.argv[1]):
     cli.main(argv, standalone_mode=False)
-print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+roots = json.loads(sys.argv[2])
+print(json.dumps(sorted(m for m in sys.modules
+                        if any((m + ".").startswith(r + ".") for r in roots))))
 """
 
 
-def scipy_modules_after(commands):
+def modules_after(commands, roots):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [SRC_DIR, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", _CHILD, json.dumps(commands)],
+    proc = subprocess.run([sys.executable, "-c", _CHILD, json.dumps(commands),
+                           json.dumps(roots)],
                           env=env, capture_output=True, text=True,
                           timeout=120, check=True)
     return json.loads(proc.stdout.splitlines()[-1])
+
+
+def scipy_modules_after(commands):
+    return modules_after(commands, ["scipy"])
 
 
 @pytest.fixture
@@ -122,6 +130,22 @@ class TestStartsWithoutScipy:
         assert t == 0.0 and x == pytest.approx(
             sample(load_spectrum(os.path.join(CONFIG_DIR, "demo_bump.json")),
                    0.0), abs=1e-9)
+
+
+def test_csv_writer_loads_no_exact_arithmetic_modules(tmp_path):
+    # the writer's powers of ten come from integer arithmetic, and the
+    # extrapolation factor from cosh and arccosh
+    samples, out = tmp_path / "x.csv", tmp_path / "pred.csv"
+    approx_path = tmp_path / "ap.json"
+    assert modules_after([
+        ["approx", "--T", "1.0", "--omega", "1.0", "--taper", "gaussian",
+         "--nu", "0.3", "--d", "4", "--out", str(approx_path)],
+        ["synth", "--spec", os.path.join(CONFIG_DIR, "demo_tone.json"),
+         "--t0", "-12", "--t1", "2", "--dt", "0.01", "--out", str(samples)],
+        ["predict", "--approx", str(approx_path), "--samples", str(samples),
+         "--mode", "eta", "--out", str(out)]],
+        ["fractions", "decimal", "numpy.polynomial"]) == []
+    assert len(out.read_text().splitlines()) == 1402
 
 
 class TestSynthCommand:
@@ -288,12 +312,14 @@ class TestPredictPipeline:
             assert result.exit_code == 0
             lines.append(result.output.strip())
         assert reused.read_bytes() == internal.read_bytes()
-        # the internal fit reports the condition number fit-eta reports
-        cond = lines[0].split("cond=")[1].rstrip(")")
-        assert float(cond) > 0
+        # the internal fit reports the condition number and extrapolation
+        # factor fit-eta reports
+        note = lines[0].split("dbar=4")[1].rstrip(")")
+        cond, factor = note.split(", cond=")[1].split(", extrapolation=")
+        assert float(cond) > 0 and float(factor) >= 1
         assert lines[1] == f"wrote {reused}  (8001 predictions, mode=eta)"
-        assert lines[2] == (f"wrote {internal}  (8001 predictions, mode=eta, "
-                            f"cond={cond})")
+        assert lines[2] == (f"wrote {internal}  (8001 predictions, "
+                            f"mode=eta{note})")
 
     def test_fit_eta_refuses_theta_past_the_record(self, runner, workspace):
         # observations past the last sample (t = 8) would be the last
@@ -398,6 +424,54 @@ class TestPredictPipeline:
                                  "--out", str(tmp_path / "nope.csv")])
         assert result.exit_code != 0
 
+    @pytest.mark.parametrize("content", ["t,x\n", ""],
+                             ids=["header-only", "empty"])
+    @pytest.mark.parametrize("command", ["predict", "fit-eta"])
+    def test_refuses_a_samples_file_without_samples(self, runner, workspace,
+                                                    content, command):
+        tmp_path, approx_path, _ = workspace
+        empty = tmp_path / "empty.csv"
+        empty.write_text(content)
+        out = tmp_path / "out"
+        extra = (["--mode", "eta"] if command == "predict" else
+                 ["--t1", "0", "--theta", "8", "--dbar", "4"])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = invoke(runner, [command, "--approx", str(approx_path),
+                                     "--samples", str(empty), *extra,
+                                     "--out", str(out)])
+        assert result.exit_code == 1
+        assert f"Error: {empty} holds no samples" in result.output
+        assert not out.exists()
+
+    def test_extrapolation_factor(self, runner, workspace):
+        # |T_{d-1}| at theta, the fit span [t1 + T/10, theta - T] mapped
+        # onto [-1, 1]; d = 4, T = 1, t1 = 0
+        tmp_path, approx_path, samples_path = workspace
+        eta_path = tmp_path / "eta.json"
+
+        def factor(theta):
+            lo, hi = 0.1, theta - 1.0
+            x = (2.0 * theta - lo - hi) / (hi - lo)
+            return float(np.polynomial.chebyshev.chebval(x, [0, 0, 0, 1]))
+
+        result = invoke(runner, ["fit-eta", "--approx", str(approx_path),
+                                 "--samples", str(samples_path),
+                                 "--t1", "0", "--theta", "5", "--dbar", "8",
+                                 "--out", str(eta_path)])
+        assert result.exit_code == 0
+        value = json.loads(eta_path.read_text())["extrapolation"]
+        assert value == pytest.approx(factor(5.0), rel=1e-12)
+        assert result.output.strip().endswith(f", extrapolation={value:.3e})")
+        # predict's internal fit ends at the last sample, t = 8
+        result = invoke(runner, ["predict", "--approx", str(approx_path),
+                                 "--samples", str(samples_path),
+                                 "--mode", "eta", "--t1", "0",
+                                 "--out", str(tmp_path / "pred.csv")])
+        assert result.exit_code == 0
+        assert result.output.strip().endswith(
+            f", extrapolation={factor(8.0):.3e})")
+
     def test_conv_mode_rejects_too_few_samples(self, runner, workspace):
         tmp_path, approx_path, _ = workspace
         one = tmp_path / "one.csv"
@@ -421,6 +495,99 @@ def test_write_csv_matches_per_value_format(tmp_path):
     expected = "a,b\n" + "".join(",".join(f"{v:.17g}" for v in row) + "\n"
                                  for row in zip(first, second))
     assert path.read_bytes() == expected.encode()
+
+
+def template_csv(header, *columns):
+    # the reference writer: one '%.17g' template per row
+    template = ",".join(["%.17g"] * len(columns)) + "\n"
+    rows = zip(*(np.asarray(c, dtype=float).tolist() for c in columns))
+    return (header + "\n" + "".join(template % row for row in rows)).encode()
+
+
+def near_ties():
+    # doubles a whose scaled value a * 10^(16 - e), e = floor(log10 a), lies
+    # within 1/(2 * 5^q) or 2^-40 of a half-integer, closer than a
+    # double-double product can resolve, without being a tie
+    out = []
+    # a = M * 2^E >= 1e17: the fraction of a / 10^q is
+    # (M * 2^(E - q) mod 5^q) / 5^q, made (5^q -+ 1) / 2 over 5^q
+    for q in range(21, 31):
+        m = 5 ** q
+        for E in range(q, q + 120):
+            for r in ((m - 1) // 2, (m + 1) // 2):
+                M = r * pow(2 ** (E - q), -1, m) % m
+                M += -(-(2 ** 52 - M) // m) * m if M < 2 ** 52 else 0
+                if M < 2 ** 53 and 10 ** (16 + q) <= M * 2 ** E < 10 ** (17 + q):
+                    out.append(float(M) * 2.0 ** E)
+    # a = M * 2^-(L + p) < 1e-6: the fraction of a * 10^p is
+    # (M * 5^p mod 2^L) / 2^L, made 1/2 -+ 2^-L
+    for p in range(23, 60):
+        for L in range(40, 53):
+            mod = 2 ** L
+            for r in (mod // 2 - 1, mod // 2 + 1):
+                M = r * pow(5 ** p, -1, mod) % mod
+                M += -(-(2 ** 52 - M) // mod) * mod if M < 2 ** 52 else 0
+                scaled = M * 10 ** p
+                if M < 2 ** 53 and (10 ** 16 << (L + p)) <= scaled < (
+                        10 ** 17 << (L + p)):
+                    out.append(M / 2 ** (L + p))
+    return np.array(out)
+
+
+def adversarial_values():
+    rng = np.random.default_rng(20261018)
+    powers = 10.0 ** np.arange(-320, 309)
+    edges = np.array([1e-5, 1e-4, 1e16, 1e17, float(1e-248)])
+    ints = 2.0 ** 53 + np.arange(-1000.0, 1001.0)
+    carries = np.array([np.nextafter(1e23, 0), 1e23, 9.9999999999999999e22,
+                        0.99999999999999999, 9.9999999999999995e-5,
+                        99999999999999999.0, 9999999999999999.0])
+    m = np.arange(1, 80)
+    dyadic = (rng.integers(1, 2 ** 40, (40, m.size)) / 2.0 ** m).ravel()
+    finite = np.concatenate([
+        powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf),
+        edges, np.nextafter(edges, 0), np.nextafter(edges, np.inf), ints,
+        2.0 ** 54 + np.arange(-64.0, 65.0), carries, dyadic,
+        2.0 ** -np.arange(1075.0), near_ties(),
+        [0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308]])
+    bits = rng.integers(0, 2 ** 64, 400_000, dtype=np.uint64).view(float)
+    return np.concatenate([finite, -finite, bits,
+                           [np.nan, np.inf, -np.inf, -0.0]])
+
+
+class TestWriteCsv:
+    """_write_csv writes exactly the bytes of the '%.17g' template."""
+
+    @given(st.integers(1, 3).flatmap(lambda cols: st.lists(
+        st.tuples(*[st.floats()] * cols), min_size=1, max_size=40)))
+    def test_matches_template_on_any_floats(self, tmp_path_factory, rows):
+        path = tmp_path_factory.mktemp("csv") / "x.csv"
+        columns = list(zip(*rows))
+        _write_csv(path, "h", *columns)
+        assert path.read_bytes() == template_csv("h", *columns)
+
+    def test_matches_template_on_adversarial_values(self, tmp_path):
+        values = adversarial_values()
+        values = values[:values.size // 2 * 2]
+        path = tmp_path / "x.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _write_csv(path, "a,b", values[0::2], values[1::2])
+        assert path.read_bytes() == template_csv("a,b", values[0::2],
+                                                 values[1::2])
+
+    def test_block_seams(self, tmp_path):
+        # rows that the template formats (NaN, a tie) on both sides of each
+        # seam between row blocks
+        n = 2 * _CSV_BLOCK_ROWS + 3
+        first = np.linspace(-3.0, 7.0, n)
+        second = 1.0 / np.arange(1.0, n + 1)
+        for seam in (_CSV_BLOCK_ROWS, 2 * _CSV_BLOCK_ROWS):
+            first[seam - 1] = np.nan
+            second[seam] = 2.0 ** -25
+        path = tmp_path / "x.csv"
+        _write_csv(path, "a,b", first, second)
+        assert path.read_bytes() == template_csv("a,b", first, second)
 
 
 class TestRejectsNonFinite:

@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import os
@@ -305,6 +306,36 @@ class TestSharedWork:
                            in harness._load_spectra(config)])
         assert counts[0] == counts[1]
         assert counts[0][0] == counts[0][1] > 0
+
+    @pytest.mark.parametrize("overrides", [
+        {"nu_list": (0.5, 0.4)}, {"nu_list": None, "eps1_target": 0.05}],
+        ids=["nu_list", "eps1_target"])
+    def test_one_bump_rule_per_spectrum_and_panel_count(
+            self, tmp_path, monkeypatch, overrides):
+        # on a window with |t| < 1.5 every user of a spectrum's rule
+        # (select_nu, eps1, second moment, h_k, record, future values) asks
+        # for 4 panels, so the sweep builds one rule per spectrum
+        paths = []
+        for j, center in enumerate((2.1, 2.4)):
+            path = tmp_path / f"bump{j}.json"
+            save_spectrum(SpectrumSpec.from_bumps(1.0, [(center, 0.45, 1.0)]),
+                          path)
+            paths.append(str(path))
+        build = signal._panel_rule.__wrapped__
+        built = []
+
+        def counting(spec, panels):
+            built.append((spec, panels))
+            return build(spec, panels)
+
+        monkeypatch.setattr(signal, "_panel_rule",
+                            functools.lru_cache(maxsize=8)(counting))
+        config = small_config(paths[0], spec_files=tuple(paths), t_end=0.5,
+                              dt=0.1, d_list=(2, 3, 4), **overrides)
+        rows = run_sweep(config)
+        assert [row.error for row in rows] == [None] * len(rows)
+        assert built == [(spec, (4,)) for _, spec
+                         in harness._load_spectra(config)]
 
     def test_rows_match_rows_predicted_one_at_a_time(self, tmp_path,
                                                      monkeypatch):

@@ -145,6 +145,14 @@ class TestSampleGrid:
         ref = np.array([sample(PAIR, t) for t in times])
         assert np.abs(sample_grid(PAIR, -5.0, 0.5, 30) - ref).max() <= 1e-9
 
+    def test_bump_rule_shared_read_only(self):
+        # |t| below 1 gives the same panel counts, so one rule serves both
+        rule = signal._bump_rule(PAIR, 0.5)
+        assert signal._bump_rule(PAIR) is rule
+        assert signal._bump_rule(PAIR, 150.0) is not rule
+        for part in rule:
+            assert not part.flags.writeable
+
     # lengths that leave the sampler's last block of ceil(sqrt(n)) samples
     # part empty (n = 1 is one block of one); the grids start 150 time units
     # out, where the rule needs more panels than at t = 0, and the longest
