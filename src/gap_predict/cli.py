@@ -26,8 +26,8 @@ from .approx import (approximant_to_dict, fit_approximant, load_approximant,
 from .harness import (ExperimentConfig, convergence_check, run_sweep,
                       write_reports)
 from .predictor import (EtaState, fit_eta, predict_convolution,
-                        predict_eta_grid, _sample_index, _uniform_step)
-from .signal import load_spectrum, sample_grid
+                        predict_eta_grid, _sample_index)
+from .signal import grid_size, load_spectrum, sample_grid
 from .taper import TaperSpec
 
 _TAPER_CHOICES = ("gaussian", "exponential", "lorentzian")
@@ -261,7 +261,7 @@ def synth_cmd(spec_path, t0, t1, dt, out):
             raise ValueError("t0, t1 and dt must be finite")
         if not t1 > t0 or dt <= 0:
             raise ValueError("need t1 > t0 and dt > 0")
-        n = int(np.floor((t1 - t0) / dt + 1e-9)) + 1
+        n = grid_size(np.floor((t1 - t0) / dt + 1e-9) + 1)
         xs = sample_grid(spec, t0, dt, n)
     except (ValueError, KeyError) as exc:
         raise click.ClickException(str(exc)) from exc
@@ -331,37 +331,27 @@ def _read_eta(path):
               help="Convolution window length L (default 10*T).")
 @click.option("--eta", "eta_path", type=click.Path(exists=True, dir_okay=False),
               default=None, help="Reuse constants from a fit-eta output.")
-@click.option("--dbar", type=int, default=None,
-              help="Fit points for the internal eta fit (default d).")
 @click.option("--out", type=click.Path(dir_okay=False), required=True)
 def predict_cmd(approx_path, samples_path, mode, t1, history_length, eta_path,
-                dbar, out):
+                out):
     """Predict x(t+T) from sampled history; output CSV t,y_hat,diag_tail."""
     unused = ({"--history-length": history_length} if mode == "eta" else
-              {"--t1": t1, "--eta": eta_path, "--dbar": dbar})
+              {"--t1": t1, "--eta": eta_path})
     for name, value in unused.items():
         if value is not None:
             raise click.ClickException(f"{name} does not apply to --mode {mode}")
-    if eta_path is not None:
-        for name, value in (("--t1", t1), ("--dbar", dbar)):
-            if value is not None:
-                raise click.ClickException(
-                    f"{name} does not apply with --eta, whose file fixes t1 "
-                    "and the constants")
+    if eta_path is not None and t1 is not None:
+        raise click.ClickException(
+            "--t1 does not apply with --eta, whose file fixes t1 and the "
+            "constants")
     note = ""
     try:
         approx = load_approximant(approx_path)
         times, values = _read_samples(samples_path)
         if mode == "conv":
-            L = history_length if history_length is not None else 10.0 * approx.T
-            if not np.isfinite(L):
-                raise ValueError(f"history_length must be finite, got {L}")
-            n_lag = int(round(L / _uniform_step(times)))
-            if n_lag + 1 > len(times):
-                raise ValueError(f"record too short for history_length={L}")
-            t_out = times[n_lag:]
-            y, tail = predict_convolution(approx, times, values, t_out,
-                                          history_length=L)
+            y, tail = predict_convolution(approx, times, values,
+                                          history_length=history_length)
+            t_out = times[len(times) - len(y):]
         else:
             if eta_path is not None:
                 eta_t1, eta = _read_eta(eta_path)
@@ -371,7 +361,7 @@ def predict_cmd(approx_path, samples_path, mode, t1, history_length, eta_path,
                 fit, extrapolation = _fit_eta_from_samples(
                     approx, times, values,
                     float(times[0]) if t1 is None else t1, float(times[-1]),
-                    dbar if dbar is not None else approx.d)
+                    approx.d)
                 state = fit.state
                 note = (f", cond={fit.cond:.3e}, "
                         f"extrapolation={extrapolation:.3e}")
@@ -420,7 +410,7 @@ def fit_eta_cmd(approx_path, samples_path, t1, theta, dbar, out):
 @click.option("--pin", is_flag=True, default=False,
               help="Halve the quadrature step and write fixtures.json.")
 @click.option("--out", "out_dir", type=click.Path(file_okay=False), default=None,
-              help="Output directory (default: config out_dir or ./reports).")
+              help="Output directory (default: ./reports).")
 def eval_cmd(config_path, pin, out_dir):
     """Run a sweep; exit 0 = all rows pass, 1 = any fail, 2 = config error."""
     try:
@@ -429,7 +419,7 @@ def eval_cmd(config_path, pin, out_dir):
     except (OSError, KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
         click.echo(f"configuration error: {exc}", err=True)
         sys.exit(2)
-    dest = out_dir or config.out_dir or "reports"
+    dest = out_dir or "reports"
     write_reports(rows, dest, config, pin=pin)
     for row in rows:
         status = "ERROR " + row.error if row.error else \

@@ -15,17 +15,17 @@ failed, are not swept; the command line keeps them.
 
 Work that several rows share is computed once within one run_sweep call:
 
-* once per sweep: the measurement grid, and per (d, nu) each approximant
-  and the kernel factor of its eta-trap slack, shared by every spectrum;
-* once per spectrum: the second moment, the bump rule of eps1 (the taper
-  loss, which each row evaluates at its own taper), the future values
-  x(t + T), the constants h_1..h_D(t_start) for D = max(d_list), taken in
-  one exact_hk call that builds the bump rule once, the sample record from
-  t_start and its iterated integrals to D; the rows of degree d use the
-  first d constants and integrals (neither depends on d);
-* once per row: eps1, the bounds, the row's prediction on the measurement
-  grid (predictor.predict_eta_grid on its degree-d eta state, the entry
-  point the command line uses) and the slack.
+* once per sweep: the measurement grid and the record's sample times,
+  and per (d, nu) each approximant and the kernel factor of its eta-trap
+  slack, shared by every spectrum;
+* once per spectrum: the future values x(t + T), the constants
+  h_1..h_D(t_start) for D = max(d_list), taken in one exact_hk call, the
+  sample record from t_start and its iterated integrals to D; the rows of
+  degree d use the first d constants and integrals (neither depends on d);
+* once per row: eps1 and the second moment (signal caches each bump
+  spectrum's rule, so a row builds none), the bounds, the row's prediction
+  on the measurement grid (predictor.predict_eta_grid on its degree-d eta
+  state, the entry point the command line uses) and the slack.
 
 Each value is computed when a row first needs it, and one whose computation
 raises is not stored, so a failure errors the same rows with the same
@@ -50,8 +50,8 @@ import numpy as np
 from .approx import CERT_DENSITY, fit_approximant
 from .predictor import (EtaState, iterated_integrals, kernel_eval,
                         predict_eta_grid)
-from .signal import (SpectrumSpec, _taper_loss, exact_hk, load_spectrum,
-                     sample_grid, second_moment, select_nu)
+from .signal import (SpectrumSpec, epsilon1, exact_hk, grid_size,
+                     load_spectrum, sample_grid, second_moment, select_nu)
 from .taper import TaperSpec, eval_taper
 
 __all__ = ["ExperimentConfig", "ErrorRow", "run_sweep", "emit_report",
@@ -85,7 +85,6 @@ class ExperimentConfig:
     nu_list: Optional[tuple] = None
     eps1_target: Optional[float] = None
     fit_node_factor: Optional[int] = None
-    out_dir: Optional[str] = None
 
     def __post_init__(self):
         for name in ("T", "omega_gap", "t_start", "t_end", "dt",
@@ -167,20 +166,18 @@ class ErrorRow:
     slack: float = math.nan
     passed: bool = False
     slack_items: dict = field(default_factory=dict)
-    mode_sup: dict = field(default_factory=dict)
     error: Optional[str] = None
 
 
-def _measurement_grid(config: ExperimentConfig) -> np.ndarray:
-    # whole dt steps that stay within [t_start, t_end]
-    n = int(np.floor((config.t_end - config.t_start) / config.dt + 1e-9)) + 1
-    return config.t_start + config.dt * np.arange(n)
-
-
-def _record(spec, t0, t_end, h):
-    # uniform samples from t0 that reach t_end
-    n = int(np.ceil((t_end - t0) / h - 1e-9)) + 1
-    return t0 + h * np.arange(n), sample_grid(spec, t0, h, n)
+def _grids(config: ExperimentConfig, h: float):
+    # the measurement grid, whole dt steps within [t_start, t_end], and the
+    # record's sample times, steps of h from t_start that reach t_end; a
+    # grid too long to make is refused before either is made
+    span = config.t_end - config.t_start
+    n_grid = grid_size(np.floor(span / config.dt + 1e-9) + 1)
+    n_record = grid_size(np.ceil(span / h - 1e-9) + 1)
+    return (config.t_start + config.dt * np.arange(n_grid),
+            config.t_start + h * np.arange(n_record))
 
 
 def _future_values(spec, t_grid, T):
@@ -209,18 +206,18 @@ def _fit(config: ExperimentConfig, taper: TaperSpec, d: int):
 
 
 def _run_row(config: ExperimentConfig, spec_name: str, spec: SpectrumSpec,
-             d: int, nu: float, h: float, t_grid: np.ndarray,
-             approximants: dict, shared: dict) -> ErrorRow:
+             d: int, nu: float, h: float, times: np.ndarray,
+             t_grid: np.ndarray, approximants: dict,
+             shared: dict) -> ErrorRow:
     # approximants maps (d, nu) to the sweep's fits and their eta-trap kernel
-    # factors; shared holds this spectrum's record, its iterated integrals,
-    # future values, h_k(t1), second moment and eps1 as a function of the
-    # taper; t_grid is the sweep's measurement grid
+    # factors; shared holds this spectrum's record values on the sample
+    # times, their iterated integrals, future values and h_k(t1); t_grid is
+    # the sweep's measurement grid
     taper = TaperSpec(family=config.taper_family, nu=nu)
     approx, trap_kernel = _cached(approximants, (d, nu), _fit, config, taper,
                                   d)
 
-    # epsilon1(spec, taper), with a bump spectrum's rule built once
-    eps1 = _cached(shared, "taper_loss", _taper_loss, spec)(taper)
+    eps1 = epsilon1(spec, taper)
     eps2 = approx.eps2
     bound_paper = (eps1 + eps2) / (2.0 * np.pi)
     bound_tones = sum(2.0 * abs(t.amplitude)
@@ -234,11 +231,9 @@ def _run_row(config: ExperimentConfig, spec_name: str, spec: SpectrumSpec,
         # bounds the tested agreement of the bump quadrature rule with
         # adaptive QUADPACK at absolute tolerance 1e-10
         slack_items["quad_abs"] = 2e-10
-    m2 = _cached(shared, "m2", second_moment, spec)
 
     t1 = config.t_start
-    times, values = _cached(shared, "record", _record, spec, t1, config.t_end,
-                            h)
+    values = _cached(shared, "record", sample_grid, spec, t1, h, len(times))
     # h_k and f_k do not depend on d, so the rows of one spectrum share them
     # to the largest degree; a row of degree d uses the first d
     d_max = max(config.d_list)
@@ -247,7 +242,7 @@ def _run_row(config: ExperimentConfig, spec_name: str, spec: SpectrumSpec,
     y = predict_eta_grid(EtaState(eta=hk[:d], times=times, values=values,
                                   f=f[:d], a=approx.a), t_grid)
     sup_err = float(np.abs(fut - y).max())
-    slack_items["eta_trap"] = ((h ** 2 / 12.0) * m2
+    slack_items["eta_trap"] = ((h ** 2 / 12.0) * second_moment(spec)
                                * (config.t_end - t1) * trap_kernel)
 
     slack = float(sum(slack_items.values()))
@@ -256,7 +251,7 @@ def _run_row(config: ExperimentConfig, spec_name: str, spec: SpectrumSpec,
     return ErrorRow(spec=spec_name, d=d, nu=nu, eps1=eps1, eps2=eps2,
                     bound_paper=bound_paper, bound_tones=bound_tones,
                     sup_err=sup_err, slack=slack, passed=passed,
-                    slack_items=slack_items, mode_sup={"eta": sup_err})
+                    slack_items=slack_items)
 
 
 def _quadrature_step(config: ExperimentConfig, pin: bool) -> float:
@@ -280,11 +275,12 @@ def _load_spectra(config: ExperimentConfig) -> list:
 def run_sweep(config: ExperimentConfig, pin: bool = False) -> list:
     """Run the full sweep.  Every spectrum file is loaded before the first
     row, and one that does not load, or whose spectrum reaches into the
-    config's gap, raises ValueError naming the file; after
-    that, per-row failures are recorded and the run continues.  With
+    config's gap, raises ValueError naming the file, as does a measurement
+    grid or sample record over grid_size's limit; after that, per-row
+    failures are recorded and the run continues.  With
     pin=True the quadrature step is halved to produce fixture values."""
     h = _quadrature_step(config, pin)
-    t_grid = _measurement_grid(config)
+    t_grid, times = _grids(config, h)
     approximants: dict = {}
     rows = []
     for name, spec in _load_spectra(config):
@@ -303,7 +299,7 @@ def run_sweep(config: ExperimentConfig, pin: bool = False) -> list:
             for nu in nus:
                 try:
                     rows.append(_run_row(config, name, spec, d, nu, h,
-                                         t_grid, approximants, shared))
+                                         times, t_grid, approximants, shared))
                 except Exception as exc:  # noqa: BLE001 - recorded per row
                     rows.append(ErrorRow(spec=name, d=d, nu=nu,
                                          error=f"{type(exc).__name__}: {exc}"))

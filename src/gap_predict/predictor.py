@@ -30,11 +30,13 @@ so its cost is linear in d.  fit_eta solves for eta through the same map.
 The convolution form computes every output of a record with one FFT
 product, in O((span + L/h) log(span + L/h)) for outputs spanning `span`
 samples, so its round-off is relative to the largest of those windows,
-not to each output's own.  It requires the signal to decay into the past;
-its truncation is reported through a crude tail diagnostic |K(L) x(t-L)| * L
-rather than hidden.  For large degree d the kernel grows factorially with the
-lag, so the eta-state form is the practical realization; the convolution form
-is kept as a direct demonstration for small d.
+not to each output's own.  Without output times it predicts at every
+sample with a full window, as predict --mode conv does.  It requires the
+signal to decay into the past; its truncation is reported through a crude
+tail diagnostic |K(L) x(t-L)| * L rather than hidden.  For large degree d
+the kernel grows factorially with the lag, so the eta-state form is the
+practical realization; the convolution form is kept as a direct
+demonstration for small d.
 """
 
 from __future__ import annotations
@@ -117,20 +119,7 @@ def _simpson_weights(n, h):
     return w
 
 
-def _fast_len(n):
-    """Smallest 2*3*5*7*11-smooth integer >= n: the length
-    scipy.fft.next_fast_len picks for a complex transform (tested)."""
-    best = 1 << (n - 1).bit_length()
-    odd = [1]
-    for p in (3, 5, 7, 11):
-        for m in odd[:]:
-            while m * p < best:
-                m *= p
-                odd.append(m)
-    return min(m << (-(-n // m) - 1).bit_length() for m in odd)
-
-
-def predict_convolution(approx: Approximant, times, values, t_eval,
+def predict_convolution(approx: Approximant, times, values, t_eval=None,
                         history_length=None):
     """Composite-Simpson approximation of int_{t-L}^{t} K(t-tau) x(tau) dtau
     at every t in t_eval, from one uniformly sampled record.
@@ -138,10 +127,12 @@ def predict_convolution(approx: Approximant, times, values, t_eval,
     history_length L defaults to 10*T; it must be finite and is rejected
     below that guard, since the truncated convolution is meaningless with
     less history.  Every t in t_eval must be a sample time with a full
-    window of L behind it, in any order and with repeats.  The kernel is
-    evaluated and Simpson-weighted once, and every output comes from one
-    real-FFT correlation of that weighted kernel with the record segment the
-    outputs cover: O((m + L/h) log(m + L/h)) for outputs spanning m samples.
+    window of L behind it, in any order and with repeats; t_eval=None means
+    every sample with a full window, and a record with none is refused.  The
+    kernel is evaluated and Simpson-weighted once, and every output comes
+    from one real-FFT correlation of that weighted kernel with the record
+    segment the outputs cover: O((m + L/h) log(m + L/h)) for outputs
+    spanning m samples.
 
     The FFT's round-off scales with the largest window in the segment, not
     with each output's own: the error of every output is within about
@@ -169,7 +160,12 @@ def predict_convolution(approx: Approximant, times, values, t_eval,
     n_lag = int(round(L / h))
     if n_lag < 2:
         raise ValueError(f"history_length {L} spans fewer than 2 sample steps")
-    idx = np.atleast_1d(_sample_index(times, t_eval))
+    if t_eval is None:
+        if n_lag >= len(times):
+            raise ValueError(f"record too short for history_length={L}")
+        idx = np.arange(n_lag, len(times))
+    else:
+        idx = np.atleast_1d(_sample_index(times, t_eval))
     short = idx < n_lag
     if np.any(short):
         raise ValueError(
@@ -184,7 +180,9 @@ def predict_convolution(approx: Approximant, times, values, t_eval,
     # first n_lag entries, which hold no full window and are never read
     lo = idx.min() - n_lag
     seg = values[lo:idx.max() + 1]
-    n = _fast_len(len(seg))
+    # a power of two or three times one, at least len(seg) and at most 1.5x
+    m = len(seg)
+    n = min(1 << (m - 1).bit_length(), 3 << ((m - 1) // 3).bit_length())
     full = np.fft.irfft(np.fft.rfft(seg, n) * np.fft.rfft(wK[::-1], n), n)
     y = full[idx - lo]
     tail = np.abs(K[0] * values[idx - n_lag]) * (n_lag * h)

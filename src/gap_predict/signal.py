@@ -8,8 +8,9 @@ s = (|w| - center)/half_width, mirrored to negative frequencies; they decay
 faster than any polynomial in time and satisfy every integrability hypothesis
 the polynomial-kernel predictor needs.  Every bump integral (grid samples,
 eps1, the iterated antiderivatives h_k, the second moment) goes through one
-fixed-order Gauss-Legendre panel rule over the bump supports, and a grid
-too long or too far from t = 0 for the sampler's workspace is refused.
+fixed-order Gauss-Legendre panel rule over the bump supports.  A grid of
+more than 2^25 samples, or one too long or too far from t = 0 for the bump
+sampler's workspace, is refused before any array is made.
 
 Tones are stored as positive-frequency representatives with complex
 amplitudes; the conjugate partner is implicit, which makes conjugate symmetry
@@ -27,14 +28,15 @@ import numpy as np
 
 from .taper import TaperSpec, eval_taper
 
-__all__ = ["Tone", "Bump", "SpectrumSpec", "sample_grid", "epsilon1",
-           "select_nu", "exact_hk", "second_moment",
+__all__ = ["Tone", "Bump", "SpectrumSpec", "grid_size", "sample_grid",
+           "epsilon1", "select_nu", "exact_hk", "second_moment",
            "spectrum_to_dict", "spectrum_from_dict",
            "save_spectrum", "load_spectrum"]
 
 # Gauss-Legendre nodes per panel of the bump quadrature rule
 _GL_ORDER = 48
-# complex entries (512 MB) a bump grid's sampling workspace may take
+# samples a grid may hold, and complex entries (512 MB) a bump grid's
+# sampling workspace may take
 _MAX_WORKSPACE = 1 << 25
 
 
@@ -180,6 +182,16 @@ def _tone_grid(spec, times):
     return out
 
 
+def grid_size(n) -> int:
+    """The sample count n of a grid about to be made, as an int.  A count
+    over 2^25, infinite or NaN is refused with a ValueError that names it
+    and the limit, so that no caller allocates the grid."""
+    if not n <= _MAX_WORKSPACE:
+        raise ValueError(f"a grid of {float(n):.15g} samples is over the "
+                         f"limit of 2^25 = {_MAX_WORKSPACE}")
+    return int(n)
+
+
 def sample_grid(spec: SpectrumSpec, t0: float, dt: float,
                 n: int) -> np.ndarray:
     """x on the uniform grid t0 + i*dt, i = 0..n-1.
@@ -192,14 +204,15 @@ def sample_grid(spec: SpectrumSpec, t0: float, dt: float,
     joins them.  That workspace, (ceil(n/B) + B) * (rule nodes) complex
     entries, may not exceed 2^25 (512 MB): the node count grows with the
     largest |t|, and a grid that needs more is refused with a ValueError
-    before the rule is built.  The sampler agrees with adaptive quadrature
-    to near machine precision (tested), and output is deterministic for
-    fixed inputs.
+    before the rule is built, as is any grid of more than 2^25 samples.  The
+    sampler agrees with adaptive quadrature to near machine precision
+    (tested), and output is deterministic for fixed inputs.
     """
     if n < 1:
         raise ValueError("need n >= 1 grid points")
     if dt <= 0:
         raise ValueError("dt must be positive")
+    grid_size(n)
     if spec.kind == "tones":
         return _tone_grid(spec, t0 + dt * np.arange(n))
     if not spec.bumps:
@@ -230,20 +243,14 @@ def epsilon1(spec: SpectrumSpec, taper: TaperSpec) -> float:
     a sign, and an upper bound on it otherwise, so eps1 stays a valid budget
     term.
     """
-    return _taper_loss(spec)(taper)
-
-
-def _taper_loss(spec):
-    # taper -> epsilon1(spec, taper), with a bump spec's rule built once
     if spec.kind == "tones":
-        return lambda taper: 2.0 * sum(
+        return 2.0 * sum(
             abs(t.amplitude) * (1.0 - float(eval_taper(taper, t.omega)))
             for t in spec.tones)
     if not spec.bumps:
-        return lambda taper: 0.0
+        return 0.0
     om, w = _bump_rule(spec)
-    mass = np.abs(w)
-    return lambda taper: 2.0 * float(mass @ (1.0 - eval_taper(taper, om)))
+    return 2.0 * float(np.abs(w) @ (1.0 - eval_taper(taper, om)))
 
 
 def second_moment(spec: SpectrumSpec) -> float:
@@ -263,9 +270,8 @@ def select_nu(spec: SpectrumSpec, taper_family: str, eps1_target: float) -> floa
     monotonicity.  Clamps at nu = 1.  The bisection shares one bump rule."""
     if not eps1_target > 0:
         raise ValueError(f"eps1_target must be positive, got {eps1_target}")
-    eps1 = _taper_loss(spec)
     def loss(nu):
-        return eps1(TaperSpec(family=taper_family, nu=nu))
+        return epsilon1(spec, TaperSpec(family=taper_family, nu=nu))
     if loss(1.0) <= eps1_target:
         return 1.0
     lo = 1e-12

@@ -198,6 +198,19 @@ class TestSynthCommand:
         assert "use a shorter grid or one nearer t = 0" in result.output
         assert not out.exists()
 
+    @pytest.mark.parametrize("t0, t1, dt, count", [
+        ("0", "1e15", "1e-3", "1e+18"), ("-1e308", "1e308", "1", "inf")])
+    def test_refuses_a_grid_too_long_to_make(self, runner, tmp_path, t0, t1,
+                                             dt, count):
+        out = tmp_path / "x.csv"
+        result = invoke(runner, [
+            "synth", "--spec", os.path.join(CONFIG_DIR, "demo_tone.json"),
+            "--t0", t0, "--t1", t1, "--dt", dt, "--out", str(out)])
+        assert result.exit_code == 1
+        assert (f"Error: a grid of {count} samples is over the limit of "
+                "2^25 = 33554432") in result.output
+        assert not out.exists()
+
     @pytest.mark.parametrize("kind,key,field", [
         ("tones", "omega_gap", "omega_gap"), ("tones", "omega", "tone omega"),
         ("tones", "im", "tone amplitude"), ("bump", "center", "bump center"),
@@ -391,12 +404,9 @@ class TestPredictPipeline:
     @pytest.mark.parametrize("mode,extra,option", [
         ("conv", ["--t1", "0"], "--t1"),
         ("conv", ["--eta", "ETA"], "--eta"),
-        ("conv", ["--dbar", "4"], "--dbar"),
         ("eta", ["--history-length", "20"], "--history-length"),
         ("eta", ["--eta", "ETA", "--t1", "0"], "--t1"),
-        ("eta", ["--eta", "ETA", "--dbar", "4"], "--dbar"),
-    ], ids=["conv-t1", "conv-eta", "conv-dbar", "eta-history-length",
-            "eta-file-t1", "eta-file-dbar"])
+    ], ids=["conv-t1", "conv-eta", "eta-history-length", "eta-file-t1"])
     def test_refuses_options_the_mode_ignores(self, runner, workspace, mode,
                                               extra, option):
         tmp_path, approx_path, samples_path = workspace
@@ -410,6 +420,19 @@ class TestPredictPipeline:
             "--out", str(out)])
         assert result.exit_code == 1
         assert f"Error: {option} does not apply" in result.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mode", ["eta", "conv"])
+    def test_refuses_dbar(self, runner, workspace, mode):
+        # the internal eta fit is square; fit-eta --dbar fits more points
+        tmp_path, approx_path, samples_path = workspace
+        out = tmp_path / "pred.csv"
+        result = invoke(runner, ["predict", "--approx", str(approx_path),
+                                 "--samples", str(samples_path),
+                                 "--mode", mode, "--dbar", "8",
+                                 "--out", str(out)])
+        assert result.exit_code == 2
+        assert "No such option" in result.output and "--dbar" in result.output
         assert not out.exists()
 
     def test_eta_mode_rejects_short_record(self, runner, workspace):
@@ -743,6 +766,22 @@ class TestEvalCommand:
         assert ("convergence: skipped (insufficient sweep coverage: spec tone "
                 "has 1 nu values, need >= 3)") in result.output
 
+    def test_grid_too_long_to_make_exits_2(self, runner, tmp_path):
+        # t_end = 1e9 at dt = 0.01 is a 1e11-sample measurement grid,
+        # refused before any array is made
+        with open(os.path.join(CONFIG_DIR, "demo.json")) as fh:
+            config = json.load(fh)
+        config["spec_files"] = [os.path.join(CONFIG_DIR, "demo_tone.json")]
+        config["t_end"] = 1e9
+        config_path = tmp_path / "cfg.json"
+        config_path.write_text(json.dumps(config))
+        result = invoke(runner, ["eval", "--config", str(config_path),
+                                 "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2
+        assert ("configuration error: a grid of 100000000001 samples is over "
+                "the limit of 2^25 = 33554432") in result.output
+        assert not (tmp_path / "out").exists()
+
     def test_config_error_exits_2(self, runner, tmp_path):
         result = invoke(runner, ["eval", "--config",
                                  str(tmp_path / "missing.json")])
@@ -885,7 +924,8 @@ class TestEvalCommand:
 
     @pytest.mark.parametrize("key,value", [
         ("fit_nodes", 64), ("dense_factor", 8), ("history_length", 10.0),
-        ("quadrature_step", 1e-3), ("fit_dbar_factor", 2)])
+        ("quadrature_step", 1e-3), ("fit_dbar_factor", 2),
+        ("out_dir", "reports")])
     def test_removed_setting_exits_2(self, runner, tmp_path, key, value):
         # these settings are constants now; a config that sets one is refused
         with open(os.path.join(CONFIG_DIR, "demo.json")) as fh:

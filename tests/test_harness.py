@@ -188,6 +188,21 @@ class TestRunSweep:
         assert row.sup_err <= row.bound_paper + row.slack
         assert row.passed
 
+    def test_refuses_a_record_too_long_to_make(self, tmp_path, monkeypatch):
+        # t_end = 1e9 at dt = 1e8 is an 11-point measurement grid, but the
+        # record at the quadrature step 1e-3 would hold 1e12 samples; it is
+        # refused before any row samples it
+        spec_path = tmp_path / "tone.json"
+        save_spectrum(SpectrumSpec.from_tones(1.0, [(2.0, 0.5)]), spec_path)
+
+        def no_sampling(*args):
+            raise AssertionError("sampled")
+
+        monkeypatch.setattr(harness, "sample_grid", no_sampling)
+        with pytest.raises(ValueError, match=r"^a grid of 1000000000001 "
+                           r"samples is over the limit of 2\^25 = 33554432$"):
+            run_sweep(small_config(spec_path, t_end=1e9, dt=1e8))
+
     @pytest.mark.parametrize("t_end, dt", [(1.0, 0.6),
                                            (2 * math.pi, 2 * math.pi / 628)])
     def test_dt_not_dividing_the_window(self, tmp_path, t_end, dt):
@@ -264,7 +279,7 @@ class TestSharedWork:
             assert calls["hk"] == [(spec, [1, 2, 3, 4], 0.0) for spec in specs]
             # the spectrum-scoped values, with no per-grid levels among them
             assert {key for key in calls["cached"] if isinstance(key, str)} \
-                == {"future", "m2", "record", "hk", "integrals", "taper_loss"}
+                == {"future", "record", "hk", "integrals"}
             # the eta-trap kernel over the record, per (d, nu)
             assert sorted(calls["kernel"]) == [(3, 0.5)] * 2 + [(4, 0.5)] * 2
 
@@ -278,24 +293,26 @@ class TestSharedWork:
             self, tmp_path, monkeypatch, small, large):
         # a bump spectrum's rules (eps1, second moment, h_k, record, future
         # values, and select_nu's bisection) are built per spectrum, not per
-        # row
+        # row: every row's eps1 and second moment reach the cached rule
         paths = []
         for j, center in enumerate((2.1, 2.4)):
             path = tmp_path / f"bump{j}.json"
             save_spectrum(SpectrumSpec.from_bumps(1.0, [(center, 0.45, 1.0)]),
                           path)
             paths.append(str(path))
-        build = signal._bump_rule
+        build = signal._panel_rule.__wrapped__
         built = []
 
-        def counting(spec, *args):
+        def counting(spec, panels):
             built.append(spec)
-            return build(spec, *args)
+            return build(spec, panels)
 
-        monkeypatch.setattr(signal, "_bump_rule", counting)
+        rule = functools.lru_cache(maxsize=8)(counting)
+        monkeypatch.setattr(signal, "_panel_rule", rule)
         counts = []
         for overrides in (small, large):
             built.clear()
+            rule.cache_clear()
             config = small_config(paths[0], spec_files=tuple(paths),
                                   t_end=0.5, dt=0.1, **overrides)
             rows = run_sweep(config)

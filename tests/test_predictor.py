@@ -7,7 +7,7 @@ from scipy.integrate import cumulative_trapezoid, simpson
 from gap_predict.approx import Approximant, fit_approximant
 from gap_predict.predictor import (EtaState, fit_eta, iterated_integrals,
                                    kernel_eval, predict_convolution,
-                                   predict_eta_grid, _fast_len)
+                                   predict_eta_grid)
 from gap_predict.signal import SpectrumSpec, exact_hk, sample_grid
 from gap_predict.taper import TaperSpec
 
@@ -182,6 +182,33 @@ class TestPredictConvolution:
             assert tail[j] == pytest.approx(abs(K[0] * window[0]) * L,
                                             rel=1e-12)
 
+    @pytest.mark.parametrize("L", [10.0, 10.001])   # n_lag even, odd
+    def test_no_output_times_means_every_full_window(self, L):
+        # the default output times are the samples with a full window, and
+        # the FFT covers the same segment as the explicit call's
+        h = 1e-3
+        a = np.array([0.8, -0.5, 0.3])
+        times = -12.0 + h * np.arange(20001)
+        values = np.cos(2.1 * times) * np.exp(-0.05 * times ** 2)
+        n_lag = int(round(L / h))
+        y, tail = predict_convolution(make_approx(a), times, values,
+                                      history_length=L)
+        y_ref, tail_ref = predict_convolution(make_approx(a), times, values,
+                                              times[n_lag:], history_length=L)
+        assert len(y) == len(times) - n_lag
+        assert np.array_equal(y, y_ref) and np.array_equal(tail, tail_ref)
+
+    def test_no_output_times_refuses_a_record_short_of_one_window(self):
+        # 10 time units of history need 1001 samples at h = 0.01
+        approx = make_approx([1.0, 0.0])
+        times = np.linspace(0.0, 9.99, 1000)
+        with pytest.raises(ValueError, match=r"^record too short for "
+                           r"history_length=10\.0$"):
+            predict_convolution(approx, times, np.ones_like(times))
+        y, _ = predict_convolution(approx, np.linspace(0.0, 10.0, 1001),
+                                   np.ones(1001))
+        assert y == pytest.approx([10.0], rel=1e-12)
+
     def test_round_off_is_relative_to_the_largest_window(self):
         # one FFT product serves every output, so its round-off is set by the
         # largest window it covers: a 1e6x spike in the oldest samples
@@ -248,14 +275,6 @@ class TestPredictConvolution:
             with pytest.raises(ValueError, match="history_length must be finite"):
                 predict_one(approx, times, np.zeros_like(times),
                             history_length=bad)
-
-
-class TestFastLen:
-    def test_matches_scipy_next_fast_len(self):
-        from scipy.fft import next_fast_len
-        rng = np.random.default_rng(5)
-        ns = [*range(1, 20_000), *rng.integers(20_000, 1 << 27, 500).tolist()]
-        assert [_fast_len(n) for n in ns] == [next_fast_len(n) for n in ns]
 
 
 class TestIteratedIntegrals:

@@ -196,6 +196,25 @@ class TestSampleGrid:
         with pytest.raises(ValueError):
             sample_grid(BUMP, 0.0, 0.1, 0)
 
+    @pytest.mark.parametrize("spec", [
+        SpectrumSpec.from_tones(1.0, [(2.0, 0.5)]), BUMP], ids=["tones", "bump"])
+    def test_refuses_more_samples_than_the_cap(self, monkeypatch, spec):
+        # 2^25 samples is the most any grid may hold, tones and bumps alike;
+        # 1e15 samples are refused before the grid or a rule is made
+        def no_rule(*args):
+            raise AssertionError("bump rule built")
+
+        monkeypatch.setattr(signal, "_bump_rule", no_rule)
+        with pytest.raises(ValueError, match=r"^a grid of 1e\+15 samples is "
+                           r"over the limit of 2\^25 = 33554432$"):
+            sample_grid(spec, 0.0, 1e-9, 10 ** 15)
+
+    @pytest.mark.parametrize("n", [2 ** 25 + 1, math.inf, math.nan])
+    def test_grid_size_limit(self, n):
+        assert signal.grid_size(2 ** 25) == 2 ** 25
+        with pytest.raises(ValueError, match="over the limit of 2\\^25"):
+            signal.grid_size(n)
+
     def test_refuses_a_grid_over_the_workspace_cap(self, monkeypatch):
         # two samples 1e7 time units out need 16 million rule nodes; the
         # refusal comes before the rule is built
