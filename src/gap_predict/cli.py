@@ -23,8 +23,7 @@ import numpy as np
 
 from .approx import (approximant_to_dict, fit_approximant, load_approximant,
                      save_approximant)
-from .harness import (ExperimentConfig, convergence_check, run_sweep,
-                      write_reports)
+from .harness import ExperimentConfig, run_sweep, write_reports
 from .predictor import (EtaState, fit_eta, predict_convolution,
                         predict_eta_grid, _sample_index)
 from .signal import grid_size, load_spectrum, sample_grid
@@ -296,6 +295,11 @@ def _fit_eta_from_samples(approx, times, values, t1, theta, dbar):
         raise ValueError(
             "observation window too short: need theta - T > t1 + T/10")
     lo, hi = t1 + T / 10.0, theta - T
+    try:  # the dbar x d fit matrix has at least as many entries as fit times
+        grid_size(dbar * approx.d)
+    except ValueError as exc:
+        raise ValueError(f"--dbar {dbar} at d={approx.d} needs a {dbar} x "
+                         f"{approx.d} fit matrix: {exc}") from exc
     fit_times = np.linspace(lo, hi, dbar)
     zeta = np.interp(fit_times + T, times, values)
     # |T_{d-1}| at theta, the fit span mapped onto [-1, 1]: about the factor
@@ -412,7 +416,8 @@ def fit_eta_cmd(approx_path, samples_path, t1, theta, dbar, out):
 @click.option("--out", "out_dir", type=click.Path(file_okay=False), default=None,
               help="Output directory (default: ./reports).")
 def eval_cmd(config_path, pin, out_dir):
-    """Run a sweep; exit 0 = all rows pass, 1 = any fail, 2 = config error."""
+    """Run a sweep; exit 0 = all rows and the convergence check pass (or it
+    is skipped), 1 = a row or the convergence check fails, 2 = config error."""
     try:
         config = ExperimentConfig.from_json(config_path)
         rows = run_sweep(config, pin=pin)  # raises only for a spectrum file
@@ -420,20 +425,18 @@ def eval_cmd(config_path, pin, out_dir):
         click.echo(f"configuration error: {exc}", err=True)
         sys.exit(2)
     dest = out_dir or "reports"
-    write_reports(rows, dest, config, pin=pin)
+    verdict = write_reports(rows, dest, config, pin=pin)
     for row in rows:
         status = "ERROR " + row.error if row.error else \
             ("pass" if row.passed else "FAIL")
         click.echo(f"{row.spec} d={row.d} nu={row.nu:g}: sup={row.sup_err:.6g} "
                    f"[{status}]")
-    try:
-        verdict = convergence_check(rows)
-        click.echo("convergence: " + ("pass" if verdict.passed else
-                                      "; ".join(verdict.failures)))
-    except ValueError as exc:
-        click.echo(f"convergence: skipped ({exc})")
+    click.echo("convergence: " + (
+        f"skipped ({verdict['skipped']})" if verdict["passed"] is None
+        else "; ".join(verdict["failures"]) or "pass"))
     click.echo(f"reports written to {dest}")
-    if any(row.error for row in rows) or not all(row.passed for row in rows):
+    if (any(row.error for row in rows) or not all(row.passed for row in rows)
+            or verdict["passed"] is False):
         sys.exit(1)
 
 

@@ -15,17 +15,17 @@ failed, are not swept; the command line keeps them.
 
 Work that several rows share is computed once within one run_sweep call:
 
-* once per sweep: the measurement grid and the record's sample times,
-  and per (d, nu) each approximant and the kernel factor of its eta-trap
-  slack, shared by every spectrum;
+* once per sweep: the measurement grid, the record's sample times and the
+  eta weights on the grid to D = max(d_list), and per (d, nu) each
+  approximant and the kernel factor of its eta-trap slack;
 * once per spectrum: the future values x(t + T), the constants
-  h_1..h_D(t_start) for D = max(d_list), taken in one exact_hk call, the
-  sample record from t_start and its iterated integrals to D; the rows of
-  degree d use the first d constants and integrals (neither depends on d);
+  h_1..h_D(t_start), taken in one exact_hk call, the sample record from
+  t_start and its iterated integrals to D at the measurement grid (the eta
+  record stage); rows of degree d use the first d of each;
 * once per row: eps1 and the second moment (signal caches each bump
   spectrum's rule, so a row builds none), the bounds, the row's prediction
-  on the measurement grid (predictor.predict_eta_grid on its degree-d eta
-  state, the entry point the command line uses) and the slack.
+  (the eta approximant stage, predictor.eta_sum: bit for bit
+  predict_eta_grid on the row's degree-d state) and the slack.
 
 Each value is computed when a row first needs it, and one whose computation
 raises is not stored, so a failure errors the same rows with the same
@@ -48,14 +48,15 @@ from typing import Optional
 import numpy as np
 
 from .approx import CERT_DENSITY, fit_approximant
-from .predictor import (EtaState, iterated_integrals, kernel_eval,
-                        predict_eta_grid)
+from .predictor import (eta_levels, eta_sum, eta_weights,
+                        iterated_integrals, kernel_eval)
 from .signal import (SpectrumSpec, epsilon1, exact_hk, grid_size,
                      load_spectrum, sample_grid, second_moment, select_nu)
 from .taper import TaperSpec, eval_taper
 
 __all__ = ["ExperimentConfig", "ErrorRow", "run_sweep", "emit_report",
-           "write_reports", "ConvergenceVerdict", "convergence_check"]
+           "write_reports", "ConvergenceVerdict", "convergence_check",
+           "convergence_verdict"]
 
 CSV_COLUMNS = ("spec", "d", "nu", "eps1", "eps2", "bound_paper",
                "bound_tones", "sup_err", "slack", "pass")
@@ -207,12 +208,12 @@ def _fit(config: ExperimentConfig, taper: TaperSpec, d: int):
 
 def _run_row(config: ExperimentConfig, spec_name: str, spec: SpectrumSpec,
              d: int, nu: float, h: float, times: np.ndarray,
-             t_grid: np.ndarray, approximants: dict,
+             t_grid: np.ndarray, weights: np.ndarray, approximants: dict,
              shared: dict) -> ErrorRow:
     # approximants maps (d, nu) to the sweep's fits and their eta-trap kernel
     # factors; shared holds this spectrum's record values on the sample
-    # times, their iterated integrals, future values and h_k(t1); t_grid is
-    # the sweep's measurement grid
+    # times, their iterated integrals at t_grid (the sweep's measurement
+    # grid, whose eta weights are weights), future values and h_k(t1)
     taper = TaperSpec(family=config.taper_family, nu=nu)
     approx, trap_kernel = _cached(approximants, (d, nu), _fit, config, taper,
                                   d)
@@ -238,9 +239,9 @@ def _run_row(config: ExperimentConfig, spec_name: str, spec: SpectrumSpec,
     # to the largest degree; a row of degree d uses the first d
     d_max = max(config.d_list)
     hk = _cached(shared, "hk", exact_hk, spec, np.arange(1, d_max + 1), t1)
-    f = _cached(shared, "integrals", iterated_integrals, times, values, d_max)
-    y = predict_eta_grid(EtaState(eta=hk[:d], times=times, values=values,
-                                  f=f[:d], a=approx.a), t_grid)
+    levels = _cached(shared, "levels", lambda: eta_levels(
+        times, values, iterated_integrals(times, values, d_max), t_grid))
+    y = eta_sum(approx.a, hk[:d], levels, weights)
     sup_err = float(np.abs(fut - y).max())
     slack_items["eta_trap"] = ((h ** 2 / 12.0) * second_moment(spec)
                                * (config.t_end - t1) * trap_kernel)
@@ -281,6 +282,7 @@ def run_sweep(config: ExperimentConfig, pin: bool = False) -> list:
     pin=True the quadrature step is halved to produce fixture values."""
     h = _quadrature_step(config, pin)
     t_grid, times = _grids(config, h)
+    weights = eta_weights(max(config.d_list), t_grid - config.t_start)
     approximants: dict = {}
     rows = []
     for name, spec in _load_spectra(config):
@@ -299,7 +301,8 @@ def run_sweep(config: ExperimentConfig, pin: bool = False) -> list:
             for nu in nus:
                 try:
                     rows.append(_run_row(config, name, spec, d, nu, h,
-                                         times, t_grid, approximants, shared))
+                                         times, t_grid, weights,
+                                         approximants, shared))
                 except Exception as exc:  # noqa: BLE001 - recorded per row
                     rows.append(ErrorRow(spec=name, d=d, nu=nu,
                                          error=f"{type(exc).__name__}: {exc}"))
@@ -314,10 +317,11 @@ def _fmt(value) -> str:
     return f"{float(value):.17g}"
 
 
-def emit_report(rows, fmt: str, path) -> None:
+def emit_report(rows, fmt: str, path, convergence=None) -> None:
     """Write the sweep table; same table and format give byte-identical
     files.  CSV columns are fixed; JSON mirrors the fields and lists failing
-    row indices in its exit metadata."""
+    row indices in its exit metadata, and the convergence verdict (a
+    convergence_verdict dict) when one is given."""
     if not rows:
         raise ValueError("refusing to emit an empty report")
     if fmt == "csv":
@@ -336,6 +340,8 @@ def emit_report(rows, fmt: str, path) -> None:
             "failing_rows": [i for i, row in enumerate(rows) if not row.passed],
             "all_pass": all(row.passed for row in rows),
         }
+        if convergence is not None:
+            payload["convergence"] = convergence
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")
@@ -344,10 +350,14 @@ def emit_report(rows, fmt: str, path) -> None:
 
 
 def write_reports(rows, out_dir, config: ExperimentConfig,
-                  pin: bool = False) -> None:
+                  pin: bool = False) -> dict:
+    """Write report.csv, report.json (with the convergence verdict) and, when
+    pinned, fixtures.json into out_dir; return the verdict."""
     os.makedirs(out_dir, exist_ok=True)
+    verdict = convergence_verdict(rows)
     emit_report(rows, "csv", os.path.join(out_dir, "report.csv"))
-    emit_report(rows, "json", os.path.join(out_dir, "report.json"))
+    emit_report(rows, "json", os.path.join(out_dir, "report.json"),
+                convergence=verdict)
     if pin:
         payload = {
             "settings": {
@@ -361,6 +371,7 @@ def write_reports(rows, out_dir, config: ExperimentConfig,
                   encoding="utf-8", newline="\n") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")
+    return verdict
 
 
 @dataclass
@@ -373,8 +384,9 @@ def convergence_check(rows) -> ConvergenceVerdict:
     """Assert the sweep exhibits the expected convergence shape: sup error
     non-increasing (within 10% of its own value) along each ascending-d sweep
     at fixed nu, and the minimum achieved error strictly decreasing as nu
-    decreases with d re-optimized.  Failures identify the offending
-    transition."""
+    decreases with d re-optimized.  Both tests forgive errors at the 1e-15
+    round-off floor, so an exact sweep passes.  Failures identify the
+    offending transition."""
     clean = [r for r in rows if r.error is None]
     by_spec: dict = {}
     for row in clean:
@@ -402,9 +414,18 @@ def convergence_check(rows) -> ConvergenceVerdict:
         nus_desc = sorted(by_nu, reverse=True)
         mins = [min(by_nu[nu].values()) for nu in nus_desc]
         for i in range(len(mins) - 1):
-            if not mins[i + 1] < mins[i]:
+            if mins[i] > 1e-15 and not mins[i + 1] < mins[i]:
                 failures.append(
                     f"spec {spec_name}: min error did not decrease from "
                     f"nu={nus_desc[i]} ({mins[i]:.6g}) to "
                     f"nu={nus_desc[i + 1]} ({mins[i + 1]:.6g})")
     return ConvergenceVerdict(passed=not failures, failures=failures)
+
+
+def convergence_verdict(rows) -> dict:
+    """convergence_check's verdict as report.json records it, or
+    {"passed": None, "skipped": reason} when coverage is too small."""
+    try:
+        return asdict(convergence_check(rows))
+    except ValueError as exc:
+        return {"passed": None, "skipped": str(exc)}

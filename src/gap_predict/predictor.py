@@ -21,11 +21,11 @@ the exact constants, once per spectrum on its record from t_start, and the
 fitted constants and the convolution form are reached from the command line
 alone (fit-eta, predict --mode conv).
 
-predict_eta_grid is the one realization of the eta form: the sweep and the
-command line both predict through it.  It writes the output as
-F(t) + q(t - t1), with F = sum_k a_k f_k interpolated at the evaluation times
-and q a polynomial whose Taylor coefficients are the Hankel map of eta by a,
-so its cost is linear in d.  fit_eta solves for eta through the same map.
+The integrals are O(h^4).  The record stage (eta_levels, eta_weights) takes
+each f_k and (t - t1)^j / j! at the output times; the approximant stage
+(eta_sum) multiplies them by a and by c, the Hankel map of eta by a, which
+fit_eta solves through.  predict_eta_grid composes the stages; the sweep
+runs the record stage once per spectrum and eta_sum once per row.
 
 The convolution form computes every output of a record with one FFT
 product, in O((span + L/h) log(span + L/h)) for outputs spanning `span`
@@ -49,7 +49,8 @@ import numpy as np
 from .approx import Approximant
 
 __all__ = ["kernel_eval", "predict_convolution", "iterated_integrals",
-           "EtaState", "predict_eta_grid", "EtaFit", "fit_eta"]
+           "EtaState", "eta_levels", "eta_weights", "eta_sum",
+           "predict_eta_grid", "EtaFit", "fit_eta"]
 
 COND_FLAG_THRESHOLD = 1e12
 
@@ -190,23 +191,35 @@ def predict_convolution(approx: Approximant, times, values, t_eval=None,
 
 
 def iterated_integrals(times, values, d: int) -> np.ndarray:
-    """Running iterated integrals f_1..f_d from t1 = times[0].
+    """Running iterated integrals f_1..f_d from t1 = times[0], each O(h^4).
 
-    f_1 is the cumulative trapezoid of x, f_k the cumulative trapezoid of
-    f_{k-1}; every f_k vanishes at t1.  Returns shape (d, len(times)), whose
-    first k rows equal iterated_integrals(times, values, k).
+    f_1 is Gregory's rule, exact for cubics: the cumulative trapezoid of x
+    plus (h/24)(-3x_0 + 4x_1 - x_2) - (h/24)(3x_i - 4x_{i-1} + x_{i-2}) at
+    i >= 2, h(9x_0 + 19x_1 - 5x_2 + x_3)/24 at i = 1 (h(5x_0 + 8x_1 - x_2)/12
+    on three samples).  f_k is the cumulative trapezoid of f_{k-1} less
+    (h^2/12)(f_{k-2} - f_{k-2}(t1)), f_0 = x (Euler-Maclaurin), in place.
+    Returns shape (d, len(times)), whose first k rows equal
+    iterated_integrals(times, values, k); every f_k vanishes at t1.
     """
     if d < 1:
         raise ValueError("d must be >= 1")
     h = _uniform_step(times)
-    values = np.asarray(values, dtype=float)
-    f = np.empty((d, len(values)))
-    cur = values
+    x = np.asarray(values, dtype=float)
+    f = np.empty((d, len(x)))
+    f[:, 0] = 0.0
     for k in range(d):
-        # the expression scipy.integrate.cumulative_trapezoid(cur, dx=h,
-        # initial=0.0) evaluates, bit for bit
-        cur = np.concatenate(([0.0], np.cumsum(h * (cur[1:] + cur[:-1]) / 2.0)))
-        f[k] = cur
+        row, prev = f[k, 1:], (x if k == 0 else f[k - 1])
+        np.add(prev[1:], prev[:-1], out=row)
+        if k == 0:  # Gregory's start correction, carried on by the cumsum
+            row[1] += (-3.0 * x[0] + 4.0 * x[1] - x[2]) / 12.0
+        np.cumsum(row, out=row)
+        row *= h / 2.0
+        if k > 0:
+            row -= (h * h / 12.0) * (f[k - 2, 1:] if k > 1 else x[1:] - x[0])
+            continue
+        row[1:] -= (h / 24.0) * (3.0 * x[2:] - 4.0 * x[1:-1] + x[:-2])
+        row[0] = (h * (9.0 * x[0] + 19.0 * x[1] - 5.0 * x[2] + x[3]) / 24.0
+                  if len(x) > 3 else h * (5.0 * x[0] + 8.0 * x[1] - x[2]) / 12.0)
     return f
 
 
@@ -218,7 +231,7 @@ class EtaState:
     f[k-1] is the k-th iterated integral of values from t1, as
     iterated_integrals computes it.  Build a state with EtaState.from_window
     or fit_eta, which compute f from the window, or from the first d rows of
-    the window's integrals to a higher degree, as the harness sweep does.
+    the window's integrals to a higher degree, which are the same bits.
     Completed states are immutable and safe to share across threads.
     """
 
@@ -252,12 +265,12 @@ class EtaState:
                    f=iterated_integrals(times, values, len(a)), a=a)
 
 
-def _eta_weights(d, delta):
-    # w_j = delta^j / j!, j = 0..d-1
-    w = np.empty((d,) + np.shape(delta))
+def eta_weights(d, tau):
+    """The record stage's weights tau^j / j!, j < d, shape (d, len(tau))."""
+    w = np.empty((d, len(tau)))
     w[0] = 1.0
     for j in range(1, d):
-        w[j] = w[j - 1] * delta / j
+        w[j] = w[j - 1] * tau / j
     return w
 
 
@@ -269,6 +282,31 @@ def _check_eta_range(times, t_eval):
         raise ValueError("f trajectories do not reach the requested time")
 
 
+def eta_levels(times, values, f, t_eval) -> np.ndarray:
+    """The record stage: each row f_k of f, the iterated integrals of values,
+    at t_eval, shape (len(f), len(t_eval)): a view of f on a run of sample
+    times, else the O(h^4) cubic Hermite interpolant with the exact slope
+    f_{k-1} (f_0 = values), which is the node value on a sample time.
+    Entries are computed alone: the first k rows equal f[:k]'s."""
+    t_eval = np.atleast_1d(np.asarray(t_eval, dtype=float))
+    _check_eta_range(times, t_eval)
+    m = len(t_eval)
+    i0 = int(np.searchsorted(times, t_eval[0])) if m else 0
+    if np.array_equal(times[i0:i0 + m], t_eval):
+        return f[:, i0:i0 + m]
+    j = np.clip(np.searchsorted(times, t_eval, side="right") - 1, 0,
+                len(times) - 2)
+    step = times[j + 1] - times[j]
+    s = (t_eval - times[j]) / step
+    lo, hi, x = f[:, j], f[:, j + 1], np.asarray(values, dtype=float)
+    h01, h10, h11 = (s * s * (3.0 - 2.0 * s), s * (1.0 - s) ** 2 * step,
+                     s * s * (s - 1.0) * step)
+    out = lo * (1.0 - h01) + hi * h01
+    out[0] += x[j] * h10 + x[j + 1] * h11
+    out[1:] += lo[:-1] * h10 + hi[:-1] * h11
+    return out
+
+
 def _hankel(a):
     # H[l, j] = a_{l+j}, zero where l + j >= d: the symmetric map from the
     # constants eta to the Taylor coefficients c = H eta of the polynomial
@@ -278,12 +316,16 @@ def _hankel(a):
     return padded[np.add.outer(np.arange(d), np.arange(d))]
 
 
-def _taylor(c, tau):
-    # sum_j c_j tau^j / j! by Horner's rule
-    acc = np.full_like(tau, c[-1])
-    for j in range(len(c) - 2, -1, -1):
-        acc = c[j] + acc * tau / (j + 1)
-    return acc
+def eta_sum(a, eta, levels, weights) -> np.ndarray:
+    """The approximant stage: a @ levels[:d] + c @ weights[:d], d = len(a),
+    with levels from eta_levels and weights from eta_weights at the same
+    times, to any degree >= d, and c_j = sum_l a_{l+j} eta_l.  c is summed
+    in ascending l, so at t1 the result is sum_k a_k eta_k to the bit."""
+    d = len(a)
+    # cumsum adds the terms of each c_j in ascending l, an order that
+    # H @ eta does not promise
+    c = np.cumsum(_hankel(a) * eta[:, None], axis=0)[-1]
+    return a @ levels[:d] + c @ weights[:d]
 
 
 def predict_eta_grid(state: EtaState, t_eval) -> np.ndarray:
@@ -291,24 +333,18 @@ def predict_eta_grid(state: EtaState, t_eval) -> np.ndarray:
 
     Uses x_k(t) = sum_{l=1}^{k} eta_l (t-t1)^(k-l)/(k-l)! + f_k(t), the
     closed form obtained by unrolling the recursion
-    x_k = eta_k + int_{t1}^{t} x_{k-1}; f_k between sample nodes is linearly
-    interpolated.
-
-    The output sum_k a_k x_k(t) is regrouped as F(t) + q(t - t1):
-    F = sum_k a_k f_k is one vector over the window, interpolated at t_eval,
-    and q(tau) = sum_j c_j tau^j / j! with c_j = sum_l a_{l+j} eta_l, so a
-    prediction costs O(d (n + m)) for n samples and m times.  c_0 is summed
-    in ascending l, so the prediction at t1 is sum_k a_k eta_k to the bit
-    (tested); elsewhere the result agrees with the per-k double sum to
-    within 1e-14 of the sum of the magnitudes of its terms (tested).
+    x_k = eta_k + int_{t1}^{t} x_{k-1}, regrouped as
+    sum_k a_k x_k(t) = sum_k a_k f_k(t) + sum_j c_j (t-t1)^j / j! with
+    c_j = sum_l a_{l+j} eta_l: the record stage (eta_levels, eta_weights),
+    then the approximant stage (eta_sum), in O(d m) for m times.  At t1 the
+    result is sum_k a_k eta_k to the bit (tested); elsewhere it agrees with
+    the per-k double sum to within 1e-14 of the sum of the magnitudes of its
+    terms (tested).
     """
     t_eval = np.atleast_1d(np.asarray(t_eval, dtype=float))
-    _check_eta_range(state.times, t_eval)
-    # cumsum adds the terms of each c_j in ascending l, an order that
-    # H @ eta does not promise
-    c = np.cumsum(_hankel(state.a) * state.eta[:, None], axis=0)[-1]
-    return (np.interp(t_eval, state.times, state.a @ state.f)
-            + _taylor(c, t_eval - state.t1))
+    levels = eta_levels(state.times, state.values, state.f, t_eval)
+    return eta_sum(state.a, state.eta, levels,
+                   eta_weights(len(state.a), t_eval - state.t1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -347,12 +383,10 @@ def fit_eta(a, times, values, fit_times, zeta) -> EtaFit:
         raise ValueError("zeta must match fit_times")
     if np.any(np.diff(fit_times) <= 0) or fit_times[0] <= t1:
         raise ValueError("fit times must be strictly increasing and > t1")
-    if np.any(fit_times > times[-1] + 1e-9):
-        raise ValueError("fit times fall outside the recorded trajectories")
 
     # M[m, l] = sum_j (t_m - t1)^j / j! * a_{l+j}
-    M = _eta_weights(d, fit_times - t1).T @ _hankel(a)
-    phi = np.interp(fit_times, times, a @ f)
+    M = eta_weights(d, fit_times - t1).T @ _hankel(a)
+    phi = a @ eta_levels(times, values, f, fit_times)
     rhs = zeta - phi
 
     scale = np.linalg.norm(M, axis=0)

@@ -9,7 +9,7 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import given, strategies as st
 
-from gap_predict import harness, signal
+from gap_predict import cli, harness, signal
 from gap_predict.cli import _CSV_BLOCK_ROWS, _write_csv, main
 from gap_predict.signal import (SpectrumSpec, load_spectrum, save_spectrum,
                                 spectrum_to_dict)
@@ -467,6 +467,23 @@ class TestPredictPipeline:
         assert f"Error: {empty} holds no samples" in result.output
         assert not out.exists()
 
+    @pytest.mark.parametrize("dbar", [10 ** 15, 2 ** 25 + 1, 2 ** 23 + 1])
+    def test_fit_eta_refuses_a_dbar_over_the_grid_limit(self, runner,
+                                                        workspace, dbar):
+        # refused before the fit times are made: 2^23 + 1 fit times are
+        # within the limit, but their dbar x d matrix (d = 4) is not
+        tmp_path, approx_path, samples_path = workspace
+        out = tmp_path / "eta.json"
+        result = invoke(runner, ["fit-eta", "--approx", str(approx_path),
+                                 "--samples", str(samples_path),
+                                 "--t1", "0", "--theta", "8",
+                                 "--dbar", str(dbar), "--out", str(out)])
+        assert result.exit_code == 1
+        assert (f"--dbar {dbar} at d=4 needs a {dbar} x 4 fit matrix: a grid "
+                f"of {float(4 * dbar):.15g} samples is over the limit of "
+                f"2^25 = 33554432") in result.output
+        assert not out.exists()
+
     def test_extrapolation_factor(self, runner, workspace):
         # |T_{d-1}| at theta, the fit span [t1 + T/10, theta - T] mapped
         # onto [-1, 1]; d = 4, T = 1, t1 = 0
@@ -765,6 +782,66 @@ class TestEvalCommand:
         assert result.exit_code == 0
         assert ("convergence: skipped (insufficient sweep coverage: spec tone "
                 "has 1 nu values, need >= 3)") in result.output
+
+    def test_convergence_verdict_is_recorded(self, runner, tmp_path):
+        config = os.path.join(CONFIG_DIR, "demo.json")
+        result = invoke(runner, ["eval", "--config", config,
+                                 "--out", str(tmp_path / "out")])
+        assert result.exit_code == 0
+        assert "convergence: pass" in result.output
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["convergence"] == {"passed": True, "failures": []}
+
+    def test_skipped_convergence_is_recorded(self, runner, tmp_path):
+        config = os.path.join(CONFIG_DIR, "decay.json")
+        result = invoke(runner, ["eval", "--config", config,
+                                 "--out", str(tmp_path / "out")])
+        assert result.exit_code == 0
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["convergence"] == {
+            "passed": None,
+            "skipped": "insufficient sweep coverage: spec demo_tone has 1 "
+                       "nu values, need >= 3"}
+
+    def test_exact_sweep_passes_convergence(self, runner, tmp_path):
+        # a zero signal is predicted exactly: every row has sup error 0, and
+        # the round-off floor forgives the minimum error not falling with nu
+        spec_path = tmp_path / "zero.json"
+        save_spectrum(SpectrumSpec.from_tones(1.0, []), spec_path)
+        config = {
+            "spec_files": [str(spec_path)],
+            "T": 1.0, "omega_gap": 1.0, "taper_family": "gaussian",
+            "nu_list": [0.5, 0.4, 0.3], "d_list": [4, 6, 8],
+            "t_start": 0.0, "t_end": 0.5, "dt": 0.1, "modes": ["eta"],
+        }
+        config_path = tmp_path / "cfg.json"
+        config_path.write_text(json.dumps(config))
+        result = invoke(runner, ["eval", "--config", str(config_path),
+                                 "--out", str(tmp_path / "out")])
+        assert result.exit_code == 0
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert {row["sup_err"] for row in report["rows"]} == {0.0}
+        assert report["convergence"] == {"passed": True, "failures": []}
+
+    def test_failing_convergence_exits_1(self, runner, tmp_path,
+                                         monkeypatch):
+        # every row passes, but the minimum error rises from nu=0.5 to 0.4
+        sups = {0.5: 0.2, 0.4: 0.3, 0.3: 0.1}
+        rows = [harness.ErrorRow(spec="tone", d=d, nu=nu, sup_err=sup,
+                                 passed=True)
+                for nu, sup in sups.items() for d in (4, 6, 8)]
+        monkeypatch.setattr(cli, "run_sweep", lambda config, pin: rows)
+        result = invoke(runner, ["eval", "--config",
+                                 os.path.join(CONFIG_DIR, "demo.json"),
+                                 "--out", str(tmp_path / "out")])
+        assert result.exit_code == 1
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["all_pass"] is True
+        failures = ["spec tone: min error did not decrease from nu=0.5 (0.2) "
+                    "to nu=0.4 (0.3)"]
+        assert report["convergence"] == {"passed": False,
+                                         "failures": failures}
+        assert "convergence: " + failures[0] in result.output
 
     def test_grid_too_long_to_make_exits_2(self, runner, tmp_path):
         # t_end = 1e9 at dt = 0.01 is a 1e11-sample measurement grid,

@@ -11,8 +11,8 @@ from gap_predict import harness, signal
 from gap_predict.harness import (ConvergenceVerdict, ErrorRow,
                                  ExperimentConfig, convergence_check,
                                  emit_report, run_sweep, write_reports)
-from gap_predict.predictor import EtaState
-from gap_predict.signal import SpectrumSpec, save_spectrum
+from gap_predict.predictor import EtaState, eta_sum, predict_eta_grid
+from gap_predict.signal import SpectrumSpec, sample_grid, save_spectrum
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -150,6 +150,24 @@ class TestRunSweep:
             assert row.sup_err == pytest.approx(pinned["sup_err"], abs=2e-4)
             assert row.passed and pinned["passed"]
 
+    @pytest.mark.parametrize("dt", [None, 0.01])
+    def test_long_window_demo_passes_without_slack(self, dt):
+        # the demo tone over [0, 2pi] at d = 16, 24, 32, with the shipped
+        # dt = 2pi/628 and with 0.01: every row is within its bound with no
+        # slack (at d = 32, nu = 0.3, sup_err 0.153 against 0.326), and the
+        # sweep converges
+        config = ExperimentConfig.from_json(
+            os.path.join(CONFIG_DIR, "demo_long.json"))
+        if dt is not None:
+            config = replace(config, dt=dt)
+        rows = run_sweep(config)
+        assert [(row.d, row.nu) for row in rows] == [
+            (d, nu) for d in (16, 24, 32) for nu in (0.5, 0.4, 0.3)]
+        for row in rows:
+            assert row.error is None
+            assert row.sup_err <= row.bound_tones
+        assert convergence_check(rows).passed
+
     def test_eps1_target_drives_nu_selection(self, tmp_path):
         spec_path = tmp_path / "tone.json"
         save_spectrum(SpectrumSpec.from_tones(1.0, [(2.0, 1.0)]), spec_path)
@@ -277,9 +295,10 @@ class TestSharedWork:
             assert calls["integrals"] == [4, 4]
             # h_1..h_4(t_start) in one call, per spectrum
             assert calls["hk"] == [(spec, [1, 2, 3, 4], 0.0) for spec in specs]
-            # the spectrum-scoped values, with no per-grid levels among them
+            # the spectrum-scoped values: the record's integrals live only
+            # as their levels at the measurement grid
             assert {key for key in calls["cached"] if isinstance(key, str)} \
-                == {"future", "record", "hk", "integrals"}
+                == {"future", "record", "hk", "levels"}
             # the eta-trap kernel over the record, per (d, nu)
             assert sorted(calls["kernel"]) == [(3, 0.5)] * 2 + [(4, 0.5)] * 2
 
@@ -354,24 +373,35 @@ class TestSharedWork:
         assert built == [(spec, (4,)) for _, spec
                          in harness._load_spectra(config)]
 
+    @pytest.mark.parametrize("dt", [0.05, 2.0 * math.pi / 628])
     def test_rows_match_rows_predicted_one_at_a_time(self, tmp_path,
-                                                     monkeypatch):
-        # the reference builds each row's own degree-d state from its record
-        # with EtaState.from_window, which integrates the record to degree d
-        # only
+                                                     monkeypatch, dt):
+        # each row's prediction, from the spectrum's levels at max(d_list)
+        # and the sweep's weights, is predict_eta_grid's on the row's own
+        # degree-d state, which EtaState.from_window integrates to degree d
+        # only, bit for bit
         paths = two_tone_files(tmp_path)
         config = small_config(paths[0], spec_files=tuple(paths),
-                              d_list=(2, 3, 4), nu_list=(0.4, 0.3),
-                              t_end=0.5, dt=0.05)
-        shared = [asdict(row) for row in run_sweep(config)]
+                              d_list=(2, 3, 4, 8), nu_list=(0.4, 0.3),
+                              t_end=0.5, dt=dt)
+        calls = []
 
-        def own_state(eta, times, values, f, a):
-            return EtaState.from_window(a, times, values, eta)
+        def recording(a, eta, levels, weights):
+            y = eta_sum(a, eta, levels, weights)
+            calls.append((a, eta, y))
+            return y
 
-        monkeypatch.setattr(harness, "EtaState", own_state)
-        alone = [asdict(row) for row in run_sweep(config)]
-        assert all(row["error"] is None for row in shared)
-        assert shared == alone
+        monkeypatch.setattr(harness, "eta_sum", recording)
+        rows = run_sweep(config)
+        assert all(row.error is None for row in rows)
+        assert len(calls) == len(rows) == 16
+        h = harness._quadrature_step(config, False)
+        t_grid, times = harness._grids(config, h)
+        specs = [spec for _, spec in harness._load_spectra(config)]
+        for i, (a, eta, y) in enumerate(calls):
+            values = sample_grid(specs[i // 8], config.t_start, h, len(times))
+            state = EtaState.from_window(a, times, values, eta)
+            assert np.array_equal(y, predict_eta_grid(state, t_grid))
 
     def test_spectra_swept_together_match_each_swept_alone(self, tmp_path):
         paths = two_tone_files(tmp_path)
@@ -479,6 +509,17 @@ class TestConvergenceCheck:
         verdict = convergence_check(self.synthetic_rows(sups))
         assert not verdict.passed
         assert any("nu=0.4" in f and "d=12" in f for f in verdict.failures)
+
+    def test_errors_at_the_round_off_floor_pass(self):
+        # an exact sweep, or one at the 1e-15 floor, need not decrease
+        for floor in (0.0, 1e-16, 1e-15):
+            sups = {(d, nu): floor for nu in (0.5, 0.4, 0.3)
+                    for d in (4, 8, 12)}
+            verdict = convergence_check(self.synthetic_rows(sups))
+            assert verdict.passed, verdict.failures
+        sups = {(d, nu): 2e-15 for nu in (0.5, 0.4, 0.3) for d in (4, 8, 12)}
+        verdict = convergence_check(self.synthetic_rows(sups))
+        assert len(verdict.failures) == 2
 
     def test_insufficient_coverage(self):
         sups = {(4, nu): 0.1 for nu in (0.5, 0.4, 0.3)}
