@@ -5,8 +5,7 @@ from .approx import (Approximant, chebyshev_grid, fit_parity_ls, eval_psi,
                      certify_sup_error, fit_approximant,
                      load_approximant, save_approximant)
 from .signal import (SpectrumSpec, Tone, Bump, sample_grid, epsilon1,
-                     select_nu, exact_hk, second_moment, load_spectrum,
-                     save_spectrum)
+                     select_nu, exact_hk, load_spectrum, save_spectrum)
 from .predictor import (kernel_eval, predict_convolution, iterated_integrals,
                         EtaState, predict_eta_grid, EtaFit, fit_eta)
 from .harness import (ExperimentConfig, ErrorRow, run_sweep, emit_report,

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .signal import grid_size
 from .taper import TaperSpec, eval_taper, taper_from_dict, taper_to_dict
 
 __all__ = ["Approximant", "CERT_DENSITY", "chebyshev_grid", "fit_parity_ls",
@@ -177,10 +178,14 @@ def fit_approximant(T: float, omega_gap: float, taper: TaperSpec, d: int,
     """Fit and certify an approximant; pure function of its arguments.
 
     fit_nodes defaults to max(8*d, 64), at least 4x oversampling of the
-    largest basis function.  eps2 is certified once, at CERT_DENSITY.
+    largest basis function.  eps2 is certified once, at CERT_DENSITY.  A
+    certification grid or a fit matrix (fit_nodes x ceil(d/2) entries) over
+    grid_size's limit is refused before either is made.
     """
     if fit_nodes is None:
         fit_nodes = max(8 * d, 64)
+    grid_size(CERT_DENSITY * (fit_nodes - 1) + 1)
+    grid_size(fit_nodes * -(-d // 2))
     grid = chebyshev_grid(omega_gap, fit_nodes)
     a = fit_parity_ls(T, taper, omega_gap, d, grid)
     eps2 = certify_sup_error(T, omega_gap, taper, a, fit_nodes, CERT_DENSITY)

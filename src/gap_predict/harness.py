@@ -5,27 +5,25 @@ an approximant, computes the two error budgets (the L1-spectrum form
 (eps1 + eps2) / 2pi and the tone point-mass form
 sum_j 2|c_j| (|1 - r_nu(w_j)| + eps2)), runs the eta-state realization with
 the exact constants h_k(t_start) on a measurement grid, and records the sup
-error against the exact future values together with an itemized numerical
-slack.  A row passes when the measured sup error stays below the bound
-matching its spectrum kind plus the slack.  eps2 is the approximant's own
-certificate, computed once at approx.CERT_DENSITY; the slack items cover the
-quadrature of the truth and of the realization, not the certification.
-The conv and fit-eta realizations, whose rows passed only on slack or always
-failed, are not swept; the command line keeps them.
+error against the exact future values.  A row passes when the measured sup
+error is at most the bound matching its spectrum kind, bound_tones for tones
+and bound_paper for bumps, up to 1e-15 of round-off.  eps2 is the
+approximant's own certificate, computed once at approx.CERT_DENSITY.  The
+conv and fit-eta realizations are not swept; the command line keeps them.
 
 Work that several rows share is computed once within one run_sweep call:
 
 * once per sweep: the measurement grid, the record's sample times and the
   eta weights on the grid to D = max(d_list), and per (d, nu) each
-  approximant and the kernel factor of its eta-trap slack;
+  approximant;
 * once per spectrum: the future values x(t + T), the constants
   h_1..h_D(t_start), taken in one exact_hk call, the sample record from
   t_start and its iterated integrals to D at the measurement grid (the eta
   record stage); rows of degree d use the first d of each;
-* once per row: eps1 and the second moment (signal caches each bump
-  spectrum's rule, so a row builds none), the bounds, the row's prediction
-  (the eta approximant stage, predictor.eta_sum: bit for bit
-  predict_eta_grid on the row's degree-d state) and the slack.
+* once per row: eps1 (signal caches each bump spectrum's rule, so a row
+  builds none), the bounds and the row's prediction (the eta approximant
+  stage, predictor.eta_sum: bit for bit predict_eta_grid on the row's
+  degree-d state).
 
 Each value is computed when a row first needs it, and one whose computation
 raises is not stored, so a failure errors the same rows with the same
@@ -42,16 +40,15 @@ import json
 import math
 import numbers
 import os
-from dataclasses import dataclass, field, asdict, replace
+from dataclasses import dataclass, asdict, replace
 from typing import Optional
 
 import numpy as np
 
 from .approx import CERT_DENSITY, fit_approximant
-from .predictor import (eta_levels, eta_sum, eta_weights,
-                        iterated_integrals, kernel_eval)
+from .predictor import eta_levels, eta_sum, eta_weights, iterated_integrals
 from .signal import (SpectrumSpec, epsilon1, exact_hk, grid_size,
-                     load_spectrum, sample_grid, second_moment, select_nu)
+                     load_spectrum, sample_grid, select_nu)
 from .taper import TaperSpec, eval_taper
 
 __all__ = ["ExperimentConfig", "ErrorRow", "run_sweep", "emit_report",
@@ -59,7 +56,7 @@ __all__ = ["ExperimentConfig", "ErrorRow", "run_sweep", "emit_report",
            "convergence_verdict"]
 
 CSV_COLUMNS = ("spec", "d", "nu", "eps1", "eps2", "bound_paper",
-               "bound_tones", "sup_err", "slack", "pass")
+               "bound_tones", "sup_err", "pass")
 
 _MODES = ("eta",)
 
@@ -164,9 +161,7 @@ class ErrorRow:
     bound_paper: float = math.nan
     bound_tones: float = math.nan
     sup_err: float = math.nan
-    slack: float = math.nan
     passed: bool = False
-    slack_items: dict = field(default_factory=dict)
     error: Optional[str] = None
 
 
@@ -196,27 +191,22 @@ def _cached(memo, key, compute, *args):
 
 
 def _fit(config: ExperimentConfig, taper: TaperSpec, d: int):
-    # the approximant and the kernel of |a| over the record, K_|a|(t_end -
-    # t_start), which scales its eta-trap slack
     nodes = (None if config.fit_node_factor is None
              else config.fit_node_factor * d)
-    approx = fit_approximant(config.T, config.omega_gap, taper, d,
-                             fit_nodes=nodes)
-    return approx, kernel_eval(np.abs(approx.a),
-                               config.t_end - config.t_start)
+    return fit_approximant(config.T, config.omega_gap, taper, d,
+                           fit_nodes=nodes)
 
 
 def _run_row(config: ExperimentConfig, spec_name: str, spec: SpectrumSpec,
              d: int, nu: float, h: float, times: np.ndarray,
              t_grid: np.ndarray, weights: np.ndarray, approximants: dict,
              shared: dict) -> ErrorRow:
-    # approximants maps (d, nu) to the sweep's fits and their eta-trap kernel
-    # factors; shared holds this spectrum's record values on the sample
-    # times, their iterated integrals at t_grid (the sweep's measurement
-    # grid, whose eta weights are weights), future values and h_k(t1)
+    # approximants maps (d, nu) to the sweep's fits; shared holds this
+    # spectrum's record values on the sample times, their iterated integrals
+    # at t_grid (the sweep's measurement grid, whose eta weights are
+    # weights), future values and h_k(t1)
     taper = TaperSpec(family=config.taper_family, nu=nu)
-    approx, trap_kernel = _cached(approximants, (d, nu), _fit, config, taper,
-                                  d)
+    approx = _cached(approximants, (d, nu), _fit, config, taper, d)
 
     eps1 = epsilon1(spec, taper)
     eps2 = approx.eps2
@@ -226,12 +216,6 @@ def _run_row(config: ExperimentConfig, spec_name: str, spec: SpectrumSpec,
                       for t in spec.tones)
 
     fut = _cached(shared, "future", _future_values, spec, t_grid, config.T)
-
-    slack_items: dict = {}
-    if spec.kind == "bump":
-        # bounds the tested agreement of the bump quadrature rule with
-        # adaptive QUADPACK at absolute tolerance 1e-10
-        slack_items["quad_abs"] = 2e-10
 
     t1 = config.t_start
     values = _cached(shared, "record", sample_grid, spec, t1, h, len(times))
@@ -243,16 +227,12 @@ def _run_row(config: ExperimentConfig, spec_name: str, spec: SpectrumSpec,
         times, values, iterated_integrals(times, values, d_max), t_grid))
     y = eta_sum(approx.a, hk[:d], levels, weights)
     sup_err = float(np.abs(fut - y).max())
-    slack_items["eta_trap"] = ((h ** 2 / 12.0) * second_moment(spec)
-                               * (config.t_end - t1) * trap_kernel)
 
-    slack = float(sum(slack_items.values()))
     applicable = bound_tones if spec.kind == "tones" else bound_paper
-    passed = bool(sup_err <= applicable + slack + 1e-15)
     return ErrorRow(spec=spec_name, d=d, nu=nu, eps1=eps1, eps2=eps2,
                     bound_paper=bound_paper, bound_tones=bound_tones,
-                    sup_err=sup_err, slack=slack, passed=passed,
-                    slack_items=slack_items)
+                    sup_err=sup_err,
+                    passed=bool(sup_err <= applicable + 1e-15))
 
 
 def _quadrature_step(config: ExperimentConfig, pin: bool) -> float:
@@ -330,7 +310,7 @@ def emit_report(rows, fmt: str, path, convergence=None) -> None:
             lines.append(",".join([
                 row.spec, _fmt(row.d), _fmt(row.nu), _fmt(row.eps1),
                 _fmt(row.eps2), _fmt(row.bound_paper), _fmt(row.bound_tones),
-                _fmt(row.sup_err), _fmt(row.slack), _fmt(row.passed)]))
+                _fmt(row.sup_err), _fmt(row.passed)]))
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("\n".join(lines) + "\n")
         return

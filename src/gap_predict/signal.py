@@ -29,9 +29,8 @@ import numpy as np
 from .taper import TaperSpec, eval_taper
 
 __all__ = ["Tone", "Bump", "SpectrumSpec", "grid_size", "sample_grid",
-           "epsilon1", "select_nu", "exact_hk", "second_moment",
-           "spectrum_to_dict", "spectrum_from_dict",
-           "save_spectrum", "load_spectrum"]
+           "epsilon1", "select_nu", "exact_hk", "spectrum_to_dict",
+           "spectrum_from_dict", "save_spectrum", "load_spectrum"]
 
 # Gauss-Legendre nodes per panel of the bump quadrature rule
 _GL_ORDER = 48
@@ -251,17 +250,6 @@ def epsilon1(spec: SpectrumSpec, taper: TaperSpec) -> float:
         return 0.0
     om, w = _bump_rule(spec)
     return 2.0 * float(np.abs(w) @ (1.0 - eval_taper(taper, om)))
-
-
-def second_moment(spec: SpectrumSpec) -> float:
-    """Bound on |x''(t)|: sum_j |c_j| w_j^2 for tones, (1/pi) int w^2 |X| dw
-    for bumps (each bump's mass in absolute value, as in :func:`epsilon1`)."""
-    if spec.kind == "tones":
-        return sum(abs(t.amplitude) * t.omega ** 2 for t in spec.tones)
-    if not spec.bumps:
-        return 0.0
-    om, w = _bump_rule(spec)
-    return float(np.abs(w) @ np.square(om)) / np.pi
 
 
 def select_nu(spec: SpectrumSpec, taper_family: str, eps1_target: float) -> float:

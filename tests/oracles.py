@@ -78,11 +78,6 @@ def epsilon1(spec, taper):
         spec, lambda om: 1.0 - float(eval_taper(taper, om)))
 
 
-def second_moment(spec):
-    """(1/pi) int w^2 |X(i*w)| dw for a bump spec."""
-    return _support_quad(spec, lambda om: om ** 2) / np.pi
-
-
 def exact_hk(spec, k, t):
     """(1/pi) int X(i*w) w^-k cos(w t - k pi/2) dw for a bump spec, through
     the pure cos or sin branch that integer k selects."""

@@ -9,7 +9,7 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import given, strategies as st
 
-from gap_predict import cli, harness, signal
+from gap_predict import approx, cli, harness, signal
 from gap_predict.cli import _CSV_BLOCK_ROWS, _write_csv, main
 from gap_predict.signal import (SpectrumSpec, load_spectrum, save_spectrum,
                                 spectrum_to_dict)
@@ -79,6 +79,24 @@ class TestApproxCommand:
                                  "--taper", "gaussian", "--nu", "1.7",
                                  "--d", "6"])
         assert result.exit_code != 0
+
+    @pytest.mark.parametrize("nodes, degree, size", [
+        # a certification grid of 16 * 2097152 + 1 = 2^25 + 1 nodes
+        ("2097153", "8", 33554433),
+        # the default 8d = 23176 nodes and a 23176 x 1449 fit matrix
+        (None, "2897", 33582024)])
+    def test_refuses_a_fit_too_large_to_make(self, runner, monkeypatch,
+                                             nodes, degree, size):
+        def no_grid(omega_gap, n):
+            raise AssertionError(f"built a grid of {n} nodes")
+
+        monkeypatch.setattr(approx, "chebyshev_grid", no_grid)
+        args = ["approx", "--T", "1.0", "--omega", "1.0", "--taper",
+                "gaussian", "--nu", "0.3", "--d", degree]
+        result = invoke(runner, args + (["--nodes", nodes] if nodes else []))
+        assert result.exit_code == 1
+        assert (f"Error: a grid of {size} samples is over the limit of "
+                "2^25 = 33554432") in result.output
 
 
 class TestStartsWithoutScipy:
@@ -842,6 +860,28 @@ class TestEvalCommand:
         assert report["convergence"] == {"passed": False,
                                          "failures": failures}
         assert "convergence: " + failures[0] in result.output
+
+    def test_row_over_its_bound_exits_1(self, runner, tmp_path, monkeypatch):
+        # the long-window demo at d = 32, nu = 0.3 with the truth shifted by
+        # 1.0: sup_err about 1.15 against a bound of 0.326 fails the row
+        with open(os.path.join(CONFIG_DIR, "demo_long.json")) as fh:
+            config = json.load(fh)
+        config["spec_files"] = [os.path.join(CONFIG_DIR, "demo_tone.json")]
+        config["d_list"], config["nu_list"] = [32], [0.3]
+        config_path = tmp_path / "cfg.json"
+        config_path.write_text(json.dumps(config))
+        future = harness._future_values
+        monkeypatch.setattr(harness, "_future_values",
+                            lambda *args: future(*args) + 1.0)
+        result = invoke(runner, ["eval", "--config", str(config_path),
+                                 "--out", str(tmp_path / "out")])
+        assert result.exit_code == 1
+        assert "demo_tone d=32 nu=0.3: sup=1.15301 [FAIL]" in result.output
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["failing_rows"] == [0]
+        [row] = report["rows"]
+        assert row["error"] is None
+        assert row["bound_tones"] == pytest.approx(0.326, abs=1e-3)
 
     def test_grid_too_long_to_make_exits_2(self, runner, tmp_path):
         # t_end = 1e9 at dt = 0.01 is a 1e11-sample measurement grid,

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from gap_predict import signal
 from gap_predict.signal import (Bump, SpectrumSpec, Tone, epsilon1, exact_hk,
-                                sample_grid, second_moment, spectrum_from_dict,
+                                sample_grid, spectrum_from_dict,
                                 spectrum_to_dict, select_nu)
 from gap_predict.taper import TaperSpec
 
@@ -246,9 +246,6 @@ class TestAgainstQuadpack:
             assert agrees(epsilon1(spec, taper),
                           oracles.epsilon1(spec, taper)), nu
 
-    def test_second_moment(self, spec):
-        assert agrees(second_moment(spec), oracles.second_moment(spec))
-
 
 class TestBudgets:
     def test_l1_examples(self):
@@ -278,11 +275,6 @@ class TestBudgets:
                                              (2.3, 0.5, -0.6)])
         taper = TaperSpec("gaussian", 0.3)
         assert epsilon1(spec, taper) > oracles.epsilon1(spec, taper) + 1e-3
-
-    def test_second_moment_tones(self):
-        spec = SpectrumSpec.from_tones(1.0, [(2.0, 0.5j), (3.0, -0.25)])
-        assert second_moment(spec) == pytest.approx(0.5 * 4 + 0.25 * 9,
-                                                     abs=1e-15)
 
     def test_epsilon1_vanishes_for_tiny_nu(self):
         taper = TaperSpec("gaussian", 1e-9)
