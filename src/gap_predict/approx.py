@@ -5,12 +5,12 @@ Builds psi(i*w) = sum_k a_k (i*w)^(-k), a real-coefficient polynomial in
 and certifies the achieved sup error once, on a grid CERT_DENSITY times as
 dense as the fit grid.
 
-The fit is a parity-constrained discrete least squares in u = 1/w: the real
-part of the target (cos * r_nu, even) is matched with even powers of u only,
-the imaginary part (sin * r_nu, odd) with odd powers only.  Since
-(i*w)^(-k) = i^(-k) w^(-k), the parity coefficients gamma_c (of cos, even k)
-and gamma_s (of sin, odd k) give the real coefficients a_k of the powers of
-1/(i*w) by a sign flip, which is exact:
+The fit is a parity-constrained discrete least squares in Chebyshev
+polynomials of s = omega_gap/w: the real part of the target (cos * r_nu,
+even) is matched with T_2m(s) - T_2m(0), the imaginary part (sin * r_nu,
+odd) with T_2m+1(s).  Expanded in powers of u = 1/w they give the parity
+coefficients gamma_c (of cos, even k) and gamma_s (of sin, odd k); since
+(i*w)^(-k) = i^(-k) w^(-k), a sign flip gives the real a_k, exactly:
 
     k = 2m:     a_k = (-1)^m * gamma_c_k
     k = 2m+1:   a_k = -(-1)^m * gamma_s_k
@@ -68,6 +68,16 @@ class Approximant:
 CERT_DENSITY = 16
 
 
+def _half_grid(omega_gap: float, n: int) -> np.ndarray:
+    # the w > 0 half of chebyshev_grid(omega_gap, n), ascending, bit for bit
+    if n < 2:
+        raise ValueError(f"need at least 2 nodes, got {n}")
+    if not omega_gap > 0:
+        raise ValueError("omega_gap must be positive")
+    j = np.arange(n - 1, 0, -2)
+    return 1.0 / (np.sin(0.5 * np.pi * j / (n - 1)) / omega_gap)
+
+
 def chebyshev_grid(omega_gap: float, n: int) -> np.ndarray:
     """Frequencies w_j = 1/u_j for the n Chebyshev (extreme) points u_j of
     [-1/omega_gap, 1/omega_gap], with the u = 0 node dropped when n is odd.
@@ -75,39 +85,40 @@ def chebyshev_grid(omega_gap: float, n: int) -> np.ndarray:
     The points are generated through a sine identity so the grid is exactly
     symmetric in sign; all returned frequencies satisfy |w| >= omega_gap.
     """
-    if n < 2:
-        raise ValueError(f"need at least 2 nodes, got {n}")
-    if not omega_gap > 0:
-        raise ValueError("omega_gap must be positive")
-    j = np.arange(-(n - 1), n, 2)
-    u = np.sin(0.5 * np.pi * j / (n - 1)) / omega_gap
-    u = u[u != 0.0]
-    return np.sort(1.0 / u)
+    w = _half_grid(omega_gap, n)
+    return np.concatenate((-w[::-1], w))
 
 
-def _scaled_lstsq(A, b):
-    # Column scaling by grid norms keeps high powers of u workable in double
-    # precision; the solve itself is an orthogonal-factorization least squares.
-    scale = np.linalg.norm(A, axis=0)
-    if np.any(scale == 0.0):
-        raise ValueError("degenerate grid: zero basis column")
-    coef, _, rank, _ = np.linalg.lstsq(A / scale, b, rcond=None)
-    if rank < A.shape[1]:
-        raise ValueError(
-            f"rank-deficient least-squares system (rank {rank} < {A.shape[1]}); "
-            "the fit grid is degenerate")
-    return coef / scale
+def _chebyshev(s, d: int) -> np.ndarray:
+    # T_0(s), ..., T_d(s) by the three-term recurrence, one row per degree
+    t = np.empty((d + 1, len(s)))
+    t[0], t[1] = 1.0, s
+    two_s = 2.0 * s
+    for j in range(1, d):
+        np.multiply(two_s, t[j], out=t[j + 1])
+        t[j + 1] -= t[j - 1]
+    return t
+
+
+def _monomials(d: int) -> np.ndarray:
+    # m[j, k] is the coefficient of s^k in T_j(s), so m[:, 0] holds T_j(0)
+    m = np.zeros((d + 1, d + 1))
+    m[0, 0] = m[1, 1] = 1.0
+    for j in range(1, d):
+        m[j + 1, 1:] = 2.0 * m[j, :-1]
+        m[j + 1] -= m[j - 1]
+    return m
 
 
 def fit_parity_ls(T: float, taper: TaperSpec, omega_gap: float, d: int,
                   grid: np.ndarray):
     """Parity-constrained least-squares fit on a frequency grid.
 
-    Matches sum_k gamma_c_k w^(-k) (even k only) to cos(T*w) * r_nu(w) and
-    sum_k gamma_s_k w^(-k) (odd k only) to sin(T*w) * r_nu(w); in u = 1/w this
-    is ordinary polynomial least squares with zero constant term and fixed
-    parity.  Returns the length-d coefficient vector a, mapped from the
-    parity coefficients as in the module docstring.
+    Matches sum_m c_2m (T_2m(s) - T_2m(0)) to cos(T*w) * r_nu(w) and
+    sum_m c_2m+1 T_2m+1(s) to sin(T*w) * r_nu(w), s = omega_gap/w, degrees
+    up to d.  Nodes at w and -w have equal squared residuals in both
+    systems, so each distinct |w| is one row weighted by sqrt(multiplicity),
+    which keeps the grid's own minimizer.  Returns the length-d vector a.
     """
     if not np.isfinite(T):
         raise ValueError("T must be finite")
@@ -117,16 +128,34 @@ def fit_parity_ls(T: float, taper: TaperSpec, omega_gap: float, d: int,
     grid = np.asarray(grid, dtype=float)
     if len(grid) < 4 * d:
         raise ValueError(f"grid has {len(grid)} nodes; need at least 4*d = {4 * d}")
-    u = 1.0 / grid
-    r = eval_taper(taper, grid)
-    ks_even = np.arange(2, d + 1, 2)
-    ks_odd = np.arange(1, d + 1, 2)
-    a = np.empty(d)
-    a[ks_even - 1] = (-1.0) ** (ks_even // 2) * _scaled_lstsq(
-        u[:, None] ** ks_even[None, :], np.cos(T * grid) * r)
-    a[ks_odd - 1] = -((-1.0) ** ((ks_odd - 1) // 2)) * _scaled_lstsq(
-        u[:, None] ** ks_odd[None, :], np.sin(T * grid) * r)
-    return a
+    w, count = np.unique(np.abs(grid), return_counts=True)
+    weight = np.sqrt(count)
+    r = eval_taper(taper, w) * weight
+    mono = _monomials(d)
+    # T_j(s) - T_j(0): the odd T_j vanish at 0, so only the even columns move
+    cheb = (_chebyshev(omega_gap / w, d) - mono[:, :1]) * weight
+    c = np.zeros(d + 1)
+    for j0, part in ((2, np.cos), (1, np.sin)):
+        A = cheb[j0::2].T
+        c[j0::2], _, rank, _ = np.linalg.lstsq(A, part(T * w) * r, rcond=None)
+        if rank < A.shape[1]:
+            raise ValueError(f"rank-deficient least-squares system (rank "
+                             f"{rank} < {A.shape[1]}); the fit grid is degenerate")
+    # the even columns' constants cancel, so the s^0 term is dropped
+    k = np.arange(1, d + 1)
+    return (-1.0) ** ((k + 1) // 2) * omega_gap ** k * (c @ mono)[1:]
+
+
+def _psi_parts(a, u):
+    # Re and Im of psi = sum_k a_k v^k with v = 1/(i*w) = -i*u, by Horner in
+    # reals: (x, y) <- (y*u, -(x + a_k)*u) for k = d down to 1, in place
+    x, y, neg_u = np.zeros_like(u), np.zeros_like(u), -u
+    for coeff in a[::-1]:
+        x += coeff
+        x *= neg_u
+        y *= u
+        x, y = y, x
+    return x, y
 
 
 def eval_psi(a, omega):
@@ -137,13 +166,8 @@ def eval_psi(a, omega):
     om = np.asarray(omega, dtype=float)
     if np.any(om == 0.0):
         raise ValueError("psi has a pole at omega = 0")
-    w = 1.0 / (1j * om)
-    res = np.zeros_like(w)
-    for coeff in np.asarray(a, dtype=float)[::-1]:
-        res = (res + coeff) * w
-    if np.isscalar(omega) or np.ndim(omega) == 0:
-        return complex(res)
-    return res
+    x, y = _psi_parts(np.asarray(a, dtype=float), 1.0 / om)
+    return complex(x + 1j * y) if np.ndim(omega) == 0 else x + 1j * y
 
 
 def certify_sup_error(T: float, omega_gap: float, taper: TaperSpec, a,
@@ -152,22 +176,20 @@ def certify_sup_error(T: float, omega_gap: float, taper: TaperSpec, a,
     """Grid-certified sup of |exp(i*w*T) r_nu(w) - psi(i*w)| over |w| >= gap.
 
     The evaluation set is a Chebyshev grid in u = 1/w with
-    dense_factor*(fit_nodes-1)+1 nodes, which contains the fit grid.  Beyond
-    the innermost node (|u| <= u_min, i.e. the far frequency tail) the error
-    is folded in through the monotone bound
+    dense_factor*(fit_nodes-1)+1 nodes, which contains the fit grid; the
+    error is even in w, so its w > 0 half is evaluated, in real arithmetic.
+    Beyond the innermost node (|u| <= u_min, i.e. the far frequency tail)
+    the error is folded in through the monotone bound
     sum_k |a_k| u_min^k + r_nu(1/u_min); both target and psi vanish at u = 0.
     """
     a = np.asarray(a, dtype=float)
     if dense_factor < 1:
         raise ValueError("dense_factor must be >= 1")
-    n_dense = dense_factor * (fit_nodes - 1) + 1
-    om = chebyshev_grid(omega_gap, n_dense)
-    target = np.exp(1j * om * T) * eval_taper(taper, om)
-    if len(a):
-        err = np.abs(target - eval_psi(a, om))
-    else:
-        err = np.abs(target)
-    u_min = 1.0 / np.max(np.abs(om))
+    w = _half_grid(omega_gap, dense_factor * (fit_nodes - 1) + 1)
+    r = eval_taper(taper, w)
+    x, y = _psi_parts(a, 1.0 / w)
+    err = np.hypot(np.cos(w * T) * r - x, np.sin(w * T) * r - y)
+    u_min = 1.0 / w[-1]
     tail = float(np.sum(np.abs(a) * u_min ** np.arange(1, len(a) + 1)))
     tail += float(eval_taper(taper, 1.0 / u_min))
     return max(float(err.max()), tail)
@@ -179,13 +201,14 @@ def fit_approximant(T: float, omega_gap: float, taper: TaperSpec, d: int,
 
     fit_nodes defaults to max(8*d, 64), at least 4x oversampling of the
     largest basis function.  eps2 is certified once, at CERT_DENSITY.  A
-    certification grid or a fit matrix (fit_nodes x ceil(d/2) entries) over
-    grid_size's limit is refused before either is made.
+    certification grid or a fit matrix (fit_nodes//2 half-grid rows x d + 1
+    Chebyshev columns) over grid_size's limit is refused before either is
+    made.
     """
     if fit_nodes is None:
         fit_nodes = max(8 * d, 64)
     grid_size(CERT_DENSITY * (fit_nodes - 1) + 1)
-    grid_size(fit_nodes * -(-d // 2))
+    grid_size(fit_nodes // 2 * (d + 1))
     grid = chebyshev_grid(omega_gap, fit_nodes)
     a = fit_parity_ls(T, taper, omega_gap, d, grid)
     eps2 = certify_sup_error(T, omega_gap, taper, a, fit_nodes, CERT_DENSITY)

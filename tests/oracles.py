@@ -1,13 +1,17 @@
-"""Reference oracles for the spectral integrals of gap_predict.signal.
+"""Reference oracles for the spectral integrals of gap_predict.signal and
+the certified sup error of gap_predict.approx.
 
 Each bump integral is evaluated by scipy's adaptive QUADPACK at absolute
 tolerance 1e-10, one point at a time, independently of the package's fixed
-Gauss-Legendre bump rule.  Tones evaluate in closed form.
+Gauss-Legendre bump rule.  Tones evaluate in closed form.  The certified sup
+error of an approximant is recomputed on the full frequency grid in complex
+arithmetic.
 """
 
 import numpy as np
 from scipy.integrate import quad
 
+from gap_predict.approx import chebyshev_grid
 from gap_predict.signal import _bump_profile
 from gap_predict.taper import eval_taper
 
@@ -87,3 +91,17 @@ def exact_hk(spec, k, t):
         weight, sign = "sin", (-1.0) ** ((k - 1) // 2)
     return sign * _per_bump_quad(spec, lambda om: om ** (-k), weight=weight,
                                  wvar=float(t)) / np.pi
+
+
+def certified_sup_error(T, omega_gap, taper, a, fit_nodes, dense_factor):
+    """max |exp(i*w*T) r_nu(w) - sum_k a_k (i*w)^-k| over the whole
+    sign-symmetric Chebyshev grid of dense_factor*(fit_nodes-1)+1 nodes, the
+    sum taken term by term in complex powers, or the far-tail term
+    sum_k |a_k| u_min^k + r_nu(1/u_min) where that is larger."""
+    om = chebyshev_grid(omega_gap, dense_factor * (fit_nodes - 1) + 1)
+    k = np.arange(1, len(a) + 1)
+    psi = np.sum(np.asarray(a) * (1j * om[:, None]) ** -k, axis=1)
+    err = np.abs(np.exp(1j * T * om) * eval_taper(taper, om) - psi)
+    u_min = 1.0 / np.abs(om).max()
+    tail = np.sum(np.abs(a) * u_min ** k) + eval_taper(taper, 1.0 / u_min)
+    return max(float(err.max()), float(tail))

@@ -11,6 +11,8 @@ from gap_predict.approx import (Approximant, approximant_from_dict,
                                 fit_parity_ls)
 from gap_predict.taper import TaperSpec, eval_taper
 
+from oracles import certified_sup_error
+
 GAUSS03 = TaperSpec("gaussian", 0.3)
 
 # frozen oracle values: exact-rational normal-equation solve of the d=2 fit
@@ -60,6 +62,16 @@ class TestChebyshevGrid:
         assert len(grid) == 10
         assert np.all(np.abs(grid) >= 1.5 - 1e-12)
 
+    @pytest.mark.parametrize("n", [64, 65, 1009, 4081])
+    @pytest.mark.parametrize("omega_gap", [0.7, 1.0, 1.3])
+    def test_sign_symmetric_bit_for_bit(self, n, omega_gap):
+        # the fit and the certificate work on the w > 0 half alone
+        grid = chebyshev_grid(omega_gap, n)
+        half = len(grid) // 2
+        assert np.all(grid[:half] < 0) and np.all(grid[half:] > 0)
+        assert np.array_equal(grid[half:], -grid[:half][::-1])
+        assert np.all(np.diff(grid) > 0)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             chebyshev_grid(1.0, 1)
@@ -92,12 +104,34 @@ class TestFitParityLs:
         assert a[1] == pytest.approx(-ORACLE_GAMMA_C2, rel=1e-12)
         assert a[0] == pytest.approx(-ORACLE_GAMMA_S1, rel=1e-12)
 
+    def test_any_grid_gives_its_own_minimizer(self):
+        # an asymmetric grid with a repeated node: the fit must minimize the
+        # residual over every node as given, here solved independently by
+        # unweighted monomial least squares in u = 1/w on the raw grid
+        rng = np.random.default_rng(5)
+        grid = np.concatenate((rng.uniform(1.0, 9.0, 40),
+                               -rng.uniform(1.0, 4.0, 25), [2.5, -2.5, 2.5]))
+        d = 6
+        a = fit_parity_ls(0.7, GAUSS03, 1.0, d, grid)
+        u = 1.0 / grid
+        r = eval_taper(GAUSS03, grid)
+        ks = np.arange(1, d + 1)
+        gamma = np.zeros(d)
+        for parity, part in ((0, np.cos), (1, np.sin)):
+            k = ks[ks % 2 == parity]
+            gamma[k - 1] = np.linalg.lstsq(u[:, None] ** k, part(0.7 * grid) * r,
+                                           rcond=None)[0]
+        np.testing.assert_allclose(a, gamma_to_a(gamma, gamma), rtol=1e-9)
+
     def test_rejects_degenerate_degree_and_grid(self):
         grid = chebyshev_grid(1.0, 64)
         with pytest.raises(ValueError):
             fit_parity_ls(1.0, GAUSS03, 1.0, 1, grid)
         with pytest.raises(ValueError):
             fit_parity_ls(1.0, GAUSS03, 1.0, 8, grid[:20])
+        # 32 nodes, but only two distinct |w|: fewer rows than columns
+        with pytest.raises(ValueError, match="rank-deficient"):
+            fit_parity_ls(1.0, GAUSS03, 1.0, 8, np.tile([-2.0, 2.0, 3.0, 3.0], 8))
 
 
 class TestEvalPsi:
@@ -195,6 +229,40 @@ class TestSupError:
             if prev is not None:
                 assert eps2 <= prev + 1e-12
             prev = eps2
+
+
+    @given(seed=st.integers(min_value=0, max_value=2 ** 31),
+           d=st.integers(min_value=0, max_value=40),
+           family=st.sampled_from(["gaussian", "exponential", "lorentzian"]),
+           nu=st.floats(min_value=0.01, max_value=1.0),
+           T=st.floats(min_value=0.01, max_value=20.0),
+           omega_gap=st.floats(min_value=0.2, max_value=5.0),
+           fit_nodes=st.integers(min_value=2, max_value=300),
+           dense_factor=st.integers(min_value=1, max_value=16))
+    def test_half_grid_certificate_equals_full_grid_oracle(
+            self, seed, d, family, nu, T, omega_gap, fit_nodes, dense_factor):
+        rng = np.random.default_rng(seed)
+        a = rng.uniform(-1, 1, d) * 10.0 ** rng.uniform(-3, 3)
+        taper = TaperSpec(family, nu)
+        eps2 = certify_sup_error(T, omega_gap, taper, a, fit_nodes,
+                                 dense_factor)
+        assert eps2 == pytest.approx(certified_sup_error(
+            T, omega_gap, taper, a, fit_nodes, dense_factor), rel=1e-14)
+
+
+class TestLargeDegree:
+    """The Chebyshev-basis fit stays full rank past the monomial fit's
+    limit of d = 34."""
+
+    @pytest.mark.parametrize("d", [36, 40, 48, 64, 96])
+    def test_fits_without_rank_failure(self, d):
+        approx = fit_approximant(1.0, 1.0, GAUSS03, d)
+        assert np.isfinite(approx.eps2)
+
+    def test_eps2_strictly_decreases_to_d40(self):
+        eps2 = [fit_approximant(1.0, 1.0, GAUSS03, d).eps2
+                for d in (8, 16, 24, 32, 40)]
+        assert all(b < a for a, b in zip(eps2, eps2[1:])), eps2
 
 
 class TestApproximant:

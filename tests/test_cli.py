@@ -83,7 +83,8 @@ class TestApproxCommand:
     @pytest.mark.parametrize("nodes, degree, size", [
         # a certification grid of 16 * 2097152 + 1 = 2^25 + 1 nodes
         ("2097153", "8", 33554433),
-        # the default 8d = 23176 nodes and a 23176 x 1449 fit matrix
+        # the default 8d = 23176 nodes and a fit matrix of 11588 half-grid
+        # rows x 2898 Chebyshev columns
         (None, "2897", 33582024)])
     def test_refuses_a_fit_too_large_to_make(self, runner, monkeypatch,
                                              nodes, degree, size):
@@ -882,6 +883,23 @@ class TestEvalCommand:
         [row] = report["rows"]
         assert row["error"] is None
         assert row["bound_tones"] == pytest.approx(0.326, abs=1e-3)
+
+    def test_long_demo_past_d34_passes(self, runner, tmp_path):
+        # the monomial fit failed every row at d >= 36 with a rank error
+        with open(os.path.join(CONFIG_DIR, "demo_long.json")) as fh:
+            config = json.load(fh)
+        config["spec_files"] = [os.path.join(CONFIG_DIR, "demo_tone.json")]
+        config["d_list"] = [32, 36, 40, 48]
+        config_path = tmp_path / "cfg.json"
+        config_path.write_text(json.dumps(config))
+        result = invoke(runner, ["eval", "--config", str(config_path),
+                                 "--out", str(tmp_path / "out")])
+        assert result.exit_code == 0
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert len(report["rows"]) == 12
+        assert all(row["error"] is None and row["passed"]
+                   for row in report["rows"])
+        assert report["convergence"] == {"passed": True, "failures": []}
 
     def test_grid_too_long_to_make_exits_2(self, runner, tmp_path):
         # t_end = 1e9 at dt = 0.01 is a 1e11-sample measurement grid,

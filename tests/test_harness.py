@@ -146,9 +146,9 @@ class TestRunSweep:
             assert row.eps1 == pytest.approx(pinned["eps1"], rel=1e-10)
             assert row.eps2 == pytest.approx(pinned["eps2"], rel=1e-12)
             # pinned sup uses half the quadrature step; the fourth-order
-            # realization moves sup_err by under 1e-12 between the two steps
-            # (5.9e-13 at most on this sweep), well inside the tolerance
-            assert row.sup_err == pytest.approx(pinned["sup_err"], abs=2e-4)
+            # realization moves sup_err by 5.9e-13 at most between the two
+            # steps on this sweep, and the tolerance is 17 times that
+            assert row.sup_err == pytest.approx(pinned["sup_err"], abs=1e-11)
             assert row.passed and pinned["passed"]
 
     @pytest.mark.parametrize("dt", [None, 0.01])
