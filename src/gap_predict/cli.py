@@ -24,8 +24,8 @@ import numpy as np
 from .approx import (approximant_to_dict, fit_approximant, load_approximant,
                      save_approximant)
 from .harness import ExperimentConfig, run_sweep, write_reports
-from .predictor import (EtaState, fit_eta, predict_convolution,
-                        predict_eta_grid, _sample_index)
+from .predictor import (eta_sum, eta_weights, fit_eta, iterated_integrals,
+                        predict_convolution, _sample_index)
 from .signal import grid_size, load_spectrum, sample_grid
 from .taper import TaperSpec
 
@@ -270,7 +270,7 @@ def synth_cmd(spec_path, t0, t1, dt, out):
 
 
 def _window_from(times, values, t1):
-    # an eta state starts at its window's first sample, so snap t1 onto the
+    # the eta form starts at its window's first sample, so snap t1 onto the
     # sample lattice; its integrals need 3 samples from there on
     i0 = int(_sample_index(times, t1))
     if len(times) - i0 < 3:
@@ -281,6 +281,7 @@ def _window_from(times, values, t1):
 
 
 def _fit_eta_from_samples(approx, times, values, t1, theta, dbar):
+    # (window times, window integrals to degree d, fit, extrapolation)
     if not np.all(np.isfinite([t1, theta])):
         raise ValueError(f"t1 and theta must be finite, got t1={t1}, "
                          f"theta={theta}")
@@ -308,11 +309,12 @@ def _fit_eta_from_samples(approx, times, values, t1, theta, dbar):
     x = (2.0 * theta - lo - hi) / (hi - lo)
     with np.errstate(over="ignore"):
         extrapolation = float(np.cosh((approx.d - 1) * np.arccosh(x)))
-    return fit_eta(approx.a, tw, vw, fit_times, zeta), extrapolation
+    f = iterated_integrals(tw, vw, approx.d)
+    return tw, f, fit_eta(approx.a, tw, vw, f, fit_times, zeta), extrapolation
 
 
 def _read_eta(path):
-    # (t1, eta) from a fit-eta output; EtaState checks the numbers
+    # (t1, eta) from a fit-eta output; eta_sum checks the numbers
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -359,18 +361,19 @@ def predict_cmd(approx_path, samples_path, mode, t1, history_length, eta_path,
         else:
             if eta_path is not None:
                 eta_t1, eta = _read_eta(eta_path)
-                state = EtaState.from_window(
-                    approx.a, *_window_from(times, values, eta_t1), eta)
+                t_out, vw = _window_from(times, values, eta_t1)
+                f = iterated_integrals(t_out, vw, approx.d)
             else:
-                fit, extrapolation = _fit_eta_from_samples(
+                t_out, f, fit, extrapolation = _fit_eta_from_samples(
                     approx, times, values,
                     float(times[0]) if t1 is None else t1, float(times[-1]),
                     approx.d)
-                state = fit.state
+                eta = fit.eta
                 note = (f", cond={fit.cond:.3e}, "
                         f"extrapolation={extrapolation:.3e}")
-            t_out = state.times
-            y = predict_eta_grid(state, t_out)
+            # on the window's own samples the levels are f itself
+            y = eta_sum(approx.a, eta, f,
+                        eta_weights(approx.d, t_out - t_out[0]))
             tail = np.zeros_like(y)
     except ValueError as exc:
         raise click.ClickException(str(exc)) from exc
@@ -394,11 +397,11 @@ def fit_eta_cmd(approx_path, samples_path, t1, theta, dbar, out):
     try:
         approx = load_approximant(approx_path)
         times, values = _read_samples(samples_path)
-        fit, extrapolation = _fit_eta_from_samples(approx, times, values, t1,
-                                                   theta, dbar)
+        tw, _, fit, extrapolation = _fit_eta_from_samples(
+            approx, times, values, t1, theta, dbar)
     except ValueError as exc:
         raise click.ClickException(str(exc)) from exc
-    payload = {"t1": fit.state.t1, "eta": fit.state.eta.tolist(),
+    payload = {"t1": float(tw[0]), "eta": fit.eta.tolist(),
                "residual": fit.residual.tolist(), "cond": fit.cond,
                "extrapolation": extrapolation}
     with open(out, "w", encoding="utf-8", newline="\n") as fh:

@@ -3,7 +3,7 @@
 For every combination of spectrum file, degree and taper scale the sweep fits
 an approximant, computes the two error budgets (the L1-spectrum form
 (eps1 + eps2) / 2pi and the tone point-mass form
-sum_j 2|c_j| (|1 - r_nu(w_j)| + eps2)), runs the eta-state realization with
+sum_j 2|c_j| (|1 - r_nu(w_j)| + eps2)), runs the eta realization with
 the exact constants h_k(t_start) on a measurement grid, and records the sup
 error against the exact future values.  A row passes when the measured sup
 error is at most the bound matching its spectrum kind, bound_tones for tones
@@ -11,7 +11,10 @@ and bound_paper for bumps, up to 1e-15 of round-off.  eps2 is the
 approximant's own certificate, computed once at approx.CERT_DENSITY.  The
 conv and fit-eta realizations are not swept; the command line keeps them.
 
-Work that several rows share is computed once within one run_sweep call:
+The eta realization is the one path predict --mode eta also runs:
+iterated_integrals, the record stage (eta_levels, eta_weights) and the
+approximant stage (eta_sum).  Work that several rows share is computed once
+within one run_sweep call:
 
 * once per sweep: the measurement grid, the record's sample times and the
   eta weights on the grid to D = max(d_list), and per (d, nu) each
@@ -21,9 +24,7 @@ Work that several rows share is computed once within one run_sweep call:
   t_start and its iterated integrals to D at the measurement grid (the eta
   record stage); rows of degree d use the first d of each;
 * once per row: eps1 (signal caches each bump spectrum's rule, so a row
-  builds none), the bounds and the row's prediction (the eta approximant
-  stage, predictor.eta_sum: bit for bit predict_eta_grid on the row's
-  degree-d state).
+  builds none), the bounds and the row's prediction (eta_sum).
 
 Each value is computed when a row first needs it, and one whose computation
 raises is not stored, so a failure errors the same rows with the same
@@ -241,25 +242,33 @@ def _quadrature_step(config: ExperimentConfig, pin: bool) -> float:
 
 
 def _load_spectra(config: ExperimentConfig) -> list:
-    # (name, spec) per spectrum file, each checked against the sweep's gap;
-    # the error of one that does not load or fit that gap names its path
-    spectra = []
+    # (name, spec) per spectrum file, named by its basename, which rows and
+    # the convergence check key on, and checked against the sweep's gap; the
+    # error of a file that does not load, fit that gap or own its name names
+    # its path
+    spectra, paths = [], {}
     for path in config.spec_files:
+        name = os.path.splitext(os.path.basename(path))[0]
+        if name in paths:
+            raise ValueError(f"{paths[name]} and {path} both name the "
+                             f"spectrum {name!r}; rename one of them")
+        paths[name] = path
         try:
             spec = replace(load_spectrum(path), omega_gap=config.omega_gap)
         except (OSError, KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"{path}: {exc}") from exc
-        spectra.append((os.path.splitext(os.path.basename(path))[0], spec))
+        spectra.append((name, spec))
     return spectra
 
 
 def run_sweep(config: ExperimentConfig, pin: bool = False) -> list:
     """Run the full sweep.  Every spectrum file is loaded before the first
-    row, and one that does not load, or whose spectrum reaches into the
-    config's gap, raises ValueError naming the file, as does a measurement
-    grid or sample record over grid_size's limit; after that, per-row
-    failures are recorded and the run continues.  With
-    pin=True the quadrature step is halved to produce fixture values."""
+    row, and one that does not load, whose spectrum reaches into the
+    config's gap or whose basename another file has, raises ValueError
+    naming the file, as does a measurement grid, sample record or eta
+    weight array over grid_size's limit; after that, per-row failures are
+    recorded and the run continues.  With pin=True the quadrature step is
+    halved to produce fixture values."""
     h = _quadrature_step(config, pin)
     t_grid, times = _grids(config, h)
     weights = eta_weights(max(config.d_list), t_grid - config.t_start)

@@ -12,20 +12,14 @@ psi(i*w) = sum_k a_k (i*w)^(-k):
   solve (square: zero residual at the fit points; overdetermined: least
   squares).
 
-An eta state is built from a sampled window whose first sample is t1, either
-with known constants (EtaState.from_window) or with fitted ones
-(fit_eta(...).state).  iterated_integrals is the only integrator of the
-window, so every caller gets the same iterated integrals.  from_window,
-fit_eta and the harness sweep call it; the sweep runs only the eta form with
-the exact constants, once per spectrum on its record from t_start, and the
-fitted constants and the convolution form are reached from the command line
-alone (fit-eta, predict --mode conv).
-
-The integrals are O(h^4).  The record stage (eta_levels, eta_weights) takes
-each f_k and (t - t1)^j / j! at the output times; the approximant stage
-(eta_sum) multiplies them by a and by c, the Hankel map of eta by a, which
-fit_eta solves through.  predict_eta_grid composes the stages; the sweep
-runs the record stage once per spectrum and eta_sum once per row.
+The eta form has one path: iterated_integrals integrates a sampled window
+once from its first sample t1, the record stage (eta_levels, eta_weights)
+takes each f_k and (t - t1)^j / j! at the output times, and the approximant
+stage (eta_sum) applies a and c, the Hankel map of eta by a, and refuses
+unusable constants.  The harness sweep runs it with the exact constants,
+predict --mode eta on its window's own samples with constants from a fit-eta
+file or from fit_eta, which solves through the same Hankel map.  The
+integrals are O(h^4).
 
 The convolution form computes every output of a record with one FFT
 product, in O((span + L/h) log(span + L/h)) for outputs spanning `span`
@@ -47,10 +41,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .approx import Approximant
+from .signal import grid_size
 
 __all__ = ["kernel_eval", "predict_convolution", "iterated_integrals",
-           "EtaState", "eta_levels", "eta_weights", "eta_sum",
-           "predict_eta_grid", "EtaFit", "fit_eta"]
+           "eta_levels", "eta_weights", "eta_sum", "EtaFit", "fit_eta"]
 
 COND_FLAG_THRESHOLD = 1e12
 
@@ -199,12 +193,14 @@ def iterated_integrals(times, values, d: int) -> np.ndarray:
     on three samples).  f_k is the cumulative trapezoid of f_{k-1} less
     (h^2/12)(f_{k-2} - f_{k-2}(t1)), f_0 = x (Euler-Maclaurin), in place.
     Returns shape (d, len(times)), whose first k rows equal
-    iterated_integrals(times, values, k); every f_k vanishes at t1.
+    iterated_integrals(times, values, k); every f_k vanishes at t1.  An
+    array of more than 2^25 entries is refused before it is made.
     """
     if d < 1:
         raise ValueError("d must be >= 1")
     h = _uniform_step(times)
     x = np.asarray(values, dtype=float)
+    grid_size(d * len(x))
     f = np.empty((d, len(x)))
     f[:, 0] = 0.0
     for k in range(d):
@@ -223,63 +219,15 @@ def iterated_integrals(times, values, d: int) -> np.ndarray:
     return f
 
 
-@dataclass(frozen=True, eq=False)
-class EtaState:
-    """Reference-time constants plus running integrals: everything the
-    closed-form predictor needs for t >= t1 = times[0].
-
-    f[k-1] is the k-th iterated integral of values from t1, as
-    iterated_integrals computes it.  Build a state with EtaState.from_window
-    or fit_eta, which compute f from the window, or from the first d rows of
-    the window's integrals to a higher degree, which are the same bits.
-    Completed states are immutable and safe to share across threads.
-    """
-
-    eta: np.ndarray
-    times: np.ndarray
-    values: np.ndarray
-    f: np.ndarray
-    a: np.ndarray
-
-    def __post_init__(self):
-        for name in ("eta", "times", "values", "f", "a"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
-        d = len(self.a)
-        if self.eta.shape != (d,):
-            raise ValueError("eta must have one entry per coefficient")
-        if not np.all(np.isfinite(self.eta)):
-            raise ValueError("eta must be finite")
-        if self.f.shape != (d, len(self.times)):
-            raise ValueError("f must hold one trajectory per coefficient")
-
-    @property
-    def t1(self) -> float:
-        return float(self.times[0])
-
-    @classmethod
-    def from_window(cls, a, times, values, eta) -> "EtaState":
-        """The state with constants eta on the sampled window that starts at
-        t1 = times[0]."""
-        a = np.asarray(a, dtype=float)
-        return cls(eta=eta, times=times, values=values,
-                   f=iterated_integrals(times, values, len(a)), a=a)
-
-
 def eta_weights(d, tau):
-    """The record stage's weights tau^j / j!, j < d, shape (d, len(tau))."""
+    """The record stage's weights tau^j / j!, j < d, shape (d, len(tau)),
+    refused over 2^25 entries."""
+    grid_size(d * len(tau))
     w = np.empty((d, len(tau)))
     w[0] = 1.0
     for j in range(1, d):
         w[j] = w[j - 1] * tau / j
     return w
-
-
-def _check_eta_range(times, t_eval):
-    t1 = times[0]
-    if np.any(t_eval < t1 - 1e-12 * max(1.0, abs(t1))):
-        raise ValueError("eta-state predictions are defined for t >= t1 only")
-    if np.any(t_eval > times[-1] + 1e-9):
-        raise ValueError("f trajectories do not reach the requested time")
 
 
 def eta_levels(times, values, f, t_eval) -> np.ndarray:
@@ -289,7 +237,13 @@ def eta_levels(times, values, f, t_eval) -> np.ndarray:
     f_{k-1} (f_0 = values), which is the node value on a sample time.
     Entries are computed alone: the first k rows equal f[:k]'s."""
     t_eval = np.atleast_1d(np.asarray(t_eval, dtype=float))
-    _check_eta_range(times, t_eval)
+    if np.shape(f)[1:] != np.shape(times):
+        raise ValueError("f must hold one value per sample time")
+    t1 = times[0]
+    if np.any(t_eval < t1 - 1e-12 * max(1.0, abs(t1))):
+        raise ValueError("eta-state predictions are defined for t >= t1 only")
+    if np.any(t_eval > times[-1] + 1e-9):
+        raise ValueError("f trajectories do not reach the requested time")
     m = len(t_eval)
     i0 = int(np.searchsorted(times, t_eval[0])) if m else 0
     if np.array_equal(times[i0:i0 + m], t_eval):
@@ -316,48 +270,43 @@ def _hankel(a):
     return padded[np.add.outer(np.arange(d), np.arange(d))]
 
 
+def _usable_eta(eta, d):
+    # the constants as floats, refused unless they are d finite numbers
+    eta = np.asarray(eta, dtype=float)
+    if eta.shape != (d,):
+        raise ValueError("eta must have one entry per coefficient")
+    if not np.all(np.isfinite(eta)):
+        raise ValueError("eta must be finite")
+    return eta
+
+
 def eta_sum(a, eta, levels, weights) -> np.ndarray:
-    """The approximant stage: a @ levels[:d] + c @ weights[:d], d = len(a),
-    with levels from eta_levels and weights from eta_weights at the same
-    times, to any degree >= d, and c_j = sum_l a_{l+j} eta_l.  c is summed
-    in ascending l, so at t1 the result is sum_k a_k eta_k to the bit."""
+    """The approximant stage: sum_k a_k x_k(t), x_k = eta_k + int_{t1}^t
+    x_{k-1} unrolled, as a @ levels[:d] + c @ weights[:d], d = len(a), with
+    levels and weights from eta_levels and eta_weights at the same times, to
+    any degree >= d, and c_j = sum_l a_{l+j} eta_l, in O(d m) for m times.
+    eta must hold d finite entries.  c is summed in ascending l, so at t1
+    the result is sum_k a_k eta_k to the bit; elsewhere it is within 1e-14
+    of the sum of the magnitudes of the per-k double sum's terms (tested)."""
     d = len(a)
+    eta = _usable_eta(eta, d)
     # cumsum adds the terms of each c_j in ascending l, an order that
     # H @ eta does not promise
     c = np.cumsum(_hankel(a) * eta[:, None], axis=0)[-1]
     return a @ levels[:d] + c @ weights[:d]
 
 
-def predict_eta_grid(state: EtaState, t_eval) -> np.ndarray:
-    """Vectorized closed-form prediction at each t in t_eval (all >= t1).
-
-    Uses x_k(t) = sum_{l=1}^{k} eta_l (t-t1)^(k-l)/(k-l)! + f_k(t), the
-    closed form obtained by unrolling the recursion
-    x_k = eta_k + int_{t1}^{t} x_{k-1}, regrouped as
-    sum_k a_k x_k(t) = sum_k a_k f_k(t) + sum_j c_j (t-t1)^j / j! with
-    c_j = sum_l a_{l+j} eta_l: the record stage (eta_levels, eta_weights),
-    then the approximant stage (eta_sum), in O(d m) for m times.  At t1 the
-    result is sum_k a_k eta_k to the bit (tested); elsewhere it agrees with
-    the per-k double sum to within 1e-14 of the sum of the magnitudes of its
-    terms (tested).
-    """
-    t_eval = np.atleast_1d(np.asarray(t_eval, dtype=float))
-    levels = eta_levels(state.times, state.values, state.f, t_eval)
-    return eta_sum(state.a, state.eta, levels,
-                   eta_weights(len(state.a), t_eval - state.t1))
-
-
 @dataclass(frozen=True, eq=False)
 class EtaFit:
-    state: EtaState
+    eta: np.ndarray
     residual: np.ndarray
     cond: float
 
 
-def fit_eta(a, times, values, fit_times, zeta) -> EtaFit:
-    """Estimate the reference constants from finite observations and return
-    the fitted state on the sampled window (times, values), whose first
-    sample is t1.
+def fit_eta(a, times, values, f, fit_times, zeta) -> EtaFit:
+    """Estimate the reference constants from finite observations on the
+    sampled window (times, values), whose first sample is t1 and whose
+    iterated integrals f (iterated_integrals, to degree >= d) are given.
 
     Solves M etabar = zeta - phi where
     M[m, l] = sum_{k>=l} a_k (t_m - t1)^(k-l)/(k-l)! and
@@ -365,7 +314,8 @@ def fit_eta(a, times, values, fit_times, zeta) -> EtaFit:
     reproduce the observations exactly at the fit points; overdetermined ones
     are solved in least squares.  Columns are norm-equilibrated (M mixes
     factorial scales); the condition estimate of the equilibrated system is
-    always reported and a warning is issued above 1e12.
+    always reported and a warning is issued above 1e12.  A fit whose
+    constants are not finite is refused as eta_sum refuses them.
 
     The caller must choose fit_times inside the observable window, i.e.
     t_m + T within the recorded samples when zeta_m = x(t_m + T).
@@ -373,7 +323,6 @@ def fit_eta(a, times, values, fit_times, zeta) -> EtaFit:
     a = np.asarray(a, dtype=float)
     d = len(a)
     times = np.asarray(times, dtype=float)
-    f = iterated_integrals(times, values, d)
     t1 = times[0]
     fit_times = np.asarray(fit_times, dtype=float)
     zeta = np.asarray(zeta, dtype=float)
@@ -386,7 +335,7 @@ def fit_eta(a, times, values, fit_times, zeta) -> EtaFit:
 
     # M[m, l] = sum_j (t_m - t1)^j / j! * a_{l+j}
     M = eta_weights(d, fit_times - t1).T @ _hankel(a)
-    phi = a @ eta_levels(times, values, f, fit_times)
+    phi = a @ eta_levels(times, values, f, fit_times)[:d]
     rhs = zeta - phi
 
     scale = np.linalg.norm(M, axis=0)
@@ -399,5 +348,4 @@ def fit_eta(a, times, values, fit_times, zeta) -> EtaFit:
             f"eta fit is near-singular (cond ~ {cond:.2e}); the fit times may "
             "be clustered", RuntimeWarning, stacklevel=2)
     residual = M @ eta - rhs
-    state = EtaState(eta=eta, times=times, values=values, f=f, a=a)
-    return EtaFit(state=state, residual=residual, cond=cond)
+    return EtaFit(eta=_usable_eta(eta, d), residual=residual, cond=cond)

@@ -7,8 +7,8 @@ supported spectral densities X(i*w) = amp * exp(-1/(1-s^2)) for
 s = (|w| - center)/half_width, mirrored to negative frequencies; they decay
 faster than any polynomial in time and satisfy every integrability hypothesis
 the polynomial-kernel predictor needs.  Every bump integral (grid samples,
-eps1, the iterated antiderivatives h_k, the second moment) goes through one
-fixed-order Gauss-Legendre panel rule over the bump supports.  A grid of
+eps1, the iterated antiderivatives h_k) goes through one fixed-order
+Gauss-Legendre panel rule over the bump supports.  A grid of
 more than 2^25 samples, or one too long or too far from t = 0 for the bump
 sampler's workspace, is refused before any array is made.
 

@@ -16,8 +16,9 @@ import numpy as np
 import pytest
 
 from gap_predict.approx import eval_psi, fit_approximant
-from gap_predict.predictor import (EtaState, fit_eta, predict_convolution,
-                                   predict_eta_grid)
+from gap_predict.predictor import (eta_levels, eta_sum, eta_weights,
+                                   fit_eta, iterated_integrals,
+                                   predict_convolution)
 from gap_predict.signal import (SpectrumSpec, epsilon1, exact_hk, sample_grid,
                                 select_nu)
 from gap_predict.taper import TaperSpec, eval_taper
@@ -47,6 +48,16 @@ class Budget:
 
 def report(name, detail, budget):
     print(f"[acceptance] {name} PASS ({budget.elapsed:.2f}s): {detail}")
+
+
+def predict_eta(a, eta, times, values, t_eval):
+    """The eta realization with constants eta on the sampled window (times,
+    values) from t1 = times[0], at t_eval: the window's iterated integrals,
+    the record stage and the approximant stage."""
+    t_eval = np.asarray(t_eval, dtype=float)
+    levels = eta_levels(times, values,
+                        iterated_integrals(times, values, len(a)), t_eval)
+    return eta_sum(a, eta, levels, eta_weights(len(a), t_eval - times[0]))
 
 
 def gamma_to_a(gamma_c, gamma_s):
@@ -130,9 +141,8 @@ def test_criterion_3_frequency_response_law():
         times = t1 + h * np.arange(n)
         values = sample_grid(tone, t1, h, n)
         eta = np.array([exact_hk(tone, k, t1) for k in range(1, 3)])
-        state = EtaState.from_window(approx.a, times, values, eta)
         t_grid = times[::157]                            # step dt, hits t_peak
-        y = predict_eta_grid(state, t_grid)
+        y = predict_eta(approx.a, eta, times, values, t_grid)
         truth = sample_grid(tone, t_grid[0] + T, dt, len(t_grid))
         sup_eta = float(np.abs(truth - y).max())
         assert abs(sup_eta - abs_E) <= 1e-6
@@ -185,9 +195,8 @@ def test_criterion_4_error_budget_bump():
         times = t1 + h * np.arange(n)
         values = sample_grid(spec, t1, h, n)
         eta = np.array([exact_hk(spec, k, t1) for k in range(1, d + 1)])
-        state = EtaState.from_window(approx.a, times, values, eta)
         t_grid = t1 + 0.01 * np.arange(401)
-        y = predict_eta_grid(state, t_grid)
+        y = predict_eta(approx.a, eta, times, values, t_grid)
         truth = np.array([sample(spec, t + T) for t in t_grid])
         measured = float(np.abs(truth - y).max())
 
@@ -215,12 +224,11 @@ def test_criterion_5_representation_equivalence():
         etimes = t1 + he * np.arange(ne)
         evalues = sample_grid(spec, t1, he, ne)
         eta = np.array([exact_hk(spec, k, t1) for k in range(1, d + 1)])
-        state = EtaState.from_window(approx.a, etimes, evalues, eta)
 
         idx = [int(round((t1 + s - t_lo) / hc))
                for s in np.linspace(0.0, 5.0, 50)]
         t_eval = ctimes[idx]
-        y_eta = predict_eta_grid(state, t_eval)
+        y_eta = predict_eta(approx.a, eta, etimes, evalues, t_eval)
         y_conv, tail = predict_convolution(approx, ctimes, xs, t_eval,
                                            history_length=L)
         worst = float(np.abs(y_conv - y_eta).max())
@@ -228,7 +236,7 @@ def test_criterion_5_representation_equivalence():
         assert worst <= max(1e-6, tail_max)
 
         # collapse at the reference time is exact
-        y_t1 = predict_eta_grid(state, [t1])[0]
+        y_t1 = predict_eta(approx.a, eta, etimes, evalues, [t1])[0]
         expected = 0.0
         for k in range(d):
             expected += approx.a[k] * eta[k]
@@ -250,11 +258,11 @@ def test_criterion_6_fit_eta_round_trip():
 
         rng = np.random.default_rng(7)
         eta_true = rng.standard_normal(d)
-        state = EtaState.from_window(approx.a, times, values, eta_true)
+        f = iterated_integrals(times, values, d)
         fit_times = np.linspace(0.5, 6.5, d)
-        zeta = predict_eta_grid(state, fit_times)
-        fit = fit_eta(approx.a, times, values, fit_times, zeta)
-        rel = float(np.max(np.abs(fit.state.eta - eta_true))
+        zeta = predict_eta(approx.a, eta_true, times, values, fit_times)
+        fit = fit_eta(approx.a, times, values, f, fit_times, zeta)
+        rel = float(np.max(np.abs(fit.eta - eta_true))
                     / np.max(np.abs(eta_true)))
         resid_rel = float(np.max(np.abs(fit.residual)) / np.linalg.norm(zeta))
         assert rel <= 1e-8
@@ -263,7 +271,7 @@ def test_criterion_6_fit_eta_round_trip():
         # overdetermined fit against true future observations of the tone
         fit_times12 = np.linspace(0.5, 6.5, 12)
         zeta12 = np.array([sample(spec, tm + 1.0) for tm in fit_times12])
-        fit12 = fit_eta(approx.a, times, values, fit_times12, zeta12)
+        fit12 = fit_eta(approx.a, times, values, f, fit_times12, zeta12)
         r_tone = float(eval_taper(GAUSS03, 2.0))
         bound_tones = 2.0 * 1.0 * (abs(1.0 - r_tone) + approx.eps2)
         max_resid12 = float(np.max(np.abs(fit12.residual)))

@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 import warnings
@@ -728,6 +729,17 @@ class TestRejectsNonFinite:
                               "--eta", str(eta_path))
         assert "eta must be finite" in output
 
+    @pytest.mark.parametrize("eta", [[0.1, 0.2, 0.3], [0.1, 0.2, 0.3, 0.4,
+                                                   0.5]], ids=["d-1", "d+1"])
+    def test_predict_eta_file_of_another_length(self, runner, files, eta):
+        tmp_path, approx_path, samples_path = files
+        eta_path = tmp_path / "eta.json"
+        eta_path.write_text(json.dumps({"t1": 0.0, "eta": eta}))
+        output = self.predict(runner, approx_path, samples_path, "eta",
+                              "--eta", str(eta_path))
+        assert "eta must have one entry per coefficient" in output
+        assert "Traceback" not in output
+
     @pytest.mark.parametrize("payload", [
         {"eta": [0.1, 0.2, 0.3, 0.4]},
         {"t1": 0.0},
@@ -983,6 +995,27 @@ class TestEvalCommand:
         assert result.exit_code == 2
         assert f"configuration error: {spec_path}: " in result.output
         assert reason in result.output
+        assert "Traceback" not in result.output
+        assert not (tmp_path / "out").exists()
+
+    def test_spectra_with_one_name_exit_2(self, runner, tmp_path):
+        # rows and the convergence check key on the file's basename, so two
+        # files named tone.json are refused before any row runs
+        paths = []
+        for sub in ("a", "b"):
+            (tmp_path / sub).mkdir()
+            paths.append(tmp_path / sub / "tone.json")
+            shutil.copy(os.path.join(CONFIG_DIR, "demo_tone.json"), paths[-1])
+        with open(os.path.join(CONFIG_DIR, "demo.json")) as fh:
+            config = json.load(fh)
+        config["spec_files"] = [str(p) for p in paths]
+        config_path = tmp_path / "cfg.json"
+        config_path.write_text(json.dumps(config))
+        result = invoke(runner, ["eval", "--config", str(config_path),
+                                 "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2
+        assert (f"configuration error: {paths[0]} and {paths[1]} both name "
+                "the spectrum 'tone'") in result.output
         assert "Traceback" not in result.output
         assert not (tmp_path / "out").exists()
 

@@ -11,7 +11,8 @@ from gap_predict import approx, harness, signal
 from gap_predict.harness import (ConvergenceVerdict, ErrorRow,
                                  ExperimentConfig, convergence_check,
                                  emit_report, run_sweep, write_reports)
-from gap_predict.predictor import EtaState, eta_sum, predict_eta_grid
+from gap_predict.predictor import (eta_levels, eta_sum, eta_weights,
+                                   iterated_integrals)
 from gap_predict.signal import SpectrumSpec, sample_grid, save_spectrum
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
@@ -392,9 +393,8 @@ class TestSharedWork:
     def test_rows_match_rows_predicted_one_at_a_time(self, tmp_path,
                                                      monkeypatch, dt):
         # each row's prediction, from the spectrum's levels at max(d_list)
-        # and the sweep's weights, is predict_eta_grid's on the row's own
-        # degree-d state, which EtaState.from_window integrates to degree d
-        # only, bit for bit
+        # and the sweep's weights, is the eta path's on the row's own record
+        # integrated to degree d only, bit for bit
         paths = two_tone_files(tmp_path)
         config = small_config(paths[0], spec_files=tuple(paths),
                               d_list=(2, 3, 4, 8), nu_list=(0.4, 0.3),
@@ -415,8 +415,11 @@ class TestSharedWork:
         specs = [spec for _, spec in harness._load_spectra(config)]
         for i, (a, eta, y) in enumerate(calls):
             values = sample_grid(specs[i // 8], config.t_start, h, len(times))
-            state = EtaState.from_window(a, times, values, eta)
-            assert np.array_equal(y, predict_eta_grid(state, t_grid))
+            levels = eta_levels(times, values,
+                                iterated_integrals(times, values, len(a)),
+                                t_grid)
+            weights = eta_weights(len(a), t_grid - times[0])
+            assert np.array_equal(y, eta_sum(a, eta, levels, weights))
 
     def test_spectra_swept_together_match_each_swept_alone(self, tmp_path):
         paths = two_tone_files(tmp_path)

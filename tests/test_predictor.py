@@ -1,4 +1,6 @@
 import math
+import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -6,9 +8,9 @@ from scipy.integrate import cumulative_trapezoid, simpson
 from scipy.interpolate import CubicHermiteSpline
 
 from gap_predict.approx import Approximant, fit_approximant
-from gap_predict.predictor import (EtaState, eta_levels, fit_eta,
+from gap_predict.predictor import (eta_levels, eta_sum, eta_weights, fit_eta,
                                    iterated_integrals, kernel_eval,
-                                   predict_convolution, predict_eta_grid)
+                                   predict_convolution)
 from gap_predict.signal import SpectrumSpec, exact_hk, sample_grid
 from gap_predict.taper import TaperSpec
 
@@ -22,12 +24,32 @@ def make_approx(a, T=1.0, gap=1.0):
                        eps2=1.0, fit_nodes=64)
 
 
+def eta_window(a, times, values, eta):
+    """A degree-len(a) eta realization on the sampled window (times, values),
+    t1 = times[0]: its coefficients, constants and iterated integrals."""
+    return SimpleNamespace(a=np.asarray(a, dtype=float),
+                           eta=np.asarray(eta, dtype=float), times=times,
+                           values=values, t1=times[0],
+                           f=iterated_integrals(times, values, len(a)))
+
+
+def predict_eta(w, t_eval, f=None, eta=None):
+    """The eta path at t_eval: the record stage (eta_levels on the window's
+    integrals, or on f, and eta_weights to the same degree), then the
+    approximant stage eta_sum with the window's constants, or with eta."""
+    t_eval = np.atleast_1d(np.asarray(t_eval, dtype=float))
+    f = w.f if f is None else f
+    return eta_sum(w.a, w.eta if eta is None else eta,
+                   eta_levels(w.times, w.values, f, t_eval),
+                   eta_weights(len(f), t_eval - w.t1))
+
+
 def tone_state(a, spec, t1, span, h):
     n = int(round(span / h)) + 1
     times = t1 + h * np.arange(n)
     values = sample_grid(spec, t1, h, n)
     eta = np.array([exact_hk(spec, k, t1) for k in range(1, len(a) + 1)])
-    return EtaState.from_window(a, times, values, eta)
+    return eta_window(a, times, values, eta)
 
 
 def predict_from_eta_recursive(state, t):
@@ -333,7 +355,7 @@ class TestIteratedIntegrals:
         for h in (2e-3, 1e-3):
             state = tone_state(approx.a, spec, t1=0.0,
                                span=2.0 * math.pi + h, h=h)
-            errors.append(np.max(np.abs(predict_eta_grid(state, t_eval)
+            errors.append(np.max(np.abs(predict_eta(state, t_eval)
                                         - exact)))
         assert errors[0] >= 12.0 * errors[1]
 
@@ -348,6 +370,18 @@ class TestIteratedIntegrals:
         alone = iterated_integrals(times, x, k)
         assert prefix.shape == alone.shape
         assert prefix.tobytes() == alone.tobytes()
+
+    def test_refuses_arrays_over_the_grid_limit(self):
+        # d x samples for the integrals and d x times for the weights: 8,192
+        # by 4,097 is 33,562,624 entries, just over 2^25, refused before
+        # either array is made
+        times = 1e-3 * np.arange(8192)
+        message = re.escape("a grid of 33562624 samples is over the limit "
+                            "of 2^25")
+        with pytest.raises(ValueError, match=message):
+            iterated_integrals(times, np.zeros(8192), 4097)
+        with pytest.raises(ValueError, match=message):
+            eta_weights(4097, times)
 
     def test_derivative_recovers_previous_level(self):
         h = 1e-3
@@ -394,8 +428,8 @@ def random_eta_case(d, t_kind):
     h = 1e-3
     times = 0.3 + h * np.arange(1501)
     values = np.cos(3.0 * times) + 0.1 * rng.standard_normal(len(times))
-    state = EtaState.from_window(rng.uniform(-1, 1, d), times, values,
-                                 rng.uniform(-1, 1, d))
+    state = eta_window(rng.uniform(-1, 1, d), times, values,
+                       rng.uniform(-1, 1, d))
     if t_kind == "on_lattice":
         t_eval = times[::7]
     elif t_kind == "off_lattice":
@@ -415,22 +449,22 @@ class TestEtaPrediction:
         # rounding relative to the magnitudes of the double sum's terms
         state, t_eval = random_eta_case(d, t_kind)
         ref, scale = predict_eta_double_loop(state, t_eval)
-        assert np.all(np.abs(predict_eta_grid(state, t_eval) - ref)
+        assert np.all(np.abs(predict_eta(state, t_eval) - ref)
                       <= 1e-14 * scale)
 
     @pytest.mark.parametrize("d", [1, 5, 16])
     @pytest.mark.parametrize("t_kind", ["on_lattice", "off_lattice", "long"])
-    def test_integrals_of_a_higher_degree_give_predict_eta_grid(
+    def test_integrals_of_a_higher_degree_give_the_degree_d_prediction(
             self, d, t_kind):
-        # the first d rows of integrals taken once at degree 2d, as the
-        # harness sweep shares them across degrees, give the prediction of
-        # the state's own degree-d integrals bit for bit
+        # integrals taken once at degree 2d, with levels and weights to
+        # degree 2d as the harness sweep shares them across degrees, or cut
+        # to their first d rows, give the prediction of the window's own
+        # degree-d integrals bit for bit
         state, t_eval = random_eta_case(d, t_kind)
         f = iterated_integrals(state.times, state.values, 2 * d)
-        shared = EtaState(eta=state.eta, times=state.times,
-                          values=state.values, f=f[:d], a=state.a)
-        assert np.array_equal(predict_eta_grid(shared, t_eval),
-                              predict_eta_grid(state, t_eval))
+        own = predict_eta(state, t_eval)
+        assert np.array_equal(predict_eta(state, t_eval, f=f), own)
+        assert np.array_equal(predict_eta(state, t_eval, f=f[:d]), own)
 
     def test_levels_on_sample_times_are_the_node_values(self):
         # a contiguous run of samples is a view of the integrals; the
@@ -447,38 +481,44 @@ class TestEtaPrediction:
         assert not np.shares_memory(levels, state.f)
         assert np.array_equal(levels, state.f[:, picks])
 
-    def test_state_rejects_constants_it_cannot_use(self):
+    def test_rejects_constants_it_cannot_use(self):
         times = np.linspace(0.0, 1.0, 11)
-        a = [1.0, 1.0]
+        state = eta_window([1.0, 1.0], times, np.zeros(11), [1.0, 1.0])
         with pytest.raises(ValueError, match="eta must be finite"):
-            EtaState.from_window(a, times, np.zeros(11), [1.0, np.nan])
+            predict_eta(state, times, eta=[1.0, np.nan])
         for eta in ([1.0], [1.0, 1.0, 1.0]):
             with pytest.raises(ValueError, match="one entry per coefficient"):
-                EtaState.from_window(a, times, np.zeros(11), eta)
-        for f in (np.zeros((3, 11)), np.zeros((2, 10))):
-            with pytest.raises(ValueError, match="one trajectory per"):
-                EtaState(eta=[1.0, 1.0], times=times, values=np.zeros(11),
-                         f=f, a=a)
+                predict_eta(state, times, eta=eta)
+
+    def test_rejects_integrals_it_cannot_use(self):
+        # integrals on other sample times than the window's, or to a degree
+        # below len(a)
+        times = np.linspace(0.0, 1.0, 11)
+        state = eta_window([1.0, 1.0], times, np.zeros(11), [1.0, 1.0])
+        with pytest.raises(ValueError, match="one value per sample time"):
+            predict_eta(state, [0.55], f=np.zeros((2, 10)))
+        with pytest.raises(ValueError):
+            predict_eta(state, times, f=np.zeros((1, 11)))
 
     def test_collapse_at_reference_time(self):
         rng = np.random.default_rng(3)
         a = rng.uniform(-1, 1, 5)
         eta = rng.uniform(-1, 1, 5)
         times = np.linspace(2.0, 4.0, 501)
-        state = EtaState.from_window(a, times, np.zeros_like(times), eta)
+        state = eta_window(a, times, np.zeros_like(times), eta)
         expected = 0.0
         for k in range(5):
             expected += a[k] * eta[k]
-        assert predict_eta_grid(state, [2.0])[0] == expected
+        assert predict_eta(state, [2.0])[0] == expected
 
     def test_hand_expansion_d2_zero_signal(self):
         a = np.array([0.7, -0.4])
         eta = np.array([1.3, 0.2])
         times = np.linspace(0.0, 3.0, 301)
-        state = EtaState.from_window(a, times, np.zeros_like(times), eta)
+        state = eta_window(a, times, np.zeros_like(times), eta)
         for t in (0.5, 1.7, 3.0):
             expected = a[0] * eta[0] + a[1] * (eta[1] + eta[0] * t)
-            assert predict_eta_grid(state, [t])[0] == \
+            assert predict_eta(state, [t])[0] == \
                 pytest.approx(expected, abs=1e-12)
 
     def test_matches_frequency_oracle_on_tone(self):
@@ -488,7 +528,7 @@ class TestEtaPrediction:
         for t in (0.25, 1.0, 2.75, 5.25):
             oracle = sum(approx.a[k - 1] * exact_hk(spec, k, t)
                          for k in range(1, 5))
-            assert predict_eta_grid(state, [t])[0] == \
+            assert predict_eta(state, [t])[0] == \
                 pytest.approx(oracle, abs=1e-8)
 
     def test_recursive_cross_check(self):
@@ -496,7 +536,7 @@ class TestEtaPrediction:
         approx = fit_approximant(1.0, 1.0, GAUSS03, 4)
         state = tone_state(approx.a, spec, t1=0.0, span=4.0, h=1e-3)
         for t in (1.0, 2.5, 4.0):
-            closed = predict_eta_grid(state, [t])[0]
+            closed = predict_eta(state, [t])[0]
             recursive = predict_from_eta_recursive(state, t)
             assert recursive == pytest.approx(closed, abs=1e-5)
 
@@ -506,7 +546,7 @@ class TestEtaPrediction:
                            t1=0.0, span=1.0, h=1e-3)
         for t in (-0.5, 1.5):
             with pytest.raises(ValueError):
-                predict_eta_grid(state, [t])
+                predict_eta(state, [t])
 
     def test_shift_covariance(self):
         delta = 2.7
@@ -518,8 +558,8 @@ class TestEtaPrediction:
         state = tone_state(approx.a, spec, t1=0.0, span=3.0, h=1e-4)
         state_shift = tone_state(approx.a, shifted, t1=delta, span=3.0, h=1e-4)
         t_eval = np.array([0.0, 0.9, 2.4])
-        y = predict_eta_grid(state, t_eval)
-        y_shift = predict_eta_grid(state_shift, t_eval + delta)
+        y = predict_eta(state, t_eval)
+        y_shift = predict_eta(state_shift, t_eval + delta)
         assert np.max(np.abs(y - y_shift)) < 1e-10
 
 
@@ -531,24 +571,35 @@ class TestFitEta:
         n = int(round(8.0 / h)) + 1
         self.times = h * np.arange(n)
         self.values = sample_grid(self.spec, 0.0, h, n)
+        self.f = iterated_integrals(self.times, self.values, 6)
 
-    def fit(self, fit_times, zeta):
-        return fit_eta(self.approx.a, self.times, self.values, fit_times, zeta)
+    def fit(self, fit_times, zeta, f=None):
+        return fit_eta(self.approx.a, self.times, self.values,
+                       self.f if f is None else f, fit_times, zeta)
 
     def test_round_trip_recovers_eta(self):
         rng = np.random.default_rng(42)
         eta_true = rng.standard_normal(6)
-        state = EtaState.from_window(self.approx.a, self.times, self.values,
-                                     eta_true)
+        state = eta_window(self.approx.a, self.times, self.values, eta_true)
         fit_times = np.linspace(0.5, 6.5, 6)
-        zeta = predict_eta_grid(state, fit_times)
+        zeta = predict_eta(state, fit_times)
         fit = self.fit(fit_times, zeta)
-        assert np.max(np.abs(fit.state.eta - eta_true)) <= 1e-8 * np.max(np.abs(eta_true))
+        assert np.max(np.abs(fit.eta - eta_true)) <= 1e-8 * np.max(np.abs(eta_true))
         assert np.max(np.abs(fit.residual)) <= 1e-10 * np.linalg.norm(zeta)
         assert fit.cond < 1e12
-        # the fitted state itself reproduces the observations
-        refit = predict_eta_grid(fit.state, fit_times)
+        # the fitted constants themselves reproduce the observations
+        refit = predict_eta(state, fit_times, eta=fit.eta)
         assert np.max(np.abs(refit - zeta)) <= 1e-10 * np.linalg.norm(zeta)
+
+    def test_integrals_of_a_higher_degree_give_the_same_fit(self):
+        fit_times = np.linspace(0.5, 6.5, 9)
+        zeta = np.cos(2.0 * (fit_times + 1.0))
+        own = self.fit(fit_times, zeta)
+        shared = self.fit(fit_times, zeta,
+                          f=iterated_integrals(self.times, self.values, 12))
+        for name in ("eta", "residual"):
+            assert np.array_equal(getattr(shared, name), getattr(own, name))
+        assert shared.cond == own.cond
 
     def test_overdetermined_residual_within_tone_bound(self):
         # zeta are true future values; feasibility is guaranteed because the
@@ -567,6 +618,16 @@ class TestFitEta:
             self.fit([0.5, 1.0], np.zeros(2))
         with pytest.raises(ValueError):
             self.fit(np.linspace(0.5, 20.0, 6), np.zeros(6))
+
+    def test_refuses_constants_that_are_not_finite(self):
+        # finite observations whose least-squares constants overflow
+        a = np.array([1e-3, 1e-3])
+        zeros = np.zeros_like(self.times)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(ValueError, match="eta must be finite"):
+            fit_eta(a, self.times, zeros,
+                    iterated_integrals(self.times, zeros, 2), [1.0, 2.0],
+                    [1e306, -1e306])
 
     def test_warns_on_clustered_fit_times(self):
         fit_times = 1.0 + 1e-9 * np.arange(6)
