@@ -1,19 +1,21 @@
 """Rational-polynomial approximation of the tapered complex sinusoid.
 
-Builds psi(i*w) = sum_k a_k (i*w)^(-k), a real-coefficient polynomial in
-1/(i*w), approximating exp(i*w*T) * r_nu(w) uniformly on |w| >= omega_gap,
-and certifies the achieved sup error once, on a grid CERT_DENSITY times as
-dense as the fit grid.
+Builds psi(i*w), a real polynomial in v = 1/(i*w) approximating
+exp(i*w*T) * r_nu(w) uniformly on |w| >= omega_gap, and certifies its sup
+error once, on a grid CERT_DENSITY times as dense as the fit grid.  psi is
+stored as its Chebyshev coefficients c_0..c_d (c_0 = 0):
 
-The fit is a parity-constrained discrete least squares in Chebyshev
-polynomials of s = omega_gap/w: the real part of the target (cos * r_nu,
-even) is matched with T_2m(s) - T_2m(0), the imaginary part (sin * r_nu,
-odd) with T_2m+1(s).  Expanded in powers of u = 1/w they give the parity
-coefficients gamma_c (of cos, even k) and gamma_s (of sin, odd k); since
-(i*w)^(-k) = i^(-k) w^(-k), a sign flip gives the real a_k, exactly:
+    psi = sum_j sigma_j c_j (P_j(v) - P_j(0)),   sigma_j = (-1)^ceil(j/2),
 
-    k = 2m:     a_k = (-1)^m * gamma_c_k
-    k = 2m+1:   a_k = -(-1)^m * gamma_s_k
+P_j(v) = i^-j T_j(i*omega_gap*v): P_0 = 1, P_1 = omega_gap*v and
+P_{j+1} = 2*omega_gap*v*P_j + P_{j-1}.  With s = omega_gap/w, Re psi is
+sum_{even j} c_j (T_j(s) - T_j(0)) and Im psi is sum_{odd j} c_j T_j(s),
+and |T_j(s)| <= 1 on the spectrum, so nothing cancels.  The fit is a
+parity-constrained least squares in those columns.  The monomial
+coefficients of v^k, a_k = sigma_k omega_gap^k (c @ M)_k for the monomial
+matrix M of the T_j, are a derived view (Approximant.a) for the
+convolution kernel and the JSON file; their terms grow like 2^k, so a loses
+digits past d ~ 40 where c does not.
 """
 
 from __future__ import annotations
@@ -34,16 +36,14 @@ __all__ = ["Approximant", "CERT_DENSITY", "chebyshev_grid", "fit_parity_ls",
 
 @dataclass(frozen=True, eq=False)
 class Approximant:
-    """An immutable fitted approximant with its certified sup error.
-
-    a[k-1] holds the coefficient of (i*w)^(-k).
-    """
+    """An immutable fitted approximant: the Chebyshev coefficients c_j,
+    j = 0..d (module docstring), and eps2, its certified sup error."""
 
     T: float
     omega_gap: float
     taper: TaperSpec
     d: int
-    a: np.ndarray
+    c: np.ndarray
     eps2: float
     fit_nodes: int
 
@@ -54,14 +54,25 @@ class Approximant:
             raise ValueError("T and omega_gap must be positive")
         if self.d < 1:
             raise ValueError("degree d must be a positive integer")
-        a = np.asarray(self.a, dtype=float)
-        object.__setattr__(self, "a", a)
-        if a.shape != (self.d,):
-            raise ValueError(f"a must have length d={self.d}")
-        if not np.all(np.isfinite(a)):
-            raise ValueError("coefficients a must be finite")
+        c = np.asarray(self.c, dtype=float)
+        object.__setattr__(self, "c", c)
+        if c.shape != (self.d + 1,):
+            raise ValueError(f"c must have length d + 1 = {self.d + 1}")
+        if not np.all(np.isfinite(c)):
+            raise ValueError("coefficients c must be finite")
         if self.eps2 < 0:
             raise ValueError("eps2 must be nonnegative")
+
+    @property
+    def weights(self) -> np.ndarray:
+        """sigma_j c_j, j = 0..d: the weights of the realization's levels."""
+        return _sigma(self.d) * self.c
+
+    @property
+    def a(self) -> np.ndarray:
+        """The monomial view: a[k-1] is the coefficient of (i*w)^(-k)."""
+        return (_sigma(self.d)[1:] * self.omega_gap ** np.arange(1, self.d + 1)
+                * (self.c @ _monomials(self.d))[1:])
 
 
 # certification grid density, in multiples of the fit grid's node spacing
@@ -103,11 +114,25 @@ def _chebyshev(s, d: int) -> np.ndarray:
 def _monomials(d: int) -> np.ndarray:
     # m[j, k] is the coefficient of s^k in T_j(s), so m[:, 0] holds T_j(0)
     m = np.zeros((d + 1, d + 1))
-    m[0, 0] = m[1, 1] = 1.0
+    m[0, 0] = m[1:2, 1:2] = 1.0  # T_0 = 1 and, when d >= 1, T_1 = s
     for j in range(1, d):
         m[j + 1, 1:] = 2.0 * m[j, :-1]
         m[j + 1] -= m[j - 1]
     return m
+
+
+def _sigma(d: int) -> np.ndarray:
+    # sigma_j = (-1)^ceil(j/2), j = 0..d
+    return (-1.0) ** ((np.arange(d + 1) + 1) // 2)
+
+
+def _c_from_a(a, omega_gap: float) -> np.ndarray:
+    # the c, c_0 = 0, whose monomial view is a: the triangular system solved
+    d = len(a)
+    c = np.zeros(d + 1)
+    scale = _sigma(d)[1:] * omega_gap ** np.arange(1, d + 1)
+    c[1:] = np.linalg.solve(_monomials(d)[1:, 1:].T, np.asarray(a, float) / scale)
+    return c
 
 
 def fit_parity_ls(T: float, taper: TaperSpec, omega_gap: float, d: int,
@@ -118,7 +143,7 @@ def fit_parity_ls(T: float, taper: TaperSpec, omega_gap: float, d: int,
     sum_m c_2m+1 T_2m+1(s) to sin(T*w) * r_nu(w), s = omega_gap/w, degrees
     up to d.  Nodes at w and -w have equal squared residuals in both
     systems, so each distinct |w| is one row weighted by sqrt(multiplicity),
-    which keeps the grid's own minimizer.  Returns the length-d vector a.
+    which keeps the grid's own minimizer.  Returns c, length d + 1, c_0 = 0.
     """
     if not np.isfinite(T):
         raise ValueError("T must be finite")
@@ -131,9 +156,8 @@ def fit_parity_ls(T: float, taper: TaperSpec, omega_gap: float, d: int,
     w, count = np.unique(np.abs(grid), return_counts=True)
     weight = np.sqrt(count)
     r = eval_taper(taper, w) * weight
-    mono = _monomials(d)
     # T_j(s) - T_j(0): the odd T_j vanish at 0, so only the even columns move
-    cheb = (_chebyshev(omega_gap / w, d) - mono[:, :1]) * weight
+    cheb = (_chebyshev(omega_gap / w, d) - _monomials(d)[:, :1]) * weight
     c = np.zeros(d + 1)
     for j0, part in ((2, np.cos), (1, np.sin)):
         A = cheb[j0::2].T
@@ -141,36 +165,38 @@ def fit_parity_ls(T: float, taper: TaperSpec, omega_gap: float, d: int,
         if rank < A.shape[1]:
             raise ValueError(f"rank-deficient least-squares system (rank "
                              f"{rank} < {A.shape[1]}); the fit grid is degenerate")
-    # the even columns' constants cancel, so the s^0 term is dropped
-    k = np.arange(1, d + 1)
-    return (-1.0) ** ((k + 1) // 2) * omega_gap ** k * (c @ mono)[1:]
+    return c
 
 
-def _psi_parts(a, u):
-    # Re and Im of psi = sum_k a_k v^k with v = 1/(i*w) = -i*u, by Horner in
-    # reals: (x, y) <- (y*u, -(x + a_k)*u) for k = d down to 1, in place
-    x, y, neg_u = np.zeros_like(u), np.zeros_like(u), -u
-    for coeff in a[::-1]:
-        x += coeff
-        x *= neg_u
-        y *= u
-        x, y = y, x
-    return x, y
-
-
-def eval_psi(a, omega):
-    """Evaluate psi(i*omega) = sum_k a_k (i*omega)^(-k) by Horner recurrence
-    in 1/(i*omega).  omega may be a scalar or an array; omega = 0 is rejected
-    (it is a pole of every basis function).
-    """
+def eval_psi(c, omega_gap: float, omega):
+    """psi(i*omega) for a scalar or array omega != 0, in reals on
+    s = omega_gap/omega: the even and the odd series by Clenshaw's
+    recurrence in t = T_2(s), T_2m(s) = T_m(t) and T_2m+1(s) = s V_m(t)
+    (V_0 = 1, V_1 = 2t - 1), less sum_m c_2m T_2m(0) = (-1)^m c_2m."""
     om = np.asarray(omega, dtype=float)
     if np.any(om == 0.0):
         raise ValueError("psi has a pole at omega = 0")
-    x, y = _psi_parts(np.asarray(a, dtype=float), 1.0 / om)
-    return complex(x + 1j * y) if np.ndim(omega) == 0 else x + 1j * y
+    c = np.asarray(c, dtype=float)
+    s = omega_gap / om
+    t = 2.0 * s * s - 1.0
+    two_t, clenshaw = 2.0 * t, []
+    for series in (c[0::2], c[1::2]):
+        b0, b1, b2 = np.empty(om.shape), np.zeros(om.shape), np.zeros(om.shape)
+        for coeff in series[:0:-1]:
+            np.multiply(two_t, b1, out=b0)
+            b0 -= b2
+            b0 += coeff
+            b0, b1, b2 = b2, b0, b1
+        clenshaw.append((b1, b2))
+    (e1, e2), (o1, o2) = clenshaw
+    # c_0 (T_0 - T_0(0)) = 0 is left out of the even series
+    even = t * e1 - e2 - c[2::2] @ (-1.0) ** np.arange(1, len(c[2::2]) + 1)
+    odd = s * ((c[1] if len(c) > 1 else 0.0) + (two_t - 1.0) * o1 - o2)
+    psi = even + 1j * odd
+    return complex(psi) if np.ndim(omega) == 0 else psi
 
 
-def certify_sup_error(T: float, omega_gap: float, taper: TaperSpec, a,
+def certify_sup_error(T: float, omega_gap: float, taper: TaperSpec, c,
                       fit_nodes: int,
                       dense_factor: int = CERT_DENSITY) -> float:
     """Grid-certified sup of |exp(i*w*T) r_nu(w) - psi(i*w)| over |w| >= gap.
@@ -178,20 +204,25 @@ def certify_sup_error(T: float, omega_gap: float, taper: TaperSpec, a,
     The evaluation set is a Chebyshev grid in u = 1/w with
     dense_factor*(fit_nodes-1)+1 nodes, which contains the fit grid; the
     error is even in w, so its w > 0 half is evaluated, in real arithmetic.
-    Beyond the innermost node (|u| <= u_min, i.e. the far frequency tail)
-    the error is folded in through the monotone bound
-    sum_k |a_k| u_min^k + r_nu(1/u_min); both target and psi vanish at u = 0.
+    Beyond the innermost node, 0 < s <= s_min, r_nu(omega_gap/s_min) bounds
+    the target and |psi'(0)| s + s^2 sum_j |c_j| j^2 / (1-s^2)^1.5 bounds
+    psi (Taylor, psi(0) = 0, |T_j''(t)| <= j^2/(1-t^2) + |t|j/(1-t^2)^1.5).
     """
-    a = np.asarray(a, dtype=float)
+    c = np.asarray(c, dtype=float)
     if dense_factor < 1:
         raise ValueError("dense_factor must be >= 1")
     w = _half_grid(omega_gap, dense_factor * (fit_nodes - 1) + 1)
-    r = eval_taper(taper, w)
-    x, y = _psi_parts(a, 1.0 / w)
-    err = np.hypot(np.cos(w * T) * r - x, np.sin(w * T) * r - y)
-    u_min = 1.0 / w[-1]
-    tail = float(np.sum(np.abs(a) * u_min ** np.arange(1, len(a) + 1)))
-    tail += float(eval_taper(taper, 1.0 / u_min))
+    err = np.abs(np.exp(1j * w * T) * eval_taper(taper, w)
+                 - eval_psi(c, omega_gap, w))
+    s_min, j = omega_gap / w[-1], np.arange(len(c))
+    # |psi| <= 2 sum_j |c_j| everywhere, the only bound where s_min = 1 (one
+    # node per sign); T_j'(0) = j (-1)^((j-1)/2) for odd j
+    tail = 2.0 * float(np.abs(c).sum())
+    if s_min < 1.0:
+        slope = abs(float(c[1::2] @ (j[1::2] * (-1.0) ** (j[1::2] // 2))))
+        tail = min(tail, slope * s_min + s_min ** 2 * float(np.abs(c) @ j ** 2)
+                   / (1.0 - s_min ** 2) ** 1.5)
+    tail += float(eval_taper(taper, w[-1]))
     return max(float(err.max()), tail)
 
 
@@ -210,18 +241,20 @@ def fit_approximant(T: float, omega_gap: float, taper: TaperSpec, d: int,
     grid_size(CERT_DENSITY * (fit_nodes - 1) + 1)
     grid_size(fit_nodes // 2 * (d + 1))
     grid = chebyshev_grid(omega_gap, fit_nodes)
-    a = fit_parity_ls(T, taper, omega_gap, d, grid)
-    eps2 = certify_sup_error(T, omega_gap, taper, a, fit_nodes, CERT_DENSITY)
-    return Approximant(T=T, omega_gap=omega_gap, taper=taper, d=d, a=a,
+    c = fit_parity_ls(T, taper, omega_gap, d, grid)
+    eps2 = certify_sup_error(T, omega_gap, taper, c, fit_nodes, CERT_DENSITY)
+    return Approximant(T=T, omega_gap=omega_gap, taper=taper, d=d, c=c,
                        eps2=eps2, fit_nodes=fit_nodes)
 
 
 def approximant_to_dict(approx: Approximant) -> dict:
+    """The JSON form: c, and the derived a that monomial readers take."""
     return {
         "T": approx.T,
         "omega_gap": approx.omega_gap,
         "taper": taper_to_dict(approx.taper),
         "d": approx.d,
+        "c": approx.c.tolist(),
         "a": approx.a.tolist(),
         "eps2": approx.eps2,
         "fit_nodes": approx.fit_nodes,
@@ -229,12 +262,15 @@ def approximant_to_dict(approx: Approximant) -> dict:
 
 
 def approximant_from_dict(data: dict) -> Approximant:
+    """Read c, or, from a file that holds only a, the c it expands."""
+    gap = float(data["omega_gap"])
+    c = data["c"] if "c" in data else _c_from_a(data["a"], gap)
     return Approximant(
         T=float(data["T"]),
-        omega_gap=float(data["omega_gap"]),
+        omega_gap=gap,
         taper=taper_from_dict(data["taper"]),
         d=int(data["d"]),
-        a=np.asarray(data["a"], dtype=float),
+        c=np.asarray(c, dtype=float),
         eps2=float(data["eps2"]),
         fit_nodes=int(data["fit_nodes"]),
     )

@@ -24,7 +24,7 @@ import numpy as np
 from .approx import (approximant_to_dict, fit_approximant, load_approximant,
                      save_approximant)
 from .harness import ExperimentConfig, run_sweep, write_reports
-from .predictor import (eta_sum, eta_weights, fit_eta, iterated_integrals,
+from .predictor import (eta_sum, fit_eta, iterated_integrals,
                         predict_convolution, _sample_index)
 from .signal import grid_size, load_spectrum, sample_grid
 from .taper import TaperSpec
@@ -281,7 +281,7 @@ def _window_from(times, values, t1):
 
 
 def _fit_eta_from_samples(approx, times, values, t1, theta, dbar):
-    # (window times, window integrals to degree d, fit, extrapolation)
+    # (window times, window values, fit, extrapolation)
     if not np.all(np.isfinite([t1, theta])):
         raise ValueError(f"t1 and theta must be finite, got t1={t1}, "
                          f"theta={theta}")
@@ -296,11 +296,9 @@ def _fit_eta_from_samples(approx, times, values, t1, theta, dbar):
         raise ValueError(
             "observation window too short: need theta - T > t1 + T/10")
     lo, hi = t1 + T / 10.0, theta - T
-    try:  # the dbar x d fit matrix has at least as many entries as fit times
-        grid_size(dbar * approx.d)
-    except ValueError as exc:
-        raise ValueError(f"--dbar {dbar} at d={approx.d} needs a {dbar} x "
-                         f"{approx.d} fit matrix: {exc}") from exc
+    # the dbar x d fit matrix has at least as many entries as fit times
+    grid_size(dbar * approx.d, f"--dbar {dbar} at d={approx.d}: the {dbar} x "
+              f"{approx.d} fit matrix")
     fit_times = np.linspace(lo, hi, dbar)
     zeta = np.interp(fit_times + T, times, values)
     # |T_{d-1}| at theta, the fit span mapped onto [-1, 1]: about the factor
@@ -309,16 +307,15 @@ def _fit_eta_from_samples(approx, times, values, t1, theta, dbar):
     x = (2.0 * theta - lo - hi) / (hi - lo)
     with np.errstate(over="ignore"):
         extrapolation = float(np.cosh((approx.d - 1) * np.arccosh(x)))
-    f = iterated_integrals(tw, vw, approx.d)
-    return tw, f, fit_eta(approx.a, tw, vw, f, fit_times, zeta), extrapolation
+    return tw, vw, fit_eta(approx, tw, vw, fit_times, zeta), extrapolation
 
 
 def _read_eta(path):
-    # (t1, eta) from a fit-eta output; eta_sum checks the numbers
+    # (t1, etaP) from a fit-eta output; iterated_integrals checks the numbers
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-        return float(data["t1"]), np.asarray(data["eta"], dtype=float)
+        return float(data["t1"]), np.asarray(data["etaP"], dtype=float)
     except (KeyError, TypeError, ValueError) as exc:
         raise click.ClickException(
             f"{path} is not a fit-eta output ({type(exc).__name__}: {exc})"
@@ -360,20 +357,19 @@ def predict_cmd(approx_path, samples_path, mode, t1, history_length, eta_path,
             t_out = times[len(times) - len(y):]
         else:
             if eta_path is not None:
-                eta_t1, eta = _read_eta(eta_path)
+                eta_t1, etaP = _read_eta(eta_path)
                 t_out, vw = _window_from(times, values, eta_t1)
-                f = iterated_integrals(t_out, vw, approx.d)
             else:
-                t_out, f, fit, extrapolation = _fit_eta_from_samples(
+                t_out, vw, fit, extrapolation = _fit_eta_from_samples(
                     approx, times, values,
                     float(times[0]) if t1 is None else t1, float(times[-1]),
                     approx.d)
-                eta = fit.eta
+                etaP = fit.etaP
                 note = (f", cond={fit.cond:.3e}, "
                         f"extrapolation={extrapolation:.3e}")
-            # on the window's own samples the levels are f itself
-            y = eta_sum(approx.a, eta, f,
-                        eta_weights(approx.d, t_out - t_out[0]))
+            # predictions at the window's own samples take its levels whole
+            y = eta_sum(approx, iterated_integrals(
+                t_out, vw, approx.d, approx.omega_gap, etaP))
             tail = np.zeros_like(y)
     except ValueError as exc:
         raise click.ClickException(str(exc)) from exc
@@ -393,7 +389,7 @@ def predict_cmd(approx_path, samples_path, mode, t1, history_length, eta_path,
               help="Number of fit points (>= d; > d is least squares).")
 @click.option("--out", type=click.Path(dir_okay=False), required=True)
 def fit_eta_cmd(approx_path, samples_path, t1, theta, dbar, out):
-    """Estimate the eta constants from observations on [t1, theta]."""
+    """Estimate the constants etaP from observations on [t1, theta]."""
     try:
         approx = load_approximant(approx_path)
         times, values = _read_samples(samples_path)
@@ -401,7 +397,7 @@ def fit_eta_cmd(approx_path, samples_path, t1, theta, dbar, out):
             approx, times, values, t1, theta, dbar)
     except ValueError as exc:
         raise click.ClickException(str(exc)) from exc
-    payload = {"t1": float(tw[0]), "eta": fit.eta.tolist(),
+    payload = {"t1": float(tw[0]), "etaP": fit.etaP.tolist(),
                "residual": fit.residual.tolist(), "cond": fit.cond,
                "extrapolation": extrapolation}
     with open(out, "w", encoding="utf-8", newline="\n") as fh:

@@ -3,33 +3,24 @@
 For every combination of spectrum file, degree and taper scale the sweep fits
 an approximant, computes the two error budgets (the L1-spectrum form
 (eps1 + eps2) / 2pi and the tone point-mass form
-sum_j 2|c_j| (|1 - r_nu(w_j)| + eps2)), runs the eta realization with
-the exact constants h_k(t_start) on a measurement grid, and records the sup
-error against the exact future values.  A row passes when the measured sup
+sum_j 2|c_j| (|1 - r_nu(w_j)| + eps2)), runs the recurrence in time with
+the exact constants etaP_j(t_start) on a measurement grid, and records the
+sup error against the exact future values.  A row passes when the measured sup
 error is at most the bound matching its spectrum kind, bound_tones for tones
 and bound_paper for bumps, up to 1e-15 of round-off.  eps2 is the
 approximant's own certificate, computed once at approx.CERT_DENSITY.  The
 conv and fit-eta realizations are not swept; the command line keeps them.
 
-The eta realization is the one path predict --mode eta also runs:
-iterated_integrals, the record stage (eta_levels, eta_weights) and the
-approximant stage (eta_sum).  Work that several rows share is computed once
-within one run_sweep call:
-
-* once per sweep: the measurement grid, the record's sample times and the
-  eta weights on the grid to D = max(d_list), and per (d, nu) each
-  approximant;
-* once per spectrum: the future values x(t + T), the constants
-  h_1..h_D(t_start), taken in one exact_hk call, the sample record from
-  t_start and its iterated integrals to D at the measurement grid (the eta
-  record stage); rows of degree d use the first d of each;
-* once per row: eps1 (signal caches each bump spectrum's rule, so a row
-  builds none), the bounds and the row's prediction (eta_sum).
-
-Each value is computed when a row first needs it, and one whose computation
-raises is not stored, so a failure errors the same rows with the same
-message as computing every row from scratch.  A spectrum's values are
-dropped before the next spectrum's rows run, and nothing outlives the call.
+The realization is the one path predict --mode eta also runs
+(iterated_integrals, eta_levels, eta_sum).  Its levels do not depend on the
+approximant, so one run_sweep call fits each (d, nu) once and computes per
+spectrum, once, the future values, the record from t_start, its constants
+etaP_0..etaP_{D-1} (D = max(d_list)) and its levels z_0..z_D at the
+measurement grid; a row of degree d takes the first d + 1 levels.  A value
+is computed when a row first needs it and not stored if that raises, so a
+failure errors the same rows with the same message as computing every row
+from scratch.  A spectrum's values are dropped before the next spectrum's
+rows run, and nothing outlives the call.
 
 Rows are computed serially in a fixed order and all output formatting is
 fixed-width, so identical configs produce byte-identical reports.
@@ -47,8 +38,8 @@ from typing import Optional
 import numpy as np
 
 from .approx import CERT_DENSITY, fit_approximant
-from .predictor import eta_levels, eta_sum, eta_weights, iterated_integrals
-from .signal import (SpectrumSpec, epsilon1, exact_hk, grid_size,
+from .predictor import eta_levels, eta_sum, iterated_integrals
+from .signal import (SpectrumSpec, epsilon1, exact_etaP, grid_size,
                      load_spectrum, sample_grid, select_nu)
 from .taper import TaperSpec, eval_taper
 
@@ -200,12 +191,10 @@ def _fit(config: ExperimentConfig, taper: TaperSpec, d: int):
 
 def _run_row(config: ExperimentConfig, spec_name: str, spec: SpectrumSpec,
              d: int, nu: float, h: float, times: np.ndarray,
-             t_grid: np.ndarray, weights: np.ndarray, approximants: dict,
+             t_grid: np.ndarray, approximants: dict,
              shared: dict) -> ErrorRow:
     # approximants maps (d, nu) to the sweep's fits; shared holds this
-    # spectrum's record values on the sample times, their iterated integrals
-    # at t_grid (the sweep's measurement grid, whose eta weights are
-    # weights), future values and h_k(t1)
+    # spectrum's record, etaP(t1), levels at t_grid and future values
     taper = TaperSpec(family=config.taper_family, nu=nu)
     approx = _cached(approximants, (d, nu), _fit, config, taper, d)
 
@@ -220,13 +209,14 @@ def _run_row(config: ExperimentConfig, spec_name: str, spec: SpectrumSpec,
 
     t1 = config.t_start
     values = _cached(shared, "record", sample_grid, spec, t1, h, len(times))
-    # h_k and f_k do not depend on d, so the rows of one spectrum share them
-    # to the largest degree; a row of degree d uses the first d
-    d_max = max(config.d_list)
-    hk = _cached(shared, "hk", exact_hk, spec, np.arange(1, d_max + 1), t1)
+    # etaP and the levels do not depend on d, so the rows of one spectrum
+    # share them to the largest degree; a row of degree d uses d + 1 levels
+    d_max, gap = max(config.d_list), config.omega_gap
+    etaP = _cached(shared, "etaP", exact_etaP, spec, gap, d_max, t1)
     levels = _cached(shared, "levels", lambda: eta_levels(
-        times, values, iterated_integrals(times, values, d_max), t_grid))
-    y = eta_sum(approx.a, hk[:d], levels, weights)
+        times, values, iterated_integrals(times, values, d_max, gap, etaP),
+        gap, t_grid))
+    y = eta_sum(approx, levels)
     sup_err = float(np.abs(fut - y).max())
 
     applicable = bound_tones if spec.kind == "tones" else bound_paper
@@ -265,13 +255,12 @@ def run_sweep(config: ExperimentConfig, pin: bool = False) -> list:
     """Run the full sweep.  Every spectrum file is loaded before the first
     row, and one that does not load, whose spectrum reaches into the
     config's gap or whose basename another file has, raises ValueError
-    naming the file, as does a measurement grid, sample record or eta
-    weight array over grid_size's limit; after that, per-row failures are
+    naming the file, as does a measurement grid or sample record over
+    grid_size's limit; after that, per-row failures are
     recorded and the run continues.  With pin=True the quadrature step is
     halved to produce fixture values."""
     h = _quadrature_step(config, pin)
     t_grid, times = _grids(config, h)
-    weights = eta_weights(max(config.d_list), t_grid - config.t_start)
     approximants: dict = {}
     rows = []
     for name, spec in _load_spectra(config):
@@ -290,8 +279,7 @@ def run_sweep(config: ExperimentConfig, pin: bool = False) -> list:
             for nu in nus:
                 try:
                     rows.append(_run_row(config, name, spec, d, nu, h,
-                                         times, t_grid, weights,
-                                         approximants, shared))
+                                         times, t_grid, approximants, shared))
                 except Exception as exc:  # noqa: BLE001 - recorded per row
                     rows.append(ErrorRow(spec=name, d=d, nu=nu,
                                          error=f"{type(exc).__name__}: {exc}"))

@@ -1,36 +1,18 @@
-"""Time-domain realizations of the gap-signal predictor.
+"""Time-domain realizations of the gap-signal predictor psi (see approx).
 
-Three interchangeable realizations of the same transfer function
-psi(i*w) = sum_k a_k (i*w)^(-k):
-
-* polynomial-kernel convolution over a truncated history window, with the
-  kernel K(t) = sum_k a_k t^(k-1)/(k-1)!;
-* the eta-state form: reference constants eta_k (the iterated antiderivatives
-  at a reference time t1) plus running iterated integrals of the observed
-  samples, combined in closed form;
-* eta-state with the constants estimated from finite observations by a linear
-  solve (square: zero residual at the fit points; overdetermined: least
-  squares).
-
-The eta form has one path: iterated_integrals integrates a sampled window
-once from its first sample t1, the record stage (eta_levels, eta_weights)
-takes each f_k and (t - t1)^j / j! at the output times, and the approximant
-stage (eta_sum) applies a and c, the Hankel map of eta by a, and refuses
-unusable constants.  The harness sweep runs it with the exact constants,
-predict --mode eta on its window's own samples with constants from a fit-eta
-file or from fit_eta, which solves through the same Hankel map.  The
-integrals are O(h^4).
-
-The convolution form computes every output of a record with one FFT
-product, in O((span + L/h) log(span + L/h)) for outputs spanning `span`
-samples, so its round-off is relative to the largest of those windows,
-not to each output's own.  Without output times it predicts at every
-sample with a full window, as predict --mode conv does.  It requires the
-signal to decay into the past; its truncation is reported through a crude
-tail diagnostic |K(L) x(t-L)| * L rather than hidden.  For large degree d
-the kernel grows factorially with the lag, so the eta-state form is the
-practical realization; the convolution form is kept as a direct
-demonstration for small d.
+* Polynomial-kernel convolution over a truncated history window, with the
+  kernel K(t) = sum_k a_k t^(k-1)/(k-1)! of the monomial view a, for
+  signals that decay into the past.  K grows factorially with the lag, so
+  this form is a demonstration for small d.
+* The recurrence in time.  v = 1/(i*w) is the antiderivative, so the levels
+  y_0 = x, y_1 = omega_gap (etaP_0 + int_{t1}^t y_0) and
+  y_{j+1} = 2 omega_gap (etaP_j + int_{t1}^t y_j) + y_{j-1} are P_j(v)
+  applied to x, and the prediction is sum_j sigma_j c_j z_j with
+  z_j = y_j - P_j(0) x (the x terms cancel).  Exact levels are bounded by
+  the spectrum's mass, so nothing cancels at any degree.  etaP_j =
+  (D^-1 y_j)(t1) comes from the spectrum (signal.exact_etaP) or from
+  observations (fit_eta).  The harness sweep and predict --mode eta run
+  one path: iterated_integrals, eta_levels and eta_sum.
 """
 
 from __future__ import annotations
@@ -44,9 +26,13 @@ from .approx import Approximant
 from .signal import grid_size
 
 __all__ = ["kernel_eval", "predict_convolution", "iterated_integrals",
-           "eta_levels", "eta_weights", "eta_sum", "EtaFit", "fit_eta"]
+           "eta_levels", "eta_sum", "EtaFit", "fit_eta"]
 
 COND_FLAG_THRESHOLD = 1e12
+# Gregory's first two increments per unit step from y_0..y_3, then from
+# y_0..y_2 on three samples; the first row is also every later one's kernel
+_GREGORY = np.array([[9.0, 19.0, -5.0, 1.0], [-1.0, 13.0, 13.0, -1.0],
+                     [10.0, 16.0, -2.0, 0.0], [-2.0, 16.0, 10.0, 0.0]]) / 24.0
 
 
 def kernel_eval(a, t):
@@ -131,11 +117,7 @@ def predict_convolution(approx: Approximant, times, values, t_eval=None,
 
     The FFT's round-off scales with the largest window in the segment, not
     with each output's own: the error of every output is within about
-    1e-13 * max_j sum|wK * window_j| (tested), where a per-window sum would
-    be within that fraction of its own window's sum.  On a cosine record
-    whose oldest 0.1 time units carry a 1e6x spike, outputs whose windows
-    never see the spike are off by up to 1.3e-11 of their own sum (d = 2, 4,
-    8; 20,001 samples), and by up to 9e-9 with a 1e9x spike.
+    1e-13 * max_j sum|wK * window_j| (tested).
 
     Returns arrays (y_hat, tail_diag), the latter the truncation indicator
     |K(L) * x(t-L)| * L.  The indicator is a crude diagnostic, not a bound:
@@ -184,168 +166,168 @@ def predict_convolution(approx: Approximant, times, values, t_eval=None,
     return y, tail
 
 
-def iterated_integrals(times, values, d: int) -> np.ndarray:
-    """Running iterated integrals f_1..f_d from t1 = times[0], each O(h^4).
+def _gregory(y, h, out, const, scale):
+    # out = scale * (const + int_{t_0}^{t} y) by Gregory's rule, O(h^4) and
+    # exact for cubics: the cumsum of its increments, from k = 3 the
+    # Adams-Moulton (h/24)(y_{k-3} - 5y_{k-2} + 19y_{k-1} + 9y_k)
+    out[0] = scale * const
+    if len(y) > 3:
+        out[1:3] = _GREGORY[:2] @ y[:4] * (scale * h)
+        out[3:] = np.convolve(y, _GREGORY[0] * (scale * h), "valid")
+    else:
+        out[1:] = _GREGORY[2:, :3] @ y * (scale * h)
+    np.cumsum(out, out=out)
 
-    f_1 is Gregory's rule, exact for cubics: the cumulative trapezoid of x
-    plus (h/24)(-3x_0 + 4x_1 - x_2) - (h/24)(3x_i - 4x_{i-1} + x_{i-2}) at
-    i >= 2, h(9x_0 + 19x_1 - 5x_2 + x_3)/24 at i = 1 (h(5x_0 + 8x_1 - x_2)/12
-    on three samples).  f_k is the cumulative trapezoid of f_{k-1} less
-    (h^2/12)(f_{k-2} - f_{k-2}(t1)), f_0 = x (Euler-Maclaurin), in place.
-    Returns shape (d, len(times)), whose first k rows equal
-    iterated_integrals(times, values, k); every f_k vanishes at t1.  An
-    array of more than 2^25 entries is refused before it is made.
-    """
+
+def _usable_etaP(etaP, d):
+    # the constants as floats, refused unless they are d finite numbers
+    etaP = np.asarray(etaP, dtype=float)
+    if etaP.shape != (d,):
+        raise ValueError(f"etaP must have one entry per level above y_0 "
+                         f"(d = {d})")
+    if not np.all(np.isfinite(etaP)):
+        raise ValueError("etaP must be finite")
+    return etaP
+
+
+def iterated_integrals(times, values, d: int, omega_gap: float,
+                       etaP) -> np.ndarray:
+    """The levels z_0..z_d, shape (d + 1, len(times)), of the recurrence
+    with the d constants etaP on the sampled window (times, values) from
+    t1 = times[0]: z_0 = 0, z_1 = omega_gap (etaP_0 + G x) and
+    z_{j+1} = 2 omega_gap (etaP_j + G y_j) + z_{j-1}, y_j = z_j + x for even
+    j and z_j for odd j, G Gregory's cumulative integral from t1 (O(h^4)).
+    The first k + 1 rows are those of degree k.  A level array of more than
+    2^25 entries is refused before it is made."""
     if d < 1:
         raise ValueError("d must be >= 1")
     h = _uniform_step(times)
     x = np.asarray(values, dtype=float)
-    grid_size(d * len(x))
-    f = np.empty((d, len(x)))
-    f[:, 0] = 0.0
-    for k in range(d):
-        row, prev = f[k, 1:], (x if k == 0 else f[k - 1])
-        np.add(prev[1:], prev[:-1], out=row)
-        if k == 0:  # Gregory's start correction, carried on by the cumsum
-            row[1] += (-3.0 * x[0] + 4.0 * x[1] - x[2]) / 12.0
-        np.cumsum(row, out=row)
-        row *= h / 2.0
-        if k > 0:
-            row -= (h * h / 12.0) * (f[k - 2, 1:] if k > 1 else x[1:] - x[0])
-            continue
-        row[1:] -= (h / 24.0) * (3.0 * x[2:] - 4.0 * x[1:-1] + x[:-2])
-        row[0] = (h * (9.0 * x[0] + 19.0 * x[1] - 5.0 * x[2] + x[3]) / 24.0
-                  if len(x) > 3 else h * (5.0 * x[0] + 8.0 * x[1] - x[2]) / 12.0)
-    return f
+    etaP = _usable_etaP(etaP, d)
+    grid_size((d + 1) * len(x), f"the recurrence's level array of {d + 1} x "
+              f"{len(x)} entries")
+    z = np.zeros((d + 1, len(x)))
+    y, even = x, np.empty(len(x))
+    for j in range(d):
+        level = z[j + 1]
+        _gregory(y, h, level, etaP[j], (2.0 if j else 1.0) * omega_gap)
+        if j > 1:
+            level += z[j - 1]
+        y = np.add(level, x, out=even) if j % 2 else level
+    return z
 
 
-def eta_weights(d, tau):
-    """The record stage's weights tau^j / j!, j < d, shape (d, len(tau)),
-    refused over 2^25 entries."""
-    grid_size(d * len(tau))
-    w = np.empty((d, len(tau)))
-    w[0] = 1.0
-    for j in range(1, d):
-        w[j] = w[j - 1] * tau / j
-    return w
-
-
-def eta_levels(times, values, f, t_eval) -> np.ndarray:
-    """The record stage: each row f_k of f, the iterated integrals of values,
-    at t_eval, shape (len(f), len(t_eval)): a view of f on a run of sample
-    times, else the O(h^4) cubic Hermite interpolant with the exact slope
-    f_{k-1} (f_0 = values), which is the node value on a sample time.
-    Entries are computed alone: the first k rows equal f[:k]'s."""
+def _at(times, f, slopes, t_eval):
+    # the rows of f at t_eval: the node values where every t_eval is a
+    # sample time, to 1e-9 steps, else the O(h^4) cubic Hermite interpolant
+    # with slopes(i), the rows' slopes at the sample indices i
     t_eval = np.atleast_1d(np.asarray(t_eval, dtype=float))
     if np.shape(f)[1:] != np.shape(times):
-        raise ValueError("f must hold one value per sample time")
+        raise ValueError("the levels must hold one value per sample time")
     t1 = times[0]
     if np.any(t_eval < t1 - 1e-12 * max(1.0, abs(t1))):
         raise ValueError("eta-state predictions are defined for t >= t1 only")
     if np.any(t_eval > times[-1] + 1e-9):
-        raise ValueError("f trajectories do not reach the requested time")
-    m = len(t_eval)
-    i0 = int(np.searchsorted(times, t_eval[0])) if m else 0
-    if np.array_equal(times[i0:i0 + m], t_eval):
-        return f[:, i0:i0 + m]
+        raise ValueError("the levels do not reach the requested time")
     j = np.clip(np.searchsorted(times, t_eval, side="right") - 1, 0,
                 len(times) - 2)
     step = times[j + 1] - times[j]
     s = (t_eval - times[j]) / step
-    lo, hi, x = f[:, j], f[:, j + 1], np.asarray(values, dtype=float)
+    if np.all((s < 1e-9) | (s > 1.0 - 1e-9)):  # on the lattice
+        return f[:, j + (s > 0.5)]
     h01, h10, h11 = (s * s * (3.0 - 2.0 * s), s * (1.0 - s) ** 2 * step,
                      s * s * (s - 1.0) * step)
-    out = lo * (1.0 - h01) + hi * h01
-    out[0] += x[j] * h10 + x[j + 1] * h11
-    out[1:] += lo[:-1] * h10 + hi[:-1] * h11
-    return out
+    return (f[:, j] * (1.0 - h01) + f[:, j + 1] * h01 + slopes(j) * h10
+            + slopes(j + 1) * h11)
 
 
-def _hankel(a):
-    # H[l, j] = a_{l+j}, zero where l + j >= d: the symmetric map from the
-    # constants eta to the Taylor coefficients c = H eta of the polynomial
-    # part
-    d = len(a)
-    padded = np.concatenate((a, np.zeros(d)))
-    return padded[np.add.outer(np.arange(d), np.arange(d))]
+def eta_levels(times, values, z, omega_gap: float, t_eval) -> np.ndarray:
+    """The levels z of the window (times, values) at t_eval: node values or
+    the Hermite step with the recurrence's slopes, z_0' = 0, z_1' =
+    omega_gap x, z_{j+1}' = 2 omega_gap y_j + z_{j-1}'; z[:K] gives the
+    first K rows."""
+    x = np.asarray(values, dtype=float)
+
+    def slopes(i):
+        # 2 omega_gap y_j (the first halved), summed over every other level
+        w = z[:-1, i]
+        w[0::2] += x[i]
+        w *= 2.0 * omega_gap
+        w[0] *= 0.5
+        dz = np.zeros((len(z), len(i)))
+        np.cumsum(w[0::2], 0, out=dz[1::2])
+        np.cumsum(w[1::2], 0, out=dz[2::2])
+        return dz
+
+    return _at(times, z, slopes, t_eval)
 
 
-def _usable_eta(eta, d):
-    # the constants as floats, refused unless they are d finite numbers
-    eta = np.asarray(eta, dtype=float)
-    if eta.shape != (d,):
-        raise ValueError("eta must have one entry per coefficient")
-    if not np.all(np.isfinite(eta)):
-        raise ValueError("eta must be finite")
-    return eta
-
-
-def eta_sum(a, eta, levels, weights) -> np.ndarray:
-    """The approximant stage: sum_k a_k x_k(t), x_k = eta_k + int_{t1}^t
-    x_{k-1} unrolled, as a @ levels[:d] + c @ weights[:d], d = len(a), with
-    levels and weights from eta_levels and eta_weights at the same times, to
-    any degree >= d, and c_j = sum_l a_{l+j} eta_l, in O(d m) for m times.
-    eta must hold d finite entries.  c is summed in ascending l, so at t1
-    the result is sum_k a_k eta_k to the bit; elsewhere it is within 1e-14
-    of the sum of the magnitudes of the per-k double sum's terms (tested)."""
-    d = len(a)
-    eta = _usable_eta(eta, d)
-    # cumsum adds the terms of each c_j in ascending l, an order that
-    # H @ eta does not promise
-    c = np.cumsum(_hankel(a) * eta[:, None], axis=0)[-1]
-    return a @ levels[:d] + c @ weights[:d]
+def eta_sum(approx: Approximant, levels) -> np.ndarray:
+    """The prediction sum_j sigma_j c_j z_j from levels to degree >= d (the
+    first d + 1 rows are used), at whatever times they were taken: O(d m)
+    for m times."""
+    return approx.weights @ levels[:approx.d + 1]
 
 
 @dataclass(frozen=True, eq=False)
 class EtaFit:
-    eta: np.ndarray
+    etaP: np.ndarray
     residual: np.ndarray
     cond: float
 
 
-def fit_eta(a, times, values, f, fit_times, zeta) -> EtaFit:
-    """Estimate the reference constants from finite observations on the
-    sampled window (times, values), whose first sample is t1 and whose
-    iterated integrals f (iterated_integrals, to degree >= d) are given.
+def fit_eta(approx: Approximant, times, values, fit_times, zeta) -> EtaFit:
+    """Estimate the constants etaP from observations zeta at fit_times
+    (t_m + T within the record when zeta_m = x(t_m + T)) on the sampled
+    window (times, values).
 
-    Solves M etabar = zeta - phi where
-    M[m, l] = sum_{k>=l} a_k (t_m - t1)^(k-l)/(k-l)! and
-    phi_m = sum_k a_k f_k(t_m).  Square systems (len(fit_times) == d)
-    reproduce the observations exactly at the fit points; overdetermined ones
-    are solved in least squares.  Columns are norm-equilibrated (M mixes
-    factorial scales); the condition estimate of the equilibrated system is
-    always reported and a warning is issued above 1e12.  A fit whose
-    constants are not finite is refused as eta_sum refuses them.
-
-    The caller must choose fit_times inside the observable window, i.e.
-    t_m + T within the recorded samples when zeta_m = x(t_m + T).
-    """
-    a = np.asarray(a, dtype=float)
-    d = len(a)
+    The prediction is phi + sum_l etaP_l R_l: phi the recurrence's with
+    etaP = 0, R_l its response to a unit etaP_l.  The forward recurrence's
+    operators are polynomials in the integral G and commute, so Clenshaw's
+    backward recurrence b_k = sigma_k c_k + 2 omega_gap G b_{k+1} + b_{k+2}
+    gives R_0 = omega_gap b_1, R_l = 2 omega_gap b_{l+1}, with the slopes
+    b_k' = 2 omega_gap b_{k+1} + b_{k+2}'.  R etaP = zeta - phi is solved in
+    least squares (exactly when square), columns norm-equilibrated; the
+    condition estimate is reported and warned of above 1e12, and constants
+    that are not finite are refused."""
+    d, omega = approx.d, approx.omega_gap
     times = np.asarray(times, dtype=float)
-    t1 = times[0]
     fit_times = np.asarray(fit_times, dtype=float)
     zeta = np.asarray(zeta, dtype=float)
     if len(fit_times) < d:
         raise ValueError(f"need at least d={d} fit times, got {len(fit_times)}")
     if zeta.shape != fit_times.shape:
         raise ValueError("zeta must match fit_times")
-    if np.any(np.diff(fit_times) <= 0) or fit_times[0] <= t1:
+    if np.any(np.diff(fit_times) <= 0) or fit_times[0] <= times[0]:
         raise ValueError("fit times must be strictly increasing and > t1")
 
-    # M[m, l] = sum_j (t_m - t1)^j / j! * a_{l+j}
-    M = eta_weights(d, fit_times - t1).T @ _hankel(a)
-    phi = a @ eta_levels(times, values, f, fit_times)[:d]
-    rhs = zeta - phi
+    weights = approx.weights
+    z = iterated_integrals(times, values, d, omega, np.zeros(d))
+    rhs = zeta - weights @ eta_levels(times, values, z, omega, fit_times)
+    h = _uniform_step(times)
+    # b[k] holds b_{k+1}, so b[d] = b[d + 1] = 0
+    b = np.zeros((d + 2, len(times)))
+    for k in range(d - 1, -1, -1):
+        _gregory(b[k + 1], h, b[k], weights[k + 1] / (2 * omega), 2 * omega)
+        b[k] += b[k + 2]
+
+    def slopes(i):
+        db = np.zeros((d + 2, len(i)))
+        for k in range(d - 1, -1, -1):
+            db[k] = 2.0 * omega * b[k + 1, i] + db[k + 2]
+        return db
+
+    M = (_at(times, b, slopes, fit_times)[:d]
+         * np.where(np.arange(d) == 0, omega, 2.0 * omega)[:, None]).T
 
     scale = np.linalg.norm(M, axis=0)
     scale[scale == 0.0] = 1.0
-    eta, _, rank, sv = np.linalg.lstsq(M / scale, rhs, rcond=None)
-    eta = eta / scale
+    etaP, _, rank, sv = np.linalg.lstsq(M / scale, rhs, rcond=None)
+    etaP = etaP / scale
     cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else np.inf
     if rank < d or cond > COND_FLAG_THRESHOLD:
         warnings.warn(
             f"eta fit is near-singular (cond ~ {cond:.2e}); the fit times may "
             "be clustered", RuntimeWarning, stacklevel=2)
-    residual = M @ eta - rhs
-    return EtaFit(eta=_usable_eta(eta, d), residual=residual, cond=cond)
+    residual = M @ etaP - rhs
+    return EtaFit(etaP=_usable_etaP(etaP, d), residual=residual, cond=cond)

@@ -7,7 +7,7 @@ supported spectral densities X(i*w) = amp * exp(-1/(1-s^2)) for
 s = (|w| - center)/half_width, mirrored to negative frequencies; they decay
 faster than any polynomial in time and satisfy every integrability hypothesis
 the polynomial-kernel predictor needs.  Every bump integral (grid samples,
-eps1, the iterated antiderivatives h_k) goes through one fixed-order
+eps1, the realization's constants etaP_j) goes through one fixed-order
 Gauss-Legendre panel rule over the bump supports.  A grid of
 more than 2^25 samples, or one too long or too far from t = 0 for the bump
 sampler's workspace, is refused before any array is made.
@@ -29,7 +29,7 @@ import numpy as np
 from .taper import TaperSpec, eval_taper
 
 __all__ = ["Tone", "Bump", "SpectrumSpec", "grid_size", "sample_grid",
-           "epsilon1", "select_nu", "exact_hk", "spectrum_to_dict",
+           "epsilon1", "select_nu", "exact_etaP", "spectrum_to_dict",
            "spectrum_from_dict", "save_spectrum", "load_spectrum"]
 
 # Gauss-Legendre nodes per panel of the bump quadrature rule
@@ -181,13 +181,14 @@ def _tone_grid(spec, times):
     return out
 
 
-def grid_size(n) -> int:
+def grid_size(n, what=None) -> int:
     """The sample count n of a grid about to be made, as an int.  A count
-    over 2^25, infinite or NaN is refused with a ValueError that names it
-    and the limit, so that no caller allocates the grid."""
+    over 2^25, infinite or NaN is refused with a ValueError that names the
+    grid, as `what` describes it or else as a grid of n samples, and the
+    limit, so that no caller allocates the grid."""
     if not n <= _MAX_WORKSPACE:
-        raise ValueError(f"a grid of {float(n):.15g} samples is over the "
-                         f"limit of 2^25 = {_MAX_WORKSPACE}")
+        raise ValueError(f"{what or f'a grid of {float(n):.15g} samples'} is "
+                         f"over the limit of 2^25 = {_MAX_WORKSPACE}")
     return int(n)
 
 
@@ -277,30 +278,26 @@ def select_nu(spec: SpectrumSpec, taper_family: str, eps1_target: float) -> floa
     return float(lo)
 
 
-def exact_hk(spec: SpectrumSpec, k, t: float):
-    """The k-fold iterated antiderivative h_k(x)(t), evaluated in the
-    frequency domain through the transfer function (i*w)^(-k).
-
-    Well defined because the spectrum avoids w = 0.  Tones are closed form;
-    bumps integrate X(i*w) w^(-k) cos(w t - k*pi/2) with the bump rule.  For
-    an array of orders k the result has k's shape and shares one rule.
-    """
-    ks = np.asarray(k)
-    if np.any(ks < 1):
-        raise ValueError("k must be a positive integer")
+def exact_etaP(spec: SpectrumSpec, omega_gap: float, d: int, t: float):
+    """The recurrence's constants at t, etaP_j = (D^-1 y_j)(t) for j < d,
+    where y_j is x through P_j(v), v = 1/(i*w), of approx: closed form for
+    tones, sum Re(A P_j(v) v e^{iwt}), and (1/pi) X(i*w) Re(P_j(v) v e^{iwt})
+    integrated with the bump rule for bumps.  |P_j(v)| <= 1 on the spectrum
+    and |v| <= 1/omega_gap, so no sum cancels."""
     t = float(t)
-    out = np.zeros(ks.shape)
-    if spec.kind == "tones":
-        for idx, j in np.ndenumerate(ks):
-            for tone in spec.tones:
-                rot = tone.amplitude * (1j * tone.omega) ** -int(j)
-                out[idx] += (rot.real * np.cos(tone.omega * t)
-                             - rot.imag * np.sin(tone.omega * t))
-    elif spec.bumps:
-        om, w = _bump_rule(spec, abs(t))
-        j = ks[..., None]
-        out = (om ** -j * np.cos(om * t - j * np.pi / 2)) @ w / np.pi
-    return float(out) if out.ndim == 0 else out
+    if spec.kind == "tones" or not spec.bumps:
+        om = np.array([tone.omega for tone in spec.tones])
+        amp = np.array([tone.amplitude for tone in spec.tones], dtype=complex)
+    else:
+        om, amp = _bump_rule(spec, abs(t))
+        amp = amp / np.pi
+    v = 1.0 / (1j * om)
+    p = np.empty((d, len(om)), dtype=complex)
+    prev, cur = 0.0, np.ones_like(v)
+    for j in range(d):
+        p[j] = cur
+        prev, cur = cur, (2.0 if j else 1.0) * omega_gap * v * cur + prev
+    return ((p * v) @ (amp * np.exp(1j * om * t))).real
 
 
 def spectrum_to_dict(spec: SpectrumSpec) -> dict:

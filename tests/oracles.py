@@ -9,6 +9,7 @@ arithmetic.
 """
 
 import numpy as np
+from numpy.polynomial.chebyshev import chebder, chebval
 from scipy.integrate import quad
 
 from gap_predict.approx import chebyshev_grid
@@ -82,26 +83,61 @@ def epsilon1(spec, taper):
         spec, lambda om: 1.0 - float(eval_taper(taper, om)))
 
 
-def exact_hk(spec, k, t):
-    """(1/pi) int X(i*w) w^-k cos(w t - k pi/2) dw for a bump spec, through
-    the pure cos or sin branch that integer k selects."""
+def exact_etaP(spec, omega_gap, j, t):
+    """(1/pi) int X(i*w) Re[P_j(v) v e^{iwt}] dw for a bump spec, v = 1/(i*w):
+    P_j(v) = i^-j T_j(s), s = omega_gap/w, so the integrand is
+    w^-1 T_j(s) cos(w t - (j + 1) pi/2), one pure cos or sin branch."""
+    k = j + 1
     if k % 2 == 0:
         weight, sign = "cos", (-1.0) ** (k // 2)
     else:
         weight, sign = "sin", (-1.0) ** ((k - 1) // 2)
-    return sign * _per_bump_quad(spec, lambda om: om ** (-k), weight=weight,
-                                 wvar=float(t)) / np.pi
+    cheb = np.zeros(j + 1)
+    cheb[j] = 1.0
+    return sign * _per_bump_quad(
+        spec, lambda om: chebval(omega_gap / om, cheb) / om, weight=weight,
+        wvar=float(t)) / np.pi
 
 
-def certified_sup_error(T, omega_gap, taper, a, fit_nodes, dense_factor):
-    """max |exp(i*w*T) r_nu(w) - sum_k a_k (i*w)^-k| over the whole
-    sign-symmetric Chebyshev grid of dense_factor*(fit_nodes-1)+1 nodes, the
-    sum taken term by term in complex powers, or the far-tail term
-    sum_k |a_k| u_min^k + r_nu(1/u_min) where that is larger."""
+def _parts(c):
+    # c split into its even and odd Chebyshev series
+    j = np.arange(len(c))
+    return np.where(j % 2 == 0, c, 0.0), np.where(j % 2 == 1, c, 0.0)
+
+
+def prediction(spec, c, omega_gap, t):
+    """(1/pi) int X(i*w) Re[psi(i*w) e^{iwt}] dw for a bump spec, the exact
+    output of psi = sum_{even j} c_j (T_j(s) - T_j(0)) +
+    i sum_{odd j} c_j T_j(s), s = omega_gap/w, by numpy's Chebyshev
+    series."""
+    even, odd = _parts(np.asarray(c, dtype=float))
+    t = float(t)
+    re = _per_bump_quad(spec, lambda om: chebval(omega_gap / om, even)
+                        - chebval(0.0, even), weight="cos", wvar=t)
+    im = _per_bump_quad(spec, lambda om: chebval(omega_gap / om, odd),
+                        weight="sin", wvar=t)
+    return (re - im) / np.pi
+
+
+def certified_sup_error(T, omega_gap, taper, c, fit_nodes, dense_factor):
+    """max |exp(i*w*T) r_nu(w) - psi(i*w)| over the whole sign-symmetric
+    Chebyshev grid of dense_factor*(fit_nodes-1)+1 nodes, psi taken by
+    numpy's Chebyshev series in complex arithmetic, or the far-tail term
+    |psi'(0)| s + s^2 sum_j |c_j| j^2 / (1-s^2)^1.5 + r_nu(omega_gap/s) at
+    the innermost node's s (2 sum_j |c_j| + r_nu where s = 1) where that is
+    larger."""
     om = chebyshev_grid(omega_gap, dense_factor * (fit_nodes - 1) + 1)
-    k = np.arange(1, len(a) + 1)
-    psi = np.sum(np.asarray(a) * (1j * om[:, None]) ** -k, axis=1)
+    c = np.asarray(c, dtype=float)
+    j = np.arange(len(c))
+    even, odd = _parts(c)
+    s = omega_gap / om
+    psi = (chebval(s, even) - chebval(0.0, even)) + 1j * chebval(s, odd)
     err = np.abs(np.exp(1j * T * om) * eval_taper(taper, om) - psi)
-    u_min = 1.0 / np.abs(om).max()
-    tail = np.sum(np.abs(a) * u_min ** k) + eval_taper(taper, 1.0 / u_min)
-    return max(float(err.max()), float(tail))
+    w_max = np.abs(om).max()
+    s_min = omega_gap / w_max
+    tail = 2.0 * np.abs(c).sum()
+    if s_min < 1.0:
+        slope = abs(chebval(0.0, chebder(odd))) if len(c) > 1 else 0.0
+        tail = min(tail, slope * s_min + s_min ** 2 * (np.abs(c) @ j ** 2)
+                   / (1.0 - s_min ** 2) ** 1.5)
+    return max(float(err.max()), float(tail + eval_taper(taper, w_max)))

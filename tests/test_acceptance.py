@@ -15,12 +15,13 @@ import time
 import numpy as np
 import pytest
 
+from numpy.polynomial.chebyshev import chebval
+
 from gap_predict.approx import eval_psi, fit_approximant
-from gap_predict.predictor import (eta_levels, eta_sum, eta_weights,
-                                   fit_eta, iterated_integrals,
-                                   predict_convolution)
-from gap_predict.signal import (SpectrumSpec, epsilon1, exact_hk, sample_grid,
-                                select_nu)
+from gap_predict.predictor import (eta_levels, eta_sum, fit_eta,
+                                   iterated_integrals, predict_convolution)
+from gap_predict.signal import (SpectrumSpec, epsilon1, exact_etaP,
+                                sample_grid, select_nu)
 from gap_predict.taper import TaperSpec, eval_taper
 
 from oracles import l1_budget, sample
@@ -50,27 +51,13 @@ def report(name, detail, budget):
     print(f"[acceptance] {name} PASS ({budget.elapsed:.2f}s): {detail}")
 
 
-def predict_eta(a, eta, times, values, t_eval):
-    """The eta realization with constants eta on the sampled window (times,
-    values) from t1 = times[0], at t_eval: the window's iterated integrals,
-    the record stage and the approximant stage."""
-    t_eval = np.asarray(t_eval, dtype=float)
-    levels = eta_levels(times, values,
-                        iterated_integrals(times, values, len(a)), t_eval)
-    return eta_sum(a, eta, levels, eta_weights(len(a), t_eval - times[0]))
-
-
-def gamma_to_a(gamma_c, gamma_s):
-    """Oracle: the parity-to-a sign mapping of the approx module docstring,
-    k = 2m: a_k = (-1)^m gamma_c_k;  k = 2m+1: a_k = -(-1)^m gamma_s_k."""
-    a = np.zeros(len(gamma_c))
-    for k in range(1, len(a) + 1):
-        m = k // 2
-        if k % 2 == 0:
-            a[k - 1] = (-1.0) ** m * gamma_c[k - 1]
-        else:
-            a[k - 1] = -((-1.0) ** m) * gamma_s[k - 1]
-    return a
+def predict_eta(approx, etaP, times, values, t_eval):
+    """The recurrence of approx with constants etaP on the sampled window
+    (times, values) from t1 = times[0], at t_eval: the window's levels, taken
+    at t_eval and weighted by sigma_j c_j."""
+    gap = approx.omega_gap
+    z = iterated_integrals(times, values, approx.d, gap, etaP)
+    return eta_sum(approx, eta_levels(times, values, z, gap, t_eval))
 
 
 def test_criterion_1_parity_mapping_identity():
@@ -81,17 +68,20 @@ def test_criterion_1_parity_mapping_identity():
         worst_conj = 0.0
         for _ in range(100):
             d = int(rng.integers(2, 13))
-            ks = np.arange(1, d + 1)
-            gamma_c = np.where(ks % 2 == 0, rng.uniform(-1, 1, d), 0.0)
-            gamma_s = np.where(ks % 2 == 1, rng.uniform(-1, 1, d), 0.0)
-            a = gamma_to_a(gamma_c, gamma_s)
-            vals = eval_psi(a, omegas)
-            re = (gamma_c[None, :] * omegas[:, None] ** (-ks)).sum(axis=1)
-            im = (gamma_s[None, :] * omegas[:, None] ** (-ks)).sum(axis=1)
+            j = np.arange(d + 1)
+            even = np.where(j % 2 == 0, rng.uniform(-1, 1, d + 1), 0.0)
+            odd = np.where(j % 2 == 1, rng.uniform(-1, 1, d + 1), 0.0)
+            even[0] = 0.0
+            c = even + odd
+            vals = eval_psi(c, 1.0, omegas)
+            # Re psi is the even Chebyshev series less its value at 0, Im
+            # psi the odd one, at s = omega_gap / omega
+            re = chebval(1.0 / omegas, even) - chebval(0.0, even)
+            im = chebval(1.0 / omegas, odd)
             worst_decomp = max(worst_decomp,
                                float(np.abs(vals.real - re).max()),
                                float(np.abs(vals.imag - im).max()))
-            conj_gap = np.abs(eval_psi(a, -omegas) - np.conj(vals))
+            conj_gap = np.abs(eval_psi(c, 1.0, -omegas) - np.conj(vals))
             worst_conj = max(worst_conj, float(conj_gap.max()))
         assert worst_decomp < 1e-12
         assert worst_conj <= 1e-14
@@ -126,7 +116,7 @@ def test_criterion_3_frequency_response_law():
     with Budget("criterion 3", 10.0) as budget:
         T, omega0 = 1.0, 2.0
         approx = fit_approximant(T, 1.0, GAUSS03, 2)
-        E = complex(np.exp(1j * omega0 * T) - eval_psi(approx.a, omega0))
+        E = complex(np.exp(1j * omega0 * T) - eval_psi(approx.c, 1.0, omega0))
         abs_E = abs(E)
 
         # eta mode on the tone itself, exact-eta seeded, on a 4-period grid
@@ -140,9 +130,9 @@ def test_criterion_3_frequency_response_law():
         n = int(round((t_peak + 2.0 * math.pi - t1) / h)) + 1
         times = t1 + h * np.arange(n)
         values = sample_grid(tone, t1, h, n)
-        eta = np.array([exact_hk(tone, k, t1) for k in range(1, 3)])
+        etaP = exact_etaP(tone, 1.0, 2, t1)
         t_grid = times[::157]                            # step dt, hits t_peak
-        y = predict_eta(approx.a, eta, times, values, t_grid)
+        y = predict_eta(approx, etaP, times, values, t_grid)
         truth = sample_grid(tone, t_grid[0] + T, dt, len(t_grid))
         sup_eta = float(np.abs(truth - y).max())
         assert abs(sup_eta - abs_E) <= 1e-6
@@ -194,9 +184,9 @@ def test_criterion_4_error_budget_bump():
         n = int(round(4.0 / h)) + 1
         times = t1 + h * np.arange(n)
         values = sample_grid(spec, t1, h, n)
-        eta = np.array([exact_hk(spec, k, t1) for k in range(1, d + 1)])
+        etaP = exact_etaP(spec, gap, d, t1)
         t_grid = t1 + 0.01 * np.arange(401)
-        y = predict_eta(approx.a, eta, times, values, t_grid)
+        y = predict_eta(approx, etaP, times, values, t_grid)
         truth = np.array([sample(spec, t + T) for t in t_grid])
         measured = float(np.abs(truth - y).max())
 
@@ -223,24 +213,25 @@ def test_criterion_5_representation_equivalence():
         ne = int(round(5.0 / he)) + 1
         etimes = t1 + he * np.arange(ne)
         evalues = sample_grid(spec, t1, he, ne)
-        eta = np.array([exact_hk(spec, k, t1) for k in range(1, d + 1)])
+        etaP = exact_etaP(spec, 1.0, d, t1)
 
         idx = [int(round((t1 + s - t_lo) / hc))
                for s in np.linspace(0.0, 5.0, 50)]
         t_eval = ctimes[idx]
-        y_eta = predict_eta(approx.a, eta, etimes, evalues, t_eval)
+        y_eta = predict_eta(approx, etaP, etimes, evalues, t_eval)
         y_conv, tail = predict_convolution(approx, ctimes, xs, t_eval,
                                            history_length=L)
         worst = float(np.abs(y_conv - y_eta).max())
         tail_max = float(tail.max())
         assert worst <= max(1e-6, tail_max)
 
-        # collapse at the reference time is exact
-        y_t1 = predict_eta(approx.a, eta, etimes, evalues, [t1])[0]
-        expected = 0.0
-        for k in range(d):
-            expected += approx.a[k] * eta[k]
-        assert y_t1 == expected
+        # collapse at the reference time is exact: every integral is 0, so
+        # z_1 = omega_gap etaP_0 and z_{j+1} = 2 omega_gap etaP_j + z_{j-1}
+        y_t1 = predict_eta(approx, etaP, etimes, evalues, [t1])[0]
+        z = [0.0, etaP[0]]
+        for j in range(1, d):
+            z.append(etaP[j] * 2.0 + z[j - 1])
+        assert y_t1 == approx.weights @ np.array(z)
     report("criterion 5 (conv/eta representation equivalence)",
            f"max |conv - eta| = {worst:.2e} <= max(1e-6, tail {tail_max:.2e}); "
            f"collapse at t1 exact", budget)
@@ -258,11 +249,10 @@ def test_criterion_6_fit_eta_round_trip():
 
         rng = np.random.default_rng(7)
         eta_true = rng.standard_normal(d)
-        f = iterated_integrals(times, values, d)
         fit_times = np.linspace(0.5, 6.5, d)
-        zeta = predict_eta(approx.a, eta_true, times, values, fit_times)
-        fit = fit_eta(approx.a, times, values, f, fit_times, zeta)
-        rel = float(np.max(np.abs(fit.eta - eta_true))
+        zeta = predict_eta(approx, eta_true, times, values, fit_times)
+        fit = fit_eta(approx, times, values, fit_times, zeta)
+        rel = float(np.max(np.abs(fit.etaP - eta_true))
                     / np.max(np.abs(eta_true)))
         resid_rel = float(np.max(np.abs(fit.residual)) / np.linalg.norm(zeta))
         assert rel <= 1e-8
@@ -271,7 +261,7 @@ def test_criterion_6_fit_eta_round_trip():
         # overdetermined fit against true future observations of the tone
         fit_times12 = np.linspace(0.5, 6.5, 12)
         zeta12 = np.array([sample(spec, tm + 1.0) for tm in fit_times12])
-        fit12 = fit_eta(approx.a, times, values, f, fit_times12, zeta12)
+        fit12 = fit_eta(approx, times, values, fit_times12, zeta12)
         r_tone = float(eval_taper(GAUSS03, 2.0))
         bound_tones = 2.0 * 1.0 * (abs(1.0 - r_tone) + approx.eps2)
         max_resid12 = float(np.max(np.abs(fit12.residual)))

@@ -4,8 +4,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from numpy.polynomial.chebyshev import cheb2poly, chebder, chebval
 
-from gap_predict.approx import (Approximant, approximant_from_dict,
+from gap_predict.approx import (CERT_DENSITY, Approximant,
+                                approximant_from_dict,
                                 approximant_to_dict, certify_sup_error,
                                 chebyshev_grid, eval_psi, fit_approximant,
                                 fit_parity_ls)
@@ -24,26 +26,25 @@ ORACLE_GAMMA_S1 = 0.9019450173837931
 EPS2_D16_REGRESSION = 0.0996029829253331
 
 
-def gamma_to_a(gamma_c, gamma_s):
-    """Test oracle: the sign mapping of the approx module docstring,
-    k = 2m: a_k = (-1)^m gamma_c_k;  k = 2m+1: a_k = -(-1)^m gamma_s_k."""
-    a = np.zeros(len(gamma_c))
-    for k in range(1, len(a) + 1):
-        m = k // 2
-        if k % 2 == 0:
-            a[k - 1] = (-1.0) ** m * gamma_c[k - 1]
-        else:
-            a[k - 1] = -((-1.0) ** m) * gamma_s[k - 1]
-    return a
+def psi_by_complex_recurrence(c, omega_gap, omega):
+    """Oracle: sum_j sigma_j c_j (P_j(v) - P_j(0)) in complex arithmetic,
+    v = 1/(i*omega), P_0 = 1, P_1 = omega_gap*v,
+    P_{j+1} = 2*omega_gap*v*P_j + P_{j-1}."""
+    v = 1.0 / (1j * np.asarray(omega, dtype=float))
+    p_prev, p = np.ones_like(v), omega_gap * v
+    p0_prev, p0 = 1.0, 0.0
+    out = np.zeros_like(v)
+    for j in range(1, len(c)):
+        out += (-1.0) ** ((j + 1) // 2) * c[j] * (p - p0)
+        p_prev, p = p, 2.0 * omega_gap * v * p + p_prev
+        p0_prev, p0 = p0, p0_prev
+    return out
 
 
-def parity_gammas(d, rng):
-    gamma_c = np.zeros(d)
-    gamma_s = np.zeros(d)
-    ks = np.arange(1, d + 1)
-    gamma_c[ks % 2 == 0] = rng.uniform(-1, 1, np.sum(ks % 2 == 0))
-    gamma_s[ks % 2 == 1] = rng.uniform(-1, 1, np.sum(ks % 2 == 1))
-    return gamma_c, gamma_s
+def random_c(d, rng):
+    c = rng.uniform(-1, 1, d + 1)
+    c[0] = 0.0
+    return c
 
 
 class TestChebyshevGrid:
@@ -82,8 +83,9 @@ class TestChebyshevGrid:
 class TestFitParityLs:
     def test_tiny_horizon_kills_sine_part(self):
         grid = chebyshev_grid(1.0, 64)
-        a = fit_parity_ls(1e-9, GAUSS03, 1.0, 6, grid)
-        assert np.max(np.abs(a[0::2])) < 1e-6    # odd k: the sine part
+        c = fit_parity_ls(1e-9, GAUSS03, 1.0, 6, grid)
+        assert c.shape == (7,) and c[0] == 0.0
+        assert np.max(np.abs(c[1::2])) < 1e-6    # odd j: the sine part
 
     def test_d2_against_exact_rational_oracle(self):
         # independent oracle: single-coefficient normal equations solved in
@@ -99,10 +101,15 @@ class TestFitParityLs:
         assert float(gc2) == pytest.approx(ORACLE_GAMMA_C2, rel=1e-15)
         assert float(gs1) == pytest.approx(ORACLE_GAMMA_S1, rel=1e-15)
 
-        # a_2 = -gamma_c_2 and a_1 = -gamma_s_1
-        a = fit_parity_ls(1.0, GAUSS03, 1.0, 2, grid)
-        assert a[1] == pytest.approx(-ORACLE_GAMMA_C2, rel=1e-12)
-        assert a[0] == pytest.approx(-ORACLE_GAMMA_S1, rel=1e-12)
+        # c_2 (T_2(u) - T_2(0)) = 2 c_2 u^2 and c_1 T_1(u) = c_1 u; the
+        # monomial view is a_1 = -gamma_s_1, a_2 = -gamma_c_2
+        c = fit_parity_ls(1.0, GAUSS03, 1.0, 2, grid)
+        assert 2.0 * c[2] == pytest.approx(ORACLE_GAMMA_C2, rel=1e-12)
+        assert c[1] == pytest.approx(ORACLE_GAMMA_S1, rel=1e-12)
+        a = Approximant(T=1.0, omega_gap=1.0, taper=GAUSS03, d=2, c=c,
+                        eps2=0.0, fit_nodes=64).a
+        assert a == pytest.approx([-ORACLE_GAMMA_S1, -ORACLE_GAMMA_C2],
+                                  rel=1e-12)
 
     def test_any_grid_gives_its_own_minimizer(self):
         # an asymmetric grid with a repeated node: the fit must minimize the
@@ -112,16 +119,18 @@ class TestFitParityLs:
         grid = np.concatenate((rng.uniform(1.0, 9.0, 40),
                                -rng.uniform(1.0, 4.0, 25), [2.5, -2.5, 2.5]))
         d = 6
-        a = fit_parity_ls(0.7, GAUSS03, 1.0, d, grid)
+        c = fit_parity_ls(0.7, GAUSS03, 1.0, d, grid)
         u = 1.0 / grid
         r = eval_taper(GAUSS03, grid)
         ks = np.arange(1, d + 1)
-        gamma = np.zeros(d)
-        for parity, part in ((0, np.cos), (1, np.sin)):
+        psi = np.zeros(len(grid), dtype=complex)
+        for parity, part, unit in ((0, np.cos, 1.0), (1, np.sin, 1j)):
             k = ks[ks % 2 == parity]
-            gamma[k - 1] = np.linalg.lstsq(u[:, None] ** k, part(0.7 * grid) * r,
-                                           rcond=None)[0]
-        np.testing.assert_allclose(a, gamma_to_a(gamma, gamma), rtol=1e-9)
+            gamma = np.linalg.lstsq(u[:, None] ** k, part(0.7 * grid) * r,
+                                    rcond=None)[0]
+            psi += unit * (u[:, None] ** k @ gamma)
+        np.testing.assert_allclose(eval_psi(c, 1.0, grid), psi, rtol=0,
+                                   atol=1e-12)
 
     def test_rejects_degenerate_degree_and_grid(self):
         grid = chebyshev_grid(1.0, 64)
@@ -136,48 +145,57 @@ class TestFitParityLs:
 
 class TestEvalPsi:
     def test_examples(self):
-        assert eval_psi([0.0, -1.0], 1.0) == pytest.approx(1.0 + 0.0j, abs=1e-15)
-        assert eval_psi([-1.0], 2.0) == pytest.approx(0.5j, abs=1e-15)
+        # c_2 (T_2(s) - T_2(0)) = 2 c_2 s^2; c_1 T_1(s) = c_1 s, s = gap/w
+        assert eval_psi([0.0, 0.0, 0.5], 1.0, 1.0) == pytest.approx(
+            1.0 + 0.0j, abs=1e-15)
+        assert eval_psi([0.0, 1.0], 1.0, 2.0) == pytest.approx(0.5j, abs=1e-15)
+        assert eval_psi([0.0, 1.0], 3.0, 2.0) == pytest.approx(1.5j, abs=1e-15)
 
-    def test_horner_matches_naive_sum(self):
-        rng = np.random.default_rng(7)
-        a = rng.uniform(-1, 1, 6)
-        omega = 3.0
-        naive = sum(a[k - 1] * (1j * omega) ** (-k) for k in range(1, 7))
-        assert abs(eval_psi(a, omega) - naive) < 1e-14
+    @pytest.mark.parametrize("d", [1, 6, 32, 96])
+    @pytest.mark.parametrize("omega_gap", [0.7, 1.0])
+    def test_matches_complex_recurrence(self, d, omega_gap):
+        rng = np.random.default_rng(d)
+        c = random_c(d, rng)
+        omega = omega_gap * np.concatenate((rng.uniform(1.0, 10.0, 50),
+                                            -rng.uniform(1.0, 10.0, 50)))
+        ref = psi_by_complex_recurrence(c, omega_gap, omega)
+        assert np.abs(eval_psi(c, omega_gap, omega) - ref).max() < 1e-13 * d
 
     def test_rejects_pole(self):
         with pytest.raises(ValueError):
-            eval_psi([1.0], 0.0)
+            eval_psi([0.0, 1.0], 1.0, 0.0)
         with pytest.raises(ValueError):
-            eval_psi([1.0], np.array([1.0, 0.0]))
+            eval_psi([0.0, 1.0], 1.0, np.array([1.0, 0.0]))
 
     @given(seed=st.integers(min_value=0, max_value=2 ** 31),
            omega=st.floats(min_value=1e-3, max_value=1e4))
     def test_conjugate_symmetry_exact(self, seed, omega):
         rng = np.random.default_rng(seed)
-        a = rng.uniform(-2, 2, int(rng.integers(1, 13)))
-        assert eval_psi(a, -omega) == np.conj(eval_psi(a, omega))
+        c = random_c(int(rng.integers(1, 13)), rng)
+        assert eval_psi(c, 1.0, -omega) == np.conj(eval_psi(c, 1.0, omega))
 
     def test_decomposition_identity(self):
-        # Re psi = even-k gamma_c sum, Im psi = odd-k gamma_s sum
+        # Re psi = sum_{even j} c_j (T_j(s) - T_j(0)), Im psi =
+        # sum_{odd j} c_j T_j(s), s = omega_gap / omega
         rng = np.random.default_rng(11)
-        gamma_c, gamma_s = parity_gammas(9, rng)
-        a = gamma_to_a(gamma_c, gamma_s)
-        ks = np.arange(1, 10)
-        for omega in rng.uniform(1.0, 10.0, 100):
-            val = eval_psi(a, omega)
-            re = np.sum(gamma_c * omega ** (-ks.astype(float)))
-            im = np.sum(gamma_s * omega ** (-ks.astype(float)))
-            assert abs(val.real - re) < 1e-12
-            assert abs(val.imag - im) < 1e-12
+        c = random_c(9, rng)
+        even, odd = c.copy(), c.copy()
+        even[1::2] = odd[0::2] = 0.0
+        for omega in rng.uniform(1.3, 10.0, 100):
+            val = eval_psi(c, 1.3, omega)
+            s = 1.3 / omega
+            re = chebval(s, even) - chebval(0.0, even)
+            assert abs(val.real - re) < 1e-14
+            assert abs(val.imag - chebval(s, odd)) < 1e-14
 
     @given(seed=st.integers(min_value=0, max_value=2 ** 31),
            omega=st.floats(min_value=1.0, max_value=1e5))
     def test_vanishing_at_infinity(self, seed, omega):
+        # |T_j(s) - T_j(0)| <= j^2 s on [0, 1]
         rng = np.random.default_rng(seed)
-        a = rng.uniform(-2, 2, int(rng.integers(1, 13)))
-        assert abs(eval_psi(a, omega)) <= np.sum(np.abs(a)) / abs(omega) + 1e-15
+        c = random_c(int(rng.integers(1, 13)), rng)
+        bound = np.abs(c) @ np.arange(len(c)) ** 2 / omega
+        assert abs(eval_psi(c, 1.0, omega)) <= bound + 1e-15
 
 
 class TestSupError:
@@ -185,38 +203,38 @@ class TestSupError:
         approx = fit_approximant(1.0, 1.0, GAUSS03, 8)
         grid = chebyshev_grid(1.0, approx.fit_nodes)
         target = np.exp(1j * grid) * eval_taper(GAUSS03, grid)
-        resid = np.abs(target - eval_psi(approx.a, grid)).max()
+        resid = np.abs(target - eval_psi(approx.c, 1.0, grid)).max()
         assert approx.eps2 >= resid - 1e-15
 
     def test_degree_zero_edge(self):
-        # empty coefficient vector: sup of the bare tapered target, attained
-        # at the gap edge by taper monotonicity
-        eps2 = certify_sup_error(1.0, 1.0, GAUSS03, np.zeros(0), 64, 8)
+        # psi = 0: sup of the bare tapered target, attained at the gap edge
+        # by taper monotonicity
+        eps2 = certify_sup_error(1.0, 1.0, GAUSS03, np.zeros(1), 64, 8)
         assert eps2 == pytest.approx(float(eval_taper(GAUSS03, 1.0)), rel=1e-13)
 
     def test_regression_d16(self):
         approx = fit_approximant(1.0, 1.0, GAUSS03, 16, fit_nodes=128)
-        eps2_8 = certify_sup_error(1.0, 1.0, GAUSS03, approx.a, 128, 8)
+        eps2_8 = certify_sup_error(1.0, 1.0, GAUSS03, approx.c, 128, 8)
         assert eps2_8 == pytest.approx(EPS2_D16_REGRESSION, rel=1e-9)
 
     def test_denser_grid_never_lowers_grid_maximum(self):
         # the x16 grid contains the x8 grid, so it can only report less when
-        # the x8 value is its far-tail term, whose u_min shrinks with density
+        # the x8 value is its far-tail term, whose s_min shrinks with density
         grid_set = 0
         for d in (4, 8, 16):
             for nu in (0.3, 0.5):
                 taper = TaperSpec("gaussian", nu)
                 approx = fit_approximant(1.0, 1.0, taper, d)
                 n = approx.fit_nodes
-                eps2_8 = certify_sup_error(1.0, 1.0, taper, approx.a, n, 8)
-                eps2_16 = certify_sup_error(1.0, 1.0, taper, approx.a, n, 16)
+                eps2_8 = certify_sup_error(1.0, 1.0, taper, approx.c, n, 8)
+                eps2_16 = certify_sup_error(1.0, 1.0, taper, approx.c, n, 16)
                 assert approx.eps2 == eps2_16
-                u_min = 1.0 / np.abs(chebyshev_grid(1.0, 8 * (n - 1) + 1)).max()
-                tail_8 = (np.sum(np.abs(approx.a) * u_min ** np.arange(1, d + 1))
-                          + float(eval_taper(taper, 1.0 / u_min)))
-                if eps2_8 > tail_8:
+                grid = chebyshev_grid(1.0, 8 * (n - 1) + 1)
+                grid_8 = np.abs(np.exp(1j * grid) * eval_taper(taper, grid)
+                                - eval_psi(approx.c, 1.0, grid)).max()
+                assert eps2_16 >= grid_8 * (1.0 - 1e-14)
+                if eps2_8 == pytest.approx(grid_8, rel=1e-14):
                     grid_set += 1
-                    assert eps2_16 >= eps2_8
         assert grid_set >= 4
 
     def test_nested_basis_decay_on_fixed_grid(self):
@@ -224,12 +242,11 @@ class TestSupError:
         prev = None
         for d in (4, 8, 12, 16, 20):
             grid = chebyshev_grid(1.0, 192)
-            a = fit_parity_ls(1.0, GAUSS03, 1.0, d, grid)
-            eps2 = certify_sup_error(1.0, 1.0, GAUSS03, a, 192, 8)
+            c = fit_parity_ls(1.0, GAUSS03, 1.0, d, grid)
+            eps2 = certify_sup_error(1.0, 1.0, GAUSS03, c, 192, 8)
             if prev is not None:
                 assert eps2 <= prev + 1e-12
             prev = eps2
-
 
     @given(seed=st.integers(min_value=0, max_value=2 ** 31),
            d=st.integers(min_value=0, max_value=40),
@@ -242,17 +259,34 @@ class TestSupError:
     def test_half_grid_certificate_equals_full_grid_oracle(
             self, seed, d, family, nu, T, omega_gap, fit_nodes, dense_factor):
         rng = np.random.default_rng(seed)
-        a = rng.uniform(-1, 1, d) * 10.0 ** rng.uniform(-3, 3)
+        c = random_c(d, rng) * 10.0 ** rng.uniform(-3, 3)
         taper = TaperSpec(family, nu)
-        eps2 = certify_sup_error(T, omega_gap, taper, a, fit_nodes,
+        eps2 = certify_sup_error(T, omega_gap, taper, c, fit_nodes,
                                  dense_factor)
         assert eps2 == pytest.approx(certified_sup_error(
-            T, omega_gap, taper, a, fit_nodes, dense_factor), rel=1e-14)
+            T, omega_gap, taper, c, fit_nodes, dense_factor), rel=1e-14)
+
+    @pytest.mark.parametrize("d", [8, 32, 96])
+    def test_tail_term_bounds_psi_beyond_the_grid(self, d):
+        # psi sampled finely on (0, s_min], the frequencies past the
+        # innermost certification node, stays within the far-tail term
+        approx = fit_approximant(1.0, 1.0, GAUSS03, d)
+        w_max = chebyshev_grid(1.0, CERT_DENSITY * (approx.fit_nodes - 1)
+                               + 1).max()
+        c = approx.c
+        s = np.linspace(0.0, 1.0 / w_max, 2001)[1:]
+        j = np.arange(d + 1)
+        slope = abs(chebval(0.0, chebder(np.where(j % 2 == 1, c, 0.0))))
+        s_min = s[-1]
+        tail = slope * s_min + s_min ** 2 * (np.abs(c) @ j ** 2) / (
+            1.0 - s_min ** 2) ** 1.5
+        assert np.abs(eval_psi(c, 1.0, 1.0 / s)).max() <= tail
+        assert tail < approx.eps2
 
 
 class TestLargeDegree:
     """The Chebyshev-basis fit stays full rank past the monomial fit's
-    limit of d = 34."""
+    limit of d = 34, and its certificate, taken from c, keeps improving."""
 
     @pytest.mark.parametrize("d", [36, 40, 48, 64, 96])
     def test_fits_without_rank_failure(self, d):
@@ -260,38 +294,61 @@ class TestLargeDegree:
         assert np.isfinite(approx.eps2)
 
     def test_eps2_strictly_decreases_to_d40(self):
+        # and on to d = 96: 0.213, 0.0996, 0.0618, 0.0236, 0.0189, 0.0084,
+        # 3.7e-3, 5.6e-4
         eps2 = [fit_approximant(1.0, 1.0, GAUSS03, d).eps2
-                for d in (8, 16, 24, 32, 40)]
+                for d in (8, 16, 24, 32, 40, 48, 64, 96)]
         assert all(b < a for a, b in zip(eps2, eps2[1:])), eps2
+        assert eps2[-1] < 1e-3
 
 
 class TestApproximant:
     def test_fit_runs_and_serializes(self, tmp_path):
         approx = fit_approximant(1.0, 1.0, GAUSS03, 6)
         data = approximant_to_dict(approx)
-        assert set(data) == {"T", "omega_gap", "taper", "d", "a", "eps2",
-                             "fit_nodes"}
-        again = approximant_from_dict(data)
-        assert np.all(again.a == approx.a)
+        assert set(data) == {"T", "omega_gap", "taper", "d", "c", "a",
+                             "eps2", "fit_nodes"}
+        again = approximant_from_dict(json.loads(json.dumps(data)))
+        assert np.array_equal(again.c, approx.c)
+        assert np.array_equal(again.a, approx.a)
         assert again.eps2 == approx.eps2
         assert again.taper == approx.taper
 
-    def test_loads_dict_carrying_parity_coefficients(self):
-        # files written before the parity coefficients were dropped also
-        # carry gamma_c and gamma_s, and files written before the single
-        # certification density carry dense_factor; only a is read
-        approx = fit_approximant(1.0, 1.0, GAUSS03, 6)
-        data = approximant_to_dict(approx)
-        data["gamma_c"] = [0.0, -approx.a[1], 0.0, approx.a[3], 0.0,
-                           -approx.a[5]]
-        data["gamma_s"] = [-approx.a[0], 0.0, approx.a[2], 0.0,
-                           -approx.a[4], 0.0]
-        assert np.array_equal(gamma_to_a(data["gamma_c"], data["gamma_s"]),
-                              approx.a)
-        with_density = dict(approximant_to_dict(approx), dense_factor=8)
-        for old in (data, with_density):
+    @pytest.mark.parametrize("d", [2, 8, 16, 32])
+    @pytest.mark.parametrize("omega_gap", [0.7, 1.0])
+    def test_monomial_view_expands_the_chebyshev_form(self, d, omega_gap):
+        # a_k, the coefficient of (i w)^-k, against numpy's Chebyshev to
+        # power conversion: (i w)^-k = i^-k (s / omega_gap)^k
+        approx = fit_approximant(1.0, omega_gap, GAUSS03, d)
+        # T_j has the parity of j, so the even powers of s come from the
+        # even T_j and the odd powers from the odd ones
+        power = cheb2poly(approx.c)
+        gamma = np.pad(power, (0, d + 1 - len(power)))[1:]
+        k = np.arange(1, d + 1)
+        # Re psi = sum_even gamma_k s^k, Im psi = sum_odd gamma_k s^k, and
+        # i^-k = (-1)^(k/2) (even k), -i (-1)^((k-1)/2) (odd k)
+        a = np.where(k % 2 == 0, (-1.0) ** (k // 2),
+                     -((-1.0) ** ((k - 1) // 2))) * gamma * omega_gap ** k
+        scale = np.abs(a).max()
+        assert np.abs(approx.a - a).max() <= 1e-14 * scale
+
+    @pytest.mark.parametrize("d", [6, 16])
+    def test_loads_dict_carrying_parity_coefficients(self, d):
+        # files written before c was stored hold a alone; those written
+        # before the parity coefficients were dropped also carry gamma_c and
+        # gamma_s, and those written before the single certification density
+        # carry dense_factor; c is solved from a once, at load
+        approx = fit_approximant(1.0, 1.0, GAUSS03, d)
+        a_only = {k: v for k, v in approximant_to_dict(approx).items()
+                  if k != "c"}
+        with_gammas = dict(a_only, gamma_c=[0.0] * d, gamma_s=[0.0] * d)
+        with_density = dict(a_only, dense_factor=8)
+        for old in (a_only, with_gammas, with_density):
             again = approximant_from_dict(json.loads(json.dumps(old)))
-            assert np.array_equal(again.a, approx.a)
+            assert again.c[0] == 0.0
+            np.testing.assert_allclose(again.c, approx.c, rtol=0,
+                                       atol=1e-13)
+            np.testing.assert_allclose(again.a, approx.a, rtol=1e-12)
             assert again.eps2 == approx.eps2
 
     def test_default_nodes_rule(self):
@@ -301,15 +358,18 @@ class TestApproximant:
     def test_invalid_construction(self):
         with pytest.raises(ValueError):
             Approximant(T=-1.0, omega_gap=1.0, taper=GAUSS03, d=2,
-                        a=np.zeros(2), eps2=0.1, fit_nodes=64)
+                        c=np.zeros(3), eps2=0.1, fit_nodes=64)
+        with pytest.raises(ValueError, match="length d \\+ 1 = 3"):
+            Approximant(T=1.0, omega_gap=1.0, taper=GAUSS03, d=2,
+                        c=np.zeros(2), eps2=0.1, fit_nodes=64)
 
-    @pytest.mark.parametrize("field", ["T", "omega_gap", "eps2", "a"])
+    @pytest.mark.parametrize("field", ["T", "omega_gap", "eps2", "c"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_non_finite(self, field, bad):
         kwargs = dict(T=1.0, omega_gap=1.0, taper=GAUSS03, d=2,
-                      a=np.zeros(2), eps2=0.1, fit_nodes=64)
-        if field == "a":
-            kwargs["a"] = np.array([0.5, bad])
+                      c=np.zeros(3), eps2=0.1, fit_nodes=64)
+        if field == "c":
+            kwargs["c"] = np.array([0.0, 0.5, bad])
         else:
             kwargs[field] = bad
         with pytest.raises(ValueError, match="finite"):

@@ -65,7 +65,7 @@ class TestApproxCommand:
                                  "--d", "4"])
         assert result.exit_code == 0
         data = json.loads(result.output)
-        assert data["d"] == 4 and len(data["a"]) == 4
+        assert data["d"] == 4 and len(data["a"]) == 4 and len(data["c"]) == 5
         assert data["taper"] == {"family": "gaussian", "nu": 0.3}
 
     def test_file_output_and_validation(self, runner, tmp_path):
@@ -315,7 +315,7 @@ class TestPredictPipeline:
                                  "--dbar", "8", "--out", str(eta_path)])
         assert result.exit_code == 0
         payload = json.loads(eta_path.read_text())
-        assert len(payload["eta"]) == 4
+        assert len(payload["etaP"]) == 4 and "eta" not in payload
         assert len(payload["residual"]) == 8
         assert payload["cond"] > 0
         out = tmp_path / "pred_reuse.csv"
@@ -408,7 +408,7 @@ class TestPredictPipeline:
         # a window from t1 = 8 or 7.999 holds 1 or 2 samples of the record
         tmp_path, approx_path, samples_path = workspace
         eta_path = tmp_path / "eta.json"
-        eta_path.write_text(json.dumps({"t1": t1, "eta": [0.0] * 4}))
+        eta_path.write_text(json.dumps({"t1": t1, "etaP": [0.0] * 4}))
         out = tmp_path / "pred.csv"
         extra = (["--eta", str(eta_path)] if route == "eta-file"
                  else ["--t1", str(t1)])
@@ -431,7 +431,7 @@ class TestPredictPipeline:
                                               extra, option):
         tmp_path, approx_path, samples_path = workspace
         eta_path = tmp_path / "eta.json"
-        eta_path.write_text(json.dumps({"t1": 0.0, "eta": [0.0] * 4}))
+        eta_path.write_text(json.dumps({"t1": 0.0, "etaP": [0.0] * 4}))
         out = tmp_path / "pred.csv"
         result = invoke(runner, [
             "predict", "--approx", str(approx_path), "--samples",
@@ -499,9 +499,8 @@ class TestPredictPipeline:
                                  "--t1", "0", "--theta", "8",
                                  "--dbar", str(dbar), "--out", str(out)])
         assert result.exit_code == 1
-        assert (f"--dbar {dbar} at d=4 needs a {dbar} x 4 fit matrix: a grid "
-                f"of {float(4 * dbar):.15g} samples is over the limit of "
-                f"2^25 = 33554432") in result.output
+        assert (f"--dbar {dbar} at d=4: the {dbar} x 4 fit matrix is over "
+                f"the limit of 2^25 = 33554432") in result.output
         assert not out.exists()
 
     def test_extrapolation_factor(self, runner, workspace):
@@ -688,14 +687,17 @@ class TestRejectsNonFinite:
         assert "must be finite" in result.output
         assert not out.exists()
 
-    @pytest.mark.parametrize("field", ["T", "a"])
+    @pytest.mark.parametrize("field", ["T", "c", "a"])
     def test_predict_approximant_file(self, runner, files, field):
+        # "a": a file holding a alone, whose c is solved from it
         _, approx_path, samples_path = files
         data = json.loads(approx_path.read_text())
         if field == "T":
             data["T"] = float("nan")
         else:
-            data["a"][2] = float("nan")
+            data[field][2] = float("nan")
+        if field == "a":
+            del data["c"]
         approx_path.write_text(json.dumps(data))  # writes NaN
         output = self.predict(runner, approx_path, samples_path, "eta")
         assert "must be finite" in output
@@ -724,28 +726,31 @@ class TestRejectsNonFinite:
         tmp_path, approx_path, samples_path = files
         eta_path = tmp_path / "eta.json"
         eta_path.write_text(json.dumps(
-            {"t1": 0.0, "eta": [0.1, float(value), 0.2, 0.3]}))
+            {"t1": 0.0, "etaP": [0.1, float(value), 0.2, 0.3]}))
         output = self.predict(runner, approx_path, samples_path, "eta",
                               "--eta", str(eta_path))
-        assert "eta must be finite" in output
+        assert "etaP must be finite" in output
 
     @pytest.mark.parametrize("eta", [[0.1, 0.2, 0.3], [0.1, 0.2, 0.3, 0.4,
                                                    0.5]], ids=["d-1", "d+1"])
     def test_predict_eta_file_of_another_length(self, runner, files, eta):
         tmp_path, approx_path, samples_path = files
         eta_path = tmp_path / "eta.json"
-        eta_path.write_text(json.dumps({"t1": 0.0, "eta": eta}))
+        eta_path.write_text(json.dumps({"t1": 0.0, "etaP": eta}))
         output = self.predict(runner, approx_path, samples_path, "eta",
                               "--eta", str(eta_path))
-        assert "eta must have one entry per coefficient" in output
+        assert "etaP must have one entry per level above y_0 (d = 4)" in output
         assert "Traceback" not in output
 
     @pytest.mark.parametrize("payload", [
-        {"eta": [0.1, 0.2, 0.3, 0.4]},
+        {"etaP": [0.1, 0.2, 0.3, 0.4]},
         {"t1": 0.0},
         [0.0, [0.1, 0.2, 0.3, 0.4]],
-    ], ids=["missing_t1", "missing_eta", "list"])
+        {"t1": 0.0, "eta": [0.1, 0.2, 0.3, 0.4]},
+    ], ids=["missing_t1", "missing_eta", "list", "monomial_constants"])
     def test_predict_eta_file_layout(self, runner, files, payload):
+        # "monomial_constants": a fit-eta file written before the recurrence,
+        # whose constants under "eta" belong to the monomial form
         tmp_path, approx_path, samples_path = files
         eta_path = tmp_path / "eta.json"
         eta_path.write_text(json.dumps(payload))

@@ -11,9 +11,9 @@ from gap_predict import approx, harness, signal
 from gap_predict.harness import (ConvergenceVerdict, ErrorRow,
                                  ExperimentConfig, convergence_check,
                                  emit_report, run_sweep, write_reports)
-from gap_predict.predictor import (eta_levels, eta_sum, eta_weights,
-                                   iterated_integrals)
-from gap_predict.signal import SpectrumSpec, sample_grid, save_spectrum
+from gap_predict.predictor import eta_levels, eta_sum, iterated_integrals
+from gap_predict.signal import (SpectrumSpec, exact_etaP, sample_grid,
+                                save_spectrum)
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -170,6 +170,27 @@ class TestRunSweep:
             assert row.sup_err <= row.bound_tones
         assert convergence_check(rows).passed
 
+    @pytest.mark.parametrize("spec_file, d, nu, sup_err", [
+        ("demo_tone.json", 96, 0.16, 0.0492),
+        ("demo_tone.json", 128, 0.15, 0.0429),
+        ("demo_bump.json", 96, 0.16, 0.0165),
+        ("demo_bump.json", 128, 0.15, 0.0146)])
+    def test_high_degree_rows_pass_on_their_bounds(self, spec_file, d, nu,
+                                                    sup_err):
+        # the demo window (dt 0.01, h = 1e-3) at degrees where the monomial
+        # expansion of c had lost every digit (its sup_err was 2.26 / 4.0e6
+        # for the tone and 4.35e3 / 1.6e11 for the bump): the recurrence
+        # realizes c itself, and eps2 is certified from c
+        config = replace(demo_config(), spec_files=(
+            os.path.join(CONFIG_DIR, spec_file),), d_list=(d,),
+            nu_list=(nu,))
+        (row,) = run_sweep(config)
+        assert row.error is None
+        bound = row.bound_tones if spec_file == "demo_tone.json" \
+            else row.bound_paper
+        assert row.sup_err == pytest.approx(sup_err, abs=1e-3)
+        assert row.sup_err <= bound and row.passed
+
     def test_eps1_target_drives_nu_selection(self, tmp_path):
         spec_path = tmp_path / "tone.json"
         save_spectrum(SpectrumSpec.from_tones(1.0, [(2.0, 1.0)]), spec_path)
@@ -271,7 +292,7 @@ class TestSharedWork:
 
     @staticmethod
     def count_calls(monkeypatch):
-        calls = {"fit": [], "sample_grid": [], "integrals": [], "hk": [],
+        calls = {"fit": [], "sample_grid": [], "integrals": [], "etaP": [],
                  "cached": []}
 
         def counting(key, fn, record):
@@ -285,9 +306,9 @@ class TestSharedWork:
         counting("sample_grid", harness.sample_grid,
                  lambda spec, t0, dt, n: spec)
         counting("integrals", harness.iterated_integrals,
-                 lambda times, values, d: d)
-        counting("hk", harness.exact_hk,
-                 lambda spec, k, t: (spec, np.asarray(k).tolist(), t))
+                 lambda times, values, d, gap, etaP: d)
+        counting("etaP", harness.exact_etaP,
+                 lambda spec, gap, d, t: (spec, d, t))
         counting("cached", harness._cached,
                  lambda memo, key, compute, *args: key)
         return calls
@@ -309,14 +330,14 @@ class TestSharedWork:
                                             (4, 0.5)]
             # the record and the future values, per spectrum
             assert calls["sample_grid"] == [specs[0]] * 2 + [specs[1]] * 2
-            # the record's integrals at max(d_list), per spectrum
+            # the record's levels to max(d_list), per spectrum
             assert calls["integrals"] == [4, 4]
-            # h_1..h_4(t_start) in one call, per spectrum
-            assert calls["hk"] == [(spec, [1, 2, 3, 4], 0.0) for spec in specs]
-            # the spectrum-scoped values: the record's integrals live only
-            # as their levels at the measurement grid
+            # etaP_0..etaP_3(t_start) in one call, per spectrum
+            assert calls["etaP"] == [(spec, 4, 0.0) for spec in specs]
+            # the spectrum-scoped values: the record's levels live only at
+            # the measurement grid
             assert {key for key in calls["cached"] if isinstance(key, str)} \
-                == {"future", "record", "hk", "levels"}
+                == {"future", "record", "etaP", "levels"}
 
     @pytest.mark.parametrize("small, large", [
         ({"d_list": (3,), "nu_list": (0.5,)},
@@ -326,7 +347,7 @@ class TestSharedWork:
     ], ids=["nu_list", "eps1_target"])
     def test_bump_rules_per_spectrum_do_not_grow_with_rows(
             self, tmp_path, monkeypatch, small, large):
-        # a bump spectrum's rules (eps1, h_k, record, future values, and
+        # a bump spectrum's rules (eps1, etaP, record, future values, and
         # select_nu's bisection) are built per spectrum, not per row: every
         # row's eps1 reaches the cached rule
         paths = []
@@ -365,7 +386,7 @@ class TestSharedWork:
     def test_one_bump_rule_per_spectrum_and_panel_count(
             self, tmp_path, monkeypatch, overrides):
         # on a window with |t| < 1.5 every user of a spectrum's rule
-        # (select_nu, eps1, h_k, record, future values) asks
+        # (select_nu, eps1, etaP, record, future values) asks
         # for 4 panels, so the sweep builds one rule per spectrum
         paths = []
         for j, center in enumerate((2.1, 2.4)):
@@ -392,18 +413,18 @@ class TestSharedWork:
     @pytest.mark.parametrize("dt", [0.05, 2.0 * math.pi / 628])
     def test_rows_match_rows_predicted_one_at_a_time(self, tmp_path,
                                                      monkeypatch, dt):
-        # each row's prediction, from the spectrum's levels at max(d_list)
-        # and the sweep's weights, is the eta path's on the row's own record
-        # integrated to degree d only, bit for bit
+        # each row's prediction, from the spectrum's levels at max(d_list),
+        # is the recurrence's on the row's own record run to degree d only,
+        # bit for bit
         paths = two_tone_files(tmp_path)
         config = small_config(paths[0], spec_files=tuple(paths),
                               d_list=(2, 3, 4, 8), nu_list=(0.4, 0.3),
                               t_end=0.5, dt=dt)
         calls = []
 
-        def recording(a, eta, levels, weights):
-            y = eta_sum(a, eta, levels, weights)
-            calls.append((a, eta, y))
+        def recording(approx, levels):
+            y = eta_sum(approx, levels)
+            calls.append((approx, y))
             return y
 
         monkeypatch.setattr(harness, "eta_sum", recording)
@@ -413,13 +434,14 @@ class TestSharedWork:
         h = harness._quadrature_step(config, False)
         t_grid, times = harness._grids(config, h)
         specs = [spec for _, spec in harness._load_spectra(config)]
-        for i, (a, eta, y) in enumerate(calls):
-            values = sample_grid(specs[i // 8], config.t_start, h, len(times))
-            levels = eta_levels(times, values,
-                                iterated_integrals(times, values, len(a)),
-                                t_grid)
-            weights = eta_weights(len(a), t_grid - times[0])
-            assert np.array_equal(y, eta_sum(a, eta, levels, weights))
+        for i, (approx, y) in enumerate(calls):
+            spec = specs[i // 8]
+            values = sample_grid(spec, config.t_start, h, len(times))
+            etaP = exact_etaP(spec, 1.0, 8, config.t_start)[:approx.d]
+            levels = eta_levels(times, values, iterated_integrals(
+                times, values, approx.d, 1.0, etaP), 1.0, t_grid)
+            assert levels.shape == (approx.d + 1, len(t_grid))
+            assert np.array_equal(y, eta_sum(approx, levels))
 
     def test_spectra_swept_together_match_each_swept_alone(self, tmp_path):
         paths = two_tone_files(tmp_path)

@@ -7,62 +7,83 @@ import pytest
 from scipy.integrate import cumulative_trapezoid, simpson
 from scipy.interpolate import CubicHermiteSpline
 
-from gap_predict.approx import Approximant, fit_approximant
-from gap_predict.predictor import (eta_levels, eta_sum, eta_weights, fit_eta,
+from gap_predict.approx import (Approximant, approximant_from_dict,
+                                eval_psi, fit_approximant)
+from gap_predict.predictor import (eta_levels, eta_sum, fit_eta,
                                    iterated_integrals, kernel_eval,
                                    predict_convolution)
-from gap_predict.signal import SpectrumSpec, exact_hk, sample_grid
+from gap_predict.signal import SpectrumSpec, exact_etaP, sample_grid
 from gap_predict.taper import TaperSpec
+
+import oracles
 
 GAUSS03 = TaperSpec("gaussian", 0.3)
 
 
 def make_approx(a, T=1.0, gap=1.0):
-    """Wrap a raw coefficient vector in an Approximant for API-level tests."""
-    a = np.asarray(a, dtype=float)
-    return Approximant(T=T, omega_gap=gap, taper=GAUSS03, d=len(a), a=a,
+    """An Approximant whose monomial view is a, loaded as a file holding a
+    alone would be, for the convolution's API-level tests."""
+    return approximant_from_dict({
+        "T": T, "omega_gap": gap, "taper": {"family": "gaussian", "nu": 0.3},
+        "d": len(a), "a": list(a), "eps2": 1.0, "fit_nodes": 64})
+
+
+def random_approx(d, rng, gap=1.0):
+    """An Approximant with random Chebyshev coefficients, c_0 = 0."""
+    c = rng.uniform(-1, 1, d + 1)
+    c[0] = 0.0
+    return Approximant(T=1.0, omega_gap=gap, taper=GAUSS03, d=d, c=c,
                        eps2=1.0, fit_nodes=64)
 
 
-def eta_window(a, times, values, eta):
-    """A degree-len(a) eta realization on the sampled window (times, values),
-    t1 = times[0]: its coefficients, constants and iterated integrals."""
-    return SimpleNamespace(a=np.asarray(a, dtype=float),
-                           eta=np.asarray(eta, dtype=float), times=times,
-                           values=values, t1=times[0],
-                           f=iterated_integrals(times, values, len(a)))
+def eta_window(approx, times, values, etaP):
+    """The recurrence of approx on the sampled window (times, values) from
+    t1 = times[0] with the constants etaP: its levels z."""
+    etaP = np.asarray(etaP, dtype=float)
+    return SimpleNamespace(
+        approx=approx, etaP=etaP, times=times, values=values, t1=times[0],
+        z=iterated_integrals(times, values, approx.d, approx.omega_gap, etaP))
 
 
-def predict_eta(w, t_eval, f=None, eta=None):
-    """The eta path at t_eval: the record stage (eta_levels on the window's
-    integrals, or on f, and eta_weights to the same degree), then the
-    approximant stage eta_sum with the window's constants, or with eta."""
-    t_eval = np.atleast_1d(np.asarray(t_eval, dtype=float))
-    f = w.f if f is None else f
-    return eta_sum(w.a, w.eta if eta is None else eta,
-                   eta_levels(w.times, w.values, f, t_eval),
-                   eta_weights(len(f), t_eval - w.t1))
+def predict_eta(w, t_eval, z=None):
+    """The recurrence's prediction at t_eval: the window's levels (or z)
+    taken at t_eval, weighted by sigma_j c_j."""
+    return eta_sum(w.approx, eta_levels(w.times, w.values,
+                                        w.z if z is None else z,
+                                        w.approx.omega_gap, t_eval))
 
 
-def tone_state(a, spec, t1, span, h):
+def tone_state(approx, spec, t1, span, h):
     n = int(round(span / h)) + 1
     times = t1 + h * np.arange(n)
     values = sample_grid(spec, t1, h, n)
-    eta = np.array([exact_hk(spec, k, t1) for k in range(1, len(a) + 1)])
-    return eta_window(a, times, values, eta)
+    return eta_window(approx, times, values,
+                      exact_etaP(spec, approx.omega_gap, approx.d, t1))
 
 
-def predict_from_eta_recursive(state, t):
-    """Oracle: the prediction via the normative recursion
-    x_k = eta_k + int x_{k-1}, re-integrating the eta contributions
-    numerically.  Agrees with the closed form up to trapezoid error on the
-    polynomial terms."""
-    h = float(np.mean(np.diff(state.times)))
-    cur = state.values
+def tone_prediction(approx, spec, t):
+    """Oracle: Re[A psi(i w) e^{iwt}] summed over the tones, the exact
+    output of the realization."""
+    t = np.asarray(t, dtype=float)
+    return sum(np.real(tone.amplitude * eval_psi(approx.c, approx.omega_gap,
+                                                 tone.omega)
+                       * np.exp(1j * tone.omega * t)) for tone in spec.tones)
+
+
+def predict_by_monomial_recursion(approx, spec, times, values, t):
+    """Oracle: the monomial form sum_k a_k x_k with x_k = h_k(t1) +
+    int_{t1}^t x_{k-1} by the trapezoid, x_0 = x, and the tone's
+    h_k = Re[A (i w)^-k e^{iwt}].  Agrees with the recurrence up to
+    trapezoid error."""
+    h = float(np.mean(np.diff(times)))
+    cur = values
     y = 0.0
-    for k in range(1, len(state.a) + 1):
-        cur = state.eta[k - 1] + cumulative_trapezoid(cur, dx=h, initial=0.0)
-        y += state.a[k - 1] * np.interp(t, state.times, cur)
+    for k, a_k in enumerate(approx.a, start=1):
+        h_k = sum(np.real(tone.amplitude * (1j * tone.omega) ** -k
+                          * np.exp(1j * tone.omega * times[0]))
+                  for tone in spec.tones)
+        cur = h_k + cumulative_trapezoid(cur, dx=h, initial=0.0)
+        y += a_k * np.interp(t, times, cur)
     return float(y)
 
 
@@ -192,9 +213,11 @@ class TestPredictConvolution:
                "repeated": valid[[5, -1, 5, 0, -1, 5, 2000]],
                "first": valid[:1],
                "empty": valid[:0]}[outputs]
-        y, tail = predict_convolution(make_approx(a), times, values,
+        approx = make_approx(a)
+        y, tail = predict_convolution(approx, times, values,
                                       times[idx], history_length=L)
         assert y.shape == tail.shape == idx.shape
+        a = approx.a
         lags = h * np.arange(n_lag, -1, -1)
         K = sum(a[k] * lags ** k / math.factorial(k) for k in range(3))
         for j, i in enumerate(idx):
@@ -243,7 +266,9 @@ class TestPredictConvolution:
         values[:100] *= 1e6
         n_lag = 10000
         idx = np.arange(n_lag, len(times), 199)
-        y, _ = predict_convolution(make_approx(a), times, values, times[idx])
+        approx = make_approx(a)
+        y, _ = predict_convolution(approx, times, values, times[idx])
+        a = approx.a
         lags = h * np.arange(n_lag, -1, -1)
         K = sum(a[k] * lags ** k / math.factorial(k) for k in range(3))
         windows = [values[i - n_lag:i + 1] for i in idx]
@@ -253,7 +278,7 @@ class TestPredictConvolution:
 
     def test_small_degree_matches_frequency_oracle(self):
         # d=3 on a wide bump: the kernel grows only quadratically, so a long
-        # window genuinely converges to sum_k a_k h_k(x)(t)
+        # window genuinely converges to the exact output of psi
         spec = SpectrumSpec.from_bumps(1.0, [(2.0, 0.9, 1.0)])
         approx = fit_approximant(1.0, 1.0, GAUSS03, 3)
         L, h = 200.0, 1e-3
@@ -262,7 +287,7 @@ class TestPredictConvolution:
         times = t - L + h * np.arange(n)
         values = sample_grid(spec, times[0], h, n)
         y_hat, tail = predict_one(approx, times, values, history_length=L)
-        oracle = sum(approx.a[k - 1] * exact_hk(spec, k, t) for k in range(1, 4))
+        oracle = oracles.prediction(spec, approx.c, 1.0, t)
         assert abs(y_hat - oracle) <= max(1e-6, tail)
         assert abs(y_hat - oracle) < 1e-3  # genuinely converged
 
@@ -275,7 +300,7 @@ class TestPredictConvolution:
         times = t - 10.0 + 1e-3 * np.arange(n)
         values = sample_grid(spec, times[0], 1e-3, n)
         y_hat, tail = predict_one(approx, times, values)
-        oracle = sum(approx.a[k - 1] * exact_hk(spec, k, t) for k in range(1, 9))
+        oracle = oracles.prediction(spec, approx.c, 1.0, t)
         assert abs(y_hat - oracle) <= max(1e-6, tail)
         assert tail > 1.0
 
@@ -300,60 +325,85 @@ class TestPredictConvolution:
                             history_length=bad)
 
 
-class TestIteratedIntegrals:
-    def test_polynomial_exactness(self):
-        times = np.linspace(0.0, 2.0, 401)
-        f = iterated_integrals(times, np.ones_like(times), 2)
-        assert np.max(np.abs(f[0] - times)) < 1e-12
-        assert np.max(np.abs(f[1] - times ** 2 / 2)) < 1e-12
-        assert f[0][0] == 0.0 and f[1][0] == 0.0
+def power_levels(d, omega_gap, tau):
+    """Oracle: the levels of x = 1 with etaP = 0, z_j = sum_{k>=1} p_jk
+    tau^k / k!, where P_j(v) = sum_k p_jk v^k by P_0 = 1, P_1 = omega_gap v,
+    P_{j+1} = 2 omega_gap v P_j + P_{j-1}."""
+    p = np.zeros((d + 1, d + 1))
+    p[0, 0] = 1.0
+    p[1, 1] = omega_gap
+    for j in range(1, d):
+        p[j + 1, 1:] = 2.0 * omega_gap * p[j, :-1]
+        p[j + 1] += p[j - 1]
+    k = np.arange(1, d + 1)
+    basis = tau[None, :] ** k[:, None] / np.array(
+        [math.factorial(i) for i in k])[:, None]
+    return p[:, 1:] @ basis
 
-    def test_cosine_antiderivatives(self):
-        h = 1e-3
-        times = h * np.arange(3001)
-        f = iterated_integrals(times, np.cos(times), 3)
-        assert np.max(np.abs(f[0] - np.sin(times))) < 1e-6
-        assert np.max(np.abs(f[1] - (1 - np.cos(times)))) < 1e-6
+
+class TestIteratedIntegrals:
+    """The recurrence's levels z_0..z_d on the sample lattice."""
+
+    @pytest.mark.parametrize("omega_gap", [1.0, 0.6])
+    def test_polynomial_exactness(self, omega_gap):
+        # x = 1: every integrand up to z_4's is a cubic at most
+        times = np.linspace(0.0, 2.0, 401)
+        z = iterated_integrals(times, np.ones_like(times), 4, omega_gap,
+                               np.zeros(4))
+        assert z.shape == (5, 401)
+        assert np.all(z[:, 0] == 0.0) and np.all(z[0] == 0.0)
+        assert np.abs(z - power_levels(4, omega_gap, times)).max() < 1e-12
+
+    def test_tone_levels_follow_the_transfer_function(self):
+        # z_j = Re[A (P_j(v) - P_j(0)) e^{iwt}] with the exact constants
+        h, gap = 1e-3, 0.8
+        spec = SpectrumSpec.from_tones(gap, [(2.0, 0.4 - 0.3j)])
+        times = 0.5 + h * np.arange(3001)
+        x = sample_grid(spec, times[0], h, len(times))
+        d = 12
+        z = iterated_integrals(times, x, d, gap,
+                               exact_etaP(spec, gap, d, times[0]))
+        v = 1.0 / 2.0j
+        p, p_prev, p0, p0_prev = gap * v, 1.0, 0.0, 1.0
+        for j in range(1, d + 1):
+            exact = np.real((0.4 - 0.3j) * (p - p0) * np.exp(2.0j * times))
+            assert np.abs(z[j] - exact).max() < 1e-9, j
+            p, p_prev = 2.0 * gap * v * p + p_prev, p
+            p0, p0_prev = p0_prev, p0
 
     @pytest.mark.parametrize("n", [3, 4, 5, 9])
     def test_short_windows_are_exact_for_cubics(self, n):
         # the first step takes the four-point rule, or the three-point rule
         # on a three-sample window, which is exact for quadratics only; the
-        # Gregory steps after it are exact for cubics, and so is each
-        # Euler-Maclaurin level on a cubic f_{k-1}
+        # Gregory steps after it are exact for cubics
         h = 0.37
         t = h * np.arange(n)
         tau = t - t[0]
         x = 1.0 - 2.0 * t + 0.5 * t ** 2 + (0.25 * t ** 3 if n > 3 else 0.0)
         exact = (tau - tau ** 2 + tau ** 3 / 6.0
                  + (tau ** 4 / 16.0 if n > 3 else 0.0))
-        f = iterated_integrals(t, x, 3)
-        assert f.shape == (3, n)
-        assert np.max(np.abs(f[0] - exact)) < 1e-14
-        ones = iterated_integrals(t, np.ones(n), 4)
-        for k in range(4):
-            assert np.max(np.abs(ones[k] - tau ** (k + 1)
-                                 / math.factorial(k + 1))) < 1e-14
+        z = iterated_integrals(t, x, 1, 1.0, [0.0])
+        assert z.shape == (2, n)
+        assert np.max(np.abs(z[1] - exact)) < 1e-14
+        top = 4 if n > 3 else 3
+        ones = iterated_integrals(t, np.ones(n), top, 1.0, np.zeros(top))
+        assert np.max(np.abs(ones - power_levels(top, 1.0, tau))) < 1e-13
         with pytest.raises(ValueError, match="at least 3 samples"):
-            iterated_integrals(t[:2], x[:2], 1)
+            iterated_integrals(t[:2], x[:2], 1, 1.0, [0.0])
 
     @pytest.mark.parametrize("off_lattice", [False, True])
     def test_halving_the_step_cuts_the_error_sixteenfold(self, off_lattice):
         # the integrals and the Hermite step between nodes are O(h^4): on a
-        # tone with known h_k, halving h cuts the error against
-        # sum_k a_k h_k(t) at least 12x, on the sample lattice and off it
-        # (d = 16, nu = 0.3: 1.1e-6 -> 6.7e-8, far above the round-off of
-        # sum|a_k| = 4.3e4)
+        # tone, halving h cuts the error against the exact output of psi at
+        # least 12x, on the sample lattice and off it
         spec = SpectrumSpec.from_tones(1.0, [(2.0, 0.5)])
         approx = fit_approximant(1.0, 1.0, GAUSS03, 16)
         t_eval = 0.01 * np.arange(629) + (0.0103 if off_lattice else 0.0)
         t_eval = t_eval[t_eval <= 2.0 * math.pi]
-        # h_k(t) = Re[c (i w)^-k e^{i w t}] for the tone c e^{i w t}
-        exact = np.real(0.5 * np.exp(2j * t_eval) * sum(
-            approx.a[k - 1] * (2j) ** -k for k in range(1, 17)))
+        exact = tone_prediction(approx, spec, t_eval)
         errors = []
         for h in (2e-3, 1e-3):
-            state = tone_state(approx.a, spec, t1=0.0,
+            state = tone_state(approx, spec, t1=0.0,
                                span=2.0 * math.pi + h, h=h)
             errors.append(np.max(np.abs(predict_eta(state, t_eval)
                                         - exact)))
@@ -361,64 +411,55 @@ class TestIteratedIntegrals:
 
     @pytest.mark.parametrize("k", [1, 8, 31])
     def test_leading_levels_do_not_depend_on_d(self, k):
-        # a sweep integrates each record once, to its largest degree, and
-        # gives the row of degree k the first k levels
+        # a sweep runs each record's recurrence once, to its largest degree,
+        # and gives the row of degree k the first k + 1 levels
         rng = np.random.default_rng(k)
         times = -0.5 + 1e-3 * np.arange(2001)
         x = rng.standard_normal(len(times))
-        prefix = iterated_integrals(times, x, 32)[:k]
-        alone = iterated_integrals(times, x, k)
+        etaP = rng.standard_normal(32)
+        prefix = iterated_integrals(times, x, 32, 0.9, etaP)[:k + 1]
+        alone = iterated_integrals(times, x, k, 0.9, etaP[:k])
         assert prefix.shape == alone.shape
         assert prefix.tobytes() == alone.tobytes()
 
     def test_refuses_arrays_over_the_grid_limit(self):
-        # d x samples for the integrals and d x times for the weights: 8,192
-        # by 4,097 is 33,562,624 entries, just over 2^25, refused before
-        # either array is made
+        # (d + 1) x samples: 4,097 by 8,192 is 33,562,624 entries, just
+        # over 2^25, refused before the level array is made
         times = 1e-3 * np.arange(8192)
-        message = re.escape("a grid of 33562624 samples is over the limit "
-                            "of 2^25")
+        message = re.escape("the recurrence's level array of 4097 x 8192 "
+                            "entries is over the limit of 2^25")
         with pytest.raises(ValueError, match=message):
-            iterated_integrals(times, np.zeros(8192), 4097)
-        with pytest.raises(ValueError, match=message):
-            eta_weights(4097, times)
+            iterated_integrals(times, np.zeros(8192), 4096, 1.0,
+                               np.zeros(4096))
 
-    def test_derivative_recovers_previous_level(self):
-        h = 1e-3
+    def test_levels_follow_the_recurrence(self):
+        # d/dt z_1 = omega_gap x and d/dt (z_{j+1} - z_{j-1}) =
+        # 2 omega_gap y_j, y_j = z_j + x for even j
+        h, gap = 1e-3, 0.7
         times = h * np.arange(2001)
         x = np.cos(2 * times) + 0.3 * np.sin(3 * times)
-        f = iterated_integrals(times, x, 3)
-        for k in range(3):
-            lower = x if k == 0 else f[k - 1]
-            deriv = np.diff(f[k]) / h
-            mid = 0.5 * (lower[1:] + lower[:-1])
-            assert np.max(np.abs(deriv - mid)) < 5e-3
+        z = iterated_integrals(times, x, 4, gap, [0.1, -0.2, 0.3, 0.05])
+        y = z + np.where(np.arange(5) % 2 == 0, 1.0, 0.0)[:, None] * x
+        mid = 0.5 * (y[:, 1:] + y[:, :-1])
+        assert np.max(np.abs(np.diff(z[1]) / h - gap * mid[0])) < 5e-6
+        for j in range(1, 4):
+            deriv = np.diff(z[j + 1] - z[j - 1]) / h
+            assert np.max(np.abs(deriv - 2.0 * gap * mid[j])) < 5e-6
 
 
-def predict_eta_double_loop(state, t_eval):
-    """The closed form summed per k with an inner loop over l, each x_k
-    interpolated (scipy's cubic Hermite spline with the exact slopes
-    f_k' = f_{k-1}, f_0 = x) and extended on its own.  Returns the sum and
-    its scale, the sum of the magnitudes of its terms."""
-    t_eval = np.atleast_1d(np.asarray(t_eval, dtype=float))
-    d = len(state.a)
-    delta = t_eval - state.t1
-    w = np.empty((d, len(t_eval)))
-    w[0] = 1.0
-    for j in range(1, d):
-        w[j] = w[j - 1] * delta / j
-    y = np.zeros_like(t_eval)
-    scale = np.zeros_like(t_eval)
-    for k in range(1, d + 1):
-        slope = state.values if k == 1 else state.f[k - 2]
-        xk = CubicHermiteSpline(state.times, state.f[k - 1], slope)(t_eval)
-        size = np.abs(xk)
-        for l in range(1, k + 1):
-            xk = xk + state.eta[l - 1] * w[k - l]
-            size = size + abs(state.eta[l - 1]) * w[k - l]
-        y = y + state.a[k - 1] * xk
-        scale = scale + abs(state.a[k - 1]) * size
-    return y, scale
+def hermite_oracle(state, t_eval):
+    """The prediction with every level interpolated by scipy's cubic
+    Hermite spline, its slopes taken one level at a time:
+    z_1' = omega_gap x, z_{j+1}' = 2 omega_gap y_j + z_{j-1}'."""
+    approx, z, x = state.approx, state.z, state.values
+    gap = approx.omega_gap
+    slopes = [np.zeros_like(x), gap * x]
+    for j in range(1, approx.d):
+        y = z[j] + (x if j % 2 == 0 else 0.0)
+        slopes.append(2.0 * gap * y + slopes[j - 1])
+    levels = np.array([CubicHermiteSpline(state.times, z[j], slopes[j])(
+        t_eval) for j in range(approx.d + 1)])
+    return approx.weights @ levels, np.abs(approx.weights) @ np.abs(levels)
 
 
 def random_eta_case(d, t_kind):
@@ -428,7 +469,7 @@ def random_eta_case(d, t_kind):
     h = 1e-3
     times = 0.3 + h * np.arange(1501)
     values = np.cos(3.0 * times) + 0.1 * rng.standard_normal(len(times))
-    state = eta_window(rng.uniform(-1, 1, d), times, values,
+    state = eta_window(random_approx(d, rng, gap=0.9), times, values,
                        rng.uniform(-1, 1, d))
     if t_kind == "on_lattice":
         t_eval = times[::7]
@@ -444,105 +485,110 @@ def random_eta_case(d, t_kind):
 class TestEtaPrediction:
     @pytest.mark.parametrize("d", [1, 2, 5, 16, 32])
     @pytest.mark.parametrize("t_kind", ["on_lattice", "off_lattice", "long"])
-    def test_matches_double_loop(self, d, t_kind):
-        # the regrouped sum rounds differently; its error is bounded by
-        # rounding relative to the magnitudes of the double sum's terms
+    def test_matches_hermite_spline_oracle(self, d, t_kind):
         state, t_eval = random_eta_case(d, t_kind)
-        ref, scale = predict_eta_double_loop(state, t_eval)
+        ref, scale = hermite_oracle(state, t_eval)
         assert np.all(np.abs(predict_eta(state, t_eval) - ref)
                       <= 1e-14 * scale)
 
     @pytest.mark.parametrize("d", [1, 5, 16])
     @pytest.mark.parametrize("t_kind", ["on_lattice", "off_lattice", "long"])
-    def test_integrals_of_a_higher_degree_give_the_degree_d_prediction(
+    def test_levels_of_a_higher_degree_give_the_degree_d_prediction(
             self, d, t_kind):
-        # integrals taken once at degree 2d, with levels and weights to
-        # degree 2d as the harness sweep shares them across degrees, or cut
-        # to their first d rows, give the prediction of the window's own
-        # degree-d integrals bit for bit
+        # levels taken once at degree 2d, as the harness sweep shares them
+        # across degrees, or cut to their first d + 1 rows, give the
+        # prediction of the window's own degree-d levels bit for bit
         state, t_eval = random_eta_case(d, t_kind)
-        f = iterated_integrals(state.times, state.values, 2 * d)
+        extra = np.random.default_rng(99).uniform(-1, 1, d)
+        z = iterated_integrals(state.times, state.values, 2 * d,
+                               state.approx.omega_gap,
+                               np.concatenate((state.etaP, extra)))
         own = predict_eta(state, t_eval)
-        assert np.array_equal(predict_eta(state, t_eval, f=f), own)
-        assert np.array_equal(predict_eta(state, t_eval, f=f[:d]), own)
+        assert np.array_equal(predict_eta(state, t_eval, z=z), own)
+        assert np.array_equal(predict_eta(state, t_eval, z=z[:d + 1]), own)
 
     def test_levels_on_sample_times_are_the_node_values(self):
-        # a contiguous run of samples is a view of the integrals; the
-        # Hermite step gives the node values on single sample times, the
-        # last one included
+        # on a run of samples, on single sample times (the last one
+        # included) and within 1e-9 steps of them, the levels are the node
+        # values
         state, _ = random_eta_case(5, "on_lattice")
-        levels = eta_levels(state.times, state.values, state.f,
-                            state.times[100:400])
-        assert np.shares_memory(levels, state.f)
-        assert np.array_equal(levels, state.f[:, 100:400])
-        picks = [0, 7, 1499, 1500]
-        levels = eta_levels(state.times, state.values, state.f,
-                            state.times[picks])
-        assert not np.shares_memory(levels, state.f)
-        assert np.array_equal(levels, state.f[:, picks])
+        for picks in (np.arange(100, 400), [0, 7, 1499, 1500]):
+            for shift in (0.0, 1e-13, -1e-13):
+                t_eval = np.clip(state.times[picks] + shift, state.times[0],
+                                 state.times[-1])
+                levels = eta_levels(state.times, state.values, state.z, 0.9,
+                                    t_eval)
+                assert np.array_equal(levels, state.z[:, picks])
 
     def test_rejects_constants_it_cannot_use(self):
         times = np.linspace(0.0, 1.0, 11)
-        state = eta_window([1.0, 1.0], times, np.zeros(11), [1.0, 1.0])
-        with pytest.raises(ValueError, match="eta must be finite"):
-            predict_eta(state, times, eta=[1.0, np.nan])
-        for eta in ([1.0], [1.0, 1.0, 1.0]):
-            with pytest.raises(ValueError, match="one entry per coefficient"):
-                predict_eta(state, times, eta=eta)
+        with pytest.raises(ValueError, match="etaP must be finite"):
+            iterated_integrals(times, np.zeros(11), 2, 1.0, [1.0, np.nan])
+        for etaP in ([1.0], [1.0, 1.0, 1.0]):
+            with pytest.raises(ValueError,
+                               match=r"one entry per level above y_0 \(d = 2\)"):
+                iterated_integrals(times, np.zeros(11), 2, 1.0, etaP)
 
-    def test_rejects_integrals_it_cannot_use(self):
-        # integrals on other sample times than the window's, or to a degree
-        # below len(a)
+    def test_rejects_levels_it_cannot_use(self):
+        # levels on other sample times than the window's, or to a degree
+        # below the approximant's
         times = np.linspace(0.0, 1.0, 11)
-        state = eta_window([1.0, 1.0], times, np.zeros(11), [1.0, 1.0])
+        state = eta_window(random_approx(2, np.random.default_rng(1)), times,
+                           np.zeros(11), [1.0, 1.0])
         with pytest.raises(ValueError, match="one value per sample time"):
-            predict_eta(state, [0.55], f=np.zeros((2, 10)))
+            predict_eta(state, [0.55], z=np.zeros((3, 10)))
         with pytest.raises(ValueError):
-            predict_eta(state, times, f=np.zeros((1, 11)))
+            predict_eta(state, times, z=np.zeros((2, 11)))
 
     def test_collapse_at_reference_time(self):
+        # at t1 every integral is 0: z_1 = omega_gap etaP_0 and
+        # z_{j+1} = 2 omega_gap etaP_j + z_{j-1}, to the bit
         rng = np.random.default_rng(3)
-        a = rng.uniform(-1, 1, 5)
-        eta = rng.uniform(-1, 1, 5)
+        approx = random_approx(5, rng, gap=1.3)
+        etaP = rng.uniform(-1, 1, 5)
         times = np.linspace(2.0, 4.0, 501)
-        state = eta_window(a, times, np.zeros_like(times), eta)
-        expected = 0.0
-        for k in range(5):
-            expected += a[k] * eta[k]
-        assert predict_eta(state, [2.0])[0] == expected
+        state = eta_window(approx, times, np.zeros_like(times), etaP)
+        z = [0.0, etaP[0] * 1.3]
+        for j in range(1, 5):
+            z.append(etaP[j] * (2.0 * 1.3) + z[j - 1])
+        assert predict_eta(state, [2.0])[0] == approx.weights @ np.array(z)
 
     def test_hand_expansion_d2_zero_signal(self):
-        a = np.array([0.7, -0.4])
-        eta = np.array([1.3, 0.2])
+        # z_1 = w e0, z_2 = 2w (e1 + w e0 tau); sigma = (1, -1, -1)
+        c = np.array([0.0, 0.7, -0.4])
+        gap, e0, e1 = 1.2, 1.3, 0.2
+        approx = Approximant(T=1.0, omega_gap=gap, taper=GAUSS03, d=2, c=c,
+                             eps2=1.0, fit_nodes=64)
         times = np.linspace(0.0, 3.0, 301)
-        state = eta_window(a, times, np.zeros_like(times), eta)
+        state = eta_window(approx, times, np.zeros_like(times), [e0, e1])
         for t in (0.5, 1.7, 3.0):
-            expected = a[0] * eta[0] + a[1] * (eta[1] + eta[0] * t)
+            expected = (-c[1] * gap * e0
+                        - c[2] * 2.0 * gap * (e1 + gap * e0 * t))
             assert predict_eta(state, [t])[0] == \
                 pytest.approx(expected, abs=1e-12)
 
     def test_matches_frequency_oracle_on_tone(self):
         spec = SpectrumSpec.from_tones(1.0, [(2.0, 0.8 - 0.3j)])
         approx = fit_approximant(1.0, 1.0, GAUSS03, 4)
-        state = tone_state(approx.a, spec, t1=0.25, span=5.0, h=2e-5)
+        state = tone_state(approx, spec, t1=0.25, span=5.0, h=2e-5)
         for t in (0.25, 1.0, 2.75, 5.25):
-            oracle = sum(approx.a[k - 1] * exact_hk(spec, k, t)
-                         for k in range(1, 5))
             assert predict_eta(state, [t])[0] == \
-                pytest.approx(oracle, abs=1e-8)
+                pytest.approx(tone_prediction(approx, spec, t), abs=1e-8)
 
     def test_recursive_cross_check(self):
+        # the monomial form, realized independently, gives the same output
         spec = SpectrumSpec.from_tones(1.0, [(1.5, 1.0)])
         approx = fit_approximant(1.0, 1.0, GAUSS03, 4)
-        state = tone_state(approx.a, spec, t1=0.0, span=4.0, h=1e-3)
+        state = tone_state(approx, spec, t1=0.0, span=4.0, h=1e-3)
         for t in (1.0, 2.5, 4.0):
             closed = predict_eta(state, [t])[0]
-            recursive = predict_from_eta_recursive(state, t)
+            recursive = predict_by_monomial_recursion(
+                approx, spec, state.times, state.values, t)
             assert recursive == pytest.approx(closed, abs=1e-5)
 
     def test_rejects_out_of_range_times(self):
-        state = tone_state(np.array([1.0, 0.0]),
-                           SpectrumSpec.from_tones(1.0, [(2.0, 1.0)]),
+        approx = fit_approximant(1.0, 1.0, GAUSS03, 2)
+        state = tone_state(approx, SpectrumSpec.from_tones(1.0, [(2.0, 1.0)]),
                            t1=0.0, span=1.0, h=1e-3)
         for t in (-0.5, 1.5):
             with pytest.raises(ValueError):
@@ -555,8 +601,8 @@ class TestEtaPrediction:
         shifted = SpectrumSpec.from_tones(
             1.0, [(omega, c * np.exp(-1j * omega * delta))])
         approx = fit_approximant(1.0, 1.0, GAUSS03, 3)
-        state = tone_state(approx.a, spec, t1=0.0, span=3.0, h=1e-4)
-        state_shift = tone_state(approx.a, shifted, t1=delta, span=3.0, h=1e-4)
+        state = tone_state(approx, spec, t1=0.0, span=3.0, h=1e-4)
+        state_shift = tone_state(approx, shifted, t1=delta, span=3.0, h=1e-4)
         t_eval = np.array([0.0, 0.9, 2.4])
         y = predict_eta(state, t_eval)
         y_shift = predict_eta(state_shift, t_eval + delta)
@@ -571,39 +617,47 @@ class TestFitEta:
         n = int(round(8.0 / h)) + 1
         self.times = h * np.arange(n)
         self.values = sample_grid(self.spec, 0.0, h, n)
-        self.f = iterated_integrals(self.times, self.values, 6)
 
-    def fit(self, fit_times, zeta, f=None):
-        return fit_eta(self.approx.a, self.times, self.values,
-                       self.f if f is None else f, fit_times, zeta)
+    def fit(self, fit_times, zeta, approx=None, values=None):
+        return fit_eta(self.approx if approx is None else approx, self.times,
+                       self.values if values is None else values, fit_times,
+                       zeta)
 
     def test_round_trip_recovers_eta(self):
         rng = np.random.default_rng(42)
         eta_true = rng.standard_normal(6)
-        state = eta_window(self.approx.a, self.times, self.values, eta_true)
+        state = eta_window(self.approx, self.times, self.values, eta_true)
         fit_times = np.linspace(0.5, 6.5, 6)
         zeta = predict_eta(state, fit_times)
         fit = self.fit(fit_times, zeta)
-        assert np.max(np.abs(fit.eta - eta_true)) <= 1e-8 * np.max(np.abs(eta_true))
+        assert np.max(np.abs(fit.etaP - eta_true)) <= 1e-8 * np.max(np.abs(eta_true))
         assert np.max(np.abs(fit.residual)) <= 1e-10 * np.linalg.norm(zeta)
         assert fit.cond < 1e12
         # the fitted constants themselves reproduce the observations
-        refit = predict_eta(state, fit_times, eta=fit.eta)
+        refit = predict_eta(eta_window(self.approx, self.times, self.values,
+                                       fit.etaP), fit_times)
         assert np.max(np.abs(refit - zeta)) <= 1e-10 * np.linalg.norm(zeta)
 
-    def test_integrals_of_a_higher_degree_give_the_same_fit(self):
-        fit_times = np.linspace(0.5, 6.5, 9)
-        zeta = np.cos(2.0 * (fit_times + 1.0))
-        own = self.fit(fit_times, zeta)
-        shared = self.fit(fit_times, zeta,
-                          f=iterated_integrals(self.times, self.values, 12))
-        for name in ("eta", "residual"):
-            assert np.array_equal(getattr(shared, name), getattr(own, name))
-        assert shared.cond == own.cond
+    @pytest.mark.parametrize("d", [2, 6, 12])
+    def test_responses_are_the_forward_recurrences(self, d):
+        # the backward recurrence's response to each unit constant is the
+        # forward recurrence's, on the lattice and off it: a zero record
+        # predicted with etaP = e_l is fitted back to e_l
+        approx = random_approx(d, np.random.default_rng(d), gap=1.1)
+        zeros = np.zeros_like(self.times)
+        for fit_times in (self.times[5000:60000:55000 // d][:d],
+                          np.linspace(0.55, 6.05, d) + 3.3e-5):
+            for l in range(d):
+                unit = np.eye(d)[l]
+                zeta = predict_eta(eta_window(approx, self.times, zeros, unit),
+                                   fit_times)
+                fit = self.fit(fit_times, zeta, approx=approx, values=zeros)
+                assert np.abs(fit.etaP - unit).max() < 1e-9 * fit.cond, l
 
     def test_overdetermined_residual_within_tone_bound(self):
         # zeta are true future values; feasibility is guaranteed because the
-        # exact eta already satisfies the tone error bound at every fit point
+        # exact constants already satisfy the tone error bound at every fit
+        # point
         fit_times = np.linspace(0.5, 6.5, 12)
         zeta = np.array([float(np.cos(2.0 * (tm + 1.0))) for tm in fit_times])
         fit = self.fit(fit_times, zeta)
@@ -621,13 +675,12 @@ class TestFitEta:
 
     def test_refuses_constants_that_are_not_finite(self):
         # finite observations whose least-squares constants overflow
-        a = np.array([1e-3, 1e-3])
-        zeros = np.zeros_like(self.times)
+        approx = Approximant(T=1.0, omega_gap=1.0, taper=GAUSS03, d=2,
+                             c=[0.0, 1e-3, 1e-3], eps2=1.0, fit_nodes=64)
         with np.errstate(over="ignore", invalid="ignore"), \
-                pytest.raises(ValueError, match="eta must be finite"):
-            fit_eta(a, self.times, zeros,
-                    iterated_integrals(self.times, zeros, 2), [1.0, 2.0],
-                    [1e306, -1e306])
+                pytest.raises(ValueError, match="etaP must be finite"):
+            self.fit([1.0, 2.0], [1e306, -1e306], approx=approx,
+                     values=np.zeros_like(self.times))
 
     def test_warns_on_clustered_fit_times(self):
         fit_times = 1.0 + 1e-9 * np.arange(6)
@@ -657,14 +710,17 @@ class TestFindLeftRoot:
             find_left_root(math.cos, 1.0, 1.0)
 
     def test_anchors_iterated_integral_representation(self):
-        # the lower-limit form of h_1 with R_1 a root of h_1 itself: for
-        # x = cos, h_1 = sin, and integrating from a root of sin recovers sin
+        # the lower-limit form of etaP_0 = D^-1 x with its anchor a root of
+        # D^-1 x itself: for x = cos, D^-1 x = sin, and the first level
+        # integrated from a root of sin recovers sin
         spec = SpectrumSpec.from_tones(1.0, [(1.0, 1.0)])
-        r1 = find_left_root(lambda s: exact_hk(spec, 1, s), -7.0, -5.0)
+        r1 = find_left_root(lambda s: exact_etaP(spec, 1.0, 1, s)[0],
+                            -7.0, -5.0)
         assert r1 == pytest.approx(-2 * math.pi, abs=1e-10)
         h = 1e-4
         t = 1.2
         n = int(round((t - r1) / h)) + 1
         times = r1 + h * np.arange(n)
-        f1 = iterated_integrals(times, np.cos(times), 1)[0]
-        assert f1[-1] == pytest.approx(exact_hk(spec, 1, times[-1]), abs=1e-6)
+        z1 = iterated_integrals(times, np.cos(times), 1, 1.0, [0.0])[1]
+        assert z1[-1] == pytest.approx(exact_etaP(spec, 1.0, 1, times[-1])[0],
+                                       abs=1e-6)

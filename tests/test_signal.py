@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gap_predict import signal
-from gap_predict.signal import (Bump, SpectrumSpec, Tone, epsilon1, exact_hk,
+from gap_predict.signal import (Bump, SpectrumSpec, Tone, epsilon1, exact_etaP,
                                 sample_grid, spectrum_from_dict,
                                 spectrum_to_dict, select_nu)
 from gap_predict.taper import TaperSpec
@@ -93,7 +93,7 @@ class TestConstruction:
                      SpectrumSpec.from_bumps(1.0, [])):
             assert sample(spec, 0.37) == 0.0
             assert l1_budget(spec) == 0.0
-            assert exact_hk(spec, 3, 1.0) == 0.0
+            assert np.array_equal(exact_etaP(spec, 1.0, 3, 1.0), np.zeros(3))
 
 
 class TestSample:
@@ -232,11 +232,12 @@ class TestSampleGrid:
 class TestAgainstQuadpack:
     """The bump rule against adaptive QUADPACK at absolute tolerance 1e-10."""
 
-    def test_exact_hk(self, spec):
-        for k in range(1, 33):
-            for t in (-50.0, -7.3, 0.0, 2.5, 50.0):
-                assert agrees(exact_hk(spec, k, t),
-                              oracles.exact_hk(spec, k, t)), (k, t)
+    def test_exact_etaP(self, spec):
+        for t in (-50.0, -7.3, 0.0, 2.5, 50.0):
+            etaP = exact_etaP(spec, 1.0, 32, t)
+            for j in range(32):
+                assert agrees(etaP[j], oracles.exact_etaP(spec, 1.0, j, t)), \
+                    (j, t)
 
     @pytest.mark.parametrize("family", ["gaussian", "exponential",
                                         "lorentzian"])
@@ -344,65 +345,65 @@ class TestSelectNu:
             select_nu(BUMP, "gaussian", math.nan)
 
 
-class TestExactHk:
+class TestExactEtaP:
     def test_tone_examples(self):
+        # x = cos t: etaP_0 = D^-1 x = sin t, etaP_1 = omega_gap D^-2 x =
+        # -omega_gap cos t
         cos_spec = SpectrumSpec.from_tones(1.0, [(1.0, 1.0)])
-        assert exact_hk(cos_spec, 1, math.pi / 2) == pytest.approx(1.0, abs=1e-12)
-        assert exact_hk(cos_spec, 2, 0.0) == pytest.approx(-1.0, abs=1e-12)
-
-    def test_rejects_bad_k(self):
-        with pytest.raises(ValueError):
-            exact_hk(BUMP, 0, 0.0)
-
-    @pytest.mark.parametrize("spec", [
-        SpectrumSpec.from_tones(1.0, [(2.0, 1.0)]), BUMP,
-    ], ids=["tones", "bump"])
-    def test_rejects_an_order_array_holding_zero(self, spec):
-        with pytest.raises(ValueError, match="positive integer"):
-            exact_hk(spec, np.array([1, 2, 0, 3]), 0.0)
+        assert exact_etaP(cos_spec, 1.0, 2, math.pi / 2)[0] == \
+            pytest.approx(1.0, abs=1e-12)
+        assert exact_etaP(cos_spec, 0.5, 2, 0.0)[1] == \
+            pytest.approx(-0.5, abs=1e-12)
+        assert exact_etaP(cos_spec, 1.0, 0, 0.0).shape == (0,)
 
     @pytest.mark.parametrize("spec", [
         SpectrumSpec.from_tones(1.0, [(1.0, 0.5 - 0.5j), (2.5, 0.3)]),
         BUMP, PAIR,
     ], ids=["tones", "bump", "pair"])
-    def test_order_array_matches_scalar_orders(self, spec):
-        d = 32
+    def test_leading_constants_do_not_depend_on_d(self, spec):
         for t in (-50.0, -7.3, 0.0, 2.5):
-            hk = exact_hk(spec, np.arange(1, d + 1), t)
-            assert hk.shape == (d,)
-            for k in range(1, d + 1):
-                ref = exact_hk(spec, k, t)
-                assert isinstance(ref, float)
-                assert abs(hk[k - 1] - ref) <= 1e-15 * max(1.0, abs(ref)), \
-                    (k, t)
+            etaP = exact_etaP(spec, 1.0, 32, t)
+            assert etaP.shape == (32,)
+            for d in (1, 5, 31):
+                alone = exact_etaP(spec, 1.0, d, t)
+                assert np.abs(alone - etaP[:d]).max() <= 1e-15 * max(
+                    1.0, np.abs(etaP).max()), (d, t)
 
     @pytest.mark.parametrize("spec", [
         SpectrumSpec.from_tones(1.0, [(2.0, 0.5 - 0.5j)]),
         BUMP,
     ])
     def test_fundamental_theorem_of_calculus(self, spec):
-        # d/dt h_1 = x, checked by central differences
+        # d/dt etaP_0 = y_0 = x, checked by central differences
         for t in (-1.0, 0.0, 0.8):
             step = 1e-5
-            deriv = (exact_hk(spec, 1, t + step) - exact_hk(spec, 1, t - step)) \
-                / (2 * step)
+            deriv = (exact_etaP(spec, 1.0, 1, t + step)[0]
+                     - exact_etaP(spec, 1.0, 1, t - step)[0]) / (2 * step)
             assert deriv == pytest.approx(sample(spec, t), abs=1e-7)
 
     def test_twofold_difference_recovers_sample(self):
+        # etaP_1 = omega_gap D^-2 x
         spec = SpectrumSpec.from_tones(1.0, [(2.0, 1.0), (3.5, 0.25j)])
         step = 1e-4
         t = 0.4
-        stencil = [exact_hk(spec, 2, t + j * step) for j in (-1, 0, 1)]
+        stencil = [exact_etaP(spec, 0.8, 2, t + j * step)[1] for j in (-1, 0, 1)]
         second = (stencil[0] - 2 * stencil[1] + stencil[2]) / step ** 2
-        assert second == pytest.approx(sample(spec, t), abs=1e-5)
+        assert second == pytest.approx(0.8 * sample(spec, t), abs=1e-5)
 
-    def test_chain_rule_between_levels(self):
-        # d/dt h_k = h_{k-1} for the bump oracle as well
-        step = 1e-5
-        for k in (2, 3):
-            deriv = (exact_hk(BUMP, k, 0.5 + step) - exact_hk(BUMP, k, 0.5 - step)) \
-                / (2 * step)
-            assert deriv == pytest.approx(exact_hk(BUMP, k - 1, 0.5), abs=1e-7)
+    @pytest.mark.parametrize("spec", [
+        SpectrumSpec.from_tones(1.0, [(1.3, 0.5 - 0.5j), (2.5, 0.3)]), BUMP,
+    ], ids=["tones", "bump"])
+    def test_recurrence_between_levels(self, spec):
+        # d/dt etaP_j = y_j, so d/dt etaP_1 = omega_gap etaP_0 and
+        # d/dt (etaP_{j+1} - etaP_{j-1}) = 2 omega_gap etaP_j
+        gap, step, t = 0.9, 1e-5, 0.5
+        deriv = (exact_etaP(spec, gap, 8, t + step)
+                 - exact_etaP(spec, gap, 8, t - step)) / (2 * step)
+        etaP = exact_etaP(spec, gap, 8, t)
+        assert deriv[1] == pytest.approx(gap * etaP[0], abs=1e-7)
+        for j in range(1, 7):
+            assert deriv[j + 1] - deriv[j - 1] == pytest.approx(
+                2.0 * gap * etaP[j], abs=1e-7)
 
 
 class TestSerialization:
