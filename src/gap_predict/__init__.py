@@ -7,7 +7,7 @@ from .approx import (Approximant, chebyshev_grid, fit_parity_ls, eval_psi,
 from .signal import (SpectrumSpec, Tone, Bump, sample_grid, epsilon1,
                      select_nu, exact_etaP, load_spectrum, save_spectrum)
 from .predictor import (kernel_eval, predict_convolution, iterated_integrals,
-                        eta_levels, eta_sum, EtaFit, fit_eta)
+                        eta_sum, EtaFit, fit_eta)
 from .harness import (ExperimentConfig, ErrorRow, run_sweep, emit_report,
                       write_reports, ConvergenceVerdict, convergence_check)
 

@@ -299,15 +299,23 @@ def _fit_eta_from_samples(approx, times, values, t1, theta, dbar):
     # the dbar x d fit matrix has at least as many entries as fit times
     grid_size(dbar * approx.d, f"--dbar {dbar} at d={approx.d}: the {dbar} x "
               f"{approx.d} fit matrix")
-    fit_times = np.linspace(lo, hi, dbar)
-    zeta = np.interp(fit_times + T, times, values)
-    # |T_{d-1}| at theta, the fit span mapped onto [-1, 1]: about the factor
-    # by which carrying the fitted polynomial part to theta amplifies the
-    # fit's residual
+    # the fit times: dbar of the window's samples in [lo, hi], spread by index
+    slack = 1e-9 * max(1.0, abs(lo), abs(hi))
+    i_lo, i_end = np.searchsorted(tw, [lo - slack, hi + slack])
+    if dbar > i_end - i_lo:
+        raise ValueError(f"--dbar {dbar} exceeds the {i_end - i_lo} samples "
+                         f"in the fit span [{lo:g}, {hi:g}]")
+    fit_times = tw[np.rint(np.linspace(i_lo, i_end - 1, dbar)).astype(int)]
+    fit = fit_eta(approx, tw, vw, fit_times,
+                  np.interp(fit_times + T, times, values))
+    # |T_{d-1}| at theta, the fitted span mapped onto [-1, 1]: about the
+    # factor by which carrying the fitted polynomial part to theta amplifies
+    # the fit's residual
+    lo, hi = fit_times[0], fit_times[-1]
     x = (2.0 * theta - lo - hi) / (hi - lo)
     with np.errstate(over="ignore"):
         extrapolation = float(np.cosh((approx.d - 1) * np.arccosh(x)))
-    return tw, vw, fit_eta(approx, tw, vw, fit_times, zeta), extrapolation
+    return tw, vw, fit, extrapolation
 
 
 def _read_eta(path):

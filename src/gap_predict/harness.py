@@ -12,7 +12,8 @@ approximant's own certificate, computed once at approx.CERT_DENSITY.  The
 conv and fit-eta realizations are not swept; the command line keeps them.
 
 The realization is the one path predict --mode eta also runs
-(iterated_integrals, eta_levels, eta_sum).  Its levels do not depend on the
+(iterated_integrals, eta_sum), on a record whose step divides dt, so that
+every measurement time is a sample time.  Its levels do not depend on the
 approximant, so one run_sweep call fits each (d, nu) once and computes per
 spectrum, once, the future values, the record from t_start, its constants
 etaP_0..etaP_{D-1} (D = max(d_list)) and its levels z_0..z_D at the
@@ -38,7 +39,7 @@ from typing import Optional
 import numpy as np
 
 from .approx import CERT_DENSITY, fit_approximant
-from .predictor import eta_levels, eta_sum, iterated_integrals
+from .predictor import eta_sum, iterated_integrals
 from .signal import (SpectrumSpec, epsilon1, exact_etaP, grid_size,
                      load_spectrum, sample_grid, select_nu)
 from .taper import TaperSpec, eval_taper
@@ -213,9 +214,11 @@ def _run_row(config: ExperimentConfig, spec_name: str, spec: SpectrumSpec,
     # share them to the largest degree; a row of degree d uses d + 1 levels
     d_max, gap = max(config.d_list), config.omega_gap
     etaP = _cached(shared, "etaP", exact_etaP, spec, gap, d_max, t1)
-    levels = _cached(shared, "levels", lambda: eta_levels(
-        times, values, iterated_integrals(times, values, d_max, gap, etaP),
-        gap, t_grid))
+    # t_grid is every (dt/h)-th sample, taken as a copy: a strided view
+    # changes eta_sum's summation order and so its last bit
+    levels = _cached(shared, "levels", lambda: iterated_integrals(
+        times, values, d_max, gap, etaP)[:, round(config.dt / h)
+                                         * np.arange(len(t_grid))])
     y = eta_sum(approx, levels)
     sup_err = float(np.abs(fut - y).max())
 
@@ -227,8 +230,12 @@ def _run_row(config: ExperimentConfig, spec_name: str, spec: SpectrumSpec,
 
 
 def _quadrature_step(config: ExperimentConfig, pin: bool) -> float:
-    # --pin halves the step to produce fixture values
-    return 1e-3 * config.T * (0.5 if pin else 1.0)
+    # dt / k, k the smallest whole number with dt / k <= 1e-3*T to a
+    # relative 1e-9, so every measurement time is a sample time; --pin
+    # halves the step to produce fixture values
+    r = config.dt / (1e-3 * config.T)
+    k = np.floor(r) if r - np.floor(r) <= 1e-9 * r else np.ceil(r)
+    return config.dt / max(1.0, k) * (0.5 if pin else 1.0)
 
 
 def _load_spectra(config: ExperimentConfig) -> list:

@@ -11,8 +11,8 @@
   z_j = y_j - P_j(0) x (the x terms cancel).  Exact levels are bounded by
   the spectrum's mass, so nothing cancels at any degree.  etaP_j =
   (D^-1 y_j)(t1) comes from the spectrum (signal.exact_etaP) or from
-  observations (fit_eta).  The harness sweep and predict --mode eta run
-  one path: iterated_integrals, eta_levels and eta_sum.
+  observations (fit_eta).  Every eta path realizes at sample times only,
+  through iterated_integrals, the one loop, and eta_sum.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .approx import Approximant
 from .signal import grid_size
 
 __all__ = ["kernel_eval", "predict_convolution", "iterated_integrals",
-           "eta_levels", "eta_sum", "EtaFit", "fit_eta"]
+           "eta_sum", "EtaFit", "fit_eta"]
 
 COND_FLAG_THRESHOLD = 1e12
 # Gregory's first two increments per unit step from y_0..y_3, then from
@@ -217,55 +217,10 @@ def iterated_integrals(times, values, d: int, omega_gap: float,
     return z
 
 
-def _at(times, f, slopes, t_eval):
-    # the rows of f at t_eval: the node values where every t_eval is a
-    # sample time, to 1e-9 steps, else the O(h^4) cubic Hermite interpolant
-    # with slopes(i), the rows' slopes at the sample indices i
-    t_eval = np.atleast_1d(np.asarray(t_eval, dtype=float))
-    if np.shape(f)[1:] != np.shape(times):
-        raise ValueError("the levels must hold one value per sample time")
-    t1 = times[0]
-    if np.any(t_eval < t1 - 1e-12 * max(1.0, abs(t1))):
-        raise ValueError("eta-state predictions are defined for t >= t1 only")
-    if np.any(t_eval > times[-1] + 1e-9):
-        raise ValueError("the levels do not reach the requested time")
-    j = np.clip(np.searchsorted(times, t_eval, side="right") - 1, 0,
-                len(times) - 2)
-    step = times[j + 1] - times[j]
-    s = (t_eval - times[j]) / step
-    if np.all((s < 1e-9) | (s > 1.0 - 1e-9)):  # on the lattice
-        return f[:, j + (s > 0.5)]
-    h01, h10, h11 = (s * s * (3.0 - 2.0 * s), s * (1.0 - s) ** 2 * step,
-                     s * s * (s - 1.0) * step)
-    return (f[:, j] * (1.0 - h01) + f[:, j + 1] * h01 + slopes(j) * h10
-            + slopes(j + 1) * h11)
-
-
-def eta_levels(times, values, z, omega_gap: float, t_eval) -> np.ndarray:
-    """The levels z of the window (times, values) at t_eval: node values or
-    the Hermite step with the recurrence's slopes, z_0' = 0, z_1' =
-    omega_gap x, z_{j+1}' = 2 omega_gap y_j + z_{j-1}'; z[:K] gives the
-    first K rows."""
-    x = np.asarray(values, dtype=float)
-
-    def slopes(i):
-        # 2 omega_gap y_j (the first halved), summed over every other level
-        w = z[:-1, i]
-        w[0::2] += x[i]
-        w *= 2.0 * omega_gap
-        w[0] *= 0.5
-        dz = np.zeros((len(z), len(i)))
-        np.cumsum(w[0::2], 0, out=dz[1::2])
-        np.cumsum(w[1::2], 0, out=dz[2::2])
-        return dz
-
-    return _at(times, z, slopes, t_eval)
-
-
 def eta_sum(approx: Approximant, levels) -> np.ndarray:
     """The prediction sum_j sigma_j c_j z_j from levels to degree >= d (the
-    first d + 1 rows are used), at whatever times they were taken: O(d m)
-    for m times."""
+    first d + 1 rows are used), at whatever sample times they were taken:
+    O(d m) for m times."""
     return approx.weights @ levels[:approx.d + 1]
 
 
@@ -279,15 +234,15 @@ class EtaFit:
 def fit_eta(approx: Approximant, times, values, fit_times, zeta) -> EtaFit:
     """Estimate the constants etaP from observations zeta at fit_times
     (t_m + T within the record when zeta_m = x(t_m + T)) on the sampled
-    window (times, values).
+    window (times, values).  Every fit time must be a sample time.
 
     The prediction is phi + sum_l etaP_l R_l: phi the recurrence's with
-    etaP = 0, R_l its response to a unit etaP_l.  The forward recurrence's
-    operators are polynomials in the integral G and commute, so Clenshaw's
-    backward recurrence b_k = sigma_k c_k + 2 omega_gap G b_{k+1} + b_{k+2}
-    gives R_0 = omega_gap b_1, R_l = 2 omega_gap b_{l+1}, with the slopes
-    b_k' = 2 omega_gap b_{k+1} + b_{k+2}'.  R etaP = zeta - phi is solved in
-    least squares (exactly when square), columns norm-equilibrated; the
+    etaP = 0, R_l its response to a unit etaP_l.  On a zero record that
+    response is the one to etaP_0, U, moved up l levels and doubled for
+    l >= 1, so one more pass gives R_l = s_l sum_k sigma_{l+k} c_{l+k} U_k,
+    s_0 = 1 and s_l = 2.  Both passes stop at the last fit sample (Gregory's
+    rule is prefix-exact from 4 samples on).  R etaP = zeta - phi is solved
+    in least squares (exactly when square), columns norm-equilibrated; the
     condition estimate is reported and warned of above 1e12, and constants
     that are not finite are refused."""
     d, omega = approx.d, approx.omega_gap
@@ -300,25 +255,17 @@ def fit_eta(approx: Approximant, times, values, fit_times, zeta) -> EtaFit:
         raise ValueError("zeta must match fit_times")
     if np.any(np.diff(fit_times) <= 0) or fit_times[0] <= times[0]:
         raise ValueError("fit times must be strictly increasing and > t1")
+    idx = _sample_index(times, fit_times)
+    n = max(idx[-1] + 1, 4)
+    times, values = times[:n], values[:n]
 
     weights = approx.weights
-    z = iterated_integrals(times, values, d, omega, np.zeros(d))
-    rhs = zeta - weights @ eta_levels(times, values, z, omega, fit_times)
-    h = _uniform_step(times)
-    # b[k] holds b_{k+1}, so b[d] = b[d + 1] = 0
-    b = np.zeros((d + 2, len(times)))
-    for k in range(d - 1, -1, -1):
-        _gregory(b[k + 1], h, b[k], weights[k + 1] / (2 * omega), 2 * omega)
-        b[k] += b[k + 2]
-
-    def slopes(i):
-        db = np.zeros((d + 2, len(i)))
-        for k in range(d - 1, -1, -1):
-            db[k] = 2.0 * omega * b[k + 1, i] + db[k + 2]
-        return db
-
-    M = (_at(times, b, slopes, fit_times)[:d]
-         * np.where(np.arange(d) == 0, omega, 2.0 * omega)[:, None]).T
+    rhs = zeta - weights @ iterated_integrals(times, values, d, omega,
+                                              np.zeros(d))[:, idx]
+    U = iterated_integrals(times, np.zeros(len(times)), d, omega,
+                           np.eye(d)[0])[1:, idx]
+    M = np.stack([weights[l + 1:] @ U[:d - l] for l in range(d)], axis=1)
+    M[:, 1:] *= 2.0
 
     scale = np.linalg.norm(M, axis=0)
     scale[scale == 0.0] = 1.0

@@ -18,7 +18,7 @@ import pytest
 from numpy.polynomial.chebyshev import chebval
 
 from gap_predict.approx import eval_psi, fit_approximant
-from gap_predict.predictor import (eta_levels, eta_sum, fit_eta,
+from gap_predict.predictor import (_sample_index, eta_sum, fit_eta,
                                    iterated_integrals, predict_convolution)
 from gap_predict.signal import (SpectrumSpec, epsilon1, exact_etaP,
                                 sample_grid, select_nu)
@@ -53,11 +53,10 @@ def report(name, detail, budget):
 
 def predict_eta(approx, etaP, times, values, t_eval):
     """The recurrence of approx with constants etaP on the sampled window
-    (times, values) from t1 = times[0], at t_eval: the window's levels, taken
-    at t_eval and weighted by sigma_j c_j."""
-    gap = approx.omega_gap
-    z = iterated_integrals(times, values, approx.d, gap, etaP)
-    return eta_sum(approx, eta_levels(times, values, z, gap, t_eval))
+    (times, values) from t1 = times[0], at the sample times t_eval: the
+    window's levels there, weighted by sigma_j c_j."""
+    z = iterated_integrals(times, values, approx.d, approx.omega_gap, etaP)
+    return eta_sum(approx, z[:, _sample_index(times, t_eval)])
 
 
 def test_criterion_1_parity_mapping_identity():
@@ -258,8 +257,9 @@ def test_criterion_6_fit_eta_round_trip():
         assert rel <= 1e-8
         assert resid_rel <= 1e-10
 
-        # overdetermined fit against true future observations of the tone
-        fit_times12 = np.linspace(0.5, 6.5, 12)
+        # overdetermined fit against true future observations of the tone,
+        # at the samples nearest 12 evenly spaced times
+        fit_times12 = times[np.rint(np.linspace(5000, 65000, 12)).astype(int)]
         zeta12 = np.array([sample(spec, tm + 1.0) for tm in fit_times12])
         fit12 = fit_eta(approx, times, values, fit_times12, zeta12)
         r_tone = float(eval_taper(GAUSS03, 2.0))

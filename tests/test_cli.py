@@ -503,24 +503,45 @@ class TestPredictPipeline:
                 f"the limit of 2^25 = 33554432") in result.output
         assert not out.exists()
 
-    def test_extrapolation_factor(self, runner, workspace):
-        # |T_{d-1}| at theta, the fit span [t1 + T/10, theta - T] mapped
-        # onto [-1, 1]; d = 4, T = 1, t1 = 0
+    @pytest.mark.parametrize("dbar", [7000, 6902])
+    def test_fit_eta_refuses_a_dbar_over_the_fit_span(self, runner,
+                                                      workspace, dbar):
+        # the fit times are samples of the record in [t1 + T/10, theta - T],
+        # of which there are 6901 from 0.1 to 7; 6901 fit times are accepted
+        tmp_path, approx_path, samples_path = workspace
+        out = tmp_path / "eta.json"
+        args = ["fit-eta", "--approx", str(approx_path), "--samples",
+                str(samples_path), "--t1", "0", "--theta", "8", "--out",
+                str(out)]
+        result = invoke(runner, [*args, "--dbar", str(dbar)])
+        assert result.exit_code == 1
+        assert (f"Error: --dbar {dbar} exceeds the 6901 samples in the fit "
+                "span [0.1, 7]") in result.output
+        assert not out.exists()
+        result = invoke(runner, [*args, "--dbar", "6901"])
+        assert result.exit_code == 0
+        assert len(json.loads(out.read_text())["residual"]) == 6901
+
+    @pytest.mark.parametrize("theta, hi", [(5.0, 4.0), (5.0004, 4.0)])
+    def test_extrapolation_factor(self, runner, workspace, theta, hi):
+        # |T_{d-1}| at theta, the fitted span mapped onto [-1, 1]: its first
+        # and last fit times, the first and last samples in
+        # [t1 + T/10, theta - T]; d = 4, T = 1, t1 = 0
         tmp_path, approx_path, samples_path = workspace
         eta_path = tmp_path / "eta.json"
 
-        def factor(theta):
-            lo, hi = 0.1, theta - 1.0
+        def factor(theta, hi):
+            lo = 0.1
             x = (2.0 * theta - lo - hi) / (hi - lo)
             return float(np.polynomial.chebyshev.chebval(x, [0, 0, 0, 1]))
 
         result = invoke(runner, ["fit-eta", "--approx", str(approx_path),
                                  "--samples", str(samples_path),
-                                 "--t1", "0", "--theta", "5", "--dbar", "8",
-                                 "--out", str(eta_path)])
+                                 "--t1", "0", "--theta", str(theta),
+                                 "--dbar", "8", "--out", str(eta_path)])
         assert result.exit_code == 0
         value = json.loads(eta_path.read_text())["extrapolation"]
-        assert value == pytest.approx(factor(5.0), rel=1e-12)
+        assert value == pytest.approx(factor(theta, hi), rel=1e-12)
         assert result.output.strip().endswith(f", extrapolation={value:.3e})")
         # predict's internal fit ends at the last sample, t = 8
         result = invoke(runner, ["predict", "--approx", str(approx_path),
@@ -529,7 +550,7 @@ class TestPredictPipeline:
                                  "--out", str(tmp_path / "pred.csv")])
         assert result.exit_code == 0
         assert result.output.strip().endswith(
-            f", extrapolation={factor(8.0):.3e})")
+            f", extrapolation={factor(8.0, 7.0):.3e})")
 
     def test_conv_mode_rejects_too_few_samples(self, runner, workspace):
         tmp_path, approx_path, _ = workspace

@@ -11,7 +11,8 @@ from gap_predict import approx, harness, signal
 from gap_predict.harness import (ConvergenceVerdict, ErrorRow,
                                  ExperimentConfig, convergence_check,
                                  emit_report, run_sweep, write_reports)
-from gap_predict.predictor import eta_levels, eta_sum, iterated_integrals
+from gap_predict.predictor import (_sample_index, eta_sum,
+                                   iterated_integrals)
 from gap_predict.signal import (SpectrumSpec, exact_etaP, sample_grid,
                                 save_spectrum)
 
@@ -262,6 +263,24 @@ class TestRunSweep:
                            r"samples is over the limit of 2\^25 = 33554432$"):
             run_sweep(small_config(spec_path, t_end=1e9, dt=1e8))
 
+    @pytest.mark.parametrize("T, dt, step", [
+        (1.0, 0.01, 1e-3), (1.0, 0.1, 1e-3), (1.0, 0.0015, 7.5e-4),
+        (1.0, 2 * math.pi / 628, 2 * math.pi / 628 / 11), (1.0, 1e-4, 1e-4),
+        (0.3, 0.003, 0.003 / 10)])
+    def test_quadrature_step_divides_dt(self, tmp_path, T, dt, step):
+        # the fewest whole steps per dt that bring the record's step to
+        # 1e-3*T at most, to a relative 1e-9 (0.003 / (1e-3 * 0.3) rounds to
+        # 10.000000000000002), so every measurement time is a sample time;
+        # --pin halves the step
+        config = small_config(tmp_path / "s.json", T=T, dt=dt)
+        assert harness._quadrature_step(config, False) == step
+        assert harness._quadrature_step(config, True) == step / 2
+        for pin in (False, True):
+            h = harness._quadrature_step(config, pin)
+            t_grid, times = harness._grids(config, h)
+            assert np.array_equal(_sample_index(times, t_grid),
+                                  round(dt / h) * np.arange(len(t_grid)))
+
     @pytest.mark.parametrize("t_end, dt", [(1.0, 0.6),
                                            (2 * math.pi, 2 * math.pi / 628)])
     def test_dt_not_dividing_the_window(self, tmp_path, t_end, dt):
@@ -438,8 +457,8 @@ class TestSharedWork:
             spec = specs[i // 8]
             values = sample_grid(spec, config.t_start, h, len(times))
             etaP = exact_etaP(spec, 1.0, 8, config.t_start)[:approx.d]
-            levels = eta_levels(times, values, iterated_integrals(
-                times, values, approx.d, 1.0, etaP), 1.0, t_grid)
+            levels = iterated_integrals(times, values, approx.d, 1.0,
+                                        etaP)[:, _sample_index(times, t_grid)]
             assert levels.shape == (approx.d + 1, len(t_grid))
             assert np.array_equal(y, eta_sum(approx, levels))
 
