@@ -156,8 +156,11 @@ def fit_parity_ls(T: float, taper: TaperSpec, omega_gap: float, d: int,
     w, count = np.unique(np.abs(grid), return_counts=True)
     weight = np.sqrt(count)
     r = eval_taper(taper, w) * weight
-    # T_j(s) - T_j(0): the odd T_j vanish at 0, so only the even columns move
-    cheb = (_chebyshev(omega_gap / w, d) - _monomials(d)[:, :1]) * weight
+    # T_j(s) - T_j(0): T_2m(0) = (-1)^m and the odd T_j vanish at 0, so
+    # only the even columns move
+    cheb = _chebyshev(omega_gap / w, d)
+    cheb[::2] -= (-1.0) ** np.arange(d // 2 + 1)[:, None]
+    cheb *= weight
     c = np.zeros(d + 1)
     for j0, part in ((2, np.cos), (1, np.sin)):
         A = cheb[j0::2].T

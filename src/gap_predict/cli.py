@@ -9,6 +9,15 @@ whole arrays at a time: digits from a double-double product, the %g layout
 as a byte matrix, rows in fixed-size blocks.  A row with a value that path
 cannot certify (NaN, infinities, subnormals, magnitudes outside
 [1e-250, 1e250], possible decimal ties) is formatted by '%.17g' itself.
+
+CSV input is its inverse: sample files read as np.loadtxt reads them, bit
+for bit, parsed on whole arrays in blocks of rows.  The fields' integer
+mantissas and exponents come from one integer parse, and each value from a
+double-double product rounded where it is certain.  A value that path
+cannot certify (a possible rounding tie, 19 or more significant digits,
+magnitudes outside [1e-250, 1e250]) goes through float(), and a file
+outside its grammar (plain decimals with a lowercase 'e', commas and
+newlines) through np.loadtxt itself, so every refusal is loadtxt's.
 """
 
 from __future__ import annotations
@@ -33,6 +42,8 @@ _TAPER_CHOICES = ("gaussian", "exponential", "lorentzian")
 
 # rows the CSV writer formats at a time, so its memory is flat in the row count
 _CSV_BLOCK_ROWS = 1 << 11
+# bytes the CSV reader parses at a time, to the end of a row
+_CSV_READ_BYTES = 1 << 17
 # |x| range whose 17 digits _decimal17 computes: 10^(16 - e) and every
 # Dekker partial product stay normal doubles
 _FAST_RANGE = (1e-250, 1e250)
@@ -44,6 +55,30 @@ _SPLIT = 134217729.0  # 2^27 + 1, Dekker's splitter
 # a point among them, exponent "e+123", separator
 _SLOTS = 30
 _DIGIT0, _EXP0 = 6, 24
+
+# the CSV reader's fast path: the bytes a header line may hold, and the
+# reader's integer text, with points deleted and exponent marks and
+# separators made spaces
+_HEADER_BYTES = bytes(range(0x20, 0x7f)) + b"\t"
+_TO_INTEGERS = bytes.maketrans(b"e,\n", b"   ")
+# the 10^p it scales by: a mantissa below 10^18 times 10^p in _FAST_RANGE
+_READ_POWERS = (-268, 250)
+# kinds of the bytes it parses, a sign after an exponent mark its own kind;
+# 0 for any other byte
+_COMMA, _NEWLINE, _DOT, _EXP, _MINUS, _PLUS, _EXP_SIGN = range(1, 8)
+_BYTE_KIND = bytes(b",\n.e-+".find(bytes([i])) + 1 for i in range(256))
+# the neighbouring non-digit bytes a field [-]digits[.digits][e[+-]digits]
+# and its separator hold, as kind << 4 | next kind, | 8 where digits come
+# between: a sign right after a separator or an exponent mark; after digits,
+# a separator, a point after a separator or a sign, and an exponent mark
+# after those or a point
+_SEPARATORS = (_COMMA, _NEWLINE)
+_CSV_PAIRS = bytes(
+    [a << 4 | _MINUS for a in _SEPARATORS] + [_EXP << 4 | _EXP_SIGN]
+    + [a << 4 | 8 | b for b in _SEPARATORS
+       for a in (*_SEPARATORS, _DOT, _EXP, _MINUS, _EXP_SIGN)]
+    + [a << 4 | 8 | _DOT for a in (*_SEPARATORS, _MINUS)]
+    + [a << 4 | 8 | _EXP for a in (*_SEPARATORS, _DOT, _MINUS)])
 
 
 @functools.cache
@@ -58,22 +93,38 @@ def _pow10(p):
     return hi, (two - num * den) / (two * den)
 
 
-def _scaled(a, p):
-    # a * 10^p as a normalized double-double s + t: Dekker's exact product of
-    # a with hi, plus a * lo
+def _scaled(a, p, a_lo=None):
+    # (a + a_lo) * 10^p as a normalized double-double s + t, for a_lo far
+    # below a: Dekker's exact product of a with hi, plus a * lo + a_lo * hi;
+    # in place where it can be, so that a long array makes few temporaries
     ps = np.arange(p.min(), p.max() + 1)
     hi, lo = np.array([_pow10(int(q)) for q in ps]).T
-    hi, lo = hi[p - ps[0]], lo[p - ps[0]]
+    hi, lo = hi.take(p - ps[0]), lo.take(p - ps[0])
     s = a * hi
-    c = _SPLIT * a
-    ah = c - (c - a)
+    ah = _SPLIT * a
+    ah -= ah - a
     al = a - ah
-    c = _SPLIT * hi
-    bh = c - (c - hi)
+    bh = _SPLIT * hi
+    bh -= bh - hi
     bl = hi - bh
-    t = ((ah * bh - s) + ah * bl + al * bh) + al * bl + a * lo
+    # t = ((ah*bh - s) + ah*bl + al*bh) + al*bl + a*lo, in that order
+    t = ah * bh
+    t -= s
+    ah *= bl
+    t += ah
+    bh *= al
+    t += bh
+    al *= bl
+    t += al
+    lo *= a
+    t += lo
+    if a_lo is not None:
+        hi *= a_lo
+        t += hi
     r = s + t
-    return r, t - (r - s)
+    s -= r  # t - (r - s) is t + (s - r), exactly
+    s += t
+    return r, s
 
 
 def _decade_step(s, t):
@@ -202,12 +253,142 @@ def _write_csv(path, header, *columns):
                                            axis=1)))
 
 
-def _read_samples(path):
+def _csv_layout(rows):
+    """(cols, ends, p, exps) for CSV rows in bytes that end in a newline:
+    the fields per row, the offset of each field's separator, minus the
+    digits after each field's point, and the fields with an exponent; None
+    for rows outside the fast grammar (see _read_csv)."""
+    b = np.frombuffer(rows, np.uint8)
+    nondigit = b - np.uint8(ord("0"))
+    at = np.flatnonzero(np.greater(nondigit, 9, out=nondigit.view(bool)))
+    kind = np.frombuffer(bytearray(b.take(at)).translate(_BYTE_KIND),
+                         np.uint8)
+    # whether the next non-digit byte follows with no digit between
+    near = b[1:].take(at[:-1]) - np.uint8(ord("0")) > 9
+    kind[1:][near & (kind[:-1] == _EXP) & (kind[1:] >= _MINUS)] = _EXP_SIGN
+    # each pair of neighbouring non-digit bytes, from the newline before the
+    # rows, must be one _CSV_PAIRS lists
+    pair = np.empty(kind.size, np.uint8)
+    pair[0] = _NEWLINE << 4 | kind[0] | (at[0] > 0) << 3
+    pair[1:] = kind[:-1] << 4
+    pair[1:] |= kind[1:]
+    pair[1:] |= (~near).view(np.uint8) << 3
+    if pair.tobytes().translate(None, _CSV_PAIRS):
+        return None
+    # each field ends at a separator, the same number of them on every row
+    seps = np.flatnonzero(kind <= _NEWLINE)
+    newline = kind.take(seps) == _NEWLINE
+    cols = int(np.argmax(newline)) + 1
+    if (seps.size % cols or not newline[cols - 1::cols].all()
+            or np.count_nonzero(newline) != seps.size // cols):
+        return None
+    # a field's non-digit bytes are [-][.][e[+-]] before its separator;
+    # end is the one after its mantissa
+    end = seps - 1
+    end -= kind.take(end) == _EXP_SIGN
+    exps = kind.take(end) == _EXP
+    np.copyto(end, seps, where=~exps)
+    point = end - 1
+    p = at.take(point)
+    p -= at.take(end)
+    p += 1
+    p *= kind.take(point) == _DOT
+    return cols, at.take(seps), p, np.flatnonzero(exps)
+
+
+def _parse_rows(rows):
+    """The CSV rows in bytes that end in a newline as a 2-D float64 array,
+    bit for bit what np.loadtxt reads; None for rows outside the fast
+    grammar (see _read_csv)."""
+    layout = _csv_layout(rows)
+    if layout is None:
+        return None
+    cols, ends, p, exps = layout
+    # integers first: each field's mantissa D without its point, then its
+    # exponent where it has one
+    try:
+        tok = np.fromstring(rows.translate(_TO_INTEGERS, b"."),
+                            dtype=np.int64, sep=" ")
+    except (ValueError, DeprecationWarning):
+        # numpy before 2.3 warns where a sign is out of place, later ones
+        # raise; the grammar leaves neither to happen
+        return None
+    if tok.size != ends.size + exps.size:
+        return None
+    exp_tok = exps + np.arange(1, exps.size + 1)
+    mantissa = np.ones(tok.size, bool)
+    mantissa[exp_tok] = False
+    D = tok[mantissa]
+    # |E| clipped so that p stays exact
+    p[exps] += np.clip(tok[exp_tok], -2 ** 40, 2 ** 40)
+
+    # |D| 10^p as a double-double, rounded where the rounding is certain;
+    # strtoll, and so np.fromstring, saturates a mantissa past 2^63
+    ok = ((D < 10 ** 18) & (D > -10 ** 18)
+          & (p >= _READ_POWERS[0]) & (p <= _READ_POWERS[1]))
+    a = np.abs(D)
+    a[~ok] = 1
+    p[~ok] = 0
+    hi = a.astype(float)
+    a -= hi.astype(np.int64)
+    x, res = _scaled(hi, p, a.astype(float))
+    # res in units of x's ulp: a midpoint is at +-1/2, and at -1/4 below a
+    # power of two, whose lower neighbour is half as far
+    m, e = np.frexp(x)
+    res = np.ldexp(res, 53 - e)
+    ok &= ((np.abs(res) < 0.5 - _TIE_MARGIN)
+           & ((m != 0.5) | (res > _TIE_MARGIN - 0.25))
+           & (x >= _FAST_RANGE[0]) & (x <= _FAST_RANGE[1]))
+    np.copysign(x, D, out=x)
+    zero = np.flatnonzero(D == 0)
+    # a zero takes its sign from its field's first byte
+    starts = np.where(zero > 0, ends.take(zero - 1) + 1, 0)
+    x[zero] = np.where(np.frombuffer(rows, np.uint8).take(starts) == ord("-"),
+                       -0.0, 0.0)
+    for i in np.flatnonzero(~ok & (D != 0)).tolist():
+        # float() rounds correctly, as loadtxt does
+        x[i] = float(rows[ends[i - 1] + 1 if i else 0:ends[i]])
+    return x.reshape(-1, cols)
+
+
+def _read_csv(fh):
+    """The rows after the header line of a CSV file open for binary reading
+    as a 2-D float64 array, bit for bit what np.loadtxt(delimiter=",",
+    skiprows=1, ndmin=2) reads, parsed on whole arrays in blocks of rows, so
+    that memory stays flat in the file size; None for a file outside the
+    fast grammar: a printable-ASCII header line, then rows of the same
+    number of fields [-]digits[.digits][e[+-]digits], each ended by a
+    newline (the last one may lack it), and no other byte: no blank line,
+    space, CR, comment, 'E', nan or inf."""
+    header = fh.readline()
+    if (not header.endswith(b"\n")
+            or header[:-1].translate(None, _HEADER_BYTES)):
+        return None
+    blocks = []
     with warnings.catch_warnings():
-        # loadtxt's UserWarning for a file without data rows; such a file is
-        # refused below
-        warnings.simplefilter("ignore", UserWarning)
-        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        # np.fromstring's warning becomes the fallback (see _parse_rows)
+        warnings.simplefilter("error", DeprecationWarning)
+        while rows := fh.read(_CSV_READ_BYTES) + fh.readline():
+            if not rows.endswith(b"\n"):
+                rows += b"\n"
+            block = _parse_rows(rows)
+            if block is None or (blocks and
+                                 block.shape[1] != blocks[0].shape[1]):
+                return None
+            blocks.append(block)
+    return np.concatenate(blocks) if blocks else None
+
+
+def _read_samples(path):
+    with open(path, "rb") as fh:
+        # np.loadtxt opens the path again, so a pipe is left to it whole
+        data = _read_csv(fh) if fh.seekable() else None
+    if data is None:
+        with warnings.catch_warnings():
+            # loadtxt's UserWarning for a file without data rows; such a
+            # file is refused below
+            warnings.simplefilter("ignore", UserWarning)
+            data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     if data.size == 0:
         raise click.ClickException(f"{path} holds no samples")
     if data.shape[1] < 2:

@@ -301,6 +301,12 @@ def _fmt(value) -> str:
     return f"{float(value):.17g}"
 
 
+def _write_json(path, payload) -> None:
+    # in one write; json.dump writes each of its encoder's chunks
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
 def emit_report(rows, fmt: str, path, convergence=None) -> None:
     """Write the sweep table; same table and format give byte-identical
     files.  CSV columns are fixed; JSON mirrors the fields and lists failing
@@ -320,15 +326,13 @@ def emit_report(rows, fmt: str, path, convergence=None) -> None:
         return
     if fmt == "json":
         payload = {
-            "rows": [asdict(row) for row in rows],
+            "rows": [vars(row) for row in rows],
             "failing_rows": [i for i, row in enumerate(rows) if not row.passed],
             "all_pass": all(row.passed for row in rows),
         }
         if convergence is not None:
             payload["convergence"] = convergence
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(path, payload)
         return
     raise ValueError(f"unknown report format {fmt!r}")
 
@@ -349,12 +353,9 @@ def write_reports(rows, out_dir, config: ExperimentConfig,
                 "quadrature_step": _quadrature_step(config, pin),
                 "pinned": True,
             },
-            "rows": [asdict(row) for row in rows],
+            "rows": [vars(row) for row in rows],
         }
-        with open(os.path.join(out_dir, "fixtures.json"), "w",
-                  encoding="utf-8", newline="\n") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(os.path.join(out_dir, "fixtures.json"), payload)
     return verdict
 
 

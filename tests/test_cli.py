@@ -4,7 +4,9 @@ import shutil
 import subprocess
 import sys
 import warnings
+from unittest import mock
 
+import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -668,6 +670,169 @@ class TestWriteCsv:
         path = tmp_path / "x.csv"
         _write_csv(path, "a,b", first, second)
         assert path.read_bytes() == template_csv("a,b", first, second)
+
+
+def midpoint_decimals():
+    # 16- to 18-digit decimals next to the midpoint between a double and its
+    # upper neighbour, and the quarter-ulp midpoint below powers of two,
+    # where the reader's rounding must be certified or handed to float()
+    from decimal import Decimal
+    rng = np.random.default_rng(20261019)
+    x = np.abs(rng.integers(0, 2 ** 64, 3000, dtype=np.uint64).view(float))
+    x = x[np.isfinite(x) & (x > 0)][:1000]
+    twos = 2.0 ** np.arange(-1000, 1000, 7)
+    mids = [Decimal(v) + (Decimal(np.nextafter(v, np.inf)) - Decimal(v)) / 2
+            for v in x.tolist()]
+    mids += [Decimal(v) - (Decimal(v) - Decimal(np.nextafter(v, 0))) / 2
+             for v in twos.tolist()]
+    return [f"{m:.{digits - 1}e}".replace("E", "e") for m in mids
+            for digits in (16, 17, 18)]
+
+
+def read_outcome(path):
+    # what predict and fit-eta get from a samples file: the two columns'
+    # bits, or the refusal
+    try:
+        t, x = cli._read_samples(path)
+    except (ValueError, click.ClickException) as exc:
+        return type(exc), str(exc)
+    return t.view(np.int64).tolist(), x.view(np.int64).tolist()
+
+
+def loadtxt_outcome(path):
+    # the same with every file read by np.loadtxt alone
+    with mock.patch.object(cli, "_read_csv", lambda fh: None):
+        return read_outcome(path)
+
+
+def fast_path_reads(path):
+    with open(path, "rb") as fh:
+        return cli._read_csv(fh) is not None
+
+
+_FIELDS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(lambda v: "%.17g" % v),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.from_regex(r"-?[0-9]{1,25}(\.[0-9]{1,25})?(e[+-]?[0-9]{1,3})?",
+                  fullmatch=True),
+    st.sampled_from(["-0.0", "-0", "0e-999", "5e-324", "2.4703282292062328e-324",
+                     "1.7976931348623157e308", "-1.7976931348623157e308",
+                     "1e+05", "18446744073709551621", "-9223372036854775809",
+                     "1234567890123456789012345", "1e340", "1e-340"]))
+
+
+class TestReadSamples:
+    """_read_samples returns np.loadtxt's values, bit for bit, and refuses a
+    file with loadtxt's message wherever its fast path does not apply."""
+
+    @given(st.integers(1, 3).flatmap(lambda cols: st.lists(
+        st.lists(_FIELDS, min_size=cols, max_size=cols), min_size=1,
+        max_size=30)), st.booleans())
+    def test_matches_loadtxt(self, tmp_path_factory, rows, final_newline):
+        path = tmp_path_factory.mktemp("read") / "x.csv"
+        text = "t,x\n" + "\n".join(",".join(row) for row in rows)
+        path.write_text(text + "\n" * final_newline)
+        assert fast_path_reads(path)
+        assert read_outcome(path) == loadtxt_outcome(path)
+
+    def test_matches_loadtxt_on_adversarial_values(self, tmp_path):
+        # the edge values and the first of the random bit patterns
+        values = adversarial_values()
+        values = values[np.isfinite(values)][:60_000]
+        fields = (["%.17g" % v for v in values.tolist()]
+                  + [repr(v) for v in values.tolist()] + midpoint_decimals())
+        fields = fields[:len(fields) // 2 * 2]
+        path = tmp_path / "x.csv"
+        path.write_text("t,x\n" + "".join(
+            f"{a},{b}\n" for a, b in zip(fields[0::2], fields[1::2])))
+        assert fast_path_reads(path)
+        assert read_outcome(path) == loadtxt_outcome(path)
+
+    @pytest.mark.parametrize("block_bytes", [1, 7, 64])
+    def test_block_seams(self, tmp_path, monkeypatch, block_bytes):
+        # rows parsed in blocks of a few bytes each, a row of another length
+        # in a later block
+        monkeypatch.setattr(cli, "_CSV_READ_BYTES", block_bytes)
+        path = tmp_path / "x.csv"
+        rows = ["%.17g,%.17g" % (t, np.sin(t)) for t in np.linspace(-3, 3, 40)]
+        path.write_text("t,x\n" + "\n".join(rows))
+        assert fast_path_reads(path)
+        assert read_outcome(path) == loadtxt_outcome(path)
+        path.write_text("t,x\n" + "\n".join(rows[:30] + ["1,2,3"] + rows[30:]))
+        assert not fast_path_reads(path)
+        assert read_outcome(path) == loadtxt_outcome(path)
+
+    @pytest.mark.parametrize("text", [
+        "t,x\n1.2.3,4\n", "t,x\n1e,4\n", "t,x\ne5,4\n", "t,x\n--1,4\n",
+        "t,x\n1-2,4\n", "t,x\n1,,2\n", "t,x\n1,2\n3,4,5\n", "t,x\n1\n2\n",
+        "t,x\r\n1,2\r\n3,4\r\n", "t,x\n 1, 2\n", "t,x\n# note\n1,2\n",
+        "t,x\n1,2\n\n3,4\n", "t,x\nnan,1\n", "t,x\n1e400,1\n",
+        "t,x\n1234567890123456789012345,1\n", "t,x\n", "",
+        "t,x\n1E5,2\n", "t,x\n+1,2\n", "t,x\n1.,.5\n", "t,x\n1e5e5,2\n",
+        "t,x\n1e5.5,2\n", "t,x\n1e-+5,2\n", "t,x\n-,2\n", "t,x\n1,2\n3,4",
+        "\n1,2\n", "t,\xe9\n1,2\n",
+    ])
+    def test_malformed_files_as_loadtxt(self, tmp_path, text):
+        path = tmp_path / "x.csv"
+        path.write_bytes(text.encode("latin-1"))
+        assert read_outcome(path) == loadtxt_outcome(path)
+
+    def test_integer_parse_warning_is_a_fallback(self, tmp_path,
+                                                 monkeypatch):
+        # numpy before 2.3 warns where a sign is out of place, and returns
+        # what it read up to there
+        def parse(*args, **kwargs):
+            warnings.warn("string or file could not be read to its end",
+                          DeprecationWarning)
+            return np.array([7, 7])
+
+        monkeypatch.setattr(np, "fromstring", parse)
+        path = tmp_path / "x.csv"
+        path.write_text("t,x\n1,2\n")
+        assert not fast_path_reads(path)
+        assert read_outcome(path) == loadtxt_outcome(path)
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"),
+                        reason="no /dev/fd paths for a pipe")
+    def test_pipe_is_read_by_loadtxt(self):
+        # a path that cannot be read twice: CRLF rows, which the fast path
+        # hands to np.loadtxt
+        read, write = os.pipe()
+        os.write(write, b"t,x\r\n1,2\r\n3,4\r\n")
+        os.close(write)
+        try:
+            t, x = cli._read_samples(f"/dev/fd/{read}")
+        finally:
+            os.close(read)
+        assert t.tolist() == [1.0, 3.0] and x.tolist() == [2.0, 4.0]
+
+    def test_saturated_mantissas(self, tmp_path):
+        # np.fromstring saturates a mantissa past 2^63 instead of raising,
+        # so |D| >= 10^18 must go to float(); 2^64 + 5 would wrap to 5
+        path = tmp_path / "x.csv"
+        path.write_text("t,x\n18446744073709551621,-18446744073709551621\n"
+                        "9223372036854775808,99999999999999999999e-5\n"
+                        "1000000000000000000,-0.0000000000000000000001\n")
+        assert fast_path_reads(path)
+        assert read_outcome(path) == loadtxt_outcome(path)
+        t, x = cli._read_samples(path)
+        assert t[0] == 18446744073709551621.0 and x[0] == -t[0]
+
+    def test_fast_path_reads_a_synth_record(self, runner, tmp_path,
+                                            monkeypatch):
+        path = tmp_path / "x.csv"
+        invoke(runner, ["synth", "--spec",
+                        os.path.join(CONFIG_DIR, "demo_bump.json"), "--t0",
+                        "-5", "--t1", "5", "--dt", "0.01", "--out", str(path)])
+        expected = np.loadtxt(path, delimiter=",", skiprows=1)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the fast path fell back to np.loadtxt")
+
+        monkeypatch.setattr(np, "loadtxt", refuse)
+        t, x = cli._read_samples(path)
+        assert np.array_equal(t.view(np.int64), expected[:, 0].view(np.int64))
+        assert np.array_equal(x.view(np.int64), expected[:, 1].view(np.int64))
 
 
 class TestRejectsNonFinite:

@@ -523,6 +523,16 @@ class TestEmitReport:
         assert data["all_pass"] is False
         assert len(data["rows"]) == 2
 
+    def test_json_layout(self, tmp_path):
+        # json.dump's layout at indent 2 with sorted keys and a final
+        # newline, each row as its fields
+        path = tmp_path / "r.json"
+        emit_report(self.rows(), "json", path)
+        text = path.read_text()
+        data = json.loads(text)
+        assert text == json.dumps(data, indent=2, sort_keys=True) + "\n"
+        assert data["rows"] == [asdict(row) for row in self.rows()]
+
     def test_rejects_empty_table_and_bad_format(self, tmp_path):
         with pytest.raises(ValueError):
             emit_report([], "csv", tmp_path / "x.csv")
