@@ -11,7 +11,8 @@ P_j(v) = i^-j T_j(i*omega_gap*v): P_0 = 1, P_1 = omega_gap*v and
 P_{j+1} = 2*omega_gap*v*P_j + P_{j-1}.  With s = omega_gap/w, Re psi is
 sum_{even j} c_j (T_j(s) - T_j(0)) and Im psi is sum_{odd j} c_j T_j(s),
 and |T_j(s)| <= 1 on the spectrum, so nothing cancels.  The fit is a
-parity-constrained least squares in those columns.  The monomial
+parity-constrained least squares in those columns on the w > 0 half of a
+sign-symmetric Chebyshev grid in u = 1/w.  The monomial
 coefficients of v^k, a_k = sigma_k omega_gap^k (c @ M)_k for the monomial
 matrix M of the T_j, are a derived view (Approximant.a) for the
 convolution kernel and the JSON file; their terms grow like 2^k, so a loses
@@ -28,7 +29,7 @@ import numpy as np
 from .signal import grid_size
 from .taper import TaperSpec, eval_taper, taper_from_dict, taper_to_dict
 
-__all__ = ["Approximant", "CERT_DENSITY", "chebyshev_grid", "fit_parity_ls",
+__all__ = ["Approximant", "CERT_DENSITY", "fit_parity_ls",
            "eval_psi", "certify_sup_error", "fit_approximant",
            "approximant_to_dict", "approximant_from_dict", "save_approximant",
            "load_approximant"]
@@ -80,24 +81,15 @@ CERT_DENSITY = 16
 
 
 def _half_grid(omega_gap: float, n: int) -> np.ndarray:
-    # the w > 0 half of chebyshev_grid(omega_gap, n), ascending, bit for bit
+    # w = 1/u, ascending, for the u > 0 half of the n Chebyshev (extreme)
+    # points u of [-1/omega_gap, 1/omega_gap], by the sine identity; the
+    # u = 0 node of an odd n is dropped
     if n < 2:
         raise ValueError(f"need at least 2 nodes, got {n}")
     if not omega_gap > 0:
         raise ValueError("omega_gap must be positive")
     j = np.arange(n - 1, 0, -2)
     return 1.0 / (np.sin(0.5 * np.pi * j / (n - 1)) / omega_gap)
-
-
-def chebyshev_grid(omega_gap: float, n: int) -> np.ndarray:
-    """Frequencies w_j = 1/u_j for the n Chebyshev (extreme) points u_j of
-    [-1/omega_gap, 1/omega_gap], with the u = 0 node dropped when n is odd.
-
-    The points are generated through a sine identity so the grid is exactly
-    symmetric in sign; all returned frequencies satisfy |w| >= omega_gap.
-    """
-    w = _half_grid(omega_gap, n)
-    return np.concatenate((-w[::-1], w))
 
 
 def _chebyshev(s, d: int) -> np.ndarray:
@@ -136,25 +128,27 @@ def _c_from_a(a, omega_gap: float) -> np.ndarray:
 
 
 def fit_parity_ls(T: float, taper: TaperSpec, omega_gap: float, d: int,
-                  grid: np.ndarray):
-    """Parity-constrained least-squares fit on a frequency grid.
+                  fit_nodes: int):
+    """Parity-constrained least-squares fit on the sign-symmetric grid of
+    fit_nodes Chebyshev points in u = 1/w (the u = 0 node dropped).
 
     Matches sum_m c_2m (T_2m(s) - T_2m(0)) to cos(T*w) * r_nu(w) and
     sum_m c_2m+1 T_2m+1(s) to sin(T*w) * r_nu(w), s = omega_gap/w, degrees
     up to d.  Nodes at w and -w have equal squared residuals in both
-    systems, so each distinct |w| is one row weighted by sqrt(multiplicity),
-    which keeps the grid's own minimizer.  Returns c, length d + 1, c_0 = 0.
+    systems, so the w > 0 half is solved with every row weighted by
+    sqrt(2), which keeps the full grid's minimizer.  Returns c, length
+    d + 1, c_0 = 0.
     """
+    w = _half_grid(omega_gap, fit_nodes)
     if not np.isfinite(T):
         raise ValueError("T must be finite")
     if d < 2:
         raise ValueError("d must be >= 2: d=1 leaves the even-parity target "
                          "with no basis function")
-    grid = np.asarray(grid, dtype=float)
-    if len(grid) < 4 * d:
-        raise ValueError(f"grid has {len(grid)} nodes; need at least 4*d = {4 * d}")
-    w, count = np.unique(np.abs(grid), return_counts=True)
-    weight = np.sqrt(count)
+    if 2 * len(w) < 4 * d:
+        raise ValueError(f"grid has {2 * len(w)} nodes; need at least "
+                         f"4*d = {4 * d}")
+    weight = np.sqrt(2.0)
     r = eval_taper(taper, w) * weight
     # T_j(s) - T_j(0): T_2m(0) = (-1)^m and the odd T_j vanish at 0, so
     # only the even columns move
@@ -163,11 +157,8 @@ def fit_parity_ls(T: float, taper: TaperSpec, omega_gap: float, d: int,
     cheb *= weight
     c = np.zeros(d + 1)
     for j0, part in ((2, np.cos), (1, np.sin)):
-        A = cheb[j0::2].T
-        c[j0::2], _, rank, _ = np.linalg.lstsq(A, part(T * w) * r, rcond=None)
-        if rank < A.shape[1]:
-            raise ValueError(f"rank-deficient least-squares system (rank "
-                             f"{rank} < {A.shape[1]}); the fit grid is degenerate")
+        c[j0::2] = np.linalg.lstsq(cheb[j0::2].T, part(T * w) * r,
+                                   rcond=None)[0]
     return c
 
 
@@ -243,8 +234,7 @@ def fit_approximant(T: float, omega_gap: float, taper: TaperSpec, d: int,
         fit_nodes = max(8 * d, 64)
     grid_size(CERT_DENSITY * (fit_nodes - 1) + 1)
     grid_size(fit_nodes // 2 * (d + 1))
-    grid = chebyshev_grid(omega_gap, fit_nodes)
-    c = fit_parity_ls(T, taper, omega_gap, d, grid)
+    c = fit_parity_ls(T, taper, omega_gap, d, fit_nodes)
     eps2 = certify_sup_error(T, omega_gap, taper, c, fit_nodes, CERT_DENSITY)
     return Approximant(T=T, omega_gap=omega_gap, taper=taper, d=d, c=c,
                        eps2=eps2, fit_nodes=fit_nodes)

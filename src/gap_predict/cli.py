@@ -435,8 +435,8 @@ def approx_cmd(horizon, omega, taper, nu, degree, nodes, out):
 @click.option("--out", type=click.Path(dir_okay=False), required=True)
 def synth_cmd(spec_path, t0, t1, dt, out):
     """Sample an oracle signal on a uniform grid to CSV (t,x)."""
+    spec = _load(load_spectrum, spec_path, "a spectrum file")
     try:
-        spec = load_spectrum(spec_path)
         if not np.all(np.isfinite([t0, t1, dt])):
             raise ValueError("t0, t1 and dt must be finite")
         if not t1 > t0 or dt <= 0:
@@ -476,6 +476,8 @@ def _fit_eta_from_samples(approx, times, values, t1, theta, dbar):
     if theta - T <= t1 + T / 10.0:
         raise ValueError(
             "observation window too short: need theta - T > t1 + T/10")
+    if dbar < approx.d:
+        raise ValueError(f"need at least d={approx.d} fit times, got {dbar}")
     lo, hi = t1 + T / 10.0, theta - T
     # the dbar x d fit matrix has at least as many entries as fit times
     grid_size(dbar * approx.d, f"--dbar {dbar} at d={approx.d}: the {dbar} x "
@@ -499,16 +501,20 @@ def _fit_eta_from_samples(approx, times, values, t1, theta, dbar):
     return tw, vw, fit, extrapolation
 
 
+def _load(loader, path, what):
+    # loader(path), or a refusal that names the file and what it lacks
+    try:
+        return loader(path)
+    except (OSError, OverflowError, KeyError, TypeError, ValueError) as exc:
+        raise click.ClickException(
+            f"{path} is not {what} ({type(exc).__name__}: {exc})") from exc
+
+
 def _read_eta(path):
     # (t1, etaP) from a fit-eta output; iterated_integrals checks the numbers
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        return float(data["t1"]), np.asarray(data["etaP"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise click.ClickException(
-            f"{path} is not a fit-eta output ({type(exc).__name__}: {exc})"
-        ) from exc
+    with open(path, "r", encoding="utf-8") as fh:
+        data = json.load(fh)
+    return float(data["t1"]), np.asarray(data["etaP"], dtype=float)
 
 
 @main.command("predict")
@@ -537,8 +543,8 @@ def predict_cmd(approx_path, samples_path, mode, t1, history_length, eta_path,
             "--t1 does not apply with --eta, whose file fixes t1 and the "
             "constants")
     note = ""
+    approx = _load(load_approximant, approx_path, "an approximant file")
     try:
-        approx = load_approximant(approx_path)
         times, values = _read_samples(samples_path)
         if mode == "conv":
             y, tail = predict_convolution(approx, times, values,
@@ -546,7 +552,7 @@ def predict_cmd(approx_path, samples_path, mode, t1, history_length, eta_path,
             t_out = times[len(times) - len(y):]
         else:
             if eta_path is not None:
-                eta_t1, etaP = _read_eta(eta_path)
+                eta_t1, etaP = _load(_read_eta, eta_path, "a fit-eta output")
                 t_out, vw = _window_from(times, values, eta_t1)
             else:
                 t_out, vw, fit, extrapolation = _fit_eta_from_samples(
@@ -579,8 +585,8 @@ def predict_cmd(approx_path, samples_path, mode, t1, history_length, eta_path,
 @click.option("--out", type=click.Path(dir_okay=False), required=True)
 def fit_eta_cmd(approx_path, samples_path, t1, theta, dbar, out):
     """Estimate the constants etaP from observations on [t1, theta]."""
+    approx = _load(load_approximant, approx_path, "an approximant file")
     try:
-        approx = load_approximant(approx_path)
         times, values = _read_samples(samples_path)
         tw, _, fit, extrapolation = _fit_eta_from_samples(
             approx, times, values, t1, theta, dbar)

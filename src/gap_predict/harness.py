@@ -25,6 +25,8 @@ rows run, and nothing outlives the call.
 
 Rows are computed serially in a fixed order and all output formatting is
 fixed-width, so identical configs produce byte-identical reports.
+write_reports writes report.csv, report.json (with convergence_verdict's
+verdict) and, for eval --pin, fixtures.json.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ import json
 import math
 import numbers
 import os
-from dataclasses import dataclass, asdict, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -44,8 +46,7 @@ from .signal import (SpectrumSpec, epsilon1, exact_etaP, grid_size,
                      load_spectrum, sample_grid, select_nu)
 from .taper import TaperSpec, eval_taper
 
-__all__ = ["ExperimentConfig", "ErrorRow", "run_sweep", "emit_report",
-           "write_reports", "ConvergenceVerdict", "convergence_check",
+__all__ = ["ExperimentConfig", "ErrorRow", "run_sweep", "write_reports",
            "convergence_verdict"]
 
 CSV_COLUMNS = ("spec", "d", "nu", "eps1", "eps2", "bound_paper",
@@ -307,88 +308,79 @@ def _write_json(path, payload) -> None:
         fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def emit_report(rows, fmt: str, path, convergence=None) -> None:
-    """Write the sweep table; same table and format give byte-identical
-    files.  CSV columns are fixed; JSON mirrors the fields and lists failing
-    row indices in its exit metadata, and the convergence verdict (a
-    convergence_verdict dict) when one is given."""
-    if not rows:
-        raise ValueError("refusing to emit an empty report")
-    if fmt == "csv":
-        lines = [",".join(CSV_COLUMNS)]
-        for row in rows:
-            lines.append(",".join([
-                row.spec, _fmt(row.d), _fmt(row.nu), _fmt(row.eps1),
-                _fmt(row.eps2), _fmt(row.bound_paper), _fmt(row.bound_tones),
-                _fmt(row.sup_err), _fmt(row.passed)]))
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
-        return
-    if fmt == "json":
-        payload = {
-            "rows": [vars(row) for row in rows],
-            "failing_rows": [i for i, row in enumerate(rows) if not row.passed],
-            "all_pass": all(row.passed for row in rows),
-        }
-        if convergence is not None:
-            payload["convergence"] = convergence
-        _write_json(path, payload)
-        return
-    raise ValueError(f"unknown report format {fmt!r}")
-
-
 def write_reports(rows, out_dir, config: ExperimentConfig,
                   pin: bool = False) -> dict:
-    """Write report.csv, report.json (with the convergence verdict) and, when
-    pinned, fixtures.json into out_dir; return the verdict."""
+    """Write report.csv, report.json and, when pinned, fixtures.json into
+    out_dir; the same rows give byte-identical files.  The CSV columns are
+    fixed; the JSON holds every row's fields, the failing row indices and
+    the convergence verdict, which is returned."""
+    if not rows:
+        raise ValueError("refusing to write an empty report")
     os.makedirs(out_dir, exist_ok=True)
     verdict = convergence_verdict(rows)
-    emit_report(rows, "csv", os.path.join(out_dir, "report.csv"))
-    emit_report(rows, "json", os.path.join(out_dir, "report.json"),
-                convergence=verdict)
+    lines = [",".join(CSV_COLUMNS)]
+    for row in rows:
+        lines.append(",".join([
+            row.spec, _fmt(row.d), _fmt(row.nu), _fmt(row.eps1),
+            _fmt(row.eps2), _fmt(row.bound_paper), _fmt(row.bound_tones),
+            _fmt(row.sup_err), _fmt(row.passed)]))
+    with open(os.path.join(out_dir, "report.csv"), "w", encoding="utf-8",
+              newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
+    _write_json(os.path.join(out_dir, "report.json"), {
+        "rows": [vars(row) for row in rows],
+        "failing_rows": [i for i, row in enumerate(rows) if not row.passed],
+        "all_pass": all(row.passed for row in rows),
+        "convergence": verdict,
+    })
     if pin:
-        payload = {
+        _write_json(os.path.join(out_dir, "fixtures.json"), {
             "settings": {
                 "dense_factor": CERT_DENSITY,
                 "quadrature_step": _quadrature_step(config, pin),
                 "pinned": True,
             },
             "rows": [vars(row) for row in rows],
-        }
-        _write_json(os.path.join(out_dir, "fixtures.json"), payload)
+        })
     return verdict
 
 
-@dataclass
-class ConvergenceVerdict:
-    passed: bool
-    failures: list
-
-
-def convergence_check(rows) -> ConvergenceVerdict:
-    """Assert the sweep exhibits the expected convergence shape: sup error
-    non-increasing (within 10% of its own value) along each ascending-d sweep
-    at fixed nu, and the minimum achieved error strictly decreasing as nu
-    decreases with d re-optimized.  Both tests forgive errors at the 1e-15
-    round-off floor, so an exact sweep passes.  Failures identify the
-    offending transition."""
-    clean = [r for r in rows if r.error is None]
-    by_spec: dict = {}
-    for row in clean:
-        by_spec.setdefault(row.spec, {}).setdefault(row.nu, {})[row.d] = row.sup_err
+def _coverage_gap(by_spec):
+    # the first spectrum with fewer than 3 nu values, or nu with fewer than
+    # 3 degrees, in row order; None when every one has enough
     if not by_spec:
-        raise ValueError("insufficient sweep coverage: no usable rows")
-    failures = []
+        return "no usable rows"
     for spec_name, by_nu in by_spec.items():
         if len(by_nu) < 3:
-            raise ValueError(
-                f"insufficient sweep coverage: spec {spec_name} has "
-                f"{len(by_nu)} nu values, need >= 3")
+            return f"spec {spec_name} has {len(by_nu)} nu values, need >= 3"
         for nu, by_d in by_nu.items():
             if len(by_d) < 3:
-                raise ValueError(
-                    f"insufficient sweep coverage: spec {spec_name}, nu={nu} "
-                    f"has {len(by_d)} degrees, need >= 3")
+                return (f"spec {spec_name}, nu={nu} has {len(by_d)} degrees, "
+                        "need >= 3")
+
+
+def convergence_verdict(rows) -> dict:
+    """The sweep's convergence shape as report.json records it.
+
+    {"passed": bool, "failures": [...]}: the sup error must not increase
+    (within 10% of its own value) along each ascending-d sweep at fixed nu,
+    and the minimum achieved error must strictly decrease as nu decreases
+    with d re-optimized.  Both tests forgive errors at the 1e-15 round-off
+    floor, so an exact sweep passes; each failure names its transition.
+    {"passed": None, "skipped": reason} when the usable rows give some
+    spectrum fewer than 3 nu values, or some nu fewer than 3 degrees."""
+    by_spec: dict = {}
+    for row in rows:
+        if row.error is None:
+            by_spec.setdefault(row.spec, {}).setdefault(
+                row.nu, {})[row.d] = row.sup_err
+    short = _coverage_gap(by_spec)
+    if short is not None:
+        return {"passed": None,
+                "skipped": f"insufficient sweep coverage: {short}"}
+    failures = []
+    for spec_name, by_nu in by_spec.items():
+        for nu, by_d in by_nu.items():
             ds = sorted(by_d)
             for d_prev, d_next in zip(ds, ds[1:]):
                 if not by_d[d_next] <= by_d[d_prev] * 1.1 + 1e-15:
@@ -404,13 +396,4 @@ def convergence_check(rows) -> ConvergenceVerdict:
                     f"spec {spec_name}: min error did not decrease from "
                     f"nu={nus_desc[i]} ({mins[i]:.6g}) to "
                     f"nu={nus_desc[i + 1]} ({mins[i + 1]:.6g})")
-    return ConvergenceVerdict(passed=not failures, failures=failures)
-
-
-def convergence_verdict(rows) -> dict:
-    """convergence_check's verdict as report.json records it, or
-    {"passed": None, "skipped": reason} when coverage is too small."""
-    try:
-        return asdict(convergence_check(rows))
-    except ValueError as exc:
-        return {"passed": None, "skipped": str(exc)}
+    return {"passed": not failures, "failures": failures}

@@ -1,9 +1,9 @@
 """Time-domain realizations of the gap-signal predictor psi (see approx).
 
-* Polynomial-kernel convolution over a truncated history window, with the
-  kernel K(t) = sum_k a_k t^(k-1)/(k-1)! of the monomial view a, for
-  signals that decay into the past.  K grows factorially with the lag, so
-  this form is a demonstration for small d.
+* Polynomial-kernel convolution over a truncated history window, at every
+  sample with a full window, with the kernel K(t) = sum_k a_k t^(k-1)/(k-1)!
+  of the monomial view a, for signals that decay into the past.  K grows
+  factorially with the lag, so this form is a demonstration for small d.
 * The recurrence in time.  v = 1/(i*w) is the antiderivative, so the levels
   y_0 = x, y_1 = omega_gap (etaP_0 + int_{t1}^t y_0) and
   y_{j+1} = 2 omega_gap (etaP_j + int_{t1}^t y_j) + y_{j-1} are P_j(v)
@@ -100,22 +100,19 @@ def _simpson_weights(n, h):
     return w
 
 
-def predict_convolution(approx: Approximant, times, values, t_eval=None,
+def predict_convolution(approx: Approximant, times, values,
                         history_length=None):
     """Composite-Simpson approximation of int_{t-L}^{t} K(t-tau) x(tau) dtau
-    at every t in t_eval, from one uniformly sampled record.
+    at every sample time t with a full window of L behind it, from one
+    uniformly sampled record; a record with no such sample is refused.
 
     history_length L defaults to 10*T; it must be finite and is rejected
     below that guard, since the truncated convolution is meaningless with
-    less history.  Every t in t_eval must be a sample time with a full
-    window of L behind it, in any order and with repeats; t_eval=None means
-    every sample with a full window, and a record with none is refused.  The
-    kernel is evaluated and Simpson-weighted once, and every output comes
-    from one real-FFT correlation of that weighted kernel with the record
-    segment the outputs cover: O((m + L/h) log(m + L/h)) for outputs
-    spanning m samples.
+    less history.  The kernel is evaluated and Simpson-weighted once, and
+    every output comes from one real-FFT correlation of that weighted kernel
+    with the whole record: O(n log n) for n samples.
 
-    The FFT's round-off scales with the largest window in the segment, not
+    The FFT's round-off scales with the largest window in the record, not
     with each output's own: the error of every output is within about
     1e-13 * max_j sum|wK * window_j| (tested).
 
@@ -130,40 +127,25 @@ def predict_convolution(approx: Approximant, times, values, t_eval=None,
     if L < 10.0 * approx.T:
         raise ValueError(f"history_length {L} is below the 10*T guard")
     h = _uniform_step(times)
-    times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
-    if values.shape != times.shape:
+    if values.shape != np.shape(times):
         raise ValueError("times and values must have equal length")
     n_lag = int(round(L / h))
     if n_lag < 2:
         raise ValueError(f"history_length {L} spans fewer than 2 sample steps")
-    if t_eval is None:
-        if n_lag >= len(times):
-            raise ValueError(f"record too short for history_length={L}")
-        idx = np.arange(n_lag, len(times))
-    else:
-        idx = np.atleast_1d(_sample_index(times, t_eval))
-    short = idx < n_lag
-    if np.any(short):
-        raise ValueError(
-            f"output time t={times[idx[short][0]]} lacks a full history "
-            f"window of length {L}")
-    if idx.size == 0:
-        return np.zeros(0), np.zeros(0)
+    m = len(values)
+    if n_lag >= m:
+        raise ValueError(f"record too short for history_length={L}")
     K = kernel_eval(approx.a, h * np.arange(n_lag, -1, -1))
     wK = _simpson_weights(n_lag + 1, h) * K
-    # the correlation of the segment with wK is its convolution with wK
-    # reversed; a circular one of length >= len(seg) wraps only into the
-    # first n_lag entries, which hold no full window and are never read
-    lo = idx.min() - n_lag
-    seg = values[lo:idx.max() + 1]
-    # a power of two or three times one, at least len(seg) and at most 1.5x
-    m = len(seg)
+    # the correlation of the record with wK is its convolution with wK
+    # reversed; a circular one of length >= m wraps only into the first
+    # n_lag entries, which hold no full window and are dropped.  The length
+    # is a power of two or three times one, at least m and at most 1.5x
     n = min(1 << (m - 1).bit_length(), 3 << ((m - 1) // 3).bit_length())
-    full = np.fft.irfft(np.fft.rfft(seg, n) * np.fft.rfft(wK[::-1], n), n)
-    y = full[idx - lo]
-    tail = np.abs(K[0] * values[idx - n_lag]) * (n_lag * h)
-    return y, tail
+    full = np.fft.irfft(np.fft.rfft(values, n) * np.fft.rfft(wK[::-1], n), n)
+    tail = np.abs(K[0] * values[:m - n_lag]) * (n_lag * h)
+    return full[n_lag:m], tail
 
 
 def _gregory(y, h, out, const, scale):

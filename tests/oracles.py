@@ -9,10 +9,9 @@ arithmetic.
 """
 
 import numpy as np
-from numpy.polynomial.chebyshev import chebder, chebval
+from numpy.polynomial.chebyshev import chebder, chebval, chebvander
 from scipy.integrate import quad
 
-from gap_predict.approx import chebyshev_grid
 from gap_predict.signal import _bump_profile
 from gap_predict.taper import eval_taper
 
@@ -119,6 +118,36 @@ def prediction(spec, c, omega_gap, t):
     return (re - im) / np.pi
 
 
+def sign_symmetric_grid(omega_gap, n):
+    """The frequencies w = 1/u, ascending, of the n Chebyshev (extreme)
+    points u_k = cos(pi k/(n-1)) / omega_gap of [-1/omega_gap, 1/omega_gap],
+    taken by the sine identity u_k = sin(pi/2 (n-1-2k)/(n-1)) / omega_gap
+    so that the grid is symmetric in sign; the u = 0 node of an odd n is
+    dropped."""
+    m = np.arange(n - 1, -n, -2)
+    u = np.sin(0.5 * np.pi * m[m != 0] / (n - 1)) / omega_gap
+    return np.sort(1.0 / u)
+
+
+def least_squares_fit(T, taper, omega_gap, d, fit_nodes):
+    """The c, c_0 = 0, that minimize sum |exp(i*w*T) r_nu(w) - psi(i*w)|^2
+    over every node of sign_symmetric_grid(omega_gap, fit_nodes), psi =
+    sum_{even j} c_j (T_j(s) - T_j(0)) + i sum_{odd j} c_j T_j(s),
+    s = omega_gap/w: one real least-squares problem in the real and the
+    imaginary parts, columns from numpy's Chebyshev Vandermonde matrix."""
+    w = sign_symmetric_grid(omega_gap, fit_nodes)
+    odd = np.arange(d + 1) % 2 == 1
+    cheb = chebvander(omega_gap / w, d)
+    re = np.where(odd, 0.0, cheb - chebvander(np.zeros(1), d))
+    im = np.where(odd, cheb, 0.0)
+    target = np.exp(1j * w * T) * eval_taper(taper, w)
+    c = np.zeros(d + 1)
+    c[1:] = np.linalg.lstsq(np.vstack((re, im))[:, 1:],
+                            np.concatenate((target.real, target.imag)),
+                            rcond=None)[0]
+    return c
+
+
 def certified_sup_error(T, omega_gap, taper, c, fit_nodes, dense_factor):
     """max |exp(i*w*T) r_nu(w) - psi(i*w)| over the whole sign-symmetric
     Chebyshev grid of dense_factor*(fit_nodes-1)+1 nodes, psi taken by
@@ -126,7 +155,7 @@ def certified_sup_error(T, omega_gap, taper, c, fit_nodes, dense_factor):
     |psi'(0)| s + s^2 sum_j |c_j| j^2 / (1-s^2)^1.5 + r_nu(omega_gap/s) at
     the innermost node's s (2 sum_j |c_j| + r_nu where s = 1) where that is
     larger."""
-    om = chebyshev_grid(omega_gap, dense_factor * (fit_nodes - 1) + 1)
+    om = sign_symmetric_grid(omega_gap, dense_factor * (fit_nodes - 1) + 1)
     c = np.asarray(c, dtype=float)
     j = np.arange(len(c))
     even, odd = _parts(c)

@@ -6,14 +6,14 @@ import pytest
 from hypothesis import given, strategies as st
 from numpy.polynomial.chebyshev import cheb2poly, chebder, chebval
 
-from gap_predict.approx import (CERT_DENSITY, Approximant,
+from gap_predict.approx import (CERT_DENSITY, Approximant, _half_grid,
                                 approximant_from_dict,
                                 approximant_to_dict, certify_sup_error,
-                                chebyshev_grid, eval_psi, fit_approximant,
-                                fit_parity_ls)
+                                eval_psi, fit_approximant, fit_parity_ls)
 from gap_predict.taper import TaperSpec, eval_taper
 
-from oracles import certified_sup_error
+from oracles import (certified_sup_error, least_squares_fit,
+                     sign_symmetric_grid)
 
 GAUSS03 = TaperSpec("gaussian", 0.3)
 
@@ -48,49 +48,52 @@ def random_c(d, rng):
 
 
 class TestChebyshevGrid:
+    """The w > 0 half of the fit and certification grids."""
+
     def test_two_nodes_are_endpoints(self):
-        assert set(np.round(chebyshev_grid(1.0, 2), 15)) == {-1.0, 1.0}
-        assert set(np.round(chebyshev_grid(2.0, 2), 15)) == {-2.0, 2.0}
+        assert np.round(_half_grid(1.0, 2), 15).tolist() == [1.0]
+        assert np.round(_half_grid(2.0, 2), 15).tolist() == [2.0]
 
     def test_odd_count_drops_zero_node(self):
-        grid = chebyshev_grid(1.0, 9)
-        assert len(grid) == 8
-        assert np.all(np.abs(grid) >= 1.0)
-        assert np.allclose(np.sort(grid), np.sort(-grid))
+        grid = _half_grid(1.0, 9)
+        assert len(grid) == 4
+        assert np.all(grid >= 1.0)
 
     def test_even_count_keeps_all(self):
-        grid = chebyshev_grid(1.5, 10)
-        assert len(grid) == 10
-        assert np.all(np.abs(grid) >= 1.5 - 1e-12)
+        grid = _half_grid(1.5, 10)
+        assert len(grid) == 5
+        assert np.all(grid >= 1.5 - 1e-12)
 
     @pytest.mark.parametrize("n", [64, 65, 1009, 4081])
     @pytest.mark.parametrize("omega_gap", [0.7, 1.0, 1.3])
     def test_sign_symmetric_bit_for_bit(self, n, omega_gap):
-        # the fit and the certificate work on the w > 0 half alone
-        grid = chebyshev_grid(omega_gap, n)
-        half = len(grid) // 2
-        assert np.all(grid[:half] < 0) and np.all(grid[half:] > 0)
-        assert np.array_equal(grid[half:], -grid[:half][::-1])
-        assert np.all(np.diff(grid) > 0)
+        # the fit and the certificate work on the w > 0 half alone: it is
+        # the positive half of the oracle's sign-symmetric grid, ascending
+        half = _half_grid(omega_gap, n)
+        grid = sign_symmetric_grid(omega_gap, n)
+        assert len(grid) == 2 * len(half)
+        assert np.all(np.diff(half) > 0)
+        np.testing.assert_allclose(grid[len(half):], half, rtol=1e-15, atol=0)
+        np.testing.assert_allclose(grid[:len(half)], -half[::-1], rtol=1e-15,
+                                   atol=0)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            chebyshev_grid(1.0, 1)
+            _half_grid(1.0, 1)
         with pytest.raises(ValueError):
-            chebyshev_grid(-1.0, 8)
+            _half_grid(-1.0, 8)
 
 
 class TestFitParityLs:
     def test_tiny_horizon_kills_sine_part(self):
-        grid = chebyshev_grid(1.0, 64)
-        c = fit_parity_ls(1e-9, GAUSS03, 1.0, 6, grid)
+        c = fit_parity_ls(1e-9, GAUSS03, 1.0, 6, 64)
         assert c.shape == (7,) and c[0] == 0.0
         assert np.max(np.abs(c[1::2])) < 1e-6    # odd j: the sine part
 
     def test_d2_against_exact_rational_oracle(self):
         # independent oracle: single-coefficient normal equations solved in
         # exact rational arithmetic over the same float grid
-        grid = chebyshev_grid(1.0, 64)
+        grid = sign_symmetric_grid(1.0, 64)
         u = 1.0 / grid
         bc = np.cos(grid) * eval_taper(GAUSS03, grid)
         bs = np.sin(grid) * eval_taper(GAUSS03, grid)
@@ -103,7 +106,7 @@ class TestFitParityLs:
 
         # c_2 (T_2(u) - T_2(0)) = 2 c_2 u^2 and c_1 T_1(u) = c_1 u; the
         # monomial view is a_1 = -gamma_s_1, a_2 = -gamma_c_2
-        c = fit_parity_ls(1.0, GAUSS03, 1.0, 2, grid)
+        c = fit_parity_ls(1.0, GAUSS03, 1.0, 2, 64)
         assert 2.0 * c[2] == pytest.approx(ORACLE_GAMMA_C2, rel=1e-12)
         assert c[1] == pytest.approx(ORACLE_GAMMA_S1, rel=1e-12)
         a = Approximant(T=1.0, omega_gap=1.0, taper=GAUSS03, d=2, c=c,
@@ -111,36 +114,30 @@ class TestFitParityLs:
         assert a == pytest.approx([-ORACLE_GAMMA_S1, -ORACLE_GAMMA_C2],
                                   rel=1e-12)
 
-    def test_any_grid_gives_its_own_minimizer(self):
-        # an asymmetric grid with a repeated node: the fit must minimize the
-        # residual over every node as given, here solved independently by
-        # unweighted monomial least squares in u = 1/w on the raw grid
-        rng = np.random.default_rng(5)
-        grid = np.concatenate((rng.uniform(1.0, 9.0, 40),
-                               -rng.uniform(1.0, 4.0, 25), [2.5, -2.5, 2.5]))
-        d = 6
-        c = fit_parity_ls(0.7, GAUSS03, 1.0, d, grid)
-        u = 1.0 / grid
-        r = eval_taper(GAUSS03, grid)
-        ks = np.arange(1, d + 1)
-        psi = np.zeros(len(grid), dtype=complex)
-        for parity, part, unit in ((0, np.cos, 1.0), (1, np.sin, 1j)):
-            k = ks[ks % 2 == parity]
-            gamma = np.linalg.lstsq(u[:, None] ** k, part(0.7 * grid) * r,
-                                    rcond=None)[0]
-            psi += unit * (u[:, None] ** k @ gamma)
-        np.testing.assert_allclose(eval_psi(c, 1.0, grid), psi, rtol=0,
-                                   atol=1e-12)
+    @pytest.mark.parametrize("d, fit_nodes", [(2, 8), (6, 48), (6, 49),
+                                              (16, 128), (16, 129),
+                                              (13, 101), (48, 384)])
+    @pytest.mark.parametrize("family, nu, omega_gap", [
+        ("gaussian", 0.3, 1.0), ("lorentzian", 0.5, 1.3),
+        ("exponential", 0.15, 0.7)])
+    def test_half_grid_fit_is_the_full_grid_minimizer(
+            self, d, fit_nodes, family, nu, omega_gap):
+        # the sqrt(2)-weighted w > 0 half keeps the minimizer over every
+        # node of the sign-symmetric grid, solved independently in complex
+        # residuals by the oracle; even and odd node counts
+        taper = TaperSpec(family, nu)
+        c = fit_parity_ls(0.7, taper, omega_gap, d, fit_nodes)
+        ref = least_squares_fit(0.7, taper, omega_gap, d, fit_nodes)
+        assert c.shape == (d + 1,) and c[0] == 0.0
+        assert np.linalg.norm(c - ref) <= 1e-12 * np.linalg.norm(ref)
 
     def test_rejects_degenerate_degree_and_grid(self):
-        grid = chebyshev_grid(1.0, 64)
-        with pytest.raises(ValueError):
-            fit_parity_ls(1.0, GAUSS03, 1.0, 1, grid)
-        with pytest.raises(ValueError):
-            fit_parity_ls(1.0, GAUSS03, 1.0, 8, grid[:20])
-        # 32 nodes, but only two distinct |w|: fewer rows than columns
-        with pytest.raises(ValueError, match="rank-deficient"):
-            fit_parity_ls(1.0, GAUSS03, 1.0, 8, np.tile([-2.0, 2.0, 3.0, 3.0], 8))
+        with pytest.raises(ValueError, match="d must be >= 2"):
+            fit_parity_ls(1.0, GAUSS03, 1.0, 1, 64)
+        for nodes in (30, 31):
+            with pytest.raises(ValueError, match="need at least 4.d = 32"):
+                fit_parity_ls(1.0, GAUSS03, 1.0, 8, nodes)
+        fit_parity_ls(1.0, GAUSS03, 1.0, 8, 32)
 
 
 class TestEvalPsi:
@@ -201,7 +198,7 @@ class TestEvalPsi:
 class TestSupError:
     def test_dominates_fit_grid_residual(self):
         approx = fit_approximant(1.0, 1.0, GAUSS03, 8)
-        grid = chebyshev_grid(1.0, approx.fit_nodes)
+        grid = sign_symmetric_grid(1.0, approx.fit_nodes)
         target = np.exp(1j * grid) * eval_taper(GAUSS03, grid)
         resid = np.abs(target - eval_psi(approx.c, 1.0, grid)).max()
         assert approx.eps2 >= resid - 1e-15
@@ -229,7 +226,7 @@ class TestSupError:
                 eps2_8 = certify_sup_error(1.0, 1.0, taper, approx.c, n, 8)
                 eps2_16 = certify_sup_error(1.0, 1.0, taper, approx.c, n, 16)
                 assert approx.eps2 == eps2_16
-                grid = chebyshev_grid(1.0, 8 * (n - 1) + 1)
+                grid = sign_symmetric_grid(1.0, 8 * (n - 1) + 1)
                 grid_8 = np.abs(np.exp(1j * grid) * eval_taper(taper, grid)
                                 - eval_psi(approx.c, 1.0, grid)).max()
                 assert eps2_16 >= grid_8 * (1.0 - 1e-14)
@@ -241,8 +238,7 @@ class TestSupError:
         # on one fixed overdetermined grid the nested bases can only improve
         prev = None
         for d in (4, 8, 12, 16, 20):
-            grid = chebyshev_grid(1.0, 192)
-            c = fit_parity_ls(1.0, GAUSS03, 1.0, d, grid)
+            c = fit_parity_ls(1.0, GAUSS03, 1.0, d, 192)
             eps2 = certify_sup_error(1.0, 1.0, GAUSS03, c, 192, 8)
             if prev is not None:
                 assert eps2 <= prev + 1e-12
@@ -271,8 +267,7 @@ class TestSupError:
         # psi sampled finely on (0, s_min], the frequencies past the
         # innermost certification node, stays within the far-tail term
         approx = fit_approximant(1.0, 1.0, GAUSS03, d)
-        w_max = chebyshev_grid(1.0, CERT_DENSITY * (approx.fit_nodes - 1)
-                               + 1).max()
+        w_max = _half_grid(1.0, CERT_DENSITY * (approx.fit_nodes - 1) + 1)[-1]
         c = approx.c
         s = np.linspace(0.0, 1.0 / w_max, 2001)[1:]
         j = np.arange(d + 1)

@@ -94,7 +94,7 @@ class TestApproxCommand:
         def no_grid(omega_gap, n):
             raise AssertionError(f"built a grid of {n} nodes")
 
-        monkeypatch.setattr(approx, "chebyshev_grid", no_grid)
+        monkeypatch.setattr(approx, "_half_grid", no_grid)
         args = ["approx", "--T", "1.0", "--omega", "1.0", "--taper",
                 "gaussian", "--nu", "0.3", "--d", degree]
         result = invoke(runner, args + (["--nodes", nodes] if nodes else []))
@@ -503,6 +503,56 @@ class TestPredictPipeline:
         assert result.exit_code == 1
         assert (f"--dbar {dbar} at d=4: the {dbar} x 4 fit matrix is over "
                 f"the limit of 2^25 = 33554432") in result.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("dbar", [-3, 0, 3])
+    def test_fit_eta_refuses_a_dbar_below_d(self, runner, workspace, dbar):
+        # fewer fit times than constants, a negative count among them
+        tmp_path, approx_path, samples_path = workspace
+        out = tmp_path / "eta.json"
+        result = invoke(runner, ["fit-eta", "--approx", str(approx_path),
+                                 "--samples", str(samples_path),
+                                 "--t1", "0", "--theta", "8",
+                                 "--dbar", str(dbar), "--out", str(out)])
+        assert result.exit_code == 1
+        assert (f"Error: need at least d=4 fit times, got {dbar}"
+                in result.output)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("layout", ["missing_key", "list", "wrong_type"])
+    @pytest.mark.parametrize("command", ["predict", "fit-eta", "synth"])
+    def test_refuses_a_malformed_input_file(self, runner, workspace, command,
+                                            layout):
+        # an approximant (predict, fit-eta) or spectrum (synth) file that
+        # lacks a key, holds a list or holds a value of the wrong type is
+        # refused by its name, and no output is written
+        tmp_path, approx_path, samples_path = workspace
+        source = tmp_path / "tone.json" if command == "synth" else approx_path
+        data = json.loads(source.read_text())
+        if layout == "missing_key":
+            del data["kind" if command == "synth" else "T"]
+        elif layout == "list":
+            data = list(data.values())
+        elif command == "synth":
+            data["tones"][0]["re"] = "x"
+        else:
+            data["taper"] = "gaussian"
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        out = tmp_path / "out"
+        samples = ["--samples", str(samples_path)]
+        args = {"predict": ["--approx", str(bad), *samples, "--mode", "eta"],
+                "fit-eta": ["--approx", str(bad), *samples, "--t1", "0",
+                            "--theta", "8", "--dbar", "4"],
+                "synth": ["--spec", str(bad), "--t0", "0", "--t1", "1",
+                          "--dt", "0.25"]}[command]
+        result = invoke(runner, [command, *args, "--out", str(out)])
+        assert result.exit_code == 1
+        what = ("a spectrum file" if command == "synth"
+                else "an approximant file")
+        assert f"Error: {bad} is not {what} (" in result.output
+        assert result.output.count(str(bad)) == 1
+        assert "Traceback" not in result.output
         assert not out.exists()
 
     @pytest.mark.parametrize("dbar", [7000, 6902])

@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 from gap_predict import approx, harness, signal
-from gap_predict.harness import (ConvergenceVerdict, ErrorRow,
-                                 ExperimentConfig, convergence_check,
-                                 emit_report, run_sweep, write_reports)
+from gap_predict.harness import (ErrorRow, ExperimentConfig,
+                                 convergence_verdict, run_sweep,
+                                 write_reports)
 from gap_predict.predictor import (_sample_index, eta_sum,
                                    iterated_integrals)
 from gap_predict.signal import (SpectrumSpec, exact_etaP, sample_grid,
@@ -169,7 +169,7 @@ class TestRunSweep:
         for row in rows:
             assert row.error is None
             assert row.sup_err <= row.bound_tones
-        assert convergence_check(rows).passed
+        assert convergence_verdict(rows)["passed"]
 
     @pytest.mark.parametrize("spec_file, d, nu, sup_err", [
         ("demo_tone.json", 96, 0.16, 0.0492),
@@ -240,7 +240,7 @@ class TestRunSweep:
         def no_grid(omega_gap, n):
             raise AssertionError(f"built a grid of {n} nodes")
 
-        monkeypatch.setattr(approx, "chebyshev_grid", no_grid)
+        monkeypatch.setattr(approx, "_half_grid", no_grid)
         rows = run_sweep(small_config(spec_path, d_list=(8,),
                                       nu_list=(0.5,), fit_node_factor=262145))
         assert [row.error for row in rows] == [
@@ -495,6 +495,8 @@ class TestSharedWork:
 
 
 class TestEmitReport:
+    """report.csv and report.json as write_reports writes them."""
+
     def rows(self):
         return [
             ErrorRow(spec="s", d=4, nu=0.5, eps1=0.1, eps2=0.2,
@@ -505,10 +507,13 @@ class TestEmitReport:
                      passed=False),
         ]
 
+    def write(self, out_dir, name):
+        write_reports(self.rows(), out_dir, demo_config())
+        return out_dir / name
+
     def test_csv_layout_and_determinism(self, tmp_path):
-        p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        emit_report(self.rows(), "csv", p1)
-        emit_report(self.rows(), "csv", p2)
+        p1 = self.write(tmp_path / "a", "report.csv")
+        p2 = self.write(tmp_path / "b", "report.csv")
         text = p1.read_text()
         assert text.splitlines()[0] == \
             "spec,d,nu,eps1,eps2,bound_paper,bound_tones,sup_err,pass"
@@ -516,9 +521,7 @@ class TestEmitReport:
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_json_lists_failing_rows(self, tmp_path):
-        path = tmp_path / "r.json"
-        emit_report(self.rows(), "json", path)
-        data = json.loads(path.read_text())
+        data = json.loads(self.write(tmp_path, "report.json").read_text())
         assert data["failing_rows"] == [1]
         assert data["all_pass"] is False
         assert len(data["rows"]) == 2
@@ -526,18 +529,15 @@ class TestEmitReport:
     def test_json_layout(self, tmp_path):
         # json.dump's layout at indent 2 with sorted keys and a final
         # newline, each row as its fields
-        path = tmp_path / "r.json"
-        emit_report(self.rows(), "json", path)
-        text = path.read_text()
+        text = self.write(tmp_path, "report.json").read_text()
         data = json.loads(text)
         assert text == json.dumps(data, indent=2, sort_keys=True) + "\n"
         assert data["rows"] == [asdict(row) for row in self.rows()]
+        assert data["convergence"] == convergence_verdict(self.rows())
 
-    def test_rejects_empty_table_and_bad_format(self, tmp_path):
-        with pytest.raises(ValueError):
-            emit_report([], "csv", tmp_path / "x.csv")
-        with pytest.raises(ValueError):
-            emit_report(self.rows(), "yaml", tmp_path / "x.yaml")
+    def test_rejects_empty_table(self, tmp_path):
+        with pytest.raises(ValueError, match="empty report"):
+            write_reports([], tmp_path / "out", demo_config())
 
     def test_write_reports_pin_mode(self, tmp_path):
         config = demo_config()
@@ -564,36 +564,49 @@ class TestConvergenceCheck:
         return sups
 
     def test_monotone_report_passes(self):
-        verdict = convergence_check(self.synthetic_rows(self.good_sups()))
-        assert verdict.passed and not verdict.failures
+        verdict = convergence_verdict(self.synthetic_rows(self.good_sups()))
+        assert verdict == {"passed": True, "failures": []}
 
     def test_demo_sweep_passes(self):
         rows = run_sweep(demo_config())
-        verdict = convergence_check(rows)
-        assert verdict.passed, verdict.failures
+        verdict = convergence_verdict(rows)
+        assert verdict["passed"], verdict
 
     def test_shuffled_report_identifies_transition(self):
         sups = self.good_sups()
         sups[(8, 0.4)], sups[(12, 0.4)] = sups[(12, 0.4)], 2.0 * sups[(4, 0.4)]
-        verdict = convergence_check(self.synthetic_rows(sups))
-        assert not verdict.passed
-        assert any("nu=0.4" in f and "d=12" in f for f in verdict.failures)
+        verdict = convergence_verdict(self.synthetic_rows(sups))
+        assert verdict["passed"] is False
+        assert any("nu=0.4" in f and "d=12" in f for f in verdict["failures"])
 
     def test_errors_at_the_round_off_floor_pass(self):
         # an exact sweep, or one at the 1e-15 floor, need not decrease
         for floor in (0.0, 1e-16, 1e-15):
             sups = {(d, nu): floor for nu in (0.5, 0.4, 0.3)
                     for d in (4, 8, 12)}
-            verdict = convergence_check(self.synthetic_rows(sups))
-            assert verdict.passed, verdict.failures
+            verdict = convergence_verdict(self.synthetic_rows(sups))
+            assert verdict["passed"], verdict
         sups = {(d, nu): 2e-15 for nu in (0.5, 0.4, 0.3) for d in (4, 8, 12)}
-        verdict = convergence_check(self.synthetic_rows(sups))
-        assert len(verdict.failures) == 2
+        verdict = convergence_verdict(self.synthetic_rows(sups))
+        assert len(verdict["failures"]) == 2
 
     def test_insufficient_coverage(self):
+        # too few nu values or degrees skip the check, naming the first
+        # spectrum (and nu) short of them; a failure elsewhere is not listed
         sups = {(4, nu): 0.1 for nu in (0.5, 0.4, 0.3)}
-        with pytest.raises(ValueError):
-            convergence_check(self.synthetic_rows(sups))
+        assert convergence_verdict(self.synthetic_rows(sups)) == {
+            "passed": None, "skipped": "insufficient sweep coverage: spec s, "
+                                       "nu=0.5 has 1 degrees, need >= 3"}
         sups = {(d, 0.5): 0.1 for d in (4, 8, 12)}
-        with pytest.raises(ValueError):
-            convergence_check(self.synthetic_rows(sups))
+        assert convergence_verdict(self.synthetic_rows(sups)) == {
+            "passed": None, "skipped": "insufficient sweep coverage: spec s "
+                                       "has 1 nu values, need >= 3"}
+        rows = self.synthetic_rows(self.good_sups())
+        rows[0].sup_err = 9.0
+        rows.append(ErrorRow(spec="t", d=4, nu=0.5, sup_err=0.1))
+        assert convergence_verdict(rows)["skipped"] == (
+            "insufficient sweep coverage: spec t has 1 nu values, need >= 3")
+        assert convergence_verdict([ErrorRow(spec="s", d=4, nu=0.5,
+                                             error="ValueError: x")]) == {
+            "passed": None,
+            "skipped": "insufficient sweep coverage: no usable rows"}
