@@ -53,8 +53,9 @@ class Approximant:
             raise ValueError("T, omega_gap and eps2 must be finite")
         if self.T <= 0 or self.omega_gap <= 0:
             raise ValueError("T and omega_gap must be positive")
-        if self.d < 1:
-            raise ValueError("degree d must be a positive integer")
+        if self.d < 2:
+            # d = 1 leaves the even part with no basis function
+            raise ValueError(f"degree d must be an integer >= 2, got {self.d}")
         c = np.asarray(self.c, dtype=float)
         object.__setattr__(self, "c", c)
         if c.shape != (self.d + 1,):
@@ -86,8 +87,10 @@ def _half_grid(omega_gap: float, n: int) -> np.ndarray:
     # u = 0 node of an odd n is dropped
     if n < 2:
         raise ValueError(f"need at least 2 nodes, got {n}")
-    if not omega_gap > 0:
-        raise ValueError("omega_gap must be positive")
+    # written so that NaN fails: every comparison with NaN is false
+    if not (0.0 < omega_gap < np.inf and 1.0 / float(omega_gap) < np.inf):
+        raise ValueError(f"omega_gap must be finite and positive with a "
+                         f"finite reciprocal, got {omega_gap!r}")
     j = np.arange(n - 1, 0, -2)
     return 1.0 / (np.sin(0.5 * np.pi * j / (n - 1)) / omega_gap)
 
@@ -116,15 +119,6 @@ def _monomials(d: int) -> np.ndarray:
 def _sigma(d: int) -> np.ndarray:
     # sigma_j = (-1)^ceil(j/2), j = 0..d
     return (-1.0) ** ((np.arange(d + 1) + 1) // 2)
-
-
-def _c_from_a(a, omega_gap: float) -> np.ndarray:
-    # the c, c_0 = 0, whose monomial view is a: the triangular system solved
-    d = len(a)
-    c = np.zeros(d + 1)
-    scale = _sigma(d)[1:] * omega_gap ** np.arange(1, d + 1)
-    c[1:] = np.linalg.solve(_monomials(d)[1:, 1:].T, np.asarray(a, float) / scale)
-    return c
 
 
 def fit_parity_ls(T: float, taper: TaperSpec, omega_gap: float, d: int,
@@ -220,20 +214,21 @@ def certify_sup_error(T: float, omega_gap: float, taper: TaperSpec, c,
     return max(float(err.max()), tail)
 
 
-def fit_approximant(T: float, omega_gap: float, taper: TaperSpec, d: int,
-                    fit_nodes: int | None = None) -> Approximant:
+def fit_approximant(T: float, omega_gap: float, taper: TaperSpec,
+                    d: int) -> Approximant:
     """Fit and certify an approximant; pure function of its arguments.
 
-    fit_nodes defaults to max(8*d, 64), at least 4x oversampling of the
-    largest basis function.  eps2 is certified once, at CERT_DENSITY.  A
-    certification grid or a fit matrix (fit_nodes//2 half-grid rows x d + 1
-    Chebyshev columns) over grid_size's limit is refused before either is
-    made.
+    The fit grid follows d: fit_nodes = max(8*d, 64), at least 4x
+    oversampling of the largest basis function.  eps2 is certified once, at
+    CERT_DENSITY.  A certification grid or a fit matrix (fit_nodes//2
+    half-grid rows x d + 1 Chebyshev columns) over grid_size's limit is
+    refused, by name, before either is made.
     """
-    if fit_nodes is None:
-        fit_nodes = max(8 * d, 64)
-    grid_size(CERT_DENSITY * (fit_nodes - 1) + 1)
-    grid_size(fit_nodes // 2 * (d + 1))
+    fit_nodes = max(8 * d, 64)
+    n_cert, rows = CERT_DENSITY * (fit_nodes - 1) + 1, fit_nodes // 2
+    grid_size(n_cert, f"d={d}: the certification grid of {n_cert} nodes")
+    grid_size(rows * (d + 1), f"d={d}: the fit matrix of {rows} x {d + 1} "
+              "entries")
     c = fit_parity_ls(T, taper, omega_gap, d, fit_nodes)
     eps2 = certify_sup_error(T, omega_gap, taper, c, fit_nodes, CERT_DENSITY)
     return Approximant(T=T, omega_gap=omega_gap, taper=taper, d=d, c=c,
@@ -255,15 +250,13 @@ def approximant_to_dict(approx: Approximant) -> dict:
 
 
 def approximant_from_dict(data: dict) -> Approximant:
-    """Read c, or, from a file that holds only a, the c it expands."""
-    gap = float(data["omega_gap"])
-    c = data["c"] if "c" in data else _c_from_a(data["a"], gap)
+    """Read the JSON form; c is the approximant, and a is not read."""
     return Approximant(
         T=float(data["T"]),
-        omega_gap=gap,
+        omega_gap=float(data["omega_gap"]),
         taper=taper_from_dict(data["taper"]),
         d=int(data["d"]),
-        c=np.asarray(c, dtype=float),
+        c=np.asarray(data["c"], dtype=float),
         eps2=float(data["eps2"]),
         fit_nodes=int(data["fit_nodes"]),
     )

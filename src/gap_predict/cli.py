@@ -409,14 +409,13 @@ def main():
 @click.option("--taper", type=click.Choice(_TAPER_CHOICES), required=True)
 @click.option("--nu", type=float, required=True, help="Taper scale in (0, 1].")
 @click.option("--d", "degree", type=int, required=True, help="Degree of the 1/z polynomial.")
-@click.option("--nodes", type=int, default=None, help="Fit nodes (default max(8d, 64)).")
 @click.option("--out", type=click.Path(dir_okay=False), default=None,
               help="Output JSON path (default: print to stdout).")
-def approx_cmd(horizon, omega, taper, nu, degree, nodes, out):
+def approx_cmd(horizon, omega, taper, nu, degree, out):
     """Fit psi_d to exp(iwT) r_nu(w) and certify its sup error."""
     try:
         spec = TaperSpec(family=taper, nu=nu)
-        approx = fit_approximant(horizon, omega, spec, degree, fit_nodes=nodes)
+        approx = fit_approximant(horizon, omega, spec, degree)
     except ValueError as exc:
         raise click.ClickException(str(exc)) from exc
     if out is None:
@@ -488,9 +487,9 @@ def _fit_eta_from_samples(approx, times, values, t1, theta, dbar):
     if dbar > i_end - i_lo:
         raise ValueError(f"--dbar {dbar} exceeds the {i_end - i_lo} samples "
                          f"in the fit span [{lo:g}, {hi:g}]")
-    fit_times = tw[np.rint(np.linspace(i_lo, i_end - 1, dbar)).astype(int)]
-    fit = fit_eta(approx, tw, vw, fit_times,
-                  np.interp(fit_times + T, times, values))
+    idx = np.rint(np.linspace(i_lo, i_end - 1, dbar)).astype(int)
+    fit_times = tw[idx]
+    fit = fit_eta(approx, tw, vw, idx, np.interp(fit_times + T, times, values))
     # |T_{d-1}| at theta, the fitted span mapped onto [-1, 1]: about the
     # factor by which carrying the fitted polynomial part to theta amplifies
     # the fit's residual

@@ -1,15 +1,16 @@
 """Experiment driver: (d, nu) sweeps, error measurement, budget checks.
 
 For every combination of spectrum file, degree and taper scale the sweep fits
-an approximant, computes the two error budgets (the L1-spectrum form
-(eps1 + eps2) / 2pi and the tone point-mass form
-sum_j 2|c_j| (|1 - r_nu(w_j)| + eps2)), runs the recurrence in time with
-the exact constants etaP_j(t_start) on a measurement grid, and records the
-sup error against the exact future values.  A row passes when the measured sup
-error is at most the bound matching its spectrum kind, bound_tones for tones
-and bound_paper for bumps, up to 1e-15 of round-off.  eps2 is the
-approximant's own certificate, computed once at approx.CERT_DENSITY.  The
-conv and fit-eta realizations are not swept; the command line keeps them.
+an approximant, on the grid fit_approximant ties to its degree, computes the
+two error budgets (the L1-spectrum form (eps1 + eps2) / 2pi and the tone
+point-mass form sum_j 2|c_j| (|1 - r_nu(w_j)| + eps2)), runs the recurrence
+in time with the exact constants etaP_j(t_start) on a measurement grid, and
+records the sup error against the exact future values.  A row passes when
+the measured sup error is at most the bound matching its spectrum kind,
+bound_tones for tones and bound_paper for bumps, up to 1e-15 of round-off.
+eps2 is the approximant's own certificate, computed once at
+approx.CERT_DENSITY.  The conv and fit-eta realizations are not swept; the
+command line keeps them.
 
 The realization is the one path predict --mode eta also runs
 (iterated_integrals, eta_sum), on a record whose step divides dt, so that
@@ -76,7 +77,6 @@ class ExperimentConfig:
     modes: tuple = ("eta",)
     nu_list: Optional[tuple] = None
     eps1_target: Optional[float] = None
-    fit_node_factor: Optional[int] = None
 
     def __post_init__(self):
         for name in ("T", "omega_gap", "t_start", "t_end", "dt",
@@ -102,13 +102,6 @@ class ExperimentConfig:
                     or not 0.0 < nu <= 1.0):
                 raise ValueError(
                     f"nu_list entry {nu!r} is not a finite number in (0, 1]")
-        factor = self.fit_node_factor
-        if factor is not None and (isinstance(factor, bool)
-                                   or not isinstance(factor, numbers.Integral)
-                                   or factor < 4):
-            # the fit needs at least 4 nodes per degree
-            raise ValueError(
-                f"fit_node_factor {factor!r} is not an integer >= 4")
         if list(self.d_list) != sorted(self.d_list):
             raise ValueError("d_list must be sorted ascending")
         if (self.nu_list is None) == (self.eps1_target is None):
@@ -184,13 +177,6 @@ def _cached(memo, key, compute, *args):
     return memo[key]
 
 
-def _fit(config: ExperimentConfig, taper: TaperSpec, d: int):
-    nodes = (None if config.fit_node_factor is None
-             else config.fit_node_factor * d)
-    return fit_approximant(config.T, config.omega_gap, taper, d,
-                           fit_nodes=nodes)
-
-
 def _run_row(config: ExperimentConfig, spec_name: str, spec: SpectrumSpec,
              d: int, nu: float, h: float, times: np.ndarray,
              t_grid: np.ndarray, approximants: dict,
@@ -198,7 +184,8 @@ def _run_row(config: ExperimentConfig, spec_name: str, spec: SpectrumSpec,
     # approximants maps (d, nu) to the sweep's fits; shared holds this
     # spectrum's record, etaP(t1), levels at t_grid and future values
     taper = TaperSpec(family=config.taper_family, nu=nu)
-    approx = _cached(approximants, (d, nu), _fit, config, taper, d)
+    approx = _cached(approximants, (d, nu), fit_approximant, config.T,
+                     config.omega_gap, taper, d)
 
     eps1 = epsilon1(spec, taper)
     eps2 = approx.eps2

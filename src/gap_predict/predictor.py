@@ -213,10 +213,12 @@ class EtaFit:
     cond: float
 
 
-def fit_eta(approx: Approximant, times, values, fit_times, zeta) -> EtaFit:
-    """Estimate the constants etaP from observations zeta at fit_times
-    (t_m + T within the record when zeta_m = x(t_m + T)) on the sampled
-    window (times, values).  Every fit time must be a sample time.
+def fit_eta(approx: Approximant, times, values, idx, zeta) -> EtaFit:
+    """Estimate the constants etaP from observations zeta at the samples idx
+    of the sampled window (times, values), zeta_m = x(times[idx_m] + T)
+    when that lies within the record.  idx holds at least d strictly
+    increasing indices past the first sample and zeta one value per index;
+    the caller picks both.
 
     The prediction is phi + sum_l etaP_l R_l: phi the recurrence's with
     etaP = 0, R_l its response to a unit etaP_l.  On a zero record that
@@ -228,16 +230,6 @@ def fit_eta(approx: Approximant, times, values, fit_times, zeta) -> EtaFit:
     condition estimate is reported and warned of above 1e12, and constants
     that are not finite are refused."""
     d, omega = approx.d, approx.omega_gap
-    times = np.asarray(times, dtype=float)
-    fit_times = np.asarray(fit_times, dtype=float)
-    zeta = np.asarray(zeta, dtype=float)
-    if len(fit_times) < d:
-        raise ValueError(f"need at least d={d} fit times, got {len(fit_times)}")
-    if zeta.shape != fit_times.shape:
-        raise ValueError("zeta must match fit_times")
-    if np.any(np.diff(fit_times) <= 0) or fit_times[0] <= times[0]:
-        raise ValueError("fit times must be strictly increasing and > t1")
-    idx = _sample_index(times, fit_times)
     n = max(idx[-1] + 1, 4)
     times, values = times[:n], values[:n]
 

@@ -29,8 +29,8 @@ import numpy as np
 from .taper import TaperSpec, eval_taper
 
 __all__ = ["Tone", "Bump", "SpectrumSpec", "grid_size", "sample_grid",
-           "epsilon1", "select_nu", "exact_etaP", "spectrum_to_dict",
-           "spectrum_from_dict", "save_spectrum", "load_spectrum"]
+           "epsilon1", "select_nu", "exact_etaP", "spectrum_from_dict",
+           "load_spectrum"]
 
 # Gauss-Legendre nodes per panel of the bump quadrature rule
 _GL_ORDER = 48
@@ -300,17 +300,6 @@ def exact_etaP(spec: SpectrumSpec, omega_gap: float, d: int, t: float):
     return ((p * v) @ (amp * np.exp(1j * om * t))).real
 
 
-def spectrum_to_dict(spec: SpectrumSpec) -> dict:
-    out = {"omega_gap": spec.omega_gap, "kind": spec.kind}
-    if spec.kind == "tones":
-        out["tones"] = [{"omega": t.omega, "re": t.amplitude.real,
-                         "im": t.amplitude.imag} for t in spec.tones]
-    else:
-        out["bumps"] = [{"center": b.center, "half_width": b.half_width,
-                         "amplitude": b.amplitude} for b in spec.bumps]
-    return out
-
-
 def spectrum_from_dict(data: dict) -> SpectrumSpec:
     kind = data["kind"]
     gap = float(data["omega_gap"])
@@ -323,12 +312,6 @@ def spectrum_from_dict(data: dict) -> SpectrumSpec:
             gap, [(b["center"], b["half_width"], b["amplitude"])
                   for b in data.get("bumps", [])])
     raise ValueError(f"unknown spectrum kind {kind!r}")
-
-
-def save_spectrum(spec: SpectrumSpec, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(spectrum_to_dict(spec), fh, indent=2)
-        fh.write("\n")
 
 
 def load_spectrum(path) -> SpectrumSpec:

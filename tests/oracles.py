@@ -1,5 +1,6 @@
 """Reference oracles for the spectral integrals of gap_predict.signal and
-the certified sup error of gap_predict.approx.
+the certified sup error of gap_predict.approx, and the spectrum and
+approximant writers the tests build their inputs with.
 
 Each bump integral is evaluated by scipy's adaptive QUADPACK at absolute
 tolerance 1e-10, one point at a time, independently of the package's fixed
@@ -8,8 +9,10 @@ error of an approximant is recomputed on the full frequency grid in complex
 arithmetic.
 """
 
+import json
+
 import numpy as np
-from numpy.polynomial.chebyshev import chebder, chebval, chebvander
+from numpy.polynomial.chebyshev import chebder, chebval, chebvander, poly2cheb
 from scipy.integrate import quad
 
 from gap_predict.signal import _bump_profile
@@ -170,3 +173,37 @@ def certified_sup_error(T, omega_gap, taper, c, fit_nodes, dense_factor):
         tail = min(tail, slope * s_min + s_min ** 2 * (np.abs(c) @ j ** 2)
                    / (1.0 - s_min ** 2) ** 1.5)
     return max(float(err.max()), float(tail + eval_taper(taper, w_max)))
+
+
+def spectrum_to_dict(spec):
+    """The JSON form gap_predict.signal.spectrum_from_dict reads."""
+    out = {"omega_gap": spec.omega_gap, "kind": spec.kind}
+    if spec.kind == "tones":
+        out["tones"] = [{"omega": t.omega, "re": t.amplitude.real,
+                         "im": t.amplitude.imag} for t in spec.tones]
+    else:
+        out["bumps"] = [{"center": b.center, "half_width": b.half_width,
+                         "amplitude": b.amplitude} for b in spec.bumps]
+    return out
+
+
+def save_spectrum(spec, path):
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(spectrum_to_dict(spec), fh, indent=2)
+        fh.write("\n")
+
+
+def chebyshev_from_monomial(a, omega_gap):
+    """The c, c_0 = 0, of psi = sum_k a_k (i*w)^-k: with s = omega_gap/w,
+    (i*w)^-k = (-i s/omega_gap)^k, so psi = sum_k sigma_k p_k s^k,
+    p_k = a_k / (sigma_k omega_gap^k), sigma_k = (-1)^ceil(k/2) being the
+    real or imaginary unit's sign, and c is numpy's Chebyshev series of
+    the polynomial sum_k p_k s^k."""
+    k = np.arange(1, len(a) + 1)
+    sigma = (-1.0) ** ((k + 1) // 2)
+    c = poly2cheb(np.concatenate(([0.0], np.asarray(a, float)
+                                  / (sigma * float(omega_gap) ** k))))
+    # poly2cheb drops trailing zeros
+    c = np.pad(c, (0, len(a) + 1 - len(c)))
+    c[0] = 0.0
+    return c

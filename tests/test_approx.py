@@ -83,6 +83,15 @@ class TestChebyshevGrid:
         with pytest.raises(ValueError):
             _half_grid(-1.0, 8)
 
+    @pytest.mark.parametrize("gap", [0.0, np.inf, np.nan, 1e-320])
+    def test_refuses_a_gap_it_cannot_place(self, gap):
+        # every node of an infinite gap lies at infinity, and 1/1e-320
+        # overflows, so that grid would hold w = 0
+        with pytest.raises(ValueError, match="omega_gap must be finite and "
+                                             "positive with a finite "
+                                             f"reciprocal, got {gap!r}"):
+            _half_grid(gap, 8)
+
 
 class TestFitParityLs:
     def test_tiny_horizon_kills_sine_part(self):
@@ -210,7 +219,8 @@ class TestSupError:
         assert eps2 == pytest.approx(float(eval_taper(GAUSS03, 1.0)), rel=1e-13)
 
     def test_regression_d16(self):
-        approx = fit_approximant(1.0, 1.0, GAUSS03, 16, fit_nodes=128)
+        approx = fit_approximant(1.0, 1.0, GAUSS03, 16)
+        assert approx.fit_nodes == 128
         eps2_8 = certify_sup_error(1.0, 1.0, GAUSS03, approx.c, 128, 8)
         assert eps2_8 == pytest.approx(EPS2_D16_REGRESSION, rel=1e-9)
 
@@ -329,21 +339,17 @@ class TestApproximant:
 
     @pytest.mark.parametrize("d", [6, 16])
     def test_loads_dict_carrying_parity_coefficients(self, d):
-        # files written before c was stored hold a alone; those written
-        # before the parity coefficients were dropped also carry gamma_c and
-        # gamma_s, and those written before the single certification density
-        # carry dense_factor; c is solved from a once, at load
+        # files written before the parity coefficients were dropped also
+        # carry gamma_c and gamma_s, and those written before the single
+        # certification density carry dense_factor; c is read as it is
         approx = fit_approximant(1.0, 1.0, GAUSS03, d)
-        a_only = {k: v for k, v in approximant_to_dict(approx).items()
-                  if k != "c"}
-        with_gammas = dict(a_only, gamma_c=[0.0] * d, gamma_s=[0.0] * d)
-        with_density = dict(a_only, dense_factor=8)
-        for old in (a_only, with_gammas, with_density):
+        data = approximant_to_dict(approx)
+        with_gammas = dict(data, gamma_c=[0.0] * d, gamma_s=[0.0] * d)
+        with_density = dict(data, dense_factor=8)
+        for old in (with_gammas, with_density):
             again = approximant_from_dict(json.loads(json.dumps(old)))
-            assert again.c[0] == 0.0
-            np.testing.assert_allclose(again.c, approx.c, rtol=0,
-                                       atol=1e-13)
-            np.testing.assert_allclose(again.a, approx.a, rtol=1e-12)
+            assert np.array_equal(again.c, approx.c)
+            assert np.array_equal(again.a, approx.a)
             assert again.eps2 == approx.eps2
 
     def test_default_nodes_rule(self):
@@ -356,6 +362,12 @@ class TestApproximant:
                         c=np.zeros(3), eps2=0.1, fit_nodes=64)
         with pytest.raises(ValueError, match="length d \\+ 1 = 3"):
             Approximant(T=1.0, omega_gap=1.0, taper=GAUSS03, d=2,
+                        c=np.zeros(2), eps2=0.1, fit_nodes=64)
+        # d = 1 leaves the even part without a basis function, as the fit
+        # refuses it
+        with pytest.raises(ValueError, match="d must be an integer >= 2, "
+                                             "got 1"):
+            Approximant(T=1.0, omega_gap=1.0, taper=GAUSS03, d=1,
                         c=np.zeros(2), eps2=0.1, fit_nodes=64)
 
     @pytest.mark.parametrize("field", ["T", "omega_gap", "eps2", "c"])

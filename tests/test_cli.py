@@ -14,10 +14,9 @@ from hypothesis import given, strategies as st
 
 from gap_predict import approx, cli, harness, signal
 from gap_predict.cli import _CSV_BLOCK_ROWS, _write_csv, main
-from gap_predict.signal import (SpectrumSpec, load_spectrum, save_spectrum,
-                                spectrum_to_dict)
+from gap_predict.signal import SpectrumSpec, load_spectrum
 
-from oracles import sample
+from oracles import sample, save_spectrum, spectrum_to_dict
 
 CONFIG_DIR = os.path.abspath(
     os.path.join(os.path.dirname(__file__), "..", "configs"))
@@ -74,33 +73,54 @@ class TestApproxCommand:
         out = tmp_path / "ap.json"
         result = invoke(runner, ["approx", "--T", "1.0", "--omega", "1.0",
                                  "--taper", "gaussian", "--nu", "0.3",
-                                 "--d", "6", "--nodes", "96",
-                                 "--out", str(out)])
+                                 "--d", "6", "--out", str(out)])
         assert result.exit_code == 0 and out.exists()
-        assert json.loads(out.read_text())["fit_nodes"] == 96
+        # the fit grid follows d: max(8d, 64) nodes
+        assert json.loads(out.read_text())["fit_nodes"] == 64
         result = invoke(runner, ["approx", "--T", "1.0", "--omega", "1.0",
                                  "--taper", "gaussian", "--nu", "1.7",
                                  "--d", "6"])
         assert result.exit_code != 0
 
-    @pytest.mark.parametrize("nodes, degree, size", [
-        # a certification grid of 16 * 2097152 + 1 = 2^25 + 1 nodes
-        ("2097153", "8", 33554433),
-        # the default 8d = 23176 nodes and a fit matrix of 11588 half-grid
-        # rows x 2898 Chebyshev columns
-        (None, "2897", 33582024)])
+    @pytest.mark.parametrize("degree, what", [
+        # the 8d = 23168 fit nodes give a fit matrix of 11584 half-grid rows
+        # x 2897 Chebyshev columns, 33558848 entries
+        ("2896", "d=2896: the fit matrix of 11584 x 2897 entries"),
+        # a certification grid of 16 * (8d - 1) + 1 nodes
+        ("262145", "d=262145: the certification grid of 33554545 nodes")])
     def test_refuses_a_fit_too_large_to_make(self, runner, monkeypatch,
-                                             nodes, degree, size):
+                                             degree, what):
         def no_grid(omega_gap, n):
             raise AssertionError(f"built a grid of {n} nodes")
 
         monkeypatch.setattr(approx, "_half_grid", no_grid)
-        args = ["approx", "--T", "1.0", "--omega", "1.0", "--taper",
-                "gaussian", "--nu", "0.3", "--d", degree]
-        result = invoke(runner, args + (["--nodes", nodes] if nodes else []))
+        result = invoke(runner, ["approx", "--T", "1.0", "--omega", "1.0",
+                                 "--taper", "gaussian", "--nu", "0.3",
+                                 "--d", degree])
         assert result.exit_code == 1
-        assert (f"Error: a grid of {size} samples is over the limit of "
-                "2^25 = 33554432") in result.output
+        assert (f"Error: {what} is over the limit of 2^25 = 33554432"
+                in result.output)
+
+    def test_has_no_nodes_option(self, runner):
+        # the fit grid follows d
+        result = invoke(runner, ["approx", "--T", "1.0", "--omega", "1.0",
+                                 "--taper", "gaussian", "--nu", "0.3",
+                                 "--d", "8", "--nodes", "96"])
+        assert result.exit_code == 2
+        assert "No such option" in result.output and "--nodes" in result.output
+
+    @pytest.mark.parametrize("omega", ["inf", "1e-320", "nan", "0", "-1"])
+    def test_refuses_a_gap_it_cannot_place(self, runner, tmp_path, omega):
+        # no fit grid can be placed for these gaps
+        out = tmp_path / "ap.json"
+        result = invoke(runner, ["approx", "--T", "1.0", "--omega", omega,
+                                 "--taper", "gaussian", "--nu", "0.3",
+                                 "--d", "8", "--out", str(out)])
+        assert result.exit_code == 1
+        assert ("Error: omega_gap must be finite and positive with a finite "
+                f"reciprocal, got {float(omega)!r}") in result.output
+        assert "Traceback" not in result.output
+        assert not out.exists()
 
 
 class TestStartsWithoutScipy:
@@ -555,6 +575,35 @@ class TestPredictPipeline:
         assert "Traceback" not in result.output
         assert not out.exists()
 
+    @pytest.mark.parametrize("layout", ["without_c", "degree_1"])
+    @pytest.mark.parametrize("command", ["predict", "fit-eta"])
+    def test_refuses_an_approximant_it_cannot_realize(self, runner, workspace,
+                                                      command, layout):
+        # a file that holds a alone (c is the approximant, a only its
+        # monomial view), or one of degree 1, whose fit-eta wrote an
+        # extrapolation of NaN, is refused by its name
+        tmp_path, approx_path, samples_path = workspace
+        data = json.loads(approx_path.read_text())
+        if layout == "without_c":
+            del data["c"]
+        else:
+            data.update(d=1, c=data["c"][:2], a=data["a"][:1])
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        out = tmp_path / "out"
+        samples = ["--samples", str(samples_path)]
+        args = {"predict": ["--mode", "eta"],
+                "fit-eta": ["--t1", "0", "--theta", "8", "--dbar", "1"]}
+        result = invoke(runner, [command, "--approx", str(bad), *samples,
+                                 *args[command], "--out", str(out)])
+        assert result.exit_code == 1
+        assert f"Error: {bad} is not an approximant file (" in result.output
+        assert ("KeyError: 'c'" if layout == "without_c"
+                else "degree d must be an integer >= 2, got 1") \
+            in result.output
+        assert "Traceback" not in result.output
+        assert not out.exists()
+
     @pytest.mark.parametrize("dbar", [7000, 6902])
     def test_fit_eta_refuses_a_dbar_over_the_fit_span(self, runner,
                                                       workspace, dbar):
@@ -923,17 +972,14 @@ class TestRejectsNonFinite:
         assert "must be finite" in result.output
         assert not out.exists()
 
-    @pytest.mark.parametrize("field", ["T", "c", "a"])
+    @pytest.mark.parametrize("field", ["T", "c"])
     def test_predict_approximant_file(self, runner, files, field):
-        # "a": a file holding a alone, whose c is solved from it
         _, approx_path, samples_path = files
         data = json.loads(approx_path.read_text())
         if field == "T":
             data["T"] = float("nan")
         else:
             data[field][2] = float("nan")
-        if field == "a":
-            del data["c"]
         approx_path.write_text(json.dumps(data))  # writes NaN
         output = self.predict(runner, approx_path, samples_path, "eta")
         assert "must be finite" in output
@@ -1306,12 +1352,6 @@ class TestEvalCommand:
          "nu_list entry 2.0 is not a finite number in (0, 1]"),
         ("nu_list", [0.5, float("nan")],
          "nu_list entry nan is not a finite number in (0, 1]"),
-        ("fit_node_factor", "2", "fit_node_factor '2' is not an integer >= 4"),
-        ("fit_node_factor", 2.5, "fit_node_factor 2.5 is not an integer >= 4"),
-        ("fit_node_factor", True,
-         "fit_node_factor True is not an integer >= 4"),
-        ("fit_node_factor", 0, "fit_node_factor 0 is not an integer >= 4"),
-        ("fit_node_factor", 3, "fit_node_factor 3 is not an integer >= 4"),
         ("spec_files", "/abs/x.json",
          "spec_files must be a JSON list, got '/abs/x.json'"),
         ("d_list", "8", "d_list must be a JSON list, got '8'"),
@@ -1332,7 +1372,8 @@ class TestEvalCommand:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("key,value", [
-        ("fit_nodes", 64), ("dense_factor", 8), ("history_length", 10.0),
+        ("fit_nodes", 64), ("fit_node_factor", 8), ("dense_factor", 8),
+        ("history_length", 10.0),
         ("quadrature_step", 1e-3), ("fit_dbar_factor", 2),
         ("out_dir", "reports")])
     def test_removed_setting_exits_2(self, runner, tmp_path, key, value):

@@ -13,8 +13,9 @@ from gap_predict.harness import (ErrorRow, ExperimentConfig,
                                  write_reports)
 from gap_predict.predictor import (_sample_index, eta_sum,
                                    iterated_integrals)
-from gap_predict.signal import (SpectrumSpec, exact_etaP, sample_grid,
-                                save_spectrum)
+from gap_predict.signal import SpectrumSpec, exact_etaP, sample_grid
+
+from oracles import save_spectrum
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -91,21 +92,11 @@ class TestConfig:
         assert str(info.value) == \
             f"nu_list entry {shown} is not a finite number in (0, 1]"
 
-    @pytest.mark.parametrize("factor", ["2", 2.5, True, 0, 3, 4.0])
-    def test_rejects_node_factors_it_cannot_run(self, tmp_path, factor):
-        spec_path = tmp_path / "s.json"
-        save_spectrum(SpectrumSpec.from_tones(1.0, [(2.0, 1.0)]), spec_path)
-        with pytest.raises(ValueError) as info:
-            small_config(spec_path, fit_node_factor=factor)
-        assert str(info.value) == \
-            f"fit_node_factor {factor!r} is not an integer >= 4"
-
     def test_accepts_numpy_degrees_and_unit_scale(self, tmp_path):
         spec_path = tmp_path / "s.json"
         save_spectrum(SpectrumSpec.from_tones(1.0, [(2.0, 1.0)]), spec_path)
         config = small_config(spec_path, d_list=(np.int64(2), 4),
-                              nu_list=(1.0, np.float64(0.5)),
-                              fit_node_factor=np.int64(4))
+                              nu_list=(1.0, np.float64(0.5)))
         assert config.d_list == (2, 4)
 
     @pytest.mark.parametrize("name", ["T", "omega_gap", "t_start", "t_end",
@@ -231,9 +222,9 @@ class TestRunSweep:
         assert row.passed
 
     def test_refuses_a_fit_too_large_to_make(self, tmp_path, monkeypatch):
-        # fit_node_factor 262145 at d = 8 is 2097160 fit nodes and a
-        # certification grid of 33554545 nodes, over the limit: the row
-        # records grid_size's refusal and no grid is built
+        # d = 2896 is 23168 fit nodes and a fit matrix of 11584 half-grid
+        # rows x 2897 Chebyshev columns, over the limit: the row records
+        # grid_size's refusal and no grid is built
         spec_path = tmp_path / "tone.json"
         save_spectrum(SpectrumSpec.from_tones(1.0, [(2.0, 0.5)]), spec_path)
 
@@ -241,11 +232,11 @@ class TestRunSweep:
             raise AssertionError(f"built a grid of {n} nodes")
 
         monkeypatch.setattr(approx, "_half_grid", no_grid)
-        rows = run_sweep(small_config(spec_path, d_list=(8,),
-                                      nu_list=(0.5,), fit_node_factor=262145))
+        rows = run_sweep(small_config(spec_path, d_list=(2896,),
+                                      nu_list=(0.5,)))
         assert [row.error for row in rows] == [
-            "ValueError: a grid of 33554545 samples is over the limit of "
-            "2^25 = 33554432"]
+            "ValueError: d=2896: the fit matrix of 11584 x 2897 entries is "
+            "over the limit of 2^25 = 33554432"]
         assert not rows[0].passed
 
     def test_refuses_a_record_too_long_to_make(self, tmp_path, monkeypatch):

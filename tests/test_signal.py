@@ -6,12 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 from gap_predict import signal
 from gap_predict.signal import (Bump, SpectrumSpec, Tone, epsilon1, exact_etaP,
-                                sample_grid, spectrum_from_dict,
-                                spectrum_to_dict, select_nu)
+                                sample_grid, spectrum_from_dict, select_nu)
 from gap_predict.taper import TaperSpec
 
 import oracles
-from oracles import bump_density, l1_budget, sample
+from oracles import bump_density, l1_budget, sample, spectrum_to_dict
 
 # frozen oracle values for the bump {center=2, half_width=0.5, amp=1},
 # computed with an independent high-order Gauss-Legendre panel rule
