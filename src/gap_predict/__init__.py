@@ -5,8 +5,8 @@ from .approx import (Approximant, fit_parity_ls, eval_psi, certify_sup_error,
                      fit_approximant, load_approximant, save_approximant)
 from .signal import (SpectrumSpec, Tone, Bump, sample_grid, epsilon1,
                      select_nu, exact_etaP, load_spectrum)
-from .predictor import (kernel_eval, predict_convolution, iterated_integrals,
-                        eta_sum, EtaFit, fit_eta)
+from .predictor import (predict_convolution, iterated_integrals, eta_sum,
+                        EtaFit, fit_eta)
 from .harness import ExperimentConfig, ErrorRow, run_sweep, write_reports
 
 __version__ = "0.1.0"

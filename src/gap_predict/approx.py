@@ -14,9 +14,9 @@ and |T_j(s)| <= 1 on the spectrum, so nothing cancels.  The fit is a
 parity-constrained least squares in those columns on the w > 0 half of a
 sign-symmetric Chebyshev grid in u = 1/w.  The monomial
 coefficients of v^k, a_k = sigma_k omega_gap^k (c @ M)_k for the monomial
-matrix M of the T_j, are a derived view (Approximant.a) for the
-convolution kernel and the JSON file; their terms grow like 2^k, so a loses
-digits past d ~ 40 where c does not.
+matrix M of the T_j, are a derived view (Approximant.a) written to the JSON
+file for its readers; no realization reads them.  Their terms grow
+like 2^k, so a loses digits past d ~ 40 where c does not.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import numpy as np
 from .signal import grid_size
 from .taper import TaperSpec, eval_taper, taper_from_dict, taper_to_dict
 
-__all__ = ["Approximant", "CERT_DENSITY", "fit_parity_ls",
+__all__ = ["Approximant", "CERT_DENSITY", "check_gap", "fit_parity_ls",
            "eval_psi", "certify_sup_error", "fit_approximant",
            "approximant_to_dict", "approximant_from_dict", "save_approximant",
            "load_approximant"]
@@ -81,16 +81,21 @@ class Approximant:
 CERT_DENSITY = 16
 
 
+def check_gap(omega_gap) -> None:
+    """Refuse a gap that is not finite and positive or whose 1/gap overflows."""
+    # written so that NaN fails: every comparison with NaN is false
+    if not (0.0 < omega_gap < np.inf and 1.0 / float(omega_gap) < np.inf):
+        raise ValueError(f"omega_gap must be finite and positive with a "
+                         f"finite reciprocal, got {omega_gap!r}")
+
+
 def _half_grid(omega_gap: float, n: int) -> np.ndarray:
     # w = 1/u, ascending, for the u > 0 half of the n Chebyshev (extreme)
     # points u of [-1/omega_gap, 1/omega_gap], by the sine identity; the
     # u = 0 node of an odd n is dropped
     if n < 2:
         raise ValueError(f"need at least 2 nodes, got {n}")
-    # written so that NaN fails: every comparison with NaN is false
-    if not (0.0 < omega_gap < np.inf and 1.0 / float(omega_gap) < np.inf):
-        raise ValueError(f"omega_gap must be finite and positive with a "
-                         f"finite reciprocal, got {omega_gap!r}")
+    check_gap(omega_gap)
     j = np.arange(n - 1, 0, -2)
     return 1.0 / (np.sin(0.5 * np.pi * j / (n - 1)) / omega_gap)
 

@@ -41,7 +41,7 @@ from typing import Optional
 
 import numpy as np
 
-from .approx import CERT_DENSITY, fit_approximant
+from .approx import CERT_DENSITY, check_gap, fit_approximant
 from .predictor import eta_sum, iterated_integrals
 from .signal import (SpectrumSpec, epsilon1, exact_etaP, grid_size,
                      load_spectrum, sample_grid, select_nu)
@@ -84,8 +84,9 @@ class ExperimentConfig:
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise ValueError(f"{name} must be finite")
-        if self.T <= 0 or self.omega_gap <= 0:
-            raise ValueError("T and omega_gap must be positive")
+        if self.T <= 0:
+            raise ValueError("T must be positive")
+        check_gap(self.omega_gap)
         if not self.spec_files:
             raise ValueError("spec_files must be nonempty")
         if not self.d_list:

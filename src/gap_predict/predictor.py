@@ -1,9 +1,9 @@
 """Time-domain realizations of the gap-signal predictor psi (see approx).
 
-* Polynomial-kernel convolution over a truncated history window, at every
-  sample with a full window, with the kernel K(t) = sum_k a_k t^(k-1)/(k-1)!
-  of the monomial view a, for signals that decay into the past.  K grows
-  factorially with the lag, so this form is a demonstration for small d.
+* Convolution over a truncated history window, at every sample with a full
+  window, for signals that decay into the past; its kernel
+  K(t) = sum_k a_k t^(k-1)/(k-1)! is the recurrence's impulse response.  K
+  grows like t^(d-1)/(d-1)!, so this form is a demonstration for small d.
 * The recurrence in time.  v = 1/(i*w) is the antiderivative, so the levels
   y_0 = x, y_1 = omega_gap (etaP_0 + int_{t1}^t y_0) and
   y_{j+1} = 2 omega_gap (etaP_j + int_{t1}^t y_j) + y_{j-1} are P_j(v)
@@ -25,30 +25,14 @@ import numpy as np
 from .approx import Approximant
 from .signal import grid_size
 
-__all__ = ["kernel_eval", "predict_convolution", "iterated_integrals",
-           "eta_sum", "EtaFit", "fit_eta"]
+__all__ = ["predict_convolution", "iterated_integrals", "eta_sum", "EtaFit",
+           "fit_eta"]
 
 COND_FLAG_THRESHOLD = 1e12
 # Gregory's first two increments per unit step from y_0..y_3, then from
 # y_0..y_2 on three samples; the first row is also every later one's kernel
 _GREGORY = np.array([[9.0, 19.0, -5.0, 1.0], [-1.0, 13.0, 13.0, -1.0],
                      [10.0, 16.0, -2.0, 0.0], [-2.0, 16.0, 10.0, 0.0]]) / 24.0
-
-
-def kernel_eval(a, t):
-    """K(t) = sum_{k=1}^d a_k t^(k-1)/(k-1)! for t >= 0 (scalar or array)."""
-    a = np.asarray(a, dtype=float)
-    t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr < 0):
-        raise ValueError("kernel is evaluated for nonnegative lags only")
-    acc = np.full_like(t_arr, a[0] if len(a) else 0.0)
-    term = np.ones_like(t_arr)
-    for k in range(2, len(a) + 1):
-        term = term * (t_arr / (k - 1))
-        acc = acc + a[k - 1] * term
-    if np.ndim(t) == 0:
-        return float(acc)
-    return acc
 
 
 def _uniform_step(times):
@@ -108,9 +92,10 @@ def predict_convolution(approx: Approximant, times, values,
 
     history_length L defaults to 10*T; it must be finite and is rejected
     below that guard, since the truncated convolution is meaningless with
-    less history.  The kernel is evaluated and Simpson-weighted once, and
-    every output comes from one real-FFT correlation of that weighted kernel
-    with the whole record: O(n log n) for n samples.
+    less history.  The kernel, the recurrence's impulse response, is realized
+    on the lags and Simpson-weighted once, and every output comes from one
+    real-FFT correlation of that weighted kernel with the whole record:
+    O(n log n) for n samples.
 
     The FFT's round-off scales with the largest window in the record, not
     with each output's own: the error of every output is within about
@@ -136,7 +121,10 @@ def predict_convolution(approx: Approximant, times, values,
     m = len(values)
     if n_lag >= m:
         raise ValueError(f"record too short for history_length={L}")
-    K = kernel_eval(approx.a, h * np.arange(n_lag, -1, -1))
+    # an impulse puts a unit constant on every even level: K = sum_{l even} R_l
+    w = approx.weights
+    g = 2.0 * np.array([w[k::2].sum() for k in range(1, approx.d + 1)]) - w[1:]
+    K = (g @ _unit_response(approx, h * np.arange(n_lag + 1)))[::-1]
     wK = _simpson_weights(n_lag + 1, h) * K
     # the correlation of the record with wK is its convolution with wK
     # reversed; a circular one of length >= m wraps only into the first
@@ -199,6 +187,12 @@ def iterated_integrals(times, values, d: int, omega_gap: float,
     return z
 
 
+def _unit_response(approx: Approximant, times) -> np.ndarray:
+    # U_1..U_d: the levels of a zero record with a unit etaP_0 (fit_eta)
+    return iterated_integrals(times, np.zeros(len(times)), approx.d,
+                              approx.omega_gap, np.eye(approx.d)[0])[1:]
+
+
 def eta_sum(approx: Approximant, levels) -> np.ndarray:
     """The prediction sum_j sigma_j c_j z_j from levels to degree >= d (the
     first d + 1 rows are used), at whatever sample times they were taken:
@@ -236,8 +230,7 @@ def fit_eta(approx: Approximant, times, values, idx, zeta) -> EtaFit:
     weights = approx.weights
     rhs = zeta - weights @ iterated_integrals(times, values, d, omega,
                                               np.zeros(d))[:, idx]
-    U = iterated_integrals(times, np.zeros(len(times)), d, omega,
-                           np.eye(d)[0])[1:, idx]
+    U = _unit_response(approx, times)[:, idx]
     M = np.stack([weights[l + 1:] @ U[:d - l] for l in range(d)], axis=1)
     M[:, 1:] *= 2.0
 

@@ -10,6 +10,7 @@ arithmetic.
 """
 
 import json
+import math
 
 import numpy as np
 from numpy.polynomial.chebyshev import chebder, chebval, chebvander, poly2cheb
@@ -207,3 +208,10 @@ def chebyshev_from_monomial(a, omega_gap):
     c = np.pad(c, (0, len(a) + 1 - len(c)))
     c[0] = 0.0
     return c
+
+
+def monomial_kernel(a, t):
+    """K(t) = sum_k a_k t^(k-1)/(k-1)!, t >= 0: the inverse Laplace
+    transform of psi = sum_k a_k (i*w)^-k, the convolution's kernel."""
+    t = np.asarray(t, dtype=float)
+    return sum(a_k * t ** k / math.factorial(k) for k, a_k in enumerate(a))

@@ -1356,7 +1356,9 @@ class TestEvalCommand:
          "spec_files must be a JSON list, got '/abs/x.json'"),
         ("d_list", "8", "d_list must be a JSON list, got '8'"),
         ("nu_list", 0.3, "nu_list must be a JSON list, got 0.3"),
-        ("modes", "eta", "modes must be a JSON list, got 'eta'")])
+        ("modes", "eta", "modes must be a JSON list, got 'eta'"),
+        ("omega_gap", 1e-320, "omega_gap must be finite and positive with a "
+         "finite reciprocal, got 1e-320")])
     def test_unrunnable_sweep_entry_exits_2(self, runner, tmp_path, key,
                                             value, message):
         with open(os.path.join(CONFIG_DIR, "demo.json")) as fh:

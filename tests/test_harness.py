@@ -92,6 +92,18 @@ class TestConfig:
         assert str(info.value) == \
             f"nu_list entry {shown} is not a finite number in (0, 1]"
 
+    @pytest.mark.parametrize("gap", [1e-320, 0.0, -1.0])
+    def test_rejects_gaps_the_fit_grid_cannot_place(self, tmp_path, gap):
+        # the fit grid's own check: a gap whose reciprocal overflows is a
+        # configuration error, not an error on every row
+        spec_path = tmp_path / "s.json"
+        save_spectrum(SpectrumSpec.from_tones(1.0, [(2.0, 1.0)]), spec_path)
+        with pytest.raises(ValueError) as info:
+            small_config(spec_path, omega_gap=gap)
+        assert str(info.value) == (
+            f"omega_gap must be finite and positive with a finite "
+            f"reciprocal, got {gap!r}")
+
     def test_accepts_numpy_degrees_and_unit_scale(self, tmp_path):
         spec_path = tmp_path / "s.json"
         save_spectrum(SpectrumSpec.from_tones(1.0, [(2.0, 1.0)]), spec_path)
