@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .signal import grid_size
+from .signal import _chebyshev, grid_size
 from .taper import TaperSpec, eval_taper, taper_from_dict, taper_to_dict
 
 __all__ = ["Approximant", "CERT_DENSITY", "check_gap", "fit_parity_ls",
@@ -49,10 +49,11 @@ class Approximant:
     fit_nodes: int
 
     def __post_init__(self):
-        if not np.all(np.isfinite([self.T, self.omega_gap, self.eps2])):
-            raise ValueError("T, omega_gap and eps2 must be finite")
-        if self.T <= 0 or self.omega_gap <= 0:
-            raise ValueError("T and omega_gap must be positive")
+        if not np.all(np.isfinite([self.T, self.eps2])):
+            raise ValueError("T and eps2 must be finite")
+        if self.T <= 0:
+            raise ValueError("T must be positive")
+        check_gap(self.omega_gap)
         if self.d < 2:
             # d = 1 leaves the even part with no basis function
             raise ValueError(f"degree d must be an integer >= 2, got {self.d}")
@@ -79,6 +80,8 @@ class Approximant:
 
 # certification grid density, in multiples of the fit grid's node spacing
 CERT_DENSITY = 16
+# basis entries eval_psi builds at a time
+_EVAL_BLOCK = 1 << 20
 
 
 def check_gap(omega_gap) -> None:
@@ -98,17 +101,6 @@ def _half_grid(omega_gap: float, n: int) -> np.ndarray:
     check_gap(omega_gap)
     j = np.arange(n - 1, 0, -2)
     return 1.0 / (np.sin(0.5 * np.pi * j / (n - 1)) / omega_gap)
-
-
-def _chebyshev(s, d: int) -> np.ndarray:
-    # T_0(s), ..., T_d(s) by the three-term recurrence, one row per degree
-    t = np.empty((d + 1, len(s)))
-    t[0], t[1] = 1.0, s
-    two_s = 2.0 * s
-    for j in range(1, d):
-        np.multiply(two_s, t[j], out=t[j + 1])
-        t[j + 1] -= t[j - 1]
-    return t
 
 
 def _monomials(d: int) -> np.ndarray:
@@ -163,30 +155,27 @@ def fit_parity_ls(T: float, taper: TaperSpec, omega_gap: float, d: int,
 
 def eval_psi(c, omega_gap: float, omega):
     """psi(i*omega) for a scalar or array omega != 0, in reals on
-    s = omega_gap/omega: the even and the odd series by Clenshaw's
-    recurrence in t = T_2(s), T_2m(s) = T_m(t) and T_2m+1(s) = s V_m(t)
-    (V_0 = 1, V_1 = 2t - 1), less sum_m c_2m T_2m(0) = (-1)^m c_2m."""
+    s = omega_gap/omega: Re psi = sum_{even j} c_j T_j(s) less
+    sum_m c_2m T_2m(0) = (-1)^m c_2m, and Im psi = sum_{odd j} c_j T_j(s),
+    from the rows T_0(s)..T_d(s) that the fit's columns come from.  The rows
+    are built for a block of at most _EVAL_BLOCK / (d + 1) nodes at a time
+    (64 at the least), so memory stays flat in d and in the node count."""
     om = np.asarray(omega, dtype=float)
     if np.any(om == 0.0):
         raise ValueError("psi has a pole at omega = 0")
     c = np.asarray(c, dtype=float)
-    s = omega_gap / om
-    t = 2.0 * s * s - 1.0
-    two_t, clenshaw = 2.0 * t, []
-    for series in (c[0::2], c[1::2]):
-        b0, b1, b2 = np.empty(om.shape), np.zeros(om.shape), np.zeros(om.shape)
-        for coeff in series[:0:-1]:
-            np.multiply(two_t, b1, out=b0)
-            b0 -= b2
-            b0 += coeff
-            b0, b1, b2 = b2, b0, b1
-        clenshaw.append((b1, b2))
-    (e1, e2), (o1, o2) = clenshaw
-    # c_0 (T_0 - T_0(0)) = 0 is left out of the even series
-    even = t * e1 - e2 - c[2::2] @ (-1.0) ** np.arange(1, len(c[2::2]) + 1)
-    odd = s * ((c[1] if len(c) > 1 else 0.0) + (two_t - 1.0) * o1 - o2)
-    psi = even + 1j * odd
-    return complex(psi) if np.ndim(omega) == 0 else psi
+    s = (omega_gap / om).ravel()
+    even, odd = c[0::2], c[1::2]
+    at_zero = even @ (-1.0) ** np.arange(len(even))
+    psi = np.empty(s.size, dtype=complex)
+    # blocks of a multiple of 64 nodes put their seams on the vector lanes of
+    # the products below, whose sums then equal one block's bit for bit
+    step = max(64, _EVAL_BLOCK // len(c) & -64)
+    for i in range(0, s.size, step):
+        rows = _chebyshev(s[i:i + step], len(c) - 1)
+        psi.real[i:i + step] = even @ rows[0::2] - at_zero
+        psi.imag[i:i + step] = odd @ rows[1::2]
+    return complex(psi[0]) if np.ndim(omega) == 0 else psi.reshape(om.shape)
 
 
 def certify_sup_error(T: float, omega_gap: float, taper: TaperSpec, c,

@@ -6,9 +6,10 @@ fit-eta), and drive reproducible sweep experiments (eval).
 
 CSV output writes every value as '%.17g' does, byte for byte, but formats
 whole arrays at a time: digits from a double-double product, the %g layout
-as a byte matrix, rows in fixed-size blocks.  A row with a value that path
-cannot certify (NaN, infinities, subnormals, magnitudes outside
-[1e-250, 1e250], possible decimal ties) is formatted by '%.17g' itself.
+as a byte matrix, rows in fixed-size blocks.  A block with a value that
+path cannot certify (NaN, infinities, subnormals, magnitudes outside
+[1e-250, 1e250], possible decimal ties, a decade that floor(log10) misses,
+17 digits that carry to 10^17) is formatted by '%.17g' itself, whole.
 
 CSV input is its inverse: sample files read as np.loadtxt reads them, bit
 for bit, parsed on whole arrays in blocks of rows.  The fields' integer
@@ -127,36 +128,23 @@ def _scaled(a, p, a_lo=None):
     return r, s
 
 
-def _decade_step(s, t):
-    # +1 where s + t >= 10^17, -1 where s + t < 10^16, else 0
-    return (((s > 1e17) | ((s == 1e17) & (t >= 0))).astype(np.int64)
-            - ((s < 1e16) | ((s == 1e16) & (t < 0))))
-
-
 def _decimal17(v):
     """(ok, D, e) for a float64 array: |v| rounds to D * 10^(e - 16) with
     10^16 <= D < 10^17 (D = e = 0 for a zero), exactly as '%.17g' rounds it,
     wherever ok; elsewhere (NaN, inf, subnormal, |v| outside _FAST_RANGE, a
-    possible tie) the caller falls back to '%.17g'."""
+    possible tie, a decade that floor(log10|v|) misses, digits that carry to
+    10^17) the caller falls back to '%.17g'."""
     a = np.abs(v)
     ok = (a >= _FAST_RANGE[0]) & (a <= _FAST_RANGE[1])
     a = np.where(ok, a, 1.0)
     e = np.floor(np.log10(a)).astype(np.int64)
     s, t = _scaled(a, 16 - e)
-    # the decade is decided on the unrounded product: a value just below a
-    # power of ten must not take the exponent of its rounded digits
-    step = _decade_step(s, t)
-    moved = np.flatnonzero(step)
-    if moved.size:
-        e[moved] += step[moved]
-        s[moved], t[moved] = _scaled(a[moved], 16 - e[moved])
-        ok &= _decade_step(s, t) == 0
     k = np.rint(t)
-    ok &= np.abs(np.abs(t - k) - 0.5) > _TIE_MARGIN
     D = s.astype(np.int64) + k.astype(np.int64)
-    carry = D == 10 ** 17
-    D[carry] = 10 ** 16
-    e += carry
+    # the decade is e where the unrounded product is at least 10^16 and its
+    # rounded digits stay below 10^17
+    ok &= ((np.abs(np.abs(t - k) - 0.5) > _TIE_MARGIN) & (D < 10 ** 17)
+           & ((s > 1e16) | ((s == 1e16) & (t >= 0))))
     zero = v == 0
     D[zero] = e[zero] = 0
     return ok | zero, D, e
@@ -165,12 +153,15 @@ def _decimal17(v):
 def _format_rows(block):
     """The bytes '%.17g' writes for each row of a 2-D float64 block, values
     separated by commas and rows ended by newlines, computed on whole
-    arrays; a row with a value _decimal17 cannot certify goes through the
-    '%.17g' template itself."""
+    arrays; a block with a value _decimal17 cannot certify goes through the
+    '%.17g' template whole."""
     rows, cols = block.shape
     v = block.ravel()
     with np.errstate(all="ignore"):
         ok, D, e = _decimal17(v)
+    if not ok.all():
+        return ((",".join(["%.17g"] * cols) + "\n") * rows
+                % tuple(v.tolist())).encode()
     # digit k of D in row k + 1, between rows of zeros
     digits = np.zeros((19, v.size), dtype=np.uint8)
     # D in halves below 10^9, so the divisions run on uint32
@@ -220,24 +211,9 @@ def _format_rows(block):
     chars[-1] = ord(",")
     chars[-1, cols - 1::cols] = ord("\n")
 
-    # value-major, each row of the block in one row of slots
-    chars = np.ascontiguousarray(chars.T).reshape(rows, cols * _SLOTS)
-    flat = chars.ravel()
-    bad = np.flatnonzero(~ok.reshape(rows, cols).all(axis=1))
-    if not bad.size:
-        return flat[flat != 0].tobytes()
-    # the other rows' text, each templated row spliced in at its offset
-    chars[bad] = 0
-    starts = np.cumsum(np.count_nonzero(chars, axis=1))[bad]
-    text = flat[flat != 0].tobytes()
-    template = ",".join(["%.17g"] * cols) + "\n"
-    pieces, prev = [], 0
-    for i, start in zip(bad.tolist(), starts.tolist()):
-        pieces += [text[prev:start],
-                   (template % tuple(block[i].tolist())).encode()]
-        prev = start
-    pieces.append(text[prev:])
-    return b"".join(pieces)
+    # value-major: each value's slots in turn, so the block's rows in order
+    flat = np.ascontiguousarray(chars.T).ravel()
+    return flat[flat != 0].tobytes()
 
 
 def _write_csv(path, header, *columns):

@@ -115,10 +115,11 @@ def predict_convolution(approx: Approximant, times, values,
     values = np.asarray(values, dtype=float)
     if values.shape != np.shape(times):
         raise ValueError("times and values must have equal length")
-    n_lag = int(round(L / h))
+    m = len(values)
+    # L / h may overflow; a window of m lags or more is refused either way
+    n_lag = int(round(min(L / h, m)))
     if n_lag < 2:
         raise ValueError(f"history_length {L} spans fewer than 2 sample steps")
-    m = len(values)
     if n_lag >= m:
         raise ValueError(f"record too short for history_length={L}")
     # an impulse puts a unit constant on every even level: K = sum_{l even} R_l

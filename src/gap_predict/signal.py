@@ -192,6 +192,18 @@ def grid_size(n, what=None) -> int:
     return int(n)
 
 
+def _chebyshev(s, d: int) -> np.ndarray:
+    # T_0(s), ..., T_d(s) by the three-term recurrence, one row per degree;
+    # no rows for d = -1
+    t = np.empty((d + 1, len(s)))
+    t[:1], t[1:2] = 1.0, s
+    two_s = 2.0 * s
+    for j in range(1, d):
+        np.multiply(two_s, t[j], out=t[j + 1])
+        t[j + 1] -= t[j - 1]
+    return t
+
+
 def sample_grid(spec: SpectrumSpec, t0: float, dt: float,
                 n: int) -> np.ndarray:
     """x on the uniform grid t0 + i*dt, i = 0..n-1.
@@ -282,8 +294,10 @@ def exact_etaP(spec: SpectrumSpec, omega_gap: float, d: int, t: float):
     """The recurrence's constants at t, etaP_j = (D^-1 y_j)(t) for j < d,
     where y_j is x through P_j(v), v = 1/(i*w), of approx: closed form for
     tones, sum Re(A P_j(v) v e^{iwt}), and (1/pi) X(i*w) Re(P_j(v) v e^{iwt})
-    integrated with the bump rule for bumps.  |P_j(v)| <= 1 on the spectrum
-    and |v| <= 1/omega_gap, so no sum cancels."""
+    integrated with the bump rule for bumps.  On the spectrum
+    P_j(v) v = (-i)^(j+1) T_j(s) / w with s = omega_gap/w, so etaP_j is
+    Re[(-i)^(j+1) (T_j(s) @ (A e^{iwt} / w))], one row of T_j(s) per j.
+    |T_j(s)| <= 1 and 1/w <= 1/omega_gap there, so no sum cancels."""
     t = float(t)
     if spec.kind == "tones" or not spec.bumps:
         om = np.array([tone.omega for tone in spec.tones])
@@ -291,13 +305,8 @@ def exact_etaP(spec: SpectrumSpec, omega_gap: float, d: int, t: float):
     else:
         om, amp = _bump_rule(spec, abs(t))
         amp = amp / np.pi
-    v = 1.0 / (1j * om)
-    p = np.empty((d, len(om)), dtype=complex)
-    prev, cur = 0.0, np.ones_like(v)
-    for j in range(d):
-        p[j] = cur
-        prev, cur = cur, (2.0 if j else 1.0) * omega_gap * v * cur + prev
-    return ((p * v) @ (amp * np.exp(1j * om * t))).real
+    p = _chebyshev(omega_gap / om, d - 1) @ (amp * np.exp(1j * om * t) / om)
+    return (np.array([-1j, -1, 1j, 1])[np.arange(d) % 4] * p).real
 
 
 def spectrum_from_dict(data: dict) -> SpectrumSpec:

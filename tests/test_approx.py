@@ -167,6 +167,25 @@ class TestEvalPsi:
         ref = psi_by_complex_recurrence(c, omega_gap, omega)
         assert np.abs(eval_psi(c, omega_gap, omega) - ref).max() < 1e-13 * d
 
+    @pytest.mark.parametrize("d", [2, 9, 32, 96])
+    @pytest.mark.parametrize("nodes", [99, 201])
+    def test_node_blocks_equal_one_block(self, d, nodes, monkeypatch):
+        # the basis rows are built a block of nodes at a time, 64 or 192
+        # here; several blocks give one block's psi and certificate bit for
+        # bit
+        rng = np.random.default_rng(d)
+        c = random_c(d, rng)
+        fit_nodes = max(8 * d, 64)
+        w = _half_grid(1.0, CERT_DENSITY * (fit_nodes - 1) + 1)
+        w[::3] *= -1.0
+        psi = eval_psi(c, 1.0, w)
+        eps2 = certify_sup_error(1.0, 1.0, GAUSS03, c, fit_nodes)
+        monkeypatch.setattr("gap_predict.approx._EVAL_BLOCK", nodes * (d + 1))
+        assert w.size > 2 * nodes
+        assert np.array_equal(eval_psi(c, 1.0, w).view(np.int64),
+                              psi.view(np.int64))
+        assert certify_sup_error(1.0, 1.0, GAUSS03, c, fit_nodes) == eps2
+
     def test_rejects_pole(self):
         with pytest.raises(ValueError):
             eval_psi([0.0, 1.0], 1.0, 0.0)
@@ -369,6 +388,11 @@ class TestApproximant:
                                              "got 1"):
             Approximant(T=1.0, omega_gap=1.0, taper=GAUSS03, d=1,
                         c=np.zeros(2), eps2=0.1, fit_nodes=64)
+        # the fit's one gap rule: finite and positive is not enough when
+        # 1/gap overflows
+        with pytest.raises(ValueError, match="finite reciprocal, got 1e-320"):
+            Approximant(T=1.0, omega_gap=1e-320, taper=GAUSS03, d=2,
+                        c=np.zeros(3), eps2=0.1, fit_nodes=64)
 
     @pytest.mark.parametrize("field", ["T", "omega_gap", "eps2", "c"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])

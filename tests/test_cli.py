@@ -575,34 +575,45 @@ class TestPredictPipeline:
         assert "Traceback" not in result.output
         assert not out.exists()
 
-    @pytest.mark.parametrize("layout", ["without_c", "degree_1"])
+    @pytest.mark.parametrize("layout", ["without_c", "degree_1",
+                                        "gap_1e-320"])
     @pytest.mark.parametrize("command", ["predict", "fit-eta"])
     def test_refuses_an_approximant_it_cannot_realize(self, runner, workspace,
                                                       command, layout):
         # a file that holds a alone (c is the approximant, a only its
-        # monomial view), or one of degree 1, whose fit-eta wrote an
-        # extrapolation of NaN, is refused by its name
+        # monomial view), one of degree 1, whose fit-eta wrote an
+        # extrapolation of NaN, or one whose gap has an infinite reciprocal,
+        # which conv realized as ~1e-321 predictions, is refused by its name
+        # in every mode, with no warning
         tmp_path, approx_path, samples_path = workspace
         data = json.loads(approx_path.read_text())
         if layout == "without_c":
             del data["c"]
-        else:
+        elif layout == "degree_1":
             data.update(d=1, c=data["c"][:2], a=data["a"][:1])
+        else:
+            data["omega_gap"] = 1e-320
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(data))
         out = tmp_path / "out"
         samples = ["--samples", str(samples_path)]
-        args = {"predict": ["--mode", "eta"],
-                "fit-eta": ["--t1", "0", "--theta", "8", "--dbar", "1"]}
-        result = invoke(runner, [command, "--approx", str(bad), *samples,
-                                 *args[command], "--out", str(out)])
-        assert result.exit_code == 1
-        assert f"Error: {bad} is not an approximant file (" in result.output
-        assert ("KeyError: 'c'" if layout == "without_c"
-                else "degree d must be an integer >= 2, got 1") \
-            in result.output
-        assert "Traceback" not in result.output
-        assert not out.exists()
+        runs = {"predict": [["--mode", "eta"], ["--mode", "conv"]],
+                "fit-eta": [["--t1", "0", "--theta", "8", "--dbar", "1"]]}
+        for args in runs[command]:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                result = invoke(runner, [command, "--approx", str(bad),
+                                         *samples, *args, "--out", str(out)])
+            assert result.exit_code == 1
+            assert f"Error: {bad} is not an approximant file (" \
+                in result.output
+            assert {"without_c": "KeyError: 'c'",
+                    "degree_1": "degree d must be an integer >= 2, got 1",
+                    "gap_1e-320": "omega_gap must be finite and positive "
+                                  "with a finite reciprocal, got 1e-320"
+                    }[layout] in result.output
+            assert "Traceback" not in result.output
+            assert not out.exists()
 
     @pytest.mark.parametrize("dbar", [7000, 6902])
     def test_fit_eta_refuses_a_dbar_over_the_fit_span(self, runner,
@@ -736,38 +747,132 @@ def adversarial_values():
                            [np.nan, np.inf, -np.inf, -0.0]])
 
 
+def fast_path_verdicts(values):
+    """+1 where the vectorized writer must compute a value's '%.17g' digits
+    itself, -1 where it must fall back to the template and 0 in between,
+    decided in exact integer arithmetic.  With e = floor(log10|v|) as the
+    writer takes it and q = |v| 10^(16 - e), a value falls back for |v|
+    outside [1e-250, 1e250] (NaN and infinities among them), for q below
+    10^16 or at or above 10^17 - 1/2 (a decade that e misses, or digits
+    that carry into the next one) or within 1e-10 of a half-integer (a
+    possible tie), and is taken where q is more than 2e-9 from each bound."""
+    a = np.abs(np.asarray(values, dtype=float))
+    inside = (a >= 1e-250) & (a <= 1e250)
+    with np.errstate(all="ignore"):
+        powers = 16 - np.floor(np.log10(a[inside])).astype(int)
+    out = []
+    for x, p in zip(a[inside].tolist(), powers.tolist()):
+        num, den = x.as_integer_ratio()
+        num, den = (num * 10 ** p, den) if p >= 0 else (num, den * 10 ** -p)
+        # q - 10^16, 10^17 - 1/2 - q and the distance from q to a
+        # half-integer, each times 2 den
+        low, high, tie = (2 * (num - 10 ** 16 * den),
+                          (2 * 10 ** 17 - 1) * den - 2 * num,
+                          abs(2 * (num % den) - den))
+        if low < 0 or high <= 0 or tie * 10 ** 10 < 2 * den:
+            out.append(-1)
+        else:
+            out.append(1 if min(low, high, tie) * 10 ** 9 > 4 * den else 0)
+    verdicts = np.full(a.shape, -1)
+    verdicts[inside] = out
+    return verdicts
+
+
+def write_csv_fallbacks(path, header, *columns):
+    """_write_csv, and for each block whether it fell back to the template:
+    whether _decimal17 left a value of it uncertified."""
+    fell_back = []
+    certify = cli._decimal17
+
+    def recording(v):
+        ok, D, e = certify(v)
+        fell_back.append(not ok.all())
+        return ok, D, e
+
+    with mock.patch.object(cli, "_decimal17", recording):
+        _write_csv(path, header, *columns)
+    return fell_back
+
+
 class TestWriteCsv:
-    """_write_csv writes exactly the bytes of the '%.17g' template."""
+    """_write_csv writes exactly the bytes of the '%.17g' template, and
+    formats every block whose values its vectorized path must take without
+    the template."""
+
+    @staticmethod
+    def check(path, values, cols):
+        # all values; those the fast path must take alone, in blocks that
+        # never fall back; and each one it must refuse, with one of each kind
+        # outside [1e-250, 1e250], alone in a block of 4 rows of 0.5, which
+        # falls back whole
+        verdicts = fast_path_verdicts(values)
+        a = np.abs(values)
+        lone = np.concatenate([
+            values[(verdicts < 0) & (a >= 1e-250) & (a <= 1e250)],
+            [np.nan, -np.inf, 5e-324, 2.2250738585072009e-308,
+             np.nextafter(1e-250, 0), np.nextafter(1e250, np.inf),
+             1.7976931348623157e308]])
+        blocks = np.full((lone.size, 4 * cols), 0.5)
+        blocks[:, 0] = lone
+        for part, rows, fall_back in (
+                (values, _CSV_BLOCK_ROWS, None),
+                (values[verdicts > 0], _CSV_BLOCK_ROWS, False),
+                (blocks.ravel(), 4, True)):
+            part = part[:part.size // cols * cols]
+            columns = [part[j::cols] for j in range(cols)]
+            with mock.patch.object(cli, "_CSV_BLOCK_ROWS", rows):
+                fell_back = write_csv_fallbacks(path, "h", *columns)
+            assert path.read_bytes() == template_csv("h", *columns)
+            if fall_back is not None:
+                assert fell_back == [fall_back] * len(fell_back)
+        return verdicts
 
     @given(st.integers(1, 3).flatmap(lambda cols: st.lists(
         st.tuples(*[st.floats()] * cols), min_size=1, max_size=40)))
     def test_matches_template_on_any_floats(self, tmp_path_factory, rows):
         path = tmp_path_factory.mktemp("csv") / "x.csv"
-        columns = list(zip(*rows))
-        _write_csv(path, "h", *columns)
-        assert path.read_bytes() == template_csv("h", *columns)
+        cols = len(rows[0])
+        self.check(path, np.array(rows, dtype=float).ravel(), cols)
 
     def test_matches_template_on_adversarial_values(self, tmp_path):
         values = adversarial_values()
-        values = values[:values.size // 2 * 2]
-        path = tmp_path / "x.csv"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            _write_csv(path, "a,b", values[0::2], values[1::2])
-        assert path.read_bytes() == template_csv("a,b", values[0::2],
-                                                 values[1::2])
+            verdicts = self.check(tmp_path / "x.csv", values, 2)
+        # the fast path's share, about 81%: the in-range random bit patterns
+        # and dyadics less their ties, the integers near 2^53 and 2^54, and
+        # the upper neighbours of the powers of ten, among others; and the
+        # lone values it refuses: decade misses, carries and ties
+        assert np.count_nonzero(verdicts > 0) > 0.8 * values.size
+        assert np.count_nonzero((verdicts < 0) & np.isfinite(values)
+                                & (np.abs(values) >= 1e-250)
+                                & (np.abs(values) <= 1e250)) > 1000
+
+    def test_refuses_a_decade_that_log10_reads_low(self, tmp_path):
+        # where log10 reads one ulp low, an exact power of ten takes the
+        # decade below its own, in which its 17 digits round to 10^17; each
+        # such value, alone in its block, falls back
+        log10 = np.log10
+        powers = 10.0 ** np.arange(0, 23)
+        path = tmp_path / "x.csv"
+        with mock.patch.object(np, "log10",
+                               lambda a: np.nextafter(log10(a), -np.inf)), \
+                mock.patch.object(cli, "_CSV_BLOCK_ROWS", 1):
+            fell_back = write_csv_fallbacks(path, "a", powers)
+        assert path.read_bytes() == template_csv("a", powers)
+        assert fell_back == [True] * powers.size
 
     def test_block_seams(self, tmp_path):
-        # rows that the template formats (NaN, a tie) on both sides of each
-        # seam between row blocks
+        # one value that the template formats on each side of the first
+        # seam between row blocks (NaN, a tie); the third block is plain
         n = 2 * _CSV_BLOCK_ROWS + 3
         first = np.linspace(-3.0, 7.0, n)
         second = 1.0 / np.arange(1.0, n + 1)
-        for seam in (_CSV_BLOCK_ROWS, 2 * _CSV_BLOCK_ROWS):
-            first[seam - 1] = np.nan
-            second[seam] = 2.0 ** -25
+        first[_CSV_BLOCK_ROWS - 1] = np.nan
+        second[_CSV_BLOCK_ROWS] = 2.0 ** -25
         path = tmp_path / "x.csv"
-        _write_csv(path, "a,b", first, second)
+        assert write_csv_fallbacks(path, "a,b", first, second) == [
+            True, True, False]
         assert path.read_bytes() == template_csv("a,b", first, second)
 
 
@@ -1040,12 +1145,18 @@ class TestRejectsNonFinite:
                               "--eta", str(eta_path))
         assert f"{eta_path} is not a fit-eta output" in output
 
-    @pytest.mark.parametrize("value", ["nan", "inf"])
-    def test_predict_history_length(self, runner, files, value):
+    @pytest.mark.parametrize("value, message", [
+        ("nan", "history_length must be finite"),
+        ("inf", "history_length must be finite"),
+        # L / h overflows to inf lags
+        ("1e308", "record too short for history_length=1e+308"),
+    ], ids=["nan", "inf", "1e308"])
+    def test_predict_history_length(self, runner, files, value, message):
         _, approx_path, samples_path = files
         output = self.predict(runner, approx_path, samples_path, "conv",
                               "--history-length", value)
-        assert "history_length must be finite" in output
+        assert message in output
+        assert "Traceback" not in output
 
     @pytest.mark.parametrize("option", ["--t1", "--theta"])
     @pytest.mark.parametrize("value", ["nan", "inf"])

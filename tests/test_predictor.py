@@ -277,6 +277,11 @@ class TestPredictConvolution:
             with pytest.raises(ValueError, match="history_length must be finite"):
                 predict_one(approx, times, np.zeros_like(times),
                             history_length=bad)
+        # L / h overflows: refused, not an OverflowError from rounding it
+        with pytest.raises(ValueError, match="record too short for "
+                                             "history_length=1e\\+308"):
+            predict_one(approx, times, np.zeros_like(times),
+                        history_length=1e308)
 
 
 def power_levels(d, omega_gap, tau):
