@@ -12,7 +12,11 @@ P_{j+1} = 2*omega_gap*v*P_j + P_{j-1}.  With s = omega_gap/w, Re psi is
 sum_{even j} c_j (T_j(s) - T_j(0)) and Im psi is sum_{odd j} c_j T_j(s),
 and |T_j(s)| <= 1 on the spectrum, so nothing cancels.  The fit is a
 parity-constrained least squares in those columns on the w > 0 half of a
-sign-symmetric Chebyshev grid in u = 1/w.  The monomial
+sign-symmetric Chebyshev grid in u = 1/w.  fit_approximants fits several
+tapers at one degree: the grids, the columns, the target phase and the
+certificate's rows depend on d alone and are built once, and each taper
+takes only its own solves and its own products with the rows, so its fit
+is bit for bit the one fit_approximant makes alone.  The monomial
 coefficients of v^k, a_k = sigma_k omega_gap^k (c @ M)_k for the monomial
 matrix M of the T_j, are a derived view (Approximant.a) written to the JSON
 file for its readers; no realization reads them.  Their terms grow
@@ -31,6 +35,7 @@ from .taper import TaperSpec, eval_taper, taper_from_dict, taper_to_dict
 
 __all__ = ["Approximant", "CERT_DENSITY", "check_gap", "fit_parity_ls",
            "eval_psi", "certify_sup_error", "fit_approximant",
+           "fit_approximants",
            "approximant_to_dict", "approximant_from_dict", "save_approximant",
            "load_approximant"]
 
@@ -82,6 +87,8 @@ class Approximant:
 CERT_DENSITY = 16
 # basis entries eval_psi builds at a time
 _EVAL_BLOCK = 1 << 20
+# the fit's row weight: a half-grid row stands for a node at w and at -w
+_ROW_WEIGHT = np.sqrt(2.0)
 
 
 def check_gap(omega_gap) -> None:
@@ -118,6 +125,38 @@ def _sigma(d: int) -> np.ndarray:
     return (-1.0) ** ((np.arange(d + 1) + 1) // 2)
 
 
+def _fit_columns(T: float, omega_gap: float, d: int, fit_nodes: int):
+    # the fit's degree work: the half grid w, the sqrt(2)-weighted columns
+    # T_j(s) - T_j(0), s = omega_gap/w, and the target phases cos(T*w) and
+    # sin(T*w) of the even and the odd system
+    w = _half_grid(omega_gap, fit_nodes)
+    if not np.isfinite(T):
+        raise ValueError("T must be finite")
+    if d < 2:
+        raise ValueError(f"d must be >= 2, got d={d}: a degree below 2 "
+                         "leaves the even-parity target with no basis "
+                         "function")
+    if 2 * len(w) < 4 * d:
+        raise ValueError(f"grid has {2 * len(w)} nodes; need at least "
+                         f"4*d = {4 * d}")
+    # T_j(s) - T_j(0): T_2m(0) = (-1)^m and the odd T_j vanish at 0, so
+    # only the even columns move
+    cheb = _chebyshev(omega_gap / w, d)
+    cheb[::2] -= (-1.0) ** np.arange(d // 2 + 1)[:, None]
+    cheb *= _ROW_WEIGHT
+    return w, cheb, (np.cos(T * w), np.sin(T * w))
+
+
+def _solve(columns, taper: TaperSpec) -> np.ndarray:
+    # one taper's fit on _fit_columns' degree work: its own two solves
+    w, cheb, phases = columns
+    r = eval_taper(taper, w) * _ROW_WEIGHT
+    c = np.zeros(len(cheb))
+    for j0, phase in zip((2, 1), phases):
+        c[j0::2] = np.linalg.lstsq(cheb[j0::2].T, phase * r, rcond=None)[0]
+    return c
+
+
 def fit_parity_ls(T: float, taper: TaperSpec, omega_gap: float, d: int,
                   fit_nodes: int):
     """Parity-constrained least-squares fit on the sign-symmetric grid of
@@ -130,27 +169,26 @@ def fit_parity_ls(T: float, taper: TaperSpec, omega_gap: float, d: int,
     sqrt(2), which keeps the full grid's minimizer.  Returns c, length
     d + 1, c_0 = 0.
     """
-    w = _half_grid(omega_gap, fit_nodes)
-    if not np.isfinite(T):
-        raise ValueError("T must be finite")
-    if d < 2:
-        raise ValueError("d must be >= 2: d=1 leaves the even-parity target "
-                         "with no basis function")
-    if 2 * len(w) < 4 * d:
-        raise ValueError(f"grid has {2 * len(w)} nodes; need at least "
-                         f"4*d = {4 * d}")
-    weight = np.sqrt(2.0)
-    r = eval_taper(taper, w) * weight
-    # T_j(s) - T_j(0): T_2m(0) = (-1)^m and the odd T_j vanish at 0, so
-    # only the even columns move
-    cheb = _chebyshev(omega_gap / w, d)
-    cheb[::2] -= (-1.0) ** np.arange(d // 2 + 1)[:, None]
-    cheb *= weight
-    c = np.zeros(d + 1)
-    for j0, part in ((2, np.cos), (1, np.sin)):
-        c[j0::2] = np.linalg.lstsq(cheb[j0::2].T, part(T * w) * r,
-                                   rcond=None)[0]
-    return c
+    return _solve(_fit_columns(T, omega_gap, d, fit_nodes), taper)
+
+
+def _psi_blocks(cs, s):
+    # per block of the nodes s (eval_psi), its slice and psi there for each
+    # coefficient vector of cs, all of one degree: the block's rows are built
+    # once, and each vector takes its own two products with them
+    d = len(cs[0]) - 1
+    at_zero = [c[0::2] @ (-1.0) ** np.arange(d // 2 + 1) for c in cs]
+    # blocks of a multiple of 64 nodes put their seams on the vector lanes of
+    # the products below, whose sums then equal one block's bit for bit
+    step = max(64, _EVAL_BLOCK // (d + 1) & -64)
+    for i in range(0, s.size, step):
+        rows = _chebyshev(s[i:i + step], d)
+        even, odd = rows[0::2], rows[1::2]
+        psi = np.empty((len(cs), rows.shape[1]), dtype=complex)
+        for k, c in enumerate(cs):
+            psi.real[k] = c[0::2] @ even - at_zero[k]
+            psi.imag[k] = c[1::2] @ odd
+        yield slice(i, i + step), psi
 
 
 def eval_psi(c, omega_gap: float, omega):
@@ -163,19 +201,50 @@ def eval_psi(c, omega_gap: float, omega):
     om = np.asarray(omega, dtype=float)
     if np.any(om == 0.0):
         raise ValueError("psi has a pole at omega = 0")
-    c = np.asarray(c, dtype=float)
     s = (omega_gap / om).ravel()
-    even, odd = c[0::2], c[1::2]
-    at_zero = even @ (-1.0) ** np.arange(len(even))
     psi = np.empty(s.size, dtype=complex)
-    # blocks of a multiple of 64 nodes put their seams on the vector lanes of
-    # the products below, whose sums then equal one block's bit for bit
-    step = max(64, _EVAL_BLOCK // len(c) & -64)
-    for i in range(0, s.size, step):
-        rows = _chebyshev(s[i:i + step], len(c) - 1)
-        psi.real[i:i + step] = even @ rows[0::2] - at_zero
-        psi.imag[i:i + step] = odd @ rows[1::2]
+    for block, (values,) in _psi_blocks([np.asarray(c, dtype=float)], s):
+        psi[block] = values
     return complex(psi[0]) if np.ndim(omega) == 0 else psi.reshape(om.shape)
+
+
+def _cert_grid(T: float, omega_gap: float, n_cert: int):
+    # the certification half grid of n_cert nodes and exp(i*w*T) on it; a T
+    # whose phase T*w overflows there is refused, naming T and the largest w
+    w = _half_grid(omega_gap, n_cert)
+    if not np.isfinite(T):
+        raise ValueError("T must be finite")
+    w_max = float(w[-1])
+    if not np.isfinite(float(T) * w_max):  # a float product: no warning
+        raise ValueError(f"T={T!r} is too large: the phase T*w overflows on "
+                         f"the certification grid, whose largest w is "
+                         f"{w_max!r}")
+    return w, np.exp(1j * w * T)
+
+
+def _certify(omega_gap: float, grid, tapers, cs) -> list:
+    # certify_sup_error of each (taper, c) pair of one degree on
+    # _cert_grid's grid and phase, the rows shared block by block
+    w, phase = grid
+    targets = [phase * eval_taper(taper, w) for taper in tapers]
+    err = np.zeros(len(cs))
+    for block, psi in _psi_blocks(cs, omega_gap / w):
+        for k, target in enumerate(targets):
+            err[k] = np.maximum(err[k], np.abs(target[block] - psi[k]).max())
+    s_min, j = omega_gap / w[-1], np.arange(len(cs[0]))
+    eps2 = []
+    for taper, c, grid_max in zip(tapers, cs, err):
+        # |psi| <= 2 sum_j |c_j| everywhere, the only bound where s_min = 1
+        # (one node per sign); T_j'(0) = j (-1)^((j-1)/2) for odd j
+        tail = 2.0 * float(np.abs(c).sum())
+        if s_min < 1.0:
+            slope = abs(float(c[1::2] @ (j[1::2] * (-1.0) ** (j[1::2] // 2))))
+            tail = min(tail, slope * s_min
+                       + s_min ** 2 * float(np.abs(c) @ j ** 2)
+                       / (1.0 - s_min ** 2) ** 1.5)
+        tail += float(eval_taper(taper, w[-1]))
+        eps2.append(max(float(grid_max), tail))
+    return eps2
 
 
 def certify_sup_error(T: float, omega_gap: float, taper: TaperSpec, c,
@@ -189,23 +258,37 @@ def certify_sup_error(T: float, omega_gap: float, taper: TaperSpec, c,
     Beyond the innermost node, 0 < s <= s_min, r_nu(omega_gap/s_min) bounds
     the target and |psi'(0)| s + s^2 sum_j |c_j| j^2 / (1-s^2)^1.5 bounds
     psi (Taylor, psi(0) = 0, |T_j''(t)| <= j^2/(1-t^2) + |t|j/(1-t^2)^1.5).
+    A T whose phase T*w overflows on that grid is refused.
     """
-    c = np.asarray(c, dtype=float)
     if dense_factor < 1:
         raise ValueError("dense_factor must be >= 1")
-    w = _half_grid(omega_gap, dense_factor * (fit_nodes - 1) + 1)
-    err = np.abs(np.exp(1j * w * T) * eval_taper(taper, w)
-                 - eval_psi(c, omega_gap, w))
-    s_min, j = omega_gap / w[-1], np.arange(len(c))
-    # |psi| <= 2 sum_j |c_j| everywhere, the only bound where s_min = 1 (one
-    # node per sign); T_j'(0) = j (-1)^((j-1)/2) for odd j
-    tail = 2.0 * float(np.abs(c).sum())
-    if s_min < 1.0:
-        slope = abs(float(c[1::2] @ (j[1::2] * (-1.0) ** (j[1::2] // 2))))
-        tail = min(tail, slope * s_min + s_min ** 2 * float(np.abs(c) @ j ** 2)
-                   / (1.0 - s_min ** 2) ** 1.5)
-    tail += float(eval_taper(taper, w[-1]))
-    return max(float(err.max()), tail)
+    grid = _cert_grid(T, omega_gap, dense_factor * (fit_nodes - 1) + 1)
+    return _certify(omega_gap, grid, [taper], [np.asarray(c, dtype=float)])[0]
+
+
+def fit_approximants(T: float, omega_gap: float, tapers,
+                     d: int) -> list:
+    """fit_approximant for each taper of a list, at one degree d.
+
+    The fit grid, its columns and target phases, the certification grid
+    with exp(i*w*T), and each block of the certificate's rows are built once
+    for all the tapers; each taper takes its own two least-squares solves
+    and its own products with the rows, so its c and eps2 are bit for bit
+    those of fitting it alone.  The size, phase and degree refusals come
+    before any fit.
+    """
+    fit_nodes = max(8 * d, 64)
+    n_cert, rows = CERT_DENSITY * (fit_nodes - 1) + 1, fit_nodes // 2
+    grid_size(n_cert, f"d={d}: the certification grid of {n_cert} nodes")
+    grid_size(rows * (d + 1), f"d={d}: the fit matrix of {rows} x {d + 1} "
+              "entries")
+    grid = _cert_grid(T, omega_gap, n_cert)
+    columns = _fit_columns(T, omega_gap, d, fit_nodes)
+    cs = [_solve(columns, taper) for taper in tapers]
+    eps2 = _certify(omega_gap, grid, tapers, cs) if cs else []
+    return [Approximant(T=T, omega_gap=omega_gap, taper=taper, d=d, c=c,
+                        eps2=e, fit_nodes=fit_nodes)
+            for taper, c, e in zip(tapers, cs, eps2)]
 
 
 def fit_approximant(T: float, omega_gap: float, taper: TaperSpec,
@@ -216,17 +299,10 @@ def fit_approximant(T: float, omega_gap: float, taper: TaperSpec,
     oversampling of the largest basis function.  eps2 is certified once, at
     CERT_DENSITY.  A certification grid or a fit matrix (fit_nodes//2
     half-grid rows x d + 1 Chebyshev columns) over grid_size's limit is
-    refused, by name, before either is made.
+    refused, by name, before either is made, as is a T whose phase T*w
+    overflows on the certification grid.
     """
-    fit_nodes = max(8 * d, 64)
-    n_cert, rows = CERT_DENSITY * (fit_nodes - 1) + 1, fit_nodes // 2
-    grid_size(n_cert, f"d={d}: the certification grid of {n_cert} nodes")
-    grid_size(rows * (d + 1), f"d={d}: the fit matrix of {rows} x {d + 1} "
-              "entries")
-    c = fit_parity_ls(T, taper, omega_gap, d, fit_nodes)
-    eps2 = certify_sup_error(T, omega_gap, taper, c, fit_nodes, CERT_DENSITY)
-    return Approximant(T=T, omega_gap=omega_gap, taper=taper, d=d, c=c,
-                       eps2=eps2, fit_nodes=fit_nodes)
+    return fit_approximants(T, omega_gap, [taper], d)[0]
 
 
 def approximant_to_dict(approx: Approximant) -> dict:

@@ -1,7 +1,7 @@
 """Experiment driver: (d, nu) sweeps, error measurement, budget checks.
 
 For every combination of spectrum file, degree and taper scale the sweep fits
-an approximant, on the grid fit_approximant ties to its degree, computes the
+an approximant, on the grid fit_approximants ties to its degree, computes the
 two error budgets (the L1-spectrum form (eps1 + eps2) / 2pi and the tone
 point-mass form sum_j 2|c_j| (|1 - r_nu(w_j)| + eps2)), runs the recurrence
 in time with the exact constants etaP_j(t_start) on a measurement grid, and
@@ -18,11 +18,16 @@ every measurement time is a sample time.  Its levels do not depend on the
 approximant, so one run_sweep call fits each (d, nu) once and computes per
 spectrum, once, the future values, the record from t_start, its constants
 etaP_0..etaP_{D-1} (D = max(d_list)) and its levels z_0..z_D at the
-measurement grid; a row of degree d takes the first d + 1 levels.  A value
-is computed when a row first needs it and not stored if that raises, so a
-failure errors the same rows with the same message as computing every row
-from scratch.  A spectrum's values are dropped before the next spectrum's
-rows run, and nothing outlives the call.
+measurement grid; a row of degree d takes the first d + 1 levels.  The
+fits of one degree are made together: a row that lacks its fit fits its nu
+and every later nu of its spectrum that the sweep lacks in one
+fit_approximants call (at a degree's first row, all of them), which builds
+the degree's grids, Chebyshev rows and target phase once for all of them.
+A value is computed when a row first needs it and not stored if that raises
+(a batch of fits that raises gives way to the row's own fit), so a failure
+errors the same rows with the same message as computing every row from
+scratch.  A spectrum's values are dropped before the next spectrum's rows
+run, and nothing outlives the call.
 
 Rows are computed serially in a fixed order and all output formatting is
 fixed-width, so identical configs produce byte-identical reports.
@@ -41,7 +46,7 @@ from typing import Optional
 
 import numpy as np
 
-from .approx import CERT_DENSITY, check_gap, fit_approximant
+from .approx import CERT_DENSITY, check_gap, fit_approximants
 from .predictor import eta_sum, iterated_integrals
 from .signal import (SpectrumSpec, epsilon1, exact_etaP, grid_size,
                      load_spectrum, sample_grid, select_nu)
@@ -103,6 +108,11 @@ class ExperimentConfig:
                     or not 0.0 < nu <= 1.0):
                 raise ValueError(
                     f"nu_list entry {nu!r} is not a finite number in (0, 1]")
+        for key in ("d_list", "nu_list"):
+            entries = getattr(self, key) or ()
+            for i, value in enumerate(entries):
+                if value in entries[:i]:
+                    raise ValueError(f"{key} entry {value!r} is repeated")
         if list(self.d_list) != sorted(self.d_list):
             raise ValueError("d_list must be sorted ascending")
         if (self.nu_list is None) == (self.eps1_target is None):
@@ -178,15 +188,39 @@ def _cached(memo, key, compute, *args):
     return memo[key]
 
 
+def _approximant(config: ExperimentConfig, approximants: dict, d: int,
+                 nu: float, nus: list):
+    # the sweep's fit of (d, nu), memoized in approximants by (d, nu).  A
+    # row whose fit the memo lacks fits, in one fit_approximants call, its nu
+    # and every later nu of its spectrum's list that the memo lacks: at the
+    # first such row of degree d, all of them.  When a batch of several
+    # raises, the row fits its own nu alone, so a failure errors only the
+    # rows whose own fit fails, with that fit's message, and is not stored
+    def fit(batch):
+        fits = fit_approximants(config.T, config.omega_gap, [
+            TaperSpec(config.taper_family, n) for n in batch], d)
+        approximants.update(((d, n), a) for n, a in zip(batch, fits))
+
+    if (d, nu) not in approximants:
+        batch = [n for n in nus[nus.index(nu):] if (d, n) not in approximants]
+        try:
+            fit(batch)
+        except Exception:
+            if batch == [nu]:
+                raise
+            fit([nu])
+    return approximants[(d, nu)]
+
+
 def _run_row(config: ExperimentConfig, spec_name: str, spec: SpectrumSpec,
-             d: int, nu: float, h: float, times: np.ndarray,
+             d: int, nu: float, nus: list, h: float, times: np.ndarray,
              t_grid: np.ndarray, approximants: dict,
              shared: dict) -> ErrorRow:
-    # approximants maps (d, nu) to the sweep's fits; shared holds this
-    # spectrum's record, etaP(t1), levels at t_grid and future values
+    # approximants maps (d, nu) to the sweep's fits; nus are this spectrum's
+    # taper scales; shared holds this spectrum's record, etaP(t1), levels at
+    # t_grid and future values
     taper = TaperSpec(family=config.taper_family, nu=nu)
-    approx = _cached(approximants, (d, nu), fit_approximant, config.T,
-                     config.omega_gap, taper, d)
+    approx = _approximant(config, approximants, d, nu, nus)
 
     eps1 = epsilon1(spec, taper)
     eps2 = approx.eps2
@@ -274,7 +308,7 @@ def run_sweep(config: ExperimentConfig, pin: bool = False) -> list:
         for d in config.d_list:
             for nu in nus:
                 try:
-                    rows.append(_run_row(config, name, spec, d, nu, h,
+                    rows.append(_run_row(config, name, spec, d, nu, nus, h,
                                          times, t_grid, approximants, shared))
                 except Exception as exc:  # noqa: BLE001 - recorded per row
                     rows.append(ErrorRow(spec=name, d=d, nu=nu,

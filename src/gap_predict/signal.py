@@ -174,10 +174,15 @@ def _panel_rule(spec, panels):
 
 
 def _tone_grid(spec, times):
+    # Re(A e^{iwt}) = Re A cos(wt) - Im A sin(wt), the sine taken only for an
+    # amplitude with an imaginary part; the sum starts from +0.0 and so never
+    # holds -0.0, and the signed zero a real amplitude drops changes no bit
     out = np.zeros_like(times)
     for tone in spec.tones:
-        out += (tone.amplitude.real * np.cos(tone.omega * times)
-                - tone.amplitude.imag * np.sin(tone.omega * times))
+        wave = tone.amplitude.real * np.cos(tone.omega * times)
+        if tone.amplitude.imag:
+            wave -= tone.amplitude.imag * np.sin(tone.omega * times)
+        out += wave
     return out
 
 

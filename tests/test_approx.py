@@ -1,4 +1,5 @@
 import json
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -9,7 +10,8 @@ from numpy.polynomial.chebyshev import cheb2poly, chebder, chebval
 from gap_predict.approx import (CERT_DENSITY, Approximant, _half_grid,
                                 approximant_from_dict,
                                 approximant_to_dict, certify_sup_error,
-                                eval_psi, fit_approximant, fit_parity_ls)
+                                eval_psi, fit_approximant, fit_approximants,
+                                fit_parity_ls)
 from gap_predict.taper import TaperSpec, eval_taper
 
 from oracles import (certified_sup_error, least_squares_fit,
@@ -141,8 +143,10 @@ class TestFitParityLs:
         assert np.linalg.norm(c - ref) <= 1e-12 * np.linalg.norm(ref)
 
     def test_rejects_degenerate_degree_and_grid(self):
-        with pytest.raises(ValueError, match="d must be >= 2"):
-            fit_parity_ls(1.0, GAUSS03, 1.0, 1, 64)
+        # the refusal names the degree it was given
+        for d in (1, 0, -3):
+            with pytest.raises(ValueError, match=f"d must be >= 2, got d={d}:"):
+                fit_parity_ls(1.0, GAUSS03, 1.0, d, 64)
         for nodes in (30, 31):
             with pytest.raises(ValueError, match="need at least 4.d = 32"):
                 fit_parity_ls(1.0, GAUSS03, 1.0, 8, nodes)
@@ -324,6 +328,66 @@ class TestLargeDegree:
                 for d in (8, 16, 24, 32, 40, 48, 64, 96)]
         assert all(b < a for a, b in zip(eps2, eps2[1:])), eps2
         assert eps2[-1] < 1e-3
+
+
+class TestFitApproximants:
+    """Every taper of a degree fitted in one pass, each bit for bit as it
+    is fitted alone."""
+
+    TAPERS = [TaperSpec(family, nu)
+              for family in ("gaussian", "lorentzian", "exponential")
+              for nu in (0.5, 0.3, 0.15)]
+
+    @pytest.mark.parametrize("d", [2, 8, 32, 64])
+    def test_batch_position_changes_no_bit(self, d):
+        # each taper first and last in a rotation of the batch; a stacked
+        # least-squares solve or product moves c and eps2 in the last bits
+        alone = [fit_approximant(1.0, 1.0, taper, d) for taper in self.TAPERS]
+        n = len(self.TAPERS)
+        for k in range(n):
+            batch = fit_approximants(1.0, 1.0,
+                                     self.TAPERS[k:] + self.TAPERS[:k], d)
+            for i, fit in enumerate(batch):
+                ref = alone[(k + i) % n]
+                assert fit.taper == ref.taper
+                assert np.array_equal(fit.c, ref.c), (fit.taper, d)
+                assert fit.eps2 == ref.eps2, (fit.taper, d)
+                assert (fit.d, fit.fit_nodes) == (ref.d, ref.fit_nodes)
+
+    def test_one_taper_is_fit_parity_ls_and_certify_sup_error(self):
+        (fit,) = fit_approximants(1.0, 1.0, [GAUSS03], 8)
+        c = fit_parity_ls(1.0, GAUSS03, 1.0, 8, 64)
+        assert np.array_equal(fit.c, c)
+        assert fit.eps2 == certify_sup_error(1.0, 1.0, GAUSS03, c, 64)
+
+    def test_no_tapers_no_fits(self):
+        assert fit_approximants(1.0, 1.0, [], 8) == []
+
+    @pytest.mark.parametrize("T", [1e308, -1e308, 1e306])
+    def test_refuses_a_phase_that_overflows_before_any_fit(self, T,
+                                                           monkeypatch):
+        # the largest w of d = 8's certification grid of 1009 nodes is
+        # 1/sin(pi/1008) ~ 320.9, so T*w overflows for these T
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fitted")
+
+        monkeypatch.setattr(np.linalg, "lstsq", no_fit)
+        w_max = float(_half_grid(1.0, CERT_DENSITY * 63 + 1)[-1])
+        message = (f"T={T!r} is too large: the phase T*w overflows on the "
+                   f"certification grid, whose largest w is {w_max!r}")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in (lambda: fit_approximants(T, 1.0, [GAUSS03], 8),
+                         lambda: certify_sup_error(T, 1.0, GAUSS03,
+                                                   np.zeros(9), 64)):
+                with pytest.raises(ValueError) as info:
+                    call()
+                assert str(info.value) == message
+
+    def test_a_phase_that_stays_finite_is_fitted(self):
+        # 1e305 * 320.9 is finite: cos and sin of it are just numbers
+        (fit,) = fit_approximants(1e305, 1.0, [GAUSS03], 8)
+        assert np.isfinite(fit.eps2)
 
 
 class TestApproximant:

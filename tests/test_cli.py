@@ -101,6 +101,29 @@ class TestApproxCommand:
         assert (f"Error: {what} is over the limit of 2^25 = 33554432"
                 in result.output)
 
+    def test_refuses_a_phase_that_overflows(self, runner, tmp_path):
+        # T*w overflows on d = 8's certification grid: refused by name
+        # before any fit, with no warning on the way
+        out = tmp_path / "ap.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = invoke(runner, ["approx", "--T", "1e308", "--omega",
+                                     "1.0", "--taper", "gaussian", "--nu",
+                                     "0.3", "--d", "8", "--out", str(out)])
+        assert result.exit_code == 1
+        assert ("Error: T=1e+308 is too large: the phase T*w overflows on "
+                "the certification grid, whose largest w is 320.8568847170794"
+                in result.output)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("degree", ["0", "1", "-3"])
+    def test_degree_refusal_names_the_degree(self, runner, degree):
+        result = invoke(runner, ["approx", "--T", "1.0", "--omega", "1.0",
+                                 "--taper", "gaussian", "--nu", "0.3",
+                                 "--d", degree])
+        assert result.exit_code == 1
+        assert f"Error: d must be >= 2, got d={degree}:" in result.output
+
     def test_has_no_nodes_option(self, runner):
         # the fit grid follows d
         result = invoke(runner, ["approx", "--T", "1.0", "--omega", "1.0",
@@ -1336,6 +1359,23 @@ class TestEvalCommand:
         result = invoke(runner, ["eval", "--config", str(bad)])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("key, entries, shown", [
+        ("nu_list", [0.5, 0.5, 0.3], "0.5"), ("d_list", [8, 8], "8")])
+    def test_repeated_sweep_entry_exits_2(self, runner, tmp_path, key,
+                                          entries, shown):
+        with open(os.path.join(CONFIG_DIR, "demo.json")) as fh:
+            config = json.load(fh)
+        config["spec_files"] = [os.path.join(CONFIG_DIR, "demo_tone.json")]
+        config[key] = entries
+        config_path = tmp_path / "cfg.json"
+        config_path.write_text(json.dumps(config))
+        result = invoke(runner, ["eval", "--config", str(config_path),
+                                 "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2
+        assert (f"configuration error: {key} entry {shown} is repeated"
+                in result.output)
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("key", ["T", "t_end"])
     def test_non_finite_config_exits_2(self, runner, tmp_path, key):
         with open(os.path.join(CONFIG_DIR, "demo.json")) as fh:
@@ -1532,7 +1572,7 @@ class TestEvalCommand:
             raise ValueError("fit failed")
 
         # a fit that raises stands for any failure inside a row
-        monkeypatch.setattr(harness, "fit_approximant", failing_fit)
+        monkeypatch.setattr(harness, "fit_approximants", failing_fit)
         config = {
             "spec_files": [str(spec_path)],
             "T": 1.0, "omega_gap": 1.0, "taper_family": "gaussian",

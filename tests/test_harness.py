@@ -92,6 +92,18 @@ class TestConfig:
         assert str(info.value) == \
             f"nu_list entry {shown} is not a finite number in (0, 1]"
 
+    @pytest.mark.parametrize("key, entries, shown", [
+        ("d_list", (8, 8), "8"), ("d_list", (2, 4, 4, 8), "4"),
+        ("nu_list", (0.5, 0.5, 0.3), "0.5"), ("nu_list", (0.3, 0.5, 0.3),
+                                               "0.3")])
+    def test_rejects_repeated_entries(self, tmp_path, key, entries, shown):
+        # a repeated entry would sweep, and fit, the same rows twice
+        spec_path = tmp_path / "s.json"
+        save_spectrum(SpectrumSpec.from_tones(1.0, [(2.0, 1.0)]), spec_path)
+        with pytest.raises(ValueError) as info:
+            small_config(spec_path, **{key: entries})
+        assert str(info.value) == f"{key} entry {shown} is repeated"
+
     @pytest.mark.parametrize("gap", [1e-320, 0.0, -1.0])
     def test_rejects_gaps_the_fit_grid_cannot_place(self, tmp_path, gap):
         # the fit grid's own check: a gap whose reciprocal overflows is a
@@ -156,6 +168,26 @@ class TestRunSweep:
             assert row.sup_err == pytest.approx(pinned["sup_err"], abs=1e-11)
             assert row.passed and pinned["passed"]
 
+    @pytest.mark.parametrize("name", ["demo", "decay"])
+    def test_pinned_sweep_reproduces_the_shipped_fixtures(self, name):
+        # a fresh pin against configs/fixtures_<name>.json, every float to
+        # 1e-14 relative, so drift below the looser tolerances of the other
+        # fixture tests still shows
+        config = ExperimentConfig.from_json(
+            os.path.join(CONFIG_DIR, f"{name}.json"))
+        with open(os.path.join(CONFIG_DIR, f"fixtures_{name}.json"),
+                  encoding="utf-8") as fh:
+            pinned = json.load(fh)["rows"]
+        rows = [asdict(row) for row in run_sweep(config, pin=True)]
+        assert [sorted(row) for row in rows] == [sorted(row) for row in pinned]
+        for row, fixed in zip(rows, pinned):
+            for key, value in fixed.items():
+                if isinstance(value, float):
+                    assert row[key] == pytest.approx(value, rel=1e-14, abs=0), \
+                        (row["d"], row["nu"], key)
+                else:
+                    assert row[key] == value, (row["d"], row["nu"], key)
+
     @pytest.mark.parametrize("dt", [None, 0.01])
     def test_long_window_demo_passes_without_slack(self, dt):
         # the demo tone over [0, 2pi] at d = 16, 24, 32, with the shipped
@@ -213,8 +245,9 @@ class TestRunSweep:
         def failing_fit(*args, **kwargs):
             raise ValueError("fit failed")
 
-        # a fit that raises stands for any failure inside a row
-        monkeypatch.setattr(harness, "fit_approximant", failing_fit)
+        # a fit that raises stands for any failure inside a row: the batch
+        # of the degree's three nu fails, and so does each row's own fit
+        monkeypatch.setattr(harness, "fit_approximants", failing_fit)
         rows = run_sweep(small_config(spec_path, d_list=(4,)))
         assert len(rows) == 3
         for row in rows:
@@ -309,8 +342,9 @@ def two_tone_files(tmp_path):
 
 
 class TestSharedWork:
-    """run_sweep fits each approximant once per (d, nu) and computes each
-    spectrum's record, truth and integrals once, within one call."""
+    """run_sweep fits each approximant once per (d, nu), every nu of a
+    degree in one call, and computes each spectrum's record, truth and
+    integrals once, within one call."""
 
     @staticmethod
     def count_calls(monkeypatch):
@@ -323,8 +357,8 @@ class TestSharedWork:
                 return fn(*args, **kwargs)
             monkeypatch.setattr(harness, fn.__name__, wrapper)
 
-        counting("fit", harness.fit_approximant,
-                 lambda T, gap, taper, d, **kw: (d, taper.nu))
+        counting("fit", harness.fit_approximants,
+                 lambda T, gap, tapers, d: (d, [t.nu for t in tapers]))
         counting("sample_grid", harness.sample_grid,
                  lambda spec, t0, dt, n: spec)
         counting("integrals", harness.iterated_integrals,
@@ -348,8 +382,9 @@ class TestSharedWork:
                 values.clear()
             rows = run_sweep(config)
             assert [row.error for row in rows] == [None] * 8
-            assert sorted(calls["fit"]) == [(3, 0.4), (3, 0.5), (4, 0.4),
-                                            (4, 0.5)]
+            # one call per degree, at the first spectrum's first row of
+            # it, holding both nu; the second spectrum reuses them
+            assert calls["fit"] == [(3, [0.5, 0.4]), (4, [0.5, 0.4])]
             # the record and the future values, per spectrum
             assert calls["sample_grid"] == [specs[0]] * 2 + [specs[1]] * 2
             # the record's levels to max(d_list), per spectrum
@@ -481,7 +516,7 @@ class TestSharedWork:
         paths = two_tone_files(tmp_path)
         config = small_config(paths[0], spec_files=tuple(paths), d_list=(3,),
                               nu_list=(0.4,), t_end=0.5, dt=0.1)
-        fit = harness.fit_approximant
+        fit = harness.fit_approximants
         failed = []
 
         def fit_failing_once(*args, **kwargs):
@@ -490,11 +525,44 @@ class TestSharedWork:
                 raise ValueError("transient")
             return fit(*args, **kwargs)
 
-        monkeypatch.setattr(harness, "fit_approximant", fit_failing_once)
+        monkeypatch.setattr(harness, "fit_approximants", fit_failing_once)
         rows = run_sweep(config)
         assert [row.error for row in rows] == ["ValueError: transient", None]
         assert rows[1] == run_sweep(replace(config,
                                             spec_files=(paths[1],)))[0]
+
+    def test_a_failing_taper_errors_only_its_own_rows(self, tmp_path,
+                                                     monkeypatch):
+        # a batch holding nu = 0.4 fails; each row then fits its own nu
+        # alone, so only the nu = 0.4 rows error, and the others equal an
+        # unpatched sweep's rows
+        paths = two_tone_files(tmp_path)
+        config = small_config(paths[0], spec_files=tuple(paths),
+                              d_list=(3, 4), nu_list=(0.5, 0.4, 0.3),
+                              t_end=0.5, dt=0.1)
+        clean = run_sweep(config)
+        fit = harness.fit_approximants
+        batches = []
+
+        def fit_failing_at(T, gap, tapers, d):
+            batches.append((d, [t.nu for t in tapers]))
+            if any(t.nu == 0.4 for t in tapers):
+                raise ValueError("no fit at nu=0.4")
+            return fit(T, gap, tapers, d)
+
+        monkeypatch.setattr(harness, "fit_approximants", fit_failing_at)
+        rows = run_sweep(config)
+        assert [row.error for row in rows] == [
+            "ValueError: no fit at nu=0.4" if row.nu == 0.4 else None
+            for row in clean]
+        assert [row for row in rows if row.error is None] == \
+            [row for row in clean if row.nu != 0.4]
+        # the first spectrum's degree-3 rows: the batch of all three fails
+        # and the nu = 0.5 row fits alone; the nu = 0.4 row's batch of the
+        # two nu still lacking fails, and so does its own fit; the nu = 0.3
+        # row's batch is its nu alone
+        assert batches[:5] == [(3, [0.5, 0.4, 0.3]), (3, [0.5]),
+                               (3, [0.4, 0.3]), (3, [0.4]), (3, [0.3])]
 
 
 class TestEmitReport:
