@@ -12,11 +12,12 @@ P_{j+1} = 2*omega_gap*v*P_j + P_{j-1}.  With s = omega_gap/w, Re psi is
 sum_{even j} c_j (T_j(s) - T_j(0)) and Im psi is sum_{odd j} c_j T_j(s),
 and |T_j(s)| <= 1 on the spectrum, so nothing cancels.  The fit is a
 parity-constrained least squares in those columns on the w > 0 half of a
-sign-symmetric Chebyshev grid in u = 1/w.  fit_approximants fits several
-tapers at one degree: the grids, the columns, the target phase and the
-certificate's rows depend on d alone and are built once, and each taper
-takes only its own solves and its own products with the rows, so its fit
-is bit for bit the one fit_approximant makes alone.  The monomial
+sign-symmetric Chebyshev grid in u = 1/w.  fit_approximants is the one
+fit and certificate, for several tapers at one degree: the grids, the
+columns, the target phase and the certificate's rows depend on d alone and
+are built once, and each taper takes only its own solves and its own
+products with the rows, so its fit is bit for bit the one it gets alone;
+fit_approximant is its one-taper call.  The monomial
 coefficients of v^k, a_k = sigma_k omega_gap^k (c @ M)_k for the monomial
 matrix M of the T_j, are a derived view (Approximant.a) written to the JSON
 file for its readers; no realization reads them.  Their terms grow
@@ -33,11 +34,9 @@ import numpy as np
 from .signal import _chebyshev, grid_size
 from .taper import TaperSpec, eval_taper, taper_from_dict, taper_to_dict
 
-__all__ = ["Approximant", "CERT_DENSITY", "check_gap", "fit_parity_ls",
-           "eval_psi", "certify_sup_error", "fit_approximant",
-           "fit_approximants",
-           "approximant_to_dict", "approximant_from_dict", "save_approximant",
-           "load_approximant"]
+__all__ = ["Approximant", "CERT_DENSITY", "check_gap", "eval_psi",
+           "fit_approximant", "fit_approximants", "approximant_to_dict",
+           "approximant_from_dict", "save_approximant", "load_approximant"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,8 +102,6 @@ def _half_grid(omega_gap: float, n: int) -> np.ndarray:
     # w = 1/u, ascending, for the u > 0 half of the n Chebyshev (extreme)
     # points u of [-1/omega_gap, 1/omega_gap], by the sine identity; the
     # u = 0 node of an odd n is dropped
-    if n < 2:
-        raise ValueError(f"need at least 2 nodes, got {n}")
     check_gap(omega_gap)
     j = np.arange(n - 1, 0, -2)
     return 1.0 / (np.sin(0.5 * np.pi * j / (n - 1)) / omega_gap)
@@ -125,58 +122,10 @@ def _sigma(d: int) -> np.ndarray:
     return (-1.0) ** ((np.arange(d + 1) + 1) // 2)
 
 
-def _fit_columns(T: float, omega_gap: float, d: int, fit_nodes: int):
-    # the fit's degree work: the half grid w, the sqrt(2)-weighted columns
-    # T_j(s) - T_j(0), s = omega_gap/w, and the target phases cos(T*w) and
-    # sin(T*w) of the even and the odd system
-    w = _half_grid(omega_gap, fit_nodes)
-    if not np.isfinite(T):
-        raise ValueError("T must be finite")
-    if d < 2:
-        raise ValueError(f"d must be >= 2, got d={d}: a degree below 2 "
-                         "leaves the even-parity target with no basis "
-                         "function")
-    if 2 * len(w) < 4 * d:
-        raise ValueError(f"grid has {2 * len(w)} nodes; need at least "
-                         f"4*d = {4 * d}")
-    # T_j(s) - T_j(0): T_2m(0) = (-1)^m and the odd T_j vanish at 0, so
-    # only the even columns move
-    cheb = _chebyshev(omega_gap / w, d)
-    cheb[::2] -= (-1.0) ** np.arange(d // 2 + 1)[:, None]
-    cheb *= _ROW_WEIGHT
-    return w, cheb, (np.cos(T * w), np.sin(T * w))
-
-
-def _solve(columns, taper: TaperSpec) -> np.ndarray:
-    # one taper's fit on _fit_columns' degree work: its own two solves
-    w, cheb, phases = columns
-    r = eval_taper(taper, w) * _ROW_WEIGHT
-    c = np.zeros(len(cheb))
-    for j0, phase in zip((2, 1), phases):
-        c[j0::2] = np.linalg.lstsq(cheb[j0::2].T, phase * r, rcond=None)[0]
-    return c
-
-
-def fit_parity_ls(T: float, taper: TaperSpec, omega_gap: float, d: int,
-                  fit_nodes: int):
-    """Parity-constrained least-squares fit on the sign-symmetric grid of
-    fit_nodes Chebyshev points in u = 1/w (the u = 0 node dropped).
-
-    Matches sum_m c_2m (T_2m(s) - T_2m(0)) to cos(T*w) * r_nu(w) and
-    sum_m c_2m+1 T_2m+1(s) to sin(T*w) * r_nu(w), s = omega_gap/w, degrees
-    up to d.  Nodes at w and -w have equal squared residuals in both
-    systems, so the w > 0 half is solved with every row weighted by
-    sqrt(2), which keeps the full grid's minimizer.  Returns c, length
-    d + 1, c_0 = 0.
-    """
-    return _solve(_fit_columns(T, omega_gap, d, fit_nodes), taper)
-
-
-def _psi_blocks(cs, s):
+def _psi_blocks(cs, s, d: int):
     # per block of the nodes s (eval_psi), its slice and psi there for each
-    # coefficient vector of cs, all of one degree: the block's rows are built
+    # coefficient vector of cs, all of degree d: the block's rows are built
     # once, and each vector takes its own two products with them
-    d = len(cs[0]) - 1
     at_zero = [c[0::2] @ (-1.0) ** np.arange(d // 2 + 1) for c in cs]
     # blocks of a multiple of 64 nodes put their seams on the vector lanes of
     # the products below, whose sums then equal one block's bit for bit
@@ -202,68 +151,11 @@ def eval_psi(c, omega_gap: float, omega):
     if np.any(om == 0.0):
         raise ValueError("psi has a pole at omega = 0")
     s = (omega_gap / om).ravel()
+    c = np.asarray(c, dtype=float)
     psi = np.empty(s.size, dtype=complex)
-    for block, (values,) in _psi_blocks([np.asarray(c, dtype=float)], s):
+    for block, (values,) in _psi_blocks([c], s, len(c) - 1):
         psi[block] = values
     return complex(psi[0]) if np.ndim(omega) == 0 else psi.reshape(om.shape)
-
-
-def _cert_grid(T: float, omega_gap: float, n_cert: int):
-    # the certification half grid of n_cert nodes and exp(i*w*T) on it; a T
-    # whose phase T*w overflows there is refused, naming T and the largest w
-    w = _half_grid(omega_gap, n_cert)
-    if not np.isfinite(T):
-        raise ValueError("T must be finite")
-    w_max = float(w[-1])
-    if not np.isfinite(float(T) * w_max):  # a float product: no warning
-        raise ValueError(f"T={T!r} is too large: the phase T*w overflows on "
-                         f"the certification grid, whose largest w is "
-                         f"{w_max!r}")
-    return w, np.exp(1j * w * T)
-
-
-def _certify(omega_gap: float, grid, tapers, cs) -> list:
-    # certify_sup_error of each (taper, c) pair of one degree on
-    # _cert_grid's grid and phase, the rows shared block by block
-    w, phase = grid
-    targets = [phase * eval_taper(taper, w) for taper in tapers]
-    err = np.zeros(len(cs))
-    for block, psi in _psi_blocks(cs, omega_gap / w):
-        for k, target in enumerate(targets):
-            err[k] = np.maximum(err[k], np.abs(target[block] - psi[k]).max())
-    s_min, j = omega_gap / w[-1], np.arange(len(cs[0]))
-    eps2 = []
-    for taper, c, grid_max in zip(tapers, cs, err):
-        # |psi| <= 2 sum_j |c_j| everywhere, the only bound where s_min = 1
-        # (one node per sign); T_j'(0) = j (-1)^((j-1)/2) for odd j
-        tail = 2.0 * float(np.abs(c).sum())
-        if s_min < 1.0:
-            slope = abs(float(c[1::2] @ (j[1::2] * (-1.0) ** (j[1::2] // 2))))
-            tail = min(tail, slope * s_min
-                       + s_min ** 2 * float(np.abs(c) @ j ** 2)
-                       / (1.0 - s_min ** 2) ** 1.5)
-        tail += float(eval_taper(taper, w[-1]))
-        eps2.append(max(float(grid_max), tail))
-    return eps2
-
-
-def certify_sup_error(T: float, omega_gap: float, taper: TaperSpec, c,
-                      fit_nodes: int,
-                      dense_factor: int = CERT_DENSITY) -> float:
-    """Grid-certified sup of |exp(i*w*T) r_nu(w) - psi(i*w)| over |w| >= gap.
-
-    The evaluation set is a Chebyshev grid in u = 1/w with
-    dense_factor*(fit_nodes-1)+1 nodes, which contains the fit grid; the
-    error is even in w, so its w > 0 half is evaluated, in real arithmetic.
-    Beyond the innermost node, 0 < s <= s_min, r_nu(omega_gap/s_min) bounds
-    the target and |psi'(0)| s + s^2 sum_j |c_j| j^2 / (1-s^2)^1.5 bounds
-    psi (Taylor, psi(0) = 0, |T_j''(t)| <= j^2/(1-t^2) + |t|j/(1-t^2)^1.5).
-    A T whose phase T*w overflows on that grid is refused.
-    """
-    if dense_factor < 1:
-        raise ValueError("dense_factor must be >= 1")
-    grid = _cert_grid(T, omega_gap, dense_factor * (fit_nodes - 1) + 1)
-    return _certify(omega_gap, grid, [taper], [np.asarray(c, dtype=float)])[0]
 
 
 def fit_approximants(T: float, omega_gap: float, tapers,
@@ -274,21 +166,72 @@ def fit_approximants(T: float, omega_gap: float, tapers,
     with exp(i*w*T), and each block of the certificate's rows are built once
     for all the tapers; each taper takes its own two least-squares solves
     and its own products with the rows, so its c and eps2 are bit for bit
-    those of fitting it alone.  The size, phase and degree refusals come
-    before any fit.
+    those of fitting it alone.  Every refusal depends on (T, omega_gap, d)
+    alone and comes before any fit, so a list raises exactly when each of
+    its tapers would alone.
     """
     fit_nodes = max(8 * d, 64)
     n_cert, rows = CERT_DENSITY * (fit_nodes - 1) + 1, fit_nodes // 2
     grid_size(n_cert, f"d={d}: the certification grid of {n_cert} nodes")
     grid_size(rows * (d + 1), f"d={d}: the fit matrix of {rows} x {d + 1} "
               "entries")
-    grid = _cert_grid(T, omega_gap, n_cert)
-    columns = _fit_columns(T, omega_gap, d, fit_nodes)
-    cs = [_solve(columns, taper) for taper in tapers]
-    eps2 = _certify(omega_gap, grid, tapers, cs) if cs else []
-    return [Approximant(T=T, omega_gap=omega_gap, taper=taper, d=d, c=c,
-                        eps2=e, fit_nodes=fit_nodes)
-            for taper, c, e in zip(tapers, cs, eps2)]
+    # the certification half grid, which contains the fit grid's; the error
+    # is even in w, so its w > 0 half is evaluated, in real arithmetic
+    w_cert = _half_grid(omega_gap, n_cert)
+    if not np.isfinite(T):
+        raise ValueError("T must be finite")
+    w_max = float(w_cert[-1])
+    if not np.isfinite(float(T) * w_max):  # a float product: no warning
+        raise ValueError(f"T={T!r} is too large: the phase T*w overflows on "
+                         f"the certification grid, whose largest w is "
+                         f"{w_max!r}")
+    if d < 2:
+        raise ValueError(f"d must be >= 2, got d={d}: a degree below 2 "
+                         "leaves the even-parity target with no basis "
+                         "function")
+    # the fit matches sum_m c_2m (T_2m(s) - T_2m(0)) to cos(T*w) r_nu(w) and
+    # sum_m c_2m+1 T_2m+1(s) to sin(T*w) r_nu(w), s = omega_gap/w.  Nodes at
+    # w and -w have equal squared residuals in both systems, so the w > 0
+    # half is solved with every row weighted by sqrt(2), which keeps the
+    # sign-symmetric grid's minimizer.  T_2m(0) = (-1)^m and the odd T_j
+    # vanish at 0, so only the even columns move
+    w = _half_grid(omega_gap, fit_nodes)
+    cheb = _chebyshev(omega_gap / w, d)
+    cheb[::2] -= (-1.0) ** np.arange(d // 2 + 1)[:, None]
+    cheb *= _ROW_WEIGHT
+    phases = (np.cos(T * w), np.sin(T * w))
+    cs = []
+    for taper in tapers:
+        r = eval_taper(taper, w) * _ROW_WEIGHT
+        c = np.zeros(d + 1)
+        for j0, phase in zip((2, 1), phases):
+            c[j0::2] = np.linalg.lstsq(cheb[j0::2].T, phase * r,
+                                       rcond=None)[0]
+        cs.append(c)
+    phase = np.exp(1j * w_cert * T)
+    targets = [phase * eval_taper(taper, w_cert) for taper in tapers]
+    err = np.zeros(len(cs))
+    for block, psi in _psi_blocks(cs, omega_gap / w_cert, d):
+        for k, target in enumerate(targets):
+            err[k] = np.maximum(err[k], np.abs(target[block] - psi[k]).max())
+    # beyond the innermost node, 0 < s <= s_min, r_nu(w_max) bounds the
+    # target and |psi'(0)| s + s^2 sum_j |c_j| j^2 / (1-s^2)^1.5 bounds psi
+    # (Taylor, psi(0) = 0, |T_j''(t)| <= j^2/(1-t^2) + |t|j/(1-t^2)^1.5),
+    # with T_j'(0) = j (-1)^((j-1)/2) for odd j.  The grid has at least 1009
+    # nodes, so s_min <= sin(pi/1008) and this stays below 2 sum_j |c_j|,
+    # the bound on |psi| everywhere
+    s_min, j = omega_gap / w_cert[-1], np.arange(d + 1)
+    slopes = j[1::2] * (-1.0) ** (j[1::2] // 2)
+    fits = []
+    for taper, c, grid_max in zip(tapers, cs, err):
+        tail = (abs(float(c[1::2] @ slopes)) * s_min
+                + s_min ** 2 * float(np.abs(c) @ j ** 2)
+                / (1.0 - s_min ** 2) ** 1.5
+                + float(eval_taper(taper, w_max)))
+        fits.append(Approximant(T=T, omega_gap=omega_gap, taper=taper, d=d,
+                                c=c, eps2=max(float(grid_max), tail),
+                                fit_nodes=fit_nodes))
+    return fits
 
 
 def fit_approximant(T: float, omega_gap: float, taper: TaperSpec,

@@ -22,12 +22,13 @@ measurement grid; a row of degree d takes the first d + 1 levels.  The
 fits of one degree are made together: a row that lacks its fit fits its nu
 and every later nu of its spectrum that the sweep lacks in one
 fit_approximants call (at a degree's first row, all of them), which builds
-the degree's grids, Chebyshev rows and target phase once for all of them.
-A value is computed when a row first needs it and not stored if that raises
-(a batch of fits that raises gives way to the row's own fit), so a failure
-errors the same rows with the same message as computing every row from
-scratch.  A spectrum's values are dropped before the next spectrum's rows
-run, and nothing outlives the call.
+the degree's grids, Chebyshev rows and target phase once for all of them;
+within a sweep its refusals depend on the degree alone, so a batch raises
+exactly when each of its fits would alone.  A value is computed when a row
+first needs it and not stored if that raises, so a failure errors the same
+rows with the same message as computing every row from scratch.  A
+spectrum's values are dropped before the next spectrum's rows run, and
+nothing outlives the call.
 
 Rows are computed serially in a fixed order and all output formatting is
 fixed-width, so identical configs produce byte-identical reports.
@@ -117,6 +118,10 @@ class ExperimentConfig:
             raise ValueError("d_list must be sorted ascending")
         if (self.nu_list is None) == (self.eps1_target is None):
             raise ValueError("exactly one of nu_list / eps1_target is required")
+        if self.eps1_target is not None and not self.eps1_target > 0:
+            raise ValueError(
+                f"eps1_target must be positive, got {self.eps1_target}")
+        TaperSpec(self.taper_family, 1.0)  # refuses an unknown family
         if not (self.t_end > self.t_start and self.dt > 0):
             raise ValueError("need t_end > t_start and dt > 0")
         for mode, command in _CLI_ONLY_MODES.items():
@@ -193,22 +198,14 @@ def _approximant(config: ExperimentConfig, approximants: dict, d: int,
     # the sweep's fit of (d, nu), memoized in approximants by (d, nu).  A
     # row whose fit the memo lacks fits, in one fit_approximants call, its nu
     # and every later nu of its spectrum's list that the memo lacks: at the
-    # first such row of degree d, all of them.  When a batch of several
-    # raises, the row fits its own nu alone, so a failure errors only the
-    # rows whose own fit fails, with that fit's message, and is not stored
-    def fit(batch):
+    # first such row of degree d, all of them.  Every refusal of that call
+    # depends on (T, omega_gap, d) alone, so a batch raises exactly when its
+    # row's own fit would, with the same message, and stores nothing
+    if (d, nu) not in approximants:
+        batch = [n for n in nus[nus.index(nu):] if (d, n) not in approximants]
         fits = fit_approximants(config.T, config.omega_gap, [
             TaperSpec(config.taper_family, n) for n in batch], d)
         approximants.update(((d, n), a) for n, a in zip(batch, fits))
-
-    if (d, nu) not in approximants:
-        batch = [n for n in nus[nus.index(nu):] if (d, n) not in approximants]
-        try:
-            fit(batch)
-        except Exception:
-            if batch == [nu]:
-                raise
-            fit([nu])
     return approximants[(d, nu)]
 
 

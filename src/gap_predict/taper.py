@@ -47,7 +47,7 @@ class TaperSpec:
     nu: float
 
     def __post_init__(self):
-        if self.family not in _FAMILIES:
+        if not isinstance(self.family, str) or self.family not in _FAMILIES:
             raise ValueError(
                 f"unknown taper family {self.family!r}; "
                 f"choose one of {sorted(_FAMILIES)}")

@@ -1404,6 +1404,22 @@ class TestEvalCommand:
             result.output
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("value", [-0.05, 0.0])
+    def test_non_positive_eps1_target_exits_2(self, runner, tmp_path, value):
+        # refused before any row, with select_nu's words
+        with open(os.path.join(CONFIG_DIR, "bump.json")) as fh:
+            config = json.load(fh)
+        config["spec_files"] = [os.path.join(CONFIG_DIR, "demo_bump.json")]
+        config["eps1_target"] = value
+        config_path = tmp_path / "cfg.json"
+        config_path.write_text(json.dumps(config))
+        result = invoke(runner, ["eval", "--config", str(config_path),
+                                 "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2
+        assert (f"configuration error: eps1_target must be positive, got "
+                f"{value}" in result.output)
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("bump,reason", [
         ({"center": 1.2, "half_width": 0.45, "amplitude": 1.0},
          "reaches into the gap"),
@@ -1509,7 +1525,11 @@ class TestEvalCommand:
         ("nu_list", 0.3, "nu_list must be a JSON list, got 0.3"),
         ("modes", "eta", "modes must be a JSON list, got 'eta'"),
         ("omega_gap", 1e-320, "omega_gap must be finite and positive with a "
-         "finite reciprocal, got 1e-320")])
+         "finite reciprocal, got 1e-320"),
+        ("taper_family", "gausian", "unknown taper family 'gausian'; choose "
+         "one of ['exponential', 'gaussian', 'lorentzian']"),
+        ("taper_family", ["gaussian"], "unknown taper family ['gaussian']; "
+         "choose one of ['exponential', 'gaussian', 'lorentzian']")])
     def test_unrunnable_sweep_entry_exits_2(self, runner, tmp_path, key,
                                             value, message):
         with open(os.path.join(CONFIG_DIR, "demo.json")) as fh:

@@ -14,6 +14,7 @@ from gap_predict.harness import (ErrorRow, ExperimentConfig,
 from gap_predict.predictor import (_sample_index, eta_sum,
                                    iterated_integrals)
 from gap_predict.signal import SpectrumSpec, exact_etaP, sample_grid
+from gap_predict.taper import TaperSpec
 
 from oracles import save_spectrum
 
@@ -246,7 +247,7 @@ class TestRunSweep:
             raise ValueError("fit failed")
 
         # a fit that raises stands for any failure inside a row: the batch
-        # of the degree's three nu fails, and so does each row's own fit
+        # of the degree's three nu fails, and so does each later row's batch
         monkeypatch.setattr(harness, "fit_approximants", failing_fit)
         rows = run_sweep(small_config(spec_path, d_list=(4,)))
         assert len(rows) == 3
@@ -531,38 +532,20 @@ class TestSharedWork:
         assert rows[1] == run_sweep(replace(config,
                                             spec_files=(paths[1],)))[0]
 
-    def test_a_failing_taper_errors_only_its_own_rows(self, tmp_path,
-                                                     monkeypatch):
-        # a batch holding nu = 0.4 fails; each row then fits its own nu
-        # alone, so only the nu = 0.4 rows error, and the others equal an
-        # unpatched sweep's rows
-        paths = two_tone_files(tmp_path)
-        config = small_config(paths[0], spec_files=tuple(paths),
-                              d_list=(3, 4), nu_list=(0.5, 0.4, 0.3),
-                              t_end=0.5, dt=0.1)
-        clean = run_sweep(config)
-        fit = harness.fit_approximants
-        batches = []
-
-        def fit_failing_at(T, gap, tapers, d):
-            batches.append((d, [t.nu for t in tapers]))
-            if any(t.nu == 0.4 for t in tapers):
-                raise ValueError("no fit at nu=0.4")
-            return fit(T, gap, tapers, d)
-
-        monkeypatch.setattr(harness, "fit_approximants", fit_failing_at)
+    def test_a_degree_too_large_errors_only_its_own_rows(self):
+        # the demo tone at d = 4000: each of its rows records
+        # fit_approximant's own refusal, and the d = 8 rows are those of a
+        # sweep without it
+        config = replace(demo_config(), d_list=(8, 4000), t_end=0.5, dt=0.1)
+        message = ("d=4000: the fit matrix of 16000 x 4001 entries is over "
+                   "the limit of 2^25 = 33554432")
+        with pytest.raises(ValueError) as info:
+            approx.fit_approximant(1.0, 1.0, TaperSpec("gaussian", 0.5), 4000)
+        assert str(info.value) == message
         rows = run_sweep(config)
-        assert [row.error for row in rows] == [
-            "ValueError: no fit at nu=0.4" if row.nu == 0.4 else None
-            for row in clean]
-        assert [row for row in rows if row.error is None] == \
-            [row for row in clean if row.nu != 0.4]
-        # the first spectrum's degree-3 rows: the batch of all three fails
-        # and the nu = 0.5 row fits alone; the nu = 0.4 row's batch of the
-        # two nu still lacking fails, and so does its own fit; the nu = 0.3
-        # row's batch is its nu alone
-        assert batches[:5] == [(3, [0.5, 0.4, 0.3]), (3, [0.5]),
-                               (3, [0.4, 0.3]), (3, [0.4]), (3, [0.3])]
+        assert [(row.d, row.error) for row in rows] == \
+            [(8, None)] * 3 + [(4000, f"ValueError: {message}")] * 3
+        assert rows[:3] == run_sweep(replace(config, d_list=(8,)))
 
 
 class TestEmitReport:
