@@ -23,6 +23,7 @@ newlines) through np.loadtxt itself, so every refusal is loadtxt's.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
 import sys
@@ -397,7 +398,8 @@ def approx_cmd(horizon, omega, taper, nu, degree, out):
     if out is None:
         click.echo(json.dumps(approximant_to_dict(approx), indent=2))
     else:
-        save_approximant(approx, out)
+        with _writing(out):
+            save_approximant(approx, out)
         click.echo(f"wrote {out}  d={approx.d} eps2={approx.eps2:.6e}")
 
 
@@ -421,7 +423,8 @@ def synth_cmd(spec_path, t0, t1, dt, out):
     except (ValueError, KeyError) as exc:
         raise click.ClickException(str(exc)) from exc
     times = t0 + dt * np.arange(n)
-    _write_csv(out, "t,x", times, xs)
+    with _writing(out):
+        _write_csv(out, "t,x", times, xs)
     click.echo(f"wrote {out}  ({n} samples)")
 
 
@@ -485,6 +488,18 @@ def _load(loader, path, what):
             f"{path} is not {what} ({type(exc).__name__}: {exc})") from exc
 
 
+@contextlib.contextmanager
+def _writing(path, exit_code=1):
+    # the body's writes to path; an OSError is refused naming path and it
+    try:
+        yield
+    except OSError as exc:
+        refusal = click.ClickException(
+            f"cannot write {path} ({type(exc).__name__}: {exc})")
+        refusal.exit_code = exit_code
+        raise refusal from exc
+
+
 def _read_eta(path):
     # (t1, etaP) from a fit-eta output; iterated_integrals checks the numbers
     with open(path, "r", encoding="utf-8") as fh:
@@ -543,7 +558,8 @@ def predict_cmd(approx_path, samples_path, mode, t1, history_length, eta_path,
             tail = np.zeros_like(y)
     except ValueError as exc:
         raise click.ClickException(str(exc)) from exc
-    _write_csv(out, "t,y_hat,diag_tail", t_out, y, tail)
+    with _writing(out):
+        _write_csv(out, "t,y_hat,diag_tail", t_out, y, tail)
     click.echo(f"wrote {out}  ({len(y)} predictions, mode={mode}{note})")
 
 
@@ -570,7 +586,8 @@ def fit_eta_cmd(approx_path, samples_path, t1, theta, dbar, out):
     payload = {"t1": float(tw[0]), "etaP": fit.etaP.tolist(),
                "residual": fit.residual.tolist(), "cond": fit.cond,
                "extrapolation": extrapolation}
-    with open(out, "w", encoding="utf-8", newline="\n") as fh:
+    with _writing(out), open(out, "w", encoding="utf-8",
+                             newline="\n") as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
     click.echo(f"wrote {out}  (dbar={dbar}, cond={fit.cond:.3e}, "
@@ -586,7 +603,8 @@ def fit_eta_cmd(approx_path, samples_path, t1, theta, dbar, out):
               help="Output directory (default: ./reports).")
 def eval_cmd(config_path, pin, out_dir):
     """Run a sweep; exit 0 = all rows and the convergence check pass (or it
-    is skipped), 1 = a row or the convergence check fails, 2 = config error."""
+    is skipped), 1 = a row or the convergence check fails, 2 = config error
+    or an --out directory that cannot be written."""
     try:
         config = ExperimentConfig.from_json(config_path)
         rows = run_sweep(config, pin=pin)  # raises only for a spectrum file
@@ -594,7 +612,8 @@ def eval_cmd(config_path, pin, out_dir):
         click.echo(f"configuration error: {exc}", err=True)
         sys.exit(2)
     dest = out_dir or "reports"
-    verdict = write_reports(rows, dest, config, pin=pin)
+    with _writing(dest, exit_code=2):
+        verdict = write_reports(rows, dest, config, pin=pin)
     for row in rows:
         status = "ERROR " + row.error if row.error else \
             ("pass" if row.passed else "FAIL")

@@ -14,21 +14,17 @@ command line keeps them.
 
 The realization is the one path predict --mode eta also runs
 (iterated_integrals, eta_sum), on a record whose step divides dt, so that
-every measurement time is a sample time.  Its levels do not depend on the
-approximant, so one run_sweep call fits each (d, nu) once and computes per
-spectrum, once, the future values, the record from t_start, its constants
-etaP_0..etaP_{D-1} (D = max(d_list)) and its levels z_0..z_D at the
-measurement grid; a row of degree d takes the first d + 1 levels.  The
-fits of one degree are made together: a row that lacks its fit fits its nu
-and every later nu of its spectrum that the sweep lacks in one
-fit_approximants call (at a degree's first row, all of them), which builds
-the degree's grids, Chebyshev rows and target phase once for all of them;
-within a sweep its refusals depend on the degree alone, so a batch raises
-exactly when each of its fits would alone.  A value is computed when a row
-first needs it and not stored if that raises, so a failure errors the same
-rows with the same message as computing every row from scratch.  A
-spectrum's values are dropped before the next spectrum's rows run, and
-nothing outlives the call.
+every measurement time is a sample time.  run_sweep is three loops.  Per
+spectrum it takes the nu list (nu_list or select_nu) and the truth: the
+future values and the record's levels z_0..z_D (D = max(d_list)) at the
+measurement grid, which do not depend on the approximant.  Per degree it
+fits, in one fit_approximants call, the spectrum's nu that the sweep has
+not fitted yet; the (d, nu) fits are shared across spectra, and a call
+that raises stores nothing.  Per row it computes eps1, the two bounds and
+eta_sum on the first d + 1 levels.  A failing step errors exactly the rows
+it serves: select_nu one row per d with nu = nan, a fit its degree's rows,
+the truth every row whose fit succeeded.  A spectrum's arrays are freed
+before the next spectrum starts, and nothing outlives the call.
 
 Rows are computed serially in a fixed order and all output formatting is
 fixed-width, so identical configs produce byte-identical reports.
@@ -179,74 +175,79 @@ def _grids(config: ExperimentConfig, h: float):
             config.t_start + h * np.arange(n_record))
 
 
-def _future_values(spec, t_grid, T):
-    # x(t + T) on the evenly spaced t_grid
+def _truth(config: ExperimentConfig, spec: SpectrumSpec, h: float,
+           times: np.ndarray, t_grid: np.ndarray):
+    # x(t + T) and the levels z_0..z_D (D = max(d_list)) of the record from
+    # t_start with its constants etaP_0..etaP_{D-1}, at t_grid: every
+    # (dt/h)-th sample, taken as a copy, since a strided view changes
+    # eta_sum's summation order and so its last bit
     step = t_grid[1] - t_grid[0] if len(t_grid) > 1 else 1.0
-    return sample_grid(spec, t_grid[0] + T, step, len(t_grid))
+    future = sample_grid(spec, t_grid[0] + config.T, step, len(t_grid))
+    t1, d_max, gap = config.t_start, max(config.d_list), config.omega_gap
+    values = sample_grid(spec, t1, h, len(times))
+    etaP = exact_etaP(spec, gap, d_max, t1)
+    levels = iterated_integrals(times, values, d_max, gap, etaP)[
+        :, round(config.dt / h) * np.arange(len(t_grid))]
+    return future, levels
 
 
-def _cached(memo, key, compute, *args):
-    # memo[key], computed on first use; a call that raises stores nothing, so
-    # every row that needs the value raises the same error
-    if key not in memo:
-        memo[key] = compute(*args)
-    return memo[key]
-
-
-def _approximant(config: ExperimentConfig, approximants: dict, d: int,
-                 nu: float, nus: list):
-    # the sweep's fit of (d, nu), memoized in approximants by (d, nu).  A
-    # row whose fit the memo lacks fits, in one fit_approximants call, its nu
-    # and every later nu of its spectrum's list that the memo lacks: at the
-    # first such row of degree d, all of them.  Every refusal of that call
-    # depends on (T, omega_gap, d) alone, so a batch raises exactly when its
-    # row's own fit would, with the same message, and stores nothing
-    if (d, nu) not in approximants:
-        batch = [n for n in nus[nus.index(nu):] if (d, n) not in approximants]
-        fits = fit_approximants(config.T, config.omega_gap, [
-            TaperSpec(config.taper_family, n) for n in batch], d)
-        approximants.update(((d, n), a) for n, a in zip(batch, fits))
-    return approximants[(d, nu)]
-
-
-def _run_row(config: ExperimentConfig, spec_name: str, spec: SpectrumSpec,
-             d: int, nu: float, nus: list, h: float, times: np.ndarray,
-             t_grid: np.ndarray, approximants: dict,
-             shared: dict) -> ErrorRow:
-    # approximants maps (d, nu) to the sweep's fits; nus are this spectrum's
-    # taper scales; shared holds this spectrum's record, etaP(t1), levels at
-    # t_grid and future values
-    taper = TaperSpec(family=config.taper_family, nu=nu)
-    approx = _approximant(config, approximants, d, nu, nus)
-
+def _row(spec_name: str, spec: SpectrumSpec, approx, future: np.ndarray,
+         levels: np.ndarray) -> ErrorRow:
+    # eps1, the two bounds and the measured error of approx's (d, nu)
+    taper, eps2 = approx.taper, approx.eps2
     eps1 = epsilon1(spec, taper)
-    eps2 = approx.eps2
     bound_paper = (eps1 + eps2) / (2.0 * np.pi)
     bound_tones = sum(2.0 * abs(t.amplitude)
                       * (abs(1.0 - float(eval_taper(taper, t.omega))) + eps2)
                       for t in spec.tones)
-
-    fut = _cached(shared, "future", _future_values, spec, t_grid, config.T)
-
-    t1 = config.t_start
-    values = _cached(shared, "record", sample_grid, spec, t1, h, len(times))
-    # etaP and the levels do not depend on d, so the rows of one spectrum
-    # share them to the largest degree; a row of degree d uses d + 1 levels
-    d_max, gap = max(config.d_list), config.omega_gap
-    etaP = _cached(shared, "etaP", exact_etaP, spec, gap, d_max, t1)
-    # t_grid is every (dt/h)-th sample, taken as a copy: a strided view
-    # changes eta_sum's summation order and so its last bit
-    levels = _cached(shared, "levels", lambda: iterated_integrals(
-        times, values, d_max, gap, etaP)[:, round(config.dt / h)
-                                         * np.arange(len(t_grid))])
-    y = eta_sum(approx, levels)
-    sup_err = float(np.abs(fut - y).max())
-
+    sup_err = float(np.abs(future - eta_sum(approx, levels)).max())
     applicable = bound_tones if spec.kind == "tones" else bound_paper
-    return ErrorRow(spec=spec_name, d=d, nu=nu, eps1=eps1, eps2=eps2,
-                    bound_paper=bound_paper, bound_tones=bound_tones,
-                    sup_err=sup_err,
+    return ErrorRow(spec=spec_name, d=approx.d, nu=taper.nu, eps1=eps1,
+                    eps2=eps2, bound_paper=bound_paper,
+                    bound_tones=bound_tones, sup_err=sup_err,
                     passed=bool(sup_err <= applicable + 1e-15))
+
+
+def _spectrum_rows(config: ExperimentConfig, name: str, spec: SpectrumSpec,
+                   h: float, times: np.ndarray, t_grid: np.ndarray,
+                   approximants: dict) -> list:
+    # one spectrum's rows, d by d and nu by nu; approximants maps (d, nu)
+    # to the sweep's fits and gains those this spectrum is the first to need
+    def failed(d, nu, exc):
+        return ErrorRow(spec=name, d=d, nu=nu,
+                        error=f"{type(exc).__name__}: {exc}")
+
+    try:
+        nus = (list(config.nu_list) if config.nu_list is not None else
+               [select_nu(spec, config.taper_family, config.eps1_target)])
+    except Exception as exc:  # noqa: BLE001 - recorded per row
+        return [failed(d, math.nan, exc) for d in config.d_list]
+    truth_error = None
+    try:
+        future, levels = _truth(config, spec, h, times, t_grid)
+    except Exception as exc:  # noqa: BLE001 - recorded per row
+        truth_error = exc
+    rows = []
+    for d in config.d_list:
+        error = truth_error
+        lacking = [nu for nu in nus if (d, nu) not in approximants]
+        if lacking:
+            try:
+                fits = fit_approximants(config.T, config.omega_gap, [
+                    TaperSpec(config.taper_family, nu) for nu in lacking], d)
+                approximants.update(zip([(d, nu) for nu in lacking], fits))
+            except Exception as exc:  # noqa: BLE001 - recorded per row
+                error = exc
+        for nu in nus:
+            if error is not None:
+                rows.append(failed(d, nu, error))
+                continue
+            try:
+                rows.append(_row(name, spec, approximants[(d, nu)], future,
+                                 levels))
+            except Exception as exc:  # noqa: BLE001 - recorded per row
+                rows.append(failed(d, nu, exc))
+    return rows
 
 
 def _quadrature_step(config: ExperimentConfig, pin: bool) -> float:
@@ -289,28 +290,9 @@ def run_sweep(config: ExperimentConfig, pin: bool = False) -> list:
     h = _quadrature_step(config, pin)
     t_grid, times = _grids(config, h)
     approximants: dict = {}
-    rows = []
-    for name, spec in _load_spectra(config):
-        try:
-            if config.nu_list is not None:
-                nus = list(config.nu_list)
-            else:
-                nus = [select_nu(spec, config.taper_family, config.eps1_target)]
-        except Exception as exc:  # noqa: BLE001 - recorded per row
-            rows.extend(ErrorRow(spec=name, d=d, nu=math.nan,
-                                 error=f"{type(exc).__name__}: {exc}")
-                        for d in config.d_list)
-            continue
-        shared: dict = {}
-        for d in config.d_list:
-            for nu in nus:
-                try:
-                    rows.append(_run_row(config, name, spec, d, nu, nus, h,
-                                         times, t_grid, approximants, shared))
-                except Exception as exc:  # noqa: BLE001 - recorded per row
-                    rows.append(ErrorRow(spec=name, d=d, nu=nu,
-                                         error=f"{type(exc).__name__}: {exc}"))
-    return rows
+    return [row for name, spec in _load_spectra(config)
+            for row in _spectrum_rows(config, name, spec, h, times, t_grid,
+                                      approximants)]
 
 
 def _fmt(value) -> str:

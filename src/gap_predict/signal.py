@@ -158,7 +158,8 @@ def _bump_rule(spec, t_absmax=0.0):
 @functools.lru_cache(maxsize=8)
 def _panel_rule(spec, panels):
     gl_x, gl_w = _gl_nodes()
-    nodes, weights = [], []
+    # empty for a spectrum without bumps
+    nodes, weights = [np.empty(0)], [np.empty(0)]
     for b, n_panels in zip(spec.bumps, panels):
         lo, hi = b.center - b.half_width, b.center + b.half_width
         edges = np.linspace(lo, hi, n_panels + 1)
@@ -232,8 +233,6 @@ def sample_grid(spec: SpectrumSpec, t0: float, dt: float,
     grid_size(n)
     if spec.kind == "tones":
         return _tone_grid(spec, t0 + dt * np.arange(n))
-    if not spec.bumps:
-        return np.zeros(n)
     t_absmax = max(abs(t0), abs(t0 + dt * (n - 1)))
     n_nodes = _GL_ORDER * sum(_n_panels(b, t_absmax) for b in spec.bumps)
     B = int(np.ceil(np.sqrt(n)))
@@ -264,8 +263,6 @@ def epsilon1(spec: SpectrumSpec, taper: TaperSpec) -> float:
         return 2.0 * sum(
             abs(t.amplitude) * (1.0 - float(eval_taper(taper, t.omega)))
             for t in spec.tones)
-    if not spec.bumps:
-        return 0.0
     om, w = _bump_rule(spec)
     return 2.0 * float(np.abs(w) @ (1.0 - eval_taper(taper, om)))
 
@@ -304,7 +301,7 @@ def exact_etaP(spec: SpectrumSpec, omega_gap: float, d: int, t: float):
     Re[(-i)^(j+1) (T_j(s) @ (A e^{iwt} / w))], one row of T_j(s) per j.
     |T_j(s)| <= 1 and 1/w <= 1/omega_gap there, so no sum cancels."""
     t = float(t)
-    if spec.kind == "tones" or not spec.bumps:
+    if spec.kind == "tones":
         om = np.array([tone.omega for tone in spec.tones])
         amp = np.array([tone.amplitude for tone in spec.tones], dtype=complex)
     else:

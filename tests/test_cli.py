@@ -1197,6 +1197,73 @@ class TestRejectsNonFinite:
         assert not out.exists()
 
 
+# each subcommand that writes --out, with its other arguments
+_WRITING_COMMANDS = {
+    "approx": ["approx", "--T", "1.0", "--omega", "1.0", "--taper",
+               "gaussian", "--nu", "0.3", "--d", "4"],
+    "synth": ["synth", "--spec", "{spec}", "--t0", "0", "--t1", "1",
+              "--dt", "0.1"],
+    "predict-conv": ["predict", "--approx", "{approx}", "--samples",
+                     "{samples}", "--mode", "conv"],
+    "predict-eta": ["predict", "--approx", "{approx}", "--samples",
+                    "{samples}", "--mode", "eta"],
+    "fit-eta": ["fit-eta", "--approx", "{approx}", "--samples",
+                "{samples}", "--t1", "0", "--theta", "8", "--dbar", "4"],
+    "eval": ["eval", "--config", "{config}"],
+}
+
+
+class TestUnwritableOut:
+    """An --out path that cannot be written is refused by name, without a
+    traceback or an output file: exit 1, and 2 for eval, whose 1 means a
+    failing row."""
+
+    @pytest.fixture
+    def files(self, runner, tmp_path):
+        spec_path = tmp_path / "tone.json"
+        save_spectrum(SpectrumSpec.from_tones(1.0, [(2.0, 0.5)]), spec_path)
+        approx_path = tmp_path / "ap.json"
+        invoke(runner, ["approx", "--T", "1.0", "--omega", "1.0",
+                        "--taper", "gaussian", "--nu", "0.3", "--d", "4",
+                        "--out", str(approx_path)])
+        samples_path = tmp_path / "x.csv"
+        invoke(runner, ["synth", "--spec", str(spec_path), "--t0", "-12.0",
+                        "--t1", "8.0", "--dt", "0.01",
+                        "--out", str(samples_path)])
+        with open(os.path.join(CONFIG_DIR, "demo.json")) as fh:
+            config = json.load(fh)
+        config.update(spec_files=[str(spec_path)], d_list=[8],
+                      nu_list=[0.5], t_end=0.5, dt=0.1)
+        config_path = tmp_path / "cfg.json"
+        config_path.write_text(json.dumps(config))
+        (tmp_path / "file").write_text("")
+        return {"spec": spec_path, "approx": approx_path,
+                "samples": samples_path, "config": config_path}
+
+    @pytest.mark.parametrize("command, place, error", [
+        (command, place, error) for command in _WRITING_COMMANDS
+        for place, error in (("file/out", "NotADirectoryError"),
+                             ("missing/out", "FileNotFoundError"))
+        # eval makes its --out directory and the directory's parents
+        if command != "eval" or place == "file/out"])
+    def test_is_refused_by_name(self, runner, tmp_path, files, command,
+                                place, error):
+        out = tmp_path / place
+        args = [arg.format(**files) for arg in _WRITING_COMMANDS[command]]
+        result = invoke(runner, [*args, "--out", str(out)])
+        assert result.exit_code == (2 if command == "eval" else 1)
+        assert f"Error: cannot write {out} ({error}: " in result.output
+        assert "Traceback" not in result.output
+        assert not out.exists()
+
+    def test_eval_makes_a_missing_directory(self, runner, tmp_path, files):
+        out = tmp_path / "missing" / "out"
+        args = [arg.format(**files) for arg in _WRITING_COMMANDS["eval"]]
+        result = invoke(runner, [*args, "--out", str(out)])
+        assert result.exit_code == 0
+        assert (out / "report.csv").exists()
+
+
 class TestEvalCommand:
     def test_demo_passes_and_is_deterministic(self, runner, tmp_path):
         config = os.path.join(CONFIG_DIR, "demo.json")
@@ -1304,9 +1371,13 @@ class TestEvalCommand:
         config["d_list"], config["nu_list"] = [32], [0.3]
         config_path = tmp_path / "cfg.json"
         config_path.write_text(json.dumps(config))
-        future = harness._future_values
-        monkeypatch.setattr(harness, "_future_values",
-                            lambda *args: future(*args) + 1.0)
+        truth = harness._truth
+
+        def shifted(*args):
+            future, levels = truth(*args)
+            return future + 1.0, levels
+
+        monkeypatch.setattr(harness, "_truth", shifted)
         result = invoke(runner, ["eval", "--config", str(config_path),
                                  "--out", str(tmp_path / "out")])
         assert result.exit_code == 1

@@ -246,8 +246,9 @@ class TestRunSweep:
         def failing_fit(*args, **kwargs):
             raise ValueError("fit failed")
 
-        # a fit that raises stands for any failure inside a row: the batch
-        # of the degree's three nu fails, and so does each later row's batch
+        # a fit that raises stands for any failure inside a row: the one
+        # fit_approximants call of the degree's three nu fails, and each of
+        # the three rows records its message
         monkeypatch.setattr(harness, "fit_approximants", failing_fit)
         rows = run_sweep(small_config(spec_path, d_list=(4,)))
         assert len(rows) == 3
@@ -349,8 +350,7 @@ class TestSharedWork:
 
     @staticmethod
     def count_calls(monkeypatch):
-        calls = {"fit": [], "sample_grid": [], "integrals": [], "etaP": [],
-                 "cached": []}
+        calls = {"fit": [], "sample_grid": [], "integrals": [], "etaP": []}
 
         def counting(key, fn, record):
             def wrapper(*args, **kwargs):
@@ -366,8 +366,6 @@ class TestSharedWork:
                  lambda times, values, d, gap, etaP: d)
         counting("etaP", harness.exact_etaP,
                  lambda spec, gap, d, t: (spec, d, t))
-        counting("cached", harness._cached,
-                 lambda memo, key, compute, *args: key)
         return calls
 
     def test_each_shared_value_is_computed_once_per_call(self, tmp_path,
@@ -392,10 +390,64 @@ class TestSharedWork:
             assert calls["integrals"] == [4, 4]
             # etaP_0..etaP_3(t_start) in one call, per spectrum
             assert calls["etaP"] == [(spec, 4, 0.0) for spec in specs]
-            # the spectrum-scoped values: the record's levels live only at
-            # the measurement grid
-            assert {key for key in calls["cached"] if isinstance(key, str)} \
-                == {"future", "record", "etaP", "levels"}
+
+    def test_a_failing_degree_is_fitted_once_per_spectrum(self, tmp_path,
+                                                          monkeypatch):
+        # a degree whose fit raises errors its rows and is tried again by
+        # the next spectrum only, not by each of its remaining rows
+        paths = two_tone_files(tmp_path)
+        config = small_config(paths[0], spec_files=tuple(paths), d_list=(4,),
+                              t_end=0.5, dt=0.1)
+        calls = []
+
+        def failing_fit(T, gap, tapers, d):
+            calls.append((d, [t.nu for t in tapers]))
+            raise ValueError("fit failed")
+
+        monkeypatch.setattr(harness, "fit_approximants", failing_fit)
+        rows = run_sweep(config)
+        assert [row.error for row in rows] == ["ValueError: fit failed"] * 6
+        assert calls == [(4, [0.5, 0.4, 0.3])] * 2
+
+    def test_each_failing_step_errors_the_rows_it_serves(self, tmp_path):
+        # real refusals: select_nu at an eps1_target the exponential taper
+        # misses even at nu = 1e-12 errors one row per d with nu = nan; the truth of a bump sampled at t = 1e7
+        # (its workspace is over the limit) errors every row whose fit
+        # succeeded; a fit too large to make errors its degree's rows
+        paths = []
+        for j, center in enumerate((2.1, 2.4)):
+            path = tmp_path / f"bump{j}.json"
+            save_spectrum(SpectrumSpec.from_bumps(1.0, [(center, 0.45, 1.0)]),
+                          path)
+            paths.append(str(path))
+        specs = [spec for _, spec in harness._load_spectra(
+            small_config(paths[0], spec_files=tuple(paths)))]
+        config = small_config(paths[0], nu_list=None, eps1_target=1e-30,
+                              taper_family="exponential", d_list=(2, 3))
+        with pytest.raises(RuntimeError) as info:
+            signal.select_nu(specs[0], "exponential", 1e-30)
+        rows = run_sweep(config)
+        assert [(row.d, row.error) for row in rows] == [
+            (d, f"RuntimeError: {info.value}") for d in (2, 3)]
+        assert all(math.isnan(row.nu) for row in rows)
+
+        config = small_config(paths[0], spec_files=tuple(paths),
+                              d_list=(8, 4000), nu_list=(0.5, 0.4),
+                              t_start=1e7, t_end=1e7 + 0.1, dt=0.05)
+        h = harness._quadrature_step(config, False)
+        t_grid, _ = harness._grids(config, h)
+        with pytest.raises(ValueError) as info:
+            sample_grid(specs[0], t_grid[0] + 1.0, t_grid[1] - t_grid[0],
+                        len(t_grid))
+        truth = f"ValueError: {info.value}"
+        assert truth.startswith("ValueError: sampling n=")
+        with pytest.raises(ValueError) as info:
+            approx.fit_approximant(1.0, 1.0, TaperSpec("gaussian", 0.5), 4000)
+        fit = f"ValueError: {info.value}"
+        rows = run_sweep(config)
+        assert [(row.spec, row.d, row.nu, row.error) for row in rows] == [
+            (f"bump{j}", d, nu, truth if d == 8 else fit)
+            for j in (0, 1) for d in (8, 4000) for nu in (0.5, 0.4)]
 
     @pytest.mark.parametrize("small, large", [
         ({"d_list": (3,), "nu_list": (0.5,)},

@@ -93,6 +93,27 @@ class TestConstruction:
             assert sample(spec, 0.37) == 0.0
             assert l1_budget(spec) == 0.0
             assert np.array_equal(exact_etaP(spec, 1.0, 3, 1.0), np.zeros(3))
+        # a bump spec without bumps takes the bump path with an empty rule,
+        # which gives the bits of the branches it replaced: +0.0 samples, an
+        # eps1 of +0.0, and the signed zeros of the closed form over no
+        # tones, (-i)^(j+1) times +0, so -0 where j = 1 mod 4
+        spec = SpectrumSpec.from_bumps(1.0, [])
+        nodes, weights = signal._bump_rule(spec, 5.0)
+        assert nodes.shape == weights.shape == (0,)
+        for t0, dt, n in ((0.0, 0.1, 7), (-3.0, 0.01, 1000), (5.0, 0.5, 1)):
+            x = sample_grid(spec, t0, dt, n)
+            assert x.shape == (n,) and not x.view(np.int64).any()
+        for family in ("gaussian", "exponential", "lorentzian"):
+            eps1 = epsilon1(spec, TaperSpec(family, 0.3))
+            assert eps1 == 0.0 and not math.copysign(1.0, eps1) < 0
+        for t in (0.0, -2.5, 3.0):
+            etaP = exact_etaP(spec, 1.0, 9, t)
+            assert etaP.tolist() == [0.0] * 9
+            assert np.signbit(etaP).tolist() == [j % 4 == 1 for j in range(9)]
+            assert np.array_equal(
+                etaP.view(np.int64),
+                exact_etaP(SpectrumSpec.from_tones(1.0, []), 1.0, 9,
+                           t).view(np.int64))
 
 
 class TestSample:
