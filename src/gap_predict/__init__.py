@@ -1,7 +1,7 @@
 """Linear integral predictors for continuous-time signals with a spectral gap."""
 
 from .taper import TaperSpec, eval_taper
-from .approx import (Approximant, eval_psi, fit_approximant, fit_approximants,
+from .approx import (Approximant, fit_approximant, fit_approximants,
                      load_approximant, save_approximant)
 from .signal import (SpectrumSpec, Tone, Bump, sample_grid, epsilon1,
                      select_nu, exact_etaP, load_spectrum)

@@ -19,9 +19,9 @@ are built once, and each taper takes only its own solves and its own
 products with the rows, so its fit is bit for bit the one it gets alone;
 fit_approximant is its one-taper call.  The monomial
 coefficients of v^k, a_k = sigma_k omega_gap^k (c @ M)_k for the monomial
-matrix M of the T_j, are a derived view (Approximant.a) written to the JSON
-file for its readers; no realization reads them.  Their terms grow
-like 2^k, so a loses digits past d ~ 40 where c does not.
+matrix M of the T_j, are written to the JSON file as a, for its readers;
+nothing in the package reads them.  Their terms grow like 2^k, so a loses
+digits past d ~ 40 where c does not.
 """
 
 from __future__ import annotations
@@ -34,9 +34,9 @@ import numpy as np
 from .signal import _chebyshev, grid_size
 from .taper import TaperSpec, eval_taper, taper_from_dict, taper_to_dict
 
-__all__ = ["Approximant", "CERT_DENSITY", "check_gap", "eval_psi",
-           "fit_approximant", "fit_approximants", "approximant_to_dict",
-           "approximant_from_dict", "save_approximant", "load_approximant"]
+__all__ = ["Approximant", "CERT_DENSITY", "check_gap", "fit_approximant",
+           "fit_approximants", "approximant_to_dict", "approximant_from_dict",
+           "save_approximant", "load_approximant"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,16 +75,10 @@ class Approximant:
         """sigma_j c_j, j = 0..d: the weights of the realization's levels."""
         return _sigma(self.d) * self.c
 
-    @property
-    def a(self) -> np.ndarray:
-        """The monomial view: a[k-1] is the coefficient of (i*w)^(-k)."""
-        return (_sigma(self.d)[1:] * self.omega_gap ** np.arange(1, self.d + 1)
-                * (self.c @ _monomials(self.d))[1:])
-
 
 # certification grid density, in multiples of the fit grid's node spacing
 CERT_DENSITY = 16
-# basis entries eval_psi builds at a time
+# Chebyshev row entries the certificate builds at a time
 _EVAL_BLOCK = 1 << 20
 # the fit's row weight: a half-grid row stands for a node at w and at -w
 _ROW_WEIGHT = np.sqrt(2.0)
@@ -120,42 +114,6 @@ def _monomials(d: int) -> np.ndarray:
 def _sigma(d: int) -> np.ndarray:
     # sigma_j = (-1)^ceil(j/2), j = 0..d
     return (-1.0) ** ((np.arange(d + 1) + 1) // 2)
-
-
-def _psi_blocks(cs, s, d: int):
-    # per block of the nodes s (eval_psi), its slice and psi there for each
-    # coefficient vector of cs, all of degree d: the block's rows are built
-    # once, and each vector takes its own two products with them
-    at_zero = [c[0::2] @ (-1.0) ** np.arange(d // 2 + 1) for c in cs]
-    # blocks of a multiple of 64 nodes put their seams on the vector lanes of
-    # the products below, whose sums then equal one block's bit for bit
-    step = max(64, _EVAL_BLOCK // (d + 1) & -64)
-    for i in range(0, s.size, step):
-        rows = _chebyshev(s[i:i + step], d)
-        even, odd = rows[0::2], rows[1::2]
-        psi = np.empty((len(cs), rows.shape[1]), dtype=complex)
-        for k, c in enumerate(cs):
-            psi.real[k] = c[0::2] @ even - at_zero[k]
-            psi.imag[k] = c[1::2] @ odd
-        yield slice(i, i + step), psi
-
-
-def eval_psi(c, omega_gap: float, omega):
-    """psi(i*omega) for a scalar or array omega != 0, in reals on
-    s = omega_gap/omega: Re psi = sum_{even j} c_j T_j(s) less
-    sum_m c_2m T_2m(0) = (-1)^m c_2m, and Im psi = sum_{odd j} c_j T_j(s),
-    from the rows T_0(s)..T_d(s) that the fit's columns come from.  The rows
-    are built for a block of at most _EVAL_BLOCK / (d + 1) nodes at a time
-    (64 at the least), so memory stays flat in d and in the node count."""
-    om = np.asarray(omega, dtype=float)
-    if np.any(om == 0.0):
-        raise ValueError("psi has a pole at omega = 0")
-    s = (omega_gap / om).ravel()
-    c = np.asarray(c, dtype=float)
-    psi = np.empty(s.size, dtype=complex)
-    for block, (values,) in _psi_blocks([c], s, len(c) - 1):
-        psi[block] = values
-    return complex(psi[0]) if np.ndim(omega) == 0 else psi.reshape(om.shape)
 
 
 def fit_approximants(T: float, omega_gap: float, tapers,
@@ -208,12 +166,23 @@ def fit_approximants(T: float, omega_gap: float, tapers,
             c[j0::2] = np.linalg.lstsq(cheb[j0::2].T, phase * r,
                                        rcond=None)[0]
         cs.append(c)
+    # psi in reals on s = omega_gap/w (module docstring), from the rows of at
+    # most _EVAL_BLOCK / (d + 1) nodes at a time; blocks of a multiple of 64
+    # nodes put their seams on the products' vector lanes, so the sums equal
+    # one block's bit for bit
     phase = np.exp(1j * w_cert * T)
     targets = [phase * eval_taper(taper, w_cert) for taper in tapers]
-    err = np.zeros(len(cs))
-    for block, psi in _psi_blocks(cs, omega_gap / w_cert, d):
-        for k, target in enumerate(targets):
-            err[k] = np.maximum(err[k], np.abs(target[block] - psi[k]).max())
+    at_zero = [c[0::2] @ (-1.0) ** np.arange(d // 2 + 1) for c in cs]
+    s, err = omega_gap / w_cert, np.zeros(len(cs))
+    step = max(64, _EVAL_BLOCK // (d + 1) & -64)
+    for i in range(0, s.size, step):
+        rows = _chebyshev(s[i:i + step], d)
+        psi = np.empty(rows.shape[1], dtype=complex)
+        for k, (c, target) in enumerate(zip(cs, targets)):
+            psi.real = c[0::2] @ rows[0::2] - at_zero[k]
+            psi.imag = c[1::2] @ rows[1::2]
+            err[k] = np.maximum(err[k],
+                                np.abs(target[i:i + step] - psi).max())
     # beyond the innermost node, 0 < s <= s_min, r_nu(w_max) bounds the
     # target and |psi'(0)| s + s^2 sum_j |c_j| j^2 / (1-s^2)^1.5 bounds psi
     # (Taylor, psi(0) = 0, |T_j''(t)| <= j^2/(1-t^2) + |t|j/(1-t^2)^1.5),
@@ -249,14 +218,16 @@ def fit_approximant(T: float, omega_gap: float, taper: TaperSpec,
 
 
 def approximant_to_dict(approx: Approximant) -> dict:
-    """The JSON form: c, and the derived a that monomial readers take."""
+    """The JSON form: c, and a for monomial readers (module docstring)."""
+    a = (_sigma(approx.d)[1:] * approx.omega_gap ** np.arange(1, approx.d + 1)
+         * (approx.c @ _monomials(approx.d))[1:])
     return {
         "T": approx.T,
         "omega_gap": approx.omega_gap,
         "taper": taper_to_dict(approx.taper),
         "d": approx.d,
         "c": approx.c.tolist(),
-        "a": approx.a.tolist(),
+        "a": a.tolist(),
         "eps2": approx.eps2,
         "fit_nodes": approx.fit_nodes,
     }

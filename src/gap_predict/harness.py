@@ -2,15 +2,17 @@
 
 For every combination of spectrum file, degree and taper scale the sweep fits
 an approximant, on the grid fit_approximants ties to its degree, computes the
-two error budgets (the L1-spectrum form (eps1 + eps2) / 2pi and the tone
-point-mass form sum_j 2|c_j| (|1 - r_nu(w_j)| + eps2)), runs the recurrence
+two error budgets (the L1-spectrum form (eps1 + M eps2) / 2pi, M the
+spectrum's L1 mass, and the tone point-mass form
+sum_j 2|c_j| (|1 - r_nu(w_j)| + eps2)), runs the recurrence
 in time with the exact constants etaP_j(t_start) on a measurement grid, and
 records the sup error against the exact future values.  A row passes when
 the measured sup error is at most the bound matching its spectrum kind,
 bound_tones for tones and bound_paper for bumps, up to 1e-15 of round-off.
 eps2 is the approximant's own certificate, computed once at
 approx.CERT_DENSITY.  The conv and fit-eta realizations are not swept; the
-command line keeps them.
+command line keeps them, and a config's optional modes key must be
+["eta"].
 
 The realization is the one path predict --mode eta also runs
 (iterated_integrals, eta_sum), on a record whose step divides dt, so that
@@ -46,7 +48,7 @@ import numpy as np
 from .approx import CERT_DENSITY, check_gap, fit_approximants
 from .predictor import eta_sum, iterated_integrals
 from .signal import (SpectrumSpec, epsilon1, exact_etaP, grid_size,
-                     load_spectrum, sample_grid, select_nu)
+                     load_spectrum, sample_grid, select_nu, spectral_mass)
 from .taper import TaperSpec, eval_taper
 
 __all__ = ["ExperimentConfig", "ErrorRow", "run_sweep", "write_reports",
@@ -55,18 +57,12 @@ __all__ = ["ExperimentConfig", "ErrorRow", "run_sweep", "write_reports",
 CSV_COLUMNS = ("spec", "d", "nu", "eps1", "eps2", "bound_paper",
                "bound_tones", "sup_err", "pass")
 
-_MODES = ("eta",)
-
-# realizations eval does not sweep, with the command that still runs each
-_CLI_ONLY_MODES = {"conv": "gap-predict predict --mode conv",
-                   "fit-eta": "gap-predict fit-eta"}
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One sweep: which signals, which (d, nu) combinations, and the
-    measurement grid.  modes names the realizations swept; only "eta" is, and
-    the key stays because config files set it."""
+    measurement grid.  It runs the eta realization only; from_json reads a
+    config file's "modes": ["eta"] and drops it."""
 
     spec_files: tuple
     T: float
@@ -76,7 +72,6 @@ class ExperimentConfig:
     t_start: float
     t_end: float
     dt: float
-    modes: tuple = ("eta",)
     nu_list: Optional[tuple] = None
     eps1_target: Optional[float] = None
 
@@ -120,14 +115,6 @@ class ExperimentConfig:
         TaperSpec(self.taper_family, 1.0)  # refuses an unknown family
         if not (self.t_end > self.t_start and self.dt > 0):
             raise ValueError("need t_end > t_start and dt > 0")
-        for mode, command in _CLI_ONLY_MODES.items():
-            if mode in self.modes:
-                raise ValueError(
-                    f"mode {mode!r} is not swept by eval, which checks only "
-                    f"the eta realization; run {command} instead")
-        bad = [m for m in self.modes if m not in _MODES]
-        if bad or not self.modes:
-            raise ValueError(f"modes must be a nonempty subset of {_MODES}")
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
@@ -141,10 +128,15 @@ class ExperimentConfig:
                     key == "nu_list" and data[key] is None):
                 raise ValueError(
                     f"{key} must be a JSON list, got {data[key]!r}")
+        if data.get("modes", ["eta"]) != ["eta"]:
+            raise ValueError(
+                f"modes must be [\"eta\"], got {data['modes']!r}: eval "
+                "sweeps only the eta realization; run gap-predict predict "
+                "--mode conv or gap-predict fit-eta for the others")
         specs = tuple(p if os.path.isabs(p) else os.path.join(base, p)
                       for p in data["spec_files"])
-        kwargs = {k: data[k] for k in data if k != "spec_files"}
-        for key in ("d_list", "nu_list", "modes"):
+        kwargs = {k: data[k] for k in data if k not in ("spec_files", "modes")}
+        for key in ("d_list", "nu_list"):
             if kwargs.get(key) is not None:
                 kwargs[key] = tuple(kwargs[key])
         return cls(spec_files=specs, **kwargs)
@@ -196,7 +188,10 @@ def _row(spec_name: str, spec: SpectrumSpec, approx, future: np.ndarray,
     # eps1, the two bounds and the measured error of approx's (d, nu)
     taper, eps2 = approx.taper, approx.eps2
     eps1 = epsilon1(spec, taper)
-    bound_paper = (eps1 + eps2) / (2.0 * np.pi)
+    # the paper's error (1/2pi) int |e^{iwT} - psi(iw)| |X| dw: eps1 covers
+    # the taper's share and eps2 bounds |r_nu - psi| against each unit of
+    # the spectrum's L1 mass M
+    bound_paper = (eps1 + spectral_mass(spec) * eps2) / (2.0 * np.pi)
     bound_tones = sum(2.0 * abs(t.amplitude)
                       * (abs(1.0 - float(eval_taper(taper, t.omega))) + eps2)
                       for t in spec.tones)
@@ -303,10 +298,8 @@ def _fmt(value) -> str:
     return f"{float(value):.17g}"
 
 
-def _write_json(path, payload) -> None:
-    # in one write; json.dump writes each of its encoder's chunks
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+def _json_text(payload) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def write_reports(rows, out_dir, config: ExperimentConfig,
@@ -314,7 +307,10 @@ def write_reports(rows, out_dir, config: ExperimentConfig,
     """Write report.csv, report.json and, when pinned, fixtures.json into
     out_dir; the same rows give byte-identical files.  The CSV columns are
     fixed; the JSON holds every row's fields, the failing row indices and
-    the convergence verdict, which is returned."""
+    the convergence verdict, which is returned.  Each file is written under
+    a temporary name in out_dir and renamed into place once all are
+    written; a write that fails removes what it wrote, so out_dir keeps no
+    new report file and no temporary file."""
     if not rows:
         raise ValueError("refusing to write an empty report")
     os.makedirs(out_dir, exist_ok=True)
@@ -325,17 +321,15 @@ def write_reports(rows, out_dir, config: ExperimentConfig,
             row.spec, _fmt(row.d), _fmt(row.nu), _fmt(row.eps1),
             _fmt(row.eps2), _fmt(row.bound_paper), _fmt(row.bound_tones),
             _fmt(row.sup_err), _fmt(row.passed)]))
-    with open(os.path.join(out_dir, "report.csv"), "w", encoding="utf-8",
-              newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-    _write_json(os.path.join(out_dir, "report.json"), {
-        "rows": [vars(row) for row in rows],
-        "failing_rows": [i for i, row in enumerate(rows) if not row.passed],
-        "all_pass": all(row.passed for row in rows),
-        "convergence": verdict,
-    })
+    files = {"report.csv": "\n".join(lines) + "\n",
+             "report.json": _json_text({
+                 "rows": [vars(row) for row in rows],
+                 "failing_rows": [i for i, row in enumerate(rows)
+                                  if not row.passed],
+                 "all_pass": all(row.passed for row in rows),
+                 "convergence": verdict})}
     if pin:
-        _write_json(os.path.join(out_dir, "fixtures.json"), {
+        files["fixtures.json"] = _json_text({
             "settings": {
                 "dense_factor": CERT_DENSITY,
                 "quadrature_step": _quadrature_step(config, pin),
@@ -343,6 +337,21 @@ def write_reports(rows, out_dir, config: ExperimentConfig,
             },
             "rows": [vars(row) for row in rows],
         })
+    temps = {name: os.path.join(out_dir, f".{name}.{os.getpid()}.tmp")
+             for name in files}
+    placed = []
+    try:
+        for name, temp in temps.items():
+            with open(temp, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(files[name])
+        for name, temp in temps.items():
+            os.replace(temp, os.path.join(out_dir, name))
+            placed.append(os.path.join(out_dir, name))
+    except BaseException:
+        for path in [*temps.values(), *placed]:
+            if os.path.isfile(path):
+                os.remove(path)
+        raise
     return verdict
 
 

@@ -1,9 +1,9 @@
 """Time-domain realizations of the gap-signal predictor psi (see approx).
 
 * Convolution over a truncated history window, at every sample with a full
-  window, for signals that decay into the past; its kernel
-  K(t) = sum_k a_k t^(k-1)/(k-1)! is the recurrence's impulse response.  K
-  grows like t^(d-1)/(d-1)!, so this form is a demonstration for small d.
+  window, for signals that decay into the past; its kernel, the recurrence's
+  impulse response built from its responses to unit constants, grows like
+  t^(d-1)/(d-1)!, so this form is a demonstration for small d.
 * The recurrence in time.  v = 1/(i*w) is the antiderivative, so the levels
   y_0 = x, y_1 = omega_gap (etaP_0 + int_{t1}^t y_0) and
   y_{j+1} = 2 omega_gap (etaP_j + int_{t1}^t y_j) + y_{j-1} are P_j(v)

@@ -8,7 +8,8 @@ s = (|w| - center)/half_width, mirrored to negative frequencies; they decay
 faster than any polynomial in time and satisfy every integrability hypothesis
 the polynomial-kernel predictor needs.  Every bump integral (grid samples,
 eps1, the realization's constants etaP_j) goes through one fixed-order
-Gauss-Legendre panel rule over the bump supports.  A grid of
+Gauss-Legendre panel rule over the bump supports, and so does the spectrum's
+L1 mass M (spectral_mass).  A grid of
 more than 2^25 samples, or one too long or too far from t = 0 for the bump
 sampler's workspace, is refused before any array is made.
 
@@ -29,8 +30,8 @@ import numpy as np
 from .taper import TaperSpec, eval_taper
 
 __all__ = ["Tone", "Bump", "SpectrumSpec", "grid_size", "sample_grid",
-           "epsilon1", "select_nu", "exact_etaP", "spectrum_from_dict",
-           "load_spectrum"]
+           "epsilon1", "spectral_mass", "select_nu", "exact_etaP",
+           "spectrum_from_dict", "load_spectrum"]
 
 # Gauss-Legendre nodes per panel of the bump quadrature rule
 _GL_ORDER = 48
@@ -265,6 +266,15 @@ def epsilon1(spec: SpectrumSpec, taper: TaperSpec) -> float:
             for t in spec.tones)
     om, w = _bump_rule(spec)
     return 2.0 * float(np.abs(w) @ (1.0 - eval_taper(taper, om)))
+
+
+def spectral_mass(spec: SpectrumSpec) -> float:
+    """M = int_{|w|>=gap} |X| dw, the L1 mass that scales eps2 in the
+    paper's bound: 2 * sum_j |c_j| for tones, and for bumps 2 * sum |W| over
+    the bump rule, each bump's mass taken in absolute value as in epsilon1."""
+    if spec.kind == "tones":
+        return 2.0 * sum(abs(t.amplitude) for t in spec.tones)
+    return 2.0 * float(np.abs(_bump_rule(spec)[1]).sum())
 
 
 def select_nu(spec: SpectrumSpec, taper_family: str, eps1_target: float) -> float:

@@ -13,7 +13,8 @@ import json
 import math
 
 import numpy as np
-from numpy.polynomial.chebyshev import chebder, chebval, chebvander, poly2cheb
+from numpy.polynomial.chebyshev import (cheb2poly, chebder, chebval,
+                                        chebvander, poly2cheb)
 from scipy.integrate import quad
 
 from gap_predict.signal import _bump_profile
@@ -108,6 +109,30 @@ def _parts(c):
     return np.where(j % 2 == 0, c, 0.0), np.where(j % 2 == 1, c, 0.0)
 
 
+def psi(c, omega_gap, omega):
+    """psi(i*omega) for omega != 0: sum_{even j} c_j (T_j(s) - T_j(0)) +
+    i sum_{odd j} c_j T_j(s), s = omega_gap/omega, by numpy's Chebyshev
+    series in complex arithmetic."""
+    even, odd = _parts(np.asarray(c, dtype=float))
+    s = omega_gap / np.asarray(omega, dtype=float)
+    return (chebval(s, even) - chebval(0.0, even)) + 1j * chebval(s, odd)
+
+
+def psi_by_complex_recurrence(c, omega_gap, omega):
+    """psi(i*omega) as sum_j sigma_j c_j (P_j(v) - P_j(0)) in complex
+    arithmetic, v = 1/(i*omega), P_0 = 1, P_1 = omega_gap*v,
+    P_{j+1} = 2*omega_gap*v*P_j + P_{j-1}."""
+    v = 1.0 / (1j * np.asarray(omega, dtype=float))
+    p_prev, p = np.ones_like(v), omega_gap * v
+    p0_prev, p0 = 1.0, 0.0
+    out = np.zeros_like(v)
+    for j in range(1, len(c)):
+        out += (-1.0) ** ((j + 1) // 2) * c[j] * (p - p0)
+        p_prev, p = p, 2.0 * omega_gap * v * p + p_prev
+        p0_prev, p0 = p0, p0_prev
+    return out
+
+
 def prediction(spec, c, omega_gap, t):
     """(1/pi) int X(i*w) Re[psi(i*w) e^{iwt}] dw for a bump spec, the exact
     output of psi = sum_{even j} c_j (T_j(s) - T_j(0)) +
@@ -162,10 +187,9 @@ def certified_sup_error(T, omega_gap, taper, c, fit_nodes, dense_factor):
     om = sign_symmetric_grid(omega_gap, dense_factor * (fit_nodes - 1) + 1)
     c = np.asarray(c, dtype=float)
     j = np.arange(len(c))
-    even, odd = _parts(c)
-    s = omega_gap / om
-    psi = (chebval(s, even) - chebval(0.0, even)) + 1j * chebval(s, odd)
-    err = np.abs(np.exp(1j * T * om) * eval_taper(taper, om) - psi)
+    odd = _parts(c)[1]
+    err = np.abs(np.exp(1j * T * om) * eval_taper(taper, om)
+                 - psi(c, omega_gap, om))
     w_max = np.abs(om).max()
     s_min = omega_gap / w_max
     tail = 2.0 * np.abs(c).sum()
@@ -208,6 +232,20 @@ def chebyshev_from_monomial(a, omega_gap):
     c = np.pad(c, (0, len(a) + 1 - len(c)))
     c[0] = 0.0
     return c
+
+
+def monomial_from_chebyshev(c, omega_gap):
+    """The a of psi = sum_k a_k (i*w)^-k, k = 1..d, from its Chebyshev
+    coefficients c: with gamma = numpy's power series of sum_j c_j T_j(s),
+    psi = sum_k gamma_k s^k times 1 (even k) or i (odd k), and
+    s^k = (omega_gap/w)^k = i^k omega_gap^k (i*w)^-k, so
+    a_k = sigma_k gamma_k omega_gap^k, sigma_k = (-1)^ceil(k/2).  The inverse
+    of chebyshev_from_monomial."""
+    c = np.asarray(c, dtype=float)
+    k = np.arange(1, len(c))
+    # cheb2poly drops trailing zeros
+    gamma = np.pad(cheb2poly(c), (0, len(c)))[1:len(c)]
+    return (-1.0) ** ((k + 1) // 2) * gamma * float(omega_gap) ** k
 
 
 def monomial_kernel(a, t):

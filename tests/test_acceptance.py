@@ -15,16 +15,14 @@ import time
 import numpy as np
 import pytest
 
-from numpy.polynomial.chebyshev import chebval
-
-from gap_predict.approx import eval_psi, fit_approximant
+from gap_predict.approx import fit_approximant
 from gap_predict.predictor import (_sample_index, eta_sum, fit_eta,
                                    iterated_integrals, predict_convolution)
 from gap_predict.signal import (SpectrumSpec, epsilon1, exact_etaP,
                                 sample_grid, select_nu)
 from gap_predict.taper import TaperSpec, eval_taper
 
-from oracles import l1_budget, sample
+from oracles import l1_budget, psi, psi_by_complex_recurrence, sample
 
 ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), ".."))
 CONFIG_DIR = os.path.join(ROOT, "configs")
@@ -81,15 +79,15 @@ def test_criterion_1_parity_mapping_identity():
             odd = np.where(j % 2 == 1, rng.uniform(-1, 1, d + 1), 0.0)
             even[0] = 0.0
             c = even + odd
-            vals = eval_psi(c, 1.0, omegas)
-            # Re psi is the even Chebyshev series less its value at 0, Im
-            # psi the odd one, at s = omega_gap / omega
-            re = chebval(1.0 / omegas, even) - chebval(0.0, even)
-            im = chebval(1.0 / omegas, odd)
+            # Re psi is the even Chebyshev series in s = omega_gap / omega
+            # less its value at 0, Im psi the odd one: sum_j sigma_j c_j
+            # (P_j(v) - P_j(0)) by its complex recurrence in v = 1/(i omega)
+            vals = psi(c, 1.0, omegas)
+            ref = psi_by_complex_recurrence(c, 1.0, omegas)
             worst_decomp = max(worst_decomp,
-                               float(np.abs(vals.real - re).max()),
-                               float(np.abs(vals.imag - im).max()))
-            conj_gap = np.abs(eval_psi(c, 1.0, -omegas) - np.conj(vals))
+                               float(np.abs(vals.real - ref.real).max()),
+                               float(np.abs(vals.imag - ref.imag).max()))
+            conj_gap = np.abs(psi(c, 1.0, -omegas) - np.conj(vals))
             worst_conj = max(worst_conj, float(conj_gap.max()))
         assert worst_decomp < 1e-12
         assert worst_conj <= 1e-14
@@ -123,7 +121,7 @@ def test_criterion_3_frequency_response_law():
     with Budget("criterion 3", 10.0) as budget:
         T, omega0 = 1.0, 2.0
         approx = fit_approximant(T, 1.0, GAUSS03, 2)
-        E = complex(np.exp(1j * omega0 * T) - eval_psi(approx.c, 1.0, omega0))
+        E = complex(np.exp(1j * omega0 * T) - psi(approx.c, 1.0, omega0))
         abs_E = abs(E)
 
         # eta mode on the tone itself, exact-eta seeded, on a 4-period grid

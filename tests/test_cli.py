@@ -1263,6 +1263,19 @@ class TestUnwritableOut:
         assert result.exit_code == 0
         assert (out / "report.csv").exists()
 
+    def test_eval_leaves_no_partial_report(self, runner, tmp_path, files):
+        # report.json an existing directory: report.csv could be written,
+        # but it does not stay behind without its report.json
+        out = tmp_path / "out"
+        (out / "report.json").mkdir(parents=True)
+        args = [arg.format(**files) for arg in _WRITING_COMMANDS["eval"]]
+        result = invoke(runner, [*args, "--out", str(out)])
+        assert result.exit_code == 2
+        assert (f"Error: cannot write {out} (IsADirectoryError: "
+                in result.output)
+        assert "Traceback" not in result.output
+        assert os.listdir(out) == ["report.json"]
+
 
 class TestEvalCommand:
     def test_demo_passes_and_is_deterministic(self, runner, tmp_path):
@@ -1640,7 +1653,7 @@ class TestEvalCommand:
     def test_mode_eval_does_not_sweep_exits_2(self, runner, tmp_path, mode,
                                              command):
         # only the eta realization is swept; the others stay on the
-        # command line
+        # command line, and one refusal names both commands
         with open(os.path.join(CONFIG_DIR, "demo.json")) as fh:
             config = json.load(fh)
         config["spec_files"] = [os.path.join(CONFIG_DIR, "demo_tone.json")]
@@ -1650,9 +1663,10 @@ class TestEvalCommand:
         result = invoke(runner, ["eval", "--config", str(config_path),
                                  "--out", str(tmp_path / "out")])
         assert result.exit_code == 2
-        assert (f"configuration error: mode '{mode}' is not swept by eval"
+        assert (f"configuration error: modes must be [\"eta\"], got "
+                f"['eta', '{mode}']: eval sweeps only the eta realization"
                 in result.output)
-        assert f"run {command} instead" in result.output
+        assert command in result.output
         assert not (tmp_path / "out").exists()
 
     def test_failing_row_exits_1(self, runner, tmp_path, monkeypatch):

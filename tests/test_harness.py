@@ -28,8 +28,7 @@ def demo_config():
 def small_config(spec_path, **overrides):
     kwargs = dict(spec_files=(str(spec_path),), T=1.0, omega_gap=1.0,
                   taper_family="gaussian", nu_list=(0.5, 0.4, 0.3),
-                  d_list=(2, 3, 4), t_start=0.0, t_end=1.5708, dt=0.05,
-                  modes=("eta",))
+                  d_list=(2, 3, 4), t_start=0.0, t_end=1.5708, dt=0.05)
     kwargs.update(overrides)
     return ExperimentConfig(**kwargs)
 
@@ -50,8 +49,6 @@ class TestConfig:
         with pytest.raises(ValueError):  # neither
             small_config(spec_path, nu_list=None)
         with pytest.raises(ValueError):
-            small_config(spec_path, modes=("warp",))
-        with pytest.raises(ValueError):
             small_config(spec_path, t_end=-1.0)
         with pytest.raises(ValueError, match="d_list must be nonempty"):
             small_config(spec_path, d_list=())
@@ -63,13 +60,22 @@ class TestConfig:
         (("eta", "fit-eta"), "fit-eta", "gap-predict fit-eta")])
     def test_rejects_modes_eval_does_not_sweep(self, tmp_path, modes, mode,
                                                command):
+        # a config file's modes key other than ["eta"] (demo.json's) is one
+        # refusal that names the commands of both other realizations
         spec_path = tmp_path / "s.json"
         save_spectrum(SpectrumSpec.from_tones(1.0, [(2.0, 1.0)]), spec_path)
-        with pytest.raises(ValueError) as info:
-            small_config(spec_path, modes=modes)
-        assert str(info.value) == (
-            f"mode '{mode}' is not swept by eval, which checks only the eta "
-            f"realization; run {command} instead")
+        with open(os.path.join(CONFIG_DIR, "demo.json")) as fh:
+            data = dict(json.load(fh), spec_files=[str(spec_path)])
+        config_path = tmp_path / "cfg.json"
+        for value in (list(modes), ["warp"], []):
+            config_path.write_text(json.dumps(dict(data, modes=value)))
+            with pytest.raises(ValueError) as info:
+                ExperimentConfig.from_json(config_path)
+            assert str(info.value) == (
+                f'modes must be ["eta"], got {value!r}: eval sweeps only the '
+                "eta realization; run gap-predict predict --mode conv or "
+                "gap-predict fit-eta for the others")
+        assert command in str(info.value)
 
     @pytest.mark.parametrize("entries, shown", [
         ((8, 8.5, 16), "8.5"), ((True, 8), "True"), (("8",), "'8'"),
@@ -267,6 +273,28 @@ class TestRunSweep:
         assert row.bound_tones == 0.0  # no tones: the L1 form applies
         assert row.sup_err <= row.bound_paper
         assert row.passed
+
+    @pytest.mark.parametrize("scale", [10.0, 0.1])
+    def test_bump_bound_scales_eps2_by_the_spectral_mass(self, tmp_path,
+                                                         scale):
+        # demo_bump with its mass M times 10 and 0.1 on the demo window:
+        # sup_err and eps1 scale with the spectrum, eps2 does not, so the
+        # bound weighs eps2 by M.  Unweighted, the x10 row at d = 4,
+        # nu = 0.1075 (sup_err 0.683) would exceed its bound of 0.254
+        unit = signal.load_spectrum(os.path.join(CONFIG_DIR, "demo_bump.json"))
+        (bump,) = unit.bumps
+        spec_path = tmp_path / "bump.json"
+        save_spectrum(SpectrumSpec.from_bumps(1.0, [
+            (bump.center, bump.half_width, scale * bump.amplitude)]),
+            spec_path)
+        rows = run_sweep(replace(
+            demo_config(), spec_files=(str(spec_path),),
+            nu_list=(0.3, 0.2, 0.1075), d_list=(4, 8, 16)))
+        assert [row.error for row in rows] == [None] * 9
+        for row in rows:
+            assert row.bound_paper == pytest.approx(
+                (row.eps1 + scale * row.eps2) / (2.0 * math.pi), rel=1e-12)
+            assert row.passed, row
 
     def test_refuses_a_fit_too_large_to_make(self, tmp_path, monkeypatch):
         # d = 2896 is 23168 fit nodes and a fit matrix of 11584 half-grid
@@ -644,6 +672,22 @@ class TestEmitReport:
     def test_rejects_empty_table(self, tmp_path):
         with pytest.raises(ValueError, match="empty report"):
             write_reports([], tmp_path / "out", demo_config())
+
+    @pytest.mark.parametrize("blocked, pin", [
+        ("report.csv", False), ("report.json", False),
+        ("fixtures.json", True)])
+    def test_a_refused_write_leaves_no_new_file(self, tmp_path, blocked, pin):
+        # one report name held by a directory: the files written before it
+        # are taken back, and no temporary file stays
+        out = tmp_path / "out"
+        (out / blocked).mkdir(parents=True)
+        with pytest.raises(IsADirectoryError):
+            write_reports(self.rows(), out, demo_config(), pin=pin)
+        assert os.listdir(out) == [blocked]
+        (out / blocked).rmdir()
+        write_reports(self.rows(), out, demo_config(), pin=pin)
+        assert sorted(os.listdir(out)) == sorted(
+            ["report.csv", "report.json"] + ["fixtures.json"] * pin)
 
     def test_write_reports_pin_mode(self, tmp_path):
         config = demo_config()

@@ -8,7 +8,7 @@ import pytest
 from scipy.integrate import cumulative_trapezoid, simpson
 
 from gap_predict import cli
-from gap_predict.approx import Approximant, eval_psi, fit_approximant
+from gap_predict.approx import Approximant, fit_approximant
 from gap_predict.predictor import (_sample_index, eta_sum, fit_eta,
                                    iterated_integrals, predict_convolution)
 from gap_predict.signal import SpectrumSpec, exact_etaP, sample_grid
@@ -20,7 +20,7 @@ GAUSS03 = TaperSpec("gaussian", 0.3)
 
 
 def make_approx(a, T=1.0, gap=1.0):
-    """An Approximant whose monomial view is a, its c from the independent
+    """An Approximant whose monomial form is a, its c from the independent
     monomial-to-Chebyshev oracle, for the convolution's API-level tests."""
     return Approximant(T=T, omega_gap=gap, taper=GAUSS03, d=len(a),
                        c=oracles.chebyshev_from_monomial(a, gap), eps2=1.0,
@@ -63,8 +63,8 @@ def tone_prediction(approx, spec, t):
     """Oracle: Re[A psi(i w) e^{iwt}] summed over the tones, the exact
     output of the realization."""
     t = np.asarray(t, dtype=float)
-    return sum(np.real(tone.amplitude * eval_psi(approx.c, approx.omega_gap,
-                                                 tone.omega)
+    return sum(np.real(tone.amplitude * oracles.psi(approx.c, approx.omega_gap,
+                                                    tone.omega)
                        * np.exp(1j * tone.omega * t)) for tone in spec.tones)
 
 
@@ -76,7 +76,8 @@ def predict_by_monomial_recursion(approx, spec, times, values, t):
     h = float(np.mean(np.diff(times)))
     cur = values
     y = 0.0
-    for k, a_k in enumerate(approx.a, start=1):
+    a = oracles.monomial_from_chebyshev(approx.c, approx.omega_gap)
+    for k, a_k in enumerate(a, start=1):
         h_k = sum(np.real(tone.amplitude * (1j * tone.omega) ** -k
                           * np.exp(1j * tone.omega * times[0]))
                   for tone in spec.tones)
@@ -172,7 +173,8 @@ class TestPredictConvolution:
         approx = make_approx(a)
         y, tail = predict_convolution(approx, times, values, history_length=L)
         assert y.shape == tail.shape == (len(times) - n_lag,)
-        K = oracles.monomial_kernel(approx.a, h * np.arange(n_lag, -1, -1))
+        K = oracles.monomial_kernel(oracles.monomial_from_chebyshev(
+            approx.c, approx.omega_gap), h * np.arange(n_lag, -1, -1))
         for j in [*range(0, len(y), 397), len(y) - 1]:
             window = values[j:j + n_lag + 1]
             ref = simpson(K * window, dx=h)
@@ -196,7 +198,8 @@ class TestPredictConvolution:
         simpson_w = np.ones(n_lag + 1)
         simpson_w[1:-1:2], simpson_w[2:-1:2] = 4.0, 2.0
         wK = simpson_w * h / 3.0 * oracles.monomial_kernel(
-            approx.a, h * np.arange(n_lag + 1))
+            oracles.monomial_from_chebyshev(approx.c, approx.omega_gap),
+            h * np.arange(n_lag + 1))
         assert np.abs(y - wK).max() <= 1e-12 * np.abs(wK).max()
 
     def test_refuses_a_record_short_of_one_window(self):
@@ -224,7 +227,8 @@ class TestPredictConvolution:
         approx = make_approx(a)
         y, _ = predict_convolution(approx, times, values)
         y = y[idx - n_lag]
-        K = oracles.monomial_kernel(approx.a, h * np.arange(n_lag, -1, -1))
+        K = oracles.monomial_kernel(oracles.monomial_from_chebyshev(
+            approx.c, approx.omega_gap), h * np.arange(n_lag, -1, -1))
         windows = [values[i - n_lag:i + 1] for i in idx]
         ref = np.array([simpson(K * w, dx=h) for w in windows])
         scale = max(h * np.abs(K * w).sum() for w in windows)

@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from gap_predict import signal
 from gap_predict.signal import (Bump, SpectrumSpec, Tone, epsilon1, exact_etaP,
-                                sample_grid, spectrum_from_dict, select_nu)
+                                sample_grid, spectral_mass,
+                                spectrum_from_dict, select_nu)
 from gap_predict.taper import TaperSpec
 
 import oracles
@@ -274,6 +275,14 @@ class TestBudgets:
         spec = SpectrumSpec.from_tones(1.0, [(1.0, 0.5), (3.0, 0.25)])
         assert l1_budget(spec) == pytest.approx(1.5, abs=1e-15)
         assert l1_budget(BUMP) == pytest.approx(BUMP_L1, abs=1e-10)
+
+    @pytest.mark.parametrize("spec", [
+        SpectrumSpec.from_tones(1.0, []),
+        SpectrumSpec.from_tones(1.0, [(1.0, 0.5), (3.0, 0.25j)]), BUMP, PAIR,
+        SpectrumSpec.from_bumps(1.0, [(2.0, 0.5, 3.0), (4.0, 0.5, -0.6)])],
+        ids=["no_tones", "tones", "bump", "overlap", "opposite_signs"])
+    def test_spectral_mass_is_the_l1_budget(self, spec):
+        assert agrees(spectral_mass(spec), l1_budget(spec))
 
     def test_epsilon1_tone_closed_form(self):
         spec = SpectrumSpec.from_tones(1.0, [(2.0, 1.0)])
