@@ -17,11 +17,11 @@ fit and certificate, for several tapers at one degree: the grids, the
 columns, the target phase and the certificate's rows depend on d alone and
 are built once, and each taper takes only its own solves and its own
 products with the rows, so its fit is bit for bit the one it gets alone;
-fit_approximant is its one-taper call.  The monomial
-coefficients of v^k, a_k = sigma_k omega_gap^k (c @ M)_k for the monomial
-matrix M of the T_j, are written to the JSON file as a, for its readers;
-nothing in the package reads them.  Their terms grow like 2^k, so a loses
-digits past d ~ 40 where c does not.
+fit_approximant is its one-taper call.  The JSON file holds T, omega_gap,
+taper, d, c, eps2 and, for its readers, a: the monomial coefficients of
+v^k, a_k = sigma_k omega_gap^k (c @ M)_k for the monomial matrix M of the
+T_j, which nothing in the package reads.  Their terms grow like 2^k, so a
+loses digits past d ~ 40 where c does not.
 """
 
 from __future__ import annotations
@@ -31,10 +31,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .signal import _chebyshev, grid_size
+from .signal import _chebyshev, check_gap, grid_size
 from .taper import TaperSpec, eval_taper, taper_from_dict, taper_to_dict
 
-__all__ = ["Approximant", "CERT_DENSITY", "check_gap", "fit_approximant",
+__all__ = ["Approximant", "CERT_DENSITY", "fit_approximant",
            "fit_approximants", "approximant_to_dict", "approximant_from_dict",
            "save_approximant", "load_approximant"]
 
@@ -50,7 +50,6 @@ class Approximant:
     d: int
     c: np.ndarray
     eps2: float
-    fit_nodes: int
 
     def __post_init__(self):
         if not np.all(np.isfinite([self.T, self.eps2])):
@@ -82,14 +81,6 @@ CERT_DENSITY = 16
 _EVAL_BLOCK = 1 << 20
 # the fit's row weight: a half-grid row stands for a node at w and at -w
 _ROW_WEIGHT = np.sqrt(2.0)
-
-
-def check_gap(omega_gap) -> None:
-    """Refuse a gap that is not finite and positive or whose 1/gap overflows."""
-    # written so that NaN fails: every comparison with NaN is false
-    if not (0.0 < omega_gap < np.inf and 1.0 / float(omega_gap) < np.inf):
-        raise ValueError(f"omega_gap must be finite and positive with a "
-                         f"finite reciprocal, got {omega_gap!r}")
 
 
 def _half_grid(omega_gap: float, n: int) -> np.ndarray:
@@ -128,8 +119,8 @@ def fit_approximants(T: float, omega_gap: float, tapers,
     alone and comes before any fit, so a list raises exactly when each of
     its tapers would alone.
     """
-    fit_nodes = max(8 * d, 64)
-    n_cert, rows = CERT_DENSITY * (fit_nodes - 1) + 1, fit_nodes // 2
+    n_fit = max(8 * d, 64)
+    n_cert, rows = CERT_DENSITY * (n_fit - 1) + 1, n_fit // 2
     grid_size(n_cert, f"d={d}: the certification grid of {n_cert} nodes")
     grid_size(rows * (d + 1), f"d={d}: the fit matrix of {rows} x {d + 1} "
               "entries")
@@ -147,13 +138,15 @@ def fit_approximants(T: float, omega_gap: float, tapers,
         raise ValueError(f"d must be >= 2, got d={d}: a degree below 2 "
                          "leaves the even-parity target with no basis "
                          "function")
+    if T <= 0:
+        raise ValueError("T must be positive")
     # the fit matches sum_m c_2m (T_2m(s) - T_2m(0)) to cos(T*w) r_nu(w) and
     # sum_m c_2m+1 T_2m+1(s) to sin(T*w) r_nu(w), s = omega_gap/w.  Nodes at
     # w and -w have equal squared residuals in both systems, so the w > 0
     # half is solved with every row weighted by sqrt(2), which keeps the
     # sign-symmetric grid's minimizer.  T_2m(0) = (-1)^m and the odd T_j
     # vanish at 0, so only the even columns move
-    w = _half_grid(omega_gap, fit_nodes)
+    w = _half_grid(omega_gap, n_fit)
     cheb = _chebyshev(omega_gap / w, d)
     cheb[::2] -= (-1.0) ** np.arange(d // 2 + 1)[:, None]
     cheb *= _ROW_WEIGHT
@@ -198,8 +191,7 @@ def fit_approximants(T: float, omega_gap: float, tapers,
                 / (1.0 - s_min ** 2) ** 1.5
                 + float(eval_taper(taper, w_max)))
         fits.append(Approximant(T=T, omega_gap=omega_gap, taper=taper, d=d,
-                                c=c, eps2=max(float(grid_max), tail),
-                                fit_nodes=fit_nodes))
+                                c=c, eps2=max(float(grid_max), tail)))
     return fits
 
 
@@ -207,12 +199,13 @@ def fit_approximant(T: float, omega_gap: float, taper: TaperSpec,
                     d: int) -> Approximant:
     """Fit and certify an approximant; pure function of its arguments.
 
-    The fit grid follows d: fit_nodes = max(8*d, 64), at least 4x
-    oversampling of the largest basis function.  eps2 is certified once, at
-    CERT_DENSITY.  A certification grid or a fit matrix (fit_nodes//2
-    half-grid rows x d + 1 Chebyshev columns) over grid_size's limit is
-    refused, by name, before either is made, as is a T whose phase T*w
-    overflows on the certification grid.
+    The fit grid follows d, so no approximant stores it: max(8*d, 64)
+    nodes, at least 4x oversampling of the largest basis function.  eps2 is
+    certified once, at CERT_DENSITY.  A certification grid or a fit matrix
+    (half the nodes as half-grid rows x d + 1 Chebyshev columns) over
+    grid_size's limit is refused, by name, before either is made, as is a T
+    that is not positive or whose phase T*w overflows on the certification
+    grid.
     """
     return fit_approximants(T, omega_gap, [taper], d)[0]
 
@@ -229,12 +222,11 @@ def approximant_to_dict(approx: Approximant) -> dict:
         "c": approx.c.tolist(),
         "a": a.tolist(),
         "eps2": approx.eps2,
-        "fit_nodes": approx.fit_nodes,
     }
 
 
 def approximant_from_dict(data: dict) -> Approximant:
-    """Read the JSON form; c is the approximant, and a is not read."""
+    """Read the JSON form: c is the approximant; a and other keys go unread."""
     return Approximant(
         T=float(data["T"]),
         omega_gap=float(data["omega_gap"]),
@@ -242,12 +234,11 @@ def approximant_from_dict(data: dict) -> Approximant:
         d=int(data["d"]),
         c=np.asarray(data["c"], dtype=float),
         eps2=float(data["eps2"]),
-        fit_nodes=int(data["fit_nodes"]),
     )
 
 
 def save_approximant(approx: Approximant, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(approximant_to_dict(approx), fh, indent=2)
         fh.write("\n")
 

@@ -38,9 +38,7 @@ from .harness import ExperimentConfig, run_sweep, write_reports
 from .predictor import (eta_sum, fit_eta, iterated_integrals,
                         predict_convolution, _sample_index)
 from .signal import grid_size, load_spectrum, sample_grid
-from .taper import TaperSpec
-
-_TAPER_CHOICES = ("gaussian", "exponential", "lorentzian")
+from .taper import FAMILIES, TaperSpec
 
 # rows the CSV writer formats at a time, so its memory is flat in the row count
 _CSV_BLOCK_ROWS = 1 << 11
@@ -383,7 +381,7 @@ def main():
 @main.command("approx")
 @click.option("--T", "horizon", type=float, required=True, help="Prediction horizon T > 0.")
 @click.option("--omega", type=float, required=True, help="Spectral gap half-width.")
-@click.option("--taper", type=click.Choice(_TAPER_CHOICES), required=True)
+@click.option("--taper", type=click.Choice(FAMILIES), required=True)
 @click.option("--nu", type=float, required=True, help="Taper scale in (0, 1].")
 @click.option("--d", "degree", type=int, required=True, help="Degree of the 1/z polynomial.")
 @click.option("--out", type=click.Path(dir_okay=False), default=None,

@@ -2,13 +2,14 @@
 
 For every combination of spectrum file, degree and taper scale the sweep fits
 an approximant, on the grid fit_approximants ties to its degree, computes the
-two error budgets (the L1-spectrum form (eps1 + M eps2) / 2pi, M the
-spectrum's L1 mass, and the tone point-mass form
-sum_j 2|c_j| (|1 - r_nu(w_j)| + eps2)), runs the recurrence
-in time with the exact constants etaP_j(t_start) on a measurement grid, and
-records the sup error against the exact future values.  A row passes when
-the measured sup error is at most the bound matching its spectrum kind,
-bound_tones for tones and bound_paper for bumps, up to 1e-15 of round-off.
+two error budgets (the L1-spectrum form bound_paper = (eps1 + M eps2) / 2pi,
+M the spectrum's L1 mass, and for tones the point-mass form bound_tones =
+eps1 + M eps2, that is sum_j 2|A_j| (1 - r_nu(w_j) + eps2); 0.0 for bumps),
+runs the recurrence in time with the exact constants etaP_j(t_start) on a
+measurement grid, and records the sup error against the exact future values.
+A row passes when the measured sup error is at most the bound matching its
+spectrum kind, bound_tones for tones and bound_paper for bumps, up to 1e-15
+of round-off.
 eps2 is the approximant's own certificate, computed once at
 approx.CERT_DENSITY.  The conv and fit-eta realizations are not swept; the
 command line keeps them, and a config's optional modes key must be
@@ -45,11 +46,11 @@ from typing import Optional
 
 import numpy as np
 
-from .approx import CERT_DENSITY, check_gap, fit_approximants
+from .approx import CERT_DENSITY, fit_approximants
 from .predictor import eta_sum, iterated_integrals
-from .signal import (SpectrumSpec, epsilon1, exact_etaP, grid_size,
+from .signal import (SpectrumSpec, check_gap, epsilon1, exact_etaP, grid_size,
                      load_spectrum, sample_grid, select_nu, spectral_mass)
-from .taper import TaperSpec, eval_taper
+from .taper import TaperSpec
 
 __all__ = ["ExperimentConfig", "ErrorRow", "run_sweep", "write_reports",
            "convergence_verdict"]
@@ -190,11 +191,10 @@ def _row(spec_name: str, spec: SpectrumSpec, approx, future: np.ndarray,
     eps1 = epsilon1(spec, taper)
     # the paper's error (1/2pi) int |e^{iwT} - psi(iw)| |X| dw: eps1 covers
     # the taper's share and eps2 bounds |r_nu - psi| against each unit of
-    # the spectrum's L1 mass M
-    bound_paper = (eps1 + spectral_mass(spec) * eps2) / (2.0 * np.pi)
-    bound_tones = sum(2.0 * abs(t.amplitude)
-                      * (abs(1.0 - float(eval_taper(taper, t.omega))) + eps2)
-                      for t in spec.tones)
+    # the spectrum's L1 mass M; tones, point masses, take it without 1/2pi
+    bound = eps1 + spectral_mass(spec) * eps2
+    bound_paper = bound / (2.0 * np.pi)
+    bound_tones = bound if spec.kind == "tones" else 0.0
     sup_err = float(np.abs(future - eta_sum(approx, levels)).max())
     applicable = bound_tones if spec.kind == "tones" else bound_paper
     return ErrorRow(spec=spec_name, d=approx.d, nu=taper.nu, eps1=eps1,

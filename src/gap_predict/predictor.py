@@ -142,11 +142,12 @@ def _gregory(y, h, out, const, scale):
     # exact for cubics: the cumsum of its increments, from k = 3 the
     # Adams-Moulton (h/24)(y_{k-3} - 5y_{k-2} + 19y_{k-1} + 9y_k)
     out[0] = scale * const
-    if len(y) > 3:
-        out[1:3] = _GREGORY[:2] @ y[:4] * (scale * h)
-        out[3:] = np.convolve(y, _GREGORY[0] * (scale * h), "valid")
+    k = _GREGORY.shape[1] - 1  # the first increment the kernel row takes
+    if len(y) > k:
+        out[1:k] = _GREGORY[:k - 1] @ y[:k + 1] * (scale * h)
+        out[k:] = np.convolve(y, _GREGORY[0] * (scale * h), "valid")
     else:
-        out[1:] = _GREGORY[2:, :3] @ y * (scale * h)
+        out[1:] = _GREGORY[k - 1:, :k] @ y * (scale * h)
     np.cumsum(out, out=out)
 
 
@@ -220,12 +221,12 @@ def fit_eta(approx: Approximant, times, values, idx, zeta) -> EtaFit:
     response is the one to etaP_0, U, moved up l levels and doubled for
     l >= 1, so one more pass gives R_l = s_l sum_k sigma_{l+k} c_{l+k} U_k,
     s_0 = 1 and s_l = 2.  Both passes stop at the last fit sample (Gregory's
-    rule is prefix-exact from 4 samples on).  R etaP = zeta - phi is solved
-    in least squares (exactly when square), columns norm-equilibrated; the
-    condition estimate is reported and warned of above 1e12, and constants
+    rule is prefix-exact from _GREGORY's 4 samples on).  R etaP = zeta - phi is
+    solved in least squares (exactly when square), columns norm-equilibrated;
+    the condition estimate is reported and warned of above 1e12, and constants
     that are not finite are refused."""
     d, omega = approx.d, approx.omega_gap
-    n = max(idx[-1] + 1, 4)
+    n = max(idx[-1] + 1, _GREGORY.shape[1])
     times, values = times[:n], values[:n]
 
     weights = approx.weights

@@ -7,11 +7,11 @@ supported spectral densities X(i*w) = amp * exp(-1/(1-s^2)) for
 s = (|w| - center)/half_width, mirrored to negative frequencies; they decay
 faster than any polynomial in time and satisfy every integrability hypothesis
 the polynomial-kernel predictor needs.  Every bump integral (grid samples,
-eps1, the realization's constants etaP_j) goes through one fixed-order
-Gauss-Legendre panel rule over the bump supports, and so does the spectrum's
-L1 mass M (spectral_mass).  A grid of
+eps1, the realization's constants etaP_j, the L1 mass M) goes through one
+fixed-order Gauss-Legendre panel rule over the bump supports.  A grid of
 more than 2^25 samples, or one too long or too far from t = 0 for the bump
-sampler's workspace, is refused before any array is made.
+sampler's workspace, is refused before any array is made.  check_gap is
+the one gap rule, for spectra, fits and sweeps.
 
 Tones are stored as positive-frequency representatives with complex
 amplitudes; the conjugate partner is implicit, which makes conjugate symmetry
@@ -29,9 +29,9 @@ import numpy as np
 
 from .taper import TaperSpec, eval_taper
 
-__all__ = ["Tone", "Bump", "SpectrumSpec", "grid_size", "sample_grid",
-           "epsilon1", "spectral_mass", "select_nu", "exact_etaP",
-           "spectrum_from_dict", "load_spectrum"]
+__all__ = ["Tone", "Bump", "SpectrumSpec", "check_gap", "grid_size",
+           "sample_grid", "epsilon1", "spectral_mass", "select_nu",
+           "exact_etaP", "spectrum_from_dict", "load_spectrum"]
 
 # Gauss-Legendre nodes per panel of the bump quadrature rule
 _GL_ORDER = 48
@@ -68,16 +68,13 @@ class SpectrumSpec:
     bumps: tuple = ()
 
     def __post_init__(self):
-        if not np.isfinite(self.omega_gap):
-            raise ValueError(f"omega_gap must be finite, got {self.omega_gap}")
+        check_gap(self.omega_gap)
         for part in (*self.tones, *self.bumps):
             for f in fields(part):
                 value = getattr(part, f.name)
                 if not np.isfinite(value):
                     raise ValueError(f"{type(part).__name__.lower()} {f.name} "
                                      f"must be finite, got {value}")
-        if self.omega_gap <= 0:
-            raise ValueError("omega_gap must be positive")
         if self.kind not in ("tones", "bump"):
             raise ValueError(f"kind must be 'tones' or 'bump', got {self.kind!r}")
         if self.kind == "tones" and self.bumps:
@@ -197,6 +194,14 @@ def grid_size(n, what=None) -> int:
         raise ValueError(f"{what or f'a grid of {float(n):.15g} samples'} is "
                          f"over the limit of 2^25 = {_MAX_WORKSPACE}")
     return int(n)
+
+
+def check_gap(omega_gap) -> None:
+    """Refuse a gap that is not finite and positive or whose 1/gap overflows."""
+    # written so that NaN fails: every comparison with NaN is false
+    if not (0.0 < omega_gap < np.inf and 1.0 / float(omega_gap) < np.inf):
+        raise ValueError(f"omega_gap must be finite and positive with a "
+                         f"finite reciprocal, got {omega_gap!r}")
 
 
 def _chebyshev(s, d: int) -> np.ndarray:

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["TaperSpec", "eval_taper", "taper_to_dict", "taper_from_dict"]
+__all__ = ["FAMILIES", "TaperSpec", "eval_taper", "taper_to_dict",
+           "taper_from_dict"]
 
 
 def _gauss(y):
@@ -33,6 +34,7 @@ _FAMILIES = {
     "exponential": _expo,
     "lorentzian": _lorentz,
 }
+FAMILIES = tuple(_FAMILIES)
 
 
 @dataclass(frozen=True)

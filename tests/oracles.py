@@ -158,6 +158,12 @@ def sign_symmetric_grid(omega_gap, n):
     return np.sort(1.0 / u)
 
 
+def fit_nodes(d):
+    """The node count of the fit grid at degree d, max(8d, 64): at least 4x
+    oversampling of the largest basis function."""
+    return max(8 * d, 64)
+
+
 def least_squares_fit(T, taper, omega_gap, d, fit_nodes):
     """The c, c_0 = 0, that minimize sum |exp(i*w*T) r_nu(w) - psi(i*w)|^2
     over every node of sign_symmetric_grid(omega_gap, fit_nodes), psi =

@@ -12,7 +12,7 @@ from gap_predict.approx import (CERT_DENSITY, Approximant, _half_grid,
                                 fit_approximant, fit_approximants)
 from gap_predict.taper import TaperSpec, eval_taper
 
-from oracles import (certified_sup_error, least_squares_fit,
+from oracles import (certified_sup_error, fit_nodes, least_squares_fit,
                      monomial_from_chebyshev, psi, psi_by_complex_recurrence,
                      sign_symmetric_grid)
 
@@ -185,14 +185,14 @@ class TestEvalPsi:
 class TestSupError:
     def test_dominates_fit_grid_residual(self):
         approx = fit_approximant(1.0, 1.0, GAUSS03, 8)
-        grid = sign_symmetric_grid(1.0, approx.fit_nodes)
+        grid = sign_symmetric_grid(1.0, fit_nodes(approx.d))
         target = np.exp(1j * grid) * eval_taper(GAUSS03, grid)
         resid = np.abs(target - psi(approx.c, 1.0, grid)).max()
         assert approx.eps2 >= resid - 1e-15
 
     def test_regression_d16(self):
         approx = fit_approximant(1.0, 1.0, GAUSS03, 16)
-        assert approx.fit_nodes == 128
+        assert fit_nodes(16) == 128
         eps2_8 = certified_sup_error(1.0, 1.0, GAUSS03, approx.c, 128, 8)
         assert eps2_8 == pytest.approx(EPS2_D16_REGRESSION, rel=1e-9)
 
@@ -204,7 +204,7 @@ class TestSupError:
             for nu in (0.3, 0.5):
                 taper = TaperSpec("gaussian", nu)
                 approx = fit_approximant(1.0, 1.0, taper, d)
-                n = approx.fit_nodes
+                n = fit_nodes(d)
                 eps2_8 = certified_sup_error(1.0, 1.0, taper, approx.c, n, 8)
                 grid = sign_symmetric_grid(1.0, 8 * (n - 1) + 1)
                 grid_8 = np.abs(np.exp(1j * grid) * eval_taper(taper, grid)
@@ -225,7 +225,7 @@ class TestSupError:
         # can be far smaller on a good fit
         approx = fit_approximant(T, omega_gap, TaperSpec(family, nu), d)
         ref = certified_sup_error(T, omega_gap, approx.taper, approx.c,
-                                  max(8 * d, 64), CERT_DENSITY)
+                                  fit_nodes(d), CERT_DENSITY)
         scale = 1.0 + 2.0 * np.abs(approx.c).sum()
         assert abs(approx.eps2 - ref) <= 1e-14 * scale
 
@@ -233,7 +233,7 @@ class TestSupError:
         # at gap 5 and T = 0.1 the d = 32 fit is so close that the far-tail
         # term, not the grid maximum, is eps2
         approx = fit_approximant(0.1, 5.0, TaperSpec("gaussian", 0.5), 32)
-        n = approx.fit_nodes
+        n = fit_nodes(32)
         grid = sign_symmetric_grid(5.0, CERT_DENSITY * (n - 1) + 1)
         grid_max = np.abs(np.exp(0.1j * grid) * eval_taper(approx.taper, grid)
                           - psi(approx.c, 5.0, grid)).max()
@@ -246,7 +246,7 @@ class TestSupError:
         # psi sampled finely on (0, s_min], the frequencies past the
         # innermost certification node, stays within the far-tail term
         approx = fit_approximant(1.0, 1.0, GAUSS03, d)
-        w_max = _half_grid(1.0, CERT_DENSITY * (approx.fit_nodes - 1) + 1)[-1]
+        w_max = _half_grid(1.0, CERT_DENSITY * (fit_nodes(d) - 1) + 1)[-1]
         c = approx.c
         s = np.linspace(0.0, 1.0 / w_max, 2001)[1:]
         j = np.arange(d + 1)
@@ -298,7 +298,7 @@ class TestFitApproximants:
                 assert fit.taper == ref.taper
                 assert np.array_equal(fit.c, ref.c), (fit.taper, d)
                 assert fit.eps2 == ref.eps2, (fit.taper, d)
-                assert (fit.d, fit.fit_nodes) == (ref.d, ref.fit_nodes)
+                assert fit.d == ref.d
 
     def test_each_taper_of_a_batch_matches_the_oracles(self):
         # the minimizer over the sign-symmetric fit grid, and the
@@ -310,6 +310,18 @@ class TestFitApproximants:
                                        CERT_DENSITY)
             assert abs(fit.eps2 - eps2) <= 1e-14 * (
                 1.0 + 2.0 * np.abs(fit.c).sum())
+
+    @pytest.mark.parametrize("T", [0.0, -1.0])
+    def test_refuses_a_non_positive_horizon_before_any_fit(self, T,
+                                                           monkeypatch):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fitted")
+
+        monkeypatch.setattr(np.linalg, "lstsq", no_fit)
+        for call in (lambda: fit_approximants(T, 1.0, [GAUSS03], 8),
+                     lambda: fit_approximant(T, 1.0, GAUSS03, 8)):
+            with pytest.raises(ValueError, match="^T must be positive$"):
+                call()
 
     def test_no_tapers_no_fits(self):
         assert fit_approximants(1.0, 1.0, [], 8) == []
@@ -345,7 +357,7 @@ class TestApproximant:
         approx = fit_approximant(1.0, 1.0, GAUSS03, 6)
         data = approximant_to_dict(approx)
         assert set(data) == {"T", "omega_gap", "taper", "d", "c", "a",
-                             "eps2", "fit_nodes"}
+                             "eps2"}
         again = approximant_from_dict(json.loads(json.dumps(data)))
         assert np.array_equal(again.c, approx.c)
         assert approximant_to_dict(again) == data
@@ -366,46 +378,58 @@ class TestApproximant:
     @pytest.mark.parametrize("d", [6, 16])
     def test_loads_dict_carrying_parity_coefficients(self, d):
         # files written before the parity coefficients were dropped also
-        # carry gamma_c and gamma_s, and those written before the single
-        # certification density carry dense_factor; c is read as it is
+        # carry gamma_c and gamma_s, those written before the single
+        # certification density carry dense_factor, and those written before
+        # the node count was left to d carry fit_nodes, whatever its value;
+        # c is read as it is
         approx = fit_approximant(1.0, 1.0, GAUSS03, d)
         data = approximant_to_dict(approx)
         with_gammas = dict(data, gamma_c=[0.0] * d, gamma_s=[0.0] * d)
         with_density = dict(data, dense_factor=8)
-        for old in (with_gammas, with_density):
+        with_nodes = [dict(data, fit_nodes=nodes, dense_factor=16)
+                      for nodes in (64, 7, "many", None)]
+        for old in (with_gammas, with_density, *with_nodes):
             again = approximant_from_dict(json.loads(json.dumps(old)))
             assert np.array_equal(again.c, approx.c)
             assert approximant_to_dict(again) == data
             assert again.eps2 == approx.eps2
 
     def test_default_nodes_rule(self):
-        assert fit_approximant(1.0, 1.0, GAUSS03, 4).fit_nodes == 64
-        assert fit_approximant(1.0, 1.0, GAUSS03, 12).fit_nodes == 96
+        # the fit grid follows d, max(8d, 64) nodes, and no approximant
+        # stores it: the fit is the least-squares oracle's on that grid, and
+        # the oracle on another grid gives another fit
+        for d, nodes in ((4, 64), (8, 64), (12, 96)):
+            assert fit_nodes(d) == nodes
+            c = fit_approximant(1.0, 1.0, GAUSS03, d).c
+            for n in (nodes, nodes + 16):
+                ref = least_squares_fit(1.0, GAUSS03, 1.0, d, n)
+                close = np.linalg.norm(c - ref) <= 1e-12 * np.linalg.norm(ref)
+                assert close == (n == nodes), (d, n)
 
     def test_invalid_construction(self):
         with pytest.raises(ValueError):
             Approximant(T=-1.0, omega_gap=1.0, taper=GAUSS03, d=2,
-                        c=np.zeros(3), eps2=0.1, fit_nodes=64)
+                        c=np.zeros(3), eps2=0.1)
         with pytest.raises(ValueError, match="length d \\+ 1 = 3"):
             Approximant(T=1.0, omega_gap=1.0, taper=GAUSS03, d=2,
-                        c=np.zeros(2), eps2=0.1, fit_nodes=64)
+                        c=np.zeros(2), eps2=0.1)
         # d = 1 leaves the even part without a basis function, as the fit
         # refuses it
         with pytest.raises(ValueError, match="d must be an integer >= 2, "
                                              "got 1"):
             Approximant(T=1.0, omega_gap=1.0, taper=GAUSS03, d=1,
-                        c=np.zeros(2), eps2=0.1, fit_nodes=64)
+                        c=np.zeros(2), eps2=0.1)
         # the fit's one gap rule: finite and positive is not enough when
         # 1/gap overflows
         with pytest.raises(ValueError, match="finite reciprocal, got 1e-320"):
             Approximant(T=1.0, omega_gap=1e-320, taper=GAUSS03, d=2,
-                        c=np.zeros(3), eps2=0.1, fit_nodes=64)
+                        c=np.zeros(3), eps2=0.1)
 
     @pytest.mark.parametrize("field", ["T", "omega_gap", "eps2", "c"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_non_finite(self, field, bad):
         kwargs = dict(T=1.0, omega_gap=1.0, taper=GAUSS03, d=2,
-                      c=np.zeros(3), eps2=0.1, fit_nodes=64)
+                      c=np.zeros(3), eps2=0.1)
         if field == "c":
             kwargs["c"] = np.array([0.0, 0.5, bad])
         else:

@@ -12,7 +12,7 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import given, strategies as st
 
-from gap_predict import approx, cli, harness, signal
+from gap_predict import approx, cli, harness, signal, taper
 from gap_predict.cli import _CSV_BLOCK_ROWS, _write_csv, main
 from gap_predict.signal import SpectrumSpec, load_spectrum
 
@@ -75,8 +75,9 @@ class TestApproxCommand:
                                  "--taper", "gaussian", "--nu", "0.3",
                                  "--d", "6", "--out", str(out)])
         assert result.exit_code == 0 and out.exists()
-        # the fit grid follows d: max(8d, 64) nodes
-        assert json.loads(out.read_text())["fit_nodes"] == 64
+        # the fit grid follows d, so the file holds no node count
+        assert set(json.loads(out.read_text())) == {
+            "T", "omega_gap", "taper", "d", "c", "a", "eps2"}
         result = invoke(runner, ["approx", "--T", "1.0", "--omega", "1.0",
                                  "--taper", "gaussian", "--nu", "1.7",
                                  "--d", "6"])
@@ -115,6 +116,27 @@ class TestApproxCommand:
                 "the certification grid, whose largest w is 320.8568847170794"
                 in result.output)
         assert not out.exists()
+
+    @pytest.mark.parametrize("horizon", ["0", "-1"])
+    def test_refuses_a_non_positive_horizon_before_any_fit(
+            self, runner, monkeypatch, tmp_path, horizon):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fitted")
+
+        monkeypatch.setattr(np.linalg, "lstsq", no_fit)
+        out = tmp_path / "ap.json"
+        result = invoke(runner, ["approx", "--T", horizon, "--omega", "1.0",
+                                 "--taper", "gaussian", "--nu", "0.3",
+                                 "--d", "1500", "--out", str(out)])
+        assert result.exit_code == 1
+        assert "Error: T must be positive" in result.output
+        assert not out.exists()
+
+    def test_help_lists_the_taper_families_in_order(self, runner):
+        result = invoke(runner, ["approx", "--help"])
+        assert result.exit_code == 0
+        assert taper.FAMILIES == ("gaussian", "exponential", "lorentzian")
+        assert "--taper [gaussian|exponential|lorentzian]" in result.output
 
     @pytest.mark.parametrize("degree", ["0", "1", "-3"])
     def test_degree_refusal_names_the_degree(self, runner, degree):
@@ -229,6 +251,24 @@ class TestSynthCommand:
         t, x = map(float, lines[3].split(","))
         assert x == pytest.approx(sample(spec, t), abs=1e-15)
 
+    def test_refuses_a_gap_with_an_infinite_reciprocal(self, runner,
+                                                        tmp_path):
+        # the gap rule of the fit: finite and positive is not enough
+        spec_path = tmp_path / "tiny_gap.json"
+        spec_path.write_text(json.dumps({
+            "omega_gap": 1e-320, "kind": "tones",
+            "tones": [{"omega": 2.0, "re": 0.5, "im": 0.0}]}))
+        out = tmp_path / "x.csv"
+        result = invoke(runner, ["synth", "--spec", str(spec_path),
+                                 "--t0", "0.0", "--t1", "1.0", "--dt", "0.25",
+                                 "--out", str(out)])
+        assert result.exit_code == 1
+        assert (f"Error: {spec_path} is not a spectrum file (ValueError: "
+                "omega_gap must be finite and positive with a finite "
+                "reciprocal, got 1e-320)") in result.output
+        assert "Traceback" not in result.output
+        assert not out.exists()
+
     @pytest.mark.parametrize("bad", [("--t1", "inf"), ("--dt", "inf"),
                                      ("--t0", "-inf"), ("--t0", "nan")])
     def test_rejects_non_finite(self, runner, tmp_path, bad):
@@ -331,6 +371,26 @@ class TestPredictPipeline:
         # predictions start once a full 10*T window is available
         assert data[0, 0] == pytest.approx(-2.0, abs=1e-9)
         assert np.all(data[:, 2] > 0)  # tones do not decay: tail flagged
+
+    @pytest.mark.parametrize("mode", ["conv", "eta"])
+    def test_a_file_with_a_node_count_predicts_the_same(self, runner,
+                                                        workspace, mode):
+        # files written before the node count was left to d carry fit_nodes
+        # and dense_factor; neither is read, so the predictions are those
+        # of the file without them, byte for byte
+        tmp_path, approx_path, samples_path = workspace
+        old_path = tmp_path / "ap_old.json"
+        old_path.write_text(json.dumps(dict(
+            json.loads(approx_path.read_text()), fit_nodes=64,
+            dense_factor=16), indent=2))
+        outs = []
+        for path in (approx_path, old_path):
+            outs.append(tmp_path / f"pred_{path.stem}.csv")
+            result = invoke(runner, ["predict", "--approx", str(path),
+                                     "--samples", str(samples_path),
+                                     "--mode", mode, "--out", str(outs[-1])])
+            assert result.exit_code == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
 
     def test_eta_mode_square_fit_hits_observations(self, runner, workspace):
         tmp_path, approx_path, samples_path = workspace
@@ -1534,6 +1594,25 @@ class TestEvalCommand:
         assert f"configuration error: {spec_path}: " in result.output
         assert reason in result.output
         assert "Traceback" not in result.output
+        assert not (tmp_path / "out").exists()
+
+    def test_spectrum_gap_with_an_infinite_reciprocal_exits_2(self, runner,
+                                                              tmp_path):
+        spec_path = tmp_path / "tiny_gap.json"
+        spec_path.write_text(json.dumps({
+            "omega_gap": 1e-320, "kind": "tones",
+            "tones": [{"omega": 2.0, "re": 0.5, "im": 0.0}]}))
+        with open(os.path.join(CONFIG_DIR, "demo.json")) as fh:
+            config = json.load(fh)
+        config["spec_files"] = [str(spec_path)]
+        config_path = tmp_path / "cfg.json"
+        config_path.write_text(json.dumps(config))
+        result = invoke(runner, ["eval", "--config", str(config_path),
+                                 "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2
+        assert (f"configuration error: {spec_path}: omega_gap must be finite "
+                "and positive with a finite reciprocal, got 1e-320"
+                in result.output)
         assert not (tmp_path / "out").exists()
 
     def test_spectra_with_one_name_exit_2(self, runner, tmp_path):

@@ -296,6 +296,42 @@ class TestRunSweep:
                 (row.eps1 + scale * row.eps2) / (2.0 * math.pi), rel=1e-12)
             assert row.passed, row
 
+    @pytest.mark.parametrize("name, tones", [
+        ("demo", None), ("bump", None), ("demo", [(2.0, 0.2), (2.2, 0.3)])],
+        ids=["demo", "bump", "two_tones"])
+    def test_tone_bound_is_the_l1_form_times_two_pi(self, tmp_path, name,
+                                                     tones):
+        # bound_tones is eps1 + M eps2 on tone rows, 2pi bound_paper, and
+        # the per-tone sum of 2|A_j| (1 - r_nu(w_j) + eps2) up to round-off;
+        # bump rows carry a float 0.0, which report.json writes as 0.0
+        config = ExperimentConfig.from_json(
+            os.path.join(CONFIG_DIR, f"{name}.json"))
+        if tones is not None:
+            spec_path = tmp_path / "two_tones.json"
+            save_spectrum(SpectrumSpec.from_tones(1.0, tones), spec_path)
+            config = replace(config, spec_files=(str(spec_path),))
+        (path,) = config.spec_files
+        spec = signal.load_spectrum(path)
+        rows = run_sweep(config)
+        assert rows and [row.error for row in rows] == [None] * len(rows)
+        for row in rows:
+            if spec.kind == "bump":
+                assert type(row.bound_tones) is float
+                assert row.bound_tones == 0.0
+                continue
+            bound = row.eps1 + signal.spectral_mass(spec) * row.eps2
+            assert row.bound_tones == bound
+            assert row.bound_paper == row.bound_tones / (2.0 * math.pi)
+            per_tone = sum(2.0 * abs(t.amplitude) * (
+                1.0 - math.exp(-(row.nu * t.omega) ** 2) + row.eps2)
+                for t in spec.tones)
+            assert row.bound_tones == pytest.approx(per_tone, rel=1e-15,
+                                                    abs=0)
+        write_reports(rows, tmp_path / "out", config)
+        text = (tmp_path / "out" / "report.json").read_text()
+        zero = '"bound_tones": 0.0,' in text
+        assert zero == (spec.kind == "bump")
+
     def test_refuses_a_fit_too_large_to_make(self, tmp_path, monkeypatch):
         # d = 2896 is 23168 fit nodes and a fit matrix of 11584 half-grid
         # rows x 2897 Chebyshev columns, over the limit: the row records

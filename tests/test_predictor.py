@@ -23,8 +23,7 @@ def make_approx(a, T=1.0, gap=1.0):
     """An Approximant whose monomial form is a, its c from the independent
     monomial-to-Chebyshev oracle, for the convolution's API-level tests."""
     return Approximant(T=T, omega_gap=gap, taper=GAUSS03, d=len(a),
-                       c=oracles.chebyshev_from_monomial(a, gap), eps2=1.0,
-                       fit_nodes=64)
+                       c=oracles.chebyshev_from_monomial(a, gap), eps2=1.0)
 
 
 def random_approx(d, rng, gap=1.0):
@@ -32,7 +31,7 @@ def random_approx(d, rng, gap=1.0):
     c = rng.uniform(-1, 1, d + 1)
     c[0] = 0.0
     return Approximant(T=1.0, omega_gap=gap, taper=GAUSS03, d=d, c=c,
-                       eps2=1.0, fit_nodes=64)
+                       eps2=1.0)
 
 
 def eta_window(approx, times, values, etaP):
@@ -513,7 +512,7 @@ class TestEtaPrediction:
         c = np.array([0.0, 0.7, -0.4])
         gap, e0, e1 = 1.2, 1.3, 0.2
         approx = Approximant(T=1.0, omega_gap=gap, taper=GAUSS03, d=2, c=c,
-                             eps2=1.0, fit_nodes=64)
+                             eps2=1.0)
         times = np.linspace(0.0, 3.0, 301)
         state = eta_window(approx, times, np.zeros_like(times), [e0, e1])
         for t in (0.5, 1.7, 3.0):
@@ -645,7 +644,7 @@ class TestFitEta:
     def test_refuses_constants_that_are_not_finite(self):
         # finite observations whose least-squares constants overflow
         approx = Approximant(T=1.0, omega_gap=1.0, taper=GAUSS03, d=2,
-                             c=[0.0, 1e-3, 1e-3], eps2=1.0, fit_nodes=64)
+                             c=[0.0, 1e-3, 1e-3], eps2=1.0)
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(ValueError, match="etaP must be finite"):
             self.fit(np.array([10000, 20000]), np.array([1e306, -1e306]),
