@@ -31,8 +31,9 @@ before the next spectrum starts, and nothing outlives the call.
 
 Rows are computed serially in a fixed order and all output formatting is
 fixed-width, so identical configs produce byte-identical reports.
-write_reports writes report.csv, report.json (with convergence_verdict's
-verdict) and, for eval --pin, fixtures.json.
+write_reports writes report.csv and report.json (with convergence_verdict's
+verdict); the shipped configs/fixtures_<name>.json are the report.json of
+configs/<name>.json.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from typing import Optional
 
 import numpy as np
 
-from .approx import CERT_DENSITY, fit_approximants
+from .approx import fit_approximants
 from .predictor import eta_sum, iterated_integrals
 from .signal import (SpectrumSpec, check_gap, epsilon1, exact_etaP, grid_size,
                      load_spectrum, sample_grid, select_nu, spectral_mass)
@@ -245,13 +246,12 @@ def _spectrum_rows(config: ExperimentConfig, name: str, spec: SpectrumSpec,
     return rows
 
 
-def _quadrature_step(config: ExperimentConfig, pin: bool) -> float:
+def _quadrature_step(config: ExperimentConfig) -> float:
     # dt / k, k the smallest whole number with dt / k <= 1e-3*T to a
-    # relative 1e-9, so every measurement time is a sample time; --pin
-    # halves the step to produce fixture values
+    # relative 1e-9, so every measurement time is a sample time
     r = config.dt / (1e-3 * config.T)
     k = np.floor(r) if r - np.floor(r) <= 1e-9 * r else np.ceil(r)
-    return config.dt / max(1.0, k) * (0.5 if pin else 1.0)
+    return config.dt / max(1.0, k)
 
 
 def _load_spectra(config: ExperimentConfig) -> list:
@@ -274,15 +274,14 @@ def _load_spectra(config: ExperimentConfig) -> list:
     return spectra
 
 
-def run_sweep(config: ExperimentConfig, pin: bool = False) -> list:
+def run_sweep(config: ExperimentConfig) -> list:
     """Run the full sweep.  Every spectrum file is loaded before the first
     row, and one that does not load, whose spectrum reaches into the
     config's gap or whose basename another file has, raises ValueError
     naming the file, as does a measurement grid or sample record over
     grid_size's limit; after that, per-row failures are
-    recorded and the run continues.  With pin=True the quadrature step is
-    halved to produce fixture values."""
-    h = _quadrature_step(config, pin)
+    recorded and the run continues."""
+    h = _quadrature_step(config)
     t_grid, times = _grids(config, h)
     approximants: dict = {}
     return [row for name, spec in _load_spectra(config)
@@ -298,19 +297,14 @@ def _fmt(value) -> str:
     return f"{float(value):.17g}"
 
 
-def _json_text(payload) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
-def write_reports(rows, out_dir, config: ExperimentConfig,
-                  pin: bool = False) -> dict:
-    """Write report.csv, report.json and, when pinned, fixtures.json into
-    out_dir; the same rows give byte-identical files.  The CSV columns are
-    fixed; the JSON holds every row's fields, the failing row indices and
-    the convergence verdict, which is returned.  Each file is written under
-    a temporary name in out_dir and renamed into place once all are
-    written; a write that fails removes what it wrote, so out_dir keeps no
-    new report file and no temporary file."""
+def write_reports(rows, out_dir) -> dict:
+    """Write report.csv and report.json into out_dir; the same rows give
+    byte-identical files.  The CSV columns are fixed; the JSON holds every
+    row's fields, the failing row indices and the convergence verdict,
+    which is returned.  Each file is written under a temporary name in
+    out_dir and renamed into place once all are written; a write that fails
+    removes what it wrote, so out_dir keeps no new report file and no
+    temporary file."""
     if not rows:
         raise ValueError("refusing to write an empty report")
     os.makedirs(out_dir, exist_ok=True)
@@ -322,21 +316,12 @@ def write_reports(rows, out_dir, config: ExperimentConfig,
             _fmt(row.eps2), _fmt(row.bound_paper), _fmt(row.bound_tones),
             _fmt(row.sup_err), _fmt(row.passed)]))
     files = {"report.csv": "\n".join(lines) + "\n",
-             "report.json": _json_text({
+             "report.json": json.dumps({
                  "rows": [vars(row) for row in rows],
                  "failing_rows": [i for i, row in enumerate(rows)
                                   if not row.passed],
                  "all_pass": all(row.passed for row in rows),
-                 "convergence": verdict})}
-    if pin:
-        files["fixtures.json"] = _json_text({
-            "settings": {
-                "dense_factor": CERT_DENSITY,
-                "quadrature_step": _quadrature_step(config, pin),
-                "pinned": True,
-            },
-            "rows": [vars(row) for row in rows],
-        })
+                 "convergence": verdict}, indent=2, sort_keys=True) + "\n"}
     temps = {name: os.path.join(out_dir, f".{name}.{os.getpid()}.tmp")
              for name in files}
     placed = []

@@ -15,7 +15,7 @@ import time
 import numpy as np
 import pytest
 
-from gap_predict.approx import fit_approximant
+from gap_predict.approx import CERT_DENSITY, fit_approximant
 from gap_predict.predictor import (_sample_index, eta_sum, fit_eta,
                                    iterated_integrals, predict_convolution)
 from gap_predict.signal import (SpectrumSpec, epsilon1, exact_etaP,
@@ -108,7 +108,7 @@ def test_criterion_2_approximation_decay():
         with open(os.path.join(CONFIG_DIR, "fixtures_decay.json"),
                   encoding="utf-8") as fh:
             fixtures = json.load(fh)
-        assert fixtures["settings"]["dense_factor"] == 16
+        assert CERT_DENSITY == 16
         pinned = {row["d"]: row["eps2"] for row in fixtures["rows"]}
         assert eps2[20] < pinned[20] * 1.01
     report("criterion 2 (approximation decay)",

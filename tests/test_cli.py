@@ -472,6 +472,26 @@ class TestPredictPipeline:
         assert "theta=8.9 is past the last sample time 8" in result.output
         assert not out.exists()
 
+    @pytest.mark.parametrize("args", [
+        ["predict", "--mode", "conv"], ["predict", "--mode", "eta"],
+        ["fit-eta", "--t1", "8.0", "--theta", "8.0", "--dbar", "8"]],
+        ids=["conv", "eta", "fit-eta"])
+    def test_descending_record_is_refused_by_name(self, runner, workspace,
+                                                  args):
+        # the record from 8 down to -12: each command names the order, not
+        # a symptom of it (uniform steps, a t1 off the grid, a late theta)
+        tmp_path, approx_path, samples_path = workspace
+        header, *lines = samples_path.read_text().splitlines()
+        reversed_path = tmp_path / "reversed.csv"
+        reversed_path.write_text("\n".join([header, *lines[::-1]]) + "\n")
+        out = tmp_path / "out"
+        result = invoke(runner, [args[0], "--approx", str(approx_path),
+                                 "--samples", str(reversed_path), *args[1:],
+                                 "--out", str(out)])
+        assert result.exit_code == 1
+        assert f"{reversed_path}: sample times must increase" in result.output
+        assert not out.exists()
+
     # the record runs from -12 to 8 in steps of 0.001
     T1_MESSAGES = {
         "-20": "t=-20.0 lies outside the sample grid, which runs from -12 "
@@ -977,13 +997,13 @@ def midpoint_decimals():
 
 
 def read_outcome(path):
-    # what predict and fit-eta get from a samples file: the two columns'
-    # bits, or the refusal
+    # what the samples reader parses from a file, before _read_samples
+    # checks it: the table's shape and every value's bits, or the refusal
     try:
-        t, x = cli._read_samples(path)
-    except (ValueError, click.ClickException) as exc:
+        data = cli._read_table(path)
+    except ValueError as exc:
         return type(exc), str(exc)
-    return t.view(np.int64).tolist(), x.view(np.int64).tolist()
+    return data.shape, data.view(np.int64).tolist()
 
 
 def loadtxt_outcome(path):
@@ -1009,7 +1029,7 @@ _FIELDS = st.one_of(
 
 
 class TestReadSamples:
-    """_read_samples returns np.loadtxt's values, bit for bit, and refuses a
+    """_read_table returns np.loadtxt's values, bit for bit, and refuses a
     file with loadtxt's message wherever its fast path does not apply."""
 
     @given(st.integers(1, 3).flatmap(lambda cols: st.lists(
@@ -1093,6 +1113,19 @@ class TestReadSamples:
             os.close(read)
         assert t.tolist() == [1.0, 3.0] and x.tolist() == [2.0, 4.0]
 
+    @pytest.mark.parametrize("text, message", [
+        ("t,x\n1\n2\n", "must have columns t,x"),
+        ("t,x\n0,1\n0.5,1\n0.5,2\n", "sample times must increase"),
+        ("t,x\n0.5,1\n0,1\n", "sample times must increase")])
+    def test_refuses_a_parsed_table_by_name(self, tmp_path, text, message):
+        # one column, a repeated time, times that fall
+        path = tmp_path / "x.csv"
+        path.write_text(text)
+        with pytest.raises(click.ClickException) as info:
+            cli._read_samples(path)
+        assert info.value.message.endswith(message)
+        assert str(path) in info.value.message
+
     def test_saturated_mantissas(self, tmp_path):
         # np.fromstring saturates a mantissa past 2^63 instead of raising,
         # so |D| >= 10^18 must go to float(); 2^64 + 5 would wrap to 5
@@ -1102,8 +1135,9 @@ class TestReadSamples:
                         "1000000000000000000,-0.0000000000000000000001\n")
         assert fast_path_reads(path)
         assert read_outcome(path) == loadtxt_outcome(path)
-        t, x = cli._read_samples(path)
-        assert t[0] == 18446744073709551621.0 and x[0] == -t[0]
+        data = cli._read_table(path)
+        assert data[0, 0] == 18446744073709551621.0
+        assert data[0, 1] == -data[0, 0]
 
     def test_fast_path_reads_a_synth_record(self, runner, tmp_path,
                                             monkeypatch):
@@ -1348,15 +1382,17 @@ class TestEvalCommand:
         csv_a = (tmp_path / "a" / "report.csv").read_bytes()
         csv_b = (tmp_path / "b" / "report.csv").read_bytes()
         assert csv_a == csv_b
-        assert (tmp_path / "a" / "report.json").exists()
+        assert sorted(os.listdir(tmp_path / "a")) == ["report.csv",
+                                                      "report.json"]
 
-    def test_pin_writes_fixtures(self, runner, tmp_path):
+    def test_pin_is_a_usage_error(self, runner, tmp_path):
+        # the fixtures are plain reports; no flag writes a third file
         config = os.path.join(CONFIG_DIR, "decay.json")
         result = invoke(runner, ["eval", "--config", config, "--pin",
                                  "--out", str(tmp_path / "pin")])
-        assert result.exit_code == 0
-        fix = json.loads((tmp_path / "pin" / "fixtures.json").read_text())
-        assert fix["settings"]["dense_factor"] == 16
+        assert result.exit_code == 2
+        assert "No such option" in result.output and "--pin" in result.output
+        assert not (tmp_path / "pin").exists()
 
     def test_single_nu_reports_skipped_convergence(self, runner, tmp_path):
         spec_path = tmp_path / "tone.json"
@@ -1422,7 +1458,7 @@ class TestEvalCommand:
         rows = [harness.ErrorRow(spec="tone", d=d, nu=nu, sup_err=sup,
                                  passed=True)
                 for nu, sup in sups.items() for d in (4, 6, 8)]
-        monkeypatch.setattr(cli, "run_sweep", lambda config, pin: rows)
+        monkeypatch.setattr(cli, "run_sweep", lambda config: rows)
         result = invoke(runner, ["eval", "--config",
                                  os.path.join(CONFIG_DIR, "demo.json"),
                                  "--out", str(tmp_path / "out")])

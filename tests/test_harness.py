@@ -158,34 +158,45 @@ class TestRunSweep:
             assert row.sup_err == 0.0
             assert row.passed
 
-    def test_demo_rows_match_pinned_fixtures(self):
-        rows = run_sweep(demo_config())
-        with open(os.path.join(CONFIG_DIR, "fixtures_demo.json"),
+    @pytest.mark.parametrize("name", ["demo", "decay"])
+    def test_half_step_rows_match_the_fixtures(self, name, monkeypatch):
+        # the sweep at half its quadrature step against the shipped rows:
+        # sup_err is a fact of the predictor, not of the record's step; the
+        # fourth-order realization moves it by at most 1.5e-13 (demo) and
+        # 1.9e-13 (decay) between the two steps, and the tolerance is over
+        # 50 times that
+        step = harness._quadrature_step
+        monkeypatch.setattr(harness, "_quadrature_step",
+                            lambda config: step(config) / 2)
+        rows = run_sweep(ExperimentConfig.from_json(
+            os.path.join(CONFIG_DIR, f"{name}.json")))
+        with open(os.path.join(CONFIG_DIR, f"fixtures_{name}.json"),
                   encoding="utf-8") as fh:
             fixture_rows = json.load(fh)["rows"]
         assert len(rows) == len(fixture_rows)
-        for row, pinned in zip(rows, fixture_rows):
+        for row, fixed in zip(rows, fixture_rows):
             assert (row.spec, row.d, row.nu) == \
-                (pinned["spec"], pinned["d"], pinned["nu"])
-            assert row.eps1 == pytest.approx(pinned["eps1"], rel=1e-10)
-            assert row.eps2 == pytest.approx(pinned["eps2"], rel=1e-12)
-            # pinned sup uses half the quadrature step; the fourth-order
-            # realization moves sup_err by 5.9e-13 at most between the two
-            # steps on this sweep, and the tolerance is 17 times that
-            assert row.sup_err == pytest.approx(pinned["sup_err"], abs=1e-11)
-            assert row.passed and pinned["passed"]
+                (fixed["spec"], fixed["d"], fixed["nu"])
+            assert row.eps1 == pytest.approx(fixed["eps1"], rel=1e-10)
+            assert row.eps2 == pytest.approx(fixed["eps2"], rel=1e-12)
+            assert row.sup_err == pytest.approx(fixed["sup_err"], abs=1e-11)
+            assert row.passed and fixed["passed"]
+        # the halved step reached the realization
+        assert any(row.sup_err != fixed["sup_err"]
+                   for row, fixed in zip(rows, fixture_rows))
 
     @pytest.mark.parametrize("name", ["demo", "decay"])
     def test_pinned_sweep_reproduces_the_shipped_fixtures(self, name):
-        # a fresh pin against configs/fixtures_<name>.json, every float to
-        # 1e-14 relative, so drift below the looser tolerances of the other
+        # a fresh sweep against configs/fixtures_<name>.json, the
+        # report.json of configs/<name>.json, every float to 1e-14
+        # relative, so drift below the looser tolerances of the other
         # fixture tests still shows
         config = ExperimentConfig.from_json(
             os.path.join(CONFIG_DIR, f"{name}.json"))
         with open(os.path.join(CONFIG_DIR, f"fixtures_{name}.json"),
                   encoding="utf-8") as fh:
             pinned = json.load(fh)["rows"]
-        rows = [asdict(row) for row in run_sweep(config, pin=True)]
+        rows = [asdict(row) for row in run_sweep(config)]
         assert [sorted(row) for row in rows] == [sorted(row) for row in pinned]
         for row, fixed in zip(rows, pinned):
             for key, value in fixed.items():
@@ -327,7 +338,7 @@ class TestRunSweep:
                 for t in spec.tones)
             assert row.bound_tones == pytest.approx(per_tone, rel=1e-15,
                                                     abs=0)
-        write_reports(rows, tmp_path / "out", config)
+        write_reports(rows, tmp_path / "out")
         text = (tmp_path / "out" / "report.json").read_text()
         zero = '"bound_tones": 0.0,' in text
         assert zero == (spec.kind == "bump")
@@ -372,16 +383,13 @@ class TestRunSweep:
     def test_quadrature_step_divides_dt(self, tmp_path, T, dt, step):
         # the fewest whole steps per dt that bring the record's step to
         # 1e-3*T at most, to a relative 1e-9 (0.003 / (1e-3 * 0.3) rounds to
-        # 10.000000000000002), so every measurement time is a sample time;
-        # --pin halves the step
+        # 10.000000000000002), so every measurement time is a sample time
         config = small_config(tmp_path / "s.json", T=T, dt=dt)
-        assert harness._quadrature_step(config, False) == step
-        assert harness._quadrature_step(config, True) == step / 2
-        for pin in (False, True):
-            h = harness._quadrature_step(config, pin)
-            t_grid, times = harness._grids(config, h)
-            assert np.array_equal(_sample_index(times, t_grid),
-                                  round(dt / h) * np.arange(len(t_grid)))
+        h = harness._quadrature_step(config)
+        assert h == step
+        t_grid, times = harness._grids(config, h)
+        assert np.array_equal(_sample_index(times, t_grid),
+                              round(dt / h) * np.arange(len(t_grid)))
 
     @pytest.mark.parametrize("t_end, dt", [(1.0, 0.6),
                                            (2 * math.pi, 2 * math.pi / 628)])
@@ -498,7 +506,7 @@ class TestSharedWork:
         config = small_config(paths[0], spec_files=tuple(paths),
                               d_list=(8, 4000), nu_list=(0.5, 0.4),
                               t_start=1e7, t_end=1e7 + 0.1, dt=0.05)
-        h = harness._quadrature_step(config, False)
+        h = harness._quadrature_step(config)
         t_grid, _ = harness._grids(config, h)
         with pytest.raises(ValueError) as info:
             sample_grid(specs[0], t_grid[0] + 1.0, t_grid[1] - t_grid[0],
@@ -605,7 +613,7 @@ class TestSharedWork:
         rows = run_sweep(config)
         assert all(row.error is None for row in rows)
         assert len(calls) == len(rows) == 16
-        h = harness._quadrature_step(config, False)
+        h = harness._quadrature_step(config)
         t_grid, times = harness._grids(config, h)
         specs = [spec for _, spec in harness._load_spectra(config)]
         for i, (approx, y) in enumerate(calls):
@@ -678,7 +686,7 @@ class TestEmitReport:
         ]
 
     def write(self, out_dir, name):
-        write_reports(self.rows(), out_dir, demo_config())
+        write_reports(self.rows(), out_dir)
         return out_dir / name
 
     def test_csv_layout_and_determinism(self, tmp_path):
@@ -707,30 +715,20 @@ class TestEmitReport:
 
     def test_rejects_empty_table(self, tmp_path):
         with pytest.raises(ValueError, match="empty report"):
-            write_reports([], tmp_path / "out", demo_config())
+            write_reports([], tmp_path / "out")
 
-    @pytest.mark.parametrize("blocked, pin", [
-        ("report.csv", False), ("report.json", False),
-        ("fixtures.json", True)])
-    def test_a_refused_write_leaves_no_new_file(self, tmp_path, blocked, pin):
+    @pytest.mark.parametrize("blocked", ["report.csv", "report.json"])
+    def test_a_refused_write_leaves_no_new_file(self, tmp_path, blocked):
         # one report name held by a directory: the files written before it
         # are taken back, and no temporary file stays
         out = tmp_path / "out"
         (out / blocked).mkdir(parents=True)
         with pytest.raises(IsADirectoryError):
-            write_reports(self.rows(), out, demo_config(), pin=pin)
+            write_reports(self.rows(), out)
         assert os.listdir(out) == [blocked]
         (out / blocked).rmdir()
-        write_reports(self.rows(), out, demo_config(), pin=pin)
-        assert sorted(os.listdir(out)) == sorted(
-            ["report.csv", "report.json"] + ["fixtures.json"] * pin)
-
-    def test_write_reports_pin_mode(self, tmp_path):
-        config = demo_config()
-        write_reports(self.rows(), tmp_path / "out", config, pin=True)
-        fix = json.loads((tmp_path / "out" / "fixtures.json").read_text())
-        assert fix["settings"]["pinned"] is True
-        assert fix["settings"]["dense_factor"] == 16
+        write_reports(self.rows(), out)
+        assert sorted(os.listdir(out)) == ["report.csv", "report.json"]
 
 
 class TestConvergenceCheck:
