@@ -36,8 +36,8 @@ from .approx import (approximant_to_dict, fit_approximant, load_approximant,
                      save_approximant)
 from .harness import ExperimentConfig, run_sweep, write_reports
 from .predictor import (eta_sum, fit_eta, iterated_integrals,
-                        predict_convolution, _sample_index)
-from .signal import grid_size, load_spectrum, sample_grid
+                        predict_convolution, _sample_index, _usable_etaP)
+from .signal import grid_size, load_spectrum, sample_grid, window_size
 from .taper import FAMILIES, TaperSpec
 
 # rows the CSV writer formats at a time, so its memory is flat in the row count
@@ -426,7 +426,7 @@ def synth_cmd(spec_path, t0, t1, dt, out):
             raise ValueError("t0, t1 and dt must be finite")
         if not t1 > t0 or dt <= 0:
             raise ValueError("need t1 > t0 and dt > 0")
-        n = grid_size(np.floor((t1 - t0) / dt + 1e-9) + 1)
+        n = window_size(t1 - t0, dt)
         xs = sample_grid(spec, t0, dt, n)
     except (ValueError, KeyError) as exc:
         raise click.ClickException(str(exc)) from exc
@@ -447,8 +447,13 @@ def _window_from(times, values, t1):
     return times[i0:], values[i0:]
 
 
-def _fit_eta_from_samples(approx, times, values, t1, theta, dbar):
-    # (window times, window values, fit, extrapolation)
+def _fit_eta_from_samples(approx, times, values, t1, theta=None, dbar=None):
+    # (window times, window values, fit, extrapolation); without theta and
+    # dbar, predict's internal fit at d times up to the last sample, whose
+    # refusals name what predict sets: d, the record and --t1
+    internal = dbar is None
+    if internal:
+        theta, dbar = float(times[-1]), approx.d
     if not np.all(np.isfinite([t1, theta])):
         raise ValueError(f"t1 and theta must be finite, got t1={t1}, "
                          f"theta={theta}")
@@ -461,6 +466,10 @@ def _fit_eta_from_samples(approx, times, values, t1, theta, dbar):
     t1 = float(tw[0])
     if theta - T <= t1 + T / 10.0:
         raise ValueError(
+            f"the record is too short for the internal eta fit: from "
+            f"t1={t1:g} it must run past t1 + 1.1 T = {t1 + 1.1 * T:g} and it "
+            f"ends at {theta:g}; use a longer record, an earlier --t1 or --eta"
+            if internal else
             "observation window too short: need theta - T > t1 + T/10")
     if dbar < approx.d:
         raise ValueError(f"need at least d={approx.d} fit times, got {dbar}")
@@ -472,8 +481,13 @@ def _fit_eta_from_samples(approx, times, values, t1, theta, dbar):
     slack = 1e-9 * max(1.0, abs(lo), abs(hi))
     i_lo, i_end = np.searchsorted(tw, [lo - slack, hi + slack])
     if dbar > i_end - i_lo:
-        raise ValueError(f"--dbar {dbar} exceeds the {i_end - i_lo} samples "
-                         f"in the fit span [{lo:g}, {hi:g}]")
+        raise ValueError(
+            f"the internal eta fit needs d={dbar} fit samples in [t1 + T/10, "
+            f"last sample - T] = [{lo:g}, {hi:g}] and the record has "
+            f"{i_end - i_lo}; use a longer or finer record, an earlier --t1, "
+            f"a lower d or --eta" if internal else
+            f"--dbar {dbar} exceeds the {i_end - i_lo} samples in the fit "
+            f"span [{lo:g}, {hi:g}]")
     idx = np.rint(np.linspace(i_lo, i_end - 1, dbar)).astype(int)
     fit_times = tw[idx]
     fit = fit_eta(approx, tw, vw, idx, np.interp(fit_times + T, times, values))
@@ -509,7 +523,7 @@ def _writing(path, exit_code=1):
 
 
 def _read_eta(path):
-    # (t1, etaP) from a fit-eta output; iterated_integrals checks the numbers
+    # (t1, etaP) from a fit-eta output; predict checks the numbers
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     return float(data["t1"]), np.asarray(data["etaP"], dtype=float)
@@ -551,12 +565,15 @@ def predict_cmd(approx_path, samples_path, mode, t1, history_length, eta_path,
         else:
             if eta_path is not None:
                 eta_t1, etaP = _load(_read_eta, eta_path, "a fit-eta output")
-                t_out, vw = _window_from(times, values, eta_t1)
+                try:
+                    t_out, vw = _window_from(times, values, eta_t1)
+                    etaP = _usable_etaP(etaP, approx.d)
+                except ValueError as exc:
+                    raise ValueError(f"{eta_path}: {exc}") from exc
             else:
                 t_out, vw, fit, extrapolation = _fit_eta_from_samples(
                     approx, times, values,
-                    float(times[0]) if t1 is None else t1, float(times[-1]),
-                    approx.d)
+                    float(times[0]) if t1 is None else t1)
                 etaP = fit.etaP
                 note = (f", cond={fit.cond:.3e}, "
                         f"extrapolation={extrapolation:.3e}")

@@ -50,7 +50,8 @@ import numpy as np
 from .approx import fit_approximants
 from .predictor import eta_sum, iterated_integrals
 from .signal import (SpectrumSpec, check_gap, epsilon1, exact_etaP, grid_size,
-                     load_spectrum, sample_grid, select_nu, spectral_mass)
+                     load_spectrum, sample_grid, select_nu, spectral_mass,
+                     window_size)
 from .taper import TaperSpec
 
 __all__ = ["ExperimentConfig", "ErrorRow", "run_sweep", "write_reports",
@@ -161,10 +162,12 @@ class ErrorRow:
 def _grids(config: ExperimentConfig, h: float):
     # the measurement grid, whole dt steps within [t_start, t_end], and the
     # record's sample times, steps of h from t_start that reach t_end; a
-    # grid too long to make is refused before either is made
+    # grid too long to make is refused by name before either is made
     span = config.t_end - config.t_start
-    n_grid = grid_size(np.floor(span / config.dt + 1e-9) + 1)
-    n_record = grid_size(np.ceil(span / h - 1e-9) + 1)
+    n_grid = window_size(span, config.dt, "the measurement grid")
+    n_record = np.ceil(span / h - 1e-9) + 1
+    n_record = grid_size(n_record, f"the record of {n_record:.15g} samples "
+                         f"at the quadrature step {h:.15g}")
     return (config.t_start + config.dt * np.arange(n_grid),
             config.t_start + h * np.arange(n_record))
 

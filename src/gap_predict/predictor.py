@@ -1,8 +1,9 @@
 """Time-domain realizations of the gap-signal predictor psi (see approx).
 
 * Convolution over a truncated history window, at every sample with a full
-  window, for signals that decay into the past; its kernel, the recurrence's
-  impulse response built from its responses to unit constants, grows like
+  window, for signals that decay into the past: the recurrence below with
+  its constants forgotten.  Its kernel, the recurrence's response to an
+  impulse, is weighted by the recurrence's own Gregory rule and grows like
   t^(d-1)/(d-1)!, so this form is a demonstration for small d.
 * The recurrence in time.  v = 1/(i*w) is the antiderivative, so the levels
   y_0 = x, y_1 = omega_gap (etaP_0 + int_{t1}^t y_0) and
@@ -67,34 +68,28 @@ def _sample_index(times, t):
     return idx
 
 
-def _simpson_weights(n, h):
-    # w @ y reproduces scipy.integrate.simpson(y, dx=h) for len(y) == n >= 3:
-    # composite Simpson over the first odd number of points, plus Cartwright's
-    # correction of the last interval when n is even
-    m = n if n % 2 else n - 1
-    w = np.zeros(n)
-    w[0:m:2] = 2.0
-    w[1:m:2] = 4.0
-    w[0] = w[m - 1] = 1.0
-    w *= h / 3.0
-    if m < n:
-        w[-1] += 5.0 * h / 12.0
-        w[-2] += 2.0 * h / 3.0
-        w[-3] -= h / 12.0
-    return w
+def _gregory_weights(n, h):
+    # w @ y is _gregory's last value on n >= 3 samples: h at every sample,
+    # less, within 3 samples of either end, the part of the kernel row that
+    # runs off that end; symmetric, and Simpson's [1, 4, 1] h/3 for n = 3
+    short = np.zeros(n)
+    short[:3] = 1.0 - np.cumsum(_GREGORY[0, :3])
+    return (1.0 - (short + short[::-1])) * h
 
 
 def predict_convolution(approx: Approximant, times, values,
                         history_length=None):
-    """Composite-Simpson approximation of int_{t-L}^{t} K(t-tau) x(tau) dtau
+    """Gregory's-rule approximation of int_{t-L}^{t} K(t-tau) x(tau) dtau
     at every sample time t with a full window of L behind it, from one
     uniformly sampled record; a record with no such sample is refused.
 
     history_length L defaults to 10*T; it must be finite and is rejected
     below that guard, since the truncated convolution is meaningless with
     less history.  The kernel, the recurrence's impulse response, is realized
-    on the lags and Simpson-weighted once, and every output comes from one
-    real-FFT correlation of that weighted kernel with the whole record:
+    on the lags by iterated_integrals and eta_sum and weighted once by the
+    Gregory rule that iterated_integrals integrates with (symmetric, exact
+    for cubics, Simpson's on 3 samples), and every output comes from one
+    real-FFT convolution of that weighted kernel with the whole record:
     O(n log n) for n samples.
 
     The FFT's round-off scales with the largest window in the record, not
@@ -122,18 +117,19 @@ def predict_convolution(approx: Approximant, times, values,
         raise ValueError(f"history_length {L} spans fewer than 2 sample steps")
     if n_lag >= m:
         raise ValueError(f"record too short for history_length={L}")
-    # an impulse puts a unit constant on every even level: K = sum_{l even} R_l
-    w = approx.weights
-    g = 2.0 * np.array([w[k::2].sum() for k in range(1, approx.d + 1)]) - w[1:]
-    K = (g @ _unit_response(approx, h * np.arange(n_lag + 1)))[::-1]
-    wK = _simpson_weights(n_lag + 1, h) * K
-    # the correlation of the record with wK is its convolution with wK
-    # reversed; a circular one of length >= m wraps only into the first
-    # n_lag entries, which hold no full window and are dropped.  The length
-    # is a power of two or three times one, at least m and at most 1.5x
+    # the recurrence's prediction on a zero record after an impulse, which
+    # puts a unit constant on every even level, is the kernel on the lags
+    lags = h * np.arange(n_lag + 1)
+    K = eta_sum(approx, iterated_integrals(lags, np.zeros(n_lag + 1), approx.d,
+                                           approx.omega_gap,
+                                           np.arange(approx.d) % 2 == 0))
+    wK = _gregory_weights(n_lag + 1, h) * K
+    # a circular convolution of length >= m wraps only into the first n_lag
+    # entries, which hold no full window and are dropped.  The length is a
+    # power of two or three times one, at least m and at most 1.5x
     n = min(1 << (m - 1).bit_length(), 3 << ((m - 1) // 3).bit_length())
-    full = np.fft.irfft(np.fft.rfft(values, n) * np.fft.rfft(wK[::-1], n), n)
-    tail = np.abs(K[0] * values[:m - n_lag]) * (n_lag * h)
+    full = np.fft.irfft(np.fft.rfft(values, n) * np.fft.rfft(wK, n), n)
+    tail = np.abs(K[-1] * values[:m - n_lag]) * (n_lag * h)
     return full[n_lag:m], tail
 
 
@@ -156,7 +152,8 @@ def _usable_etaP(etaP, d):
     etaP = np.asarray(etaP, dtype=float)
     if etaP.shape != (d,):
         raise ValueError(f"etaP must have one entry per level above y_0 "
-                         f"(d = {d})")
+                         f"(d = {d}), not the {etaP.size} of a fit at d = "
+                         f"{etaP.size}")
     if not np.all(np.isfinite(etaP)):
         raise ValueError("etaP must be finite")
     return etaP
@@ -187,12 +184,6 @@ def iterated_integrals(times, values, d: int, omega_gap: float,
             level += z[j - 1]
         y = np.add(level, x, out=even) if j % 2 else level
     return z
-
-
-def _unit_response(approx: Approximant, times) -> np.ndarray:
-    # U_1..U_d: the levels of a zero record with a unit etaP_0 (fit_eta)
-    return iterated_integrals(times, np.zeros(len(times)), approx.d,
-                              approx.omega_gap, np.eye(approx.d)[0])[1:]
 
 
 def eta_sum(approx: Approximant, levels) -> np.ndarray:
@@ -232,7 +223,8 @@ def fit_eta(approx: Approximant, times, values, idx, zeta) -> EtaFit:
     weights = approx.weights
     rhs = zeta - weights @ iterated_integrals(times, values, d, omega,
                                               np.zeros(d))[:, idx]
-    U = _unit_response(approx, times)[:, idx]
+    U = iterated_integrals(times, np.zeros(len(times)), d, omega,
+                           np.eye(d)[0])[1:, idx]
     M = np.stack([weights[l + 1:] @ U[:d - l] for l in range(d)], axis=1)
     M[:, 1:] *= 2.0
 

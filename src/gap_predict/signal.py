@@ -30,8 +30,8 @@ import numpy as np
 from .taper import TaperSpec, eval_taper
 
 __all__ = ["Tone", "Bump", "SpectrumSpec", "check_gap", "grid_size",
-           "sample_grid", "epsilon1", "spectral_mass", "select_nu",
-           "exact_etaP", "spectrum_from_dict", "load_spectrum"]
+           "window_size", "sample_grid", "epsilon1", "spectral_mass",
+           "select_nu", "exact_etaP", "spectrum_from_dict", "load_spectrum"]
 
 # Gauss-Legendre nodes per panel of the bump quadrature rule
 _GL_ORDER = 48
@@ -194,6 +194,14 @@ def grid_size(n, what=None) -> int:
         raise ValueError(f"{what or f'a grid of {float(n):.15g} samples'} is "
                          f"over the limit of 2^25 = {_MAX_WORKSPACE}")
     return int(n)
+
+
+def window_size(span, step, what="a grid") -> int:
+    """The sample count floor(span / step + 1e-9) + 1 of the grid of whole
+    steps within span, refused as grid_size refuses it, as `what` of that
+    many samples."""
+    n = np.floor(span / step + 1e-9) + 1
+    return grid_size(n, f"{what} of {float(n):.15g} samples")
 
 
 def check_gap(omega_gap) -> None:

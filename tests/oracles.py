@@ -259,3 +259,16 @@ def monomial_kernel(a, t):
     transform of psi = sum_k a_k (i*w)^-k, the convolution's kernel."""
     t = np.asarray(t, dtype=float)
     return sum(a_k * t ** k / math.factorial(k) for k, a_k in enumerate(a))
+
+
+def gregory_weights(n, h):
+    """Gregory's rule on n >= 3 samples of step h: the trapezoid's weights
+    with the textbook end corrections to third differences, 3/8, 7/6 and
+    23/24 in place of 1/2, 1 and 1 at each end (Fornberg, SIAM Review 63,
+    2021); on fewer than 6 samples the two ends' corrections add."""
+    w = np.ones(n)
+    w[0] = w[-1] = 0.5
+    correction = np.array([3 / 8 - 1 / 2, 7 / 6 - 1, 23 / 24 - 1])
+    w[:3] += correction
+    w[-3:] += correction[::-1]
+    return h * w

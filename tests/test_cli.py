@@ -546,6 +546,59 @@ class TestPredictPipeline:
                 in result.output)
         assert not out.exists()
 
+    @pytest.mark.parametrize("t_end, dt, message", [
+        # [0.1, 1] holds the samples 0.5 and 1, and d = 4 needs 4
+        ("2", "0.5", "the internal eta fit needs d=4 fit samples in "
+                     "[t1 + T/10, last sample - T] = [0.1, 1] and the record "
+                     "has 2; use a longer or finer record, an earlier --t1, "
+                     "a lower d or --eta"),
+        # the last fit time, 1 - T = 0, lies before t1 + T/10
+        ("1", "0.001", "the record is too short for the internal eta fit: "
+                       "from t1=0 it must run past t1 + 1.1 T = 1.1 and it "
+                       "ends at 1; use a longer record, an earlier --t1 or "
+                       "--eta"),
+    ], ids=["few-samples", "short-span"])
+    def test_predict_eta_refuses_a_record_in_its_own_terms(
+            self, runner, workspace, t_end, dt, message):
+        # predict's internal fit takes d times and the record's end; its
+        # refusal names neither fit-eta's --dbar nor its theta
+        tmp_path, approx_path, _ = workspace
+        spec_path, samples_path = tmp_path / "tone.json", tmp_path / "s.csv"
+        invoke(runner, ["synth", "--spec", str(spec_path), "--t0", "0",
+                        "--t1", t_end, "--dt", dt, "--out", str(samples_path)])
+        out = tmp_path / "pred.csv"
+        result = invoke(runner, ["predict", "--approx", str(approx_path),
+                                 "--samples", str(samples_path),
+                                 "--mode", "eta", "--out", str(out)])
+        assert result.exit_code == 1
+        assert message in result.output
+        assert "--dbar" not in result.output
+        assert "theta" not in result.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("payload, message", [
+        ({"t1": 0.0, "etaP": [0.0] * 8}, "etaP must have one entry per level "
+         "above y_0 (d = 4), not the 8 of a fit at d = 8"),
+        ({"t1": 0.0, "etaP": [0.0, float("nan"), 0.0, 0.0]},
+         "etaP must be finite"),
+        ({"t1": 3.00005, "etaP": [0.0] * 4}, "t=3.00005 does not lie on the "
+         "sample grid: the nearest sample is 3 and the step is 0.001"),
+    ], ids=["another-degree", "nan", "off-lattice-t1"])
+    def test_predict_names_a_refused_eta_file(self, runner, workspace,
+                                              payload, message):
+        tmp_path, approx_path, samples_path = workspace
+        eta_path = tmp_path / "e.json"
+        eta_path.write_text(json.dumps(payload))  # writes NaN
+        out = tmp_path / "pred.csv"
+        result = invoke(runner, ["predict", "--approx", str(approx_path),
+                                 "--samples", str(samples_path),
+                                 "--mode", "eta", "--eta", str(eta_path),
+                                 "--out", str(out)])
+        assert result.exit_code == 1
+        assert f"{eta_path}: {message}" in result.output
+        assert "Traceback" not in result.output
+        assert not out.exists()
+
     @pytest.mark.parametrize("mode,extra,option", [
         ("conv", ["--t1", "0"], "--t1"),
         ("conv", ["--eta", "ETA"], "--eta"),
@@ -1526,8 +1579,8 @@ class TestEvalCommand:
         result = invoke(runner, ["eval", "--config", str(config_path),
                                  "--out", str(tmp_path / "out")])
         assert result.exit_code == 2
-        assert ("configuration error: a grid of 100000000001 samples is over "
-                "the limit of 2^25 = 33554432") in result.output
+        assert ("configuration error: the measurement grid of 100000000001 "
+                "samples is over the limit of 2^25 = 33554432") in result.output
         assert not (tmp_path / "out").exists()
 
     def test_config_error_exits_2(self, runner, tmp_path):

@@ -372,9 +372,26 @@ class TestRunSweep:
             raise AssertionError("sampled")
 
         monkeypatch.setattr(harness, "sample_grid", no_sampling)
-        with pytest.raises(ValueError, match=r"^a grid of 1000000000001 "
-                           r"samples is over the limit of 2\^25 = 33554432$"):
+        with pytest.raises(ValueError, match=r"^the record of 1000000000001 "
+                           r"samples at the quadrature step 0\.001 is over the "
+                           r"limit of 2\^25 = 33554432$"):
             run_sweep(small_config(spec_path, t_end=1e9, dt=1e8))
+
+    def test_refuses_a_measurement_grid_too_long_to_make(self, tmp_path,
+                                                          monkeypatch):
+        # dt = 1e-12 over [0, 1.5] measures at 1.5e12 + 1 times; the grid is
+        # named and refused before any row samples it
+        spec_path = tmp_path / "tone.json"
+        save_spectrum(SpectrumSpec.from_tones(1.0, [(2.0, 0.5)]), spec_path)
+
+        def no_sampling(*args):
+            raise AssertionError("sampled")
+
+        monkeypatch.setattr(harness, "sample_grid", no_sampling)
+        with pytest.raises(ValueError, match=r"^the measurement grid of "
+                           r"1500000000001 samples is over the limit of "
+                           r"2\^25 = 33554432$"):
+            run_sweep(small_config(spec_path, t_end=1.5, dt=1e-12))
 
     @pytest.mark.parametrize("T, dt, step", [
         (1.0, 0.01, 1e-3), (1.0, 0.1, 1e-3), (1.0, 0.0015, 7.5e-4),

@@ -9,8 +9,9 @@ from scipy.integrate import cumulative_trapezoid, simpson
 
 from gap_predict import cli
 from gap_predict.approx import Approximant, fit_approximant
-from gap_predict.predictor import (_sample_index, eta_sum, fit_eta,
-                                   iterated_integrals, predict_convolution)
+from gap_predict.predictor import (_gregory_weights, _sample_index, eta_sum,
+                                   fit_eta, iterated_integrals,
+                                   predict_convolution)
 from gap_predict.signal import SpectrumSpec, exact_etaP, sample_grid
 from gap_predict.taper import TaperSpec
 
@@ -151,19 +152,38 @@ class TestPredictConvolution:
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6, 101, 1000, 10001, 10002])
     def test_weights_reproduce_scipy_simpson(self, n):
-        # with K = 1 the output is the weighted window sum itself
+        # with K = 1 the output is the weighted window sum itself: Gregory's
+        # rule, which on 3 samples is scipy's Simpson
         h = 10.0 / (n - 1)
         times = h * np.arange(n)
         values = np.random.default_rng(n).standard_normal(n)
         y_hat, _ = predict_one(make_approx([1.0, 0.0]), times, values)
-        ref = simpson(values, dx=h)
-        assert y_hat == pytest.approx(ref, rel=1e-14,
-                                      abs=1e-15 * h * np.abs(values).sum())
+        refs = [oracles.gregory_weights(n, h) @ values]
+        if n == 3:
+            refs.append(simpson(values, dx=h))
+        for ref in refs:
+            assert y_hat == pytest.approx(
+                ref, rel=1e-14, abs=1e-15 * h * np.abs(values).sum())
+
+    def test_window_weights_are_symmetric_and_exact_for_cubics(self):
+        # the same numbers at both ends, and int_0^1 t^3 = 1/4 at every
+        # window length; w @ y is the recurrence's own integral z_1
+        rng = np.random.default_rng(7)
+        for n in [*range(3, 65), 10001, 10002]:
+            h = 1.0 / (n - 1)
+            w = _gregory_weights(n, h)
+            assert np.array_equal(w, w[::-1]), n
+            assert w @ (h * np.arange(n)) ** 3 == pytest.approx(0.25,
+                                                                rel=1e-13), n
+            y = rng.standard_normal(n)
+            z = iterated_integrals(h * np.arange(n), y, 1, 1.0, [0.0])
+            assert w @ y == pytest.approx(
+                z[1, -1], rel=1e-13, abs=1e-15 * h * np.abs(y).sum()), n
 
     @pytest.mark.parametrize("L", [10.0, 10.001])   # n_lag even, odd
     def test_grid_matches_per_window_simpson(self, L):
         # one output per sample with a full window, the first and the last
-        # among those checked
+        # among those checked, against each window's own Gregory sum
         h = 1e-3
         a = np.array([0.8, -0.5, 0.3])
         times = -12.0 + h * np.arange(20001)
@@ -174,9 +194,10 @@ class TestPredictConvolution:
         assert y.shape == tail.shape == (len(times) - n_lag,)
         K = oracles.monomial_kernel(oracles.monomial_from_chebyshev(
             approx.c, approx.omega_gap), h * np.arange(n_lag, -1, -1))
+        w = oracles.gregory_weights(n_lag + 1, h)
         for j in [*range(0, len(y), 397), len(y) - 1]:
             window = values[j:j + n_lag + 1]
-            ref = simpson(K * window, dx=h)
+            ref = w @ (K * window)
             assert y[j] == pytest.approx(
                 ref, abs=1e-13 * h * np.abs(K * window).sum())
             assert tail[j] == pytest.approx(abs(K[0] * window[0]) * L,
@@ -185,7 +206,7 @@ class TestPredictConvolution:
     @pytest.mark.parametrize("d", [4, 8, 16])
     def test_impulse_response_is_the_monomial_kernel(self, d):
         # output j sees a unit impulse j samples back, so the outputs are
-        # the Simpson-weighted kernel: the recurrence's impulse response
+        # the Gregory-weighted kernel: the recurrence's impulse response
         # against the monomial form of c, at degrees where Gregory's rule
         # is not exact for it
         h, n_lag = 1e-3, 10000
@@ -194,9 +215,7 @@ class TestPredictConvolution:
         values[n_lag] = 1.0
         y, _ = predict_convolution(approx, h * np.arange(2 * n_lag + 1),
                                    values)
-        simpson_w = np.ones(n_lag + 1)
-        simpson_w[1:-1:2], simpson_w[2:-1:2] = 4.0, 2.0
-        wK = simpson_w * h / 3.0 * oracles.monomial_kernel(
+        wK = oracles.gregory_weights(n_lag + 1, h) * oracles.monomial_kernel(
             oracles.monomial_from_chebyshev(approx.c, approx.omega_gap),
             h * np.arange(n_lag + 1))
         assert np.abs(y - wK).max() <= 1e-12 * np.abs(wK).max()
@@ -229,7 +248,8 @@ class TestPredictConvolution:
         K = oracles.monomial_kernel(oracles.monomial_from_chebyshev(
             approx.c, approx.omega_gap), h * np.arange(n_lag, -1, -1))
         windows = [values[i - n_lag:i + 1] for i in idx]
-        ref = np.array([simpson(K * w, dx=h) for w in windows])
+        weights = oracles.gregory_weights(n_lag + 1, h)
+        ref = np.array([weights @ (K * w) for w in windows])
         scale = max(h * np.abs(K * w).sum() for w in windows)
         assert np.abs(y - ref).max() <= 1e-13 * scale
 
