@@ -12,10 +12,11 @@ P_{j+1} = 2*omega_gap*v*P_j + P_{j-1}.  With s = omega_gap/w, Re psi is
 sum_{even j} c_j (T_j(s) - T_j(0)) and Im psi is sum_{odd j} c_j T_j(s),
 and |T_j(s)| <= 1 on the spectrum, so nothing cancels.  The fit is a
 parity-constrained least squares in those columns on the w > 0 half of a
-sign-symmetric Chebyshev grid in u = 1/w.  fit_approximants is the one
-fit and certificate, for several tapers at one degree: the grids, the
+sign-symmetric Chebyshev grid in u = 1/w: every CERT_DENSITY-th node of
+the certificate's, whose target it reads there.  fit_approximants is the one
+fit and certificate, for several tapers at one degree: the grid, the
 columns, the target phase and the certificate's rows depend on d alone and
-are built once, and each taper takes only its own solves and its own
+are built once, and each taper takes only its own target, solves and
 products with the rows, so its fit is bit for bit the one it gets alone;
 fit_approximant is its one-taper call.  The JSON file holds T, omega_gap,
 taper, d, c, eps2 and, for its readers, a: the monomial coefficients of
@@ -79,8 +80,6 @@ class Approximant:
 CERT_DENSITY = 16
 # Chebyshev row entries the certificate builds at a time
 _EVAL_BLOCK = 1 << 20
-# the fit's row weight: a half-grid row stands for a node at w and at -w
-_ROW_WEIGHT = np.sqrt(2.0)
 
 
 def _half_grid(omega_gap: float, n: int) -> np.ndarray:
@@ -111,21 +110,21 @@ def fit_approximants(T: float, omega_gap: float, tapers,
                      d: int) -> list:
     """fit_approximant for each taper of a list, at one degree d.
 
-    The fit grid, its columns and target phases, the certification grid
-    with exp(i*w*T), and each block of the certificate's rows are built once
-    for all the tapers; each taper takes its own two least-squares solves
-    and its own products with the rows, so its c and eps2 are bit for bit
-    those of fitting it alone.  Every refusal depends on (T, omega_gap, d)
-    alone and comes before any fit, so a list raises exactly when each of
-    its tapers would alone.
+    The certification grid with exp(i*w*T), the fit's columns on its every
+    CERT_DENSITY-th node, and each block of the certificate's rows are built
+    once for all the tapers; each taper takes its own target, two
+    least-squares solves and products with the rows, so its c and eps2 are
+    bit for bit those of fitting it alone.  Every refusal depends on
+    (T, omega_gap, d) alone and comes before any fit, so a list raises
+    exactly when each of its tapers would alone.
     """
     n_fit = max(8 * d, 64)
     n_cert, rows = CERT_DENSITY * (n_fit - 1) + 1, n_fit // 2
     grid_size(n_cert, f"d={d}: the certification grid of {n_cert} nodes")
     grid_size(rows * (d + 1), f"d={d}: the fit matrix of {rows} x {d + 1} "
               "entries")
-    # the certification half grid, which contains the fit grid's; the error
-    # is even in w, so its w > 0 half is evaluated, in real arithmetic
+    # the certification half grid, the fit grid at every CERT_DENSITY-th
+    # node; the error is even in w, so its w > 0 half is evaluated in reals
     w_cert = _half_grid(omega_gap, n_cert)
     if not np.isfinite(T):
         raise ValueError("T must be finite")
@@ -140,33 +139,29 @@ def fit_approximants(T: float, omega_gap: float, tapers,
                          "function")
     if T <= 0:
         raise ValueError("T must be positive")
-    # the fit matches sum_m c_2m (T_2m(s) - T_2m(0)) to cos(T*w) r_nu(w) and
-    # sum_m c_2m+1 T_2m+1(s) to sin(T*w) r_nu(w), s = omega_gap/w.  Nodes at
-    # w and -w have equal squared residuals in both systems, so the w > 0
-    # half is solved with every row weighted by sqrt(2), which keeps the
-    # sign-symmetric grid's minimizer.  T_2m(0) = (-1)^m and the odd T_j
-    # vanish at 0, so only the even columns move
-    w = _half_grid(omega_gap, n_fit)
-    cheb = _chebyshev(omega_gap / w, d)
-    cheb[::2] -= (-1.0) ** np.arange(d // 2 + 1)[:, None]
-    cheb *= _ROW_WEIGHT
-    phases = (np.cos(T * w), np.sin(T * w))
-    cs = []
-    for taper in tapers:
-        r = eval_taper(taper, w) * _ROW_WEIGHT
-        c = np.zeros(d + 1)
-        for j0, phase in zip((2, 1), phases):
-            c[j0::2] = np.linalg.lstsq(cheb[j0::2].T, phase * r,
-                                       rcond=None)[0]
-        cs.append(c)
-    # psi in reals on s = omega_gap/w (module docstring), from the rows of at
-    # most _EVAL_BLOCK / (d + 1) nodes at a time; blocks of a multiple of 64
-    # nodes put their seams on the products' vector lanes, so the sums equal
-    # one block's bit for bit
     phase = np.exp(1j * w_cert * T)
     targets = [phase * eval_taper(taper, w_cert) for taper in tapers]
+    # the fit matches sum_m c_2m (T_2m(s) - T_2m(0)) to Re target and
+    # sum_m c_2m+1 T_2m+1(s) to Im target, s = omega_gap/w.  Nodes at w and
+    # -w have equal squared residuals in both systems, so the w > 0 half has
+    # the sign-symmetric grid's minimizer.  T_2m(0) = (-1)^m and the odd T_j
+    # vanish at 0, so only the even columns move
+    s = omega_gap / w_cert
+    cheb = _chebyshev(s[::CERT_DENSITY], d)
+    cheb[::2] -= (-1.0) ** np.arange(d // 2 + 1)[:, None]
+    cs = []
+    for target in targets:
+        c = np.zeros(d + 1)
+        for j0, part in ((2, target.real), (1, target.imag)):
+            c[j0::2] = np.linalg.lstsq(cheb[j0::2].T, part[::CERT_DENSITY],
+                                       rcond=None)[0]
+        cs.append(c)
+    # psi in reals on s (module docstring), from the rows of at most
+    # _EVAL_BLOCK / (d + 1) nodes at a time; blocks of a multiple of 64
+    # nodes put their seams on the products' vector lanes, so the sums equal
+    # one block's bit for bit
     at_zero = [c[0::2] @ (-1.0) ** np.arange(d // 2 + 1) for c in cs]
-    s, err = omega_gap / w_cert, np.zeros(len(cs))
+    err = np.zeros(len(cs))
     step = max(64, _EVAL_BLOCK // (d + 1) & -64)
     for i in range(0, s.size, step):
         rows = _chebyshev(s[i:i + step], d)
@@ -182,7 +177,7 @@ def fit_approximants(T: float, omega_gap: float, tapers,
     # with T_j'(0) = j (-1)^((j-1)/2) for odd j.  The grid has at least 1009
     # nodes, so s_min <= sin(pi/1008) and this stays below 2 sum_j |c_j|,
     # the bound on |psi| everywhere
-    s_min, j = omega_gap / w_cert[-1], np.arange(d + 1)
+    s_min, j = s[-1], np.arange(d + 1)
     slopes = j[1::2] * (-1.0) ** (j[1::2] // 2)
     fits = []
     for taper, c, grid_max in zip(tapers, cs, err):
@@ -226,12 +221,16 @@ def approximant_to_dict(approx: Approximant) -> dict:
 
 
 def approximant_from_dict(data: dict) -> Approximant:
-    """Read the JSON form: c is the approximant; a and other keys go unread."""
+    """Read the JSON form: c is the approximant; a and other keys go unread.
+    A d that is not a whole number (8.5, not 8.0) is refused."""
+    d = data["d"]
+    if int(d) != d:
+        raise ValueError(f"d must be a whole number, got {d!r}")
     return Approximant(
         T=float(data["T"]),
         omega_gap=float(data["omega_gap"]),
         taper=taper_from_dict(data["taper"]),
-        d=int(data["d"]),
+        d=int(d),
         c=np.asarray(data["c"], dtype=float),
         eps2=float(data["eps2"]),
     )

@@ -36,7 +36,7 @@ from .approx import (approximant_to_dict, fit_approximant, load_approximant,
                      save_approximant)
 from .harness import ExperimentConfig, run_sweep, write_reports
 from .predictor import (eta_sum, fit_eta, iterated_integrals,
-                        predict_convolution, _sample_index, _usable_etaP)
+                        predict_convolution, _usable_etaP)
 from .signal import grid_size, load_spectrum, sample_grid, window_size
 from .taper import FAMILIES, TaperSpec
 
@@ -437,9 +437,20 @@ def synth_cmd(spec_path, t0, t1, dt, out):
 
 
 def _window_from(times, values, t1):
-    # the eta form starts at its window's first sample, so snap t1 onto the
-    # sample lattice; its integrals need 3 samples from there on
-    i0 = int(_sample_index(times, t1))
+    # the eta form starts at its window's first sample: the sample time
+    # nearest t1, which must lie within 1e-9 * max(1, |that time|) of it, so
+    # a t1 that is not a finite sample time (NaN, infinite) is refused here;
+    # its integrals need 3 samples from there on
+    hi = min(max(int(np.searchsorted(times, t1)), 1), len(times) - 1)
+    i0 = hi - 1 if abs(times[hi - 1] - t1) <= abs(times[hi] - t1) else hi
+    if not abs(times[i0] - t1) <= 1e-9 * max(1.0, abs(times[i0])):
+        if not times[0] <= t1 <= times[-1]:  # NaN included
+            raise ValueError(
+                f"t={t1} lies outside the sample grid, which runs from "
+                f"{times[0]:g} to {times[-1]:g}")
+        raise ValueError(
+            f"t={t1} does not lie on the sample grid: the nearest sample is "
+            f"{times[i0]:g} and the step is {times[hi] - times[hi - 1]:g}")
     if len(times) - i0 < 3:
         raise ValueError(
             f"t1={t1} leaves fewer than 3 samples up to the last sample "
@@ -454,9 +465,8 @@ def _fit_eta_from_samples(approx, times, values, t1, theta=None, dbar=None):
     internal = dbar is None
     if internal:
         theta, dbar = float(times[-1]), approx.d
-    if not np.all(np.isfinite([t1, theta])):
-        raise ValueError(f"t1 and theta must be finite, got t1={t1}, "
-                         f"theta={theta}")
+    if not np.isfinite(theta):
+        raise ValueError(f"theta must be finite, got theta={theta}")
     if theta > times[-1]:
         # np.interp would hold the last sample for the observations past it
         raise ValueError(f"theta={theta} is past the last sample time "
@@ -477,18 +487,25 @@ def _fit_eta_from_samples(approx, times, values, t1, theta=None, dbar=None):
     # the dbar x d fit matrix has at least as many entries as fit times
     grid_size(dbar * approx.d, f"--dbar {dbar} at d={approx.d}: the {dbar} x "
               f"{approx.d} fit matrix")
-    # the fit times: dbar of the window's samples in [lo, hi], spread by index
+    # the fit times: dbar of the count window samples in [lo, hi], its first
+    # and last among them, spread by index like Chebyshev extreme points,
+    # which keeps the square fit far better conditioned than an even spread;
+    # strictly increasing, since each step adds 1 and a rounding of a rising
+    # term, and every sample when count = dbar
     slack = 1e-9 * max(1.0, abs(lo), abs(hi))
     i_lo, i_end = np.searchsorted(tw, [lo - slack, hi + slack])
-    if dbar > i_end - i_lo:
+    count = i_end - i_lo
+    if dbar > count:
         raise ValueError(
             f"the internal eta fit needs d={dbar} fit samples in [t1 + T/10, "
             f"last sample - T] = [{lo:g}, {hi:g}] and the record has "
-            f"{i_end - i_lo}; use a longer or finer record, an earlier --t1, "
-            f"a lower d or --eta" if internal else
-            f"--dbar {dbar} exceeds the {i_end - i_lo} samples in the fit "
-            f"span [{lo:g}, {hi:g}]")
-    idx = np.rint(np.linspace(i_lo, i_end - 1, dbar)).astype(int)
+            f"{count}; use a longer or finer record, an earlier --t1, a lower "
+            f"d or --eta" if internal else
+            f"--dbar {dbar} exceeds the {count} samples in the fit span "
+            f"[{lo:g}, {hi:g}]")
+    k = np.arange(dbar)
+    idx = i_lo + k + np.rint((count - dbar) / 2.0 * (
+        1.0 - np.cos(np.pi * k / (dbar - 1)))).astype(int)
     fit_times = tw[idx]
     fit = fit_eta(approx, tw, vw, idx, np.interp(fit_times + T, times, values))
     # |T_{d-1}| at theta, the fitted span mapped onto [-1, 1]: about the

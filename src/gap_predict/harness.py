@@ -17,14 +17,14 @@ command line keeps them, and a config's optional modes key must be
 
 The realization is the one path predict --mode eta also runs
 (iterated_integrals, eta_sum), on a record whose step divides dt, so that
-every measurement time is a sample time.  run_sweep is three loops.  Per
-spectrum it takes the nu list (nu_list or select_nu) and the truth: the
-future values and the record's levels z_0..z_D (D = max(d_list)) at the
-measurement grid, which do not depend on the approximant.  Per degree it
-fits, in one fit_approximants call, the spectrum's nu that the sweep has
-not fitted yet; the (d, nu) fits are shared across spectra, and a call
-that raises stores nothing.  Per row it computes eps1, the two bounds and
-eta_sum on the first d + 1 levels.  A failing step errors exactly the rows
+the measurement grid, t_start + k dt, is a stride of its samples.  run_sweep
+is three loops.  Per spectrum it takes the nu list (nu_list or select_nu)
+and the truth: the future values and the record's levels z_0..z_D
+(D = max(d_list)) at that stride, which do not depend on the approximant.
+Per degree it fits, in one fit_approximants call, the spectrum's nu that
+the sweep has not fitted yet; the (d, nu) fits are shared across spectra,
+and a call that raises stores nothing.  Per row it computes eps1, the two
+bounds and eta_sum on the first d + 1 levels.  A failing step errors exactly the rows
 it serves: select_nu one row per d with nu = nan, a fit its degree's rows,
 the truth every row whose fit succeeded.  A spectrum's arrays are freed
 before the next spectrum starts, and nothing outlives the call.
@@ -160,31 +160,30 @@ class ErrorRow:
 
 
 def _grids(config: ExperimentConfig, h: float):
-    # the measurement grid, whole dt steps within [t_start, t_end], and the
+    # the measurement count, whole dt steps within [t_start, t_end], and the
     # record's sample times, steps of h from t_start that reach t_end; a
-    # grid too long to make is refused by name before either is made
+    # grid too long to make is refused by name before the record is made
     span = config.t_end - config.t_start
     n_grid = window_size(span, config.dt, "the measurement grid")
     n_record = np.ceil(span / h - 1e-9) + 1
     n_record = grid_size(n_record, f"the record of {n_record:.15g} samples "
                          f"at the quadrature step {h:.15g}")
-    return (config.t_start + config.dt * np.arange(n_grid),
-            config.t_start + h * np.arange(n_record))
+    return n_grid, config.t_start + h * np.arange(n_record)
 
 
 def _truth(config: ExperimentConfig, spec: SpectrumSpec, h: float,
-           times: np.ndarray, t_grid: np.ndarray):
+           times: np.ndarray, n_grid: int):
     # x(t + T) and the levels z_0..z_D (D = max(d_list)) of the record from
-    # t_start with its constants etaP_0..etaP_{D-1}, at t_grid: every
-    # (dt/h)-th sample, taken as a copy, since a strided view changes
-    # eta_sum's summation order and so its last bit
-    step = t_grid[1] - t_grid[0] if len(t_grid) > 1 else 1.0
-    future = sample_grid(spec, t_grid[0] + config.T, step, len(t_grid))
+    # t_start with its constants etaP_0..etaP_{D-1}, at the n_grid
+    # measurement times t_start + k dt: every (dt/h)-th sample, taken as a
+    # copy, since a strided view changes eta_sum's summation order and so
+    # its last bit
     t1, d_max, gap = config.t_start, max(config.d_list), config.omega_gap
+    future = sample_grid(spec, t1 + config.T, config.dt, n_grid)
     values = sample_grid(spec, t1, h, len(times))
     etaP = exact_etaP(spec, gap, d_max, t1)
     levels = iterated_integrals(times, values, d_max, gap, etaP)[
-        :, round(config.dt / h) * np.arange(len(t_grid))]
+        :, round(config.dt / h) * np.arange(n_grid)]
     return future, levels
 
 
@@ -208,7 +207,7 @@ def _row(spec_name: str, spec: SpectrumSpec, approx, future: np.ndarray,
 
 
 def _spectrum_rows(config: ExperimentConfig, name: str, spec: SpectrumSpec,
-                   h: float, times: np.ndarray, t_grid: np.ndarray,
+                   h: float, times: np.ndarray, n_grid: int,
                    approximants: dict) -> list:
     # one spectrum's rows, d by d and nu by nu; approximants maps (d, nu)
     # to the sweep's fits and gains those this spectrum is the first to need
@@ -223,7 +222,7 @@ def _spectrum_rows(config: ExperimentConfig, name: str, spec: SpectrumSpec,
         return [failed(d, math.nan, exc) for d in config.d_list]
     truth_error = None
     try:
-        future, levels = _truth(config, spec, h, times, t_grid)
+        future, levels = _truth(config, spec, h, times, n_grid)
     except Exception as exc:  # noqa: BLE001 - recorded per row
         truth_error = exc
     rows = []
@@ -285,10 +284,10 @@ def run_sweep(config: ExperimentConfig) -> list:
     grid_size's limit; after that, per-row failures are
     recorded and the run continues."""
     h = _quadrature_step(config)
-    t_grid, times = _grids(config, h)
+    n_grid, times = _grids(config, h)
     approximants: dict = {}
     return [row for name, spec in _load_spectra(config)
-            for row in _spectrum_rows(config, name, spec, h, times, t_grid,
+            for row in _spectrum_rows(config, name, spec, h, times, n_grid,
                                       approximants)]
 
 

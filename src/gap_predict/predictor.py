@@ -48,26 +48,6 @@ def _uniform_step(times):
     return float(h)
 
 
-def _sample_index(times, t):
-    """Index of the sample time nearest each t (scalar or array), which must
-    lie within 1e-9 * max(1, |t|) of it."""
-    t = np.asarray(t, dtype=float)
-    hi = np.clip(np.searchsorted(times, t), 1, len(times) - 1)
-    idx = np.where(np.abs(times[hi - 1] - t) <= np.abs(times[hi] - t), hi - 1, hi)
-    off = ~(np.abs(times[idx] - t) <= 1e-9 * np.maximum(1.0, np.abs(t)))
-    if np.any(off):
-        bad, j = t[off].flat[0], hi[off].flat[0]
-        if not times[0] <= bad <= times[-1]:  # NaN included
-            raise ValueError(
-                f"t={bad} lies outside the sample grid, which runs from "
-                f"{times[0]:g} to {times[-1]:g}")
-        raise ValueError(
-            f"t={bad} does not lie on the sample grid: the nearest sample is "
-            f"{times[idx[off].flat[0]]:g} and the step is "
-            f"{times[j] - times[j - 1]:g}")
-    return idx
-
-
 def _gregory_weights(n, h):
     # w @ y is _gregory's last value on n >= 3 samples: h at every sample,
     # less, within 3 samples of either end, the part of the kernel row that

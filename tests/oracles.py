@@ -272,3 +272,15 @@ def gregory_weights(n, h):
     w[:3] += correction
     w[-3:] += correction[::-1]
     return h * w
+
+
+def sample_index(times, t):
+    """Index of the sample time nearest each t, asserted to lie within
+    1e-9 * max(1, |t|) of it: where the tests read levels off a record."""
+    times, t = np.asarray(times, dtype=float), np.asarray(t, dtype=float)
+    hi = np.clip(np.searchsorted(times, t), 1, len(times) - 1)
+    idx = np.where(np.abs(times[hi - 1] - t) <= np.abs(times[hi] - t),
+                   hi - 1, hi)
+    assert np.all(np.abs(times[idx] - t)
+                  <= 1e-9 * np.maximum(1.0, np.abs(t))), "t off the samples"
+    return idx

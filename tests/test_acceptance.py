@@ -16,13 +16,14 @@ import numpy as np
 import pytest
 
 from gap_predict.approx import CERT_DENSITY, fit_approximant
-from gap_predict.predictor import (_sample_index, eta_sum, fit_eta,
-                                   iterated_integrals, predict_convolution)
+from gap_predict.predictor import (eta_sum, fit_eta, iterated_integrals,
+                                   predict_convolution)
 from gap_predict.signal import (SpectrumSpec, epsilon1, exact_etaP,
                                 sample_grid, select_nu)
 from gap_predict.taper import TaperSpec, eval_taper
 
-from oracles import l1_budget, psi, psi_by_complex_recurrence, sample
+from oracles import (l1_budget, psi, psi_by_complex_recurrence, sample,
+                     sample_index)
 
 ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), ".."))
 CONFIG_DIR = os.path.join(ROOT, "configs")
@@ -54,7 +55,7 @@ def predict_eta(approx, etaP, times, values, t_eval):
     (times, values) from t1 = times[0], at the sample times t_eval: the
     window's levels there, weighted by sigma_j c_j."""
     z = iterated_integrals(times, values, approx.d, approx.omega_gap, etaP)
-    return eta_sum(approx, z[:, _sample_index(times, t_eval)])
+    return eta_sum(approx, z[:, sample_index(times, t_eval)])
 
 
 def conv_at(approx, times, values, idx, L):

@@ -392,6 +392,21 @@ class TestPredictPipeline:
             assert result.exit_code == 0
         assert outs[0].read_bytes() == outs[1].read_bytes()
 
+    def test_a_whole_float_degree_predicts_the_same(self, runner, workspace):
+        # "d": 4.0 is the whole number 4: the same approximant, byte for byte
+        tmp_path, approx_path, samples_path = workspace
+        float_path = tmp_path / "ap_float.json"
+        float_path.write_text(json.dumps(dict(
+            json.loads(approx_path.read_text()), d=4.0)))
+        outs = []
+        for path in (approx_path, float_path):
+            outs.append(tmp_path / f"pred_{path.stem}.csv")
+            result = invoke(runner, ["predict", "--approx", str(path),
+                                     "--samples", str(samples_path),
+                                     "--mode", "eta", "--out", str(outs[-1])])
+            assert result.exit_code == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
     def test_eta_mode_square_fit_hits_observations(self, runner, workspace):
         tmp_path, approx_path, samples_path = workspace
         out = tmp_path / "pred_eta.csv"
@@ -404,9 +419,10 @@ class TestPredictPipeline:
         t, y = data[:, 0], data[:, 1]
         assert t[0] == pytest.approx(0.0, abs=1e-9)
         # the square fit reproduces the observed future values at its fit
-        # points t_m in [t1 + T/10, theta - T]
+        # points t_m, the Chebyshev extreme points of [t1 + T/10, theta - T]
+        # = [0.1, 7]: 0.1, 1.825, 5.275 and 7, each a sample time here
         T = 1.0
-        for tm in np.linspace(0.0 + T / 10.0, 8.0 - T, 4):
+        for tm in 0.1 + 6.9 * (1.0 - np.cos(np.pi * np.arange(4) / 3)) / 2:
             y_at = np.interp(tm, t, y)
             truth = 0.5 * np.cos(2.0 * (tm + T))
             assert y_at == pytest.approx(truth, abs=1e-5)
@@ -732,7 +748,7 @@ class TestPredictPipeline:
         assert not out.exists()
 
     @pytest.mark.parametrize("layout", ["without_c", "degree_1",
-                                        "gap_1e-320"])
+                                        "gap_1e-320", "degree_4.5"])
     @pytest.mark.parametrize("command", ["predict", "fit-eta"])
     def test_refuses_an_approximant_it_cannot_realize(self, runner, workspace,
                                                       command, layout):
@@ -740,13 +756,16 @@ class TestPredictPipeline:
         # monomial view), one of degree 1, whose fit-eta wrote an
         # extrapolation of NaN, or one whose gap has an infinite reciprocal,
         # which conv realized as ~1e-321 predictions, is refused by its name
-        # in every mode, with no warning
+        # in every mode, with no warning, as is one whose d is not a whole
+        # number, which int() would have truncated to 4
         tmp_path, approx_path, samples_path = workspace
         data = json.loads(approx_path.read_text())
         if layout == "without_c":
             del data["c"]
         elif layout == "degree_1":
             data.update(d=1, c=data["c"][:2], a=data["a"][:1])
+        elif layout == "degree_4.5":
+            data["d"] = 4.5
         else:
             data["omega_gap"] = 1e-320
         bad = tmp_path / "bad.json"
@@ -765,6 +784,8 @@ class TestPredictPipeline:
                 in result.output
             assert {"without_c": "KeyError: 'c'",
                     "degree_1": "degree d must be an integer >= 2, got 1",
+                    "degree_4.5": "ValueError: d must be a whole number, "
+                                  "got 4.5",
                     "gap_1e-320": "omega_gap must be finite and positive "
                                   "with a finite reciprocal, got 1e-320"
                     }[layout] in result.output
@@ -831,6 +852,81 @@ class TestPredictPipeline:
                                      "--out", str(tmp_path / "nope.csv")])
         assert result.exit_code == 1
         assert "need at least 3 samples" in result.output
+
+
+class TestEtaFitSamples:
+    """The eta fit's samples: dbar of the fit span's, spread by index like
+    Chebyshev extreme points."""
+
+    @staticmethod
+    def fit_indices(monkeypatch, times, theta, dbar):
+        # the indices _fit_eta_from_samples hands fit_eta on a tone record
+        # from its first sample, at d = 4 and T = 1
+        seen, fit_eta = [], cli.fit_eta
+
+        def recording(approx, times, values, idx, zeta):
+            seen.append(np.array(idx))
+            return fit_eta(approx, times, values, idx, zeta)
+
+        monkeypatch.setattr(cli, "fit_eta", recording)
+        ap = approx.fit_approximant(1.0, 1.0, taper.TaperSpec("gaussian", 0.3),
+                                    4)
+        values = np.cos(2.0 * times)
+        with warnings.catch_warnings():
+            # the rule, not the fit's conditioning, is under test here
+            warnings.simplefilter("ignore", RuntimeWarning)
+            cli._fit_eta_from_samples(ap, times, values, float(times[0]),
+                                      theta, dbar)
+        return seen[0]
+
+    @pytest.mark.parametrize("dbar", [4, 5, 17, 60, 90, 91])
+    def test_rule_keeps_the_span_ends_and_rises(self, monkeypatch, dbar):
+        # [0, 2] at 0.01 with theta = 2: the span [0.1, 1] holds the 91
+        # samples 10..100, and dbar = 91 takes every one of them
+        times = 0.01 * np.arange(201)
+        idx = self.fit_indices(monkeypatch, times, 2.0, dbar)
+        assert len(idx) == dbar
+        assert idx[0] == 10 and idx[-1] == 100
+        assert np.all(np.diff(idx) >= 1)
+        if dbar == 91:
+            assert np.array_equal(idx, np.arange(10, 101))
+
+    @pytest.mark.parametrize("dbar", [4, 9, 33])
+    def test_rule_follows_the_chebyshev_points(self, monkeypatch, dbar):
+        # on a fine record each fit time is the Chebyshev extreme point of
+        # the span [0.1, 7] to within the steps the rule adds one by one
+        times = 1e-3 * np.arange(8001)
+        idx = self.fit_indices(monkeypatch, times, 8.0, dbar)
+        k = np.arange(dbar)
+        cheb = 0.1 + 6.9 * (1.0 - np.cos(np.pi * k / (dbar - 1))) / 2.0
+        assert np.abs(times[idx] - cheb).max() <= 1e-3 * dbar
+
+    def test_square_fit_on_a_bump_record(self, runner, tmp_path):
+        # a unit-L1 bump record on [-10, 2] at 1e-3, predicted at d = 16
+        # from predict's internal square fit: well conditioned (the even
+        # spread had cond 1.2e13 and an error of 0.16), no warning, and
+        # within 0.01 of x(t + T) wherever that lies in the record
+        unit = SpectrumSpec.from_bumps(1.0, [(2.1, 0.45, 1.0)])
+        spec = SpectrumSpec.from_bumps(
+            1.0, [(2.1, 0.45, 2.0 / signal.spectral_mass(unit))])
+        n, lead = 12001, 1000
+        x = signal.sample_grid(spec, -10.0, 1e-3, n + lead)
+        samples_path = tmp_path / "x.csv"
+        _write_csv(samples_path, "t,x", -10.0 + 1e-3 * np.arange(n), x[:n])
+        approx_path = tmp_path / "ap.json"
+        approx.save_approximant(approx.fit_approximant(
+            1.0, 1.0, taper.TaperSpec("gaussian", 0.3), 16), approx_path)
+        out = tmp_path / "pred.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            result = invoke(runner, ["predict", "--approx", str(approx_path),
+                                     "--samples", str(samples_path),
+                                     "--mode", "eta", "--out", str(out)])
+        assert result.exit_code == 0
+        cond = float(result.output.split("cond=")[1].split(",")[0])
+        assert cond < 1e12
+        y = np.loadtxt(out, delimiter=",", skiprows=1)[:, 1]
+        assert np.abs(y[:n - lead] - x[lead:n]).max() < 0.01
 
 
 def test_write_csv_matches_per_value_format(tmp_path):
@@ -1273,10 +1369,14 @@ class TestRejectsNonFinite:
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_predict_t1(self, runner, files, value):
+        # the window rule refuses a t1 that is not a finite sample time, in
+        # predict's terms: predict has no theta
         _, approx_path, samples_path = files
         output = self.predict(runner, approx_path, samples_path, "eta",
                               "--t1", value)
-        assert "t1 and theta must be finite" in output
+        assert (f"t={value} lies outside the sample grid, which runs from -12 "
+                "to 8" in output)
+        assert "theta" not in output
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_predict_eta_file(self, runner, files, value):
@@ -1340,7 +1440,9 @@ class TestRejectsNonFinite:
                                  *[v for kv in args.items() for v in kv],
                                  "--dbar", "8", "--out", str(out)])
         assert result.exit_code == 1
-        assert "t1 and theta must be finite" in result.output
+        assert (f"theta must be finite, got theta={value}" if option ==
+                "--theta" else f"t={value} lies outside the sample grid"
+                ) in result.output
         assert not out.exists()
 
 

@@ -11,12 +11,11 @@ from gap_predict import approx, harness, signal
 from gap_predict.harness import (ErrorRow, ExperimentConfig,
                                  convergence_verdict, run_sweep,
                                  write_reports)
-from gap_predict.predictor import (_sample_index, eta_sum,
-                                   iterated_integrals)
+from gap_predict.predictor import eta_sum, iterated_integrals
 from gap_predict.signal import SpectrumSpec, exact_etaP, sample_grid
 from gap_predict.taper import TaperSpec
 
-from oracles import save_spectrum
+from oracles import sample_index, save_spectrum
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -404,9 +403,10 @@ class TestRunSweep:
         config = small_config(tmp_path / "s.json", T=T, dt=dt)
         h = harness._quadrature_step(config)
         assert h == step
-        t_grid, times = harness._grids(config, h)
-        assert np.array_equal(_sample_index(times, t_grid),
-                              round(dt / h) * np.arange(len(t_grid)))
+        n_grid, times = harness._grids(config, h)
+        t_grid = config.t_start + dt * np.arange(n_grid)
+        assert np.array_equal(sample_index(times, t_grid),
+                              round(dt / h) * np.arange(n_grid))
 
     @pytest.mark.parametrize("t_end, dt", [(1.0, 0.6),
                                            (2 * math.pi, 2 * math.pi / 628)])
@@ -524,10 +524,9 @@ class TestSharedWork:
                               d_list=(8, 4000), nu_list=(0.5, 0.4),
                               t_start=1e7, t_end=1e7 + 0.1, dt=0.05)
         h = harness._quadrature_step(config)
-        t_grid, _ = harness._grids(config, h)
+        n_grid, _ = harness._grids(config, h)
         with pytest.raises(ValueError) as info:
-            sample_grid(specs[0], t_grid[0] + 1.0, t_grid[1] - t_grid[0],
-                        len(t_grid))
+            sample_grid(specs[0], config.t_start + 1.0, config.dt, n_grid)
         truth = f"ValueError: {info.value}"
         assert truth.startswith("ValueError: sampling n=")
         with pytest.raises(ValueError) as info:
@@ -631,15 +630,16 @@ class TestSharedWork:
         assert all(row.error is None for row in rows)
         assert len(calls) == len(rows) == 16
         h = harness._quadrature_step(config)
-        t_grid, times = harness._grids(config, h)
+        n_grid, times = harness._grids(config, h)
+        t_grid = config.t_start + config.dt * np.arange(n_grid)
         specs = [spec for _, spec in harness._load_spectra(config)]
         for i, (approx, y) in enumerate(calls):
             spec = specs[i // 8]
             values = sample_grid(spec, config.t_start, h, len(times))
             etaP = exact_etaP(spec, 1.0, 8, config.t_start)[:approx.d]
             levels = iterated_integrals(times, values, approx.d, 1.0,
-                                        etaP)[:, _sample_index(times, t_grid)]
-            assert levels.shape == (approx.d + 1, len(t_grid))
+                                        etaP)[:, sample_index(times, t_grid)]
+            assert levels.shape == (approx.d + 1, n_grid)
             assert np.array_equal(y, eta_sum(approx, levels))
 
     def test_spectra_swept_together_match_each_swept_alone(self, tmp_path):
