@@ -16,15 +16,21 @@ command line keeps them, and a config's optional modes key must be
 ["eta"].
 
 The realization is the one path predict --mode eta also runs
-(iterated_integrals, eta_sum), on a record whose step divides dt, so that
-the measurement grid, t_start + k dt, is a stride of its samples.  run_sweep
-is three loops.  Per spectrum it takes the nu list (nu_list or select_nu)
+(iterated_integrals, eta_sum), on a record whose step h divides dt, so that
+the measurement grid, t_start + k dt, is a stride of its samples.  h is
+dt / k, k the fewest whole steps that bring it to at most 5e-3*T and
+0.05 / omega_max, omega_max the highest frequency of the config's spectra
+(Gregory's rule is of order 6; the second term keeps a fast spectrum as
+well resolved as a slow one), and report.json records h as
+quadrature_step.  run_sweep loads every spectrum before it sets h, and is
+three loops.  Per spectrum it takes the nu list (nu_list or select_nu)
 and the truth: the future values and the record's levels z_0..z_D
 (D = max(d_list)) at that stride, which do not depend on the approximant.
 Per degree it fits, in one fit_approximants call, the spectrum's nu that
 the sweep has not fitted yet; the (d, nu) fits are shared across spectra,
-and a call that raises stores nothing.  Per row it computes eps1, the two
-bounds and eta_sum on the first d + 1 levels.  A failing step errors exactly the rows
+and a call that raises stores nothing.  Per row it computes eps1, the
+spectrum's L1 mass M (the row's mass), the two bounds and eta_sum on the
+first d + 1 levels.  A failing step errors exactly the rows
 it serves: select_nu one row per d with nu = nan, a fit its degree's rows,
 the truth every row whose fit succeeded.  A spectrum's arrays are freed
 before the next spectrum starts, and nothing outlives the call.
@@ -54,8 +60,8 @@ from .signal import (SpectrumSpec, check_gap, epsilon1, exact_etaP, grid_size,
                      window_size)
 from .taper import TaperSpec
 
-__all__ = ["ExperimentConfig", "ErrorRow", "run_sweep", "write_reports",
-           "convergence_verdict"]
+__all__ = ["ExperimentConfig", "ErrorRow", "Sweep", "run_sweep",
+           "write_reports", "convergence_verdict"]
 
 CSV_COLUMNS = ("spec", "d", "nu", "eps1", "eps2", "bound_paper",
                "bound_tones", "sup_err", "pass")
@@ -145,6 +151,15 @@ class ExperimentConfig:
         return cls(spec_files=specs, **kwargs)
 
 
+class Sweep(list):
+    """run_sweep's rows, in order, and the record step quadrature_step that
+    their sup_err was measured on."""
+
+    def __init__(self, rows, quadrature_step: float):
+        super().__init__(rows)
+        self.quadrature_step = quadrature_step
+
+
 @dataclass
 class ErrorRow:
     spec: str
@@ -152,6 +167,7 @@ class ErrorRow:
     nu: float
     eps1: float = math.nan
     eps2: float = math.nan
+    mass: float = math.nan
     bound_paper: float = math.nan
     bound_tones: float = math.nan
     sup_err: float = math.nan
@@ -191,17 +207,17 @@ def _row(spec_name: str, spec: SpectrumSpec, approx, future: np.ndarray,
          levels: np.ndarray) -> ErrorRow:
     # eps1, the two bounds and the measured error of approx's (d, nu)
     taper, eps2 = approx.taper, approx.eps2
-    eps1 = epsilon1(spec, taper)
+    eps1, mass = epsilon1(spec, taper), spectral_mass(spec)
     # the paper's error (1/2pi) int |e^{iwT} - psi(iw)| |X| dw: eps1 covers
     # the taper's share and eps2 bounds |r_nu - psi| against each unit of
     # the spectrum's L1 mass M; tones, point masses, take it without 1/2pi
-    bound = eps1 + spectral_mass(spec) * eps2
+    bound = eps1 + mass * eps2
     bound_paper = bound / (2.0 * np.pi)
     bound_tones = bound if spec.kind == "tones" else 0.0
     sup_err = float(np.abs(future - eta_sum(approx, levels)).max())
     applicable = bound_tones if spec.kind == "tones" else bound_paper
     return ErrorRow(spec=spec_name, d=approx.d, nu=taper.nu, eps1=eps1,
-                    eps2=eps2, bound_paper=bound_paper,
+                    eps2=eps2, mass=mass, bound_paper=bound_paper,
                     bound_tones=bound_tones, sup_err=sup_err,
                     passed=bool(sup_err <= applicable + 1e-15))
 
@@ -248,10 +264,15 @@ def _spectrum_rows(config: ExperimentConfig, name: str, spec: SpectrumSpec,
     return rows
 
 
-def _quadrature_step(config: ExperimentConfig) -> float:
-    # dt / k, k the smallest whole number with dt / k <= 1e-3*T to a
-    # relative 1e-9, so every measurement time is a sample time
-    r = config.dt / (1e-3 * config.T)
+def _quadrature_step(config: ExperimentConfig, specs) -> float:
+    # dt / k, k the smallest whole number with dt / k <= 5e-3*T and
+    # <= 0.05 / w for every frequency w of specs (a tone's omega, a bump's
+    # centre plus half-width) to a relative 1e-9, so every measurement time
+    # is a sample time and Gregory's order-6 rule resolves every oscillation
+    top = [w for spec in specs for w in (
+        *(tone.omega for tone in spec.tones),
+        *(bump.center + bump.half_width for bump in spec.bumps))]
+    r = config.dt / min([5e-3 * config.T] + [0.05 / w for w in top])
     k = np.floor(r) if r - np.floor(r) <= 1e-9 * r else np.ceil(r)
     return config.dt / max(1.0, k)
 
@@ -282,13 +303,15 @@ def run_sweep(config: ExperimentConfig) -> list:
     config's gap or whose basename another file has, raises ValueError
     naming the file, as does a measurement grid or sample record over
     grid_size's limit; after that, per-row failures are
-    recorded and the run continues."""
-    h = _quadrature_step(config)
+    recorded and the run continues.  The rows come as a Sweep, which also
+    holds the record step they were measured on."""
+    spectra = _load_spectra(config)
+    h = _quadrature_step(config, [spec for _, spec in spectra])
     n_grid, times = _grids(config, h)
     approximants: dict = {}
-    return [row for name, spec in _load_spectra(config)
-            for row in _spectrum_rows(config, name, spec, h, times, n_grid,
-                                      approximants)]
+    return Sweep([row for name, spec in spectra
+                  for row in _spectrum_rows(config, name, spec, h, times,
+                                            n_grid, approximants)], h)
 
 
 def _fmt(value) -> str:
@@ -300,13 +323,13 @@ def _fmt(value) -> str:
 
 
 def write_reports(rows, out_dir) -> dict:
-    """Write report.csv and report.json into out_dir; the same rows give
-    byte-identical files.  The CSV columns are fixed; the JSON holds every
-    row's fields, the failing row indices and the convergence verdict,
-    which is returned.  Each file is written under a temporary name in
-    out_dir and renamed into place once all are written; a write that fails
-    removes what it wrote, so out_dir keeps no new report file and no
-    temporary file."""
+    """Write report.csv and report.json of the Sweep rows into out_dir; the
+    same rows give byte-identical files.  The CSV columns are fixed; the
+    JSON holds every row's fields, the failing row indices, the record's
+    quadrature_step and the convergence verdict, which is returned.  Each
+    file is written under a temporary name in out_dir and renamed into
+    place once all are written; a write that fails removes what it wrote,
+    so out_dir keeps no new report file and no temporary file."""
     if not rows:
         raise ValueError("refusing to write an empty report")
     os.makedirs(out_dir, exist_ok=True)
@@ -323,6 +346,7 @@ def write_reports(rows, out_dir) -> dict:
                  "failing_rows": [i for i, row in enumerate(rows)
                                   if not row.passed],
                  "all_pass": all(row.passed for row in rows),
+                 "quadrature_step": rows.quadrature_step,
                  "convergence": verdict}, indent=2, sort_keys=True) + "\n"}
     temps = {name: os.path.join(out_dir, f".{name}.{os.getpid()}.tmp")
              for name in files}

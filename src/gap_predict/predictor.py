@@ -13,7 +13,10 @@
   the spectrum's mass, so nothing cancels at any degree.  etaP_j =
   (D^-1 y_j)(t1) comes from the spectrum (signal.exact_etaP) or from
   observations (fit_eta).  Every eta path realizes at sample times only,
-  through iterated_integrals, the one loop, and eta_sum.
+  through iterated_integrals, the one loop, and eta_sum.  Its integrals
+  are Gregory's rule of order 6, Adams-Moulton increments with a 6-sample
+  start-up (Hairer, Norsett & Wanner, Solving ODEs I, III.1); a record of
+  4 or 5 samples takes order 4 and one of 3 Simpson's rule.
 """
 
 from __future__ import annotations
@@ -30,10 +33,22 @@ __all__ = ["predict_convolution", "iterated_integrals", "eta_sum", "EtaFit",
            "fit_eta"]
 
 COND_FLAG_THRESHOLD = 1e12
-# Gregory's first two increments per unit step from y_0..y_3, then from
-# y_0..y_2 on three samples; the first row is also every later one's kernel
-_GREGORY = np.array([[9.0, 19.0, -5.0, 1.0], [-1.0, 13.0, 13.0, -1.0],
-                     [10.0, 16.0, -2.0, 0.0], [-2.0, 16.0, 10.0, 0.0]]) / 24.0
+# Gregory's rules as Adams-Moulton increments per unit step: order 6 on 6
+# samples or more, the first four increments from y_0..y_5; order 4 on 4 or
+# 5, the first two from y_0..y_3.  Each first row, reversed, is also every
+# later increment's kernel.  Three samples take Simpson's two increments
+_GREGORY = (np.array([[475.0, 1427.0, -798.0, 482.0, -173.0, 27.0],
+                      [-27.0, 637.0, 1022.0, -258.0, 77.0, -11.0],
+                      [11.0, -93.0, 802.0, 802.0, -93.0, 11.0],
+                      [-11.0, 77.0, -258.0, 1022.0, 637.0, -27.0]]) / 1440.0,
+            np.array([[9.0, 19.0, -5.0, 1.0],
+                      [-1.0, 13.0, 13.0, -1.0]]) / 24.0)
+_SIMPSON = np.array([[10.0, 16.0, -2.0], [-2.0, 16.0, 10.0]]) / 24.0
+
+
+def _gregory_rows(n):
+    # the increments of the highest-order rule that n >= 4 samples hold
+    return next(rows for rows in _GREGORY if rows.shape[1] <= n)
 
 
 def _uniform_step(times):
@@ -50,10 +65,14 @@ def _uniform_step(times):
 
 def _gregory_weights(n, h):
     # w @ y is _gregory's last value on n >= 3 samples: h at every sample,
-    # less, within 3 samples of either end, the part of the kernel row that
-    # runs off that end; symmetric, and Simpson's [1, 4, 1] h/3 for n = 3
+    # less, within k samples of either end, the part of the kernel row of
+    # k + 1 taps that runs off that end.  short + short[::-1] mirrors bit for
+    # bit.  From 6 samples on the ends are 95/288, 317/240, 23/30, 793/720
+    # and 157/160; on 3 the order-4 row gives Simpson's [1, 4, 1] h/3
+    row = _gregory_rows(max(n, 4))[0]
+    k = len(row) - 1
     short = np.zeros(n)
-    short[:3] = 1.0 - np.cumsum(_GREGORY[0, :3])
+    short[:k] = 1.0 - np.cumsum(row[:k])
     return (1.0 - (short + short[::-1])) * h
 
 
@@ -68,9 +87,9 @@ def predict_convolution(approx: Approximant, times, values,
     less history.  The kernel, the recurrence's impulse response, is realized
     on the lags by iterated_integrals and eta_sum and weighted once by the
     Gregory rule that iterated_integrals integrates with (symmetric, exact
-    for cubics, Simpson's on 3 samples), and every output comes from one
-    real-FFT convolution of that weighted kernel with the whole record:
-    O(n log n) for n samples.
+    for quintics from 6 samples on, Simpson's on 3), and every output comes
+    from one real-FFT convolution of that weighted kernel with the whole
+    record: O(n log n) for n samples.
 
     The FFT's round-off scales with the largest window in the record, not
     with each output's own: the error of every output is within about
@@ -114,16 +133,18 @@ def predict_convolution(approx: Approximant, times, values,
 
 
 def _gregory(y, h, out, const, scale):
-    # out = scale * (const + int_{t_0}^{t} y) by Gregory's rule, O(h^4) and
-    # exact for cubics: the cumsum of its increments, from k = 3 the
-    # Adams-Moulton (h/24)(y_{k-3} - 5y_{k-2} + 19y_{k-1} + 9y_k)
+    # out = scale * (const + int_{t_0}^{t} y) by Gregory's rule, O(h^6) and
+    # exact for quintics on 6 samples or more: the cumsum of its increments,
+    # from k = 5 the Adams-Moulton (h/1440)(27y_{k-5} - 173y_{k-4}
+    # + 482y_{k-3} - 798y_{k-2} + 1427y_{k-1} + 475y_k); O(h^4) on 4 or 5
     out[0] = scale * const
-    k = _GREGORY.shape[1] - 1  # the first increment the kernel row takes
-    if len(y) > k:
-        out[1:k] = _GREGORY[:k - 1] @ y[:k + 1] * (scale * h)
-        out[k:] = np.convolve(y, _GREGORY[0] * (scale * h), "valid")
+    if len(y) < 4:
+        out[1:] = _SIMPSON @ y * (scale * h)
     else:
-        out[1:] = _GREGORY[k - 1:, :k] @ y * (scale * h)
+        rows = _gregory_rows(len(y))
+        k = rows.shape[1] - 1  # the first increment the kernel row takes
+        out[1:k] = rows @ y[:k + 1] * (scale * h)
+        out[k:] = np.convolve(y, rows[0] * (scale * h), "valid")
     np.cumsum(out, out=out)
 
 
@@ -145,7 +166,8 @@ def iterated_integrals(times, values, d: int, omega_gap: float,
     with the d constants etaP on the sampled window (times, values) from
     t1 = times[0]: z_0 = 0, z_1 = omega_gap (etaP_0 + G x) and
     z_{j+1} = 2 omega_gap (etaP_j + G y_j) + z_{j-1}, y_j = z_j + x for even
-    j and z_j for odd j, G Gregory's cumulative integral from t1 (O(h^4)).
+    j and z_j for odd j, G Gregory's cumulative integral from t1 (O(h^6)
+    on 6 samples or more).
     The first k + 1 rows are those of degree k.  A level array of more than
     2^25 entries is refused before it is made."""
     if d < 1:
@@ -191,13 +213,14 @@ def fit_eta(approx: Approximant, times, values, idx, zeta) -> EtaFit:
     etaP = 0, R_l its response to a unit etaP_l.  On a zero record that
     response is the one to etaP_0, U, moved up l levels and doubled for
     l >= 1, so one more pass gives R_l = s_l sum_k sigma_{l+k} c_{l+k} U_k,
-    s_0 = 1 and s_l = 2.  Both passes stop at the last fit sample (Gregory's
-    rule is prefix-exact from _GREGORY's 4 samples on).  R etaP = zeta - phi is
-    solved in least squares (exactly when square), columns norm-equilibrated;
-    the condition estimate is reported and warned of above 1e12, and constants
-    that are not finite are refused."""
+    s_0 = 1 and s_l = 2.  Both passes stop at the last fit sample, or at the
+    6th (Gregory's rule is prefix-exact from its order-6 start-up's 6 samples
+    on).  R etaP = zeta - phi is solved in least squares (exactly when
+    square), columns norm-equilibrated; the condition estimate is reported
+    and warned of above 1e12, and constants that are not finite are
+    refused."""
     d, omega = approx.d, approx.omega_gap
-    n = max(idx[-1] + 1, _GREGORY.shape[1])
+    n = max(idx[-1] + 1, _GREGORY[0].shape[1])
     times, values = times[:n], values[:n]
 
     weights = approx.weights

@@ -263,14 +263,18 @@ def monomial_kernel(a, t):
 
 def gregory_weights(n, h):
     """Gregory's rule on n >= 3 samples of step h: the trapezoid's weights
-    with the textbook end corrections to third differences, 3/8, 7/6 and
-    23/24 in place of 1/2, 1 and 1 at each end (Fornberg, SIAM Review 63,
-    2021); on fewer than 6 samples the two ends' corrections add."""
+    with the textbook end corrections (Fornberg, SIAM Review 63, 2021).
+    From 6 samples on they run to fifth differences, 95/288, 317/240,
+    23/30, 793/720 and 157/160 in place of 1/2, 1, 1, 1 and 1 at each end;
+    on 3 to 5 samples to third differences, 3/8, 7/6 and 23/24.  Where the
+    two ends' corrections overlap they add."""
+    ends = ([95 / 288, 317 / 240, 23 / 30, 793 / 720, 157 / 160] if n >= 6
+            else [3 / 8, 7 / 6, 23 / 24])
+    correction = np.array(ends) - np.array([0.5] + [1.0] * (len(ends) - 1))
     w = np.ones(n)
     w[0] = w[-1] = 0.5
-    correction = np.array([3 / 8 - 1 / 2, 7 / 6 - 1, 23 / 24 - 1])
-    w[:3] += correction
-    w[-3:] += correction[::-1]
+    w[:len(ends)] += correction
+    w[-len(ends):] += correction[::-1]
     return h * w
 
 

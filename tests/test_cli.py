@@ -1574,6 +1574,9 @@ class TestEvalCommand:
         assert "convergence: pass" in result.output
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert report["convergence"] == {"passed": True, "failures": []}
+        # dt = 0.01 split into two record steps of 5e-3*T
+        assert report["quadrature_step"] == 0.005
+        assert {row["mass"] for row in report["rows"]} == {1.0}
 
     def test_skipped_convergence_is_recorded(self, runner, tmp_path):
         config = os.path.join(CONFIG_DIR, "decay.json")
@@ -1613,7 +1616,8 @@ class TestEvalCommand:
         rows = [harness.ErrorRow(spec="tone", d=d, nu=nu, sup_err=sup,
                                  passed=True)
                 for nu, sup in sups.items() for d in (4, 6, 8)]
-        monkeypatch.setattr(cli, "run_sweep", lambda config: rows)
+        monkeypatch.setattr(cli, "run_sweep",
+                            lambda config: harness.Sweep(rows, 0.005))
         result = invoke(runner, ["eval", "--config",
                                  os.path.join(CONFIG_DIR, "demo.json"),
                                  "--out", str(tmp_path / "out")])

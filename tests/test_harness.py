@@ -8,13 +8,14 @@ import numpy as np
 import pytest
 
 from gap_predict import approx, harness, signal
-from gap_predict.harness import (ErrorRow, ExperimentConfig,
+from gap_predict.harness import (ErrorRow, ExperimentConfig, Sweep,
                                  convergence_verdict, run_sweep,
                                  write_reports)
 from gap_predict.predictor import eta_sum, iterated_integrals
 from gap_predict.signal import SpectrumSpec, exact_etaP, sample_grid
 from gap_predict.taper import TaperSpec
 
+import oracles
 from oracles import sample_index, save_spectrum
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
@@ -161,12 +162,12 @@ class TestRunSweep:
     def test_half_step_rows_match_the_fixtures(self, name, monkeypatch):
         # the sweep at half its quadrature step against the shipped rows:
         # sup_err is a fact of the predictor, not of the record's step; the
-        # fourth-order realization moves it by at most 1.5e-13 (demo) and
-        # 1.9e-13 (decay) between the two steps, and the tolerance is over
+        # sixth-order realization moves it by at most 4.8e-15 (demo) and
+        # 5.7e-15 (decay) between the two steps, and the tolerance is over
         # 50 times that
         step = harness._quadrature_step
         monkeypatch.setattr(harness, "_quadrature_step",
-                            lambda config: step(config) / 2)
+                            lambda config, specs: step(config, specs) / 2)
         rows = run_sweep(ExperimentConfig.from_json(
             os.path.join(CONFIG_DIR, f"{name}.json")))
         with open(os.path.join(CONFIG_DIR, f"fixtures_{name}.json"),
@@ -178,7 +179,7 @@ class TestRunSweep:
                 (fixed["spec"], fixed["d"], fixed["nu"])
             assert row.eps1 == pytest.approx(fixed["eps1"], rel=1e-10)
             assert row.eps2 == pytest.approx(fixed["eps2"], rel=1e-12)
-            assert row.sup_err == pytest.approx(fixed["sup_err"], abs=1e-11)
+            assert row.sup_err == pytest.approx(fixed["sup_err"], abs=3e-13)
             assert row.passed and fixed["passed"]
         # the halved step reached the realization
         assert any(row.sup_err != fixed["sup_err"]
@@ -204,6 +205,34 @@ class TestRunSweep:
                         (row["d"], row["nu"], key)
                 else:
                     assert row[key] == value, (row["d"], row["nu"], key)
+
+    @pytest.mark.parametrize("omega, limit", [(2.0, 1e-5), (40.0, 1e-3)])
+    def test_realization_error_on_one_tone(self, tmp_path, monkeypatch,
+                                           omega, limit):
+        # the sweep's levels through eta_sum against the exact output of
+        # psi, Re(A psi(i w) e^{iwt}), over [0, 2pi] at d = 32, nu = 0.3 and
+        # dt = 0.01: 4.3e-6 at w = 2 on the step 5e-3*T, and 9.4e-5 at
+        # w = 40, where the step 0.05 / w sets it (an order-4 rule at the
+        # step 1e-3*T read 1.3e-4 and 0.139)
+        spec_path = tmp_path / "tone.json"
+        save_spectrum(SpectrumSpec.from_tones(1.0, [(omega, 0.5)]), spec_path)
+        calls = []
+
+        def recording(approx, levels):
+            calls.append((approx, eta_sum(approx, levels)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(harness, "eta_sum", recording)
+        (row,) = run_sweep(small_config(spec_path, d_list=(32,),
+                                        nu_list=(0.3,), t_end=2 * math.pi,
+                                        dt=0.01))
+        assert row.error is None
+        ((approx, y),) = calls
+        t = 0.01 * np.arange(len(y))
+        assert t[-1] <= 2 * math.pi < t[-1] + 0.01
+        exact = np.real(0.5 * oracles.psi(approx.c, 1.0, omega)
+                        * np.exp(1j * omega * t))
+        assert np.abs(y - exact).max() < limit
 
     @pytest.mark.parametrize("dt", [None, 0.01])
     def test_long_window_demo_passes_without_slack(self, dt):
@@ -311,6 +340,7 @@ class TestRunSweep:
         ids=["demo", "bump", "two_tones"])
     def test_tone_bound_is_the_l1_form_times_two_pi(self, tmp_path, name,
                                                      tones):
+        # every row records the spectrum's L1 mass M as its mass;
         # bound_tones is eps1 + M eps2 on tone rows, 2pi bound_paper, and
         # the per-tone sum of 2|A_j| (1 - r_nu(w_j) + eps2) up to round-off;
         # bump rows carry a float 0.0, which report.json writes as 0.0
@@ -325,11 +355,12 @@ class TestRunSweep:
         rows = run_sweep(config)
         assert rows and [row.error for row in rows] == [None] * len(rows)
         for row in rows:
+            assert row.mass == signal.spectral_mass(spec)
             if spec.kind == "bump":
                 assert type(row.bound_tones) is float
                 assert row.bound_tones == 0.0
                 continue
-            bound = row.eps1 + signal.spectral_mass(spec) * row.eps2
+            bound = row.eps1 + row.mass * row.eps2
             assert row.bound_tones == bound
             assert row.bound_paper == row.bound_tones / (2.0 * math.pi)
             per_tone = sum(2.0 * abs(t.amplitude) * (
@@ -362,7 +393,7 @@ class TestRunSweep:
 
     def test_refuses_a_record_too_long_to_make(self, tmp_path, monkeypatch):
         # t_end = 1e9 at dt = 1e8 is an 11-point measurement grid, but the
-        # record at the quadrature step 1e-3 would hold 1e12 samples; it is
+        # record at the quadrature step 5e-3 would hold 2e11 samples; it is
         # refused before any row samples it
         spec_path = tmp_path / "tone.json"
         save_spectrum(SpectrumSpec.from_tones(1.0, [(2.0, 0.5)]), spec_path)
@@ -371,8 +402,8 @@ class TestRunSweep:
             raise AssertionError("sampled")
 
         monkeypatch.setattr(harness, "sample_grid", no_sampling)
-        with pytest.raises(ValueError, match=r"^the record of 1000000000001 "
-                           r"samples at the quadrature step 0\.001 is over the "
+        with pytest.raises(ValueError, match=r"^the record of 200000000001 "
+                           r"samples at the quadrature step 0\.005 is over the "
                            r"limit of 2\^25 = 33554432$"):
             run_sweep(small_config(spec_path, t_end=1e9, dt=1e8))
 
@@ -392,16 +423,29 @@ class TestRunSweep:
                            r"2\^25 = 33554432$"):
             run_sweep(small_config(spec_path, t_end=1.5, dt=1e-12))
 
-    @pytest.mark.parametrize("T, dt, step", [
-        (1.0, 0.01, 1e-3), (1.0, 0.1, 1e-3), (1.0, 0.0015, 7.5e-4),
-        (1.0, 2 * math.pi / 628, 2 * math.pi / 628 / 11), (1.0, 1e-4, 1e-4),
-        (0.3, 0.003, 0.003 / 10)])
-    def test_quadrature_step_divides_dt(self, tmp_path, T, dt, step):
+    @pytest.mark.parametrize("T, dt, tops, step", [
+        (1.0, 0.01, [2.0], 0.01 / 2), (1.0, 0.1, [2.0], 0.1 / 20),
+        (1.0, 0.0015, [2.0], 0.0015),
+        (1.0, 2 * math.pi / 628, [2.0], 2 * math.pi / 628 / 3),
+        (1.0, 1e-4, [2.0], 1e-4), (0.3, 0.003, [2.0], 0.003 / 2),
+        (1.0, 0.01, [], 0.01 / 2),
+        # the frequency term sets the step: 0.05 / 40, 0.05 / (19.5 + 0.5)
+        # and 0.05 / (11 + 1.5)
+        (1.0, 0.01, [2.0, 40.0], 0.01 / 8),
+        (1.0, 0.01, [(19.5, 0.5)], 0.01 / 4),
+        (1.0, 0.3, [2.0, (11.0, 1.5)], 0.3 / 75)])
+    def test_quadrature_step_divides_dt(self, tmp_path, T, dt, tops, step):
         # the fewest whole steps per dt that bring the record's step to
-        # 1e-3*T at most, to a relative 1e-9 (0.003 / (1e-3 * 0.3) rounds to
-        # 10.000000000000002), so every measurement time is a sample time
+        # 5e-3*T and 0.05 / w at most, w the highest tone or bump top of
+        # any spectrum, to a relative 1e-9 (0.003 / (5e-3 * 0.3) rounds to
+        # 2.0000000000000004), so every measurement time is a sample time;
+        # a spectrum with neither sets no frequency term
+        specs = [SpectrumSpec.from_bumps(1.0, [(*top, 1.0)])
+                 if isinstance(top, tuple) else
+                 SpectrumSpec.from_tones(1.0, [(top, 0.5)]) for top in tops]
+        specs.append(SpectrumSpec.from_tones(1.0, []))
         config = small_config(tmp_path / "s.json", T=T, dt=dt)
-        h = harness._quadrature_step(config)
+        h = harness._quadrature_step(config, specs)
         assert h == step
         n_grid, times = harness._grids(config, h)
         t_grid = config.t_start + dt * np.arange(n_grid)
@@ -523,7 +567,7 @@ class TestSharedWork:
         config = small_config(paths[0], spec_files=tuple(paths),
                               d_list=(8, 4000), nu_list=(0.5, 0.4),
                               t_start=1e7, t_end=1e7 + 0.1, dt=0.05)
-        h = harness._quadrature_step(config)
+        h = harness._quadrature_step(config, specs)
         n_grid, _ = harness._grids(config, h)
         with pytest.raises(ValueError) as info:
             sample_grid(specs[0], config.t_start + 1.0, config.dt, n_grid)
@@ -629,10 +673,10 @@ class TestSharedWork:
         rows = run_sweep(config)
         assert all(row.error is None for row in rows)
         assert len(calls) == len(rows) == 16
-        h = harness._quadrature_step(config)
+        specs = [spec for _, spec in harness._load_spectra(config)]
+        h = harness._quadrature_step(config, specs)
         n_grid, times = harness._grids(config, h)
         t_grid = config.t_start + config.dt * np.arange(n_grid)
-        specs = [spec for _, spec in harness._load_spectra(config)]
         for i, (approx, y) in enumerate(calls):
             spec = specs[i // 8]
             values = sample_grid(spec, config.t_start, h, len(times))
@@ -693,14 +737,14 @@ class TestEmitReport:
     """report.csv and report.json as write_reports writes them."""
 
     def rows(self):
-        return [
-            ErrorRow(spec="s", d=4, nu=0.5, eps1=0.1, eps2=0.2,
+        return Sweep([
+            ErrorRow(spec="s", d=4, nu=0.5, eps1=0.1, eps2=0.2, mass=1.0,
                      bound_paper=0.3, bound_tones=0.4, sup_err=0.05,
                      passed=True),
-            ErrorRow(spec="s", d=8, nu=0.5, eps1=0.1, eps2=0.1,
+            ErrorRow(spec="s", d=8, nu=0.5, eps1=0.1, eps2=0.1, mass=1.0,
                      bound_paper=0.2, bound_tones=0.3, sup_err=0.5,
                      passed=False),
-        ]
+        ], 0.005)
 
     def write(self, out_dir, name):
         write_reports(self.rows(), out_dir)
@@ -728,11 +772,12 @@ class TestEmitReport:
         data = json.loads(text)
         assert text == json.dumps(data, indent=2, sort_keys=True) + "\n"
         assert data["rows"] == [asdict(row) for row in self.rows()]
+        assert data["quadrature_step"] == 0.005
         assert data["convergence"] == convergence_verdict(self.rows())
 
     def test_rejects_empty_table(self, tmp_path):
         with pytest.raises(ValueError, match="empty report"):
-            write_reports([], tmp_path / "out")
+            write_reports(Sweep([], 0.005), tmp_path / "out")
 
     @pytest.mark.parametrize("blocked", ["report.csv", "report.json"])
     def test_a_refused_write_leaves_no_new_file(self, tmp_path, blocked):
