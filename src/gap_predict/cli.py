@@ -6,10 +6,13 @@ fit-eta), and drive reproducible sweep experiments (eval).
 
 CSV output writes every value as '%.17g' does, byte for byte, but formats
 whole arrays at a time: digits from a double-double product, the %g layout
-as a byte matrix, rows in fixed-size blocks.  A block with a value that
-path cannot certify (NaN, infinities, subnormals, magnitudes outside
-[1e-250, 1e250], possible decimal ties, a decade that floor(log10) misses,
-17 digits that carry to 10^17) is formatted by '%.17g' itself, whole.
+as a byte matrix whose empty slots one bytes.translate drops, rows in
+fixed-size blocks.  A block with a value that path cannot certify (NaN,
+infinities, subnormals, magnitudes outside [1e-250, 1e250], possible
+decimal ties, a decade that floor(log10) misses, 17 digits that carry to
+10^17) is formatted by '%.17g' itself, whole.  A last column given as a
+scalar, such as eta mode's all-zero diag_tail, is formatted once and
+written before each row's newline.
 
 CSV input is its inverse: sample files read as np.loadtxt reads them, bit
 for bit, parsed on whole arrays in blocks of rows.  The fields' integer
@@ -210,22 +213,36 @@ def _format_rows(block):
     chars[-1] = ord(",")
     chars[-1, cols - 1::cols] = ord("\n")
 
-    # value-major: each value's slots in turn, so the block's rows in order
-    flat = np.ascontiguousarray(chars.T).ravel()
-    return flat[flat != 0].tobytes()
+    # value-major: each value's slots in turn, so the block's rows in order,
+    # less the empty slots; no printed byte is NUL
+    return chars.T.tobytes().translate(None, b"\0")
 
 
 def _write_csv(path, header, *columns):
     # every row reads as ",".join(["%.17g"] * len(columns)) % row would
-    # write it, byte for byte
-    columns = [np.asarray(c, dtype=float) for c in columns]
-    n = min(len(c) for c in columns)
+    # write it, byte for byte; a last column given as a scalar holds that
+    # value on every row, formatted once and put before each newline, which
+    # only ever ends a row
+    *columns, last = [np.asarray(c, dtype=float) for c in columns]
+    end = b"\n"
+    if last.ndim == 0:
+        end = b",%s\n" % (b"%.17g" % float(last))
+    else:
+        columns.append(last)
+    if not columns or any(c.ndim != 1 for c in columns):
+        raise ValueError("CSV columns must be 1-D arrays, and only the last "
+                         "may be a scalar")
+    n = len(columns[0])
+    if any(len(c) != n for c in columns):
+        raise ValueError(f"CSV columns must have one length, got "
+                         f"{[len(c) for c in columns]}")
     with open(path, "wb") as fh:
         fh.write((header + "\n").encode())
         for i in range(0, n, _CSV_BLOCK_ROWS):
             stop = min(i + _CSV_BLOCK_ROWS, n)
-            fh.write(_format_rows(np.stack([c[i:stop] for c in columns],
-                                           axis=1)))
+            rows = _format_rows(np.stack([c[i:stop] for c in columns],
+                                         axis=1))
+            fh.write(rows.replace(b"\n", end) if end != b"\n" else rows)
 
 
 def _csv_layout(rows):
@@ -597,7 +614,7 @@ def predict_cmd(approx_path, samples_path, mode, t1, history_length, eta_path,
             # predictions at the window's own samples take its levels whole
             y = eta_sum(approx, iterated_integrals(
                 t_out, vw, approx.d, approx.omega_gap, etaP))
-            tail = np.zeros_like(y)
+            tail = 0.0  # no truncated history: one zero for every row
     except ValueError as exc:
         raise click.ClickException(str(exc)) from exc
     with _writing(out):

@@ -199,7 +199,7 @@ class TestStartsWithoutScipy:
         assert (tmp_path / "out" / "report.csv").exists()
 
     def test_eval_bump(self, tmp_path):
-        # eps1_target drives select_nu; exact_hk seeds the eta rows; the
+        # eps1_target drives select_nu; exact_etaP seeds the eta rows; the
         # command exits 0 only if every row passes
         assert scipy_modules_after([[
             "eval", "--config", os.path.join(CONFIG_DIR, "bump.json"),
@@ -406,6 +406,24 @@ class TestPredictPipeline:
                                      "--mode", "eta", "--out", str(outs[-1])])
             assert result.exit_code == 0
         assert outs[0].read_bytes() == outs[1].read_bytes()
+
+    def test_eta_mode_writes_the_bytes_of_a_zero_tail_column(self, runner,
+                                                             workspace):
+        # eta mode hands the writer its diag_tail as the scalar 0.0: the
+        # file is byte for byte the one a column of zeros writes, over the
+        # 8001 rows' four blocks
+        tmp_path, approx_path, samples_path = workspace
+        out = tmp_path / "pred_eta.csv"
+        result = invoke(runner, ["predict", "--approx", str(approx_path),
+                                 "--samples", str(samples_path),
+                                 "--mode", "eta", "--t1", "0.0",
+                                 "--out", str(out)])
+        assert result.exit_code == 0
+        t, y, tail = np.loadtxt(out, delimiter=",", skiprows=1).T
+        assert t.size == 8001 and not np.any(tail)
+        reference = tmp_path / "reference.csv"
+        _write_csv(reference, "t,y_hat,diag_tail", t, y, np.zeros_like(y))
+        assert out.read_bytes() == reference.read_bytes()
 
     def test_eta_mode_square_fit_hits_observations(self, runner, workspace):
         tmp_path, approx_path, samples_path = workspace
@@ -1126,6 +1144,47 @@ class TestWriteCsv:
         assert write_csv_fallbacks(path, "a,b", first, second) == [
             True, True, False]
         assert path.read_bytes() == template_csv("a,b", first, second)
+
+    @pytest.mark.parametrize("rows", [1, _CSV_BLOCK_ROWS - 1, _CSV_BLOCK_ROWS,
+                                      _CSV_BLOCK_ROWS + 1,
+                                      2 * _CSV_BLOCK_ROWS + 1])
+    @pytest.mark.parametrize("constant", [0.0, -0.0, 1.0 / 3.0, 1e300])
+    @pytest.mark.parametrize("nan_last", [False, True])
+    def test_scalar_last_column(self, tmp_path, rows, constant, nan_last):
+        # a scalar last column is formatted once and written on every row:
+        # the template's bytes with that value as a full column, on blocks
+        # the fast path takes and on a last block that falls back whole for
+        # a NaN in another column
+        first = np.linspace(-3.0, 7.0, rows)
+        second = 1.0 / np.arange(1.0, rows + 1)
+        if nan_last:
+            second[-1] = np.nan
+        path = tmp_path / "x.csv"
+        fell_back = write_csv_fallbacks(path, "a,b,c", first, second,
+                                        constant)
+        assert fell_back == [False] * (len(fell_back) - 1) + [nan_last]
+        assert path.read_bytes() == template_csv(
+            "a,b,c", first, second, np.full(rows, constant))
+
+    def test_scalar_last_column_beside_a_subnormal(self, tmp_path):
+        # one column and the literal; the subnormal's block falls back
+        first = np.full(5, 0.25)
+        first[2] = 5e-324
+        path = tmp_path / "x.csv"
+        assert write_csv_fallbacks(path, "a,b", first, -0.0) == [True]
+        assert path.read_bytes() == template_csv("a,b", first,
+                                                 np.full(5, -0.0))
+
+    @pytest.mark.parametrize("columns", [
+        (0.0, np.ones(3)), (np.ones(3), 0.0, np.ones(3)), (0.0,),
+        (np.ones(3), np.ones(2)), (np.ones(2), np.ones(3), 0.0)])
+    def test_refuses_columns_that_are_not_one_table(self, tmp_path, columns):
+        # only the last column may be a scalar, and the arrays must share
+        # their length: a shorter one would cut the table without a word
+        path = tmp_path / "x.csv"
+        with pytest.raises(ValueError, match="CSV columns"):
+            _write_csv(path, "h", *columns)
+        assert not path.exists()
 
 
 def midpoint_decimals():
