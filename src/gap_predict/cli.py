@@ -39,7 +39,7 @@ from .approx import (approximant_to_dict, fit_approximant, load_approximant,
                      save_approximant)
 from .harness import ExperimentConfig, run_sweep, write_reports
 from .predictor import (eta_sum, fit_eta, iterated_integrals,
-                        predict_convolution, _usable_etaP)
+                        predict_convolution, predict_fitted, _usable_etaP)
 from .signal import grid_size, load_spectrum, sample_grid, window_size
 from .taper import FAMILIES, TaperSpec
 
@@ -476,9 +476,11 @@ def _window_from(times, values, t1):
 
 
 def _fit_eta_from_samples(approx, times, values, t1, theta=None, dbar=None):
-    # (window times, window values, fit, extrapolation); without theta and
-    # dbar, predict's internal fit at d times up to the last sample, whose
-    # refusals name what predict sets: d, the record and --t1
+    # (window times, window values, fit, extrapolation): with theta and
+    # dbar, fit-eta's constants (fit_eta); without them, predict's internal
+    # fit at d times up to the last sample, whose refusals name what predict
+    # sets (d, the record and --t1) and whose fit is predict_fitted's
+    # (prediction, cond)
     internal = dbar is None
     if internal:
         theta, dbar = float(times[-1]), approx.d
@@ -524,7 +526,8 @@ def _fit_eta_from_samples(approx, times, values, t1, theta=None, dbar=None):
     idx = i_lo + k + np.rint((count - dbar) / 2.0 * (
         1.0 - np.cos(np.pi * k / (dbar - 1)))).astype(int)
     fit_times = tw[idx]
-    fit = fit_eta(approx, tw, vw, idx, np.interp(fit_times + T, times, values))
+    fit = (predict_fitted if internal else fit_eta)(
+        approx, tw, vw, idx, np.interp(fit_times + T, times, values))
     # |T_{d-1}| at theta, the fitted span mapped onto [-1, 1]: about the
     # factor by which carrying the fitted polynomial part to theta amplifies
     # the fit's residual
@@ -604,16 +607,15 @@ def predict_cmd(approx_path, samples_path, mode, t1, history_length, eta_path,
                     etaP = _usable_etaP(etaP, approx.d)
                 except ValueError as exc:
                     raise ValueError(f"{eta_path}: {exc}") from exc
+                # predictions at the window's own samples take its levels
+                # whole
+                y = eta_sum(approx, iterated_integrals(
+                    t_out, vw, approx.d, approx.omega_gap, etaP))
             else:
-                t_out, vw, fit, extrapolation = _fit_eta_from_samples(
+                t_out, _, (y, cond), extrapolation = _fit_eta_from_samples(
                     approx, times, values,
                     float(times[0]) if t1 is None else t1)
-                etaP = fit.etaP
-                note = (f", cond={fit.cond:.3e}, "
-                        f"extrapolation={extrapolation:.3e}")
-            # predictions at the window's own samples take its levels whole
-            y = eta_sum(approx, iterated_integrals(
-                t_out, vw, approx.d, approx.omega_gap, etaP))
+                note = f", cond={cond:.3e}, extrapolation={extrapolation:.3e}"
             tail = 0.0  # no truncated history: one zero for every row
     except ValueError as exc:
         raise click.ClickException(str(exc)) from exc

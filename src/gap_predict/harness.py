@@ -22,18 +22,20 @@ dt / k, k the fewest whole steps that bring it to at most 5e-3*T and
 0.05 / omega_max, omega_max the highest frequency of the config's spectra
 (Gregory's rule is of order 6; the second term keeps a fast spectrum as
 well resolved as a slow one), and report.json records h as
-quadrature_step.  run_sweep loads every spectrum before it sets h, and is
-three loops.  Per spectrum it takes the nu list (nu_list or select_nu)
-and the truth: the future values and the record's levels z_0..z_D
-(D = max(d_list)) at that stride, which do not depend on the approximant.
-Per degree it fits, in one fit_approximants call, the spectrum's nu that
-the sweep has not fitted yet; the (d, nu) fits are shared across spectra,
-and a call that raises stores nothing.  Per row it computes eps1, the
-spectrum's L1 mass M (the row's mass), the two bounds and eta_sum on the
-first d + 1 levels.  A failing step errors exactly the rows
-it serves: select_nu one row per d with nu = nan, a fit its degree's rows,
-the truth every row whose fit succeeded.  A spectrum's arrays are freed
-before the next spectrum starts, and nothing outlives the call.
+quadrature_step.  run_sweep loads every spectrum before it sets h, takes
+every spectrum's nu list (nu_list or select_nu), and is then three loops.
+Per spectrum it takes the truth: the future values and the record's levels
+z_0..z_D (D = max(d_list)) at that stride, which do not depend on the
+approximant.  Per degree, where the spectrum lacks a fit, it fits in one
+fit_approximants call every nu of this spectrum and the later ones that
+the sweep has not fitted yet, so a sweep whose fits all succeed makes one
+call per degree; the (d, nu) fits are shared across spectra, and a call
+that raises stores nothing, so the next spectrum tries again.  Per row it
+computes eps1, the spectrum's L1 mass M (the row's mass), the two bounds
+and eta_sum on the first d + 1 levels.  A failing step errors exactly the
+rows it serves: select_nu one row per d with nu = nan, a fit its degree's
+rows, the truth every row whose fit succeeded.  A spectrum's arrays are
+freed before the next spectrum starts, and nothing outlives the call.
 
 Rows are computed serially in a fixed order and all output formatting is
 fixed-width, so identical configs produce byte-identical reports.
@@ -222,20 +224,30 @@ def _row(spec_name: str, spec: SpectrumSpec, approx, future: np.ndarray,
                     passed=bool(sup_err <= applicable + 1e-15))
 
 
+def _nu_list(config: ExperimentConfig, spec: SpectrumSpec):
+    # the spectrum's nu list, nu_list or select_nu's one nu, or the
+    # exception select_nu raised
+    if config.nu_list is not None:
+        return list(config.nu_list)
+    try:
+        return [select_nu(spec, config.taper_family, config.eps1_target)]
+    except Exception as exc:  # noqa: BLE001 - recorded per row
+        return exc
+
+
 def _spectrum_rows(config: ExperimentConfig, name: str, spec: SpectrumSpec,
-                   h: float, times: np.ndarray, n_grid: int,
-                   approximants: dict) -> list:
-    # one spectrum's rows, d by d and nu by nu; approximants maps (d, nu)
-    # to the sweep's fits and gains those this spectrum is the first to need
+                   nus, wanted: list, h: float, times: np.ndarray,
+                   n_grid: int, approximants: dict) -> list:
+    # one spectrum's rows, d by d and nu by nu, for its _nu_list nus;
+    # approximants maps (d, nu) to the sweep's fits, and a degree with one
+    # of nus unfitted gains, in one call, every nu of wanted, those of this
+    # spectrum and the later ones, that it lacks
     def failed(d, nu, exc):
         return ErrorRow(spec=name, d=d, nu=nu,
                         error=f"{type(exc).__name__}: {exc}")
 
-    try:
-        nus = (list(config.nu_list) if config.nu_list is not None else
-               [select_nu(spec, config.taper_family, config.eps1_target)])
-    except Exception as exc:  # noqa: BLE001 - recorded per row
-        return [failed(d, math.nan, exc) for d in config.d_list]
+    if isinstance(nus, Exception):
+        return [failed(d, math.nan, nus) for d in config.d_list]
     truth_error = None
     try:
         future, levels = _truth(config, spec, h, times, n_grid)
@@ -244,8 +256,8 @@ def _spectrum_rows(config: ExperimentConfig, name: str, spec: SpectrumSpec,
     rows = []
     for d in config.d_list:
         error = truth_error
-        lacking = [nu for nu in nus if (d, nu) not in approximants]
-        if lacking:
+        if any((d, nu) not in approximants for nu in nus):
+            lacking = [nu for nu in wanted if (d, nu) not in approximants]
             try:
                 fits = fit_approximants(config.T, config.omega_gap, [
                     TaperSpec(config.taper_family, nu) for nu in lacking], d)
@@ -308,10 +320,17 @@ def run_sweep(config: ExperimentConfig) -> list:
     spectra = _load_spectra(config)
     h = _quadrature_step(config, [spec for _, spec in spectra])
     n_grid, times = _grids(config, h)
+    nu_lists = [_nu_list(config, spec) for _, spec in spectra]
     approximants: dict = {}
-    return Sweep([row for name, spec in spectra
-                  for row in _spectrum_rows(config, name, spec, h, times,
-                                            n_grid, approximants)], h)
+    rows = []
+    for i, (name, spec) in enumerate(spectra):
+        # the nu of this spectrum and the later ones, each once, in order
+        wanted = list(dict.fromkeys(
+            nu for nus in nu_lists[i:] if not isinstance(nus, Exception)
+            for nu in nus))
+        rows += _spectrum_rows(config, name, spec, nu_lists[i], wanted, h,
+                               times, n_grid, approximants)
+    return Sweep(rows, h)
 
 
 def _fmt(value) -> str:

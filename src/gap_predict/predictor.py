@@ -12,7 +12,11 @@
   z_j = y_j - P_j(0) x (the x terms cancel).  Exact levels are bounded by
   the spectrum's mass, so nothing cancels at any degree.  etaP_j =
   (D^-1 y_j)(t1) comes from the spectrum (signal.exact_etaP) or from
-  observations (fit_eta).  Every eta path realizes at sample times only,
+  observations (fit_eta).  Observations fix the prediction more directly:
+  the constants enter it only as a polynomial of degree < d in t - t1, so
+  predict_fitted adds to the prediction with etaP = 0 the polynomial that
+  interpolates the observations' misfit, stored in the Chebyshev basis on
+  the fit span.  Every eta path realizes at sample times only,
   through iterated_integrals, the one loop, and eta_sum.  Its integrals
   are Gregory's rule of order 6, Adams-Moulton increments with a 6-sample
   start-up (Hairer, Norsett & Wanner, Solving ODEs I, III.1); a record of
@@ -27,10 +31,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .approx import Approximant
-from .signal import grid_size
+from .signal import _chebyshev, grid_size
 
 __all__ = ["predict_convolution", "iterated_integrals", "eta_sum", "EtaFit",
-           "fit_eta"]
+           "fit_eta", "predict_fitted"]
 
 COND_FLAG_THRESHOLD = 1e12
 # Gregory's rules as Adams-Moulton increments per unit step: order 6 on 6
@@ -161,13 +165,14 @@ def _usable_etaP(etaP, d):
 
 
 def iterated_integrals(times, values, d: int, omega_gap: float,
-                       etaP) -> np.ndarray:
+                       etaP, ref: int = 0) -> np.ndarray:
     """The levels z_0..z_d, shape (d + 1, len(times)), of the recurrence
     with the d constants etaP on the sampled window (times, values) from
-    t1 = times[0]: z_0 = 0, z_1 = omega_gap (etaP_0 + G x) and
+    t1 = times[ref], by default its first sample: z_0 = 0,
+    z_1 = omega_gap (etaP_0 + G x) and
     z_{j+1} = 2 omega_gap (etaP_j + G y_j) + z_{j-1}, y_j = z_j + x for even
     j and z_j for odd j, G Gregory's cumulative integral from t1 (O(h^6)
-    on 6 samples or more).
+    on 6 samples or more), taken from times[0] less its value at t1.
     The first k + 1 rows are those of degree k.  A level array of more than
     2^25 entries is refused before it is made."""
     if d < 1:
@@ -181,7 +186,10 @@ def iterated_integrals(times, values, d: int, omega_gap: float,
     y, even = x, np.empty(len(x))
     for j in range(d):
         level = z[j + 1]
-        _gregory(y, h, level, etaP[j], (2.0 if j else 1.0) * omega_gap)
+        scale = (2.0 if j else 1.0) * omega_gap
+        _gregory(y, h, level, etaP[j], scale)
+        if ref:
+            level -= level[ref] - scale * etaP[j]
         if j > 1:
             level += z[j - 1]
         y = np.add(level, x, out=even) if j % 2 else level
@@ -238,7 +246,36 @@ def fit_eta(approx: Approximant, times, values, idx, zeta) -> EtaFit:
     cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else np.inf
     if rank < d or cond > COND_FLAG_THRESHOLD:
         warnings.warn(
-            f"eta fit is near-singular (cond ~ {cond:.2e}); the fit times may "
-            "be clustered", RuntimeWarning, stacklevel=2)
+            f"eta fit is near-singular (cond ~ {cond:.2e}): the constants are "
+            "ill-determined in the R_l basis, though the prediction they give "
+            "may still be accurate; predict without --eta fits that "
+            "prediction's polynomial part in a well-conditioned basis",
+            RuntimeWarning, stacklevel=2)
     residual = M @ etaP - rhs
     return EtaFit(etaP=_usable_etaP(etaP, d), residual=residual, cond=cond)
+
+
+def predict_fitted(approx: Approximant, times, values, idx, zeta):
+    """(y, cond): the prediction at every sample of the window (times,
+    values) fitted to observations zeta at its samples idx (as fit_eta
+    takes them), and the condition number of the fit.
+
+    The constants add to phi, the prediction with etaP = 0, a polynomial of
+    degree < d in t - t1 (the R_l of fit_eta span those), and so does moving
+    t1, so the fit is of that polynomial, not of the constants: one pass for
+    phi from the window's middle sample, where its levels grow like
+    (2 omega_gap |t - t1|)^j / j! over half the window instead of all of it,
+    and the polynomial through zeta - phi[idx] (in least squares for more
+    than d samples) in the Chebyshev basis T_0..T_{d-1} on the fit span
+    [times[idx[0]], times[idx[-1]]] mapped onto [-1, 1].  At samples
+    spread like Chebyshev extreme points its cond is about 1.5, where the
+    constants' grows past 1e16 by d = 24."""
+    d = approx.d
+    y = eta_sum(approx, iterated_integrals(times, values, d, approx.omega_gap,
+                                           np.zeros(d), len(times) // 2))
+    lo, hi = times[idx[0]], times[idx[-1]]
+    cheb = _chebyshev((2.0 * times - (lo + hi)) / (hi - lo), d - 1)
+    coef, _, _, sv = np.linalg.lstsq(cheb[:, idx].T, zeta - y[idx],
+                                     rcond=None)
+    y += coef @ cheb
+    return y, float(sv[0] / sv[-1]) if sv[-1] > 0 else np.inf

@@ -12,7 +12,7 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import given, strategies as st
 
-from gap_predict import approx, cli, harness, signal, taper
+from gap_predict import approx, cli, harness, predictor, signal, taper
 from gap_predict.cli import _CSV_BLOCK_ROWS, _write_csv, main
 from gap_predict.signal import SpectrumSpec, load_spectrum
 
@@ -466,7 +466,7 @@ class TestPredictPipeline:
         assert out.exists()
 
         # a square fit up to the record's last sample, reused through --eta,
-        # gives the state that predict's internal fit builds
+        # gives the prediction that predict's internal fit builds
         square_path = tmp_path / "eta_square.json"
         reused = tmp_path / "pred_square_reuse.csv"
         internal = tmp_path / "pred_internal.csv"
@@ -483,15 +483,24 @@ class TestPredictPipeline:
                                      *args[1:]])
             assert result.exit_code == 0
             lines.append(result.output.strip())
-        assert reused.read_bytes() == internal.read_bytes()
-        # the internal fit reports the condition number and extrapolation
-        # factor fit-eta reports
-        note = lines[0].split("dbar=4")[1].rstrip(")")
-        cond, factor = note.split(", cond=")[1].split(", extrapolation=")
+        # the same in exact arithmetic, but the internal fit fits the
+        # polynomial the constants add, not the constants, so the two share
+        # no arithmetic: they differ by at most 2.8e-13 here
+        a, b = (np.loadtxt(path, delimiter=",", skiprows=1)
+                for path in (reused, internal))
+        assert np.array_equal(a[:, [0, 2]], b[:, [0, 2]])
+        assert np.abs(a[:, 1] - b[:, 1]).max() <= 5e-12
+        # the internal fit reports the condition number of its own system,
+        # near 1.5 where the constants' is 62, and fit-eta's extrapolation
+        # factor
+        cond, factor = lines[0].split(", cond=")[1].rstrip(")").split(
+            ", extrapolation=")
         assert float(cond) > 0 and float(factor) >= 1
         assert lines[1] == f"wrote {reused}  (8001 predictions, mode=eta)"
-        assert lines[2] == (f"wrote {internal}  (8001 predictions, "
-                            f"mode=eta{note})")
+        head, note = lines[2].split(", cond=")
+        assert head == f"wrote {internal}  (8001 predictions, mode=eta"
+        own_cond, own_factor = note.rstrip(")").split(", extrapolation=")
+        assert 1.0 <= float(own_cond) < 2.0 and own_factor == factor
 
     def test_fit_eta_refuses_theta_past_the_record(self, runner, workspace):
         # observations past the last sample (t = 8) would be the last
@@ -919,21 +928,32 @@ class TestEtaFitSamples:
         cheb = 0.1 + 6.9 * (1.0 - np.cos(np.pi * k / (dbar - 1))) / 2.0
         assert np.abs(times[idx] - cheb).max() <= 1e-3 * dbar
 
+    N, LEAD = 12001, 1000
+
+    @classmethod
+    def bump_record(cls, tmp_path, d):
+        # (samples file, approximant file, x): a unit-L1 bump record on
+        # [-10, 2] at 1e-3, x running T = LEAD samples past it, and the
+        # approximant of degree d at nu = 0.3
+        unit = SpectrumSpec.from_bumps(1.0, [(2.1, 0.45, 1.0)])
+        spec = SpectrumSpec.from_bumps(
+            1.0, [(2.1, 0.45, 2.0 / signal.spectral_mass(unit))])
+        x = signal.sample_grid(spec, -10.0, 1e-3, cls.N + cls.LEAD)
+        samples_path = tmp_path / "x.csv"
+        _write_csv(samples_path, "t,x", -10.0 + 1e-3 * np.arange(cls.N),
+                   x[:cls.N])
+        approx_path = tmp_path / "ap.json"
+        approx.save_approximant(approx.fit_approximant(
+            1.0, 1.0, taper.TaperSpec("gaussian", 0.3), d), approx_path)
+        return samples_path, approx_path, x
+
     def test_square_fit_on_a_bump_record(self, runner, tmp_path):
         # a unit-L1 bump record on [-10, 2] at 1e-3, predicted at d = 16
         # from predict's internal square fit: well conditioned (the even
         # spread had cond 1.2e13 and an error of 0.16), no warning, and
         # within 0.01 of x(t + T) wherever that lies in the record
-        unit = SpectrumSpec.from_bumps(1.0, [(2.1, 0.45, 1.0)])
-        spec = SpectrumSpec.from_bumps(
-            1.0, [(2.1, 0.45, 2.0 / signal.spectral_mass(unit))])
-        n, lead = 12001, 1000
-        x = signal.sample_grid(spec, -10.0, 1e-3, n + lead)
-        samples_path = tmp_path / "x.csv"
-        _write_csv(samples_path, "t,x", -10.0 + 1e-3 * np.arange(n), x[:n])
-        approx_path = tmp_path / "ap.json"
-        approx.save_approximant(approx.fit_approximant(
-            1.0, 1.0, taper.TaperSpec("gaussian", 0.3), 16), approx_path)
+        samples_path, approx_path, x = self.bump_record(tmp_path, 16)
+        n, lead = self.N, self.LEAD
         out = tmp_path / "pred.csv"
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
@@ -945,6 +965,78 @@ class TestEtaFitSamples:
         assert cond < 1e12
         y = np.loadtxt(out, delimiter=",", skiprows=1)[:, 1]
         assert np.abs(y[:n - lead] - x[lead:n]).max() < 0.01
+
+    @pytest.mark.parametrize("d, before", [(24, 2.38e-3), (32, 1.22e-3)])
+    def test_square_fit_at_high_degree(self, runner, tmp_path, d, before):
+        # the same record at d = 24 and 32: no warning, the fit's cond below
+        # 10, and an error at least 10x below the `before` of solving for
+        # the constants, whose system had cond 3.5e17 and 1.7e16 (4.7e-6
+        # and 1.1e-6 measured)
+        samples_path, approx_path, x = self.bump_record(tmp_path, d)
+        n, lead = self.N, self.LEAD
+        out = tmp_path / "pred.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            result = invoke(runner, ["predict", "--approx", str(approx_path),
+                                     "--samples", str(samples_path),
+                                     "--mode", "eta", "--out", str(out)])
+        assert result.exit_code == 0
+        cond = float(result.output.split("cond=")[1].split(",")[0])
+        assert cond < 10
+        y = np.loadtxt(out, delimiter=",", skiprows=1)[:, 1]
+        assert np.abs(y[:n - lead] - x[lead:n]).max() < before / 10
+
+    @pytest.mark.parametrize("d", [8, 16])
+    def test_prediction_is_phi_plus_the_interpolating_polynomial(
+            self, runner, tmp_path, monkeypatch, d):
+        # y - phi, phi the prediction with etaP = 0 from the first sample,
+        # is the polynomial of degree d - 1 that numpy's Chebyshev fit puts
+        # through zeta - phi at the fit times, to 1e-12 of its size
+        samples_path, approx_path, _ = self.bump_record(tmp_path, d)
+        seen, fitted = [], cli.predict_fitted
+
+        def recording(approx, times, values, idx, zeta):
+            seen.append((times[idx], zeta))
+            return fitted(approx, times, values, idx, zeta)
+
+        monkeypatch.setattr(cli, "predict_fitted", recording)
+        out = tmp_path / "pred.csv"
+        result = invoke(runner, ["predict", "--approx", str(approx_path),
+                                 "--samples", str(samples_path),
+                                 "--mode", "eta", "--out", str(out)])
+        assert result.exit_code == 0
+        (fit_times, zeta), = seen
+        t, y = np.loadtxt(out, delimiter=",", skiprows=1)[:, :2].T
+        x = np.loadtxt(samples_path, delimiter=",", skiprows=1)[:, 1]
+        ap = approx.load_approximant(approx_path)
+        phi = predictor.eta_sum(ap, predictor.iterated_integrals(
+            t, x, d, ap.omega_gap, np.zeros(d)))
+        poly = np.polynomial.Chebyshev.fit(
+            fit_times, zeta - np.interp(fit_times, t, phi), d - 1)
+        assert np.abs(y - phi - poly(t)).max() <= 1e-12 * np.abs(y - phi).max()
+
+    def test_one_pass_and_no_constants(self, runner, tmp_path, monkeypatch):
+        # predict without --eta runs the recurrence once and fits no
+        # constants
+        samples_path, approx_path, _ = self.bump_record(tmp_path, 8)
+        passes, integrals = [], predictor.iterated_integrals
+
+        def counting(*args, **kwargs):
+            passes.append(args[2])
+            return integrals(*args, **kwargs)
+
+        def no_constants(*args, **kwargs):
+            raise AssertionError("fit_eta called")
+
+        for module in (cli, predictor):
+            monkeypatch.setattr(module, "iterated_integrals", counting)
+            monkeypatch.setattr(module, "fit_eta", no_constants)
+        result = invoke(runner, ["predict", "--approx", str(approx_path),
+                                 "--samples", str(samples_path),
+                                 "--mode", "eta",
+                                 "--out", str(tmp_path / "pred.csv")])
+        assert result.exit_code == 0
+        assert passes == [8]
 
 
 def test_write_csv_matches_per_value_format(tmp_path):

@@ -524,6 +524,26 @@ class TestSharedWork:
             # etaP_0..etaP_3(t_start) in one call, per spectrum
             assert calls["etaP"] == [(spec, 4, 0.0) for spec in specs]
 
+    def test_selected_nu_share_one_fit_call_per_degree(self, tmp_path,
+                                                       monkeypatch):
+        # with eps1_target each spectrum selects its own nu, and each degree
+        # fits both in one call, at the first spectrum's rows; every row is
+        # the one of its spectrum swept alone
+        paths = two_tone_files(tmp_path)
+        config = small_config(paths[0], spec_files=tuple(paths), d_list=(3, 4),
+                              nu_list=None, eps1_target=0.05, t_end=0.5,
+                              dt=0.1)
+        nus = [signal.select_nu(spec, "gaussian", 0.05)
+               for _, spec in harness._load_spectra(config)]
+        assert nus[0] != nus[1]
+        alone = [asdict(row) for path in paths
+                 for row in run_sweep(replace(config, spec_files=(path,)))]
+        calls = self.count_calls(monkeypatch)
+        rows = run_sweep(config)
+        assert calls["fit"] == [(3, nus), (4, nus)]
+        assert [asdict(row) for row in rows] == alone
+        assert all(row["error"] is None for row in alone)
+
     def test_a_failing_degree_is_fitted_once_per_spectrum(self, tmp_path,
                                                           monkeypatch):
         # a degree whose fit raises errors its rows and is tried again by

@@ -340,22 +340,42 @@ class TestIteratedIntegrals:
         assert np.all(z[:, 0] == 0.0) and np.all(z[0] == 0.0)
         assert np.abs(z - power_levels(4, omega_gap, times)).max() < 1e-12
 
-    def test_tone_levels_follow_the_transfer_function(self):
-        # z_j = Re[A (P_j(v) - P_j(0)) e^{iwt}] with the exact constants
-        h, gap = 1e-3, 0.8
-        spec = SpectrumSpec.from_tones(gap, [(2.0, 0.4 - 0.3j)])
-        times = 0.5 + h * np.arange(3001)
-        x = sample_grid(spec, times[0], h, len(times))
-        d = 12
-        z = iterated_integrals(times, x, d, gap,
-                               exact_etaP(spec, gap, d, times[0]))
-        v = 1.0 / 2.0j
+    H, GAP, D = 1e-3, 0.8, 12
+    TONE = SpectrumSpec.from_tones(GAP, [(2.0, 0.4 - 0.3j)])
+
+    def tone_levels(self, ref):
+        # (times, levels) of the tone on 3001 samples from 0.5, from
+        # t1 = times[ref] with the exact constants there
+        times = 0.5 + self.H * np.arange(3001)
+        x = sample_grid(self.TONE, times[0], self.H, len(times))
+        etaP = exact_etaP(self.TONE, self.GAP, self.D, times[ref])
+        return times, iterated_integrals(times, x, self.D, self.GAP, etaP,
+                                         ref)
+
+    def assert_transfer_function(self, times, z):
+        # z_j = Re[A (P_j(v) - P_j(0)) e^{iwt}]
+        gap, v = self.GAP, 1.0 / 2.0j
         p, p_prev, p0, p0_prev = gap * v, 1.0, 0.0, 1.0
-        for j in range(1, d + 1):
+        for j in range(1, self.D + 1):
             exact = np.real((0.4 - 0.3j) * (p - p0) * np.exp(2.0j * times))
             assert np.abs(z[j] - exact).max() < 1e-9, j
             p, p_prev = 2.0 * gap * v * p + p_prev, p
             p0, p0_prev = p0_prev, p0
+
+    def test_tone_levels_follow_the_transfer_function(self):
+        # with the exact constants
+        self.assert_transfer_function(*self.tone_levels(0))
+
+    @pytest.mark.parametrize("ref", [1500, 3000])
+    def test_levels_from_a_later_reference_sample(self, ref):
+        # from t1 = times[ref] with the exact constants there, on both
+        # sides of it; with zero constants every level vanishes at t1
+        times, z = self.tone_levels(ref)
+        self.assert_transfer_function(times, z)
+        x = sample_grid(self.TONE, times[0], self.H, len(times))
+        zero = iterated_integrals(times, x, self.D, self.GAP,
+                                  np.zeros(self.D), ref)
+        assert np.all(zero[:, ref] == 0.0)
 
     @pytest.mark.parametrize("n", [3, 4, 5, 9])
     def test_short_windows_are_exact_for_cubics(self, n):
