@@ -27,6 +27,7 @@ loses digits past d ~ 40 where c does not.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 
@@ -70,10 +71,14 @@ class Approximant:
         if self.eps2 < 0:
             raise ValueError("eps2 must be nonnegative")
 
-    @property
+    @functools.cached_property
     def weights(self) -> np.ndarray:
-        """sigma_j c_j, j = 0..d: the weights of the realization's levels."""
-        return _sigma(self.d) * self.c
+        """sigma_j c_j, j = 0..d: the weights of the realization's levels,
+        computed at the first access and kept, read-only, for every later
+        one."""
+        weights = _sigma(self.d) * self.c
+        weights.flags.writeable = False
+        return weights
 
 
 # certification grid density, in multiples of the fit grid's node spacing

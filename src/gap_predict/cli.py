@@ -480,7 +480,8 @@ def _fit_eta_from_samples(approx, times, values, t1, theta=None, dbar=None):
     # dbar, fit-eta's constants (fit_eta); without them, predict's internal
     # fit at d times up to the last sample, whose refusals name what predict
     # sets (d, the record and --t1) and whose fit is predict_fitted's
-    # (prediction, cond)
+    # (prediction, cond) and the forecast, the count of window samples past
+    # the last fit time
     internal = dbar is None
     if internal:
         theta, dbar = float(times[-1]), approx.d
@@ -526,8 +527,10 @@ def _fit_eta_from_samples(approx, times, values, t1, theta=None, dbar=None):
     idx = i_lo + k + np.rint((count - dbar) / 2.0 * (
         1.0 - np.cos(np.pi * k / (dbar - 1)))).astype(int)
     fit_times = tw[idx]
-    fit = (predict_fitted if internal else fit_eta)(
-        approx, tw, vw, idx, np.interp(fit_times + T, times, values))
+    zeta = np.interp(fit_times + T, times, values)
+    fit = ((*predict_fitted(approx, tw, vw, idx, zeta),
+            len(tw) - 1 - int(idx[-1])) if internal
+           else fit_eta(approx, tw, vw, idx, zeta))
     # |T_{d-1}| at theta, the fitted span mapped onto [-1, 1]: about the
     # factor by which carrying the fitted polynomial part to theta amplifies
     # the fit's residual
@@ -612,10 +615,12 @@ def predict_cmd(approx_path, samples_path, mode, t1, history_length, eta_path,
                 y = eta_sum(approx, iterated_integrals(
                     t_out, vw, approx.d, approx.omega_gap, etaP))
             else:
-                t_out, _, (y, cond), extrapolation = _fit_eta_from_samples(
-                    approx, times, values,
-                    float(times[0]) if t1 is None else t1)
-                note = f", cond={cond:.3e}, extrapolation={extrapolation:.3e}"
+                t_out, _, (y, cond, forecast), extrapolation = \
+                    _fit_eta_from_samples(approx, times, values,
+                                          float(times[0]) if t1 is None
+                                          else t1)
+                note = (f", forecast={forecast}, cond={cond:.3e}, "
+                        f"extrapolation={extrapolation:.3e}")
             tail = 0.0  # no truncated history: one zero for every row
     except ValueError as exc:
         raise click.ClickException(str(exc)) from exc
@@ -673,11 +678,13 @@ def eval_cmd(config_path, out_dir):
     dest = out_dir or "reports"
     with _writing(dest, exit_code=2):
         verdict = write_reports(rows, dest)
+    lines = []
     for row in rows:
         status = "ERROR " + row.error if row.error else \
             ("pass" if row.passed else "FAIL")
-        click.echo(f"{row.spec} d={row.d} nu={row.nu:g}: sup={row.sup_err:.6g} "
-                   f"[{status}]")
+        lines.append(f"{row.spec} d={row.d} nu={row.nu:g}: "
+                     f"sup={row.sup_err:.6g} [{status}]")
+    click.echo("\n".join(lines))
     click.echo("convergence: " + (
         f"skipped ({verdict['skipped']})" if verdict["passed"] is None
         else "; ".join(verdict["failures"]) or "pass"))

@@ -30,12 +30,14 @@ approximant.  Per degree, where the spectrum lacks a fit, it fits in one
 fit_approximants call every nu of this spectrum and the later ones that
 the sweep has not fitted yet, so a sweep whose fits all succeed makes one
 call per degree; the (d, nu) fits are shared across spectra, and a call
-that raises stores nothing, so the next spectrum tries again.  Per row it
-computes eps1, the spectrum's L1 mass M (the row's mass), the two bounds
-and eta_sum on the first d + 1 levels.  A failing step errors exactly the
-rows it serves: select_nu one row per d with nu = nan, a fit its degree's
-rows, the truth every row whose fit succeeded.  A spectrum's arrays are
-freed before the next spectrum starts, and nothing outlives the call.
+that raises stores nothing, so the next spectrum tries again.  Once the
+truth is taken it computes eps1 per (spectrum, nu) and the spectrum's L1
+mass M (the row's mass) per spectrum, and per row the two bounds and
+eta_sum on the first d + 1 levels.  A failing step errors exactly the rows
+it serves: select_nu one row per d with nu = nan, a fit its degree's rows,
+the truth every row whose fit succeeded, an eps1 its nu's rows and M its
+spectrum's rows whose fit succeeded.  A spectrum's arrays are freed before
+the next spectrum starts, and nothing outlives the call.
 
 Rows are computed serially in a fixed order and all output formatting is
 fixed-width, so identical configs produce byte-identical reports.
@@ -205,11 +207,11 @@ def _truth(config: ExperimentConfig, spec: SpectrumSpec, h: float,
     return future, levels
 
 
-def _row(spec_name: str, spec: SpectrumSpec, approx, future: np.ndarray,
-         levels: np.ndarray) -> ErrorRow:
-    # eps1, the two bounds and the measured error of approx's (d, nu)
+def _row(spec_name: str, spec: SpectrumSpec, approx, eps1: float,
+         mass: float, future: np.ndarray, levels: np.ndarray) -> ErrorRow:
+    # the two bounds and the measured error of approx's (d, nu), given the
+    # spectrum's eps1 at that nu and its mass
     taper, eps2 = approx.taper, approx.eps2
-    eps1, mass = epsilon1(spec, taper), spectral_mass(spec)
     # the paper's error (1/2pi) int |e^{iwT} - psi(iw)| |X| dw: eps1 covers
     # the taper's share and eps2 bounds |r_nu - psi| against each unit of
     # the spectrum's L1 mass M; tones, point masses, take it without 1/2pi
@@ -253,6 +255,13 @@ def _spectrum_rows(config: ExperimentConfig, name: str, spec: SpectrumSpec,
         future, levels = _truth(config, spec, h, times, n_grid)
     except Exception as exc:  # noqa: BLE001 - recorded per row
         truth_error = exc
+    else:
+        # eps1 per nu and the mass, or the exception each raised, which
+        # errors the rows whose truth and fit succeeded, eps1's first
+        eps1 = {nu: _attempt(epsilon1, spec,
+                             TaperSpec(config.taper_family, nu))
+                for nu in nus}
+        mass = _attempt(spectral_mass, spec)
     rows = []
     for d in config.d_list:
         error = truth_error
@@ -265,15 +274,25 @@ def _spectrum_rows(config: ExperimentConfig, name: str, spec: SpectrumSpec,
             except Exception as exc:  # noqa: BLE001 - recorded per row
                 error = exc
         for nu in nus:
-            if error is not None:
-                rows.append(failed(d, nu, error))
+            cause = error or next((value for value in (eps1[nu], mass)
+                                   if isinstance(value, Exception)), None)
+            if cause is not None:
+                rows.append(failed(d, nu, cause))
                 continue
             try:
-                rows.append(_row(name, spec, approximants[(d, nu)], future,
-                                 levels))
+                rows.append(_row(name, spec, approximants[(d, nu)], eps1[nu],
+                                 mass, future, levels))
             except Exception as exc:  # noqa: BLE001 - recorded per row
                 rows.append(failed(d, nu, exc))
     return rows
+
+
+def _attempt(fn, *args):
+    # fn(*args), or the exception it raised
+    try:
+        return fn(*args)
+    except Exception as exc:  # noqa: BLE001 - recorded per row
+        return exc
 
 
 def _quadrature_step(config: ExperimentConfig, specs) -> float:
@@ -333,20 +352,24 @@ def run_sweep(config: ExperimentConfig) -> list:
     return Sweep(rows, h)
 
 
-def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return f"{float(value):.17g}"
+# a report.csv row: spec, d, the six floats as '%.17g' writes them, pass
+_CSV_ROW = "%s,%d,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%s"
+# a report.json row, whose fields are all scalars, in indent=2's layout at
+# depth 2 between its braces; without indent json runs its C encoder
+_ROW_ENCODER = json.JSONEncoder(sort_keys=True,
+                                separators=(",\n      ", ": "))
 
 
 def write_reports(rows, out_dir) -> dict:
     """Write report.csv and report.json of the Sweep rows into out_dir; the
-    same rows give byte-identical files.  The CSV columns are fixed; the
-    JSON holds every row's fields, the failing row indices, the record's
-    quadrature_step and the convergence verdict, which is returned.  Each
-    file is written under a temporary name in out_dir and renamed into
+    same rows give byte-identical files.  The CSV columns are fixed, each
+    row formatted by one template.  The JSON holds every row's fields, the
+    failing row indices, the record's quadrature_step and the convergence
+    verdict, which is returned; it reads as json.dumps(indent=2,
+    sort_keys=True) writes it, byte for byte, but each row's flat object is
+    encoded by json's C encoder, with the separators that give indent=2's
+    layout, and spliced in after the other keys, which sort before "rows".
+    Each file is written under a temporary name in out_dir and renamed into
     place once all are written; a write that fails removes what it wrote,
     so out_dir keeps no new report file and no temporary file."""
     if not rows:
@@ -355,18 +378,21 @@ def write_reports(rows, out_dir) -> dict:
     verdict = convergence_verdict(rows)
     lines = [",".join(CSV_COLUMNS)]
     for row in rows:
-        lines.append(",".join([
-            row.spec, _fmt(row.d), _fmt(row.nu), _fmt(row.eps1),
-            _fmt(row.eps2), _fmt(row.bound_paper), _fmt(row.bound_tones),
-            _fmt(row.sup_err), _fmt(row.passed)]))
+        lines.append(_CSV_ROW % (
+            row.spec, row.d, row.nu, row.eps1, row.eps2, row.bound_paper,
+            row.bound_tones, row.sup_err, "true" if row.passed else "false"))
+    # the other keys, which all sort before "rows", in indent=2's layout;
+    # the rows go in before its closing "\n}"
+    head = json.dumps({
+        "failing_rows": [i for i, row in enumerate(rows) if not row.passed],
+        "all_pass": all(row.passed for row in rows),
+        "quadrature_step": rows.quadrature_step,
+        "convergence": verdict}, indent=2, sort_keys=True)
+    encoded = ["{\n      " + _ROW_ENCODER.encode(vars(row))[1:-1] + "\n    }"
+               for row in rows]
     files = {"report.csv": "\n".join(lines) + "\n",
-             "report.json": json.dumps({
-                 "rows": [vars(row) for row in rows],
-                 "failing_rows": [i for i, row in enumerate(rows)
-                                  if not row.passed],
-                 "all_pass": all(row.passed for row in rows),
-                 "quadrature_step": rows.quadrature_step,
-                 "convergence": verdict}, indent=2, sort_keys=True) + "\n"}
+             "report.json": head[:-2] + ',\n  "rows": [\n    '
+             + ",\n    ".join(encoded) + "\n  ]\n}\n"}
     temps = {name: os.path.join(out_dir, f".{name}.{os.getpid()}.tmp")
              for name in files}
     placed = []

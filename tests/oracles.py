@@ -1,6 +1,7 @@
-"""Reference oracles for the spectral integrals of gap_predict.signal and
-the certified sup error of gap_predict.approx, and the spectrum and
-approximant writers the tests build their inputs with.
+"""Reference oracles for the spectral integrals of gap_predict.signal,
+the certified sup error of gap_predict.approx and the report files of
+gap_predict.harness, and the spectrum and approximant writers the tests
+build their inputs with.
 
 Each bump integral is evaluated by scipy's adaptive QUADPACK at absolute
 tolerance 1e-10, one point at a time, independently of the package's fixed
@@ -288,3 +289,36 @@ def sample_index(times, t):
     assert np.all(np.abs(times[idx] - t)
                   <= 1e-9 * np.maximum(1.0, np.abs(t))), "t off the samples"
     return idx
+
+
+def _fmt(value):
+    # one report.csv field: a bool as true/false, an integer in decimal,
+    # anything else as '%.17g'
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return f"{float(value):.17g}"
+
+
+def report_csv(rows):
+    """report.csv of a sweep's rows, each field formatted on its own by _fmt
+    and joined by commas."""
+    lines = ["spec,d,nu,eps1,eps2,bound_paper,bound_tones,sup_err,pass"]
+    for row in rows:
+        lines.append(",".join([
+            row.spec, _fmt(row.d), _fmt(row.nu), _fmt(row.eps1),
+            _fmt(row.eps2), _fmt(row.bound_paper), _fmt(row.bound_tones),
+            _fmt(row.sup_err), _fmt(row.passed)]))
+    return "\n".join(lines) + "\n"
+
+
+def report_json(rows, verdict):
+    """report.json of a sweep's rows and convergence verdict, the whole
+    document through json's indent=2 encoder with sorted keys."""
+    doc = {"rows": [vars(row) for row in rows],
+           "failing_rows": [i for i, row in enumerate(rows) if not row.passed],
+           "all_pass": all(row.passed for row in rows),
+           "quadrature_step": rows.quadrature_step,
+           "convergence": verdict}
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"

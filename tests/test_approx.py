@@ -8,8 +8,9 @@ from hypothesis import given, strategies as st
 from numpy.polynomial.chebyshev import chebder, chebval
 
 from gap_predict.approx import (CERT_DENSITY, Approximant, _half_grid,
-                                approximant_from_dict, approximant_to_dict,
-                                fit_approximant, fit_approximants)
+                                _sigma, approximant_from_dict,
+                                approximant_to_dict, fit_approximant,
+                                fit_approximants)
 from gap_predict.taper import TaperSpec, eval_taper
 
 from oracles import (certified_sup_error, fit_nodes, least_squares_fit,
@@ -353,6 +354,21 @@ class TestFitApproximants:
 
 
 class TestApproximant:
+    @pytest.mark.parametrize("d", [2, 7, 16])
+    def test_weights_are_computed_once_and_read_only(self, d):
+        # sigma_j c_j, bit for bit, built at the first access and the same
+        # array at every later one, which no caller can write into
+        approx = fit_approximant(1.0, 1.0, GAUSS03, d)
+        weights = approx.weights
+        assert approx.weights is weights
+        assert not weights.flags.writeable
+        with pytest.raises(ValueError):
+            weights[0] = 1.0
+        expected = _sigma(d) * approx.c
+        assert weights.tobytes() == expected.tobytes()
+        assert np.array_equal(weights, (-1.0) ** np.ceil(np.arange(d + 1) / 2)
+                              * approx.c)
+
     def test_fit_runs_and_serializes(self, tmp_path):
         approx = fit_approximant(1.0, 1.0, GAUSS03, 6)
         data = approximant_to_dict(approx)

@@ -498,7 +498,8 @@ class TestPredictPipeline:
         assert float(cond) > 0 and float(factor) >= 1
         assert lines[1] == f"wrote {reused}  (8001 predictions, mode=eta)"
         head, note = lines[2].split(", cond=")
-        assert head == f"wrote {internal}  (8001 predictions, mode=eta"
+        assert head == (f"wrote {internal}  (8001 predictions, mode=eta, "
+                        "forecast=1000")
         own_cond, own_factor = note.rstrip(")").split(", extrapolation=")
         assert 1.0 <= float(own_cond) < 2.0 and own_factor == factor
 
@@ -867,6 +868,22 @@ class TestPredictPipeline:
         assert result.exit_code == 0
         assert result.output.strip().endswith(
             f", extrapolation={factor(8.0, 7.0):.3e})")
+
+    @pytest.mark.parametrize("t1", ["0", "-5"])
+    def test_forecast_counts_the_rows_past_the_last_fit_time(
+            self, runner, workspace, t1):
+        # the record runs to t = 8 at step 1e-3 and T = 1, so the last fit
+        # time is 7 and the rows of t in (7, 8] are forecasts, whatever t1
+        tmp_path, approx_path, samples_path = workspace
+        out = tmp_path / "pred.csv"
+        result = invoke(runner, ["predict", "--approx", str(approx_path),
+                                 "--samples", str(samples_path),
+                                 "--mode", "eta", "--t1", t1,
+                                 "--out", str(out)])
+        assert result.exit_code == 0
+        forecast = int(result.output.split(", forecast=")[1].split(",")[0])
+        t = np.loadtxt(out, delimiter=",", skiprows=1)[:, 0]
+        assert forecast == np.count_nonzero(t > 7.0 + 1e-9) == 1000
 
     def test_conv_mode_rejects_too_few_samples(self, runner, workspace):
         tmp_path, approx_path, _ = workspace

@@ -483,7 +483,8 @@ class TestSharedWork:
 
     @staticmethod
     def count_calls(monkeypatch):
-        calls = {"fit": [], "sample_grid": [], "integrals": [], "etaP": []}
+        calls = {"fit": [], "sample_grid": [], "integrals": [], "etaP": [],
+                 "eps1": [], "mass": []}
 
         def counting(key, fn, record):
             def wrapper(*args, **kwargs):
@@ -499,6 +500,8 @@ class TestSharedWork:
                  lambda times, values, d, gap, etaP: d)
         counting("etaP", harness.exact_etaP,
                  lambda spec, gap, d, t: (spec, d, t))
+        counting("eps1", harness.epsilon1, lambda spec, taper: (spec, taper))
+        counting("mass", harness.spectral_mass, lambda spec: spec)
         return calls
 
     def test_each_shared_value_is_computed_once_per_call(self, tmp_path,
@@ -523,6 +526,10 @@ class TestSharedWork:
             assert calls["integrals"] == [4, 4]
             # etaP_0..etaP_3(t_start) in one call, per spectrum
             assert calls["etaP"] == [(spec, 4, 0.0) for spec in specs]
+            # eps1 per (spectrum, nu) and the mass per spectrum, not per row
+            assert calls["eps1"] == [(spec, TaperSpec("gaussian", nu))
+                                     for spec in specs for nu in (0.5, 0.4)]
+            assert calls["mass"] == specs
 
     def test_selected_nu_share_one_fit_call_per_degree(self, tmp_path,
                                                        monkeypatch):
@@ -811,6 +818,45 @@ class TestEmitReport:
         (out / blocked).rmdir()
         write_reports(self.rows(), out)
         assert sorted(os.listdir(out)) == ["report.csv", "report.json"]
+
+
+class TestReportBytes:
+    """write_reports' bytes against the references: report.csv field by
+    field, report.json through json's indent=2 encoder, on rows that a
+    splice or a template could get wrong."""
+
+    @staticmethod
+    def adversarial_rows():
+        # two error rows, whose floats are NaN, then three nu with three
+        # degrees each of a spectrum with a non-ASCII, quoted name, whose
+        # sup error rises with d: a failing verdict that names it
+        rows = [ErrorRow(spec="s", d=2, nu=0.5,
+                         error='ValueError: a "quoted" \\ name,\nsplit, '
+                               'then more'),
+                ErrorRow(spec="s", d=3, nu=math.nan,
+                         error="RuntimeError: no nu, none at all")]
+        name = 't\u00f6n\u00e9 \u20ac\U0001d70f "q\\'
+        values = [math.inf, -0.0, 1.0 / 3.0, 5e-324, 1e300, -math.inf,
+                  123456789012345678.0, 1e-300, 0.1]
+        for i, (nu, d) in enumerate((nu, d) for nu in (0.5, 0.4, 0.3)
+                                    for d in (8, 16, 24)):
+            v = values[i:] + values[:i]
+            rows.append(ErrorRow(spec=name, d=d, nu=nu, eps1=v[0], eps2=v[1],
+                                 mass=v[2], bound_paper=v[3], bound_tones=v[4],
+                                 sup_err=0.1 * d * nu, passed=i % 2 == 0))
+        return rows
+
+    @pytest.mark.parametrize("verdict", ["failed", "skipped"])
+    def test_reports_equal_the_references(self, tmp_path, verdict):
+        rows = self.adversarial_rows()
+        rows = Sweep(rows if verdict == "failed" else rows[:5], 1.0 / 3.0)
+        written = write_reports(rows, tmp_path)
+        assert written == convergence_verdict(rows)
+        assert written["passed"] is (False if verdict == "failed" else None)
+        assert (tmp_path / "report.json").read_bytes() == \
+            oracles.report_json(rows, written).encode("utf-8")
+        assert (tmp_path / "report.csv").read_bytes() == \
+            oracles.report_csv(rows).encode("utf-8")
 
 
 class TestConvergenceCheck:
