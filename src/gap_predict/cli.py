@@ -480,8 +480,7 @@ def _fit_eta_from_samples(approx, times, values, t1, theta=None, dbar=None):
     # dbar, fit-eta's constants (fit_eta); without them, predict's internal
     # fit at d times up to the last sample, whose refusals name what predict
     # sets (d, the record and --t1) and whose fit is predict_fitted's
-    # (prediction, cond) and the forecast, the count of window samples past
-    # the last fit time
+    # (prediction, cond) and the last fit time
     internal = dbar is None
     if internal:
         theta, dbar = float(times[-1]), approx.d
@@ -528,9 +527,8 @@ def _fit_eta_from_samples(approx, times, values, t1, theta=None, dbar=None):
         1.0 - np.cos(np.pi * k / (dbar - 1)))).astype(int)
     fit_times = tw[idx]
     zeta = np.interp(fit_times + T, times, values)
-    fit = ((*predict_fitted(approx, tw, vw, idx, zeta),
-            len(tw) - 1 - int(idx[-1])) if internal
-           else fit_eta(approx, tw, vw, idx, zeta))
+    fit = ((*predict_fitted(approx, tw, vw, idx, zeta), float(fit_times[-1]))
+           if internal else fit_eta(approx, tw, vw, idx, zeta))
     # |T_{d-1}| at theta, the fitted span mapped onto [-1, 1]: about the
     # factor by which carrying the fitted polynomial part to theta amplifies
     # the fit's residual
@@ -539,6 +537,13 @@ def _fit_eta_from_samples(approx, times, values, t1, theta=None, dbar=None):
     with np.errstate(over="ignore"):
         extrapolation = float(np.cosh((approx.d - 1) * np.arccosh(x)))
     return tw, vw, fit, extrapolation
+
+
+def _forecast(t_out, last):
+    # the count of output times past the last fit time, whose predictions
+    # extrapolate the fit
+    slack = 1e-9 * max(1.0, abs(last))
+    return len(t_out) - int(np.searchsorted(t_out, last + slack, "right"))
 
 
 def _load(loader, path, what):
@@ -563,10 +568,15 @@ def _writing(path, exit_code=1):
 
 
 def _read_eta(path):
-    # (t1, etaP) from a fit-eta output; predict checks the numbers
+    # (t1, etaP, last fit time) from a fit-eta output, the last None in a
+    # file written before fit-eta recorded it; predict checks the numbers
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
-    return float(data["t1"]), np.asarray(data["etaP"], dtype=float)
+    t1, etaP = float(data["t1"]), np.asarray(data["etaP"], dtype=float)
+    last = data.get("last_fit_time")
+    if last is not None and not np.isfinite(last := float(last)):
+        raise ValueError(f"last_fit_time must be finite, got {last}")
+    return t1, etaP, last
 
 
 @main.command("predict")
@@ -604,7 +614,8 @@ def predict_cmd(approx_path, samples_path, mode, t1, history_length, eta_path,
             t_out = times[len(times) - len(y):]
         else:
             if eta_path is not None:
-                eta_t1, etaP = _load(_read_eta, eta_path, "a fit-eta output")
+                eta_t1, etaP, last = _load(_read_eta, eta_path,
+                                           "a fit-eta output")
                 try:
                     t_out, vw = _window_from(times, values, eta_t1)
                     etaP = _usable_etaP(etaP, approx.d)
@@ -614,13 +625,15 @@ def predict_cmd(approx_path, samples_path, mode, t1, history_length, eta_path,
                 # whole
                 y = eta_sum(approx, iterated_integrals(
                     t_out, vw, approx.d, approx.omega_gap, etaP))
+                if last is not None:
+                    note = f", forecast={_forecast(t_out, last)}"
             else:
-                t_out, _, (y, cond, forecast), extrapolation = \
+                t_out, _, (y, cond, last), extrapolation = \
                     _fit_eta_from_samples(approx, times, values,
                                           float(times[0]) if t1 is None
                                           else t1)
-                note = (f", forecast={forecast}, cond={cond:.3e}, "
-                        f"extrapolation={extrapolation:.3e}")
+                note = (f", forecast={_forecast(t_out, last)}, "
+                        f"cond={cond:.3e}, extrapolation={extrapolation:.3e}")
             tail = 0.0  # no truncated history: one zero for every row
     except ValueError as exc:
         raise click.ClickException(str(exc)) from exc
@@ -651,7 +664,8 @@ def fit_eta_cmd(approx_path, samples_path, t1, theta, dbar, out):
         raise click.ClickException(str(exc)) from exc
     payload = {"t1": float(tw[0]), "etaP": fit.etaP.tolist(),
                "residual": fit.residual.tolist(), "cond": fit.cond,
-               "extrapolation": extrapolation}
+               "extrapolation": extrapolation,
+               "last_fit_time": fit.last_fit_time}
     with _writing(out), open(out, "w", encoding="utf-8",
                              newline="\n") as fh:
         json.dump(payload, fh, indent=2)

@@ -23,10 +23,12 @@ dt / k, k the fewest whole steps that bring it to at most 5e-3*T and
 (Gregory's rule is of order 6; the second term keeps a fast spectrum as
 well resolved as a slow one), and report.json records h as
 quadrature_step.  run_sweep loads every spectrum before it sets h, takes
-every spectrum's nu list (nu_list or select_nu), and is then three loops.
-Per spectrum it takes the truth: the future values and the record's levels
-z_0..z_D (D = max(d_list)) at that stride, which do not depend on the
-approximant.  Per degree, where the spectrum lacks a fit, it fits in one
+every spectrum's nu list (nu_list or select_nu) and every spectrum's
+truth: its future values, record and constants, sampled on its own, and
+the levels z_0..z_D (D = max(d_list)) of all the records, realized in one
+stacked iterated_integrals pass (which needs the one record step h that
+all spectra share) and kept at that stride, which do not depend on the
+approximant.  It is then three loops.  Per spectrum, and per degree, where the spectrum lacks a fit, it fits in one
 fit_approximants call every nu of this spectrum and the later ones that
 the sweep has not fitted yet, so a sweep whose fits all succeed makes one
 call per degree; the (d, nu) fits are shared across spectra, and a call
@@ -35,9 +37,13 @@ truth is taken it computes eps1 per (spectrum, nu) and the spectrum's L1
 mass M (the row's mass) per spectrum, and per row the two bounds and
 eta_sum on the first d + 1 levels.  A failing step errors exactly the rows
 it serves: select_nu one row per d with nu = nan, a fit its degree's rows,
-the truth every row whose fit succeeded, an eps1 its nu's rows and M its
-spectrum's rows whose fit succeeded.  A spectrum's arrays are freed before
-the next spectrum starts, and nothing outlives the call.
+the truth every row whose fit succeeded (a stacked pass that raises is run
+record by record, so a realization's error is its own spectrum's too), an
+eps1 its nu's rows and M its spectrum's rows whose fit succeeded.  The
+stacked level array is refused over 2^25 entries before it is made, as a
+single record's is, and the records are then realized one by one; it is
+freed once every spectrum's grid levels are copied from it, and those and
+the future values are held through the sweep, and nothing outlives the call.
 
 Rows are computed serially in a fixed order and all output formatting is
 fixed-width, so identical configs produce byte-identical reports.
@@ -191,20 +197,56 @@ def _grids(config: ExperimentConfig, h: float):
     return n_grid, config.t_start + h * np.arange(n_record)
 
 
-def _truth(config: ExperimentConfig, spec: SpectrumSpec, h: float,
-           times: np.ndarray, n_grid: int):
-    # x(t + T) and the levels z_0..z_D (D = max(d_list)) of the record from
-    # t_start with its constants etaP_0..etaP_{D-1}, at the n_grid
-    # measurement times t_start + k dt: every (dt/h)-th sample, taken as a
-    # copy, since a strided view changes eta_sum's summation order and so
-    # its last bit
-    t1, d_max, gap = config.t_start, max(config.d_list), config.omega_gap
+def _sample(config: ExperimentConfig, spec: SpectrumSpec, h: float,
+            times: np.ndarray, n_grid: int):
+    # x(t + T) at the n_grid measurement times t_start + k dt, the record
+    # on times and its constants etaP_0..etaP_{D-1}(t_start), D = max(d_list)
+    t1 = config.t_start
     future = sample_grid(spec, t1 + config.T, config.dt, n_grid)
     values = sample_grid(spec, t1, h, len(times))
-    etaP = exact_etaP(spec, gap, d_max, t1)
-    levels = iterated_integrals(times, values, d_max, gap, etaP)[
-        :, round(config.dt / h) * np.arange(n_grid)]
-    return future, levels
+    return future, values, exact_etaP(spec, config.omega_gap,
+                                      max(config.d_list), t1)
+
+
+def _realize(config: ExperimentConfig, h: float, times: np.ndarray,
+             n_grid: int, sampled: list) -> list:
+    # per (future, values, etaP) of sampled, (future, levels), levels the
+    # record's z_0..z_D at the measurement times, every (dt/h)-th sample,
+    # from one stacked pass, or the exception it raised: a stack that
+    # raises is realized record by record, so each error is its own
+    # record's.  Each record's levels are taken by one fancy index, a fresh
+    # array laid out as a one-record call's [:, stride] lays it out, since
+    # eta_sum's gemv sums a view into the stack in another order and so
+    # changes its last bit
+    try:
+        z = iterated_integrals(
+            times, np.stack([values for _, values, _ in sampled]),
+            max(config.d_list), config.omega_gap,
+            np.stack([etaP for _, _, etaP in sampled]))
+    except Exception as exc:  # noqa: BLE001 - recorded per row
+        if len(sampled) == 1:
+            return [exc]
+        return [truth for one in sampled
+                for truth in _realize(config, h, times, n_grid, [one])]
+    stride = round(config.dt / h) * np.arange(n_grid)
+    return [(future, z[:, s, stride])
+            for s, (future, _, _) in enumerate(sampled)]
+
+
+def _truths(config: ExperimentConfig, specs: list, h: float,
+            times: np.ndarray, n_grid: int) -> list:
+    # per spectrum of specs, (future values, levels) as _realize gives
+    # them, or the exception that its sampling or realization raised; None
+    # for a spectrum given as None.  Each spectrum is sampled on its own,
+    # and those that sampled are realized in one stacked pass
+    sampled = [None if spec is None else
+               _attempt(_sample, config, spec, h, times, n_grid)
+               for spec in specs]
+    usable = [one for one in sampled if isinstance(one, tuple)]
+    realized = iter(_realize(config, h, times, n_grid, usable) if usable
+                    else ())
+    return [next(realized) if isinstance(one, tuple) else one
+            for one in sampled]
 
 
 def _row(spec_name: str, spec: SpectrumSpec, approx, eps1: float,
@@ -238,24 +280,20 @@ def _nu_list(config: ExperimentConfig, spec: SpectrumSpec):
 
 
 def _spectrum_rows(config: ExperimentConfig, name: str, spec: SpectrumSpec,
-                   nus, wanted: list, h: float, times: np.ndarray,
-                   n_grid: int, approximants: dict) -> list:
-    # one spectrum's rows, d by d and nu by nu, for its _nu_list nus;
-    # approximants maps (d, nu) to the sweep's fits, and a degree with one
-    # of nus unfitted gains, in one call, every nu of wanted, those of this
-    # spectrum and the later ones, that it lacks
+                   nus, wanted: list, truth, approximants: dict) -> list:
+    # one spectrum's rows, d by d and nu by nu, for its _nu_list nus and
+    # its _truths truth; approximants maps (d, nu) to the sweep's fits, and
+    # a degree with one of nus unfitted gains, in one call, every nu of
+    # wanted, those of this spectrum and the later ones, that it lacks
     def failed(d, nu, exc):
         return ErrorRow(spec=name, d=d, nu=nu,
                         error=f"{type(exc).__name__}: {exc}")
 
     if isinstance(nus, Exception):
         return [failed(d, math.nan, nus) for d in config.d_list]
-    truth_error = None
-    try:
-        future, levels = _truth(config, spec, h, times, n_grid)
-    except Exception as exc:  # noqa: BLE001 - recorded per row
-        truth_error = exc
-    else:
+    truth_error = truth if isinstance(truth, Exception) else None
+    if truth_error is None:
+        future, levels = truth
         # eps1 per nu and the mass, or the exception each raised, which
         # errors the rows whose truth and fit succeeded, eps1's first
         eps1 = {nu: _attempt(epsilon1, spec,
@@ -340,15 +378,18 @@ def run_sweep(config: ExperimentConfig) -> list:
     h = _quadrature_step(config, [spec for _, spec in spectra])
     n_grid, times = _grids(config, h)
     nu_lists = [_nu_list(config, spec) for _, spec in spectra]
+    truths = _truths(config, [
+        None if isinstance(nus, Exception) else spec
+        for (_, spec), nus in zip(spectra, nu_lists)], h, times, n_grid)
     approximants: dict = {}
     rows = []
-    for i, (name, spec) in enumerate(spectra):
+    for i, truth in enumerate(truths):
         # the nu of this spectrum and the later ones, each once, in order
         wanted = list(dict.fromkeys(
             nu for nus in nu_lists[i:] if not isinstance(nus, Exception)
             for nu in nus))
-        rows += _spectrum_rows(config, name, spec, nu_lists[i], wanted, h,
-                               times, n_grid, approximants)
+        rows += _spectrum_rows(config, *spectra[i], nu_lists[i], wanted,
+                               truth, approximants)
     return Sweep(rows, h)
 
 

@@ -20,7 +20,12 @@
   through iterated_integrals, the one loop, and eta_sum.  Its integrals
   are Gregory's rule of order 6, Adams-Moulton increments with a 6-sample
   start-up (Hairer, Norsett & Wanner, Solving ODEs I, III.1); a record of
-  4 or 5 samples takes order 4 and one of 3 Simpson's rule.
+  4 or 5 samples takes order 4 and one of 3 Simpson's rule.  The loop
+  takes a stack of records on one time grid, as a sweep's spectra share
+  one, and realizes them in one pass: one convolution, one batched
+  start-up product and one cumulative sum per level, each record's levels
+  bit for bit those of its own call, where numpy's per-call overhead, not
+  the arithmetic, dominates a level of a few thousand samples.
 """
 
 from __future__ import annotations
@@ -137,25 +142,37 @@ def predict_convolution(approx: Approximant, times, values,
 
 
 def _gregory(y, h, out, const, scale):
-    # out = scale * (const + int_{t_0}^{t} y) by Gregory's rule, O(h^6) and
-    # exact for quintics on 6 samples or more: the cumsum of its increments,
-    # from k = 5 the Adams-Moulton (h/1440)(27y_{k-5} - 173y_{k-4}
-    # + 482y_{k-3} - 798y_{k-2} + 1427y_{k-1} + 475y_k); O(h^4) on 4 or 5
-    out[0] = scale * const
-    if len(y) < 4:
-        out[1:] = _SIMPSON @ y * (scale * h)
-    else:
-        rows = _gregory_rows(len(y))
+    # out[s] = scale * (const[s] + int_{t_0}^{t} y[s]) for each record s of
+    # the (S, n) stack y, by Gregory's rule, O(h^6) and exact for quintics
+    # on 6 samples or more: the cumsum of its increments, from k = 5 the
+    # Adams-Moulton (h/1440)(27y_{k-5} - 173y_{k-4} + 482y_{k-3}
+    # - 798y_{k-2} + 1427y_{k-1} + 475y_k); O(h^4) on 4 or 5.  One
+    # convolution of the flattened stack, written from flat offset k, puts
+    # each record's increments in place; the windows that straddle two
+    # records land in the next one's first k columns, which its start-up
+    # increments overwrite.  Those are one matrix-vector product per
+    # record, batched, as a single record's are: one (S, k + 1) x (k + 1,
+    # k - 1) matrix product sums in another order
+    n = y.shape[1]
+    rows = _gregory_rows(n) if n >= 4 else _SIMPSON
+    if n >= 4:
         k = rows.shape[1] - 1  # the first increment the kernel row takes
-        out[1:k] = rows @ y[:k + 1] * (scale * h)
-        out[k:] = np.convolve(y, rows[0] * (scale * h), "valid")
-    np.cumsum(out, out=out)
+        out.reshape(-1)[k:] = np.convolve(y.reshape(-1), rows[0] * (scale * h),
+                                          "valid")
+    out[:, 0] = scale * const
+    out[:, 1:len(rows) + 1] = (rows @ y[:, :rows.shape[1], None])[..., 0] * (
+        scale * h)
+    np.add.accumulate(out, axis=1, out=out)
 
 
-def _usable_etaP(etaP, d):
-    # the constants as floats, refused unless they are d finite numbers
+def _usable_etaP(etaP, d, records=None):
+    # the constants as floats, refused unless they are d finite numbers, or
+    # a (records, d) stack of them
     etaP = np.asarray(etaP, dtype=float)
-    if etaP.shape != (d,):
+    if records is not None and etaP.shape != (records, d):
+        raise ValueError(f"etaP must hold {records} x {d} constants, one row "
+                         f"of d = {d} per record, not {etaP.shape}")
+    if records is None and etaP.shape != (d,):
         raise ValueError(f"etaP must have one entry per level above y_0 "
                          f"(d = {d}), not the {etaP.size} of a fit at d = "
                          f"{etaP.size}")
@@ -173,27 +190,39 @@ def iterated_integrals(times, values, d: int, omega_gap: float,
     z_{j+1} = 2 omega_gap (etaP_j + G y_j) + z_{j-1}, y_j = z_j + x for even
     j and z_j for odd j, G Gregory's cumulative integral from t1 (O(h^6)
     on 6 samples or more), taken from times[0] less its value at t1.
-    The first k + 1 rows are those of degree k.  A level array of more than
-    2^25 entries is refused before it is made."""
+    The first k + 1 rows are those of degree k.
+
+    values of shape (S, len(times)), S records on the same times, with
+    etaP of shape (S, d) give the levels of shape (d + 1, S, len(times)),
+    each record's bit for bit those of its own call: a single record is
+    the S = 1 case of the same loop.  A level array of more than 2^25
+    entries is refused before it is made, naming S when it is over 1."""
     if d < 1:
         raise ValueError("d must be >= 1")
     h = _uniform_step(times)
     x = np.asarray(values, dtype=float)
-    etaP = _usable_etaP(etaP, d)
-    grid_size((d + 1) * len(x), f"the recurrence's level array of {d + 1} x "
-              f"{len(x)} entries")
-    z = np.zeros((d + 1, len(x)))
-    y, even = x, np.empty(len(x))
+    if x.shape[-1:] != np.shape(times) or x.ndim > 2:
+        raise ValueError(f"values of shape {x.shape} are not records on the "
+                         f"{len(times)} sample times")
+    stacked = x.ndim == 2
+    x = x.reshape(-1, x.shape[-1])
+    S, n = x.shape
+    etaP = _usable_etaP(etaP, d, S if stacked else None).reshape(S, d)
+    grid_size((d + 1) * S * n, f"the recurrence's level array of {d + 1} x "
+              + (f"{S} x {n} entries (S = {S} records)" if S > 1
+                 else f"{n} entries"))
+    z = np.zeros((d + 1, S, n))
+    y, even = x, np.empty((S, n))
     for j in range(d):
         level = z[j + 1]
         scale = (2.0 if j else 1.0) * omega_gap
-        _gregory(y, h, level, etaP[j], scale)
+        _gregory(y, h, level, etaP[:, j], scale)
         if ref:
-            level -= level[ref] - scale * etaP[j]
+            level -= (level[:, ref] - scale * etaP[:, j])[:, None]
         if j > 1:
             level += z[j - 1]
         y = np.add(level, x, out=even) if j % 2 else level
-    return z
+    return z if stacked else z.reshape(d + 1, n)
 
 
 def eta_sum(approx: Approximant, levels) -> np.ndarray:
@@ -208,6 +237,8 @@ class EtaFit:
     etaP: np.ndarray
     residual: np.ndarray
     cond: float
+    # times[idx[-1]]: the prediction at later samples extrapolates the fit
+    last_fit_time: float
 
 
 def fit_eta(approx: Approximant, times, values, idx, zeta) -> EtaFit:
@@ -252,7 +283,8 @@ def fit_eta(approx: Approximant, times, values, idx, zeta) -> EtaFit:
             "prediction's polynomial part in a well-conditioned basis",
             RuntimeWarning, stacklevel=2)
     residual = M @ etaP - rhs
-    return EtaFit(etaP=_usable_etaP(etaP, d), residual=residual, cond=cond)
+    return EtaFit(etaP=_usable_etaP(etaP, d), residual=residual, cond=cond,
+                  last_fit_time=float(times[idx[-1]]))
 
 
 def predict_fitted(approx: Approximant, times, values, idx, zeta):

@@ -496,7 +496,8 @@ class TestPredictPipeline:
         cond, factor = lines[0].split(", cond=")[1].rstrip(")").split(
             ", extrapolation=")
         assert float(cond) > 0 and float(factor) >= 1
-        assert lines[1] == f"wrote {reused}  (8001 predictions, mode=eta)"
+        assert lines[1] == (f"wrote {reused}  (8001 predictions, mode=eta, "
+                            "forecast=1000)")
         head, note = lines[2].split(", cond=")
         assert head == (f"wrote {internal}  (8001 predictions, mode=eta, "
                         "forecast=1000")
@@ -884,6 +885,41 @@ class TestPredictPipeline:
         forecast = int(result.output.split(", forecast=")[1].split(",")[0])
         t = np.loadtxt(out, delimiter=",", skiprows=1)[:, 0]
         assert forecast == np.count_nonzero(t > 7.0 + 1e-9) == 1000
+        # fit-eta records its last fit time, 7 with theta = 8, and predict
+        # --eta counts the same rows from it
+        eta_path = tmp_path / "eta.json"
+        result = invoke(runner, ["fit-eta", "--approx", str(approx_path),
+                                 "--samples", str(samples_path), "--t1", t1,
+                                 "--theta", "8", "--dbar", "4",
+                                 "--out", str(eta_path)])
+        assert result.exit_code == 0
+        payload = json.loads(eta_path.read_text())
+        assert payload["last_fit_time"] == pytest.approx(7.0, abs=1e-9)
+        result = invoke(runner, ["predict", "--approx", str(approx_path),
+                                 "--samples", str(samples_path), "--mode",
+                                 "eta", "--eta", str(eta_path),
+                                 "--out", str(out)])
+        assert result.exit_code == 0
+        assert result.output.strip().endswith(", forecast=1000)")
+        # a file written before fit-eta recorded the time prints no forecast
+        del payload["last_fit_time"]
+        eta_path.write_text(json.dumps(payload))
+        result = invoke(runner, ["predict", "--approx", str(approx_path),
+                                 "--samples", str(samples_path), "--mode",
+                                 "eta", "--eta", str(eta_path),
+                                 "--out", str(out)])
+        assert result.exit_code == 0
+        assert result.output.strip().endswith(" predictions, mode=eta)")
+        # and a time that is not finite is refused, naming the file
+        eta_path.write_text(json.dumps({**payload,
+                                        "last_fit_time": float("inf")}))
+        result = invoke(runner, ["predict", "--approx", str(approx_path),
+                                 "--samples", str(samples_path), "--mode",
+                                 "eta", "--eta", str(eta_path),
+                                 "--out", str(out)])
+        assert result.exit_code == 1
+        assert (f"{eta_path} is not a fit-eta output (ValueError: "
+                "last_fit_time must be finite, got inf)") in result.output
 
     def test_conv_mode_rejects_too_few_samples(self, runner, workspace):
         tmp_path, approx_path, _ = workspace
@@ -1807,13 +1843,13 @@ class TestEvalCommand:
         config["d_list"], config["nu_list"] = [32], [0.3]
         config_path = tmp_path / "cfg.json"
         config_path.write_text(json.dumps(config))
-        truth = harness._truth
+        sample = harness._sample
 
         def shifted(*args):
-            future, levels = truth(*args)
-            return future + 1.0, levels
+            future, values, etaP = sample(*args)
+            return future + 1.0, values, etaP
 
-        monkeypatch.setattr(harness, "_truth", shifted)
+        monkeypatch.setattr(harness, "_sample", shifted)
         result = invoke(runner, ["eval", "--config", str(config_path),
                                  "--out", str(tmp_path / "out")])
         assert result.exit_code == 1

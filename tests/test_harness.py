@@ -478,8 +478,9 @@ def two_tone_files(tmp_path):
 
 class TestSharedWork:
     """run_sweep fits each approximant once per (d, nu), every nu of a
-    degree in one call, and computes each spectrum's record, truth and
-    integrals once, within one call."""
+    degree in one call, computes each spectrum's record and truth once and
+    the integrals of every spectrum in one stacked pass, within one
+    call."""
 
     @staticmethod
     def count_calls(monkeypatch):
@@ -522,8 +523,8 @@ class TestSharedWork:
             assert calls["fit"] == [(3, [0.5, 0.4]), (4, [0.5, 0.4])]
             # the record and the future values, per spectrum
             assert calls["sample_grid"] == [specs[0]] * 2 + [specs[1]] * 2
-            # the record's levels to max(d_list), per spectrum
-            assert calls["integrals"] == [4, 4]
+            # both records' levels to max(d_list), in one stacked pass
+            assert calls["integrals"] == [4]
             # etaP_0..etaP_3(t_start) in one call, per spectrum
             assert calls["etaP"] == [(spec, 4, 0.0) for spec in specs]
             # eps1 per (spectrum, nu) and the mass per spectrum, not per row
@@ -758,6 +759,106 @@ class TestSharedWork:
         assert [(row.d, row.error) for row in rows] == \
             [(8, None)] * 3 + [(4000, f"ValueError: {message}")] * 3
         assert rows[:3] == run_sweep(replace(config, d_list=(8,)))
+
+
+def three_tone_files(tmp_path):
+    # the two spectra of two_tone_files and a third between them in the
+    # sweep's order
+    first, last = two_tone_files(tmp_path)
+    middle = tmp_path / "middle.json"
+    save_spectrum(SpectrumSpec.from_tones(1.0, [(2.5, -0.2 + 0.4j)]), middle)
+    return [first, str(middle), last]
+
+
+class TestStackedRealization:
+    """run_sweep samples each spectrum on its own and realizes all of them
+    in one stacked iterated_integrals pass; every row is the one of its
+    spectrum swept alone."""
+
+    @staticmethod
+    def config(tmp_path):
+        paths = three_tone_files(tmp_path)
+        return paths, small_config(paths[0], spec_files=tuple(paths),
+                                   d_list=(3, 4), nu_list=(0.4, 0.3),
+                                   t_end=0.5, dt=0.1)
+
+    @staticmethod
+    def alone(config, paths):
+        return [asdict(row) for path in paths
+                for row in run_sweep(replace(config, spec_files=(path,)))]
+
+    def test_a_spectrum_whose_sampling_raises_errors_only_its_rows(
+            self, tmp_path, monkeypatch):
+        paths, config = self.config(tmp_path)
+        alone = self.alone(config, paths)
+        sample = harness.sample_grid
+
+        def failing_for_middle(spec, *args):
+            if spec.tones[0].omega == 2.5:
+                raise ValueError("no samples")
+            return sample(spec, *args)
+
+        monkeypatch.setattr(harness, "sample_grid", failing_for_middle)
+        rows = [asdict(row) for row in run_sweep(config)]
+        assert [row["error"] for row in rows[4:8]] == \
+            ["ValueError: no samples"] * 4
+        assert rows[:4] + rows[8:] == alone[:4] + alone[8:]
+        assert all(row["error"] is None for row in alone)
+
+    def test_a_stack_that_raises_is_realized_record_by_record(
+            self, tmp_path, monkeypatch):
+        # constants that are not finite refuse the stacked pass; the pass
+        # of each record on its own errors only the middle spectrum's rows
+        paths, config = self.config(tmp_path)
+        alone = self.alone(config, paths)
+        etaP = harness.exact_etaP
+
+        def nan_for_middle(spec, *args):
+            value = etaP(spec, *args)
+            return value * np.nan if spec.tones[0].omega == 2.5 else value
+
+        monkeypatch.setattr(harness, "exact_etaP", nan_for_middle)
+        rows = [asdict(row) for row in run_sweep(config)]
+        assert [row["error"] for row in rows[4:8]] == \
+            ["ValueError: etaP must be finite"] * 4
+        assert rows[:4] + rows[8:] == alone[:4] + alone[8:]
+
+    def test_a_stack_over_the_limit_is_realized_record_by_record(
+            self, tmp_path, monkeypatch):
+        # a limit of two spectra's level arrays refuses the stack of three
+        # before it is made; each record's own pass gives the rows of the
+        # one stacked pass
+        paths, config = self.config(tmp_path)
+        passes, integrals = [], harness.iterated_integrals
+
+        def counting(times, values, *args):
+            passes.append(len(values))
+            return integrals(times, values, *args)
+
+        monkeypatch.setattr(harness, "iterated_integrals", counting)
+        together = [asdict(row) for row in run_sweep(config)]
+        assert passes == [3]
+        _, times = harness._grids(config, harness._quadrature_step(
+            config, [spec for _, spec in harness._load_spectra(config)]))
+        passes.clear()
+        monkeypatch.setattr(signal, "_MAX_WORKSPACE", 2 * 5 * len(times))
+        assert [asdict(row) for row in run_sweep(config)] == together
+        assert passes == [3, 1, 1, 1]
+        assert together == self.alone(config, paths)
+
+    def test_a_level_array_over_the_limit_errors_its_rows_by_its_sizes(
+            self, tmp_path):
+        # each record of 520,001 samples (h = 0.005 from 0 to 2600) has a
+        # level array of 65 x 520,001 entries to d = 64, over 2^25; every
+        # row names that array as a sweep of one spectrum does, not the
+        # stack
+        paths = two_tone_files(tmp_path)
+        config = small_config(paths[0], spec_files=tuple(paths),
+                              d_list=(3, 64), nu_list=(0.4,), t_end=2600.0,
+                              dt=1.0)
+        assert [row.error for row in run_sweep(config)] == [
+            "ValueError: the recurrence's level array of 65 x 520001 "
+            "entries is over the limit of 2^25 = 33554432"] * 4
 
 
 class TestEmitReport:

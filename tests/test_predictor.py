@@ -440,6 +440,55 @@ class TestIteratedIntegrals:
         with pytest.raises(ValueError, match=message):
             iterated_integrals(times, np.zeros(8192), 4096, 1.0,
                                np.zeros(4096))
+        # a stack of one record is refused in the same words
+        with pytest.raises(ValueError, match=message):
+            iterated_integrals(times, np.zeros((1, 8192)), 4096, 1.0,
+                               np.zeros((1, 4096)))
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 64, 1257])
+    @pytest.mark.parametrize("records", [1, 2, 3])
+    @pytest.mark.parametrize("at_middle", [False, True])
+    def test_stacked_levels_are_each_records_own(self, n, records,
+                                                 at_middle):
+        # S records in one call give each record's levels of its own call
+        # bit for bit: the convolution of the flattened stack writes
+        # straddling windows only where the start-up rows overwrite them
+        rng = np.random.default_rng([n, records])
+        times = 0.3 + 0.01 * np.arange(n)
+        x = rng.standard_normal((records, n))
+        etaP = rng.standard_normal((records, 6))
+        ref = n // 2 if at_middle else 0
+        z = iterated_integrals(times, x, 6, 0.9, etaP, ref)
+        assert z.shape == (7, records, n)
+        for s in range(records):
+            alone = iterated_integrals(times, x[s], 6, 0.9, etaP[s], ref)
+            assert alone.shape == (7, n)
+            assert np.array_equal(z[:, s], alone)
+
+    def test_refuses_stacks_over_the_limit_or_off_the_times(self):
+        # 4,097 levels of 3 records of 2,731 samples is 33,566,727 entries,
+        # over 2^25, though one record's 11,188,907 are not; the message
+        # names the record count.  etaP needs one row per record
+        times = 1e-3 * np.arange(2731)
+        message = re.escape("the recurrence's level array of 4097 x 3 x 2731 "
+                            "entries (S = 3 records) is over the limit "
+                            "of 2^25")
+        with pytest.raises(ValueError, match=message):
+            iterated_integrals(times, np.zeros((3, 2731)), 4096, 1.0,
+                               np.zeros((3, 4096)))
+        with pytest.raises(ValueError, match=re.escape(
+                "etaP must hold 3 x 4 constants, one row of d = 4 per "
+                "record, not (4,)")):
+            iterated_integrals(times, np.zeros((3, 2731)), 4, 1.0,
+                               np.zeros(4))
+        # values that are not records on the times, one or a stack, are
+        # refused, not integrated on a grid they do not lie on
+        for shape in ((2730,), (3, 2732), (2, 3, 2731)):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"values of shape {shape} are not records on the 2731 "
+                    "sample times")):
+                iterated_integrals(times, np.zeros(shape), 4, 1.0,
+                                   np.zeros(4))
 
     def test_levels_follow_the_recurrence(self):
         # d/dt z_1 = omega_gap x and d/dt (z_{j+1} - z_{j-1}) =
