@@ -7,21 +7,25 @@ fit-eta), and drive reproducible sweep experiments (eval).
 CSV output writes every value as '%.17g' does, byte for byte, but formats
 whole arrays at a time: digits from a double-double product, the %g layout
 as a byte matrix whose empty slots one bytes.translate drops, rows in
-fixed-size blocks.  A block with a value that path cannot certify (NaN,
-infinities, subnormals, magnitudes outside [1e-250, 1e250], possible
-decimal ties, a decade that floor(log10) misses, 17 digits that carry to
-10^17) is formatted by '%.17g' itself, whole.  A last column given as a
-scalar, such as eta mode's all-zero diag_tail, is formatted once and
-written before each row's newline.
+blocks of 16k rows, large enough that numpy's per-call cost is spread
+thin and small enough that memory stays flat in the row count.  A value
+that path cannot certify (NaN, infinities, subnormals, magnitudes outside
+[1e-250, 1e250], possible decimal ties, a decade that floor(log10) misses,
+17 digits that carry to 10^17) is formatted by '%.17g' itself, alone, and
+its bytes take its slots in the byte matrix; the rest of its block keeps
+the fast path.  A last column given as a scalar, such as eta mode's
+all-zero diag_tail, is formatted once and written before each row's
+newline.
 
 CSV input is its inverse: sample files read as np.loadtxt reads them, bit
-for bit, parsed on whole arrays in blocks of rows.  The fields' integer
-mantissas and exponents come from one integer parse, and each value from a
-double-double product rounded where it is certain.  A value that path
-cannot certify (a possible rounding tie, 19 or more significant digits,
-magnitudes outside [1e-250, 1e250]) goes through float(), and a file
-outside its grammar (plain decimals with a lowercase 'e', commas and
-newlines) through np.loadtxt itself, so every refusal is loadtxt's.
+for bit, parsed on whole arrays in blocks of about 512 KiB of whole rows.
+The fields' integer mantissas and exponents come from one integer parse,
+and each value from a double-double product rounded where it is certain.
+A value that path cannot certify (a possible rounding tie, 19 or more
+significant digits, magnitudes outside [1e-250, 1e250]) goes through
+float(), and a file outside its grammar (plain decimals with a lowercase
+'e', commas and newlines) through np.loadtxt itself, so every refusal is
+loadtxt's.
 """
 
 from __future__ import annotations
@@ -43,10 +47,11 @@ from .predictor import (eta_sum, fit_eta, iterated_integrals,
 from .signal import grid_size, load_spectrum, sample_grid, window_size
 from .taper import FAMILIES, TaperSpec
 
-# rows the CSV writer formats at a time, so its memory is flat in the row count
-_CSV_BLOCK_ROWS = 1 << 11
-# bytes the CSV reader parses at a time, to the end of a row
-_CSV_READ_BYTES = 1 << 17
+# rows the CSV writer formats at a time: enough to spread numpy's per-call
+# cost over many values, few enough that memory is flat in the row count
+_CSV_BLOCK_ROWS = 1 << 14
+# bytes the CSV reader parses at a time, to the end of a row, chosen alike
+_CSV_READ_BYTES = 1 << 19
 # |x| range whose 17 digits _decimal17 computes: 10^(16 - e) and every
 # Dekker partial product stay normal doubles
 _FAST_RANGE = (1e-250, 1e250)
@@ -152,18 +157,22 @@ def _decimal17(v):
     return ok | zero, D, e
 
 
+def _format_value(x):
+    # the bytes '%.17g' writes for one float: the CSV writer's only
+    # per-value formatting, for a scalar last column and each value
+    # _decimal17 cannot certify
+    return b"%.17g" % x
+
+
 def _format_rows(block):
     """The bytes '%.17g' writes for each row of a 2-D float64 block, values
     separated by commas and rows ended by newlines, computed on whole
-    arrays; a block with a value _decimal17 cannot certify goes through the
-    '%.17g' template whole."""
+    arrays; each value _decimal17 cannot certify is formatted alone by
+    _format_value, its bytes in its own slots."""
     rows, cols = block.shape
     v = block.ravel()
     with np.errstate(all="ignore"):
         ok, D, e = _decimal17(v)
-    if not ok.all():
-        return ((",".join(["%.17g"] * cols) + "\n") * rows
-                % tuple(v.tolist())).encode()
     # digit k of D in row k + 1, between rows of zeros
     digits = np.zeros((19, v.size), dtype=np.uint8)
     # D in halves below 10^9, so the divisions run on uint32
@@ -212,6 +221,13 @@ def _format_rows(block):
     exp[2] *= ae >= 100
     chars[-1] = ord(",")
     chars[-1, cols - 1::cols] = ord("\n")
+    # an uncertified value's slots before its separator hold its '%.17g'
+    # bytes, at most 24, and zeros after them
+    lone = np.flatnonzero(~ok)
+    if lone.size:
+        text = np.array([_format_value(x) for x in v.take(lone).tolist()],
+                        dtype=f"S{_SLOTS - 1}")
+        chars[:-1, lone] = text.view(np.uint8).reshape(lone.size, -1).T
 
     # value-major: each value's slots in turn, so the block's rows in order,
     # less the empty slots; no printed byte is NUL
@@ -226,7 +242,7 @@ def _write_csv(path, header, *columns):
     *columns, last = [np.asarray(c, dtype=float) for c in columns]
     end = b"\n"
     if last.ndim == 0:
-        end = b",%s\n" % (b"%.17g" % float(last))
+        end = b",%s\n" % _format_value(float(last))
     else:
         columns.append(last)
     if not columns or any(c.ndim != 1 for c in columns):

@@ -3,6 +3,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -1194,8 +1195,8 @@ def fast_path_verdicts(values):
 
 
 def write_csv_fallbacks(path, header, *columns):
-    """_write_csv, and for each block whether it fell back to the template:
-    whether _decimal17 left a value of it uncertified."""
+    """_write_csv, and for each block whether a value of it went to '%.17g'
+    alone: whether _decimal17 left a value of it uncertified."""
     fell_back = []
     certify = cli._decimal17
 
@@ -1210,16 +1211,16 @@ def write_csv_fallbacks(path, header, *columns):
 
 
 class TestWriteCsv:
-    """_write_csv writes exactly the bytes of the '%.17g' template, and
-    formats every block whose values its vectorized path must take without
-    the template."""
+    """_write_csv writes exactly the bytes of the '%.17g' template, formats
+    every value its vectorized path must take without '%.17g', and formats
+    alone each value that path refuses."""
 
     @staticmethod
     def check(path, values, cols):
-        # all values; those the fast path must take alone, in blocks that
-        # never fall back; and each one it must refuse, with one of each kind
-        # outside [1e-250, 1e250], alone in a block of 4 rows of 0.5, which
-        # falls back whole
+        # all values; those the fast path must take alone, in blocks where
+        # no value falls back; and each one it must refuse, with one of each
+        # kind outside [1e-250, 1e250], among 4 rows of 0.5 in a block of
+        # its own, where it falls back to '%.17g' alone
         verdicts = fast_path_verdicts(values)
         a = np.abs(values)
         lone = np.concatenate([
@@ -1266,7 +1267,7 @@ class TestWriteCsv:
     def test_refuses_a_decade_that_log10_reads_low(self, tmp_path):
         # where log10 reads one ulp low, an exact power of ten takes the
         # decade below its own, in which its 17 digits round to 10^17; each
-        # such value, alone in its block, falls back
+        # such value, one to a block, falls back to '%.17g'
         log10 = np.log10
         powers = 10.0 ** np.arange(0, 23)
         path = tmp_path / "x.csv"
@@ -1278,8 +1279,8 @@ class TestWriteCsv:
         assert fell_back == [True] * powers.size
 
     def test_block_seams(self, tmp_path):
-        # one value that the template formats on each side of the first
-        # seam between row blocks (NaN, a tie); the third block is plain
+        # one value that '%.17g' formats alone on each side of the first
+        # seam between row blocks (NaN, a tie); the third block has none
         n = 2 * _CSV_BLOCK_ROWS + 3
         first = np.linspace(-3.0, 7.0, n)
         second = 1.0 / np.arange(1.0, n + 1)
@@ -1290,7 +1291,35 @@ class TestWriteCsv:
             True, True, False]
         assert path.read_bytes() == template_csv("a,b", first, second)
 
-    @pytest.mark.parametrize("rows", [1, _CSV_BLOCK_ROWS - 1, _CSV_BLOCK_ROWS,
+    def test_formats_only_the_refused_values_alone(self, tmp_path):
+        # a NaN, a subnormal and a decimal tie in one block of the shipped
+        # size: the template's bytes, and exactly those three values reach
+        # '%.17g'
+        n = _CSV_BLOCK_ROWS
+        first = np.linspace(-3.0, 7.0, n)
+        second = 1.0 / np.arange(1.0, n + 1)
+        first[5] = np.nan
+        second[n // 2] = 5e-324
+        first[n - 1] = 2.0 ** -25
+        formatted = []
+        format_value = cli._format_value
+
+        def recording(x):
+            formatted.append(x)
+            return format_value(x)
+
+        path = tmp_path / "x.csv"
+        with mock.patch.object(cli, "_format_value", recording):
+            assert write_csv_fallbacks(path, "a,b", first, second) == [True]
+        assert path.read_bytes() == template_csv("a,b", first, second)
+        assert [repr(x) for x in formatted] == [
+            "nan", "5e-324", repr(2.0 ** -25)]
+
+    # row counts inside one block (1, 2^11 - 1, 2^11, 2^11 + 1, 2^12 + 1)
+    # and on each side of the block seams
+    @pytest.mark.parametrize("rows", [1, (1 << 11) - 1, 1 << 11,
+                                      (1 << 11) + 1, (1 << 12) + 1,
+                                      _CSV_BLOCK_ROWS - 1, _CSV_BLOCK_ROWS,
                                       _CSV_BLOCK_ROWS + 1,
                                       2 * _CSV_BLOCK_ROWS + 1])
     @pytest.mark.parametrize("constant", [0.0, -0.0, 1.0 / 3.0, 1e300])
@@ -1298,8 +1327,8 @@ class TestWriteCsv:
     def test_scalar_last_column(self, tmp_path, rows, constant, nan_last):
         # a scalar last column is formatted once and written on every row:
         # the template's bytes with that value as a full column, on blocks
-        # the fast path takes and on a last block that falls back whole for
-        # a NaN in another column
+        # the fast path takes whole and on a last block where a NaN in
+        # another column falls back alone
         first = np.linspace(-3.0, 7.0, rows)
         second = 1.0 / np.arange(1.0, rows + 1)
         if nan_last:
@@ -1312,7 +1341,7 @@ class TestWriteCsv:
             "a,b,c", first, second, np.full(rows, constant))
 
     def test_scalar_last_column_beside_a_subnormal(self, tmp_path):
-        # one column and the literal; the subnormal's block falls back
+        # one column and the literal; the subnormal falls back alone
         first = np.full(5, 0.25)
         first[2] = 5e-324
         path = tmp_path / "x.csv"
@@ -1330,6 +1359,36 @@ class TestWriteCsv:
         with pytest.raises(ValueError, match="CSV columns"):
             _write_csv(path, "h", *columns)
         assert not path.exists()
+
+
+def traced_peak(call, *args):
+    # (the tracemalloc peak of call(*args) in bytes, its result)
+    tracemalloc.start()
+    try:
+        result = call(*args)
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
+
+
+def test_csv_memory_is_flat_in_the_row_count(tmp_path):
+    # the codec works in blocks so that its memory does not grow with the
+    # record: on records of n and 4n rows, n two writer blocks and at least
+    # two reader blocks, the writer's peak stays put and the reader's grows
+    # by no more than the array it returns
+    peaks = []
+    for n in (2 * _CSV_BLOCK_ROWS, 8 * _CSV_BLOCK_ROWS):
+        t = -3.0 + 1e-3 * np.arange(n)
+        path = tmp_path / f"{n}.csv"
+        write_peak, _ = traced_peak(_write_csv, path, "t,x", t,
+                                    np.sin(7.3 * t))
+        assert path.stat().st_size >= 2 * cli._CSV_READ_BYTES
+        read_peak, data = traced_peak(cli._read_table, path)
+        assert data.shape == (n, 2)
+        peaks.append((write_peak, read_peak, data.nbytes))
+    (write_n, read_n, _), (write_4n, read_4n, result_4n) = peaks
+    assert write_4n <= 1.1 * write_n
+    assert read_4n - read_n <= result_4n
 
 
 def midpoint_decimals():
