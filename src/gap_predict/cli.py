@@ -42,8 +42,7 @@ import numpy as np
 from .approx import (approximant_to_dict, fit_approximant, load_approximant,
                      save_approximant)
 from .harness import ExperimentConfig, run_sweep, write_reports
-from .predictor import (eta_sum, fit_eta, iterated_integrals,
-                        predict_convolution, predict_fitted, _usable_etaP)
+from .predictor import predict_convolution, predict_fitted, realize_fitted
 from .signal import grid_size, load_spectrum, sample_grid, window_size
 from .taper import FAMILIES, TaperSpec
 
@@ -469,21 +468,27 @@ def synth_cmd(spec_path, t0, t1, dt, out):
     click.echo(f"wrote {out}  ({n} samples)")
 
 
-def _window_from(times, values, t1):
-    # the eta form starts at its window's first sample: the sample time
-    # nearest t1, which must lie within 1e-9 * max(1, |that time|) of it, so
-    # a t1 that is not a finite sample time (NaN, infinite) is refused here;
-    # its integrals need 3 samples from there on
-    hi = min(max(int(np.searchsorted(times, t1)), 1), len(times) - 1)
-    i0 = hi - 1 if abs(times[hi - 1] - t1) <= abs(times[hi] - t1) else hi
-    if not abs(times[i0] - t1) <= 1e-9 * max(1.0, abs(times[i0])):
-        if not times[0] <= t1 <= times[-1]:  # NaN included
+def _sample_index(times, t, name="t"):
+    # the index of the sample time nearest t, which must lie within
+    # 1e-9 * max(1, |that time|) of it, so a t that is not a finite sample
+    # time (NaN, infinite) is refused here, as name
+    hi = min(max(int(np.searchsorted(times, t)), 1), len(times) - 1)
+    i0 = hi - 1 if abs(times[hi - 1] - t) <= abs(times[hi] - t) else hi
+    if not abs(times[i0] - t) <= 1e-9 * max(1.0, abs(times[i0])):
+        if not times[0] <= t <= times[-1]:  # NaN included
             raise ValueError(
-                f"t={t1} lies outside the sample grid, which runs from "
+                f"{name}={t} lies outside the sample grid, which runs from "
                 f"{times[0]:g} to {times[-1]:g}")
         raise ValueError(
-            f"t={t1} does not lie on the sample grid: the nearest sample is "
-            f"{times[i0]:g} and the step is {times[hi] - times[hi - 1]:g}")
+            f"{name}={t} does not lie on the sample grid: the nearest sample "
+            f"is {times[i0]:g} and the step is {times[hi] - times[hi - 1]:g}")
+    return i0
+
+
+def _window_from(times, values, t1):
+    # the eta form starts at its window's first sample, t1's; its integrals
+    # need 3 samples from there on
+    i0 = _sample_index(times, t1)
     if len(times) - i0 < 3:
         raise ValueError(
             f"t1={t1} leaves fewer than 3 samples up to the last sample "
@@ -492,11 +497,12 @@ def _window_from(times, values, t1):
 
 
 def _fit_eta_from_samples(approx, times, values, t1, theta=None, dbar=None):
-    # (window times, window values, fit, extrapolation): with theta and
-    # dbar, fit-eta's constants (fit_eta); without them, predict's internal
-    # fit at d times up to the last sample, whose refusals name what predict
-    # sets (d, the record and --t1) and whose fit is predict_fitted's
-    # (prediction, cond) and the last fit time
+    # (window times up to theta, prediction there, fit): predict_fitted's
+    # fit at dbar times, and fit-eta's record of it (t1, ref_time, fit_span,
+    # c, residual, cond, extrapolation), which realize_fitted applies from
+    # the sample times t1 and ref_time.  Without theta and dbar, predict's
+    # internal fit at d times up to the last sample, whose refusals name
+    # what predict sets (d, the record and --t1)
     internal = dbar is None
     if internal:
         theta, dbar = float(times[-1]), approx.d
@@ -541,18 +547,21 @@ def _fit_eta_from_samples(approx, times, values, t1, theta=None, dbar=None):
     k = np.arange(dbar)
     idx = i_lo + k + np.rint((count - dbar) / 2.0 * (
         1.0 - np.cos(np.pi * k / (dbar - 1)))).astype(int)
-    fit_times = tw[idx]
-    zeta = np.interp(fit_times + T, times, values)
-    fit = ((*predict_fitted(approx, tw, vw, idx, zeta), float(fit_times[-1]))
-           if internal else fit_eta(approx, tw, vw, idx, zeta))
+    zeta = np.interp(tw[idx] + T, times, values)
+    # the observations end at theta, and so does the window fitted to them
+    n = int(np.searchsorted(tw, theta + 1e-9 * max(1.0, abs(theta)), "right"))
+    tw, vw = tw[:n], vw[:n]
+    y, c, (lo, hi), cond = predict_fitted(approx, tw, vw, idx, zeta)
     # |T_{d-1}| at theta, the fitted span mapped onto [-1, 1]: about the
     # factor by which carrying the fitted polynomial part to theta amplifies
     # the fit's residual
-    lo, hi = fit_times[0], fit_times[-1]
     x = (2.0 * theta - lo - hi) / (hi - lo)
     with np.errstate(over="ignore"):
         extrapolation = float(np.cosh((approx.d - 1) * np.arccosh(x)))
-    return tw, vw, fit, extrapolation
+    return tw, y, {"t1": t1, "ref_time": float(tw[len(tw) // 2]),
+                   "fit_span": [lo, hi], "c": c.tolist(),
+                   "residual": (y[idx] - zeta).tolist(), "cond": cond,
+                   "extrapolation": extrapolation}
 
 
 def _forecast(t_out, last):
@@ -584,15 +593,25 @@ def _writing(path, exit_code=1):
 
 
 def _read_eta(path):
-    # (t1, etaP, last fit time) from a fit-eta output, the last None in a
-    # file written before fit-eta recorded it; predict checks the numbers
+    # (t1, ref_time, fit_span, c) from a fit-eta output, refused unless c,
+    # fit_span and ref_time are finite and the span increases; predict
+    # checks them against the approximant and the record
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
-    t1, etaP = float(data["t1"]), np.asarray(data["etaP"], dtype=float)
-    last = data.get("last_fit_time")
-    if last is not None and not np.isfinite(last := float(last)):
-        raise ValueError(f"last_fit_time must be finite, got {last}")
-    return t1, etaP, last
+    if "etaP" in data:
+        raise ValueError("it holds etaP, the constants of an older fit-eta: "
+                         "rerun fit-eta to write c")
+    t1, ref_time = float(data["t1"]), float(data["ref_time"])
+    span = np.asarray(data["fit_span"], dtype=float)
+    c = np.asarray(data["c"], dtype=float)
+    if not (c.ndim == 1 and np.all(np.isfinite(c)) and np.isfinite(ref_time)):
+        raise ValueError("c must be a list of finite numbers and ref_time "
+                         "finite")
+    if not (span.shape == (2,) and np.all(np.isfinite(span))
+            and span[0] < span[1]):
+        raise ValueError(f"fit_span must be two finite, increasing times, "
+                         f"got {data['fit_span']}")
+    return t1, ref_time, (float(span[0]), float(span[1])), c
 
 
 @main.command("predict")
@@ -606,7 +625,7 @@ def _read_eta(path):
 @click.option("--history-length", type=float, default=None,
               help="Convolution window length L (default 10*T).")
 @click.option("--eta", "eta_path", type=click.Path(exists=True, dir_okay=False),
-              default=None, help="Reuse constants from a fit-eta output.")
+              default=None, help="Reuse the fit of a fit-eta output.")
 @click.option("--out", type=click.Path(dir_okay=False), required=True)
 def predict_cmd(approx_path, samples_path, mode, t1, history_length, eta_path,
                 out):
@@ -619,7 +638,7 @@ def predict_cmd(approx_path, samples_path, mode, t1, history_length, eta_path,
     if eta_path is not None and t1 is not None:
         raise click.ClickException(
             "--t1 does not apply with --eta, whose file fixes t1 and the "
-            "constants")
+            "fit")
     note = ""
     approx = _load(load_approximant, approx_path, "an approximant file")
     try:
@@ -630,26 +649,27 @@ def predict_cmd(approx_path, samples_path, mode, t1, history_length, eta_path,
             t_out = times[len(times) - len(y):]
         else:
             if eta_path is not None:
-                eta_t1, etaP, last = _load(_read_eta, eta_path,
-                                           "a fit-eta output")
+                eta_t1, ref_time, span, c = _load(_read_eta, eta_path,
+                                                  "a fit-eta output")
                 try:
+                    if c.shape != (approx.d,):
+                        raise ValueError(
+                            f"c must hold one coefficient per degree below "
+                            f"d = {approx.d}, not the {c.size} of a fit at "
+                            f"d = {c.size}")
                     t_out, vw = _window_from(times, values, eta_t1)
-                    etaP = _usable_etaP(etaP, approx.d)
+                    ref = _sample_index(t_out, ref_time, "ref_time")
                 except ValueError as exc:
                     raise ValueError(f"{eta_path}: {exc}") from exc
-                # predictions at the window's own samples take its levels
-                # whole
-                y = eta_sum(approx, iterated_integrals(
-                    t_out, vw, approx.d, approx.omega_gap, etaP))
-                if last is not None:
-                    note = f", forecast={_forecast(t_out, last)}"
+                y = realize_fitted(approx, t_out, vw, ref, c, span)
+                note = f", forecast={_forecast(t_out, span[1])}"
             else:
-                t_out, _, (y, cond, last), extrapolation = \
-                    _fit_eta_from_samples(approx, times, values,
-                                          float(times[0]) if t1 is None
-                                          else t1)
-                note = (f", forecast={_forecast(t_out, last)}, "
-                        f"cond={cond:.3e}, extrapolation={extrapolation:.3e}")
+                t_out, y, fit = _fit_eta_from_samples(
+                    approx, times, values,
+                    float(times[0]) if t1 is None else t1)
+                note = (f", forecast={_forecast(t_out, fit['fit_span'][1])}, "
+                        f"cond={fit['cond']:.3e}, "
+                        f"extrapolation={fit['extrapolation']:.3e}")
             tail = 0.0  # no truncated history: one zero for every row
     except ValueError as exc:
         raise click.ClickException(str(exc)) from exc
@@ -670,24 +690,21 @@ def predict_cmd(approx_path, samples_path, mode, t1, history_length, eta_path,
               help="Number of fit points (>= d; > d is least squares).")
 @click.option("--out", type=click.Path(dir_okay=False), required=True)
 def fit_eta_cmd(approx_path, samples_path, t1, theta, dbar, out):
-    """Estimate the constants etaP from observations on [t1, theta]."""
+    """Fit the polynomial the constants add from observations on
+    [t1, theta], for predict --eta."""
     approx = _load(load_approximant, approx_path, "an approximant file")
     try:
         times, values = _read_samples(samples_path)
-        tw, _, fit, extrapolation = _fit_eta_from_samples(
-            approx, times, values, t1, theta, dbar)
+        _, _, fit = _fit_eta_from_samples(approx, times, values, t1, theta,
+                                          dbar)
     except ValueError as exc:
         raise click.ClickException(str(exc)) from exc
-    payload = {"t1": float(tw[0]), "etaP": fit.etaP.tolist(),
-               "residual": fit.residual.tolist(), "cond": fit.cond,
-               "extrapolation": extrapolation,
-               "last_fit_time": fit.last_fit_time}
     with _writing(out), open(out, "w", encoding="utf-8",
                              newline="\n") as fh:
-        json.dump(payload, fh, indent=2)
+        json.dump(fit, fh, indent=2)
         fh.write("\n")
-    click.echo(f"wrote {out}  (dbar={dbar}, cond={fit.cond:.3e}, "
-               f"extrapolation={extrapolation:.3e})")
+    click.echo(f"wrote {out}  (dbar={dbar}, cond={fit['cond']:.3e}, "
+               f"extrapolation={fit['extrapolation']:.3e})")
 
 
 @main.command("eval")

@@ -11,12 +11,12 @@
   applied to x, and the prediction is sum_j sigma_j c_j z_j with
   z_j = y_j - P_j(0) x (the x terms cancel).  Exact levels are bounded by
   the spectrum's mass, so nothing cancels at any degree.  etaP_j =
-  (D^-1 y_j)(t1) comes from the spectrum (signal.exact_etaP) or from
-  observations (fit_eta).  Observations fix the prediction more directly:
-  the constants enter it only as a polynomial of degree < d in t - t1, so
-  predict_fitted adds to the prediction with etaP = 0 the polynomial that
-  interpolates the observations' misfit, stored in the Chebyshev basis on
-  the fit span.  Every eta path realizes at sample times only,
+  (D^-1 y_j)(t1) comes from the spectrum (signal.exact_etaP).  A record
+  alone fixes the prediction, not the constants: they enter it only as a
+  polynomial of degree < d in t - t1, so predict_fitted fits to the
+  observations' misfit the polynomial that realize_fitted adds to the
+  prediction with etaP = 0, stored as its Chebyshev coefficients on the
+  fit span.  Every eta path realizes at sample times only,
   through iterated_integrals, the one loop, and eta_sum.  Its integrals
   are Gregory's rule of order 6, Adams-Moulton increments with a 6-sample
   start-up (Hairer, Norsett & Wanner, Solving ODEs I, III.1); a record of
@@ -30,18 +30,14 @@
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass
-
 import numpy as np
 
 from .approx import Approximant
 from .signal import _chebyshev, grid_size
 
-__all__ = ["predict_convolution", "iterated_integrals", "eta_sum", "EtaFit",
-           "fit_eta", "predict_fitted"]
+__all__ = ["predict_convolution", "iterated_integrals", "eta_sum",
+           "realize_fitted", "predict_fitted"]
 
-COND_FLAG_THRESHOLD = 1e12
 # Gregory's rules as Adams-Moulton increments per unit step: order 6 on 6
 # samples or more, the first four increments from y_0..y_5; order 4 on 4 or
 # 5, the first two from y_0..y_3.  Each first row, reversed, is also every
@@ -174,8 +170,7 @@ def _usable_etaP(etaP, d, records=None):
                          f"of d = {d} per record, not {etaP.shape}")
     if records is None and etaP.shape != (d,):
         raise ValueError(f"etaP must have one entry per level above y_0 "
-                         f"(d = {d}), not the {etaP.size} of a fit at d = "
-                         f"{etaP.size}")
+                         f"(d = {d}), not {etaP.size}")
     if not np.all(np.isfinite(etaP)):
         raise ValueError("etaP must be finite")
     return etaP
@@ -232,82 +227,51 @@ def eta_sum(approx: Approximant, levels) -> np.ndarray:
     return approx.weights @ levels[:approx.d + 1]
 
 
-@dataclass(frozen=True, eq=False)
-class EtaFit:
-    etaP: np.ndarray
-    residual: np.ndarray
-    cond: float
-    # times[idx[-1]]: the prediction at later samples extrapolates the fit
-    last_fit_time: float
+def _phi_and_basis(approx, times, values, ref, span):
+    # (phi, basis): the prediction with etaP = 0 from times[ref] and
+    # T_0..T_{d-1} on the fit span mapped onto [-1, 1], one row per degree
+    d = approx.d
+    phi = eta_sum(approx, iterated_integrals(times, values, d,
+                                             approx.omega_gap, np.zeros(d),
+                                             ref))
+    lo, hi = span
+    return phi, _chebyshev((2.0 * times - (lo + hi)) / (hi - lo), d - 1)
 
 
-def fit_eta(approx: Approximant, times, values, idx, zeta) -> EtaFit:
-    """Estimate the constants etaP from observations zeta at the samples idx
-    of the sampled window (times, values), zeta_m = x(times[idx_m] + T)
-    when that lies within the record.  idx holds at least d strictly
-    increasing indices past the first sample and zeta one value per index;
-    the caller picks both.
-
-    The prediction is phi + sum_l etaP_l R_l: phi the recurrence's with
-    etaP = 0, R_l its response to a unit etaP_l.  On a zero record that
-    response is the one to etaP_0, U, moved up l levels and doubled for
-    l >= 1, so one more pass gives R_l = s_l sum_k sigma_{l+k} c_{l+k} U_k,
-    s_0 = 1 and s_l = 2.  Both passes stop at the last fit sample, or at the
-    6th (Gregory's rule is prefix-exact from its order-6 start-up's 6 samples
-    on).  R etaP = zeta - phi is solved in least squares (exactly when
-    square), columns norm-equilibrated; the condition estimate is reported
-    and warned of above 1e12, and constants that are not finite are
-    refused."""
-    d, omega = approx.d, approx.omega_gap
-    n = max(idx[-1] + 1, _GREGORY[0].shape[1])
-    times, values = times[:n], values[:n]
-
-    weights = approx.weights
-    rhs = zeta - weights @ iterated_integrals(times, values, d, omega,
-                                              np.zeros(d))[:, idx]
-    U = iterated_integrals(times, np.zeros(len(times)), d, omega,
-                           np.eye(d)[0])[1:, idx]
-    M = np.stack([weights[l + 1:] @ U[:d - l] for l in range(d)], axis=1)
-    M[:, 1:] *= 2.0
-
-    scale = np.linalg.norm(M, axis=0)
-    scale[scale == 0.0] = 1.0
-    etaP, _, rank, sv = np.linalg.lstsq(M / scale, rhs, rcond=None)
-    etaP = etaP / scale
-    cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else np.inf
-    if rank < d or cond > COND_FLAG_THRESHOLD:
-        warnings.warn(
-            f"eta fit is near-singular (cond ~ {cond:.2e}): the constants are "
-            "ill-determined in the R_l basis, though the prediction they give "
-            "may still be accurate; predict without --eta fits that "
-            "prediction's polynomial part in a well-conditioned basis",
-            RuntimeWarning, stacklevel=2)
-    residual = M @ etaP - rhs
-    return EtaFit(etaP=_usable_etaP(etaP, d), residual=residual, cond=cond,
-                  last_fit_time=float(times[idx[-1]]))
+def realize_fitted(approx: Approximant, times, values, ref, c, span):
+    """The fitted prediction at every sample of the window (times, values):
+    phi, the prediction with etaP = 0 from times[ref], plus the polynomial
+    c @ T(u) of degree < d, T_0..T_{d-1} on the fit span (lo, hi) mapped
+    onto [-1, 1], as predict_fitted fits it.  On a longer window from the
+    same first sample, the same c, span and sample time of ref give the
+    same levels bit for bit (Gregory's rule is prefix-exact), and so the
+    same prediction but in the last few rows of the shorter window, which
+    the matrix-vector products may round in BLAS's remainder loop: by a few
+    ulps of phi."""
+    y, basis = _phi_and_basis(approx, times, values, ref, span)
+    y += c @ basis
+    return y
 
 
 def predict_fitted(approx: Approximant, times, values, idx, zeta):
-    """(y, cond): the prediction at every sample of the window (times,
-    values) fitted to observations zeta at its samples idx (as fit_eta
-    takes them), and the condition number of the fit.
+    """(y, c, span, cond): the prediction at every sample of the window
+    (times, values) fitted to observations zeta at its strictly increasing
+    samples idx, zeta_m = x(times[idx_m] + T), realized as realize_fitted
+    realizes it from the window's middle sample; the Chebyshev coefficients
+    c of its polynomial part, the fit span (times[idx[0]], times[idx[-1]])
+    and the condition number of the fit.
 
     The constants add to phi, the prediction with etaP = 0, a polynomial of
-    degree < d in t - t1 (the R_l of fit_eta span those), and so does moving
-    t1, so the fit is of that polynomial, not of the constants: one pass for
-    phi from the window's middle sample, where its levels grow like
-    (2 omega_gap |t - t1|)^j / j! over half the window instead of all of it,
-    and the polynomial through zeta - phi[idx] (in least squares for more
-    than d samples) in the Chebyshev basis T_0..T_{d-1} on the fit span
-    [times[idx[0]], times[idx[-1]]] mapped onto [-1, 1].  At samples
-    spread like Chebyshev extreme points its cond is about 1.5, where the
-    constants' grows past 1e16 by d = 24."""
-    d = approx.d
-    y = eta_sum(approx, iterated_integrals(times, values, d, approx.omega_gap,
-                                           np.zeros(d), len(times) // 2))
-    lo, hi = times[idx[0]], times[idx[-1]]
-    cheb = _chebyshev((2.0 * times - (lo + hi)) / (hi - lo), d - 1)
-    coef, _, _, sv = np.linalg.lstsq(cheb[:, idx].T, zeta - y[idx],
-                                     rcond=None)
-    y += coef @ cheb
-    return y, float(sv[0] / sv[-1]) if sv[-1] > 0 else np.inf
+    degree < d in t - t1, and so does moving t1, so the fit is of that
+    polynomial, not of the constants: one pass for phi from the window's
+    middle sample, where its levels grow like (2 omega_gap |t - t1|)^j / j!
+    over half the window instead of all of it, and the polynomial through
+    zeta - phi[idx] (in least squares for more than d samples) in the
+    Chebyshev basis on the fit span.  At samples spread like Chebyshev
+    extreme points its cond is about 1.5, where the constants' grows past
+    1e16 by d = 24."""
+    span = (float(times[idx[0]]), float(times[idx[-1]]))
+    y, basis = _phi_and_basis(approx, times, values, len(times) // 2, span)
+    c, _, _, sv = np.linalg.lstsq(basis[:, idx].T, zeta - y[idx], rcond=None)
+    y += c @ basis
+    return y, c, span, float(sv[0] / sv[-1]) if sv[-1] > 0 else np.inf

@@ -16,8 +16,8 @@ import numpy as np
 import pytest
 
 from gap_predict.approx import CERT_DENSITY, fit_approximant
-from gap_predict.predictor import (eta_sum, fit_eta, iterated_integrals,
-                                   predict_convolution)
+from gap_predict.predictor import (eta_sum, iterated_integrals,
+                                   predict_convolution, predict_fitted)
 from gap_predict.signal import (SpectrumSpec, epsilon1, exact_etaP,
                                 sample_grid, select_nu)
 from gap_predict.taper import TaperSpec, eval_taper
@@ -251,32 +251,38 @@ def test_criterion_6_fit_eta_round_trip():
         times = h * np.arange(n)
         values = sample_grid(spec, 0.0, h, n)
 
+        # observations of phi, the prediction with etaP = 0 from the middle
+        # sample, plus a known polynomial in the Chebyshev basis on the fit
+        # span: the samples at 0.5, 1.7, ..., 6.5
         rng = np.random.default_rng(7)
-        eta_true = rng.standard_normal(d)
-        # the samples at 0.5, 1.7, ..., 6.5
+        c_true = rng.standard_normal(d)
         idx = np.arange(5000, 65001, 12000)
-        zeta = predict_eta(approx, eta_true, times, values, times[idx])
-        fit = fit_eta(approx, times, values, idx, zeta)
-        rel = float(np.max(np.abs(fit.etaP - eta_true))
-                    / np.max(np.abs(eta_true)))
-        resid_rel = float(np.max(np.abs(fit.residual)) / np.linalg.norm(zeta))
-        assert rel <= 1e-8
+        phi = eta_sum(approx, iterated_integrals(times, values, d, 1.0,
+                                                 np.zeros(d), n // 2))
+        u = (2.0 * times[idx] - (0.5 + 6.5)) / (6.5 - 0.5)
+        zeta = phi[idx] + np.polynomial.chebyshev.chebval(u, c_true)
+        y, c, span, cond = predict_fitted(approx, times, values, idx, zeta)
+        rel = float(np.max(np.abs(c - c_true)) / np.max(np.abs(c_true)))
+        resid_rel = float(np.max(np.abs(y[idx] - zeta))
+                          / np.linalg.norm(zeta))
+        assert span == (0.5, 6.5) and cond < 10
+        assert rel <= 1e-10
         assert resid_rel <= 1e-10
 
         # overdetermined fit against true future observations of the tone,
         # at 12 evenly spread samples
         idx12 = np.rint(np.linspace(5000, 65000, 12)).astype(int)
         zeta12 = np.array([sample(spec, tm + 1.0) for tm in times[idx12]])
-        fit12 = fit_eta(approx, times, values, idx12, zeta12)
+        y12, _, _, _ = predict_fitted(approx, times, values, idx12, zeta12)
         r_tone = float(eval_taper(GAUSS03, 2.0))
         bound_tones = 2.0 * 1.0 * (abs(1.0 - r_tone) + approx.eps2)
-        max_resid12 = float(np.max(np.abs(fit12.residual)))
+        max_resid12 = float(np.max(np.abs(y12[idx12] - zeta12)))
         assert max_resid12 <= bound_tones
     report("criterion 6 (eta fit round trip)",
-           f"square recovery rel err {rel:.2e} <= 1e-8, residual "
-           f"{resid_rel:.2e}||zeta|| <= 1e-10||zeta||; overdetermined "
-           f"residual {max_resid12:.3e} <= tone bound {bound_tones:.3e}",
-           budget)
+           f"polynomial recovery rel err {rel:.2e} <= 1e-10 (cond "
+           f"{cond:.3f}), residual {resid_rel:.2e}||zeta|| <= "
+           f"1e-10||zeta||; overdetermined residual {max_resid12:.3e} <= "
+           f"tone bound {bound_tones:.3e}", budget)
 
 
 def test_criterion_7_epsilon1_machinery():

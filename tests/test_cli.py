@@ -60,6 +60,13 @@ def invoke(runner, args):
     return result
 
 
+def eta_file(**keys):
+    """A fit-eta output for a d = 4 approximant on a tone record on
+    [-12, 8] from t1 = 0 with theta = 8, the given keys replaced."""
+    return {"t1": 0.0, "ref_time": 4.0, "fit_span": [0.1, 7.0],
+            "c": [0.0] * 4, **keys}
+
+
 class TestApproxCommand:
     def test_stdout_json(self, runner):
         result = invoke(runner, ["approx", "--T", "1.0", "--omega", "1.0",
@@ -455,9 +462,11 @@ class TestPredictPipeline:
                                  "--dbar", "8", "--out", str(eta_path)])
         assert result.exit_code == 0
         payload = json.loads(eta_path.read_text())
-        assert len(payload["etaP"]) == 4 and "eta" not in payload
-        assert len(payload["residual"]) == 8
-        assert payload["cond"] > 0
+        assert list(payload) == ["t1", "ref_time", "fit_span", "c",
+                                 "residual", "cond", "extrapolation"]
+        assert len(payload["c"]) == 4 and len(payload["residual"]) == 8
+        assert payload["t1"] == 0.0 and payload["ref_time"] == 4.0
+        assert payload["fit_span"][1] == 7.0 and payload["cond"] > 0
         out = tmp_path / "pred_reuse.csv"
         result = invoke(runner, ["predict", "--approx", str(approx_path),
                                  "--samples", str(samples_path),
@@ -467,7 +476,8 @@ class TestPredictPipeline:
         assert out.exists()
 
         # a square fit up to the record's last sample, reused through --eta,
-        # gives the prediction that predict's internal fit builds
+        # writes the bytes of predict's internal fit: the same fit, realized
+        # by the same code
         square_path = tmp_path / "eta_square.json"
         reused = tmp_path / "pred_square_reuse.csv"
         internal = tmp_path / "pred_internal.csv"
@@ -484,26 +494,20 @@ class TestPredictPipeline:
                                      *args[1:]])
             assert result.exit_code == 0
             lines.append(result.output.strip())
-        # the same in exact arithmetic, but the internal fit fits the
-        # polynomial the constants add, not the constants, so the two share
-        # no arithmetic: they differ by at most 2.8e-13 here
-        a, b = (np.loadtxt(path, delimiter=",", skiprows=1)
-                for path in (reused, internal))
-        assert np.array_equal(a[:, [0, 2]], b[:, [0, 2]])
-        assert np.abs(a[:, 1] - b[:, 1]).max() <= 5e-12
-        # the internal fit reports the condition number of its own system,
-        # near 1.5 where the constants' is 62, and fit-eta's extrapolation
-        # factor
+        assert reused.read_bytes() == internal.read_bytes()
+        # both report the one fit's condition number, near 1.5, and its
+        # extrapolation factor
         cond, factor = lines[0].split(", cond=")[1].rstrip(")").split(
             ", extrapolation=")
-        assert float(cond) > 0 and float(factor) >= 1
+        assert float(factor) >= 1
         assert lines[1] == (f"wrote {reused}  (8001 predictions, mode=eta, "
                             "forecast=1000)")
         head, note = lines[2].split(", cond=")
         assert head == (f"wrote {internal}  (8001 predictions, mode=eta, "
                         "forecast=1000")
         own_cond, own_factor = note.rstrip(")").split(", extrapolation=")
-        assert 1.0 <= float(own_cond) < 2.0 and own_factor == factor
+        assert 1.0 <= float(cond) < 2.0
+        assert own_cond == cond and own_factor == factor
 
     def test_fit_eta_refuses_theta_past_the_record(self, runner, workspace):
         # observations past the last sample (t = 8) would be the last
@@ -579,7 +583,7 @@ class TestPredictPipeline:
         # a window from t1 = 8 or 7.999 holds 1 or 2 samples of the record
         tmp_path, approx_path, samples_path = workspace
         eta_path = tmp_path / "eta.json"
-        eta_path.write_text(json.dumps({"t1": t1, "etaP": [0.0] * 4}))
+        eta_path.write_text(json.dumps(eta_file(t1=t1, ref_time=t1)))
         out = tmp_path / "pred.csv"
         extra = (["--eta", str(eta_path)] if route == "eta-file"
                  else ["--t1", str(t1)])
@@ -622,16 +626,42 @@ class TestPredictPipeline:
         assert "theta" not in result.output
         assert not out.exists()
 
+    NAN, INF = float("nan"), float("inf")
+
     @pytest.mark.parametrize("payload, message", [
-        ({"t1": 0.0, "etaP": [0.0] * 8}, "etaP must have one entry per level "
-         "above y_0 (d = 4), not the 8 of a fit at d = 8"),
-        ({"t1": 0.0, "etaP": [0.0, float("nan"), 0.0, 0.0]},
-         "etaP must be finite"),
-        ({"t1": 3.00005, "etaP": [0.0] * 4}, "t=3.00005 does not lie on the "
-         "sample grid: the nearest sample is 3 and the step is 0.001"),
-    ], ids=["another-degree", "nan", "off-lattice-t1"])
+        (eta_file(c=[0.0] * 8), "{path}: c must hold one coefficient per "
+         "degree below d = 4, not the 8 of a fit at d = 8"),
+        (eta_file(c=[0.0, NAN, 0.0, 0.0]), "{path} is not a fit-eta output "
+         "(ValueError: c must be a list of finite numbers and ref_time "
+         "finite)"),
+        (eta_file(t1=3.00005), "{path}: t=3.00005 does not lie on the sample "
+         "grid: the nearest sample is 3 and the step is 0.001"),
+        ({"t1": 0.0, "etaP": [0.0] * 4}, "{path} is not a fit-eta output "
+         "(ValueError: it holds etaP, the constants of an older fit-eta: "
+         "rerun fit-eta to write c)"),
+        (eta_file(ref_time=INF), "(ValueError: c must be a list of finite "
+         "numbers and ref_time finite)"),
+        (eta_file(fit_span=[0.1, NAN]), "{path} is not a fit-eta output "
+         "(ValueError: fit_span must be two finite, increasing times, got "
+         "[0.1, nan])"),
+        (eta_file(fit_span=[7.0, 0.1]), "fit_span must be two finite, "
+         "increasing times, got [7.0, 0.1]"),
+        (eta_file(fit_span=[0.1, 3.0, 7.0]), "fit_span must be two finite, "
+         "increasing times"),
+        (eta_file(ref_time=3.00005), "{path}: ref_time=3.00005 does not lie "
+         "on the sample grid: the nearest sample is 3 and the step is 0.001"),
+        (eta_file(t1=2.0, ref_time=1.0), "{path}: ref_time=1.0 lies outside "
+         "the sample grid, which runs from 2 to 8"),
+        (eta_file(ref_time=9.0), "{path}: ref_time=9.0 lies outside the "
+         "sample grid, which runs from 0 to 8"),
+    ], ids=["another-degree", "nan", "off-lattice-t1", "older-fit-eta",
+            "infinite-ref-time", "nan-span", "falling-span", "long-span",
+            "off-lattice-ref-time", "ref-time-before-t1",
+            "ref-time-past-the-record"])
     def test_predict_names_a_refused_eta_file(self, runner, workspace,
                                               payload, message):
+        # a refused file is named, and a file written by an older fit-eta,
+        # which held the constants etaP, is refused with the way forward
         tmp_path, approx_path, samples_path = workspace
         eta_path = tmp_path / "e.json"
         eta_path.write_text(json.dumps(payload))  # writes NaN
@@ -641,7 +671,8 @@ class TestPredictPipeline:
                                  "--mode", "eta", "--eta", str(eta_path),
                                  "--out", str(out)])
         assert result.exit_code == 1
-        assert f"{eta_path}: {message}" in result.output
+        assert message.format(path=eta_path) in result.output
+        assert str(eta_path) in result.output
         assert "Traceback" not in result.output
         assert not out.exists()
 
@@ -655,7 +686,7 @@ class TestPredictPipeline:
                                               extra, option):
         tmp_path, approx_path, samples_path = workspace
         eta_path = tmp_path / "eta.json"
-        eta_path.write_text(json.dumps({"t1": 0.0, "etaP": [0.0] * 4}))
+        eta_path.write_text(json.dumps(eta_file()))
         out = tmp_path / "pred.csv"
         result = invoke(runner, [
             "predict", "--approx", str(approx_path), "--samples",
@@ -886,8 +917,8 @@ class TestPredictPipeline:
         forecast = int(result.output.split(", forecast=")[1].split(",")[0])
         t = np.loadtxt(out, delimiter=",", skiprows=1)[:, 0]
         assert forecast == np.count_nonzero(t > 7.0 + 1e-9) == 1000
-        # fit-eta records its last fit time, 7 with theta = 8, and predict
-        # --eta counts the same rows from it
+        # fit-eta records its fit span, which ends at 7 with theta = 8, and
+        # predict --eta counts the same rows from it
         eta_path = tmp_path / "eta.json"
         result = invoke(runner, ["fit-eta", "--approx", str(approx_path),
                                  "--samples", str(samples_path), "--t1", t1,
@@ -895,32 +926,24 @@ class TestPredictPipeline:
                                  "--out", str(eta_path)])
         assert result.exit_code == 0
         payload = json.loads(eta_path.read_text())
-        assert payload["last_fit_time"] == pytest.approx(7.0, abs=1e-9)
+        assert payload["fit_span"][1] == pytest.approx(7.0, abs=1e-9)
         result = invoke(runner, ["predict", "--approx", str(approx_path),
                                  "--samples", str(samples_path), "--mode",
                                  "eta", "--eta", str(eta_path),
                                  "--out", str(out)])
         assert result.exit_code == 0
         assert result.output.strip().endswith(", forecast=1000)")
-        # a file written before fit-eta recorded the time prints no forecast
-        del payload["last_fit_time"]
+        # and a span end that is not finite is refused, naming the file
+        payload["fit_span"][1] = float("inf")
         eta_path.write_text(json.dumps(payload))
-        result = invoke(runner, ["predict", "--approx", str(approx_path),
-                                 "--samples", str(samples_path), "--mode",
-                                 "eta", "--eta", str(eta_path),
-                                 "--out", str(out)])
-        assert result.exit_code == 0
-        assert result.output.strip().endswith(" predictions, mode=eta)")
-        # and a time that is not finite is refused, naming the file
-        eta_path.write_text(json.dumps({**payload,
-                                        "last_fit_time": float("inf")}))
         result = invoke(runner, ["predict", "--approx", str(approx_path),
                                  "--samples", str(samples_path), "--mode",
                                  "eta", "--eta", str(eta_path),
                                  "--out", str(out)])
         assert result.exit_code == 1
         assert (f"{eta_path} is not a fit-eta output (ValueError: "
-                "last_fit_time must be finite, got inf)") in result.output
+                "fit_span must be two finite, increasing times, got ["
+                ) in result.output
 
     def test_conv_mode_rejects_too_few_samples(self, runner, workspace):
         tmp_path, approx_path, _ = workspace
@@ -941,23 +964,20 @@ class TestEtaFitSamples:
 
     @staticmethod
     def fit_indices(monkeypatch, times, theta, dbar):
-        # the indices _fit_eta_from_samples hands fit_eta on a tone record
-        # from its first sample, at d = 4 and T = 1
-        seen, fit_eta = [], cli.fit_eta
+        # the indices _fit_eta_from_samples hands predict_fitted on a tone
+        # record from its first sample, at d = 4 and T = 1
+        seen, fitted = [], cli.predict_fitted
 
         def recording(approx, times, values, idx, zeta):
             seen.append(np.array(idx))
-            return fit_eta(approx, times, values, idx, zeta)
+            return fitted(approx, times, values, idx, zeta)
 
-        monkeypatch.setattr(cli, "fit_eta", recording)
+        monkeypatch.setattr(cli, "predict_fitted", recording)
         ap = approx.fit_approximant(1.0, 1.0, taper.TaperSpec("gaussian", 0.3),
                                     4)
         values = np.cos(2.0 * times)
-        with warnings.catch_warnings():
-            # the rule, not the fit's conditioning, is under test here
-            warnings.simplefilter("ignore", RuntimeWarning)
-            cli._fit_eta_from_samples(ap, times, values, float(times[0]),
-                                      theta, dbar)
+        cli._fit_eta_from_samples(ap, times, values, float(times[0]), theta,
+                                  dbar)
         return seen[0]
 
     @pytest.mark.parametrize("dbar", [4, 5, 17, 60, 90, 91])
@@ -1069,28 +1089,95 @@ class TestEtaFitSamples:
             fit_times, zeta - np.interp(fit_times, t, phi), d - 1)
         assert np.abs(y - phi - poly(t)).max() <= 1e-12 * np.abs(y - phi).max()
 
+    @pytest.mark.parametrize("d", [8, 16, 24, 32])
+    @pytest.mark.parametrize("record", ["tone", "bump"])
+    def test_fit_eta_then_predict_eta_is_predict(self, runner, tmp_path,
+                                                 record, d):
+        # fit-eta at d fit times up to the last sample, applied by predict
+        # --eta, writes the bytes of predict's internal fit, with no warning
+        # at any d (the constants' solve had cond 6e12 to 6e18 from d = 16
+        # on the tone record); applied to the record run 500 samples
+        # further, the same file writes the fitted record's rows.  The tone
+        # record is demo_tone on [-12, 8] at 1e-3 from t1 = 0, the bump
+        # record the one above from its first sample
+        if record == "tone":
+            n, t0, t1 = 20001, -12.0, 0.0
+            spec = load_spectrum(os.path.join(CONFIG_DIR, "demo_tone.json"))
+            x = signal.sample_grid(spec, t0, 1e-3, n + 500)
+            samples_path = tmp_path / "x.csv"
+            approx_path = tmp_path / "ap.json"
+            _write_csv(samples_path, "t,x", t0 + 1e-3 * np.arange(n), x[:n])
+            approx.save_approximant(approx.fit_approximant(
+                1.0, 1.0, taper.TaperSpec("gaussian", 0.3), d), approx_path)
+        else:
+            n, t0 = self.N, -10.0
+            t1 = t0
+            samples_path, approx_path, x = self.bump_record(tmp_path, d)
+        longer = tmp_path / "longer.csv"
+        _write_csv(longer, "t,x", t0 + 1e-3 * np.arange(n + 500), x[:n + 500])
+        theta = repr(t0 + 1e-3 * (n - 1))  # the last sample time, as written
+        eta_path = tmp_path / "eta.json"
+        out = {name: tmp_path / f"{name}.csv"
+               for name in ("internal", "reused", "longer")}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for args in (
+                    ["predict", samples_path, "--mode", "eta", "--t1", t1,
+                     "--out", out["internal"]],
+                    ["fit-eta", samples_path, "--t1", t1, "--theta", theta,
+                     "--dbar", d, "--out", eta_path],
+                    ["predict", samples_path, "--mode", "eta", "--eta",
+                     eta_path, "--out", out["reused"]],
+                    ["predict", longer, "--mode", "eta", "--eta", eta_path,
+                     "--out", out["longer"]]):
+                result = invoke(runner, [args[0], "--approx", str(approx_path),
+                                         "--samples", *map(str, args[1:])])
+                assert result.exit_code == 0, result.output
+        assert json.loads(eta_path.read_text())["cond"] < 2
+        assert out["reused"].read_bytes() == out["internal"].read_bytes()
+        rows = out["internal"].read_bytes().splitlines()
+        longer_rows = out["longer"].read_bytes().splitlines()[:-500]
+        # the levels are prefix-exact (Gregory's rule), so every row is the
+        # same bytes but the last few: a matrix-vector product sums the
+        # levels, and BLAS may round a product's last rows in a remainder
+        # loop, in another order than the same rows inside a longer one.
+        # Those agree to a few ulps of phi, the prediction with etaP = 0
+        # (3.7e-9 of its 3.2e7 at d = 32 on the bump record)
+        assert longer_rows[:-16] == rows[:-16]
+        tail = np.array([[float(r.split(b",")[1]) for r in lines[-16:]]
+                         for lines in (rows, longer_rows)])
+        ap = approx.load_approximant(approx_path)
+        i1 = int(round((t1 - t0) / 1e-3))
+        tw = t0 + 1e-3 * np.arange(i1, n)
+        phi = predictor.eta_sum(ap, predictor.iterated_integrals(
+            tw, x[i1:n], d, 1.0, np.zeros(d), len(tw) // 2))
+        assert np.abs(tail[0] - tail[1]).max() <= 1e-15 * np.abs(phi).max()
+
     def test_one_pass_and_no_constants(self, runner, tmp_path, monkeypatch):
-        # predict without --eta runs the recurrence once and fits no
-        # constants
+        # predict without --eta makes one fit, which runs the recurrence
+        # once with zero constants
         samples_path, approx_path, _ = self.bump_record(tmp_path, 8)
         passes, integrals = [], predictor.iterated_integrals
+        fits, fitted = [], cli.predict_fitted
 
         def counting(*args, **kwargs):
-            passes.append(args[2])
+            passes.append((args[2], np.array(args[4])))
             return integrals(*args, **kwargs)
 
-        def no_constants(*args, **kwargs):
-            raise AssertionError("fit_eta called")
+        def recording(*args):
+            fits.append(len(args[3]))
+            return fitted(*args)
 
-        for module in (cli, predictor):
-            monkeypatch.setattr(module, "iterated_integrals", counting)
-            monkeypatch.setattr(module, "fit_eta", no_constants)
+        monkeypatch.setattr(predictor, "iterated_integrals", counting)
+        monkeypatch.setattr(cli, "predict_fitted", recording)
         result = invoke(runner, ["predict", "--approx", str(approx_path),
                                  "--samples", str(samples_path),
                                  "--mode", "eta",
                                  "--out", str(tmp_path / "pred.csv")])
         assert result.exit_code == 0
-        assert passes == [8]
+        assert fits == [8]
+        (d, etaP), = passes
+        assert d == 8 and not np.any(etaP)
 
 
 def test_write_csv_matches_per_value_format(tmp_path):
@@ -1645,30 +1732,33 @@ class TestRejectsNonFinite:
     def test_predict_eta_file(self, runner, files, value):
         tmp_path, approx_path, samples_path = files
         eta_path = tmp_path / "eta.json"
-        eta_path.write_text(json.dumps(
-            {"t1": 0.0, "etaP": [0.1, float(value), 0.2, 0.3]}))
+        eta_path.write_text(json.dumps(eta_file(c=[0.1, float(value), 0.2,
+                                                   0.3])))
         output = self.predict(runner, approx_path, samples_path, "eta",
                               "--eta", str(eta_path))
-        assert "etaP must be finite" in output
+        assert "c must be a list of finite numbers" in output
 
     @pytest.mark.parametrize("eta", [[0.1, 0.2, 0.3], [0.1, 0.2, 0.3, 0.4,
                                                    0.5]], ids=["d-1", "d+1"])
     def test_predict_eta_file_of_another_length(self, runner, files, eta):
         tmp_path, approx_path, samples_path = files
         eta_path = tmp_path / "eta.json"
-        eta_path.write_text(json.dumps({"t1": 0.0, "etaP": eta}))
+        eta_path.write_text(json.dumps(eta_file(c=eta)))
         output = self.predict(runner, approx_path, samples_path, "eta",
                               "--eta", str(eta_path))
-        assert "etaP must have one entry per level above y_0 (d = 4)" in output
+        assert (f"{eta_path}: c must hold one coefficient per degree below "
+                f"d = 4, not the {len(eta)} of a fit at d = {len(eta)}"
+                in output)
         assert "Traceback" not in output
 
     @pytest.mark.parametrize("payload", [
-        {"etaP": [0.1, 0.2, 0.3, 0.4]},
-        {"t1": 0.0},
-        [0.0, [0.1, 0.2, 0.3, 0.4]],
+        {k: v for k, v in eta_file().items() if k != "t1"},
+        {k: v for k, v in eta_file().items() if k != "c"},
+        list(eta_file().values()),
         {"t1": 0.0, "eta": [0.1, 0.2, 0.3, 0.4]},
     ], ids=["missing_t1", "missing_eta", "list", "monomial_constants"])
     def test_predict_eta_file_layout(self, runner, files, payload):
+        # "missing_eta": a file without the fit's coefficients c;
         # "monomial_constants": a fit-eta file written before the recurrence,
         # whose constants under "eta" belong to the monomial form
         tmp_path, approx_path, samples_path = files

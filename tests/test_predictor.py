@@ -1,6 +1,6 @@
-import contextlib
 import math
 import re
+import warnings
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -10,8 +10,9 @@ from scipy.integrate import cumulative_trapezoid, simpson
 
 from gap_predict import cli
 from gap_predict.approx import Approximant, fit_approximant
-from gap_predict.predictor import (_gregory_weights, eta_sum, fit_eta,
-                                   iterated_integrals, predict_convolution)
+from gap_predict.predictor import (_gregory_weights, eta_sum,
+                                   iterated_integrals, predict_convolution,
+                                   predict_fitted, realize_fitted)
 from gap_predict.signal import SpectrumSpec, exact_etaP, sample_grid
 from gap_predict.taper import TaperSpec
 
@@ -674,6 +675,10 @@ class TestEtaPrediction:
 
 
 class TestFitEta:
+    """predict_fitted, the eta fit: the polynomial of degree < d that the
+    constants add to phi, the prediction with etaP = 0, fitted to the
+    observations in the Chebyshev basis on the fit span."""
+
     def setup_method(self):
         self.spec = SpectrumSpec.from_tones(1.0, [(2.0, 1.0)])
         self.approx = fit_approximant(1.0, 1.0, GAUSS03, 6)
@@ -683,59 +688,88 @@ class TestFitEta:
         self.values = sample_grid(self.spec, 0.0, h, n)
 
     def fit(self, idx, zeta, approx=None, values=None):
-        return fit_eta(self.approx if approx is None else approx, self.times,
-                       self.values if values is None else values, idx, zeta)
+        return predict_fitted(self.approx if approx is None else approx,
+                              self.times,
+                              self.values if values is None else values, idx,
+                              zeta)
 
     def test_round_trip_recovers_eta(self):
+        # observations of the prediction with constants eta_true, fitted at
+        # d samples, give that prediction at every sample of the window: the
+        # polynomial the constants add comes back, from another reference
+        # sample than theirs
         rng = np.random.default_rng(42)
         eta_true = rng.standard_normal(6)
-        state = eta_window(self.approx, self.times, self.values, eta_true)
+        truth = eta_sum(self.approx, eta_window(self.approx, self.times,
+                                                self.values, eta_true).z)
         idx = np.arange(5000, 65001, 12000)
-        zeta = eta_sum(self.approx, state.z[:, idx])
-        fit = self.fit(idx, zeta)
-        assert np.max(np.abs(fit.etaP - eta_true)) <= 1e-8 * np.max(np.abs(eta_true))
-        assert np.max(np.abs(fit.residual)) <= 1e-10 * np.linalg.norm(zeta)
-        assert fit.cond < 1e12
-        # the fitted constants themselves reproduce the observations
-        refit = eta_window(self.approx, self.times, self.values, fit.etaP)
-        assert (np.max(np.abs(eta_sum(self.approx, refit.z[:, idx]) - zeta))
-                <= 1e-10 * np.linalg.norm(zeta))
+        y, c, span, cond = self.fit(idx, truth[idx])
+        assert np.abs(y - truth).max() <= 1e-10 * np.abs(truth).max()
+        assert span == (0.5, 6.5) and c.shape == (6,) and cond < 10
 
     @pytest.mark.parametrize("d", [2, 6, 12, 32])
     def test_responses_are_the_forward_recurrences(self, d):
-        # the shifted response to each unit constant is the forward
-        # recurrence's: a zero record predicted with etaP = e_l is fitted
-        # back to e_l, at evenly strided samples and at the samples nearest
-        # evenly spaced indices; at d = 32 the fit is near-singular (cond
-        # ~1e16, warned) and the error is 1.4e-11 of cond
+        # the response to a unit constant on a zero record, the forward
+        # recurrence from t1 = 0, is a polynomial of degree < d; fitted at d
+        # samples spread like Chebyshev extreme points on [0.5, 6] it comes
+        # back at every sample of that span, with no warning, to a few ulps
+        # of cond (past the span, |T_{d-1}| amplifies those ulps: by 1e15 at
+        # t = 8 for d = 32); the constants' own solve had cond ~1e16 there
         approx = random_approx(d, np.random.default_rng(d), gap=1.1)
         zeros = np.zeros_like(self.times)
-        with (pytest.warns(RuntimeWarning, match="near-singular") if d == 32
-              else contextlib.nullcontext()):
-            for idx in (np.arange(5000, 60000, 55000 // d)[:d],
-                        np.rint(np.linspace(5500, 60500, d)).astype(int)):
-                for l in range(d):
-                    unit = np.eye(d)[l]
-                    zeta = eta_sum(approx, eta_window(
-                        approx, self.times, zeros, unit).z[:, idx])
-                    fit = self.fit(idx, zeta, approx=approx, values=zeros)
-                    assert np.abs(fit.etaP - unit).max() < 1e-9 * fit.cond, l
+        k = np.arange(d)
+        idx = 5000 + np.rint(27500.0 * (1.0 - np.cos(np.pi * k / (d - 1)))
+                             ).astype(int)
+        span = slice(idx[0], idx[-1] + 1)
+        for l in sorted({0, 1, d - 1}):
+            response = eta_sum(approx, eta_window(approx, self.times, zeros,
+                                                  np.eye(d)[l]).z)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                y, _, _, cond = self.fit(idx, response[idx], approx=approx,
+                                         values=zeros)
+            assert cond < 10
+            assert (np.abs(y - response)[span].max()
+                    <= 1e-13 * cond * np.abs(response[span]).max()), l
 
     def test_overdetermined_residual_within_tone_bound(self):
         # zeta are true future values; feasibility is guaranteed because the
         # exact constants already satisfy the tone error bound at every fit
-        # point
+        # point, and the constants add a polynomial the fit spans
         idx = np.rint(np.linspace(5000, 65000, 12)).astype(int)
         zeta = np.cos(2.0 * (self.times[idx] + 1.0))
-        fit = self.fit(idx, zeta)
+        y, _, _, _ = self.fit(idx, zeta)
         r_at_tone = math.exp(-(0.3 * 2.0) ** 2)
         bound = 2.0 * (abs(1.0 - r_at_tone) + self.approx.eps2)
-        assert np.max(np.abs(fit.residual)) <= bound
+        assert np.max(np.abs(y[idx] - zeta)) <= bound
+
+    def test_realize_fitted_is_the_fits_own_prediction(self):
+        # the fit's c and span, applied from the window's middle sample,
+        # give its prediction bit for bit, and on a longer window from the
+        # same first sample the same rows: bit for bit but the last few,
+        # which the matrix-vector products may sum in BLAS's remainder loop,
+        # to a few ulps of phi there
+        idx = np.arange(5000, 65001, 12000)
+        zeta = np.cos(2.0 * (self.times[idx] + 1.0))
+        cut = 70001
+        y, c, span, _ = predict_fitted(self.approx, self.times[:cut],
+                                       self.values[:cut], idx, zeta)
+        ref = cut // 2
+        own = realize_fitted(self.approx, self.times[:cut], self.values[:cut],
+                             ref, c, span)
+        longer = realize_fitted(self.approx, self.times, self.values, ref, c,
+                                span)
+        assert own.tobytes() == y.tobytes()
+        assert longer[:cut - 16].tobytes() == y[:-16].tobytes()
+        phi = eta_sum(self.approx, iterated_integrals(
+            self.times[:cut], self.values[:cut], 6, 1.0, np.zeros(6), ref))
+        assert (np.abs(longer[cut - 16:cut] - y[-16:]).max()
+                <= 1e-15 * np.abs(phi).max())
 
     def test_validations(self):
-        # fit_eta takes the sample indices its caller picks; the caller
-        # refuses fewer than d of them, observations past the record and a
-        # fit span that does not lie after t1
+        # predict_fitted takes the sample indices its caller picks; the
+        # caller refuses fewer than d of them, observations past the record
+        # and a fit span that does not lie after t1
         def picks(t1, theta, dbar):
             return cli._fit_eta_from_samples(self.approx, self.times,
                                              self.values, t1, theta, dbar)
@@ -748,42 +782,11 @@ class TestFitEta:
             picks(0.0, 20.0, 6)
         with pytest.raises(ValueError, match="observation window too short"):
             picks(0.0, 1.05, 6)
-        _, _, fit, _ = picks(0.0, 8.0, 6)
-        assert fit.etaP.shape == (6,)
-
-    def test_refuses_constants_that_are_not_finite(self):
-        # finite observations whose least-squares constants overflow
-        approx = Approximant(T=1.0, omega_gap=1.0, taper=GAUSS03, d=2,
-                             c=[0.0, 1e-3, 1e-3], eps2=1.0)
-        with np.errstate(over="ignore", invalid="ignore"), \
-                pytest.raises(ValueError, match="etaP must be finite"):
-            self.fit(np.array([10000, 20000]), np.array([1e306, -1e306]),
-                     approx=approx, values=np.zeros_like(self.times))
-
-    def test_warns_on_clustered_fit_times(self):
-        # six consecutive samples
-        with pytest.warns(RuntimeWarning):
-            self.fit(np.arange(10000, 10006), np.zeros(6))
-
-    @pytest.mark.parametrize("d, h, picks", [
-        (6, 1e-4, np.arange(5000, 65001, 12000)), (2, 0.37, np.array([1, 2]))])
-    def test_fit_stops_at_the_last_fit_sample(self, d, h, picks):
-        # Gregory's rule is prefix-exact from 6 samples on, so the record
-        # cut after the last fit sample (at 6 samples at least) gives the
-        # constants of the whole record bit for bit, and they reproduce the
-        # whole record's own predictions
-        approx = random_approx(d, np.random.default_rng(d), gap=1.1)
-        times = h * np.arange(picks[-1] + 6)
-        values = np.cos(2.0 * times)
-        eta_true = np.random.default_rng(1).uniform(-1, 1, d)
-        zeta = eta_sum(approx, eta_window(approx, times, values,
-                                          eta_true).z[:, picks])
-        cut = max(picks[-1] + 1, 6)
-        whole = fit_eta(approx, times, values, picks, zeta)
-        part = fit_eta(approx, times[:cut], values[:cut], picks, zeta)
-        assert whole.etaP.tobytes() == part.etaP.tobytes()
-        assert whole.residual.tobytes() == part.residual.tobytes()
-        assert np.abs(whole.etaP - eta_true).max() < 1e-9 * whole.cond
+        # the window fitted ends at theta
+        tw, y, fit = picks(0.0, 5.0, 6)
+        assert len(fit["c"]) == 6 and len(fit["residual"]) == 6
+        assert tw[-1] == 5.0 and y.shape == tw.shape == (50001,)
+        assert fit["ref_time"] == tw[25000] and fit["fit_span"][1] == 4.0
 
 
 class TestFindLeftRoot:
