@@ -5,7 +5,7 @@ an approximant, on the grid fit_approximants ties to its degree, computes the
 two error budgets (the L1-spectrum form bound_paper = (eps1 + M eps2) / 2pi,
 M the spectrum's L1 mass, and for tones the point-mass form bound_tones =
 eps1 + M eps2, that is sum_j 2|A_j| (1 - r_nu(w_j) + eps2); 0.0 for bumps),
-runs the recurrence in time with the exact constants etaP_j(t_start) on a
+runs the recurrence in time with the exact constants etaP_j on a
 measurement grid, and records the sup error against the exact future values.
 A row passes when the measured sup error is at most the bound matching its
 spectrum kind, bound_tones for tones and bound_paper for bumps, up to 1e-15
@@ -22,28 +22,34 @@ dt / k, k the fewest whole steps that bring it to at most 5e-3*T and
 0.05 / omega_max, omega_max the highest frequency of the config's spectra
 (Gregory's rule is of order 6; the second term keeps a fast spectrum as
 well resolved as a slow one), and report.json records h as
-quadrature_step.  run_sweep loads every spectrum before it sets h, takes
-every spectrum's nu list (nu_list or select_nu) and every spectrum's
-truth: its future values, record and constants, sampled on its own, and
-the levels z_0..z_D (D = max(d_list)) of all the records, realized in one
-stacked iterated_integrals pass (which needs the one record step h that
-all spectra share) and kept at that stride, which do not depend on the
-approximant.  It is then three loops.  Per spectrum, and per degree, where the spectrum lacks a fit, it fits in one
-fit_approximants call every nu of this spectrum and the later ones that
-the sweep has not fitted yet, so a sweep whose fits all succeed makes one
-call per degree; the (d, nu) fits are shared across spectra, and a call
-that raises stores nothing, so the next spectrum tries again.  Once the
-truth is taken it computes eps1 per (spectrum, nu) and the spectrum's L1
-mass M (the row's mass) per spectrum, and per row the two bounds and
-eta_sum on the first d + 1 levels.  A failing step errors exactly the rows
-it serves: select_nu one row per d with nu = nan, a fit its degree's rows,
-the truth every row whose fit succeeded (a stacked pass that raises is run
-record by record, so a realization's error is its own spectrum's too), an
-eps1 its nu's rows and M its spectrum's rows whose fit succeeded.  The
-stacked level array is refused over 2^25 entries before it is made, as a
-single record's is, and the records are then realized one by one; it is
-freed once every spectrum's grid levels are copied from it, and those and
-the future values are held through the sweep, and nothing outlives the call.
+quadrature_step.  As in predict's internal eta fit, the recurrence runs
+from the record's middle sample times[n // 2], where the constants are
+taken, so its levels grow over half the window, not all of it;
+report.json records that time as reference_time.
+
+run_sweep is five steps, each of which gives per item a value or the
+exception that the item raised:
+1. the spectra, all loaded before h is set, and h;
+2. each spectrum's nu list: nu_list, or the one nu select_nu picks;
+3. the fits: one fit_approximants call per degree, before any row, for
+   every nu of the sweep in first-seen order, and none when no spectrum has
+   a nu list.  A fit's refusals depend on (T, omega_gap, d) alone, so a
+   call that raises errors its degree's rows in every spectrum;
+4. the truths: each spectrum's future values, record and constants,
+   sampled on its own, and the levels z_0..z_D (D = max(d_list)) of all
+   the records, realized in one stacked iterated_integrals pass (which
+   needs the one h that all spectra share) and kept at the measurement
+   stride.  A stacked pass that raises is run record by record, so a
+   realization's error is its own spectrum's;
+5. the rows: eps1 per (spectrum, nu) and the L1 mass M (the row's mass)
+   per spectrum, then per row the two bounds and eta_sum on the first
+   d + 1 levels.
+A row records the first exception among the steps it needs, in this order:
+its nu list (one row per d, with nu = nan), its fit, its truth, its eps1,
+its mass, then the row itself.  The stacked level array is refused over
+2^25 entries before it is made, as a single record's is, and the records
+are then realized one by one; the grid levels and future values are held
+through the sweep, and nothing outlives the call.
 
 Rows are computed serially in a fixed order and all output formatting is
 fixed-width, so identical configs produce byte-identical reports.
@@ -98,7 +104,12 @@ class ExperimentConfig:
         for name in ("T", "omega_gap", "t_start", "t_end", "dt",
                      "eps1_target"):
             value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
+            if value is None and name == "eps1_target":
+                continue
+            # a bool is an int, and would be swept as 0 or 1
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a number, got {value!r}")
+            if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite")
         if self.T <= 0:
             raise ValueError("T must be positive")
@@ -162,12 +173,14 @@ class ExperimentConfig:
 
 
 class Sweep(list):
-    """run_sweep's rows, in order, and the record step quadrature_step that
-    their sup_err was measured on."""
+    """run_sweep's rows, in order, the record step quadrature_step that
+    their sup_err was measured on, and the record's middle sample time
+    reference_time, where the realization takes its exact constants."""
 
-    def __init__(self, rows, quadrature_step: float):
+    def __init__(self, rows, quadrature_step: float, reference_time: float):
         super().__init__(rows)
         self.quadrature_step = quadrature_step
+        self.reference_time = reference_time
 
 
 @dataclass
@@ -198,62 +211,47 @@ def _grids(config: ExperimentConfig, h: float):
 
 
 def _sample(config: ExperimentConfig, spec: SpectrumSpec, h: float,
-            times: np.ndarray, n_grid: int):
+            times: np.ndarray, ref: int, n_grid: int):
     # x(t + T) at the n_grid measurement times t_start + k dt, the record
-    # on times and its constants etaP_0..etaP_{D-1}(t_start), D = max(d_list)
+    # on times and its constants etaP_0..etaP_{D-1} at the reference time
+    # times[ref], D = max(d_list)
     t1 = config.t_start
     future = sample_grid(spec, t1 + config.T, config.dt, n_grid)
     values = sample_grid(spec, t1, h, len(times))
     return future, values, exact_etaP(spec, config.omega_gap,
-                                      max(config.d_list), t1)
+                                      max(config.d_list), times[ref])
 
 
 def _realize(config: ExperimentConfig, h: float, times: np.ndarray,
-             n_grid: int, sampled: list) -> list:
+             ref: int, n_grid: int, sampled: list) -> list:
     # per (future, values, etaP) of sampled, (future, levels), levels the
-    # record's z_0..z_D at the measurement times, every (dt/h)-th sample,
-    # from one stacked pass, or the exception it raised: a stack that
-    # raises is realized record by record, so each error is its own
-    # record's.  Each record's levels are taken by one fancy index, a fresh
-    # array laid out as a one-record call's [:, stride] lays it out, since
-    # eta_sum's gemv sums a view into the stack in another order and so
-    # changes its last bit
+    # record's z_0..z_D from times[ref] at the measurement times, every
+    # (dt/h)-th sample, from one stacked pass, or the exception it raised:
+    # a stack that raises is realized record by record, so each error is
+    # its own record's.  Each record's levels are taken by one fancy index,
+    # a fresh array laid out as a one-record call's [:, stride] lays it
+    # out, since eta_sum's gemv sums a view into the stack in another
+    # order and so changes its last bit
     try:
         z = iterated_integrals(
             times, np.stack([values for _, values, _ in sampled]),
             max(config.d_list), config.omega_gap,
-            np.stack([etaP for _, _, etaP in sampled]))
+            np.stack([etaP for _, _, etaP in sampled]), ref)
     except Exception as exc:  # noqa: BLE001 - recorded per row
         if len(sampled) == 1:
             return [exc]
         return [truth for one in sampled
-                for truth in _realize(config, h, times, n_grid, [one])]
+                for truth in _realize(config, h, times, ref, n_grid, [one])]
     stride = round(config.dt / h) * np.arange(n_grid)
     return [(future, z[:, s, stride])
             for s, (future, _, _) in enumerate(sampled)]
 
 
-def _truths(config: ExperimentConfig, specs: list, h: float,
-            times: np.ndarray, n_grid: int) -> list:
-    # per spectrum of specs, (future values, levels) as _realize gives
-    # them, or the exception that its sampling or realization raised; None
-    # for a spectrum given as None.  Each spectrum is sampled on its own,
-    # and those that sampled are realized in one stacked pass
-    sampled = [None if spec is None else
-               _attempt(_sample, config, spec, h, times, n_grid)
-               for spec in specs]
-    usable = [one for one in sampled if isinstance(one, tuple)]
-    realized = iter(_realize(config, h, times, n_grid, usable) if usable
-                    else ())
-    return [next(realized) if isinstance(one, tuple) else one
-            for one in sampled]
-
-
-def _row(spec_name: str, spec: SpectrumSpec, approx, eps1: float,
-         mass: float, future: np.ndarray, levels: np.ndarray) -> ErrorRow:
+def _row(spec_name: str, spec: SpectrumSpec, approx, truth, eps1: float,
+         mass: float) -> ErrorRow:
     # the two bounds and the measured error of approx's (d, nu), given the
-    # spectrum's eps1 at that nu and its mass
-    taper, eps2 = approx.taper, approx.eps2
+    # spectrum's truth as _realize gives it, its eps1 at that nu and its mass
+    (future, levels), taper, eps2 = truth, approx.taper, approx.eps2
     # the paper's error (1/2pi) int |e^{iwT} - psi(iw)| |X| dw: eps1 covers
     # the taper's share and eps2 bounds |r_nu - psi| against each unit of
     # the spectrum's L1 mass M; tones, point masses, take it without 1/2pi
@@ -268,61 +266,10 @@ def _row(spec_name: str, spec: SpectrumSpec, approx, eps1: float,
                     passed=bool(sup_err <= applicable + 1e-15))
 
 
-def _nu_list(config: ExperimentConfig, spec: SpectrumSpec):
-    # the spectrum's nu list, nu_list or select_nu's one nu, or the
-    # exception select_nu raised
-    if config.nu_list is not None:
-        return list(config.nu_list)
-    try:
-        return [select_nu(spec, config.taper_family, config.eps1_target)]
-    except Exception as exc:  # noqa: BLE001 - recorded per row
-        return exc
-
-
-def _spectrum_rows(config: ExperimentConfig, name: str, spec: SpectrumSpec,
-                   nus, wanted: list, truth, approximants: dict) -> list:
-    # one spectrum's rows, d by d and nu by nu, for its _nu_list nus and
-    # its _truths truth; approximants maps (d, nu) to the sweep's fits, and
-    # a degree with one of nus unfitted gains, in one call, every nu of
-    # wanted, those of this spectrum and the later ones, that it lacks
-    def failed(d, nu, exc):
-        return ErrorRow(spec=name, d=d, nu=nu,
-                        error=f"{type(exc).__name__}: {exc}")
-
-    if isinstance(nus, Exception):
-        return [failed(d, math.nan, nus) for d in config.d_list]
-    truth_error = truth if isinstance(truth, Exception) else None
-    if truth_error is None:
-        future, levels = truth
-        # eps1 per nu and the mass, or the exception each raised, which
-        # errors the rows whose truth and fit succeeded, eps1's first
-        eps1 = {nu: _attempt(epsilon1, spec,
-                             TaperSpec(config.taper_family, nu))
-                for nu in nus}
-        mass = _attempt(spectral_mass, spec)
-    rows = []
-    for d in config.d_list:
-        error = truth_error
-        if any((d, nu) not in approximants for nu in nus):
-            lacking = [nu for nu in wanted if (d, nu) not in approximants]
-            try:
-                fits = fit_approximants(config.T, config.omega_gap, [
-                    TaperSpec(config.taper_family, nu) for nu in lacking], d)
-                approximants.update(zip([(d, nu) for nu in lacking], fits))
-            except Exception as exc:  # noqa: BLE001 - recorded per row
-                error = exc
-        for nu in nus:
-            cause = error or next((value for value in (eps1[nu], mass)
-                                   if isinstance(value, Exception)), None)
-            if cause is not None:
-                rows.append(failed(d, nu, cause))
-                continue
-            try:
-                rows.append(_row(name, spec, approximants[(d, nu)], eps1[nu],
-                                 mass, future, levels))
-            except Exception as exc:  # noqa: BLE001 - recorded per row
-                rows.append(failed(d, nu, exc))
-    return rows
+def _failed(spec_name: str, d: int, nu: float, exc: Exception) -> ErrorRow:
+    # the row of (d, nu) that exc errored
+    return ErrorRow(spec=spec_name, d=d, nu=nu,
+                    error=f"{type(exc).__name__}: {exc}")
 
 
 def _attempt(fn, *args):
@@ -373,24 +320,57 @@ def run_sweep(config: ExperimentConfig) -> list:
     naming the file, as does a measurement grid or sample record over
     grid_size's limit; after that, per-row failures are
     recorded and the run continues.  The rows come as a Sweep, which also
-    holds the record step they were measured on."""
+    holds the record step they were measured on and the reference time
+    their realization starts from."""
     spectra = _load_spectra(config)
     h = _quadrature_step(config, [spec for _, spec in spectra])
     n_grid, times = _grids(config, h)
-    nu_lists = [_nu_list(config, spec) for _, spec in spectra]
-    truths = _truths(config, [
-        None if isinstance(nus, Exception) else spec
-        for (_, spec), nus in zip(spectra, nu_lists)], h, times, n_grid)
-    approximants: dict = {}
+    ref, family = len(times) // 2, config.taper_family
+    # per spectrum, its nu list or the exception select_nu raised
+    nu_lists = [config.nu_list or _attempt(
+        lambda spec: (select_nu(spec, family, config.eps1_target),), spec)
+        for _, spec in spectra]
+    # every nu of the sweep, once each in first-seen order, fitted in one
+    # call per degree: the (d, nu) fit, or the exception its call raised
+    every_nu = list(dict.fromkeys(
+        nu for nus in nu_lists if not isinstance(nus, Exception)
+        for nu in nus))
+    fits = {}
+    for d in config.d_list if every_nu else ():
+        fitted = _attempt(fit_approximants, config.T, config.omega_gap,
+                          [TaperSpec(family, nu) for nu in every_nu], d)
+        if isinstance(fitted, Exception):
+            fitted = [fitted] * len(every_nu)
+        fits.update(zip([(d, nu) for nu in every_nu], fitted))
+    # per spectrum, (future values, levels) or the exception its sampling
+    # or realization raised; those that sampled are realized in one pass
+    sampled = [_attempt(_sample, config, spec, h, times, ref, n_grid)
+               for _, spec in spectra]
+    usable = [one for one in sampled if isinstance(one, tuple)]
+    realized = iter(_realize(config, h, times, ref, n_grid, usable)
+                    if usable else ())
+    truths = [next(realized) if isinstance(one, tuple) else one
+              for one in sampled]
     rows = []
-    for i, truth in enumerate(truths):
-        # the nu of this spectrum and the later ones, each once, in order
-        wanted = list(dict.fromkeys(
-            nu for nus in nu_lists[i:] if not isinstance(nus, Exception)
-            for nu in nus))
-        rows += _spectrum_rows(config, *spectra[i], nu_lists[i], wanted,
-                               truth, approximants)
-    return Sweep(rows, h)
+    for (name, spec), nus, truth in zip(spectra, nu_lists, truths):
+        if isinstance(nus, Exception):
+            rows += [_failed(name, d, math.nan, nus) for d in config.d_list]
+            continue
+        eps1 = {nu: _attempt(epsilon1, spec, TaperSpec(family, nu))
+                for nu in nus}
+        mass = _attempt(spectral_mass, spec)
+        for d in config.d_list:
+            for nu in nus:
+                steps = (fits[d, nu], truth, eps1[nu], mass)
+                # the first failure among the steps the row needs, in
+                # order, or else the row or the exception it raised
+                row = next((step for step in steps
+                            if isinstance(step, Exception)), None)
+                if row is None:
+                    row = _attempt(_row, name, spec, *steps)
+                rows.append(_failed(name, d, nu, row)
+                            if isinstance(row, Exception) else row)
+    return Sweep(rows, h, float(times[ref]))
 
 
 # a report.csv row: spec, d, the six floats as '%.17g' writes them, pass
@@ -428,6 +408,7 @@ def write_reports(rows, out_dir) -> dict:
         "failing_rows": [i for i, row in enumerate(rows) if not row.passed],
         "all_pass": all(row.passed for row in rows),
         "quadrature_step": rows.quadrature_step,
+        "reference_time": rows.reference_time,
         "convergence": verdict}, indent=2, sort_keys=True)
     encoded = ["{\n      " + _ROW_ENCODER.encode(vars(row))[1:-1] + "\n    }"
                for row in rows]

@@ -320,5 +320,6 @@ def report_json(rows, verdict):
            "failing_rows": [i for i, row in enumerate(rows) if not row.passed],
            "all_pass": all(row.passed for row in rows),
            "quadrature_step": rows.quadrature_step,
+           "reference_time": rows.reference_time,
            "convergence": verdict}
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"

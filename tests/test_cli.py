@@ -1970,7 +1970,7 @@ class TestEvalCommand:
                                  passed=True)
                 for nu, sup in sups.items() for d in (4, 6, 8)]
         monkeypatch.setattr(cli, "run_sweep",
-                            lambda config: harness.Sweep(rows, 0.005))
+                            lambda config: harness.Sweep(rows, 0.005, 1.0))
         result = invoke(runner, ["eval", "--config",
                                  os.path.join(CONFIG_DIR, "demo.json"),
                                  "--out", str(tmp_path / "out")])
@@ -2249,6 +2249,30 @@ class TestEvalCommand:
         config[key] = value
         config_path = tmp_path / "cfg.json"
         config_path.write_text(json.dumps(config))  # writes NaN
+        result = invoke(runner, ["eval", "--config", str(config_path),
+                                 "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2
+        assert f"configuration error: {message}" in result.output
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key", ["T", "omega_gap", "t_start", "t_end",
+                                     "dt", "eps1_target"])
+    @pytest.mark.parametrize("value", [True, "1"])
+    def test_a_setting_that_is_not_a_number_exits_2(self, runner, tmp_path,
+                                                    key, value):
+        # a JSON true would be swept as 1; both it and a string are refused
+        # by the key's name, by the config reader and by eval
+        base = "bump.json" if key == "eps1_target" else "demo.json"
+        with open(os.path.join(CONFIG_DIR, base)) as fh:
+            config = json.load(fh)
+        config["spec_files"] = [os.path.join(CONFIG_DIR, "demo_tone.json")]
+        config[key] = value
+        config_path = tmp_path / "cfg.json"
+        config_path.write_text(json.dumps(config))
+        message = f"{key} must be a number, got {value!r}"
+        with pytest.raises(ValueError) as info:
+            harness.ExperimentConfig.from_json(config_path)
+        assert str(info.value) == message
         result = invoke(runner, ["eval", "--config", str(config_path),
                                  "--out", str(tmp_path / "out")])
         assert result.exit_code == 2

@@ -498,7 +498,7 @@ class TestSharedWork:
         counting("sample_grid", harness.sample_grid,
                  lambda spec, t0, dt, n: spec)
         counting("integrals", harness.iterated_integrals,
-                 lambda times, values, d, gap, etaP: d)
+                 lambda times, values, d, gap, etaP, ref: (d, times[ref]))
         counting("etaP", harness.exact_etaP,
                  lambda spec, gap, d, t: (spec, d, t))
         counting("eps1", harness.epsilon1, lambda spec, taper: (spec, taper))
@@ -512,21 +512,26 @@ class TestSharedWork:
                               d_list=(3, 4), nu_list=(0.5, 0.4), t_end=0.5,
                               dt=0.1)
         specs = [spec for _, spec in harness._load_spectra(config)]
+        _, times = harness._grids(config, harness._quadrature_step(config,
+                                                                   specs))
+        middle = times[len(times) // 2]
+        assert middle == pytest.approx(0.25, abs=1e-15)
         calls = self.count_calls(monkeypatch)
         for _ in range(2):  # nothing is cached across calls
             for values in calls.values():
                 values.clear()
             rows = run_sweep(config)
             assert [row.error for row in rows] == [None] * 8
-            # one call per degree, at the first spectrum's first row of
-            # it, holding both nu; the second spectrum reuses them
+            # one call per degree, before any row, holding both nu; both
+            # spectra's rows share them
             assert calls["fit"] == [(3, [0.5, 0.4]), (4, [0.5, 0.4])]
             # the record and the future values, per spectrum
             assert calls["sample_grid"] == [specs[0]] * 2 + [specs[1]] * 2
-            # both records' levels to max(d_list), in one stacked pass
-            assert calls["integrals"] == [4]
-            # etaP_0..etaP_3(t_start) in one call, per spectrum
-            assert calls["etaP"] == [(spec, 4, 0.0) for spec in specs]
+            # both records' levels to max(d_list) from the middle sample,
+            # in one stacked pass
+            assert calls["integrals"] == [(4, middle)]
+            # etaP_0..etaP_3 at the middle sample in one call, per spectrum
+            assert calls["etaP"] == [(spec, 4, middle) for spec in specs]
             # eps1 per (spectrum, nu) and the mass per spectrum, not per row
             assert calls["eps1"] == [(spec, TaperSpec("gaussian", nu))
                                      for spec in specs for nu in (0.5, 0.4)]
@@ -535,8 +540,8 @@ class TestSharedWork:
     def test_selected_nu_share_one_fit_call_per_degree(self, tmp_path,
                                                        monkeypatch):
         # with eps1_target each spectrum selects its own nu, and each degree
-        # fits both in one call, at the first spectrum's rows; every row is
-        # the one of its spectrum swept alone
+        # fits both in one call, before any row; every row is the one of
+        # its spectrum swept alone
         paths = two_tone_files(tmp_path)
         config = small_config(paths[0], spec_files=tuple(paths), d_list=(3, 4),
                               nu_list=None, eps1_target=0.05, t_end=0.5,
@@ -552,23 +557,59 @@ class TestSharedWork:
         assert [asdict(row) for row in rows] == alone
         assert all(row["error"] is None for row in alone)
 
-    def test_a_failing_degree_is_fitted_once_per_spectrum(self, tmp_path,
-                                                          monkeypatch):
-        # a degree whose fit raises errors its rows and is tried again by
-        # the next spectrum only, not by each of its remaining rows
+    def test_a_failing_degree_is_fitted_once_per_sweep(self, tmp_path,
+                                                      monkeypatch):
+        # a degree whose fit raises is fitted once, in the one call that
+        # holds every nu of the sweep, and errors that degree's rows in
+        # every spectrum; the other degree's rows are those of a sweep
+        # without it
         paths = two_tone_files(tmp_path)
-        config = small_config(paths[0], spec_files=tuple(paths), d_list=(4,),
+        config = small_config(paths[0], spec_files=tuple(paths), d_list=(3, 4),
                               t_end=0.5, dt=0.1)
-        calls = []
+        fit, calls = harness.fit_approximants, []
 
-        def failing_fit(T, gap, tapers, d):
+        def failing_at_4(T, gap, tapers, d):
             calls.append((d, [t.nu for t in tapers]))
-            raise ValueError("fit failed")
+            if d == 4:
+                raise ValueError("fit failed")
+            return fit(T, gap, tapers, d)
 
-        monkeypatch.setattr(harness, "fit_approximants", failing_fit)
+        monkeypatch.setattr(harness, "fit_approximants", failing_at_4)
         rows = run_sweep(config)
-        assert [row.error for row in rows] == ["ValueError: fit failed"] * 6
-        assert calls == [(4, [0.5, 0.4, 0.3])] * 2
+        assert calls == [(3, [0.5, 0.4, 0.3]), (4, [0.5, 0.4, 0.3])]
+        assert [(row.spec, row.d, row.error) for row in rows] == [
+            (f"spec{j}", d, None if d == 3 else "ValueError: fit failed")
+            for j in (0, 1) for d in (3, 4) for _ in range(3)]
+        assert [row for row in rows if row.d == 3] == \
+            run_sweep(replace(config, d_list=(3,)))
+
+    def test_a_row_reports_its_fit_error_before_its_truth_error(
+            self, tmp_path, monkeypatch):
+        # the first spectrum's truth fails and the degree 4 fit fails: its
+        # degree 4 rows report the fit, its degree 3 rows the truth, and
+        # the second spectrum's degree 4 rows the fit
+        paths = two_tone_files(tmp_path)
+        config = small_config(paths[0], spec_files=tuple(paths), d_list=(3, 4),
+                              nu_list=(0.4,), t_end=0.5, dt=0.1)
+        fit, sample = harness.fit_approximants, harness.sample_grid
+
+        def failing_at_4(T, gap, tapers, d):
+            if d == 4:
+                raise ValueError("fit failed")
+            return fit(T, gap, tapers, d)
+
+        def failing_for_first(spec, *args):
+            if spec.tones[0].omega == 2.0:
+                raise ValueError("no samples")
+            return sample(spec, *args)
+
+        monkeypatch.setattr(harness, "fit_approximants", failing_at_4)
+        monkeypatch.setattr(harness, "sample_grid", failing_for_first)
+        rows = run_sweep(config)
+        assert [(row.spec, row.d, row.error) for row in rows] == [
+            ("spec0", 3, "ValueError: no samples"),
+            ("spec0", 4, "ValueError: fit failed"),
+            ("spec1", 3, None), ("spec1", 4, "ValueError: fit failed")]
 
     def test_each_failing_step_errors_the_rows_it_serves(self, tmp_path):
         # real refusals: select_nu at an eps1_target the exponential taper
@@ -684,8 +725,8 @@ class TestSharedWork:
     def test_rows_match_rows_predicted_one_at_a_time(self, tmp_path,
                                                      monkeypatch, dt):
         # each row's prediction, from the spectrum's levels at max(d_list),
-        # is the recurrence's on the row's own record run to degree d only,
-        # bit for bit
+        # is the recurrence's on the row's own record run to degree d only
+        # from its middle sample, bit for bit
         paths = two_tone_files(tmp_path)
         config = small_config(paths[0], spec_files=tuple(paths),
                               d_list=(2, 3, 4, 8), nu_list=(0.4, 0.3),
@@ -705,12 +746,13 @@ class TestSharedWork:
         h = harness._quadrature_step(config, specs)
         n_grid, times = harness._grids(config, h)
         t_grid = config.t_start + config.dt * np.arange(n_grid)
+        ref = len(times) // 2
         for i, (approx, y) in enumerate(calls):
             spec = specs[i // 8]
             values = sample_grid(spec, config.t_start, h, len(times))
-            etaP = exact_etaP(spec, 1.0, 8, config.t_start)[:approx.d]
-            levels = iterated_integrals(times, values, approx.d, 1.0,
-                                        etaP)[:, sample_index(times, t_grid)]
+            etaP = exact_etaP(spec, 1.0, 8, times[ref])[:approx.d]
+            levels = iterated_integrals(times, values, approx.d, 1.0, etaP,
+                                        ref)[:, sample_index(times, t_grid)]
             assert levels.shape == (approx.d + 1, n_grid)
             assert np.array_equal(y, eta_sum(approx, levels))
 
@@ -724,26 +766,6 @@ class TestSharedWork:
                  for row in run_sweep(replace(config, spec_files=(path,)))]
         assert all(row["error"] is None for row in together)
         assert together == alone
-
-    def test_a_failed_fit_is_not_cached(self, tmp_path, monkeypatch):
-        # the first fit of (3, 0.4) fails; the next spectrum fits it again
-        paths = two_tone_files(tmp_path)
-        config = small_config(paths[0], spec_files=tuple(paths), d_list=(3,),
-                              nu_list=(0.4,), t_end=0.5, dt=0.1)
-        fit = harness.fit_approximants
-        failed = []
-
-        def fit_failing_once(*args, **kwargs):
-            if not failed:
-                failed.append(True)
-                raise ValueError("transient")
-            return fit(*args, **kwargs)
-
-        monkeypatch.setattr(harness, "fit_approximants", fit_failing_once)
-        rows = run_sweep(config)
-        assert [row.error for row in rows] == ["ValueError: transient", None]
-        assert rows[1] == run_sweep(replace(config,
-                                            spec_files=(paths[1],)))[0]
 
     def test_a_degree_too_large_errors_only_its_own_rows(self):
         # the demo tone at d = 4000: each of its rows records
@@ -872,7 +894,7 @@ class TestEmitReport:
             ErrorRow(spec="s", d=8, nu=0.5, eps1=0.1, eps2=0.1, mass=1.0,
                      bound_paper=0.2, bound_tones=0.3, sup_err=0.5,
                      passed=False),
-        ], 0.005)
+        ], 0.005, 0.25)
 
     def write(self, out_dir, name):
         write_reports(self.rows(), out_dir)
@@ -901,11 +923,12 @@ class TestEmitReport:
         assert text == json.dumps(data, indent=2, sort_keys=True) + "\n"
         assert data["rows"] == [asdict(row) for row in self.rows()]
         assert data["quadrature_step"] == 0.005
+        assert data["reference_time"] == 0.25
         assert data["convergence"] == convergence_verdict(self.rows())
 
     def test_rejects_empty_table(self, tmp_path):
         with pytest.raises(ValueError, match="empty report"):
-            write_reports(Sweep([], 0.005), tmp_path / "out")
+            write_reports(Sweep([], 0.005, 0.25), tmp_path / "out")
 
     @pytest.mark.parametrize("blocked", ["report.csv", "report.json"])
     def test_a_refused_write_leaves_no_new_file(self, tmp_path, blocked):
@@ -950,7 +973,8 @@ class TestReportBytes:
     @pytest.mark.parametrize("verdict", ["failed", "skipped"])
     def test_reports_equal_the_references(self, tmp_path, verdict):
         rows = self.adversarial_rows()
-        rows = Sweep(rows if verdict == "failed" else rows[:5], 1.0 / 3.0)
+        rows = Sweep(rows if verdict == "failed" else rows[:5], 1.0 / 3.0,
+                     2.0 / 3.0)
         written = write_reports(rows, tmp_path)
         assert written == convergence_verdict(rows)
         assert written["passed"] is (False if verdict == "failed" else None)
